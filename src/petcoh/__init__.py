@@ -4,21 +4,16 @@ quadric presentation on the other, and checks that the two agree."""
 
 __version__ = "0.1.0"
 
-from .billey import (
-    RootPolynomial,
-    TPolynomial,
-    billey_localization,
-    restrict_to_S,
-)
+from .billey import billey_localization, restrict_to_S
 from .commalg import (
     HilbertSeries,
     Ideal,
     Poly,
+    TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
     groebner_basis,
     hilbert_series_of_quotient,
-    is_positive_definite,
     is_regular_sequence,
     zero_set_is_origin,
     zero_set_via_minors,
@@ -30,6 +25,7 @@ from .roots import (
     CartanMatrix,
     LieType,
     cartan_matrix,
+    leading_minors_positive,
     parse_lie_type,
     simple_reflection_action,
     simple_root,
@@ -49,7 +45,6 @@ __all__ = [
     "PetersonModel",
     "Poly",
     "ResourceCapError",
-    "RootPolynomial",
     "TPolynomial",
     "WeylElement",
     "WeylGroup",
@@ -59,8 +54,8 @@ __all__ = [
     "cartan_matrix",
     "groebner_basis",
     "hilbert_series_of_quotient",
-    "is_positive_definite",
     "is_regular_sequence",
+    "leading_minors_positive",
     "parse_lie_type",
     "restrict_to_S",
     "simple_reflection_action",

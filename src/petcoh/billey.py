@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .commalg import Poly, TPolynomial
 from .errors import ResourceCapError
 from .roots import is_positive_root_vector
 from .weyl import WeylElement, WeylGroup, _mat_mul
@@ -25,213 +26,6 @@ from .weyl import WeylElement, WeylGroup, _mat_mul
 # enough for every rank <= 4 pipeline, small enough to refuse E7/E8-sized
 # blowups instead of hanging.
 EMBEDDING_BUDGET = 10_000_000
-
-
-class RootPolynomial:
-    """Polynomial in the simple roots alpha_1..alpha_n, exact coefficients.
-
-    Terms map exponent tuples to nonzero Fractions; the zero polynomial has
-    no terms.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "RootPolynomial":
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "RootPolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
-
-    @classmethod
-    def from_root(cls, coords) -> "RootPolynomial":
-        """The linear form sum_i c_i alpha_i."""
-        n = len(coords)
-        terms = {}
-        for i, c in enumerate(coords):
-            if c:
-                exps = tuple(1 if k == i else 0 for k in range(n))
-                terms[exps] = Fraction(c)
-        return cls(n, terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, RootPolynomial)
-                and self.nvars == other.nvars and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + c
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return RootPolynomial(self.nvars, out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
-        return RootPolynomial(self.nvars, out)
-
-    def degrees(self) -> set[int]:
-        return {sum(exps) for exps in self.terms}
-
-    def is_homogeneous_of_degree(self, d: int) -> bool:
-        return not self.terms or self.degrees() == {d}
-
-    def as_triples(self):
-        """Sorted (exponent vector, numerator, denominator) serialization."""
-        return [
-            [list(exps), c.numerator, c.denominator]
-            for exps, c in sorted(self.terms.items())
-        ]
-
-    def __repr__(self):
-        if not self.terms:
-            return "RootPolynomial(0)"
-        bits = []
-        for exps, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"a{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps) if e
-            )
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "RootPolynomial(" + " + ".join(bits) + ")"
-
-
-class TPolynomial:
-    """Polynomial in the single variable t with exact rational coefficients.
-
-    Stored as a coefficient tuple without trailing zeros; the cohomological
-    degree of t^k is 2k.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls) -> "TPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, coeff, power: int) -> "TPolynomial":
-        return cls((0,) * power + (coeff,))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, TPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPolynomial(
-            tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPolynomial(
-            tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return TPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPolynomial(out)
-
-    def scale(self, c) -> "TPolynomial":
-        c = Fraction(c)
-        return TPolynomial(tuple(c * a for a in self.coeffs))
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def degree(self) -> int:
-        """Degree in t; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_monomial_of_degree(self, d: int) -> bool:
-        """Zero, or exactly one term c*t^d."""
-        if not self.coeffs:
-            return True
-        return self.degree() == d and all(c == 0 for c in self.coeffs[:-1])
-
-    def exact_div(self, other: "TPolynomial") -> "TPolynomial":
-        """Exact quotient; raises ValueError when the division has remainder."""
-        if not other.coeffs:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
-                continue
-            factor = rem[k] / lead
-            q[k - d] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= factor * b
-        if any(rem):
-            raise ValueError("polynomial division is not exact")
-        return TPolynomial(q)
-
-    def to_json(self):
-        """Coefficients of t^0, t^1, ... as "num/den" strings."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TPolynomial(0)"
-        bits = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                bits.append(f"{c}")
-            elif k == 1:
-                bits.append(f"{c}*t")
-            else:
-                bits.append(f"{c}*t^{k}")
-        return "TPolynomial(" + " + ".join(bits) + ")"
 
 
 def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
@@ -249,36 +43,37 @@ def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
     return out
 
 
-def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> RootPolynomial:
-    """sigma_v(w): sum over embeddings of reduced words of v in w's witness
-    word of the product of the positive roots at the embedded positions."""
+def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> Poly:
+    """sigma_v(w), a polynomial in the simple roots: sum over embeddings of
+    reduced words of v in w's witness word of the product of the positive
+    roots at the embedded positions."""
     n = group.rank
     ell = v.length
     m = w.length
     if ell > m:
-        return RootPolynomial.zero(n)
+        return Poly.zero(n)
     if ell == 0:
-        return RootPolynomial.one(n)
+        return Poly.one(n)
     if comb(m, ell) > EMBEDDING_BUDGET:
         raise ResourceCapError(
             f"localization would scan C({m},{ell}) subwords, over the budget "
             f"of {EMBEDDING_BUDGET}")
     reduced_words = group.enumerate_reduced_words(v)
     word = w.witness_word
-    factors = [RootPolynomial.from_root(r) for r in inversion_roots(group, w)]
-    total = RootPolynomial.zero(n)
+    factors = [Poly.linear(r) for r in inversion_roots(group, w)]
+    total = Poly.zero(n)
     for positions in combinations(range(m), ell):
         if tuple(word[p] for p in positions) not in reduced_words:
             continue
-        term = RootPolynomial.one(n)
+        term = Poly.one(n)
         for p in positions:
             term = term * factors[p]
         total = total + term
-    assert total.is_homogeneous_of_degree(ell)
+    assert total.total_degrees() <= {ell}
     return total
 
 
-def restrict_to_S(p: RootPolynomial) -> TPolynomial:
+def restrict_to_S(p: Poly) -> TPolynomial:
     """Substitute alpha_i -> t for every i."""
     out: dict[int, Fraction] = {}
     for exps, c in p.terms.items():

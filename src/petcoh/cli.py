@@ -3,7 +3,7 @@
 Runs the selected verifications for one Lie type (or a suite of types) and
 emits a deterministic report: same inputs and tool version give the same
 JSON up to the timing fields.  Exit status is 0 exactly when everything
-selected passed.
+selected passed, and 2 for invalid input.
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
+from .billey import billey_localization
 from .commalg import (
+    HilbertSeries,
     Poly,
+    TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
     hilbert_series_of_quotient,
     is_regular_sequence,
     zero_set_is_origin,
     zero_set_via_minors,
-    _poly_mul,
-    HilbertSeries,
 )
-from .billey import billey_localization
 from .errors import IntegrityError, ResourceCapError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord
@@ -63,8 +63,12 @@ class RunConfig:
     reduced_word_cap: int = 16
 
     def __post_init__(self):
+        parse_lie_type(self.lie_type)
         if self.cutoff_degree < 0 or self.cutoff_degree % 2:
             raise ValueError("cutoff_degree must be even and non-negative")
+        if self.reduced_word_cap < 0:
+            raise ValueError(f"reduced_word_cap must be non-negative, "
+                             f"got {self.reduced_word_cap}")
         unknown = set(self.checks) - set(CHECK_ORDER)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -81,20 +85,22 @@ class RunConfig:
         }
 
 
+def _one_plus_s2_power(rank: int) -> TPolynomial:
+    """(1 + s^2)^rank."""
+    out = TPolynomial.one()
+    for _ in range(rank):
+        out = out * TPolynomial((1, 0, 1))
+    return out
+
+
 def expected_equivariant_series(rank: int) -> HilbertSeries:
     """(1 + s^2)^rank / (1 - s^2)."""
-    num = [1]
-    for _ in range(rank):
-        num = _poly_mul(num, [1, 0, 1])
-    return HilbertSeries.from_fraction(num, [1, 0, -1])
+    return HilbertSeries.from_fraction(_one_plus_s2_power(rank).coeffs, [1, 0, -1])
 
 
 def expected_ordinary_series(rank: int) -> HilbertSeries:
     """(1 + s^2)^rank."""
-    num = [1]
-    for _ in range(rank):
-        num = _poly_mul(num, [1, 0, 1])
-    return HilbertSeries.from_fraction(num, [1])
+    return HilbertSeries.from_fraction(_one_plus_s2_power(rank).coeffs, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
                 failures.append({"kind": "vanishing",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
-            if value and not value.is_homogeneous_of_degree(v.length):
+            if value and value.total_degrees() != {v.length}:
                 failures.append({"kind": "degree",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
@@ -364,25 +370,15 @@ def _run_one_suite_entry(type_name: str, template: RunConfig) -> dict:
         return {"lie_type": type_name, "error": str(exc)}
 
 
-def run_suite(types, template: RunConfig | None = None, workers: int = 1) -> dict:
-    """Per-type certifications plus an aggregate pass flag.
+def run_suite(types, template: RunConfig | None = None) -> dict:
+    """Per-type certifications, in input order, plus an aggregate pass flag.
 
     A type that fails to run at all is isolated as an error entry; it does
-    not abort the rest of the suite.  Per-type runs share no state, so they
-    may execute concurrently; report assembly stays in input order either
-    way.
+    not abort the rest of the suite.
     """
     template = template or RunConfig(lie_type="A1")
-    types = list(types)
     start = time.perf_counter()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(
-                lambda name: _run_one_suite_entry(name, template), types))
-    else:
-        entries = [_run_one_suite_entry(name, template) for name in types]
+    entries = [_run_one_suite_entry(name, template) for name in types]
     overall = all(
         entry.get("overall_pass", False) and "error" not in entry
         for entry in entries
@@ -431,25 +427,26 @@ def _add_common_options(parser: argparse.ArgumentParser):
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
+    """Check names as listed; RunConfig rejects unknown ones."""
     text = text.strip()
     if text == "all":
         return CHECK_ORDER
     if not text:
         return ()
-    names = tuple(p.strip() for p in text.split(","))
-    unknown = set(names) - set(CHECK_ORDER)
-    if unknown:
-        raise SystemExit(f"unknown checks: {sorted(unknown)}")
-    return names
+    return tuple(p.strip() for p in text.split(","))
 
 
 def _resolve_word_cap(cli_value) -> int:
     if cli_value is not None:
         return cli_value
     env = os.environ.get(WORD_CAP_ENV)
-    if env:
+    if not env:
+        return 16
+    try:
         return int(env)
-    return 16
+    except ValueError:
+        raise ValueError(
+            f"{WORD_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--types", default=",".join(DEFAULT_SUITE),
                        help="comma-separated Lie types "
                             f"(default: {','.join(DEFAULT_SUITE)})")
-    suite.add_argument("--workers", type=int, default=1,
-                       help="run types concurrently with this many workers")
     _add_common_options(suite)
     return parser
 
@@ -483,18 +478,21 @@ def _emit(text: str, out_path):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    checks = _parse_checks(args.checks)
-    word_cap = _resolve_word_cap(args.word_cap)
-
-    if args.command == "certify":
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # bad input ends in a one-line usage error (exit status 2), not a traceback
+    try:
         config = RunConfig(
-            lie_type=args.lie_type,
-            checks=checks,
+            lie_type=args.lie_type if args.command == "certify" else "A1",
+            checks=_parse_checks(args.checks),
             cutoff_degree=args.cutoff_degree,
             output_format=args.output_format,
-            reduced_word_cap=word_cap,
+            reduced_word_cap=_resolve_word_cap(args.word_cap),
         )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    if args.command == "certify":
         report = run_certification(config)
         if args.output_format == "json":
             _emit(report.to_json(), args.out)
@@ -502,15 +500,8 @@ def main(argv=None) -> int:
             _emit(report.to_text(), args.out)
         return 0 if report.overall_pass else 1
 
-    template = RunConfig(
-        lie_type="A1",
-        checks=checks,
-        cutoff_degree=args.cutoff_degree,
-        output_format=args.output_format,
-        reduced_word_cap=word_cap,
-    )
     types = [p.strip() for p in args.types.split(",") if p.strip()]
-    aggregate = run_suite(types, template, workers=args.workers)
+    aggregate = run_suite(types, config)
     if args.output_format == "json":
         _emit(json.dumps(aggregate, indent=2, sort_keys=True), args.out)
     else:

@@ -1,13 +1,25 @@
-"""Exact multivariate polynomial algebra for the quadric presentation.
+"""The package's exact algebra kernel.
 
-Polynomials live in Q[x_1..x_n, t] with every variable of cohomological
-degree 2; internally all computations run on ordinary total degree and the
-doubling happens only when a Hilbert series is emitted (s -> s^2).
+Two polynomial classes and one elimination serve every layer:
+
+- ``Poly``, multivariate, for polynomials in the simple roots (Billey's
+  formula) and in Q[x_1..x_n, t] (the quadric presentation);
+- ``TPolynomial``, univariate, for values restricted to the circle and for
+  Hilbert series numerators and denominators;
+- ``bareiss_pivots``, fraction-free elimination on integer matrices, for
+  exact ranks and leading principal minors.
+
+In the quadric presentation every variable has cohomological degree 2;
+internally all computations run on ordinary total degree and the doubling
+happens only when a Hilbert series is emitted (s -> s^2).
 
 The Groebner engine is a plain Buchberger loop: normal pair selection
 (smallest lcm first), the coprimality criterion, and the chain criterion.
 Instance sizes here are a handful of quadrics in at most nine variables, so
 nothing fancier is warranted.
+
+This module imports nothing else from the package at run time, so every
+other module can build on it.
 """
 
 from __future__ import annotations
@@ -15,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .roots import CartanMatrix, leading_minors_positive
+if TYPE_CHECKING:
+    from .roots import CartanMatrix
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -63,7 +77,8 @@ def _mono_div(a, b):
 # polynomials
 
 class Poly:
-    """Multivariate polynomial: exponent tuple -> nonzero Fraction."""
+    """Multivariate polynomial: exponent tuple -> nonzero Fraction; the zero
+    polynomial has no terms."""
 
     __slots__ = ("nvars", "terms")
 
@@ -81,9 +96,20 @@ class Poly:
         return cls(nvars)
 
     @classmethod
+    def one(cls, nvars: int) -> "Poly":
+        return cls(nvars, {(0,) * nvars: 1})
+
+    @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         exps = tuple(1 if k == index else 0 for k in range(nvars))
         return cls(nvars, {exps: 1})
+
+    @classmethod
+    def linear(cls, coords) -> "Poly":
+        """The linear form sum_i c_i z_i, e.g. a root in the simple roots."""
+        n = len(coords)
+        return cls(n, {tuple(1 if k == i else 0 for k in range(n)): c
+                       for i, c in enumerate(coords)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -203,6 +229,189 @@ class Poly:
         return f"Poly({self.render(names)})"
 
 
+class TPolynomial:
+    """Polynomial in the single variable t with exact rational coefficients.
+
+    Stored as a coefficient tuple without trailing zeros; the cohomological
+    degree of t^k is 2k.  Hilbert series use the same class in their
+    variable s.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = [Fraction(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def zero(cls) -> "TPolynomial":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "TPolynomial":
+        return cls((1,))
+
+    @classmethod
+    def monomial(cls, coeff, power: int) -> "TPolynomial":
+        return cls((0,) * power + (coeff,))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, TPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return TPolynomial(
+            tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return TPolynomial(
+            tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return TPolynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return TPolynomial(out)
+
+    def scale(self, c) -> "TPolynomial":
+        c = Fraction(c)
+        return TPolynomial(tuple(c * a for a in self.coeffs))
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+
+    def degree(self) -> int:
+        """Degree in t; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_monomial_of_degree(self, d: int) -> bool:
+        """Zero, or exactly one term c*t^d."""
+        if not self.coeffs:
+            return True
+        return self.degree() == d and all(c == 0 for c in self.coeffs[:-1])
+
+    def exact_div(self, other: "TPolynomial") -> "TPolynomial":
+        """Exact quotient; raises ValueError when the division has remainder."""
+        if not other.coeffs:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        d = other.degree()
+        lead = other.coeffs[-1]
+        for k in range(len(rem) - 1, d - 1, -1):
+            if rem[k] == 0:
+                continue
+            factor = rem[k] / lead
+            q[k - d] = factor
+            for j, b in enumerate(other.coeffs):
+                rem[k - d + j] -= factor * b
+        if any(rem):
+            raise ValueError("polynomial division is not exact")
+        return TPolynomial(q)
+
+    def gcd(self, other: "TPolynomial") -> "TPolynomial":
+        """Monic greatest common divisor over Q by the Euclidean algorithm;
+        one when both are zero."""
+        a, b = self, other
+        while b:
+            while a.degree() >= b.degree():
+                a = a - b * TPolynomial.monomial(a.coeffs[-1] / b.coeffs[-1],
+                                                 a.degree() - b.degree())
+            a, b = b, a
+        return a.scale(1 / a.coeffs[-1]) if a else TPolynomial.one()
+
+    def to_json(self):
+        """Coefficients of t^0, t^1, ... as "num/den" strings."""
+        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "TPolynomial(0)"
+        bits = []
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            if k == 0:
+                bits.append(f"{c}")
+            elif k == 1:
+                bits.append(f"{c}*t")
+            else:
+                bits.append(f"{c}*t^{k}")
+        return "TPolynomial(" + " + ".join(bits) + ")"
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+def bareiss_pivots(rows, pivoting: bool = True) -> list[int]:
+    """Pivots of fraction-free Gaussian elimination on an integer matrix
+    (Bareiss, Math. Comp. 22, 1968).
+
+    Each step replaces every entry below the pivot row by
+    (a * pivot - f * b) / (previous pivot); Sylvester's identity makes the
+    division exact, so the arithmetic never leaves the integers.
+
+    With pivoting, each column takes its first nonzero entry at or below
+    the current row as pivot, and a column without one is skipped; the
+    number of pivots is the rank.  Without pivoting, the k-th pivot is the
+    k-th leading principal minor, and the list stops at the first zero one,
+    past which the elimination cannot go on.
+    """
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        if pivoting:
+            r = next((r for r in range(k, len(m)) if m[r][col]), None)
+            if r is None:
+                continue
+            m[k], m[r] = m[r], m[k]
+        top = m[k]
+        pivot = top[col]
+        pivots.append(pivot)
+        if not pivot:
+            break
+        for row in m[k + 1:]:
+            f = row[col]
+            row[col + 1:] = [(a * pivot - f * b) // prev
+                             for a, b in zip(row[col + 1:], top[col + 1:])]
+        prev = pivot
+    return pivots
+
+
+def leading_minors_positive(rows) -> bool:
+    """True iff every leading principal minor of the square integer matrix
+    is positive.
+
+    By Sylvester's criterion this decides positive definiteness, also for
+    (possibly non-symmetric) Cartan matrices A: a_ij = 2(alpha_i, alpha_j) /
+    (alpha_j, alpha_j), so A = B D with B symmetric and D a positive
+    diagonal, and the leading minors of A are positive multiples of those
+    of B.
+    """
+    rows = [tuple(r) for r in rows]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    return all(m > 0 for m in bareiss_pivots(rows, pivoting=False))
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A list of nonzero generators in a named polynomial ring."""
@@ -232,11 +441,11 @@ def x_var_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def build_ideal_J(cartan: CartanMatrix) -> Ideal:
-    """Quadric ideal of the equivariant presentation in Q[x_1..x_n, t]:
-    one generator sum_j <alpha_i, alpha_j> x_i x_j - 2 t x_i per node i."""
+def _quadric_ideal(cartan: CartanMatrix, with_t: bool) -> Ideal:
+    """One quadric per node i: sum_j <alpha_i, alpha_j> x_i x_j, minus
+    2 t x_i when the trailing variable t is present."""
     n = cartan.rank
-    nvars = n + 1  # trailing variable is t
+    nvars = n + 1 if with_t else n
     gens = []
     for i in range(1, n + 1):
         terms: dict[tuple, Fraction] = {}
@@ -249,31 +458,24 @@ def build_ideal_J(cartan: CartanMatrix) -> Ideal:
             exps[j - 1] += 1
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + a_ij
-        exps = [0] * nvars
-        exps[i - 1] = 1
-        exps[n] = 1
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) - 2
+        if with_t:
+            exps = [0] * nvars
+            exps[i - 1] = 1
+            exps[n] = 1
+            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) - 2
         gens.append(Poly(nvars, terms))
-    return Ideal(x_var_names(n) + ("t",), tuple(gens))
+    return Ideal(x_var_names(n) + (("t",) if with_t else ()), tuple(gens))
+
+
+def build_ideal_J(cartan: CartanMatrix) -> Ideal:
+    """Quadric ideal of the equivariant presentation in Q[x_1..x_n, t]:
+    one generator sum_j <alpha_i, alpha_j> x_i x_j - 2 t x_i per node i."""
+    return _quadric_ideal(cartan, with_t=True)
 
 
 def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
     """The same generators with t set to zero, in Q[x_1..x_n]."""
-    n = cartan.rank
-    gens = []
-    for i in range(1, n + 1):
-        terms: dict[tuple, Fraction] = {}
-        for j in range(1, n + 1):
-            a_ij = cartan.a(i, j)
-            if not a_ij:
-                continue
-            exps = [0] * n
-            exps[i - 1] += 1
-            exps[j - 1] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + a_ij
-        gens.append(Poly(n, terms))
-    return Ideal(x_var_names(n), tuple(gens))
+    return _quadric_ideal(cartan, with_t=False)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +591,20 @@ class HilbertSeries:
 
     @classmethod
     def from_fraction(cls, numerator, denominator) -> "HilbertSeries":
-        num = [Fraction(c) for c in numerator]
-        den = [Fraction(c) for c in denominator]
-        g = _poly_gcd(num, den)
-        num = _poly_exact_div(num, g)
-        den = _poly_exact_div(den, g)
-        num, den = _clear_denominators(num, den)
+        """Reduce numerator/denominator, given as coefficient sequences
+        (constant term first), to lowest terms with coprime integer
+        coefficients and a positive constant term below."""
+        num, den = TPolynomial(numerator), TPolynomial(denominator)
+        g = num.gcd(den)
+        num, den = _clear_denominators(num.exact_div(g).coeffs,
+                                       den.exact_div(g).coeffs)
         return cls(tuple(num), tuple(den))
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        left = _poly_mul(list(self.numerator), list(other.denominator))
-        right = _poly_mul(list(other.numerator), list(self.denominator))
-        return _poly_trim(left) == _poly_trim(right)
+        return (TPolynomial(self.numerator) * TPolynomial(other.denominator)
+                == TPolynomial(other.numerator) * TPolynomial(self.denominator))
 
     def __hash__(self):
         return hash((self.numerator, self.denominator))
@@ -433,63 +635,6 @@ class HilbertSeries:
                 f"den={list(self.denominator)})")
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_exact_div(p, d):
-    """Exact polynomial quotient over Q (raises when not exact)."""
-    p = [Fraction(c) for c in p]
-    d = [Fraction(c) for c in d]
-    _poly_trim(p)
-    _poly_trim(d)
-    if not d:
-        raise ZeroDivisionError
-    if not p:
-        return []
-    q = [Fraction(0)] * (len(p) - len(d) + 1)
-    for k in range(len(p) - 1, len(d) - 2, -1):
-        if p[k] == 0:
-            continue
-        f = p[k] / d[-1]
-        q[k - len(d) + 1] = f
-        for j, b in enumerate(d):
-            p[k - len(d) + 1 + j] -= f * b
-    assert not any(p), "inexact polynomial division"
-    return q
-
-
-def _poly_gcd(p, q):
-    """Monic GCD over Q by the Euclidean algorithm."""
-    a = _poly_trim([Fraction(c) for c in p])
-    b = _poly_trim([Fraction(c) for c in q])
-    while b:
-        r = list(a)
-        while _poly_trim(r) and len(r) >= len(b):
-            f = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for j, c in enumerate(b):
-                r[shift + j] -= f * c
-            _poly_trim(r)
-        a, b = b, r
-    if not a:
-        return [Fraction(1)]
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
 def _clear_denominators(num, den):
     """Scale to coprime integer coefficients, denominator constant > 0."""
     den_lcm = 1
@@ -511,7 +656,15 @@ def _clear_denominators(num, den):
     return num_i, den_i
 
 
-def _monomial_quotient_numerator(gens, nvars: int):
+def _one_minus_product(degrees) -> TPolynomial:
+    """prod_d (1 - s^d) over the given positive degrees."""
+    out = TPolynomial.one()
+    for d in degrees:
+        out = out * (TPolynomial.one() - TPolynomial.monomial(1, d))
+    return out
+
+
+def _monomial_quotient_numerator(gens, nvars: int) -> TPolynomial:
     """Numerator of the Hilbert series of R/I for a monomial ideal I, over
     the internal degree-1 grading: F = N(s)/(1-s)^nvars.
 
@@ -520,13 +673,10 @@ def _monomial_quotient_numerator(gens, nvars: int):
     """
     gens = _minimalize(gens)
     if any(sum(g) == 0 for g in gens):
-        return [0]  # ideal contains 1
+        return TPolynomial.zero()  # ideal contains 1
     mixed = [g for g in gens if sum(1 for e in g if e) > 1]
     if not mixed:
-        out = [1]
-        for g in gens:
-            out = _poly_mul(out, [1] + [0] * (sum(g) - 1) + [-1])
-        return out
+        return _one_minus_product(sum(g) for g in gens)
     counts = [0] * nvars
     for g in mixed:
         for v in range(nvars):
@@ -538,12 +688,7 @@ def _monomial_quotient_numerator(gens, nvars: int):
     colon = [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens]
     n_plus = _monomial_quotient_numerator(plus, nvars)
     n_colon = _monomial_quotient_numerator(colon, nvars)
-    out = [0] * max(len(n_plus), len(n_colon) + 1)
-    for i, c in enumerate(n_plus):
-        out[i] += c
-    for i, c in enumerate(n_colon):
-        out[i + 1] += c
-    return out
+    return n_plus + n_colon * TPolynomial.monomial(1, 1)
 
 
 def _minimalize(gens):
@@ -562,23 +707,11 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
     """
     basis = groebner_basis(ideal, ordering)
     lead = leading_term_exponents(basis, ordering)
-    numer_internal = _monomial_quotient_numerator(lead, ideal.nvars)
+    numer = _monomial_quotient_numerator(lead, ideal.nvars)
     # substitute s -> s^2 and attach the denominator (1 - s^2)^nvars
-    numer = [0] * (2 * len(numer_internal) - 1) if numer_internal else [0]
-    for i, c in enumerate(numer_internal):
-        numer[2 * i] = c
-    denom = [1]
-    for _ in range(ideal.nvars):
-        denom = _poly_mul(denom, [1, 0, -1])
-    return HilbertSeries.from_fraction(numer, denom)
-
-
-def free_ring_series(nvars: int) -> HilbertSeries:
-    """Hilbert series of a free ring on nvars degree-2 variables."""
-    denom = [1]
-    for _ in range(nvars):
-        denom = _poly_mul(denom, [1, 0, -1])
-    return HilbertSeries.from_fraction([1], denom)
+    numer = [c for coeff in numer.coeffs for c in (coeff, 0)]
+    return HilbertSeries.from_fraction(
+        numer, _one_minus_product([2] * ideal.nvars).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -597,19 +730,15 @@ def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
                              "positive degree")
     ideal = Ideal(var_names, tuple(polys))
     actual = hilbert_series_of_quotient(ideal, ordering)
-    expected_num = [1]
-    for p in polys:
-        d = p.graded_degree()
-        expected_num = _poly_mul(expected_num, [1] + [0] * (d - 1) + [-1])
-    denom = [1]
-    for _ in var_names:
-        denom = _poly_mul(denom, [1, 0, -1])
-    expected = HilbertSeries.from_fraction(expected_num, denom)
+    degrees = [p.graded_degree() for p in polys]
+    expected = HilbertSeries.from_fraction(
+        _one_minus_product(degrees).coeffs,
+        _one_minus_product([2] * len(var_names)).coeffs)
     flag = actual == expected
     certificate = {
         "computed_series": actual.to_json(),
         "expected_series": expected.to_json(),
-        "degrees": [p.graded_degree() for p in polys],
+        "degrees": degrees,
     }
     return flag, certificate
 
@@ -629,20 +758,6 @@ def zero_set_is_origin(ideal: Ideal, ordering: str = "grevlex") -> bool:
     return True
 
 
-def is_positive_definite(matrix) -> bool:
-    """Positive definiteness via leading principal minors.
-
-    The route is valid for (possibly non-symmetric) Cartan matrices A: with
-    D the diagonal of squared root lengths, A = D B with B symmetric, so the
-    leading minors of A are positive multiples of those of B and Sylvester's
-    criterion transfers.
-    """
-    rows = [tuple(r) for r in matrix]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    return leading_minors_positive(rows)
-
-
 def zero_set_via_minors(cartan: CartanMatrix) -> bool:
     """Independent oracle: every principal submatrix of the Cartan matrix is
     positive definite, so the quadric system forces the origin."""
@@ -650,6 +765,6 @@ def zero_set_via_minors(cartan: CartanMatrix) -> bool:
     for mask in range(1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
         sub = [[cartan.entries[r][c] for c in idx] for r in idx]
-        if idx and not is_positive_definite(sub):
+        if idx and not leading_minors_positive(sub):
             return False
     return True

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .billey import TPolynomial, billey_localization, restrict_to_S
+from .billey import billey_localization, restrict_to_S
+from .commalg import TPolynomial, bareiss_pivots
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -398,21 +399,12 @@ def _compositions(total: int, parts: int):
 
 
 def _rank(rows) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Exact rank of a matrix of integral rationals.
+
+    The rows of ``image_graded_dimensions`` are integral because every
+    p_v(w_K) is an integer multiple of t^l(v); anything else is a pipeline
+    bug.
+    """
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise IntegrityError("rank matrix has a non-integral entry")
+    return len(bareiss_pivots([[int(x) for x in row] for row in rows]))

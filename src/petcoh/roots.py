@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .commalg import leading_minors_positive
 
 RANK_CONSTRAINTS = {
     "A": (1, None),
@@ -100,36 +101,6 @@ def _simple_edges(family: str, n: int) -> list[tuple[int, int, int, int]]:
     if family == "G":
         return [(1, 2, -1, -3)]
     raise AssertionError(family)
-
-
-def _det(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination with fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def leading_minors_positive(rows) -> bool:
-    """True iff every leading principal minor is positive."""
-    n = len(rows)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in rows[:k]]
-        if _det(sub) <= 0:
-            return False
-    return True
 
 
 class CartanMatrix:

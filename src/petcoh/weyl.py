@@ -9,7 +9,6 @@ the element.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
@@ -78,7 +77,7 @@ class WeylGroup:
     """Weyl group of a Cartan matrix.
 
     Holds the per-group caches (positive roots, reduced-word memo tables);
-    memo access is lock-guarded, and all returned values are immutable.
+    all returned values are immutable.
     """
 
     def __init__(self, cartan: CartanMatrix, reduced_word_cap: int = DEFAULT_REDUCED_WORD_CAP):
@@ -92,7 +91,6 @@ class WeylGroup:
         self._reflection_matrices = {
             j: self._build_reflection_matrix(j) for j in cartan.nodes()
         }
-        self._lock = threading.Lock()
         self._count_memo: dict[tuple, int] = {}
         self._words_memo: dict[tuple, frozenset] = {}
         self._longest_memo: dict[tuple[int, ...], WeylElement] = {}
@@ -140,9 +138,6 @@ class WeylGroup:
             w = self.right_multiply(w, i)
         return w
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self.from_word(tuple(reversed(w.witness_word)))
-
     def _delete_letter(self, w: WeylElement, j: int) -> tuple[int, ...]:
         """Reduced word for w s_j when s_j is a right descent of w.
 
@@ -186,8 +181,7 @@ class WeylGroup:
         in K that increases length.
         """
         key = tuple(sorted(set(K)))
-        with self._lock:
-            cached = self._longest_memo.get(key)
+        cached = self._longest_memo.get(key)
         if cached is not None:
             return cached
         w = self.identity
@@ -198,8 +192,7 @@ class WeylGroup:
                     break
             else:
                 break
-        with self._lock:
-            self._longest_memo[key] = w
+        self._longest_memo[key] = w
         return w
 
     def v_K(self, K) -> WeylElement:
@@ -225,8 +218,7 @@ class WeylGroup:
                 for i in self.cartan.nodes()
                 if self.right_descends(w, i)
             )
-        with self._lock:
-            self._count_memo[w.action] = total
+        self._count_memo[w.action] = total
         return total
 
     def enumerate_reduced_words(self, w: WeylElement) -> frozenset:
@@ -241,8 +233,7 @@ class WeylGroup:
                 f"cap {self.reduced_word_cap}")
 
         def rec(u: WeylElement) -> frozenset:
-            with self._lock:
-                cached = self._words_memo.get(u.action)
+            cached = self._words_memo.get(u.action)
             if cached is not None:
                 return cached
             if u.is_identity():
@@ -254,8 +245,7 @@ class WeylGroup:
                         for prefix in rec(self.right_multiply(u, i)):
                             acc.add(prefix + (i,))
                 words = frozenset(acc)
-            with self._lock:
-                self._words_memo[u.action] = words
+            self._words_memo[u.action] = words
             return words
 
         words = rec(w)

@@ -162,3 +162,44 @@ def poly_pow(p: list[int], k: int) -> list[int]:
     for _ in range(k):
         out = poly_mul(out, p)
     return out
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    rows = [[Q(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / lead
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def fraction_det(rows) -> Q:
+    """Determinant by Gaussian elimination on Fractions with row swaps."""
+    m = [[Q(x) for x in row] for row in rows]
+    n = len(m)
+    det = Q(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
-from petcoh.billey import TPolynomial, billey_localization
+from petcoh.billey import billey_localization
 from petcoh.cli import (
     DEFAULT_SUITE,
     RunConfig,
@@ -21,6 +21,7 @@ from petcoh.cli import (
 )
 from petcoh.commalg import (
     Poly,
+    TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
     hilbert_series_of_quotient,
@@ -164,7 +165,7 @@ def test_criterion_8_billey_welldefinedness():
             for w in elements:
                 for v in elements:
                     value = billey_localization(W, v, w)
-                    assert value.is_homogeneous_of_degree(v.length)
+                    assert value.total_degrees() <= {v.length}
                     assert bool(value) == W.bruhat_leq(v, w)
                     for word in W.enumerate_reduced_words(w):
                         alt = billey_localization(W, v, W.from_word(word))

@@ -99,13 +99,6 @@ def test_report_determinism():
     assert one == two
 
 
-def test_concurrent_suite_matches_sequential():
-    names = ["A2", "B2", "G2"]
-    sequential = run_suite(names, RunConfig(lie_type="A1"))
-    concurrent = run_suite(names, RunConfig(lie_type="A1"), workers=3)
-    assert strip_timing(sequential) == strip_timing(concurrent)
-
-
 def test_word_cap_skip_is_explicit(monkeypatch):
     # a cap of 2 blocks the well-definedness sweep of A2 (w0 has length 3)
     # but leaves the algebraic checks runnable
@@ -167,6 +160,30 @@ def test_main_suite_subset(tmp_path):
 def test_main_rejects_unknown_check():
     with pytest.raises(SystemExit):
         main(["certify", "--type", "A1", "--checks", "bogus"])
+
+
+@pytest.mark.parametrize("argv,env_cap", [
+    (["certify", "--type", "X9"], None),
+    (["certify", "--type", "E9"], None),
+    (["certify", "--type", "A1", "--cutoff-degree", "3"], None),
+    (["certify", "--type", "A1"], "abc"),
+    (["certify", "--type", "A1", "--word-cap", "-1"], None),
+    (["certify", "--type", "A1"], "-1"),
+    (["suite", "--types", "A1", "--word-cap", "-1"], None),
+], ids=["bad-type", "rank-out-of-range", "odd-cutoff", "env-cap-not-int",
+        "negative-word-cap", "negative-env-cap", "suite-negative-word-cap"])
+def test_bad_input_is_a_one_line_usage_error(argv, env_cap, monkeypatch, capsys):
+    if env_cap is None:
+        monkeypatch.delenv(WORD_CAP_ENV, raising=False)
+    else:
+        monkeypatch.setenv(WORD_CAP_ENV, env_cap)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--checks", "quadratic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("petcoh: error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_default_suite_contents():

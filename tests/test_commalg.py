@@ -5,28 +5,35 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from petcoh import peterson
+from petcoh.cli import DEFAULT_SUITE
 from petcoh.commalg import (
     HilbertSeries,
     Ideal,
     Poly,
+    TPolynomial,
+    bareiss_pivots,
     build_ideal_J,
     build_ideal_Jcheck,
     grevlex_key,
     grlex_key,
     groebner_basis,
     hilbert_series_of_quotient,
-    is_positive_definite,
     is_regular_sequence,
+    leading_minors_positive,
     leading_term_exponents,
     normal_form,
     s_polynomial,
     zero_set_is_origin,
     zero_set_via_minors,
 )
+from petcoh.errors import IntegrityError
 from petcoh.roots import cartan_matrix
 
-from oracles import poly_pow, series_prefix
+from oracles import fraction_det, fraction_rank, poly_pow, series_prefix
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
 
@@ -281,12 +288,93 @@ def test_zero_set_rejects_inhomogeneous():
 
 
 def test_positive_definiteness():
-    assert is_positive_definite([[2]])
-    assert is_positive_definite(cartan_matrix("A2").entries)
-    assert not is_positive_definite([[2, -2], [-2, 2]])  # determinant 0
-    assert not is_positive_definite([[0]])
+    assert leading_minors_positive([[2]])
+    assert leading_minors_positive(cartan_matrix("A2").entries)
+    assert not leading_minors_positive([[2, -2], [-2, 2]])  # determinant 0
+    assert not leading_minors_positive([[0]])
     with pytest.raises(ValueError):
-        is_positive_definite([[2, 0]])
+        leading_minors_positive([[2, 0]])
+
+
+# -- exact elimination -----------------------------------------------------------
+
+_ENTRIES = st.integers(-3, 3)
+
+
+def _matrix(nrows, ncols):
+    row = st.lists(_ENTRIES, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+def _product(left, right):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Small integer matrices, dense or a product through a thin inner
+    dimension (rank-deficient); small entries make zero pivots common."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(_matrix(nrows, ncols))
+    inner = draw(st.integers(1, 3))
+    return _product(draw(_matrix(nrows, inner)), draw(_matrix(inner, ncols)))
+
+
+def _leading_minors_oracle(rows):
+    """Leading principal minors up to and including the first zero one."""
+    minors = []
+    for k in range(1, len(rows) + 1):
+        minors.append(fraction_det([row[:k] for row in rows[:k]]))
+        if not minors[-1]:
+            break
+    return minors
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(int_matrices())
+def test_bareiss_rank_matches_fraction_oracle(rows):
+    assert len(bareiss_pivots(rows)) == fraction_rank(rows)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(int_matrices(square=True))
+def test_bareiss_leading_minors_match_fraction_oracle(rows):
+    minors = _leading_minors_oracle(rows)
+    assert bareiss_pivots(rows, pivoting=False) == minors
+    assert leading_minors_positive(rows) == all(m > 0 for m in minors)
+
+
+def test_bareiss_fixed_cases():
+    assert bareiss_pivots([]) == []
+    assert bareiss_pivots([[0, 0], [0, 0]]) == []
+    assert len(bareiss_pivots([[0, 1], [1, 0]])) == 2  # needs a row swap
+    assert len(bareiss_pivots([[0, 2, 4], [0, 1, 2], [0, 0, 1]])) == 2
+    assert bareiss_pivots([[0, 1], [1, 0]], pivoting=False) == [0]
+    assert bareiss_pivots([[2, -1], [-1, 2]], pivoting=False) == [2, 3]
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE)
+def test_graded_dims_rank_matches_fraction_oracle(name, monkeypatch):
+    rank = peterson._rank
+    matrices = []
+
+    def recording_rank(rows):
+        matrices.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(peterson, "_rank", recording_rank)
+    peterson.PetersonModel(cartan_matrix(name)).image_graded_dimensions(12)
+    assert len(matrices) == 7
+    for rows in matrices:
+        assert rank(rows) == fraction_rank(rows)
+
+
+def test_rank_rejects_non_integral_rows():
+    with pytest.raises(IntegrityError):
+        peterson._rank([[Fraction(1, 2), 1]])
 
 
 def test_zero_set_via_minors_examples():
@@ -316,6 +404,17 @@ def test_poly_degrees():
     assert p.graded_degree() == 4
     assert p.is_homogeneous()
     assert not P(1, {(1,): 1, (0,): 1}).is_homogeneous()
+
+
+def test_tpolynomial_gcd():
+    s = TPolynomial((0, 1))
+    one_minus_s2 = TPolynomial((1, 0, -1))
+    one_minus_s4 = TPolynomial((1, 0, 0, 0, -1))
+    assert one_minus_s4.gcd(one_minus_s2) == one_minus_s2.scale(-1)  # monic
+    assert (s * s).gcd(s.scale(3)) == s
+    assert one_minus_s2.gcd(TPolynomial.zero()) == one_minus_s2.scale(-1)
+    assert TPolynomial.zero().gcd(TPolynomial.zero()) == TPolynomial.one()
+    assert TPolynomial((1, 1)).gcd(TPolynomial((2, 1))) == TPolynomial.one()
 
 
 def test_poly_serialization_sorted():

@@ -3,7 +3,7 @@ relations, graded dimensions."""
 
 import pytest
 
-from petcoh.billey import TPolynomial
+from petcoh.commalg import TPolynomial
 from petcoh.peterson import PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
 
