@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .billey import billey_localization
+from .billey import localization_table
 from .commalg import (
     HilbertSeries,
     Poly,
@@ -115,12 +115,13 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
     comparisons = 0
     failures = []
     for w in elements:
-        baseline = {}
-        for v in elements:
-            if v.length > w.length:
-                continue
-            value = billey_localization(group, v, w)
-            baseline[v.action] = value
+        targets = [v for v in elements if v.length <= w.length]
+        # one table per reduced word of w; the witness word's is the baseline
+        tables = {word: localization_table(group, targets, group.from_word(word))
+                  for word in group.enumerate_reduced_words(w)}
+        baseline = tables[w.witness_word]
+        for v in targets:
+            value = baseline[v]
             if bool(value) != group.bruhat_leq(v, w):
                 failures.append({"kind": "vanishing",
                                  "v": word_to_str(v.witness_word),
@@ -129,13 +130,10 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
                 failures.append({"kind": "degree",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
-        for word in group.enumerate_reduced_words(w):
-            w_alt = group.from_word(word)
-            for v in elements:
-                if v.length > w.length:
-                    continue
+        for word, table in tables.items():
+            for v in targets:
                 comparisons += 1
-                if billey_localization(group, v, w_alt) != baseline[v.action]:
+                if table[v] != baseline[v]:
                     failures.append({"kind": "witness_dependence",
                                      "v": word_to_str(v.witness_word),
                                      "w_word": word_to_str(word)})

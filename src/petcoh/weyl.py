@@ -65,14 +65,6 @@ def word_from_str(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
 class WeylGroup:
     """Weyl group of a Cartan matrix.
 
@@ -88,19 +80,15 @@ class WeylGroup:
         self._identity_matrix = tuple(
             tuple(1 if r == c else 0 for c in range(n)) for r in range(n)
         )
-        self._reflection_matrices = {
-            j: self._build_reflection_matrix(j) for j in cartan.nodes()
+        # node i -> [(k, a(k, i)) for a(k, i) != 0]: i itself and its neighbours
+        self._column_updates = {
+            i: tuple((k, cartan.entries[k][i - 1]) for k in range(n)
+                     if cartan.entries[k][i - 1])
+            for i in cartan.nodes()
         }
         self._count_memo: dict[tuple, int] = {}
         self._words_memo: dict[tuple, frozenset] = {}
         self._longest_memo: dict[tuple[int, ...], WeylElement] = {}
-
-    def _build_reflection_matrix(self, j):
-        n = self.rank
-        cols = [simple_reflection_action(self.cartan, j,
-                                         tuple(1 if k == i else 0 for k in range(n)))
-                for i in range(n)]
-        return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
 
     # -- construction ---------------------------------------------------
 
@@ -109,7 +97,7 @@ class WeylGroup:
         return WeylElement(self._identity_matrix, 0, ())
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return WeylElement(self._reflection_matrices[i], 1, (i,))
+        return self.right_multiply(self.identity, i)
 
     def length_of_matrix(self, action) -> int:
         """Inversion count: positive roots whose image is negative."""
@@ -126,8 +114,29 @@ class WeylGroup:
         col = tuple(row[i - 1] for row in w.action)
         return is_negative_root_vector(col)
 
+    def right_action(self, action, i: int):
+        """Matrix of w s_i from the matrix of w.
+
+        Column k of the matrix is w(alpha_k), and
+        (w s_i)(alpha_k) = w(alpha_k) - a(k, i) w(alpha_i), with a(i, i) = 2
+        giving -w(alpha_i); only the columns of i and its neighbours change,
+        and rows with a zero in column i are kept as they are.
+        """
+        col = i - 1
+        updates = self._column_updates[i]
+        out = []
+        for row in action:
+            x = row[col]
+            if x:
+                row = list(row)
+                for k, a in updates:
+                    row[k] -= a * x
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
+
     def right_multiply(self, w: WeylElement, i: int) -> WeylElement:
-        action = _mat_mul(w.action, self._reflection_matrices[i])
+        action = self.right_action(w.action, i)
         if self.right_descends(w, i):
             return WeylElement(action, w.length - 1, self._delete_letter(w, i))
         return WeylElement(action, w.length + 1, w.witness_word + (i,))

@@ -203,3 +203,71 @@ def fraction_det(rows) -> Q:
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def mat_mul(a, b):
+    """Product of two square integer matrices given as tuples of rows."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
+        for r in range(n)
+    )
+
+
+def reflection_matrix(cartan, i: int):
+    """Matrix of s_i on simple-root coordinates, straight from the Cartan
+    integers: column c is s_i(alpha_c) = alpha_c - a(c, i) alpha_i."""
+    n = cartan.rank
+    return tuple(
+        tuple((1 if r == c else 0) - (cartan.entries[c][i - 1] if r == i - 1 else 0)
+              for c in range(n))
+        for r in range(n)
+    )
+
+
+def word_matrix(cartan, word):
+    """Matrix of the product s_{word[0]} .. s_{word[-1]}."""
+    n = cartan.rank
+    out = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    for i in word:
+        out = mat_mul(out, reflection_matrix(cartan, i))
+    return out
+
+
+def matrix_inversion_roots(cartan, word) -> list[tuple[int, ...]]:
+    """r(j) = s_{b_1}..s_{b_{j-1}}(alpha_{b_j}) by a matrix prefix product."""
+    n = cartan.rank
+    prefix = word_matrix(cartan, ())
+    out = []
+    for b in word:
+        out.append(tuple(prefix[r][b - 1] for r in range(n)))
+        prefix = mat_mul(prefix, reflection_matrix(cartan, b))
+    return out
+
+
+def subword_localization(group, v, w):
+    """sigma_v(w) by Billey's subword formula, scanning all C(l(w), l(v))
+    position sets of w's witness word.
+
+    A position set counts when its letters multiply to v; having l(v)
+    letters, such a word is then a reduced word of v.  Products of
+    reflections and the roots r(j) both come from plain matrix products.
+    """
+    from petcoh.commalg import Poly
+
+    cartan = group.cartan
+    word = w.witness_word
+    factors = [Poly.linear(r) for r in matrix_inversion_roots(cartan, word)]
+    products: dict[tuple, tuple] = {}
+    total = Poly.zero(cartan.rank)
+    for positions in itertools.combinations(range(len(word)), v.length):
+        letters = tuple(word[p] for p in positions)
+        if letters not in products:
+            products[letters] = word_matrix(cartan, letters)
+        if products[letters] != v.action:
+            continue
+        term = Poly.one(cartan.rank)
+        for p in positions:
+            term = term * factors[p]
+        total = total + term
+    return total

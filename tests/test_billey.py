@@ -4,11 +4,21 @@ property suite."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from petcoh.billey import billey_localization, inversion_roots, restrict_to_S
+from petcoh.billey import (
+    billey_localization,
+    inversion_roots,
+    localization_table,
+    restrict_to_S,
+)
+from petcoh.cli import DEFAULT_SUITE
 from petcoh.commalg import Poly, TPolynomial
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup
+
+from oracles import matrix_inversion_roots, subword_localization
 
 
 def group(name):
@@ -127,6 +137,73 @@ def test_welldefinedness_A3_full_group():
 @pytest.mark.parametrize("name", ["B3", "C3"])
 def test_welldefinedness_rank_three_length_eight(name):
     _sweep(name, 8)
+
+
+# -- prefix recursion against the subword oracle ------------------------------
+
+_LETTERS = st.integers(1, 8)  # folded onto the nodes of the drawn type
+
+
+def _element(W, letters):
+    return W.from_word(1 + (x - 1) % W.rank for x in letters)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE)
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(w_letters=st.lists(_LETTERS, max_size=12),
+       v_letters=st.lists(st.lists(_LETTERS, max_size=4), min_size=1, max_size=3))
+def test_prefix_recursion_matches_subword_oracle(name, w_letters, v_letters):
+    W = group(name)
+    w = _element(W, w_letters)
+    vs = [_element(W, letters) for letters in v_letters]
+    assert inversion_roots(W, w) == matrix_inversion_roots(W.cartan, w.witness_word)
+    table = localization_table(W, vs, w)
+    for v in vs:
+        value = billey_localization(W, v, w)
+        assert value == subword_localization(W, v, w)
+        assert table[v] == value
+
+
+# (K, J, number of terms of sigma_{v_K}(w_J), c with p_{v_K}(w_J) = c t^|K|);
+# pinned from the subword scan.  The last three have K not inside J.
+E6_SPOT_VALUES = [
+    ((2, 4), (2, 3, 4, 5), 10, 30),
+    ((3, 4, 5), (2, 3, 4, 5), 19, 60),
+    ((1, 3), (1, 3), 2, 2),
+    ((2, 4, 5), (1, 2, 3, 4, 5), 34, 300),
+    ((1, 3, 4), (1, 2, 3, 4, 5, 6), 56, 3360),
+    ((2, 3, 4, 5), (1, 2, 3, 4, 5, 6), 126, 69300),
+    ((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), 461, 887040),
+    ((1, 6), (1, 3, 4, 5), 0, 0),
+    ((2,), (1, 3, 4, 5, 6), 0, 0),
+    ((1, 2, 3), (2, 3, 4, 5, 6), 0, 0),
+]
+
+
+@pytest.mark.parametrize("K,J,terms,c", E6_SPOT_VALUES)
+def test_e6_spot_values(K, J, terms, c):
+    W = group("E6")
+    v, w = W.v_K(K), W.longest_element(J)
+    value = billey_localization(W, v, w)
+    assert len(value.terms) == terms
+    expected = TPolynomial.monomial(c, len(K)) if c else TPolynomial.zero()
+    assert restrict_to_S(value) == expected
+    if len(K) <= 3:
+        assert value == subword_localization(W, v, w)
+
+
+@pytest.mark.parametrize("K", [(1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 7)])
+def test_e7_localization_at_longest_element(K):
+    # the subword scan would visit C(63, 6) = 67.9M position sets here
+    W = group("E7")
+    w0 = W.longest_element(W.cartan.nodes())
+    reversed_w0 = W.from_word(tuple(reversed(w0.witness_word)))
+    assert reversed_w0 == w0
+    assert reversed_w0.witness_word != w0.witness_word
+    v = W.v_K(K)
+    value = billey_localization(W, v, w0)
+    assert value.total_degrees() == {6}
+    assert billey_localization(W, v, reversed_w0) == value
 
 
 # -- container behaviour -------------------------------------------------------

@@ -113,6 +113,17 @@ def test_word_cap_skip_is_explicit(monkeypatch):
     assert report.has_skips
 
 
+def test_word_cap_zero_leaves_restriction_checks_runnable():
+    # localization does not enumerate reduced words, so a cap of 0 stops
+    # only the well-definedness sweep (reduced words of w, bruhat_leq)
+    report = run_certification(RunConfig(lie_type="A2", reduced_word_cap=0))
+    by_name = {r.check: r for r in report.records}
+    assert by_name["billey_welldef"].skipped
+    for name in ("quadratic", "monk", "giambelli", "basis", "graded_dims"):
+        assert not by_name[name].skipped
+        assert by_name[name].passed
+
+
 def test_env_var_word_cap(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv(WORD_CAP_ENV, "2")
     out = tmp_path / "report.json"

@@ -6,7 +6,7 @@ from petcoh.errors import ResourceCapError
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup, word_from_str, word_to_str
 
-from oracles import brute_reduced_words, bruhat_lower_set
+from oracles import brute_reduced_words, bruhat_lower_set, mat_mul, reflection_matrix
 
 GROUP_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
                 "D4": 192, "A2+A1": 12}
@@ -201,3 +201,15 @@ def test_witness_word_deterministic():
         for K in _subsets(W1.cartan.rank):
             assert W1.longest_element(K).witness_word == \
                 W2.longest_element(K).witness_word
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_right_multiply_matches_matrix_product(name):
+    W = group(name)
+    for i in W.cartan.nodes():
+        assert W.simple_reflection(i).action == reflection_matrix(W.cartan, i)
+    for w in W.elements_up_to_length(4):
+        for i in W.cartan.nodes():
+            product = W.right_multiply(w, i)
+            assert product.action == mat_mul(w.action, reflection_matrix(W.cartan, i))
+            assert product.length == W.length_of_matrix(product.action)
