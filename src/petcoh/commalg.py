@@ -13,10 +13,20 @@ In the quadric presentation every variable has cohomological degree 2;
 internally all computations run on ordinary total degree and the doubling
 happens only when a Hilbert series is emitted (s -> s^2).
 
-The Groebner engine is a plain Buchberger loop: normal pair selection
-(smallest lcm first), the coprimality criterion, and the chain criterion.
-Instance sizes here are a handful of quadrics in at most nine variables, so
-nothing fancier is warranted.
+The Groebner engine is Buchberger's algorithm with normal pair selection
+(smallest lcm first), the coprimality criterion and the chain criterion,
+installed along the lines of Gebauer and Moeller (J. Symbolic Comput. 6,
+1988) so that no work is repeated:
+
+- each basis element's leading monomial is computed once, when it joins
+  the basis, and serves both criteria and the pair keys;
+- pending pairs sit in a heap keyed by (order key of the lcm, pair); an
+  lcm never changes, so the heap pops pairs in exactly the order of a
+  minimum scan over all of them;
+- ``normal_form`` reduces in place on one dict of Fractions, ranking each
+  monomial once, and builds a single ``Poly`` at the end;
+- each (ideal, order) is computed once per process, so the checks that
+  need the same basis share it.
 
 This module imports nothing else from the package at run time, so every
 other module can build on it.
@@ -26,7 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, le, neg, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -37,7 +50,7 @@ if TYPE_CHECKING:
 
 def grevlex_key(exps):
     """Graded reverse lexicographic, first listed variable largest."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def grlex_key(exps):
@@ -58,19 +71,19 @@ def order_key(ordering: str):
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +495,40 @@ def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
 # Buchberger
 
 def normal_form(p: Poly, basis, key) -> Poly:
-    """Remainder of p on division by the basis (full reduction)."""
-    remainder = Poly.zero(p.nvars)
-    leads = [(g, g.leading(key)) for g in basis if g]
-    work = p
+    """Remainder of p on division by the basis (full reduction).
+
+    The reduction runs in place on one dict of Fractions, with each
+    monomial's order key computed once, when it first appears; the
+    remainder becomes a Poly only at the end.
+    """
+    reducers = [(*g.leading(key), g.terms.items()) for g in basis if g]
+    work = dict(p.terms)
+    rank = {e: key(e) for e in work}
+    remainder = {}
     while work:
-        exps, coeff = work.leading(key)
-        for g, (ge, gc) in leads:
+        exps = max(work, key=rank.__getitem__)
+        coeff = work[exps]
+        for ge, gc, gterms in reducers:
             if _divides(ge, exps):
-                work = work - g.term_mul(coeff / gc, _mono_div(exps, ge))
+                factor = coeff / gc
+                shift = _mono_div(exps, ge)
+                for e, c in gterms:
+                    m = _mono_mul(e, shift)
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = -(c * factor)
+                        if m not in rank:
+                            rank[m] = key(m)
+                    else:
+                        acc = old - c * factor
+                        if acc:
+                            work[m] = acc
+                        else:
+                            del work[m]
                 break
         else:
-            mono = Poly(p.nvars, {exps: coeff})
-            remainder = remainder + mono
-            work = work - mono
-    return remainder
+            remainder[exps] = work.pop(exps)
+    return Poly(p.nvars, remainder)
 
 
 def s_polynomial(f: Poly, g: Poly, key) -> Poly:
@@ -513,42 +545,51 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
     Pairs are treated smallest lcm first; a pair is dropped when its leading
     monomials are coprime, or when some third basis element divides the lcm
     and both sibling pairs were already treated (chain criterion).
+
+    Each (ideal, ordering) is computed once per process; every call returns
+    a fresh list of the same polynomials.
     """
+    return list(_groebner_basis(ideal, ordering))
+
+
+@lru_cache(maxsize=None)
+def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
+    # always called positionally, so that groebner_basis(I) and
+    # groebner_basis(I, "grevlex") share one cache entry
     key = order_key(ordering)
     basis = [g.normalized() for g in ideal.generators if g]
     basis.sort(key=lambda g: key(g.leading(key)[0]))
+    leads = [g.leading(key)[0] for g in basis]
+    # a pair's lcm never changes, so a heap of (key(lcm), pair) pops in the
+    # order of min(pairs, key=(key(lcm), pair)); ``pairs`` holds the pairs
+    # not yet treated, for the chain criterion
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    heap = [(key(_mono_lcm(leads[i], leads[j])), (i, j)) for i, j in pairs]
+    heapify(heap)
 
-    def lcm_of(i, j):
-        return _mono_lcm(basis[i].leading(key)[0], basis[j].leading(key)[0])
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
+    while heap:
+        _, (i, j) = heappop(heap)
         pairs.discard((i, j))
-        fe = basis[i].leading(key)[0]
-        ge = basis[j].leading(key)[0]
+        fe, ge = leads[i], leads[j]
         lcm = _mono_lcm(fe, ge)
         if _mono_mul(fe, ge) == lcm:
             continue  # coprime leading monomials
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k].leading(key)[0], lcm) \
-                    and (min(i, k), max(i, k)) not in pairs \
-                    and (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
+        if any(k != i and k != j and _divides(lk, lcm)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, lk in enumerate(leads)):
+            continue  # chain criterion
         remainder = normal_form(s_polynomial(basis[i], basis[j], key), basis, key)
         if remainder:
             remainder = remainder.normalized()
+            new = len(basis)
             basis.append(remainder)
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            leads.append(remainder.leading(key)[0])
+            for k in range(new):
+                pairs.add((k, new))
+                heappush(heap, (key(_mono_lcm(leads[k], leads[new])), (k, new)))
 
-    return _reduce_basis(basis, key)
+    return tuple(_reduce_basis(basis, key))
 
 
 def _reduce_basis(basis, key) -> list[Poly]:

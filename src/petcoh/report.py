@@ -67,10 +67,14 @@ class CertificationReport:
         return any(r.skipped for r in self.records)
 
     def isomorphism_certified(self) -> bool:
-        """True only when all three proof legs ran and passed: the quadratic
-        relations, the Giambelli surjectivity witnesses, and the Hilbert
-        series equality."""
-        legs = {"quadratic": False, "giambelli": False, "hilbert": False}
+        """True only when all four proof legs ran and passed: the quadratic
+        relations (the map from the quadric ring is well defined), the
+        Giambelli witnesses (it is onto the span of the classes p_{v_K}),
+        the basis triangularity (the 2^n classes p_{v_K} are independent,
+        so the target has the expected size), and the Hilbert series
+        equality (the source has that size too)."""
+        legs = {"quadratic": False, "giambelli": False, "basis": False,
+                "hilbert": False}
         for r in self.records:
             if r.check in legs and not r.skipped and r.passed:
                 legs[r.check] = True

@@ -271,3 +271,115 @@ def subword_localization(group, v, w):
             term = term * factors[p]
         total = total + term
     return total
+
+
+# The seed's Buchberger loop, kept as ground truth for commalg's engine.  The
+# monomial helpers are the seed's too, so the oracle shares only the Poly
+# arithmetic with the code it checks.
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def oracle_normal_form(p, basis, key):
+    """The seed's remainder of p on division by the basis: every step builds
+    new polynomials, leading terms are recomputed each time."""
+    from petcoh.commalg import Poly
+
+    remainder = Poly.zero(p.nvars)
+    leads = [(g, g.leading(key)) for g in basis if g]
+    work = p
+    while work:
+        exps, coeff = work.leading(key)
+        for g, (ge, gc) in leads:
+            if _divides(ge, exps):
+                work = work - g.term_mul(coeff / gc, _mono_div(exps, ge))
+                break
+        else:
+            mono = Poly(p.nvars, {exps: coeff})
+            remainder = remainder + mono
+            work = work - mono
+    return remainder
+
+
+def _oracle_s_polynomial(f, g, key):
+    fe, fc = f.leading(key)
+    ge, gc = g.leading(key)
+    lcm = _mono_lcm(fe, ge)
+    return (f.term_mul(Q(1) / fc, _mono_div(lcm, fe))
+            - g.term_mul(Q(1) / gc, _mono_div(lcm, ge)))
+
+
+def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
+    """The seed's reduced Groebner basis: a plain Buchberger loop that picks
+    the smallest-lcm pair by a scan over all pairs, recomputing every
+    leading monomial each time, with the coprimality and chain criteria."""
+    from petcoh.commalg import order_key
+
+    key = order_key(ordering)
+    basis = [g.normalized() for g in ideal.generators if g]
+    basis.sort(key=lambda g: key(g.leading(key)[0]))
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+
+    def lcm_of(i, j):
+        return _mono_lcm(basis[i].leading(key)[0], basis[j].leading(key)[0])
+
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
+        pairs.discard((i, j))
+        fe = basis[i].leading(key)[0]
+        ge = basis[j].leading(key)[0]
+        lcm = _mono_lcm(fe, ge)
+        if _mono_mul(fe, ge) == lcm:
+            continue  # coprime leading monomials
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j):
+                continue
+            if _divides(basis[k].leading(key)[0], lcm) \
+                    and (min(i, k), max(i, k)) not in pairs \
+                    and (min(j, k), max(j, k)) not in pairs:
+                skip = True
+                break
+        if skip:
+            continue
+        remainder = oracle_normal_form(
+            _oracle_s_polynomial(basis[i], basis[j], key), basis, key)
+        if remainder:
+            remainder = remainder.normalized()
+            basis.append(remainder)
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
+
+    return _oracle_reduce_basis(basis, key)
+
+
+def _oracle_reduce_basis(basis, key):
+    """Minimalize then tail-reduce; output monic, sorted by leading monomial."""
+    basis = [g for g in basis if g]
+    basis.sort(key=lambda g: key(g.leading(key)[0]))
+    minimal = []
+    for g in basis:
+        ge = g.leading(key)[0]
+        if not any(_divides(h.leading(key)[0], ge) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1:]
+        h = oracle_normal_form(g, others, key)
+        assert h, "minimal basis element reduced to zero"
+        reduced.append(h.monic(key))
+    reduced.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
+    return reduced

@@ -59,6 +59,28 @@ def test_empty_check_set_is_trivially_passing():
     assert not report.isomorphism_certified()  # no legs ran
 
 
+CERTIFICATE_LEGS = ("quadratic", "giambelli", "basis", "hilbert")
+
+
+def test_certificate_needs_the_basis_leg():
+    partial = run_certification(RunConfig(
+        lie_type="A2", checks=("quadratic", "giambelli", "hilbert")))
+    assert partial.overall_pass
+    assert not partial.isomorphism_certified()
+    full = run_certification(RunConfig(
+        lie_type="A2", checks=("quadratic", "giambelli", "hilbert", "basis")))
+    assert full.overall_pass
+    assert full.isomorphism_certified()
+
+
+@pytest.mark.parametrize("missing", CERTIFICATE_LEGS)
+def test_certificate_needs_every_leg(missing):
+    checks = tuple(c for c in CERTIFICATE_LEGS if c != missing)
+    report = run_certification(RunConfig(lie_type="A2", checks=checks))
+    assert report.overall_pass
+    assert not report.isomorphism_certified()
+
+
 def test_checks_run_in_dependency_order():
     config = RunConfig(lie_type="A2",
                        checks=("zero_set", "quadratic", "hilbert"))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import peterson
+from petcoh import commalg, peterson
 from petcoh.cli import DEFAULT_SUITE
 from petcoh.commalg import (
+    MONOMIAL_ORDERS,
     HilbertSeries,
     Ideal,
     Poly,
@@ -26,6 +27,7 @@ from petcoh.commalg import (
     leading_minors_positive,
     leading_term_exponents,
     normal_form,
+    order_key,
     s_polynomial,
     zero_set_is_origin,
     zero_set_via_minors,
@@ -33,7 +35,14 @@ from petcoh.commalg import (
 from petcoh.errors import IntegrityError
 from petcoh.roots import cartan_matrix
 
-from oracles import fraction_det, fraction_rank, poly_pow, series_prefix
+from oracles import (
+    buchberger_groebner_basis,
+    fraction_det,
+    fraction_rank,
+    oracle_normal_form,
+    poly_pow,
+    series_prefix,
+)
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
 
@@ -170,6 +179,178 @@ def test_groebner_reduced_basis_properties():
 def test_unknown_order_rejected():
     with pytest.raises(ValueError):
         groebner_basis(build_ideal_Jcheck(cartan_matrix("A1")), "lex")
+
+
+# -- Groebner engine against the plain Buchberger oracle ---------------------------
+
+ORDERINGS = sorted(MONOMIAL_ORDERS)
+
+
+def _serial(basis):
+    return json.dumps([g.as_term_list() for g in basis])
+
+
+def _quadric_ideals(name):
+    """J, its t = 0 counterpart, and J + (t), as the quadric checks build them."""
+    cm = cartan_matrix(name)
+    ideal = build_ideal_J(cm)
+    t_var = Poly.variable(ideal.nvars, cm.rank)
+    return {
+        "J": ideal,
+        "Jcheck": build_ideal_Jcheck(cm),
+        "J+t": Ideal(ideal.var_names, ideal.generators + (t_var,)),
+    }
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE)
+def test_groebner_matches_buchberger_oracle(name):
+    for label, ideal in _quadric_ideals(name).items():
+        for ordering in ORDERINGS:
+            assert _serial(groebner_basis(ideal, ordering)) == \
+                _serial(buchberger_groebner_basis(ideal, ordering)), (label, ordering)
+
+
+def test_groebner_matches_buchberger_oracle_E6():
+    ideal = build_ideal_Jcheck(cartan_matrix("E6"))
+    assert _serial(groebner_basis(ideal)) == _serial(buchberger_groebner_basis(ideal))
+
+
+@st.composite
+def ring_polys(draw, nvars):
+    """Up to six terms of degree at most 2 in each variable, small rational
+    coefficients."""
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return Poly(nvars, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_normal_form_matches_oracle(data):
+    name = data.draw(st.sampled_from(DEFAULT_SUITE))
+    ideal = data.draw(st.sampled_from(sorted(_quadric_ideals(name).items())))[1]
+    ordering = data.draw(st.sampled_from(ORDERINGS))
+    key = order_key(ordering)
+    # the reduced basis, or the raw generators, where the divisor order matters
+    if data.draw(st.booleans()):
+        divisors = groebner_basis(ideal, ordering)
+    else:
+        divisors = list(ideal.generators)
+    p = data.draw(ring_polys(ideal.nvars))
+    assert normal_form(p, divisors, key) == oracle_normal_form(p, divisors, key)
+
+
+@st.composite
+def small_ideals(draw):
+    """Two to four generators in three variables, each with up to four terms
+    of total degree at most 3."""
+    exps = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: 0 < sum(e) <= 3)
+    coeffs = st.integers(-3, 3).filter(bool)
+    gens = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=4),
+                         min_size=2, max_size=4))
+    return Ideal(("x", "y", "z"), tuple(Poly(3, g) for g in gens))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_ideals(), st.sampled_from(ORDERINGS))
+def test_groebner_matches_oracle_on_small_ideals(ideal, ordering):
+    assert _serial(groebner_basis(ideal, ordering)) == \
+        _serial(buchberger_groebner_basis(ideal, ordering))
+
+
+# -- one basis per (ideal, order) --------------------------------------------------
+
+def _twisted_cubic(names):
+    """Three quadrics whose reduced bases differ between grevlex and grlex."""
+    return Ideal(tuple(names), (
+        P(4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): -1}),
+        P(4, {(0, 1, 0, 1): 1, (0, 0, 2, 0): -1}),
+        P(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
+    ))
+
+
+def test_groebner_returns_a_fresh_list():
+    ideal = build_ideal_J(cartan_matrix("B2"))
+    first = groebner_basis(ideal)
+    expected = list(first)
+    first.reverse()
+    first.append(P(3, {(0, 0, 1): 1}))
+    assert groebner_basis(ideal) == expected
+    assert groebner_basis(ideal) is not groebner_basis(ideal)
+
+
+def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
+    reductions = []
+    reduce = commalg.normal_form
+
+    def counting_normal_form(p, basis, key):
+        reductions.append(p)
+        return reduce(p, basis, key)
+
+    monkeypatch.setattr(commalg, "normal_form", counting_normal_form)
+    gens = (P(3, {(2, 0, 0): 1, (0, 1, 1): Fraction(-3, 7)}),
+            P(3, {(0, 3, 0): 1, (1, 0, 2): -1}))
+    ideal = Ideal(("u", "v", "w"), gens)
+    twin = Ideal(("u", "v", "w"), tuple(Poly(3, dict(g.terms)) for g in gens))
+    assert twin is not ideal and twin == ideal
+    before = commalg._groebner_basis.cache_info()
+    basis = groebner_basis(ideal)
+    computed = len(reductions)
+    assert computed
+    assert groebner_basis(twin) == basis
+    assert groebner_basis(ideal, "grevlex") == basis
+    assert groebner_basis(twin, ordering="grevlex") == basis
+    assert len(reductions) == computed
+    after = commalg._groebner_basis.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+
+
+def test_groebner_orders_never_conflated():
+    for names, orders in ((("x", "y", "z", "w"), ("grevlex", "grlex")),
+                          (("a", "b", "c", "d"), ("grlex", "grevlex"))):
+        ideal = _twisted_cubic(names)
+        bases = {ordering: groebner_basis(ideal, ordering) for ordering in orders}
+        for ordering, basis in bases.items():
+            assert basis == buchberger_groebner_basis(ideal, ordering)
+        assert set(bases["grevlex"]) != set(bases["grlex"])
+
+
+def test_unknown_order_rejected_with_a_cached_basis():
+    ideal = build_ideal_Jcheck(cartan_matrix("A1"))
+    groebner_basis(ideal)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            groebner_basis(ideal, "lex")
+
+
+# -- direct sums against their blocks -----------------------------------------------
+
+BLOCKS = ("A1", "A2", "A3", "B2", "G2")
+
+
+def _embed(p, offset, nvars):
+    """p in the variables offset+1 .. offset+p.nvars of an nvars-variable ring."""
+    tail = nvars - offset - p.nvars
+    return Poly(nvars, {(0,) * offset + e + (0,) * tail: c
+                        for e, c in p.terms.items()})
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(BLOCKS), st.sampled_from(BLOCKS), st.sampled_from(ORDERINGS))
+def test_direct_sum_quadrics_split_into_blocks(left, right, ordering):
+    whole = build_ideal_Jcheck(cartan_matrix(f"{left}+{right}"))
+    blocks = [build_ideal_Jcheck(cartan_matrix(name)) for name in (left, right)]
+    union = {_embed(g, offset, whole.nvars)
+             for block, offset in zip(blocks, (0, blocks[0].nvars))
+             for g in groebner_basis(block, ordering)}
+    basis = groebner_basis(whole, ordering)
+    assert len(basis) == len(union)
+    assert set(basis) == union
+    series = [hilbert_series_of_quotient(block) for block in blocks]
+    product = HilbertSeries.from_fraction(
+        (TPolynomial(series[0].numerator) * TPolynomial(series[1].numerator)).coeffs,
+        (TPolynomial(series[0].denominator) * TPolynomial(series[1].denominator)).coeffs)
+    assert hilbert_series_of_quotient(whole) == product
 
 
 # -- Hilbert series ---------------------------------------------------------------
