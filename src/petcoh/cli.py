@@ -2,8 +2,11 @@
 
 Runs the selected verifications for one Lie type (or a suite of types) and
 emits a deterministic report: same inputs and tool version give the same
-JSON up to the timing fields.  Exit status is 0 exactly when everything
-selected passed, and 2 for invalid input.
+JSON up to the timing fields.  Exit status, for ``certify`` and ``suite``
+alike: 0 when every selected check ran and passed, 1 when a check failed
+(or a suite type could not run), 3 when nothing failed but a check was
+skipped or none was selected, so that nothing was proved, and 2 for
+invalid input.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .billey import localization_table
@@ -146,10 +149,6 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
     )
 
 
-def _check_quadratic(model: PetersonModel, config: RunConfig) -> CheckRecord:
-    return model.verify_quadratic_relations()
-
-
 def _check_monk(model: PetersonModel, config: RunConfig) -> CheckRecord:
     """Full Monk verification over every (i, K), plus the Cartan-integer
     cross-check on covers of singletons computed via the quotient formula."""
@@ -228,14 +227,6 @@ def _check_giambelli(model: PetersonModel, config: RunConfig) -> CheckRecord:
     )
 
 
-def _check_basis(model: PetersonModel, config: RunConfig) -> CheckRecord:
-    return model.verify_basis_triangular()
-
-
-def _check_graded_dims(model: PetersonModel, config: RunConfig) -> CheckRecord:
-    return model.verify_graded_dimensions(config.cutoff_degree)
-
-
 def _check_hilbert(model: PetersonModel, config: RunConfig) -> CheckRecord:
     """Quotient Hilbert series match the closed forms; one series is
     recomputed under a second monomial order as an order-independence spot
@@ -297,11 +288,12 @@ def _check_zero_set(model: PetersonModel, config: RunConfig) -> CheckRecord:
 
 _CHECK_FUNCTIONS = {
     "billey_welldef": _check_billey_welldef,
-    "quadratic": _check_quadratic,
+    "quadratic": lambda model, config: model.verify_quadratic_relations(),
     "monk": _check_monk,
     "giambelli": _check_giambelli,
-    "basis": _check_basis,
-    "graded_dims": _check_graded_dims,
+    "basis": lambda model, config: model.verify_basis_triangular(),
+    "graded_dims": lambda model, config:
+        model.verify_graded_dimensions(config.cutoff_degree),
     "hilbert": _check_hilbert,
     "regular_sequence": _check_regular_sequence,
     "zero_set": _check_zero_set,
@@ -356,14 +348,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
 
 def _run_one_suite_entry(type_name: str, template: RunConfig) -> dict:
     try:
-        config = RunConfig(
-            lie_type=type_name,
-            checks=template.checks,
-            cutoff_degree=template.cutoff_degree,
-            output_format=template.output_format,
-            reduced_word_cap=template.reduced_word_cap,
-        )
-        return run_certification(config).to_dict()
+        return run_certification(replace(template, lie_type=type_name)).to_dict()
     except Exception as exc:  # isolate per-type blowups
         return {"lie_type": type_name, "error": str(exc)}
 
@@ -388,6 +373,19 @@ def run_suite(types, template: RunConfig | None = None) -> dict:
         "overall_pass": overall,
         "timing": {"total": time.perf_counter() - start},
     }
+
+
+def exit_status(entries) -> int:
+    """Exit status for the report dicts of the types run: 1 if a check
+    failed or a type could not run, else 3 if a check was skipped or none
+    ran, else 0."""
+    checks = [c for entry in entries for c in entry.get("checks", ())]
+    if any("error" in entry for entry in entries) or \
+            any(c["pass"] is False for c in checks):
+        return 1
+    if not checks or any(c["skipped"] for c in checks):
+        return 3
+    return 0
 
 
 def render_suite_text(aggregate: dict) -> str:
@@ -496,7 +494,7 @@ def main(argv=None) -> int:
             _emit(report.to_json(), args.out)
         else:
             _emit(report.to_text(), args.out)
-        return 0 if report.overall_pass else 1
+        return exit_status([report.to_dict()])
 
     types = [p.strip() for p in args.types.split(",") if p.strip()]
     aggregate = run_suite(types, config)
@@ -504,7 +502,7 @@ def main(argv=None) -> int:
         _emit(json.dumps(aggregate, indent=2, sort_keys=True), args.out)
     else:
         _emit(render_suite_text(aggregate), args.out)
-    return 0 if aggregate["overall_pass"] else 1
+    return exit_status(aggregate["types"])
 
 
 if __name__ == "__main__":

@@ -18,13 +18,14 @@ The Groebner engine is Buchberger's algorithm with normal pair selection
 installed along the lines of Gebauer and Moeller (J. Symbolic Comput. 6,
 1988) so that no work is repeated:
 
-- each basis element's leading monomial is computed once, when it joins
-  the basis, and serves both criteria and the pair keys;
+- each basis element's leading term is computed once, when it joins the
+  basis, and serves the reductions, both criteria and the pair keys;
 - pending pairs sit in a heap keyed by (order key of the lcm, pair); an
   lcm never changes, so the heap pops pairs in exactly the order of a
   minimum scan over all of them;
-- ``normal_form`` reduces in place on one dict of Fractions, ranking each
-  monomial once, and builds a single ``Poly`` at the end;
+- every reduction (``normal_form`` and the Buchberger loop share it) runs
+  in place on one dict of Fractions, ranking each monomial once, and
+  builds a single ``Poly`` at the end;
 - each (ideal, order) is computed once per process, so the checks that
   need the same basis share it.
 
@@ -495,13 +496,19 @@ def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
 # Buchberger
 
 def normal_form(p: Poly, basis, key) -> Poly:
-    """Remainder of p on division by the basis (full reduction).
+    """Remainder of p on division by the basis (full reduction)."""
+    return _reduce(p, [_reducer(g, key) for g in basis if g], key)
 
-    The reduction runs in place on one dict of Fractions, with each
-    monomial's order key computed once, when it first appears; the
-    remainder becomes a Poly only at the end.
-    """
-    reducers = [(*g.leading(key), g.terms.items()) for g in basis if g]
+
+def _reducer(g: Poly, key) -> tuple:
+    """(leading monomial, leading coefficient, terms) of a nonzero divisor."""
+    return (*g.leading(key), g.terms.items())
+
+
+def _reduce(p: Poly, reducers, key) -> Poly:
+    """``normal_form`` on divisors given as ``_reducer`` triples.  The
+    reduction runs in place on one dict of Fractions, each monomial's order
+    key computed once; the remainder becomes a Poly only at the end."""
     work = dict(p.terms)
     rank = {e: key(e) for e in work}
     remainder = {}
@@ -559,52 +566,55 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
     key = order_key(ordering)
     basis = [g.normalized() for g in ideal.generators if g]
     basis.sort(key=lambda g: key(g.leading(key)[0]))
-    leads = [g.leading(key)[0] for g in basis]
+    # each element's leading term, computed once: divisors for the
+    # reductions, leading monomials for the criteria and the pair keys
+    reducers = [_reducer(g, key) for g in basis]
     # a pair's lcm never changes, so a heap of (key(lcm), pair) pops in the
     # order of min(pairs, key=(key(lcm), pair)); ``pairs`` holds the pairs
     # not yet treated, for the chain criterion
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    heap = [(key(_mono_lcm(leads[i], leads[j])), (i, j)) for i, j in pairs]
+    heap = [(key(_mono_lcm(reducers[i][0], reducers[j][0])), (i, j))
+            for i, j in pairs]
     heapify(heap)
 
     while heap:
         _, (i, j) = heappop(heap)
         pairs.discard((i, j))
-        fe, ge = leads[i], leads[j]
+        fe, ge = reducers[i][0], reducers[j][0]
         lcm = _mono_lcm(fe, ge)
         if _mono_mul(fe, ge) == lcm:
             continue  # coprime leading monomials
         if any(k != i and k != j and _divides(lk, lcm)
                and (min(i, k), max(i, k)) not in pairs
                and (min(j, k), max(j, k)) not in pairs
-               for k, lk in enumerate(leads)):
+               for k, (lk, _, _) in enumerate(reducers)):
             continue  # chain criterion
-        remainder = normal_form(s_polynomial(basis[i], basis[j], key), basis, key)
+        remainder = _reduce(s_polynomial(basis[i], basis[j], key), reducers, key)
         if remainder:
             remainder = remainder.normalized()
             new = len(basis)
             basis.append(remainder)
-            leads.append(remainder.leading(key)[0])
+            reducers.append(_reducer(remainder, key))
+            lead = reducers[new][0]
             for k in range(new):
                 pairs.add((k, new))
-                heappush(heap, (key(_mono_lcm(leads[k], leads[new])), (k, new)))
+                heappush(heap, (key(_mono_lcm(reducers[k][0], lead)), (k, new)))
 
     return tuple(_reduce_basis(basis, key))
 
 
 def _reduce_basis(basis, key) -> list[Poly]:
     """Minimalize then tail-reduce; output monic, sorted by leading monomial."""
-    basis = [g for g in basis if g]
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
-    minimal = []
+    basis = sorted((g for g in basis if g), key=lambda g: key(g.leading(key)[0]))
+    minimal, reducers = [], []
     for g in basis:
-        ge = g.leading(key)[0]
-        if not any(_divides(h.leading(key)[0], ge) for h in minimal):
+        r = _reducer(g, key)
+        if not any(_divides(h[0], r[0]) for h in reducers):
             minimal.append(g)
+            reducers.append(r)
     reduced = []
     for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        h = normal_form(g, others, key)
+        h = _reduce(g, reducers[:idx] + reducers[idx + 1:], key)
         assert h, "minimal basis element reduced to zero"
         reduced.append(h.monic(key))
     reduced.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)

@@ -2,24 +2,28 @@
 of a Peterson variety.
 
 The circle fixed points are indexed by subsets K of the Dynkin nodes, each
-contributing the longest element w_K of its parabolic subgroup.  A class is
-a tuple of t-polynomials, one per fixed point; the ring structure is
-pointwise.  The classes p_v are restrictions of equivariant Schubert
-classes, computed by localizing at each w_K and sending every simple root
-to t.
+contributing the longest element w_K of its parabolic subgroup.  The
+classes p_v are restrictions of equivariant Schubert classes, computed by
+localizing at each w_K and sending every simple root to t; every such value
+is an integer multiple of t^l(v).  A class is therefore a degree and one
+integer per fixed point, standing for (that integer) * t^degree; the ring
+structure is pointwise, and degrees add under multiplication.
 
-The ring itself is represented purely by these tuples (the restriction map
+The ring itself is represented purely by these classes (the restriction map
 to the fixed points is injective), so every identity below is checked
-pointwise with exact rational arithmetic.
+pointwise in exact integer and rational arithmetic.  The classes p_{v_J} of
+all node subsets J are built together on first use, with one localization
+table per fixed point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
-from .billey import billey_localization, restrict_to_S
+from .billey import localization_table, restrict_to_S
 from .commalg import TPolynomial, bareiss_pivots
 from .errors import IntegrityError
 from .report import CheckRecord
@@ -43,15 +47,17 @@ def subsets_by_size(n: int):
 
 
 class PetersonClass:
-    """A class in the restriction model: one t-polynomial per fixed point."""
+    """A class in the restriction model: ``values[k] * t^degree`` at the
+    k-th fixed point."""
 
-    __slots__ = ("model", "values")
+    __slots__ = ("model", "degree", "values")
 
-    def __init__(self, model: "PetersonModel", values):
+    def __init__(self, model: "PetersonModel", degree: int, values):
         values = tuple(values)
         if len(values) != len(model.fixed_points):
             raise ValueError("value tuple does not match the fixed-point set")
         self.model = model
+        self.degree = degree
         self.values = values
 
     def _check_compatible(self, other: "PetersonClass"):
@@ -59,52 +65,57 @@ class PetersonClass:
                 self.model.cartan != other.model.cartan:
             raise ValueError("classes live over different fixed-point sets")
 
-    def value(self, K) -> TPolynomial:
-        """Restriction at the fixed point w_K."""
+    def coefficient(self, K):
+        """The coefficient of t^degree in the restriction at w_K."""
         return self.values[self.model.subset_index(K)]
 
+    def value(self, K) -> TPolynomial:
+        """Restriction at the fixed point w_K."""
+        return TPolynomial.monomial(self.coefficient(K), self.degree)
+
     def __eq__(self, other):
-        return isinstance(other, PetersonClass) and self.values == other.values
+        # zero is zero in every degree
+        return (isinstance(other, PetersonClass) and self.values == other.values
+                and (self.degree == other.degree or self.is_zero()))
 
     def __hash__(self):
         return hash(self.values)
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return PetersonClass(self.model,
-                             (a + b for a, b in zip(self.values, other.values)))
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
         self._check_compatible(other)
-        return PetersonClass(self.model,
-                             (a - b for a, b in zip(self.values, other.values)))
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add classes of degrees {self.degree} "
+                             f"and {other.degree}")
+        return PetersonClass(self.model, self.degree, (
+            a + sign * b for a, b in zip(self.values, other.values)))
 
     def __mul__(self, other):
         self._check_compatible(other)
-        return PetersonClass(self.model,
+        return PetersonClass(self.model, self.degree + other.degree,
                              (a * b for a, b in zip(self.values, other.values)))
 
-    def scale(self, t_poly: TPolynomial) -> "PetersonClass":
-        """Multiply by an element of the coefficient ring of t-polynomials."""
-        return PetersonClass(self.model, (t_poly * a for a in self.values))
-
-    def scale_rational(self, c) -> "PetersonClass":
-        return PetersonClass(self.model, (a.scale(c) for a in self.values))
+    def scale(self, c, power: int = 0) -> "PetersonClass":
+        """Multiply by c * t^power for a rational c."""
+        return PetersonClass(self.model, self.degree + power,
+                             (c * a for a in self.values))
 
     def is_zero(self) -> bool:
         return not any(self.values)
 
     def to_json(self):
         return {
-            ",".join(map(str, fp.K)): val.to_json()
-            for fp, val in zip(self.model.fixed_points, self.values)
+            ",".join(map(str, fp.K)): self.value(fp.K).to_json()
+            for fp in self.model.fixed_points
         }
 
     def __repr__(self):
-        parts = ", ".join(
-            f"{{{','.join(map(str, fp.K))}}}: {val!r}"
-            for fp, val in zip(self.model.fixed_points, self.values))
-        return f"PetersonClass({parts})"
+        return f"PetersonClass(t^{self.degree} * {list(self.values)})"
 
 
 class PetersonModel:
@@ -112,7 +123,8 @@ class PetersonModel:
 
     Fixed points are enumerated by subsets of the node set, ordered by
     (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Classes are cached per Weyl element.
+    triangular.  Construction localizes nothing: the classes p_{v_J} are
+    built together on first use.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -124,7 +136,6 @@ class PetersonModel:
             FixedPoint(K, self.group.longest_element(K), i)
             for i, K in enumerate(self.subsets)
         )
-        self._class_memo: dict[tuple, PetersonClass] = {}
 
     @property
     def rank(self) -> int:
@@ -137,32 +148,35 @@ class PetersonModel:
         return self._subset_index[tuple(sorted(set(K)))]
 
     def one(self) -> PetersonClass:
-        return PetersonClass(
-            self, (TPolynomial.one() for _ in self.fixed_points))
+        return PetersonClass(self, 0, (1 for _ in self.fixed_points))
 
-    def schubert_class(self, v: WeylElement) -> PetersonClass:
-        """p_v: localize sigma_v at every fixed point and restrict to t."""
-        cached = self._class_memo.get(v.action)
-        if cached is not None:
-            return cached
-        values = []
+    @cached_property
+    def _subset_classes(self) -> tuple[PetersonClass, ...]:
+        """p_{v_J} for every J, one localization table per fixed point;
+        each value must restrict to an integer multiple of t^l(v_J)."""
+        targets = [self.group.v_K(J) for J in self.subsets]
+        columns = []
         for fp in self.fixed_points:
-            values.append(
-                restrict_to_S(billey_localization(self.group, v, fp.w_K)))
-        cls = PetersonClass(self, values)
-        for fp, val in zip(self.fixed_points, values):
-            if val and not val.is_monomial_of_degree(v.length):
-                raise IntegrityError(
-                    f"p_v(w_K) not homogeneous of degree {v.length} at K={fp.K}")
-        self._class_memo[v.action] = cls
-        return cls
+            table = localization_table(self.group, targets, fp.w_K)
+            column = []
+            for J, v in zip(self.subsets, targets):
+                value = restrict_to_S(table[v])
+                lead = value.coeffs[-1] if value else Fraction(0)
+                if not value.is_monomial_of_degree(v.length) or lead.denominator != 1:
+                    raise IntegrityError(
+                        f"p_v(w_K) is not an integer multiple of t^{v.length} "
+                        f"for v=v_{J} at K={fp.K}: {value!r}")
+                column.append(lead.numerator)
+            columns.append(column)
+        return tuple(PetersonClass(self, v.length, row)
+                     for v, row in zip(targets, zip(*columns)))
 
     def subset_class(self, K) -> PetersonClass:
         """p_{v_K} for the ascending product v_K of the reflections in K."""
-        return self.schubert_class(self.group.v_K(K))
+        return self._subset_classes[self.subset_index(K)]
 
     def simple_class(self, i: int) -> PetersonClass:
-        return self.schubert_class(self.group.simple_reflection(i))
+        return self.subset_class((i,))
 
     # -- Monk rule -------------------------------------------------------
 
@@ -170,28 +184,22 @@ class PetersonModel:
         """Structure constant of p_{s_i} p_{v_K} on p_{v_J} for a cover
         K subset J, |J| = |K| + 1.
 
-        Computed as (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) / p_{v_J}(w_J);
-        the division must be exact and the quotient a constant, anything else
-        is a pipeline bug.
+        Computed as (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) / p_{v_J}(w_J).
+        Numerator and denominator are both multiples of t^|J|, so the
+        quotient is the rational number of their coefficients; a zero
+        denominator is a pipeline bug.
         """
         K = tuple(sorted(set(K)))
         J = tuple(sorted(set(J)))
         if not (set(K) < set(J) and len(J) == len(K) + 1):
             raise ValueError("expected a cover: K subset of J with |J| = |K|+1")
         p_i = self.simple_class(i)
-        diff = p_i.value(J) - p_i.value(K)
-        numerator = diff * self.subset_class(K).value(J)
-        denominator = self.subset_class(J).value(J)
-        try:
-            quotient = numerator.exact_div(denominator)
-        except ValueError as exc:
+        diff = p_i.coefficient(J) - p_i.coefficient(K)
+        denominator = self.subset_class(J).coefficient(J)
+        if not denominator:
             raise IntegrityError(
-                f"inexact Monk division for i={i}, K={K}, J={J}") from exc
-        if quotient.degree() > 0:
-            raise IntegrityError(
-                f"Monk coefficient for i={i}, K={K}, J={J} is not constant: "
-                f"{quotient!r}")
-        return quotient.coeff(0)
+                f"Monk division by zero for i={i}, K={K}, J={J}")
+        return Fraction(diff * self.subset_class(K).coefficient(J), denominator)
 
     def verify_monk(self, i: int, K) -> CheckRecord:
         """Check p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c p_{v_J}
@@ -200,7 +208,7 @@ class PetersonModel:
         p_i = self.simple_class(i)
         p_K = self.subset_class(K)
         lhs = p_i * p_K
-        rhs = p_K.scale(p_i.value(K))
+        rhs = p_K.scale(p_i.coefficient(K), p_i.degree)
         coeffs = []
         for j in self.cartan.nodes():
             if j in K:
@@ -209,7 +217,7 @@ class PetersonModel:
             c = self.monk_coefficient(i, K, J)
             coeffs.append({"J": list(J), "coefficient": c})
             if c:
-                rhs = rhs + self.subset_class(J).scale_rational(c)
+                rhs = rhs + self.subset_class(J).scale(c)
         passed = lhs == rhs
         nonneg = all(item["coefficient"] >= 0 for item in coeffs)
         return CheckRecord(
@@ -237,7 +245,7 @@ class PetersonModel:
         v = self.group.v_K(K)
         n_words = self.group.count_reduced_words(v)
         coeff = Fraction(factorial(len(K)), n_words)
-        lhs = self.subset_class(K).scale_rational(coeff)
+        lhs = self.subset_class(K).scale(coeff)
         rhs = self.one()
         for i in K:
             rhs = rhs * self.simple_class(i)
@@ -288,19 +296,13 @@ class PetersonModel:
     def verify_basis_triangular(self) -> CheckRecord:
         """Upper triangularity with nonzero diagonal, plus the support
         condition p_{v_K}(w_J) = 0 whenever K is not contained in J."""
-        matrix = self.basis_matrix()
-        ok_support = True
-        ok_triangular = True
-        ok_diagonal = True
-        for r, K in enumerate(self.subsets):
-            for c, J in enumerate(self.subsets):
-                entry = matrix[r][c]
-                if not set(K) <= set(J) and entry:
-                    ok_support = False
-                if r > c and entry:
-                    ok_triangular = False
-            if not matrix[r][r]:
-                ok_diagonal = False
+        rows = [self.subset_class(K).values for K in self.subsets]
+        ok_support = not any(
+            rows[r][c] for r, K in enumerate(self.subsets)
+            for c, J in enumerate(self.subsets) if not set(K) <= set(J))
+        ok_triangular = not any(rows[r][c] for r in range(len(rows))
+                                for c in range(r))
+        ok_diagonal = all(rows[r][r] for r in range(len(rows)))
         return CheckRecord(
             check="basis",
             lie_type=self.type_name(),
@@ -310,7 +312,8 @@ class PetersonModel:
                 "upper_triangular": ok_triangular,
                 "support_condition": ok_support,
                 "diagonal_nonzero": ok_diagonal,
-                "diagonal": [matrix[r][r].to_json() for r in range(len(self.subsets))],
+                "diagonal": [self.subset_class(K).value(K).to_json()
+                             for K in self.subsets],
             },
         )
 
@@ -319,11 +322,11 @@ class PetersonModel:
     def quadratic_combination(self, i: int) -> PetersonClass:
         """sum_j <alpha_i, alpha_j> p_{s_i} p_{s_j} - 2 t p_{s_i}."""
         p_i = self.simple_class(i)
-        acc = p_i.scale(TPolynomial((0, -2)))
+        acc = p_i.scale(-2, 1)
         for j in self.cartan.nodes():
             a_ij = self.cartan.a(i, j)
             if a_ij:
-                acc = acc + (p_i * self.simple_class(j)).scale_rational(a_ij)
+                acc = acc + (p_i * self.simple_class(j)).scale(a_ij)
         return acc
 
     def verify_quadratic_relations(self) -> CheckRecord:
@@ -343,31 +346,27 @@ class PetersonModel:
         """Rank of the span of degree-2d monomials in {t, p_{s_1}..p_{s_n}},
         evaluated as fixed-point tuples, for 2d = 0, 2, ..., cutoff_degree.
 
-        Every generator value is homogeneous of t-degree 1, so a degree-d
-        monomial evaluates at each fixed point to (rational) * t^d and the
-        span lives in a vector space of dimension 2^n.
+        Every generator is a class of t-degree 1, so a degree-d monomial
+        evaluates at each fixed point to (integer) * t^d and the span lives
+        in a vector space of dimension 2^n: each row below lists those
+        integers.
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
         n = self.rank
-        # coefficient vectors of the generators: t contributes 1 everywhere,
-        # p_{s_i} contributes its t-coefficient at each fixed point
-        gen_vectors = [[Fraction(1)] * len(self.fixed_points)]
-        for i in self.cartan.nodes():
-            vals = self.simple_class(i).values
-            gen_vectors.append([v.coeff(1) for v in vals])
+        ones = self.one().values
+        simple = [self.simple_class(i).values for i in self.cartan.nodes()]
         dims = []
         for d in range(cutoff_degree // 2 + 1):
             rows = []
             for exps in _compositions(d, n + 1):
-                row = [Fraction(1)] * len(self.fixed_points)
-                for g, e in enumerate(exps):
+                # exps[0] is the power of t, which is 1 at every fixed point
+                row = ones
+                for vec, e in zip(simple, exps[1:]):
                     if e:
-                        vec = gen_vectors[g]
-                        for k in range(len(row)):
-                            row[k] *= vec[k] ** e
+                        row = [a * b ** e for a, b in zip(row, vec)]
                 rows.append(row)
-            dims.append(_rank(rows))
+            dims.append(len(bareiss_pivots(rows)))
         return dims
 
     def verify_graded_dimensions(self, cutoff_degree: int) -> CheckRecord:
@@ -397,14 +396,3 @@ def _compositions(total: int, parts: int):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
 
-
-def _rank(rows) -> int:
-    """Exact rank of a matrix of integral rationals.
-
-    The rows of ``image_graded_dimensions`` are integral because every
-    p_v(w_K) is an integer multiple of t^l(v); anything else is a pipeline
-    bug.
-    """
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise IntegrityError("rank matrix has a non-integral entry")
-    return len(bareiss_pivots([[int(x) for x in row] for row in rows]))

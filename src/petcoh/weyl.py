@@ -45,10 +45,6 @@ class WeylElement:
         word = word_to_str(self.witness_word) or "e"
         return f"WeylElement({word})"
 
-    def apply(self, v) -> tuple[int, ...]:
-        """Image of a root-coordinate vector under this element."""
-        return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in self.action)
-
     def is_identity(self) -> bool:
         return self.length == 0
 

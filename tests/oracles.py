@@ -273,6 +273,16 @@ def subword_localization(group, v, w):
     return total
 
 
+def per_class_restriction(model, v):
+    """p_v as one t-polynomial per fixed point, by one single-target
+    localization per (v, w_K), each restricted to t on its own: ground
+    truth for the model's one table per fixed point."""
+    from petcoh.billey import billey_localization, restrict_to_S
+
+    return [restrict_to_S(billey_localization(model.group, v, fp.w_K))
+            for fp in model.fixed_points]
+
+
 # The seed's Buchberger loop, kept as ground truth for commalg's engine.  The
 # monomial helpers are the seed's too, so the oracle shares only the Poly
 # arithmetic with the code it checks.

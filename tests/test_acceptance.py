@@ -100,7 +100,7 @@ def test_criterion_3_giambelli():
                 if len(K) <= 3:
                     assert n_words == len(brute_reduced_words(m.group, v))
                 coeff = Fraction(factorial(len(K)), n_words)
-                lhs = m.subset_class(K).scale_rational(coeff)
+                lhs = m.subset_class(K).scale(coeff)
                 rhs = m.one()
                 for i in K:
                     rhs = rhs * m.simple_class(i)

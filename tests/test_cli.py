@@ -1,9 +1,11 @@
 """Pipeline orchestration: configs, reports, suites, CLI surface."""
 
+import hashlib
 import json
 
 import pytest
 
+from petcoh import cli
 from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
@@ -14,7 +16,7 @@ from petcoh.cli import (
     run_certification,
     run_suite,
 )
-from petcoh.report import strip_timing
+from petcoh.report import CheckRecord, strip_timing
 
 
 def test_run_config_validation():
@@ -151,12 +153,49 @@ def test_env_var_word_cap(monkeypatch, capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["certify", "--type", "A2", "--format", "json",
                  "--out", str(out)])
-    assert code == 0
+    assert code == 3  # the skipped sweep proved nothing
     payload = json.loads(out.read_text())
+    assert payload["overall_pass"] is True
     assert payload["config"]["reduced_word_cap"] == 2
     welldef = next(c for c in payload["checks"]
                    if c["check"] == "billey_welldef")
     assert welldef["skipped"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--type", "A2", "--checks", ""],
+    ["certify", "--type", "A2", "--checks", "billey_welldef", "--word-cap", "0"],
+    ["suite", "--types", "A1,A2", "--checks", ""],
+    ["suite", "--types", "A1,A2", "--checks", "billey_welldef,quadratic",
+     "--word-cap", "0"],
+    ["suite", "--types", "", "--checks", "quadratic"],
+], ids=["certify-no-checks", "certify-all-skipped", "suite-no-checks",
+        "suite-one-skipped", "suite-no-types"])
+def test_run_that_proved_nothing_exits_3(argv, capsys):
+    assert main(argv) == 3
+    # the report itself is unchanged: nothing failed
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    def failing(model, config):
+        return CheckRecord(check="quadratic", lie_type=model.type_name(),
+                           passed=False)
+
+    monkeypatch.setitem(cli._CHECK_FUNCTIONS, "quadratic", failing)
+    assert main(["certify", "--type", "A1", "--checks", "quadratic"]) == 1
+    # a failure outranks a skip
+    assert main(["certify", "--type", "A2", "--checks",
+                 "billey_welldef,quadratic", "--word-cap", "0"]) == 1
+    assert main(["suite", "--types", "A1,G2", "--checks", "quadratic"]) == 1
+    assert main(["suite", "--types", "A1,Z9", "--checks", "hilbert"]) == 1
+
+
+def test_default_suite_report_is_pinned():
+    # the refactor gate: the timing-free suite report, byte for byte
+    blob = json.dumps(strip_timing(run_suite(DEFAULT_SUITE)), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "49ca0af5f3e5016639d2d48c0b872ff54e6c27e107dcdeb4a96cb45de807c18e"
 
 
 def test_main_certify_exit_code_and_json(tmp_path):

@@ -1,13 +1,22 @@
 """Fixed-point classes: Monk, Giambelli, basis triangularity, quadratic
 relations, graded dimensions."""
 
+from fractions import Fraction
+
 import pytest
 
-from petcoh.commalg import TPolynomial
+from petcoh import billey, peterson
+from petcoh.commalg import Poly, TPolynomial
+from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
 
-from oracles import brute_reduced_words, poly_pow, series_prefix
+from oracles import (
+    brute_reduced_words,
+    per_class_restriction,
+    poly_pow,
+    series_prefix,
+)
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
 
@@ -61,8 +70,26 @@ def test_class_ring_operations():
     for K in m.subsets:
         assert s.value(K) == p1.value(K) + p2.value(K)
     assert (p1 - p1).is_zero()
-    scaled = p1.scale(TPolynomial((0, 1)))
+    scaled = p1.scale(1, 1)
     assert scaled.value((1,)) == t_mono(1, 2)
+    assert scaled.degree == 2
+    half = p1.scale(Fraction(1, 2))
+    assert half.degree == 1 and half.value((1, 2)) == t_mono(1, 1)
+
+
+def test_class_degrees():
+    m = model("A3")
+    for K in m.subsets:
+        assert m.subset_class(K).degree == len(K)
+    p1, p2 = m.simple_class(1), m.simple_class(2)
+    assert (p1 * p2).degree == 2 and m.one().degree == 0
+    with pytest.raises(ValueError, match="degree"):
+        p1 + p1 * p2
+    with pytest.raises(ValueError, match="degree"):
+        p1 - m.one()
+    # zero is zero in every degree
+    assert p1 - p1 == (p1 * p2).scale(0)
+    assert p1 != p1.scale(1, 1)
 
 
 def test_class_operations_reject_mismatched_models():
@@ -82,6 +109,76 @@ def test_support_condition():
             for J in m.subsets:
                 if not set(K) <= set(J):
                     assert cls.value(J) == TPolynomial.zero()
+
+
+@pytest.mark.parametrize("name", SUITE + ["E6"])
+def test_classes_match_per_class_oracle(name):
+    # one localization table per fixed point against one localization per
+    # (v_J, w_K) pair, restricted on its own
+    m = model(name)
+    for J in m.subsets:
+        expected = per_class_restriction(m, m.group.v_K(J))
+        cls = m.subset_class(J)
+        assert [cls.value(fp.K) for fp in m.fixed_points] == expected, (name, J)
+
+
+def _counting_tables(monkeypatch, doctor=None):
+    """Patch localization_table in billey and peterson; record every call
+    and let ``doctor(u, w, value)`` rewrite the values it returns."""
+    calls = []
+    real = billey.localization_table
+
+    def table(group, targets, w):
+        calls.append(w)
+        out = real(group, targets, w)
+        if doctor is not None:
+            out = {u: doctor(u, w, p) for u, p in out.items()}
+        return out
+
+    # billey_localization goes through billey's own binding
+    monkeypatch.setattr(billey, "localization_table", table)
+    monkeypatch.setattr(peterson, "localization_table", table)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A3", "E6"])
+def test_model_construction_localizes_nothing(name, monkeypatch):
+    calls = _counting_tables(monkeypatch)
+    m = model(name)
+    assert calls == []
+    m.simple_class(1)
+    assert calls == [fp.w_K for fp in m.fixed_points]  # one table each
+    for K in m.subsets:
+        m.subset_class(K)
+    m.verify_quadratic_relations()
+    assert len(calls) == len(m.fixed_points)
+
+
+def test_non_integral_value_is_an_integrity_error(monkeypatch):
+    _counting_tables(monkeypatch, lambda u, w, p: p.scale(Fraction(1, 2)))
+    with pytest.raises(IntegrityError, match="integer multiple"):
+        model("A2").simple_class(1)
+
+
+def test_non_homogeneous_value_is_an_integrity_error(monkeypatch):
+    def add_constant(u, w, p):
+        return p + Poly.one(p.nvars) if u.length else p
+
+    _counting_tables(monkeypatch, add_constant)
+    with pytest.raises(IntegrityError, match="integer multiple"):
+        model("A2").simple_class(1)
+
+
+def test_monk_zero_denominator_is_an_integrity_error(monkeypatch):
+    # zero every diagonal value p_{v_J}(w_J): v_J is the one target of
+    # length |J| whose letters all lie in J
+    def drop_diagonal(u, w, p):
+        return p.scale(0) if u.length == len(set(w.witness_word)) else p
+
+    _counting_tables(monkeypatch, drop_diagonal)
+    m = model("A2")
+    with pytest.raises(IntegrityError, match="division by zero"):
+        m.monk_coefficient(1, (), (1,))
 
 
 def test_class_homogeneity():
@@ -236,7 +333,7 @@ def test_basis_triangularity(name):
 def test_quadratic_relation_A1_by_hand():
     m = model("A1")
     p1 = m.simple_class(1)
-    lhs = (p1 * p1).scale_rational(2) - p1.scale(TPolynomial((0, 2)))
+    lhs = (p1 * p1).scale(2) - p1.scale(2, 1)
     assert lhs.is_zero()
 
 
