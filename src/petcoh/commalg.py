@@ -1,13 +1,15 @@
 """The package's exact algebra kernel.
 
-Two polynomial classes and one elimination serve every layer:
+Two polynomial classes and one echelon form serve every layer:
 
 - ``Poly``, multivariate, for polynomials in the simple roots (Billey's
   formula) and in Q[x_1..x_n, t] (the quadric presentation);
 - ``TPolynomial``, univariate, for values restricted to the circle and for
   Hilbert series numerators and denominators;
-- ``bareiss_pivots``, fraction-free elimination on integer matrices, for
-  exact ranks and leading principal minors.
+- ``IntegerEchelon``, an incremental echelon form of primitive integer
+  rows, for the graded ranks of the restriction model; positive
+  definiteness (``leading_minors_positive``) runs its own fraction-free
+  elimination.
 
 In the quadric presentation every variable has cohomological degree 2;
 internally all computations run on ordinary total degree and the doubling
@@ -370,44 +372,42 @@ class TPolynomial:
 # ---------------------------------------------------------------------------
 # exact elimination
 
-def bareiss_pivots(rows, pivoting: bool = True) -> list[int]:
-    """Pivots of fraction-free Gaussian elimination on an integer matrix
-    (Bareiss, Math. Comp. 22, 1968).
+class IntegerEchelon:
+    """An echelon form of primitive integer rows, grown one row at a time.
 
-    Each step replaces every entry below the pivot row by
-    (a * pivot - f * b) / (previous pivot); Sylvester's identity makes the
-    division exact, so the arithmetic never leaves the integers.
-
-    With pivoting, each column takes its first nonzero entry at or below
-    the current row as pivot, and a column without one is skipped; the
-    number of pivots is the rank.  Without pivoting, the k-th pivot is the
-    k-th leading principal minor, and the list stops at the first zero one,
-    past which the elimination cannot go on.
+    Rows are stored by pivot (leading) column, in insertion order.  A new
+    row is reduced against every stored row in that order, each step a
+    cross-multiplication that clears the stored row's pivot column; a
+    stored row vanishes at the pivots of the rows stored before it, so one
+    pass clears every pivot column.  A nonzero remainder is divided by the
+    gcd of its entries and stored under its leading column.  The number of
+    stored rows is the rank of everything inserted.
     """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    prev = 1
-    for col in range(ncols):
-        k = len(pivots)
-        if k == len(m):
-            break
-        if pivoting:
-            r = next((r for r in range(k, len(m)) if m[r][col]), None)
-            if r is None:
-                continue
-            m[k], m[r] = m[r], m[k]
-        top = m[k]
-        pivot = top[col]
-        pivots.append(pivot)
-        if not pivot:
-            break
-        for row in m[k + 1:]:
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row) -> bool:
+        """Add a row; True iff it is independent of the rows stored so far."""
+        row = list(row)
+        for col, stored in self.rows.items():
             f = row[col]
-            row[col + 1:] = [(a * pivot - f * b) // prev
-                             for a, b in zip(row[col + 1:], top[col + 1:])]
-        prev = pivot
-    return pivots
+            if f:
+                p = stored[col]
+                g = gcd(f, p)
+                f, p = f // g, p // g
+                row = [a * p - f * b for a, b in zip(row, stored)]
+        lead = next((col for col, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        g = gcd(*row)
+        self.rows[lead] = [a // g for a in row]
+        return True
 
 
 def leading_minors_positive(rows) -> bool:
@@ -419,11 +419,26 @@ def leading_minors_positive(rows) -> bool:
     (alpha_j, alpha_j), so A = B D with B symmetric and D a positive
     diagonal, and the leading minors of A are positive multiples of those
     of B.
+
+    The minors are the pivots of fraction-free Gaussian elimination without
+    row exchanges (Bareiss, Math. Comp. 22, 1968): each step replaces every
+    entry below the pivot row by (a * pivot - f * b) / (previous pivot),
+    and Sylvester's identity makes the division exact.
     """
-    rows = [tuple(r) for r in rows]
-    if any(len(r) != len(rows) for r in rows):
+    m = [list(r) for r in rows]
+    if any(len(r) != len(m) for r in m):
         raise ValueError("matrix must be square")
-    return all(m > 0 for m in bareiss_pivots(rows, pivoting=False))
+    prev = 1
+    for k, top in enumerate(m):
+        pivot = top[k]
+        if pivot <= 0:
+            return False
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(a * pivot - f * b) // prev
+                           for a, b in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    return True
 
 
 @dataclass(frozen=True)

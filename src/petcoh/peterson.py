@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
+from operator import mul
 
 from .billey import localization_table, restrict_to_S
-from .commalg import TPolynomial, bareiss_pivots
+from .commalg import IntegerEchelon, TPolynomial
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -348,25 +349,26 @@ class PetersonModel:
 
         Every generator is a class of t-degree 1, so a degree-d monomial
         evaluates at each fixed point to (integer) * t^d and the span lives
-        in a vector space of dimension 2^n: each row below lists those
-        integers.
+        in a vector space of dimension 2^n.  At t = 1 the degree-d span V_d
+        is spanned by the p-monomials of degree at most d, so
+        V_d = V_{d-1} + sum_i p_{s_i} N_{d-1}, where N_{d-1} holds the rows
+        that were new at degree d-1 (together with V_{d-2} they span
+        V_{d-1}).  Each candidate row goes through one incremental integer
+        echelon form; at most 2^n rows are ever new and each spawns n
+        candidates, so at most 1 + n 2^n rows are tried over all degrees.
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
-        n = self.rank
-        ones = self.one().values
         simple = [self.simple_class(i).values for i in self.cartan.nodes()]
-        dims = []
-        for d in range(cutoff_degree // 2 + 1):
-            rows = []
-            for exps in _compositions(d, n + 1):
-                # exps[0] is the power of t, which is 1 at every fixed point
-                row = ones
-                for vec, e in zip(simple, exps[1:]):
-                    if e:
-                        row = [a * b ** e for a, b in zip(row, vec)]
-                rows.append(row)
-            dims.append(len(bareiss_pivots(rows)))
+        echelon = IntegerEchelon()
+        one = self.one().values
+        new = [one] if echelon.insert(one) else []
+        dims = [len(echelon)]
+        for _ in range(cutoff_degree // 2):
+            candidates = [tuple(map(mul, row, vec))
+                          for row in new for vec in simple]
+            new = [row for row in candidates if echelon.insert(row)]
+            dims.append(len(echelon))
         return dims
 
     def verify_graded_dimensions(self, cutoff_degree: int) -> CheckRecord:
@@ -385,14 +387,4 @@ class PetersonModel:
             parameters={"cutoff_degree": cutoff_degree},
             witnesses={"computed": dims, "expected": expected},
         )
-
-
-def _compositions(total: int, parts: int):
-    """All exponent tuples of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 

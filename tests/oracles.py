@@ -205,6 +205,79 @@ def fraction_det(rows) -> Q:
     return det
 
 
+def bareiss_pivots(rows, pivoting: bool = True) -> list[int]:
+    """Pivots of fraction-free Gaussian elimination on an integer matrix
+    (Bareiss, Math. Comp. 22, 1968).
+
+    Each step replaces every entry below the pivot row by
+    (a * pivot - f * b) / (previous pivot); Sylvester's identity makes the
+    division exact, so the arithmetic never leaves the integers.
+
+    With pivoting, each column takes its first nonzero entry at or below
+    the current row as pivot, and a column without one is skipped; the
+    number of pivots is the rank.  Without pivoting, the k-th pivot is the
+    k-th leading principal minor, and the list stops at the first zero one,
+    past which the elimination cannot go on.
+    """
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        if pivoting:
+            r = next((r for r in range(k, len(m)) if m[r][col]), None)
+            if r is None:
+                continue
+            m[k], m[r] = m[r], m[k]
+        top = m[k]
+        pivot = top[col]
+        pivots.append(pivot)
+        if not pivot:
+            break
+        for row in m[k + 1:]:
+            f = row[col]
+            row[col + 1:] = [(a * pivot - f * b) // prev
+                             for a, b in zip(row[col + 1:], top[col + 1:])]
+        prev = pivot
+    return pivots
+
+
+def _compositions(total: int, parts: int):
+    """All exponent tuples of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def all_monomials_graded_dims(model, cutoff_degree: int, rank=None) -> list[int]:
+    """The graded dimensions of the image of Q[t, p_{s_1}..p_{s_n}] the
+    slow way: for each degree d, one integer row per monomial of degree d
+    in t, p_{s_1}..p_{s_n} (C(d+n, n) rows), ranked from scratch; ground
+    truth for the frontier recursion.  ``rank`` defaults to the pivoting
+    Bareiss rank and can be swapped for another rank function."""
+    rank = rank or (lambda rows: len(bareiss_pivots(rows)))
+    ones = model.one().values
+    simple = [model.simple_class(i).values for i in model.cartan.nodes()]
+    dims = []
+    for d in range(cutoff_degree // 2 + 1):
+        rows = []
+        for exps in _compositions(d, model.rank + 1):
+            # exps[0] is the power of t, which is 1 at every fixed point
+            row = ones
+            for vec, e in zip(simple, exps[1:]):
+                if e:
+                    row = [a * b ** e for a, b in zip(row, vec)]
+            rows.append(row)
+        dims.append(rank(rows))
+    return dims
+
+
 def mat_mul(a, b):
     """Product of two square integer matrices given as tuples of rows."""
     n = len(a)

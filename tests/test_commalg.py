@@ -3,6 +3,7 @@ oracles."""
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from petcoh.commalg import (
     HilbertSeries,
     Ideal,
     Poly,
+    IntegerEchelon,
     TPolynomial,
-    bareiss_pivots,
     build_ideal_J,
     build_ideal_Jcheck,
     grevlex_key,
@@ -35,6 +36,8 @@ from petcoh.commalg import (
 from petcoh.roots import cartan_matrix
 
 from oracles import (
+    all_monomials_graded_dims,
+    bareiss_pivots,
     buchberger_groebner_basis,
     fraction_det,
     fraction_rank,
@@ -536,21 +539,52 @@ def test_bareiss_fixed_cases():
     assert bareiss_pivots([[2, -1], [-1, 2]], pivoting=False) == [2, 3]
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(int_matrices())
+def test_echelon_matches_fraction_oracle(rows):
+    echelon = IntegerEchelon()
+    for k, row in enumerate(rows):
+        grows = fraction_rank(rows[:k + 1]) > fraction_rank(rows[:k])
+        assert echelon.insert(row) == grows
+    assert len(echelon) == fraction_rank(rows)
+    leads = list(echelon.rows)
+    for i, lead in enumerate(leads):
+        stored = echelon.rows[lead]
+        assert all(type(x) is int for x in stored)
+        assert next(c for c, a in enumerate(stored) if a) == lead
+        assert gcd(*stored) == 1
+        # zero at the pivots of the rows stored before it
+        assert not any(stored[c] for c in leads[:i])
+
+
+def test_echelon_fixed_cases():
+    echelon = IntegerEchelon()
+    assert not echelon.insert([0, 0, 0])
+    assert echelon.insert([0, 2, 4])
+    assert echelon.rows == {1: [0, 1, 2]}
+    assert not echelon.insert([0, -3, -6])
+    assert echelon.insert([5, 1, 2])  # independent only through column 0
+    assert echelon.insert([0, 1, 3])
+    assert not echelon.insert([7, 7, 7])
+    assert len(echelon) == 3
+
+
 @pytest.mark.parametrize("name", DEFAULT_SUITE)
-def test_graded_dims_rank_matches_fraction_oracle(name, monkeypatch):
-    pivots = peterson.bareiss_pivots
+def test_graded_dims_rank_matches_fraction_oracle(name):
+    # the all-monomials oracle's matrices: integer rows, Bareiss rank equal
+    # to the rank over the fractions
     matrices = []
 
-    def recording_pivots(rows):
+    def recording_rank(rows):
         matrices.append(rows)
-        return pivots(rows)
+        return len(bareiss_pivots(rows))
 
-    monkeypatch.setattr(peterson, "bareiss_pivots", recording_pivots)
-    peterson.PetersonModel(cartan_matrix(name)).image_graded_dimensions(12)
+    model = peterson.PetersonModel(cartan_matrix(name))
+    dims = all_monomials_graded_dims(model, 12, rank=recording_rank)
     assert len(matrices) == 7
     for rows in matrices:
         assert all(type(x) is int for row in rows for x in row)
-        assert len(pivots(rows)) == fraction_rank(rows)
+    assert dims == [fraction_rank(rows) for rows in matrices]
 
 
 def test_zero_set_via_minors_examples():

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from petcoh import billey, peterson
+from petcoh import billey, commalg, peterson
 from petcoh.commalg import Poly, TPolynomial
 from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
 
 from oracles import (
+    all_monomials_graded_dims,
     brute_reduced_words,
     per_class_restriction,
     poly_pow,
@@ -378,3 +379,33 @@ def test_graded_dimensions_validation():
     with pytest.raises(ValueError):
         m.image_graded_dimensions(-2)
     assert m.image_graded_dimensions(0) == [1]
+
+
+@pytest.mark.parametrize("name", SUITE + ["E6"])
+def test_graded_dims_match_all_monomials_oracle(name):
+    m = model(name)
+    assert m.image_graded_dimensions(12) == all_monomials_graded_dims(m, 12)
+
+
+def test_graded_dims_E7_match_series():
+    m = model("E7")
+    coeffs = series_prefix(poly_pow([1, 0, 1], 7), [1, 0, -1], 13)
+    assert m.image_graded_dimensions(12) == coeffs[::2]
+
+
+def test_graded_dims_cost_on_E6(monkeypatch):
+    # one insert for the class 1, then n per row that was new below the
+    # top degree: at most 1 + n 2^n in all, against C(d+n, n) rows per degree
+    inserts = []
+    insert = commalg.IntegerEchelon.insert
+
+    def counting_insert(self, row):
+        inserts.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(commalg.IntegerEchelon, "insert", counting_insert)
+    m = model("E6")
+    dims = m.image_graded_dimensions(12)
+    n = m.rank
+    assert len(inserts) == 1 + n * dims[-2] == 379
+    assert len(inserts) <= 1 + n * 2 ** n
