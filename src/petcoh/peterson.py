@@ -259,28 +259,30 @@ class PetersonModel:
             witnesses={"coefficient": coeff, "reduced_words": n_words},
         )
 
-    def verify_disconnected_product(self, J, K) -> CheckRecord:
-        """Check p_{v_{J u K}} = p_{v_J} p_{v_K} for disjoint J, K whose
-        union is disconnected.  Empty J or K is the degenerate identity."""
-        J = tuple(sorted(set(J)))
-        K = tuple(sorted(set(K)))
-        if set(J) & set(K):
-            raise ValueError("J and K must be disjoint")
-        if J and K:
-            if not self.cartan.is_connected(J):
-                raise ValueError(f"J={J} must be connected")
-            if not self.cartan.is_connected(K):
-                raise ValueError(f"K={K} must be connected")
-            if self.cartan.is_connected(J + K):
-                raise ValueError("the union J u K must be disconnected")
-        union = tuple(sorted(J + K))
-        lhs = self.subset_class(union)
-        rhs = self.subset_class(J) * self.subset_class(K)
+    def verify_disconnected_product(self, *parts) -> CheckRecord:
+        """Check p_{v_K} = prod_C p_{v_C} for a node set K given as its
+        connected components C (the product rule for disconnected K).
+        Empty parts are the degenerate identity p_{v_{()}} = 1."""
+        parts = [tuple(sorted(set(C))) for C in parts]
+        union = tuple(sorted(set().union(*parts)))
+        if sum(map(len, parts)) != len(union):
+            raise ValueError("the parts must be disjoint")
+        for C in parts:
+            if C and not self.cartan.is_connected(C):
+                raise ValueError(f"{C} must be connected")
+        components = [C for C in parts if C]
+        if len(components) > 1 and \
+                len(self.cartan.connected_components(union)) != len(components):
+            raise ValueError("the parts must be the components of a "
+                             "disconnected union")
+        rhs = self.one()
+        for C in parts:
+            rhs = rhs * self.subset_class(C)
         return CheckRecord(
             check="disconnected_product",
             lie_type=self.type_name(),
-            passed=lhs == rhs,
-            parameters={"J": list(J), "K": list(K)},
+            passed=self.subset_class(union) == rhs,
+            parameters={"parts": [list(C) for C in parts]},
             witnesses={"union": list(union)},
         )
 

@@ -72,7 +72,9 @@ class CertificationReport:
         Giambelli witnesses (it is onto the span of the classes p_{v_K}),
         the basis triangularity (the 2^n classes p_{v_K} are independent,
         so the target has the expected size), and the Hilbert series
-        equality (the source has that size too)."""
+        equality (the source has that size too).  The Giambelli witnesses
+        must moreover reach every one of the 2^n - 1 nonempty node sets K
+        of that basis (p_{v_()} is 1)."""
         legs = {"quadratic": False, "giambelli": False, "basis": False,
                 "hilbert": False}
         for r in self.records:
@@ -80,7 +82,16 @@ class CertificationReport:
                 legs[r.check] = True
             elif r.check in legs and (r.skipped or not r.passed):
                 return False
-        return all(legs.values())
+        return all(legs.values()) and self._every_subset_reached()
+
+    def _every_subset_reached(self) -> bool:
+        by_check = {r.check: r for r in self.records}
+        witnesses = by_check["giambelli"].witnesses
+        reached = {tuple(item["K"]) for key in ("coefficients", "products")
+                   for item in witnesses.get(key, ())}
+        n = by_check["basis"].parameters["size"].bit_length() - 1
+        return reached == {tuple(i + 1 for i in range(n) if mask >> i & 1)
+                           for mask in range(1, 1 << n)}
 
     def to_dict(self) -> dict:
         return {

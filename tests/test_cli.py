@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,9 @@ from petcoh.cli import (
     run_certification,
     run_suite,
 )
+from petcoh.peterson import PetersonModel
 from petcoh.report import CheckRecord, strip_timing
+from petcoh.roots import cartan_matrix
 
 
 def test_run_config_validation():
@@ -104,7 +107,65 @@ def test_suite_includes_semisimple_disconnected_products():
     entry = suite["types"][0]
     assert entry["overall_pass"]
     giambelli = next(c for c in entry["checks"] if c["check"] == "giambelli")
-    assert giambelli["parameters"]["disconnected_pairs"] >= 1
+    assert giambelli["parameters"]["disconnected_subsets"] == 3
+    assert giambelli["witnesses"]["products"] == [
+        {"K": [1, 3], "components": [[1], [3]]},
+        {"K": [2, 3], "components": [[2], [3]]},
+        {"K": [1, 2, 3], "components": [[1, 2], [3]]},
+    ]
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A5", "E6"))
+def test_giambelli_reaches_every_nonempty_subset(name):
+    model = PetersonModel(cartan_matrix(name))
+    record = cli._check_giambelli(model, RunConfig(lie_type=name))
+    assert record.passed
+    connected = [tuple(c["K"]) for c in record.witnesses["coefficients"]]
+    products = {tuple(p["K"]): p["components"]
+                for p in record.witnesses["products"]}
+    nodes = range(1, model.rank + 1)
+    nonempty = [K for k in nodes for K in combinations(nodes, k)]
+    # each nonempty K reached exactly once
+    assert sorted(connected + list(products)) == sorted(nonempty)
+    assert all(model.cartan.is_connected(K) for K in connected)
+    for K, components in products.items():
+        assert len(components) >= 2
+        assert sorted(x for C in components for x in C) == list(K)
+        assert all(model.cartan.is_connected(C) for C in components)
+    three_or_more = sorted(K for K, c in products.items() if len(c) >= 3)
+    assert len(three_or_more) == {"D4": 1, "A5": 1, "E6": 11}.get(name, 0)
+    if name in ("D4", "A5"):
+        assert three_or_more == {"D4": [(1, 3, 4)], "A5": [(1, 3, 5)]}[name]
+
+
+def test_broken_three_component_product_fails_and_does_not_certify(monkeypatch):
+    # p_{v_{134}} on D4 is reached only as p_{s_1} p_{s_3} p_{s_4}; a model
+    # that gets it wrong must not certify
+    subset_class = PetersonModel.subset_class
+
+    def broken(self, K):
+        cls = subset_class(self, K)
+        return cls.scale(2) if tuple(sorted(K)) == (1, 3, 4) else cls
+
+    monkeypatch.setattr(PetersonModel, "subset_class", broken)
+    report = run_certification(RunConfig(
+        lie_type="D4", checks=("quadratic", "giambelli", "basis", "hilbert")))
+    by_name = {r.check: r for r in report.records}
+    assert by_name["giambelli"].passed is False
+    assert by_name["giambelli"].witnesses["failures"] == [
+        {"kind": "disconnected_product", "K": [1, 3, 4]}]
+    assert all(by_name[c].passed for c in ("quadratic", "basis", "hilbert"))
+    assert not report.isomorphism_certified()
+
+
+@pytest.mark.parametrize("witness", ["coefficients", "products"])
+def test_certificate_needs_every_subset_reached(witness):
+    report = run_certification(RunConfig(lie_type="A3"))
+    assert report.isomorphism_certified()
+    giambelli = next(r for r in report.records if r.check == "giambelli")
+    giambelli.witnesses[witness].pop()
+    assert report.overall_pass
+    assert not report.isomorphism_certified()
 
 
 def test_suite_isolates_type_failures():
@@ -195,7 +256,7 @@ def test_default_suite_report_is_pinned():
     # the refactor gate: the timing-free suite report, byte for byte
     blob = json.dumps(strip_timing(run_suite(DEFAULT_SUITE)), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == \
-        "49ca0af5f3e5016639d2d48c0b872ff54e6c27e107dcdeb4a96cb45de807c18e"
+        "df8c3ceff12bf161faa35795024e6e8cbd26944402ac92abae4825a6aab96d21"
 
 
 def test_main_certify_exit_code_and_json(tmp_path):

@@ -297,6 +297,9 @@ def test_disconnected_product_examples():
     assert a4.verify_disconnected_product((1, 2), (4,)).passed
     mixed = model("A2+A1")
     assert mixed.verify_disconnected_product((1, 2), (3,)).passed
+    # three components: sets that no pair of connected sets reaches
+    assert model("D4").verify_disconnected_product((1,), (3,), (4,)).passed
+    assert model("A5").verify_disconnected_product((1,), (3,), (5,)).passed
 
 
 def test_disconnected_product_preconditions():
@@ -307,6 +310,8 @@ def test_disconnected_product_preconditions():
         a4.verify_disconnected_product((1,), (2,))
     with pytest.raises(ValueError, match="connected"):
         a4.verify_disconnected_product((1, 3), (4,))
+    with pytest.raises(ValueError, match="disconnected"):
+        model("D4").verify_disconnected_product((1,), (2,), (3,))
 
 
 # -- basis -------------------------------------------------------------------
