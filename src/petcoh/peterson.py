@@ -288,14 +288,6 @@ class PetersonModel:
 
     # -- module basis -------------------------------------------------------
 
-    def basis_matrix(self):
-        """Matrix of p_{v_K}(w_J) with rows K and columns J in the fixed
-        subset order."""
-        return [
-            [self.subset_class(K).value(J) for J in self.subsets]
-            for K in self.subsets
-        ]
-
     def verify_basis_triangular(self) -> CheckRecord:
         """Upper triangularity with nonzero diagonal, plus the support
         condition p_{v_K}(w_J) = 0 whenever K is not contained in J."""

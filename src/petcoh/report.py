@@ -62,10 +62,6 @@ class CertificationReport:
     def overall_pass(self) -> bool:
         return all(r.passed for r in self.records if not r.skipped)
 
-    @property
-    def has_skips(self) -> bool:
-        return any(r.skipped for r in self.records)
-
     def isomorphism_certified(self) -> bool:
         """True only when all four proof legs ran and passed: the quadratic
         relations (the map from the quadric ring is well defined), the

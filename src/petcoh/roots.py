@@ -38,8 +38,6 @@ RANK_CONSTRAINTS = {
     "G": (2, 2),
 }
 
-BOND_ORDERS = {0: 2, 1: 3, 2: 4, 3: 6}
-
 
 @dataclass(frozen=True)
 class LieType:
@@ -167,12 +165,6 @@ class CartanMatrix:
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.entries[i - 1][j - 1] != 0
-
-    def bond_order(self, i: int, j: int) -> int:
-        """Order of s_i s_j in the Weyl group: 2, 3, 4 or 6."""
-        if i == j:
-            raise ValueError("bond order requires two distinct nodes")
-        return BOND_ORDERS[self.entries[i - 1][j - 1] * self.entries[j - 1][i - 1]]
 
     def connected_components(self, nodes) -> list[tuple[int, ...]]:
         """Connected components of the diagram induced on the given nodes."""

@@ -95,16 +95,6 @@ class WeylGroup:
     def simple_reflection(self, i: int) -> WeylElement:
         return self.right_multiply(self.identity, i)
 
-    def length_of_matrix(self, action) -> int:
-        """Inversion count: positive roots whose image is negative."""
-        count = 0
-        for beta in self.cartan.positive_roots():
-            img = tuple(sum(row[k] * beta[k] for k in range(self.rank))
-                        for row in action)
-            if is_negative_root_vector(img):
-                count += 1
-        return count
-
     def right_descends(self, w: WeylElement, i: int) -> bool:
         """True iff l(w s_i) < l(w), i.e. w(alpha_i) is a negative root."""
         col = tuple(row[i - 1] for row in w.action)

@@ -133,6 +133,57 @@ def bruhat_lower_set(group, w) -> set:
     return out
 
 
+def weyl_group_degrees(family: str, rank: int) -> list[int]:
+    """The degrees of the basic invariants of the Weyl group (Humphreys,
+    Reflection Groups and Coxeter Groups, Table 3.1): |W| is their
+    product and l(w_0) = sum(d_i - 1) the number of positive roots."""
+    n = rank
+    if family == "A":
+        return list(range(2, n + 2))
+    if family in "BC":
+        return list(range(2, 2 * n + 1, 2))
+    if family == "D":
+        return sorted(list(range(2, 2 * n - 1, 2)) + [n])
+    return {("E", 6): [2, 5, 6, 8, 9, 12],
+            ("E", 7): [2, 6, 8, 10, 12, 14, 18],
+            ("E", 8): [2, 8, 12, 14, 18, 20, 24, 30],
+            ("F", 4): [2, 6, 8, 12],
+            ("G", 2): [2, 6]}[family, n]
+
+
+BOND_ORDERS = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+def bond_order(cartan, i: int, j: int) -> int:
+    """Order of s_i s_j in the Weyl group: 2, 3, 4 or 6."""
+    if i == j:
+        raise ValueError("bond order requires two distinct nodes")
+    return BOND_ORDERS[cartan.a(i, j) * cartan.a(j, i)]
+
+
+def length_of_matrix(group, action) -> int:
+    """Inversion count: positive roots whose image under the action matrix
+    is negative."""
+    count = 0
+    for beta in group.cartan.positive_roots():
+        img = [sum(row[k] * beta[k] for k in range(group.rank)) for row in action]
+        if all(x <= 0 for x in img):
+            count += 1
+    return count
+
+
+def has_skips(report) -> bool:
+    """True iff some check of the report was skipped."""
+    return any(r.skipped for r in report.records)
+
+
+def basis_matrix(model):
+    """Matrix of p_{v_K}(w_J) as t-polynomials, with rows K and columns J
+    in the model's fixed subset order."""
+    return [[model.subset_class(K).value(J) for J in model.subsets]
+            for K in model.subsets]
+
+
 def series_prefix(numer: list[int], denom: list[int], count: int) -> list[int]:
     """First ``count`` power-series coefficients of numer/denom (exact)."""
     assert denom[0] != 0

@@ -4,6 +4,8 @@ relations, graded dimensions."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petcoh import billey, commalg, peterson
 from petcoh.commalg import Poly, TPolynomial
@@ -13,6 +15,7 @@ from petcoh.roots import cartan_matrix
 
 from oracles import (
     all_monomials_graded_dims,
+    basis_matrix,
     brute_reduced_words,
     per_class_restriction,
     poly_pow,
@@ -22,8 +25,18 @@ from oracles import (
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
 
 
+_MODELS = {}
+
+
 def model(name):
     return PetersonModel(cartan_matrix(name))
+
+
+def shared_model(name):
+    """One model per type for the properties that draw many examples."""
+    if name not in _MODELS:
+        _MODELS[name] = model(name)
+    return _MODELS[name]
 
 
 def t_mono(c, k):
@@ -318,7 +331,7 @@ def test_disconnected_product_preconditions():
 
 def test_basis_matrix_entries():
     m = model("A2")
-    matrix = m.basis_matrix()
+    matrix = basis_matrix(m)
     idx = {K: i for i, K in enumerate(m.subsets)}
     assert matrix[idx[()]][idx[()]] == TPolynomial.one()
     assert matrix[idx[(1,)]][idx[(1,)]] == t_mono(1, 1)
@@ -414,3 +427,28 @@ def test_graded_dims_cost_on_E6(monkeypatch):
     n = m.rank
     assert len(inserts) == 1 + n * dims[-2] == 379
     assert len(inserts) <= 1 + n * 2 ** n
+
+
+# -- direct sums ---------------------------------------------------------------
+
+_SUMMANDS = ("A1", "A2", "A3", "B2", "G2")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_direct_sum_classes_are_products(data):
+    # p_{v_{K u L}}(w_{K' u L'}) = p_{v_K}(w_{K'}) p_{v_L}(w_{L'}) on X+Y,
+    # the nodes of Y numbered after those of X
+    x = data.draw(st.sampled_from(_SUMMANDS), label="X")
+    y = data.draw(st.sampled_from(_SUMMANDS), label="Y")
+    X, Y, XY = shared_model(x), shared_model(y), shared_model(f"{x}+{y}")
+    K, K_ = (data.draw(st.sampled_from(X.subsets)) for _ in range(2))
+    L, L_ = (data.draw(st.sampled_from(Y.subsets)) for _ in range(2))
+
+    def shifted(J):
+        return tuple(i + X.rank for i in J)
+
+    lhs = XY.subset_class(K + shifted(L))
+    assert lhs.degree == len(K) + len(L)
+    assert lhs.value(K_ + shifted(L_)) == \
+        X.subset_class(K).value(K_) * Y.subset_class(L).value(L_)

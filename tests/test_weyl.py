@@ -1,12 +1,22 @@
 """Weyl group elements, reduced words, parabolic longest elements, Bruhat order."""
 
+from math import prod
+
 import pytest
 
+from petcoh.cli import DEFAULT_SUITE
 from petcoh.errors import ResourceCapError
-from petcoh.roots import cartan_matrix
+from petcoh.roots import cartan_matrix, parse_lie_type
 from petcoh.weyl import WeylGroup, word_from_str, word_to_str
 
-from oracles import brute_reduced_words, bruhat_lower_set, mat_mul, reflection_matrix
+from oracles import (
+    brute_reduced_words,
+    bruhat_lower_set,
+    length_of_matrix,
+    mat_mul,
+    reflection_matrix,
+    weyl_group_degrees,
+)
 
 GROUP_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
                 "D4": 192, "A2+A1": 12}
@@ -122,6 +132,26 @@ def test_group_orders(name):
     assert len(W.all_elements()) == GROUP_ORDERS[name]
 
 
+def _degrees(name):
+    (lie_type,) = parse_lie_type(name)
+    return weyl_group_degrees(lie_type.family, lie_type.rank)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE)
+def test_group_order_is_product_of_degrees(name):
+    assert len(group(name).all_elements()) == prod(_degrees(name))
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+    "C5", "D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"])
+def test_longest_element_length_is_sum_of_degrees_minus_one(name):
+    W = group(name)
+    w0 = W.longest_element(tuple(W.cartan.nodes()))
+    assert w0.length == sum(d - 1 for d in _degrees(name))
+    assert w0.length == len(W.cartan.positive_roots())
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_reduced_words_against_brute_force(name):
     W = group(name)
@@ -212,4 +242,4 @@ def test_right_multiply_matches_matrix_product(name):
         for i in W.cartan.nodes():
             product = W.right_multiply(w, i)
             assert product.action == mat_mul(w.action, reflection_matrix(W.cartan, i))
-            assert product.length == W.length_of_matrix(product.action)
+            assert product.length == length_of_matrix(W, product.action)
