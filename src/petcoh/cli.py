@@ -195,7 +195,7 @@ def _check_giambelli(model: PetersonModel, config: RunConfig) -> CheckRecord:
     coefficients = []
     products = []
     failures = []
-    for K in model.subsets[1:]:
+    for K in model.subsets[1:]:  # subsets[0] is (), and p_{v_()} = 1
         components = cartan.connected_components(K)
         if len(components) == 1:
             rec = model.verify_giambelli(K)

@@ -354,10 +354,10 @@ class PetersonModel:
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
         simple = [self.simple_class(i).values for i in self.cartan.nodes()]
-        echelon = IntegerEchelon()
         one = self.one().values
-        new = [one] if echelon.insert(one) else []
-        dims = [len(echelon)]
+        echelon = IntegerEchelon()
+        echelon.insert(one)
+        new, dims = [one], [1]
         for _ in range(cutoff_degree // 2):
             candidates = [tuple(map(mul, row, vec))
                           for row in new for vec in simple]
@@ -381,4 +381,3 @@ class PetersonModel:
             parameters={"cutoff_degree": cutoff_degree},
             witnesses={"computed": dims, "expected": expected},
         )
-

@@ -15,8 +15,8 @@ from petcoh.commalg import (
     MONOMIAL_ORDERS,
     HilbertSeries,
     Ideal,
-    Poly,
     IntegerEchelon,
+    Poly,
     TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
