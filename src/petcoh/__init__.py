@@ -4,7 +4,7 @@ quadric presentation on the other, and checks that the two agree."""
 
 __version__ = "0.1.0"
 
-from .billey import billey_localization, localization_table, restrict_to_S
+from .billey import billey_localization, localization_table
 from .commalg import (
     HilbertSeries,
     Ideal,
@@ -58,7 +58,6 @@ __all__ = [
     "leading_minors_positive",
     "localization_table",
     "parse_lie_type",
-    "restrict_to_S",
     "simple_reflection_action",
     "simple_root",
     "word_from_str",

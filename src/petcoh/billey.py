@@ -21,15 +21,18 @@ repeatedly stepping down a right descent.  One pass over the letters costs
 m * |ideal| polynomial updates, and it adds up the same products as the
 subword formula, so the values agree term for term.
 
-Restricting to the one-dimensional subtorus sends every simple root to t,
-turning these values into polynomials in a single variable t.
+The recursion only adds products of the roots r(j, w), so it commutes with
+any ring map applied to those roots.  Restricting to the one-dimensional
+subtorus S sends every simple root to t and so a positive root r to
+ht(r) t, its height times t.  Running the same recursion on the
+one-coordinate roots (ht(r(j, w)),) therefore gives sigma_u(w)|_S directly
+as c_u t^l(u), in integers: ``localization_table`` runs it on the inversion
+roots and ``restricted_table`` on their heights.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .commalg import Poly, TPolynomial
+from .commalg import Poly
 from .roots import is_negative_root_vector, is_positive_root_vector
 from .weyl import WeylElement, WeylGroup
 
@@ -47,11 +50,11 @@ def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
     return out
 
 
-def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
-    """{u: sigma_u(w)} for every target u, by the prefix recursion over the
-    witness word of w on the lower weak order ideal of the targets."""
-    n = group.rank
-    targets = tuple(targets)
+def _prefix_recursion(group: WeylGroup, targets, w: WeylElement, roots,
+                      nvars: int) -> list:
+    """(u, {exponent tuple: integer coefficient}) for every target u that
+    can be nonzero at w, by the prefix recursion over w's witness word;
+    roots[j] is r(j, w) in whichever nvars coordinates the caller chose."""
     word = w.witness_word
     support = set(word)
     # sigma_u(w) = 0 unless some subword of w's word is a reduced word of u,
@@ -79,8 +82,8 @@ def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
         steps[b].append((values[upper], values[lower]))
 
     if live:
-        values[group.identity.action][(0,) * n] = 1
-    for b, root in zip(word, inversion_roots(group, w)):
+        values[group.identity.action][(0,) * nvars] = 1
+    for b, root in zip(word, roots):
         factor = [(k, c) for k, c in enumerate(root) if c]
         for target, source in steps[b]:
             # b is an ascent of u s_b, so no source changes during this step
@@ -88,9 +91,29 @@ def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
                 for k, rk in factor:
                     grown = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
                     target[grown] = target.get(grown, 0) + c * rk
+    return [(u, values[u.action]) for u in live]
+
+
+def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
+    """{u: sigma_u(w)} for every target u, by the prefix recursion over the
+    witness word of w on the lower weak order ideal of the targets."""
+    n = group.rank
+    targets = tuple(targets)
     table = {u: Poly.zero(n) for u in targets}
-    for u in live:
-        table[u] = Poly(n, values[u.action])
+    for u, terms in _prefix_recursion(
+            group, targets, w, inversion_roots(group, w), n):
+        table[u] = Poly(n, terms)
+    return table
+
+
+def restricted_table(group: WeylGroup, targets, w: WeylElement) -> dict:
+    """{u: c_u} for every target u, with sigma_u(w)|_S = c_u t^l(u): the
+    prefix recursion run on the heights of the roots r(j, w)."""
+    targets = tuple(targets)
+    table = dict.fromkeys(targets, 0)
+    heights = [(sum(r),) for r in inversion_roots(group, w)]
+    for u, terms in _prefix_recursion(group, targets, w, heights, 1):
+        table[u] = sum(terms.values())  # the one term t^l(u), if any
     return table
 
 
@@ -99,17 +122,3 @@ def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> Pol
     of reduced words of v in w's witness word of the product of the positive
     roots at the embedded positions."""
     return localization_table(group, (v,), w)[v]
-
-
-def restrict_to_S(p: Poly) -> TPolynomial:
-    """Substitute alpha_i -> t for every i."""
-    out: dict[int, Fraction] = {}
-    for exps, c in p.terms.items():
-        k = sum(exps)
-        out[k] = out.get(k, Fraction(0)) + c
-    if not out:
-        return TPolynomial.zero()
-    coeffs = [Fraction(0)] * (max(out) + 1)
-    for k, c in out.items():
-        coeffs[k] = c
-    return TPolynomial(coeffs)

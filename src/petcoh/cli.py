@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -459,14 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -481,22 +474,26 @@ def main(argv=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    # an unwritable --out fails here, before any check runs
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out \
+            else nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
 
-    if args.command == "certify":
-        report = run_certification(config)
-        if args.output_format == "json":
-            _emit(report.to_json(), args.out)
-        else:
-            _emit(report.to_text(), args.out)
-        return exit_status([report.to_dict()])
+    with out as fh:
+        if args.command == "certify":
+            report = run_certification(config)
+            print(report.to_json() if args.output_format == "json"
+                  else report.to_text(), file=fh)
+            return exit_status([report.to_dict()])
 
-    types = [p.strip() for p in args.types.split(",") if p.strip()]
-    aggregate = run_suite(types, config)
-    if args.output_format == "json":
-        _emit(json.dumps(aggregate, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(render_suite_text(aggregate), args.out)
-    return exit_status(aggregate["types"])
+        types = [p.strip() for p in args.types.split(",") if p.strip()]
+        aggregate = run_suite(types, config)
+        print(json.dumps(aggregate, indent=2, sort_keys=True)
+              if args.output_format == "json" else render_suite_text(aggregate),
+              file=fh)
+        return exit_status(aggregate["types"])
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Two polynomial classes and one echelon form serve every layer:
 
 - ``Poly``, multivariate, for polynomials in the simple roots (Billey's
   formula) and in Q[x_1..x_n, t] (the quadric presentation);
-- ``TPolynomial``, univariate, for values restricted to the circle and for
-  Hilbert series numerators and denominators;
+- ``TPolynomial``, univariate, for the values a report prints (a class
+  restricted to a fixed point) and for Hilbert series numerators and
+  denominators;
 - ``IntegerEchelon``, an incremental echelon form of primitive integer
   rows, for the graded ranks of the restriction model; positive
   definiteness (``leading_minors_positive``) runs its own fraction-free
@@ -311,12 +312,6 @@ class TPolynomial:
     def degree(self) -> int:
         """Degree in t; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_monomial_of_degree(self, d: int) -> bool:
-        """Zero, or exactly one term c*t^d."""
-        if not self.coeffs:
-            return True
-        return self.degree() == d and all(c == 0 for c in self.coeffs[:-1])
 
     def exact_div(self, other: "TPolynomial") -> "TPolynomial":
         """Exact quotient; raises ValueError when the division has remainder."""

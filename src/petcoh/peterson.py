@@ -3,17 +3,19 @@ of a Peterson variety.
 
 The circle fixed points are indexed by subsets K of the Dynkin nodes, each
 contributing the longest element w_K of its parabolic subgroup.  The
-classes p_v are restrictions of equivariant Schubert classes, computed by
-localizing at each w_K and sending every simple root to t; every such value
-is an integer multiple of t^l(v).  A class is therefore a degree and one
-integer per fixed point, standing for (that integer) * t^degree; the ring
-structure is pointwise, and degrees add under multiplication.
+classes p_v are restrictions of equivariant Schubert classes to each w_K,
+with every simple root sent to t; every such value is an integer multiple
+of t^l(v), and ``billey.restricted_table`` computes that integer directly.
+A class is therefore a degree and one integer per fixed point, standing for
+(that integer) * t^degree; the ring structure is pointwise, and degrees add
+under multiplication.
 
 The ring itself is represented purely by these classes (the restriction map
 to the fixed points is injective), so every identity below is checked
-pointwise in exact integer and rational arithmetic.  The classes p_{v_J} of
-all node subsets J are built together on first use, with one localization
-table per fixed point.
+pointwise.  The classes p_{v_J} of all node subsets J are built together on
+first use, with one restricted table per fixed point.  The Monk and
+Giambelli identities have rational coefficients; each is checked with its
+denominators cleared, so every class the checks build holds integers only.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
-from .billey import localization_table, restrict_to_S
+from .billey import restricted_table
 from .commalg import IntegerEchelon, TPolynomial
 from .errors import IntegrityError
 from .report import CheckRecord
@@ -102,7 +104,8 @@ class PetersonClass:
                              (a * b for a, b in zip(self.values, other.values)))
 
     def scale(self, c, power: int = 0) -> "PetersonClass":
-        """Multiply by c * t^power for a rational c."""
+        """Multiply by c * t^power.  The checks pass integers only, so the
+        classes they build keep integer values."""
         return PetersonClass(self.model, self.degree + power,
                              (c * a for a in self.values))
 
@@ -153,24 +156,12 @@ class PetersonModel:
 
     @cached_property
     def _subset_classes(self) -> tuple[PetersonClass, ...]:
-        """p_{v_J} for every J, one localization table per fixed point;
-        each value must restrict to an integer multiple of t^l(v_J)."""
+        """p_{v_J} for every J, one restricted table per fixed point."""
         targets = [self.group.v_K(J) for J in self.subsets]
-        columns = []
-        for fp in self.fixed_points:
-            table = localization_table(self.group, targets, fp.w_K)
-            column = []
-            for J, v in zip(self.subsets, targets):
-                value = restrict_to_S(table[v])
-                lead = value.coeffs[-1] if value else Fraction(0)
-                if not value.is_monomial_of_degree(v.length) or lead.denominator != 1:
-                    raise IntegrityError(
-                        f"p_v(w_K) is not an integer multiple of t^{v.length} "
-                        f"for v=v_{J} at K={fp.K}: {value!r}")
-                column.append(lead.numerator)
-            columns.append(column)
-        return tuple(PetersonClass(self, v.length, row)
-                     for v, row in zip(targets, zip(*columns)))
+        columns = [restricted_table(self.group, targets, fp.w_K)
+                   for fp in self.fixed_points]
+        return tuple(PetersonClass(self, v.length, (c[v] for c in columns))
+                     for v in targets)
 
     def subset_class(self, K) -> PetersonClass:
         """p_{v_K} for the ascending product v_K of the reflections in K."""
@@ -203,24 +194,25 @@ class PetersonModel:
         return Fraction(diff * self.subset_class(K).coefficient(J), denominator)
 
     def verify_monk(self, i: int, K) -> CheckRecord:
-        """Check p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c p_{v_J}
-        pointwise over all fixed points."""
+        """Check p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c_J p_{v_J}
+        pointwise over all fixed points, both sides multiplied by the lcm D
+        of the denominators of the c_J so that every value is an integer."""
         K = tuple(sorted(set(K)))
         p_i = self.simple_class(i)
         p_K = self.subset_class(K)
-        lhs = p_i * p_K
-        rhs = p_K.scale(p_i.coefficient(K), p_i.degree)
-        coeffs = []
-        for j in self.cartan.nodes():
-            if j in K:
-                continue
-            J = tuple(sorted(K + (j,)))
-            c = self.monk_coefficient(i, K, J)
-            coeffs.append({"J": list(J), "coefficient": c})
+        covers = [tuple(sorted(K + (j,)))
+                  for j in self.cartan.nodes() if j not in K]
+        cs = [self.monk_coefficient(i, K, J) for J in covers]
+        D = lcm(*(c.denominator for c in cs))
+        lhs = (p_i * p_K).scale(D)
+        rhs = p_K.scale(D * p_i.coefficient(K), p_i.degree)
+        for J, c in zip(covers, cs):
             if c:
-                rhs = rhs + self.subset_class(J).scale(c)
+                rhs = rhs + self.subset_class(J).scale(
+                    D // c.denominator * c.numerator)
+        coeffs = [{"J": list(J), "coefficient": c} for J, c in zip(covers, cs)]
         passed = lhs == rhs
-        nonneg = all(item["coefficient"] >= 0 for item in coeffs)
+        nonneg = all(c >= 0 for c in cs)
         return CheckRecord(
             check="monk",
             lie_type=self.type_name(),
@@ -245,18 +237,19 @@ class PetersonModel:
                 "for split node sets")
         v = self.group.v_K(K)
         n_words = self.group.count_reduced_words(v)
-        coeff = Fraction(factorial(len(K)), n_words)
-        lhs = self.subset_class(K).scale(coeff)
         rhs = self.one()
         for i in K:
             rhs = rhs * self.simple_class(i)
-        passed = lhs == rhs
+        # both sides times #words keeps the check in integers
+        passed = self.subset_class(K).scale(factorial(len(K))) == \
+            rhs.scale(n_words)
         return CheckRecord(
             check="giambelli",
             lie_type=self.type_name(),
             passed=passed,
             parameters={"K": list(K)},
-            witnesses={"coefficient": coeff, "reduced_words": n_words},
+            witnesses={"coefficient": Fraction(factorial(len(K)), n_words),
+                       "reduced_words": n_words},
         )
 
     def verify_disconnected_product(self, *parts) -> CheckRecord:

@@ -397,14 +397,97 @@ def subword_localization(group, v, w):
     return total
 
 
+def restrict_to_S(p):
+    """Substitute alpha_i -> t for every i in a polynomial in the simple
+    roots, summing in Fractions: ground truth for the integer restricted
+    table."""
+    from petcoh.commalg import TPolynomial
+
+    out: dict[int, Q] = {}
+    for exps, c in p.terms.items():
+        k = sum(exps)
+        out[k] = out.get(k, Q(0)) + c
+    if not out:
+        return TPolynomial.zero()
+    coeffs = [Q(0)] * (max(out) + 1)
+    for k, c in out.items():
+        coeffs[k] = c
+    return TPolynomial(coeffs)
+
+
+def is_monomial_of_degree(p, d: int) -> bool:
+    """The t-polynomial p is zero, or exactly one term c*t^d."""
+    if not p.coeffs:
+        return True
+    return p.degree() == d and all(c == 0 for c in p.coeffs[:-1])
+
+
 def per_class_restriction(model, v):
     """p_v as one t-polynomial per fixed point, by one single-target
     localization per (v, w_K), each restricted to t on its own: ground
     truth for the model's one table per fixed point."""
-    from petcoh.billey import billey_localization, restrict_to_S
+    from petcoh.billey import billey_localization
 
     return [restrict_to_S(billey_localization(model.group, v, fp.w_K))
             for fp in model.fixed_points]
+
+
+def fraction_verify_monk(model, i: int, K):
+    """The Monk record with the identity summed in Fractions, each class
+    scaled by its own rational coefficient: ground truth for the model's
+    check with the denominators cleared."""
+    from petcoh.report import CheckRecord
+
+    K = tuple(sorted(set(K)))
+    p_i = model.simple_class(i)
+    p_K = model.subset_class(K)
+    lhs = p_i * p_K
+    rhs = p_K.scale(p_i.coefficient(K), p_i.degree)
+    coeffs = []
+    for j in model.cartan.nodes():
+        if j in K:
+            continue
+        J = tuple(sorted(K + (j,)))
+        c = model.monk_coefficient(i, K, J)
+        coeffs.append({"J": list(J), "coefficient": c})
+        if c:
+            rhs = rhs + model.subset_class(J).scale(c)
+    passed = lhs == rhs
+    nonneg = all(item["coefficient"] >= 0 for item in coeffs)
+    return CheckRecord(
+        check="monk",
+        lie_type=model.type_name(),
+        passed=passed and nonneg,
+        parameters={"i": i, "K": list(K)},
+        witnesses={
+            "coefficients": coeffs,
+            "identity_holds": passed,
+            "coefficients_nonnegative": nonneg,
+        },
+    )
+
+
+def fraction_verify_giambelli(model, K):
+    """The Giambelli record for a connected K with p_{v_K} scaled by the
+    Fraction |K|!/#reduced-words(v_K): ground truth for the model's check
+    in integers."""
+    from math import factorial
+
+    from petcoh.report import CheckRecord
+
+    K = tuple(sorted(set(K)))
+    n_words = model.group.count_reduced_words(model.group.v_K(K))
+    coeff = Q(factorial(len(K)), n_words)
+    rhs = model.one()
+    for i in K:
+        rhs = rhs * model.simple_class(i)
+    return CheckRecord(
+        check="giambelli",
+        lie_type=model.type_name(),
+        passed=model.subset_class(K).scale(coeff) == rhs,
+        parameters={"K": list(K)},
+        witnesses={"coefficient": coeff, "reduced_words": n_words},
+    )
 
 
 # The seed's Buchberger loop, kept as ground truth for commalg's engine.  The

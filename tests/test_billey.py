@@ -11,14 +11,21 @@ from petcoh.billey import (
     billey_localization,
     inversion_roots,
     localization_table,
-    restrict_to_S,
+    restricted_table,
 )
 from petcoh.cli import DEFAULT_SUITE
 from petcoh.commalg import Poly, TPolynomial
+from petcoh.peterson import subsets_by_size
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup
 
-from oracles import bond_order, matrix_inversion_roots, subword_localization
+from oracles import (
+    bond_order,
+    is_monomial_of_degree,
+    matrix_inversion_roots,
+    restrict_to_S,
+    subword_localization,
+)
 
 
 def group(name):
@@ -158,10 +165,28 @@ def test_prefix_recursion_matches_subword_oracle(name, w_letters, v_letters):
     vs = [_element(W, letters) for letters in v_letters]
     assert inversion_roots(W, w) == matrix_inversion_roots(W.cartan, w.witness_word)
     table = localization_table(W, vs, w)
+    restricted = restricted_table(W, vs, w)
     for v in vs:
         value = billey_localization(W, v, w)
-        assert value == subword_localization(W, v, w)
+        oracle = subword_localization(W, v, w)
+        assert value == oracle
         assert table[v] == value
+        assert type(restricted[v]) is int
+        assert TPolynomial.monomial(restricted[v], v.length) == restrict_to_S(oracle)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("E6",))
+def test_restricted_table_is_the_restricted_poly_table(name):
+    # the recursion on root heights against the full polynomials restricted
+    # to t, at every fixed point w_K of the Peterson model
+    W = group(name)
+    targets = [W.v_K(J) for J in subsets_by_size(W.rank)]
+    for K in subsets_by_size(W.rank):
+        w = W.longest_element(K)
+        table = localization_table(W, targets, w)
+        restricted = restricted_table(W, targets, w)
+        assert {v: TPolynomial.monomial(c, v.length) for v, c in restricted.items()} \
+            == {v: restrict_to_S(p) for v, p in table.items()}, (name, K)
 
 
 # (K, J, number of terms of sigma_{v_K}(w_J), c with p_{v_K}(w_J) = c t^|K|);
@@ -235,6 +260,6 @@ def test_tpolynomial_exact_division():
 
 
 def test_tpolynomial_homogeneity_helpers():
-    assert TPolynomial((0, 0, 5)).is_monomial_of_degree(2)
-    assert not TPolynomial((1, 0, 5)).is_monomial_of_degree(2)
-    assert TPolynomial.zero().is_monomial_of_degree(7)
+    assert is_monomial_of_degree(TPolynomial((0, 0, 5)), 2)
+    assert not is_monomial_of_degree(TPolynomial((1, 0, 5)), 2)
+    assert is_monomial_of_degree(TPolynomial.zero(), 7)

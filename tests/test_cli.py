@@ -258,11 +258,21 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert main(["suite", "--types", "A1,Z9", "--checks", "hilbert"]) == 1
 
 
-def test_default_suite_report_is_pinned():
-    # the refactor gate: the timing-free suite report, byte for byte
-    blob = json.dumps(strip_timing(run_suite(DEFAULT_SUITE)), sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == \
-        "df8c3ceff12bf161faa35795024e6e8cbd26944402ac92abae4825a6aab96d21"
+@pytest.mark.parametrize("report,digest", [
+    (lambda: run_suite(DEFAULT_SUITE),
+     "df8c3ceff12bf161faa35795024e6e8cbd26944402ac92abae4825a6aab96d21"),
+    (lambda: run_certification(RunConfig(
+        "E6", checks=("quadratic", "monk", "giambelli", "basis",
+                      "graded_dims"))).to_dict(),
+     "e1d11cc909d4024d2ca1b698b411bb7d6fc0450599c1a58f16fcaca9bbaf4408"),
+    (lambda: run_certification(RunConfig(
+        "E7", checks=("hilbert", "regular_sequence", "zero_set"))).to_dict(),
+     "f6fe792c1bf73fa3956cc6bb9b866d986a1829ccdd68ff0d73819e57e8320f94"),
+], ids=["default-suite", "E6-restriction", "E7-quadric"])
+def test_default_suite_report_is_pinned(report, digest):
+    # the refactor gate: the timing-free report, byte for byte
+    blob = json.dumps(strip_timing(report()), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_main_certify_exit_code_and_json(tmp_path):
@@ -321,16 +331,22 @@ def test_main_rejects_unknown_check():
     (["certify", "--type", "A1", "--word-cap", "-1"], None),
     (["certify", "--type", "A1"], "-1"),
     (["suite", "--types", "A1", "--word-cap", "-1"], None),
+    (["certify", "--type", "A1", "--out", "/nonexistent/x.json"], None),
+    (["suite", "--types", "A1", "--out", "/nonexistent/x.json"], None),
 ], ids=["bad-type", "rank-out-of-range", "odd-cutoff", "env-cap-not-int",
-        "negative-word-cap", "negative-env-cap", "suite-negative-word-cap"])
+        "negative-word-cap", "negative-env-cap", "suite-negative-word-cap",
+        "unwritable-out", "suite-unwritable-out"])
 def test_bad_input_is_a_one_line_usage_error(argv, env_cap, monkeypatch, capsys):
     if env_cap is None:
         monkeypatch.delenv(WORD_CAP_ENV, raising=False)
     else:
         monkeypatch.setenv(WORD_CAP_ENV, env_cap)
+    runs = []  # a suite would swallow an exception raised here
+    monkeypatch.setattr(cli, "run_certification", runs.append)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--checks", "quadratic"])
     assert exc.value.code == 2
+    assert runs == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("petcoh: error: ")

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petcoh import billey, commalg, peterson
-from petcoh.commalg import Poly, TPolynomial
+from petcoh.commalg import TPolynomial
 from petcoh.errors import IntegrityError
-from petcoh.peterson import PetersonModel, subsets_by_size
+from petcoh.peterson import PetersonClass, PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
 
 from oracles import (
     all_monomials_graded_dims,
     basis_matrix,
     brute_reduced_words,
+    fraction_verify_giambelli,
+    fraction_verify_monk,
+    is_monomial_of_degree,
     per_class_restriction,
     poly_pow,
     series_prefix,
@@ -137,21 +140,20 @@ def test_classes_match_per_class_oracle(name):
 
 
 def _counting_tables(monkeypatch, doctor=None):
-    """Patch localization_table in billey and peterson; record every call
+    """Patch restricted_table in billey and peterson; record every call
     and let ``doctor(u, w, value)`` rewrite the values it returns."""
     calls = []
-    real = billey.localization_table
+    real = billey.restricted_table
 
     def table(group, targets, w):
         calls.append(w)
         out = real(group, targets, w)
         if doctor is not None:
-            out = {u: doctor(u, w, p) for u, p in out.items()}
+            out = {u: doctor(u, w, c) for u, c in out.items()}
         return out
 
-    # billey_localization goes through billey's own binding
-    monkeypatch.setattr(billey, "localization_table", table)
-    monkeypatch.setattr(peterson, "localization_table", table)
+    monkeypatch.setattr(billey, "restricted_table", table)
+    monkeypatch.setattr(peterson, "restricted_table", table)
     return calls
 
 
@@ -168,26 +170,11 @@ def test_model_construction_localizes_nothing(name, monkeypatch):
     assert len(calls) == len(m.fixed_points)
 
 
-def test_non_integral_value_is_an_integrity_error(monkeypatch):
-    _counting_tables(monkeypatch, lambda u, w, p: p.scale(Fraction(1, 2)))
-    with pytest.raises(IntegrityError, match="integer multiple"):
-        model("A2").simple_class(1)
-
-
-def test_non_homogeneous_value_is_an_integrity_error(monkeypatch):
-    def add_constant(u, w, p):
-        return p + Poly.one(p.nvars) if u.length else p
-
-    _counting_tables(monkeypatch, add_constant)
-    with pytest.raises(IntegrityError, match="integer multiple"):
-        model("A2").simple_class(1)
-
-
 def test_monk_zero_denominator_is_an_integrity_error(monkeypatch):
     # zero every diagonal value p_{v_J}(w_J): v_J is the one target of
     # length |J| whose letters all lie in J
-    def drop_diagonal(u, w, p):
-        return p.scale(0) if u.length == len(set(w.witness_word)) else p
+    def drop_diagonal(u, w, c):
+        return 0 if u.length == len(set(w.witness_word)) else c
 
     _counting_tables(monkeypatch, drop_diagonal)
     m = model("A2")
@@ -201,7 +188,34 @@ def test_class_homogeneity():
         v = m.group.v_K(K)
         cls = m.subset_class(K)
         for J in m.subsets:
-            assert cls.value(J).is_monomial_of_degree(v.length)
+            assert is_monomial_of_degree(cls.value(J), v.length)
+
+
+@pytest.mark.parametrize("name", SUITE + ["E6"])
+def test_class_values_are_ints(name, monkeypatch):
+    # every class the restriction checks build, not only the p_{v_J}
+    built = []
+    init = PetersonClass.__init__
+
+    def recording_init(self, owner, degree, values):
+        init(self, owner, degree, values)
+        built.append(self)
+
+    monkeypatch.setattr(PetersonClass, "__init__", recording_init)
+    m = model(name)
+    m.verify_quadratic_relations()
+    for i in m.cartan.nodes():
+        for K in m.subsets:
+            m.verify_monk(i, K)
+    for K in m.subsets[1:]:
+        components = m.cartan.connected_components(K)
+        if len(components) == 1:
+            m.verify_giambelli(K)
+        else:
+            m.verify_disconnected_product(*components)
+    assert len(built) > len(m.subsets)
+    for cls in built:
+        assert all(type(c) is int for c in cls.values), cls
 
 
 # -- Monk --------------------------------------------------------------------
@@ -251,6 +265,39 @@ def test_verify_monk_all_cases(name):
             assert rec.passed, (name, i, K)
             assert all(item["coefficient"] >= 0
                        for item in rec.witnesses["coefficients"])
+
+
+@pytest.mark.parametrize("name", SUITE + ["E6"])
+def test_monk_and_giambelli_records_match_fraction_oracle(name):
+    # denominators cleared in integers against the identities summed in
+    # Fractions: the same record, coefficients included
+    m = model(name)
+    for i in m.cartan.nodes():
+        for K in m.subsets:
+            assert m.verify_monk(i, K).to_dict() == \
+                fraction_verify_monk(m, i, K).to_dict(), (name, i, K)
+    for K in m.subsets:
+        if K and m.cartan.is_connected(K):
+            assert m.verify_giambelli(K).to_dict() == \
+                fraction_verify_giambelli(m, K).to_dict(), (name, K)
+
+
+def test_monk_off_by_a_third_fails_the_identity(monkeypatch):
+    # a coefficient that is not an integer must still be checked exactly
+    # once the denominators are cleared
+    real = PetersonModel.monk_coefficient
+
+    def nudged(self, i, K, J):
+        c = real(self, i, K, J)
+        return c + Fraction(1, 3) if (i, tuple(K), tuple(J)) == (1, (1,), (1, 2)) else c
+
+    monkeypatch.setattr(PetersonModel, "monk_coefficient", nudged)
+    m = model("B3")
+    rec = m.verify_monk(1, (1,))
+    assert not rec.witnesses["identity_holds"]
+    assert not rec.passed
+    assert not fraction_verify_monk(m, 1, (1,)).witnesses["identity_holds"]
+    assert m.verify_monk(2, (1,)).passed
 
 
 def test_verify_monk_empty_K_coefficients():
