@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petcoh import billey, commalg, peterson
+from petcoh.cli import RunConfig, run_certification
 from petcoh.commalg import TPolynomial
 from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonClass, PetersonModel, subsets_by_size
@@ -26,6 +27,7 @@ from oracles import (
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
+CLASS_CHECKS = ("quadratic", "monk", "giambelli", "basis", "graded_dims")
 
 
 _MODELS = {}
@@ -202,18 +204,9 @@ def test_class_values_are_ints(name, monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(PetersonClass, "__init__", recording_init)
-    m = model(name)
-    m.verify_quadratic_relations()
-    for i in m.cartan.nodes():
-        for K in m.subsets:
-            m.verify_monk(i, K)
-    for K in m.subsets[1:]:
-        components = m.cartan.connected_components(K)
-        if len(components) == 1:
-            m.verify_giambelli(K)
-        else:
-            m.verify_disconnected_product(*components)
-    assert len(built) > len(m.subsets)
+    report = run_certification(RunConfig(name, checks=CLASS_CHECKS))
+    assert report.overall_pass
+    assert len(built) > 2 ** cartan_matrix(name).rank
     for cls in built:
         assert all(type(c) is int for c in cls.values), cls
 
