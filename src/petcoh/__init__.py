@@ -9,7 +9,6 @@ from .commalg import (
     HilbertSeries,
     Ideal,
     Poly,
-    TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
     groebner_basis,
@@ -45,7 +44,6 @@ __all__ = [
     "PetersonModel",
     "Poly",
     "ResourceCapError",
-    "TPolynomial",
     "WeylElement",
     "WeylGroup",
     "billey_localization",

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from math import comb
 
 from . import __version__
 from .billey import localization_table
 from .commalg import (
     HilbertSeries,
     Poly,
-    TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
     hilbert_series_of_quotient,
@@ -51,8 +50,6 @@ CHECK_ORDER = (
 )
 
 DEFAULT_SUITE = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2")
-
-WORD_CAP_ENV = "PETCOH_REDUCED_WORD_CAP"
 
 # exhaustive well-definedness sweeps get shorter as the group grows
 _WELLDEF_LENGTH_BY_RANK = {1: 6, 2: 6, 3: 5, 4: 4}
@@ -89,22 +86,19 @@ class RunConfig:
         }
 
 
-def _one_plus_s2_power(rank: int) -> TPolynomial:
-    """(1 + s^2)^rank."""
-    out = TPolynomial.one()
-    for _ in range(rank):
-        out = out * TPolynomial((1, 0, 1))
-    return out
+def _one_plus_s2_power(rank: int) -> list[int]:
+    """Coefficients of (1 + s^2)^rank."""
+    return [0 if k % 2 else comb(rank, k // 2) for k in range(2 * rank + 1)]
 
 
 def expected_equivariant_series(rank: int) -> HilbertSeries:
     """(1 + s^2)^rank / (1 - s^2)."""
-    return HilbertSeries.from_fraction(_one_plus_s2_power(rank).coeffs, [1, 0, -1])
+    return HilbertSeries.over_one_minus_s2(_one_plus_s2_power(rank), 1)
 
 
 def expected_ordinary_series(rank: int) -> HilbertSeries:
     """(1 + s^2)^rank."""
-    return HilbertSeries.from_fraction(_one_plus_s2_power(rank).coeffs, [1])
+    return HilbertSeries.over_one_minus_s2(_one_plus_s2_power(rank), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +406,8 @@ def _add_common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--cutoff-degree", type=int, default=12,
                         help="even degree bound for the graded-dimension check")
-    parser.add_argument("--word-cap", type=int, default=None,
-                        help=f"reduced-word enumeration cap "
-                             f"(default 16, env {WORD_CAP_ENV})")
+    parser.add_argument("--word-cap", type=int, default=16,
+                        help="reduced-word enumeration cap (default 16)")
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -425,19 +418,6 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     if not text:
         return ()
     return tuple(p.strip() for p in text.split(","))
-
-
-def _resolve_word_cap(cli_value) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get(WORD_CAP_ENV)
-    if not env:
-        return 16
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"{WORD_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,8 +450,13 @@ def main(argv=None) -> int:
             checks=_parse_checks(args.checks),
             cutoff_degree=args.cutoff_degree,
             output_format=args.output_format,
-            reduced_word_cap=_resolve_word_cap(args.word_cap),
+            reduced_word_cap=args.word_cap,
         )
+        # every suite type is parsed before any check runs
+        types = [] if args.command == "certify" else \
+            [p.strip() for p in args.types.split(",") if p.strip()]
+        for name in types:
+            parse_lie_type(name)
     except ValueError as exc:
         parser.error(str(exc))
     # an unwritable --out fails here, before any check runs
@@ -488,7 +473,6 @@ def main(argv=None) -> int:
                   else report.to_text(), file=fh)
             return exit_status([report.to_dict()])
 
-        types = [p.strip() for p in args.types.split(",") if p.strip()]
         aggregate = run_suite(types, config)
         print(json.dumps(aggregate, indent=2, sort_keys=True)
               if args.output_format == "json" else render_suite_text(aggregate),

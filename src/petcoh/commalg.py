@@ -1,16 +1,18 @@
 """The package's exact algebra kernel.
 
-Two polynomial classes and one echelon form serve every layer:
+One polynomial class and one echelon form serve every layer:
 
 - ``Poly``, multivariate, for polynomials in the simple roots (Billey's
-  formula) and in Q[x_1..x_n, t] (the quadric presentation);
-- ``TPolynomial``, univariate, for the values a report prints (a class
-  restricted to a fixed point) and for Hilbert series numerators and
-  denominators;
+  formula) and in Q[x_1..x_n, t] (the quadric presentation); a value
+  restricted to the circle is a ``Poly`` in the one variable t;
 - ``IntegerEchelon``, an incremental echelon form of primitive integer
   rows, for the graded ranks of the restriction model; positive
   definiteness (``leading_minors_positive``) runs its own fraction-free
   elimination.
+
+Every Hilbert series is N(s)/(1 - s^2)^k with an integer polynomial N, so
+univariate quantities are plain integer coefficient lists, constant term
+first.
 
 In the quadric presentation every variable has cohomological degree 2;
 internally all computations run on ordinary total degree and the doubling
@@ -120,13 +122,6 @@ class Poly:
     def variable(cls, nvars: int, index: int) -> "Poly":
         exps = tuple(1 if k == index else 0 for k in range(nvars))
         return cls(nvars, {exps: 1})
-
-    @classmethod
-    def linear(cls, coords) -> "Poly":
-        """The linear form sum_i c_i z_i, e.g. a root in the simple roots."""
-        n = len(coords)
-        return cls(n, {tuple(1 if k == i else 0 for k in range(n)): c
-                       for i, c in enumerate(coords)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -244,124 +239,6 @@ class Poly:
     def __repr__(self):
         names = [f"z{i+1}" for i in range(self.nvars)]
         return f"Poly({self.render(names)})"
-
-
-class TPolynomial:
-    """Polynomial in the single variable t with exact rational coefficients.
-
-    Stored as a coefficient tuple without trailing zeros; the cohomological
-    degree of t^k is 2k.  Hilbert series use the same class in their
-    variable s.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls) -> "TPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, coeff, power: int) -> "TPolynomial":
-        return cls((0,) * power + (coeff,))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, TPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPolynomial(
-            tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPolynomial(
-            tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return TPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPolynomial(out)
-
-    def scale(self, c) -> "TPolynomial":
-        c = Fraction(c)
-        return TPolynomial(tuple(c * a for a in self.coeffs))
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def degree(self) -> int:
-        """Degree in t; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def exact_div(self, other: "TPolynomial") -> "TPolynomial":
-        """Exact quotient; raises ValueError when the division has remainder."""
-        if not other.coeffs:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
-                continue
-            factor = rem[k] / lead
-            q[k - d] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= factor * b
-        if any(rem):
-            raise ValueError("polynomial division is not exact")
-        return TPolynomial(q)
-
-    def gcd(self, other: "TPolynomial") -> "TPolynomial":
-        """Monic greatest common divisor over Q by the Euclidean algorithm;
-        one when both are zero."""
-        a, b = self, other
-        while b:
-            while a.degree() >= b.degree():
-                a = a - b * TPolynomial.monomial(a.coeffs[-1] / b.coeffs[-1],
-                                                 a.degree() - b.degree())
-            a, b = b, a
-        return a.scale(1 / a.coeffs[-1]) if a else TPolynomial.one()
-
-    def to_json(self):
-        """Coefficients of t^0, t^1, ... as "num/den" strings."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TPolynomial(0)"
-        bits = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                bits.append(f"{c}")
-            elif k == 1:
-                bits.append(f"{c}*t")
-            else:
-                bits.append(f"{c}*t^{k}")
-        return "TPolynomial(" + " + ".join(bits) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -651,39 +528,27 @@ class HilbertSeries:
     denominator: tuple[int, ...]
 
     @classmethod
-    def from_fraction(cls, numerator, denominator) -> "HilbertSeries":
-        """Reduce numerator/denominator, given as coefficient sequences
-        (constant term first), to lowest terms with coprime integer
-        coefficients and a positive constant term below."""
-        num, den = TPolynomial(numerator), TPolynomial(denominator)
-        g = num.gcd(den)
-        num, den = _clear_denominators(num.exact_div(g).coeffs,
-                                       den.exact_div(g).coeffs)
-        return cls(tuple(num), tuple(den))
+    def over_one_minus_s2(cls, numerator, power: int) -> "HilbertSeries":
+        """N(s) / (1 - s^2)^power in lowest terms, for an even N given by
+        its integer coefficients (constant term first).
 
-    def __eq__(self, other):
-        if not isinstance(other, HilbertSeries):
-            return NotImplemented
-        return (TPolynomial(self.numerator) * TPolynomial(other.denominator)
-                == TPolynomial(other.numerator) * TPolynomial(self.denominator))
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def coefficients(self, count: int) -> list[int]:
-        """First ``count`` power-series coefficients."""
-        den = list(self.denominator)
-        assert den and den[0] != 0
-        state = [Fraction(c) for c in self.numerator] + [Fraction(0)] * count
-        out = []
-        for k in range(count):
-            c = state[k] / den[0]
-            assert c.denominator == 1
-            out.append(int(c))
-            for j, d in enumerate(den):
-                if k + j < len(state):
-                    state[k + j] -= c * d
-        return out
+        The gcd of an even N with (1 - s^2)^power is a power of 1 - s^2, so
+        cancelling 1 - s^2 while N(1) = N(-1) = 0 reaches lowest terms.  The
+        denominator keeps constant term 1 and content 1, so the pair is
+        canonical and equal series have equal fields.
+        """
+        num = list(numerator)
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return cls((), (1,))
+        while power and not sum(num[::2]) and not sum(num[1::2]):
+            # N = (1 - s^2) Q: q_k = n_k + q_{k-2}
+            for k in range(2, len(num)):
+                num[k] += num[k - 2]
+            del num[-2:]
+            power -= 1
+        return cls(tuple(num), tuple(_one_minus_product([2] * power)))
 
     def to_json(self):
         return {
@@ -696,45 +561,27 @@ class HilbertSeries:
                 f"den={list(self.denominator)})")
 
 
-def _clear_denominators(num, den):
-    """Scale to coprime integer coefficients, denominator constant > 0."""
-    den_lcm = 1
-    for c in list(num) + list(den):
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    num_i = [int(c * den_lcm) for c in num]
-    den_i = [int(c * den_lcm) for c in den]
-    g = 0
-    for c in num_i + den_i:
-        g = gcd(g, c)
-    if g:
-        num_i = [c // g for c in num_i]
-        den_i = [c // g for c in den_i]
-    const = next((c for c in den_i if c), 0)
-    assert const != 0, "denominator must be nonzero"
-    if const < 0:
-        num_i = [-c for c in num_i]
-        den_i = [-c for c in den_i]
-    return num_i, den_i
-
-
-def _one_minus_product(degrees) -> TPolynomial:
-    """prod_d (1 - s^d) over the given positive degrees."""
-    out = TPolynomial.one()
+def _one_minus_product(degrees) -> list[int]:
+    """Coefficients of prod_d (1 - s^d) over the given positive degrees."""
+    out = [1]
     for d in degrees:
-        out = out * (TPolynomial.one() - TPolynomial.monomial(1, d))
+        out += [0] * d
+        for k in range(len(out) - 1, d - 1, -1):
+            out[k] -= out[k - d]
     return out
 
 
-def _monomial_quotient_numerator(gens, nvars: int) -> TPolynomial:
-    """Numerator of the Hilbert series of R/I for a monomial ideal I, over
-    the internal degree-1 grading: F = N(s)/(1-s)^nvars.
+def _monomial_quotient_numerator(gens, nvars: int) -> list[int]:
+    """Coefficients of the numerator of the Hilbert series of R/I for a
+    monomial ideal I, over the internal degree-1 grading:
+    F = N(s)/(1-s)^nvars.
 
     Recursion: pivot on a variable x occurring in a mixed generator, using
     N(I) = N(I + (x)) + s * N(I : x); base cases are pure-power ideals.
     """
     gens = _minimalize(gens)
     if any(sum(g) == 0 for g in gens):
-        return TPolynomial.zero()  # ideal contains 1
+        return []  # ideal contains 1
     mixed = [g for g in gens if sum(1 for e in g if e) > 1]
     if not mixed:
         return _one_minus_product(sum(g) for g in gens)
@@ -747,9 +594,12 @@ def _monomial_quotient_numerator(gens, nvars: int) -> TPolynomial:
     pivot = tuple(1 if v == pivot_var else 0 for v in range(nvars))
     plus = gens + [pivot]
     colon = [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens]
-    n_plus = _monomial_quotient_numerator(plus, nvars)
+    out = _monomial_quotient_numerator(plus, nvars)
     n_colon = _monomial_quotient_numerator(colon, nvars)
-    return n_plus + n_colon * TPolynomial.monomial(1, 1)
+    out += [0] * (len(n_colon) + 1 - len(out))
+    for k, c in enumerate(n_colon, 1):
+        out[k] += c
+    return out
 
 
 def _minimalize(gens):
@@ -769,10 +619,9 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
     basis = groebner_basis(ideal, ordering)
     lead = leading_term_exponents(basis, ordering)
     numer = _monomial_quotient_numerator(lead, ideal.nvars)
-    # substitute s -> s^2 and attach the denominator (1 - s^2)^nvars
-    numer = [c for coeff in numer.coeffs for c in (coeff, 0)]
-    return HilbertSeries.from_fraction(
-        numer, _one_minus_product([2] * ideal.nvars).coeffs)
+    # substitute s -> s^2 under the denominator (1 - s^2)^nvars
+    numer = [c for coeff in numer for c in (coeff, 0)]
+    return HilbertSeries.over_one_minus_s2(numer, ideal.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +641,8 @@ def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
     ideal = Ideal(var_names, tuple(polys))
     actual = hilbert_series_of_quotient(ideal, ordering)
     degrees = [p.graded_degree() for p in polys]
-    expected = HilbertSeries.from_fraction(
-        _one_minus_product(degrees).coeffs,
-        _one_minus_product([2] * len(var_names)).coeffs)
+    expected = HilbertSeries.over_one_minus_s2(_one_minus_product(degrees),
+                                               len(var_names))
     flag = actual == expected
     certificate = {
         "computed_series": actual.to_json(),

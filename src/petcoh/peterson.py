@@ -27,7 +27,7 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .billey import restricted_table
-from .commalg import IntegerEchelon, TPolynomial
+from .commalg import IntegerEchelon, Poly
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -72,9 +72,10 @@ class PetersonClass:
         """The coefficient of t^degree in the restriction at w_K."""
         return self.values[self.model.subset_index(K)]
 
-    def value(self, K) -> TPolynomial:
-        """Restriction at the fixed point w_K."""
-        return TPolynomial.monomial(self.coefficient(K), self.degree)
+    def value(self, K) -> Poly:
+        """Restriction at the fixed point w_K: c * t^degree as a polynomial
+        in the one variable t, the ring that restriction to S lands in."""
+        return Poly(1, {(self.degree,): self.coefficient(K)})
 
     def __eq__(self, other):
         # zero is zero in every degree
@@ -111,12 +112,6 @@ class PetersonClass:
 
     def is_zero(self) -> bool:
         return not any(self.values)
-
-    def to_json(self):
-        return {
-            ",".join(map(str, fp.K)): self.value(fp.K).to_json()
-            for fp in self.model.fixed_points
-        }
 
     def __repr__(self):
         return f"PetersonClass(t^{self.degree} * {list(self.values)})"
@@ -300,8 +295,10 @@ class PetersonModel:
                 "upper_triangular": ok_triangular,
                 "support_condition": ok_support,
                 "diagonal_nonzero": ok_diagonal,
-                "diagonal": [self.subset_class(K).value(K).to_json()
-                             for K in self.subsets],
+                # c * t^|K| as "num/den" coefficients of t^0, t^1, ...
+                "diagonal": [["0/1"] * len(K) + [f"{rows[r][r]}/1"]
+                             if rows[r][r] else []
+                             for r, K in enumerate(self.subsets)],
             },
         )
 

@@ -127,12 +127,6 @@ class WeylGroup:
             return WeylElement(action, w.length - 1, self._delete_letter(w, i))
         return WeylElement(action, w.length + 1, w.witness_word + (i,))
 
-    def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        w = u
-        for i in v.witness_word:
-            w = self.right_multiply(w, i)
-        return w
-
     def _delete_letter(self, w: WeylElement, j: int) -> tuple[int, ...]:
         """Reduced word for w s_j when s_j is a right descent of w.
 

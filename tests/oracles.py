@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 
 def _e(i: int, dim: int) -> tuple[Q, ...]:
@@ -114,6 +115,14 @@ def all_words_evaluating_to(group, w, length: int) -> set[tuple[int, ...]]:
     return found
 
 
+def weyl_multiply(group, u, v):
+    """The product u v, one right multiplication per letter of v."""
+    w = u
+    for i in v.witness_word:
+        w = group.right_multiply(w, i)
+    return w
+
+
 def brute_reduced_words(group, w) -> set[tuple[int, ...]]:
     """Reduced words for w by filtering all words of length ``w.length``."""
     return all_words_evaluating_to(group, w, w.length)
@@ -178,7 +187,7 @@ def has_skips(report) -> bool:
 
 
 def basis_matrix(model):
-    """Matrix of p_{v_K}(w_J) as t-polynomials, with rows K and columns J
+    """Matrix of p_{v_K}(w_J) as polynomials in t, with rows K and columns J
     in the model's fixed subset order."""
     return [[model.subset_class(K).value(J) for J in model.subsets]
             for K in model.subsets]
@@ -213,6 +222,48 @@ def poly_pow(p: list[int], k: int) -> list[int]:
     for _ in range(k):
         out = poly_mul(out, p)
     return out
+
+
+def _trim(p) -> list:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of univariate coefficient lists over Q."""
+    a, b = [Q(c) for c in _trim(a)], _trim(b)
+    q = [Q(0)] * max(0, len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        f = a[k + len(b) - 1] / b[-1]
+        q[k] = f
+        for j, c in enumerate(b):
+            a[k + j] -= f * c
+    return _trim(q), _trim(a)
+
+
+def fraction_reduced_series(numerator, denominator):
+    """numerator/denominator in lowest terms the seed's way: divide both by
+    their monic gcd over Q (Euclid's algorithm on Fractions), then scale to
+    coprime integers with the first nonzero denominator coefficient
+    positive.  Ground truth for ``HilbertSeries.over_one_minus_s2``."""
+    from petcoh.commalg import HilbertSeries
+
+    a, b = _trim(numerator), _trim(denominator)
+    assert b, "denominator must be nonzero"
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    g = [Q(c) / a[-1] for c in a]
+    (num, rem_num), (den, rem_den) = (_poly_divmod(numerator, g),
+                                      _poly_divmod(denominator, g))
+    assert not rem_num and not rem_den
+    scale = lcm(*(c.denominator for c in num + den))
+    num, den = [int(c * scale) for c in num], [int(c * scale) for c in den]
+    content = gcd(*num, *den)
+    sign = -1 if next(c for c in den if c) < 0 else 1
+    return HilbertSeries(tuple(sign * c // content for c in num),
+                         tuple(sign * c // content for c in den))
 
 
 def fraction_rank(rows) -> int:
@@ -369,6 +420,15 @@ def matrix_inversion_roots(cartan, word) -> list[tuple[int, ...]]:
     return out
 
 
+def linear_poly(coords):
+    """The linear form sum_i c_i z_i, e.g. a root in the simple roots."""
+    from petcoh.commalg import Poly
+
+    n = len(coords)
+    return Poly(n, {tuple(1 if k == i else 0 for k in range(n)): c
+                    for i, c in enumerate(coords)})
+
+
 def subword_localization(group, v, w):
     """sigma_v(w) by Billey's subword formula, scanning all C(l(w), l(v))
     position sets of w's witness word.
@@ -381,7 +441,7 @@ def subword_localization(group, v, w):
 
     cartan = group.cartan
     word = w.witness_word
-    factors = [Poly.linear(r) for r in matrix_inversion_roots(cartan, word)]
+    factors = [linear_poly(r) for r in matrix_inversion_roots(cartan, word)]
     products: dict[tuple, tuple] = {}
     total = Poly.zero(cartan.rank)
     for positions in itertools.combinations(range(len(word)), v.length):
@@ -399,27 +459,20 @@ def subword_localization(group, v, w):
 
 def restrict_to_S(p):
     """Substitute alpha_i -> t for every i in a polynomial in the simple
-    roots, summing in Fractions: ground truth for the integer restricted
-    table."""
-    from petcoh.commalg import TPolynomial
+    roots, summing in Fractions: a polynomial in the one variable t, ground
+    truth for the integer restricted table."""
+    from petcoh.commalg import Poly
 
-    out: dict[int, Q] = {}
+    out: dict[tuple[int], Q] = {}
     for exps, c in p.terms.items():
-        k = sum(exps)
+        k = (sum(exps),)
         out[k] = out.get(k, Q(0)) + c
-    if not out:
-        return TPolynomial.zero()
-    coeffs = [Q(0)] * (max(out) + 1)
-    for k, c in out.items():
-        coeffs[k] = c
-    return TPolynomial(coeffs)
+    return Poly(1, out)
 
 
 def is_monomial_of_degree(p, d: int) -> bool:
-    """The t-polynomial p is zero, or exactly one term c*t^d."""
-    if not p.coeffs:
-        return True
-    return p.degree() == d and all(c == 0 for c in p.coeffs[:-1])
+    """The polynomial p in t is zero, or exactly one term c*t^d."""
+    return set(p.terms) <= {(d,)}
 
 
 def per_class_restriction(model, v):

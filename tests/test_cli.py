@@ -15,7 +15,6 @@ from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
     RunConfig,
-    WORD_CAP_ENV,
     expected_equivariant_series,
     main,
     run_certification,
@@ -215,20 +214,6 @@ def test_word_cap_zero_leaves_restriction_checks_runnable():
         assert by_name[name].passed
 
 
-def test_env_var_word_cap(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv(WORD_CAP_ENV, "2")
-    out = tmp_path / "report.json"
-    code = main(["certify", "--type", "A2", "--format", "json",
-                 "--out", str(out)])
-    assert code == 3  # the skipped sweep proved nothing
-    payload = json.loads(out.read_text())
-    assert payload["overall_pass"] is True
-    assert payload["config"]["reduced_word_cap"] == 2
-    welldef = next(c for c in payload["checks"]
-                   if c["check"] == "billey_welldef")
-    assert welldef["skipped"] is True
-
-
 @pytest.mark.parametrize("argv", [
     ["certify", "--type", "A2", "--checks", ""],
     ["certify", "--type", "A2", "--checks", "billey_welldef", "--word-cap", "0"],
@@ -255,7 +240,18 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert main(["certify", "--type", "A2", "--checks",
                  "billey_welldef,quadratic", "--word-cap", "0"]) == 1
     assert main(["suite", "--types", "A1,G2", "--checks", "quadratic"]) == 1
-    assert main(["suite", "--types", "A1,Z9", "--checks", "hilbert"]) == 1
+    # a suite type that could not run fails the suite, the others passing
+    monkeypatch.undo()
+    run = cli.run_certification
+
+    def blows_up_on_g2(config):
+        if config.lie_type == "G2":
+            raise RuntimeError("G2 could not run")
+        return run(config)
+
+    monkeypatch.setattr(cli, "run_certification", blows_up_on_g2)
+    assert main(["suite", "--types", "A1,G2", "--checks", "hilbert"]) == 1
+    assert "[ERROR] G2 could not run" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("report,digest", [
@@ -323,24 +319,20 @@ def test_main_rejects_unknown_check():
         main(["certify", "--type", "A1", "--checks", "bogus"])
 
 
-@pytest.mark.parametrize("argv,env_cap", [
-    (["certify", "--type", "X9"], None),
-    (["certify", "--type", "E9"], None),
-    (["certify", "--type", "A1", "--cutoff-degree", "3"], None),
-    (["certify", "--type", "A1"], "abc"),
-    (["certify", "--type", "A1", "--word-cap", "-1"], None),
-    (["certify", "--type", "A1"], "-1"),
-    (["suite", "--types", "A1", "--word-cap", "-1"], None),
-    (["certify", "--type", "A1", "--out", "/nonexistent/x.json"], None),
-    (["suite", "--types", "A1", "--out", "/nonexistent/x.json"], None),
-], ids=["bad-type", "rank-out-of-range", "odd-cutoff", "env-cap-not-int",
-        "negative-word-cap", "negative-env-cap", "suite-negative-word-cap",
-        "unwritable-out", "suite-unwritable-out"])
-def test_bad_input_is_a_one_line_usage_error(argv, env_cap, monkeypatch, capsys):
-    if env_cap is None:
-        monkeypatch.delenv(WORD_CAP_ENV, raising=False)
-    else:
-        monkeypatch.setenv(WORD_CAP_ENV, env_cap)
+@pytest.mark.parametrize("argv", [
+    ["certify", "--type", "X9"],
+    ["certify", "--type", "E9"],
+    ["suite", "--types", "A1,Z9"],
+    ["suite", "--types", "A1,E9"],
+    ["certify", "--type", "A1", "--cutoff-degree", "3"],
+    ["certify", "--type", "A1", "--word-cap", "-1"],
+    ["suite", "--types", "A1", "--word-cap", "-1"],
+    ["certify", "--type", "A1", "--out", "/nonexistent/x.json"],
+    ["suite", "--types", "A1", "--out", "/nonexistent/x.json"],
+], ids=["bad-type", "rank-out-of-range", "suite-bad-type",
+        "suite-rank-out-of-range", "odd-cutoff", "negative-word-cap",
+        "suite-negative-word-cap", "unwritable-out", "suite-unwritable-out"])
+def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     runs = []  # a suite would swallow an exception raised here
     monkeypatch.setattr(cli, "run_certification", runs.append)
     with pytest.raises(SystemExit) as exc:

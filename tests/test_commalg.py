@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petcoh import commalg, peterson
-from petcoh.cli import DEFAULT_SUITE
+from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
 from petcoh.commalg import (
     MONOMIAL_ORDERS,
     HilbertSeries,
     Ideal,
     IntegerEchelon,
     Poly,
-    TPolynomial,
     build_ideal_J,
     build_ideal_Jcheck,
     grevlex_key,
@@ -41,7 +40,9 @@ from oracles import (
     buchberger_groebner_basis,
     fraction_det,
     fraction_rank,
+    fraction_reduced_series,
     oracle_normal_form,
+    poly_mul,
     poly_pow,
     series_prefix,
 )
@@ -54,11 +55,15 @@ def P(nvars, terms):
 
 
 def equivariant_series(n):
-    return HilbertSeries.from_fraction(poly_pow([1, 0, 1], n), [1, 0, -1])
+    return fraction_reduced_series(poly_pow([1, 0, 1], n), [1, 0, -1])
 
 
 def ordinary_series(n):
-    return HilbertSeries.from_fraction(poly_pow([1, 0, 1], n), [1])
+    return fraction_reduced_series(poly_pow([1, 0, 1], n), [1])
+
+
+def prefix(series, count):
+    return series_prefix(list(series.numerator), list(series.denominator), count)
 
 
 # -- monomial orders -----------------------------------------------------------
@@ -146,7 +151,7 @@ def test_groebner_A2_Jcheck_pure_powers_and_quotient_dimension():
         assert any(e[v] == sum(e) and e[v] > 0 for e in lead)
     # the quotient has total dimension (1+s^2)^2 evaluated at 1 = 4
     series = hilbert_series_of_quotient(ideal)
-    assert sum(series.coefficients(20)) == 4
+    assert sum(prefix(series, 20)) == 4
 
 
 def test_groebner_s_polynomials_reduce_to_zero():
@@ -349,9 +354,9 @@ def test_direct_sum_quadrics_split_into_blocks(left, right, ordering):
     assert len(basis) == len(union)
     assert set(basis) == union
     series = [hilbert_series_of_quotient(block) for block in blocks]
-    product = HilbertSeries.from_fraction(
-        (TPolynomial(series[0].numerator) * TPolynomial(series[1].numerator)).coeffs,
-        (TPolynomial(series[0].denominator) * TPolynomial(series[1].denominator)).coeffs)
+    product = fraction_reduced_series(
+        poly_mul(series[0].numerator, series[1].numerator),
+        poly_mul(series[0].denominator, series[1].denominator))
     assert hilbert_series_of_quotient(whole) == product
 
 
@@ -359,15 +364,14 @@ def test_direct_sum_quadrics_split_into_blocks(left, right, ordering):
 
 def test_hilbert_series_trivial_quotients():
     ring_mod_x = Ideal(("x1",), (P(1, {(1,): 1}),))
-    assert hilbert_series_of_quotient(ring_mod_x) == \
-        HilbertSeries.from_fraction([1], [1])
-    assert hilbert_series_of_quotient(ring_mod_x).coefficients(4) == [1, 0, 0, 0]
+    assert hilbert_series_of_quotient(ring_mod_x) == HilbertSeries((1,), (1,))
+    assert prefix(hilbert_series_of_quotient(ring_mod_x), 4) == [1, 0, 0, 0]
 
 
 def test_hilbert_series_A1_J():
     series = hilbert_series_of_quotient(build_ideal_J(cartan_matrix("A1")))
     assert series == equivariant_series(1)
-    assert series.coefficients(8) == [1, 0, 2, 0, 2, 0, 2, 0]
+    assert prefix(series, 8) == [1, 0, 2, 0, 2, 0, 2, 0]
 
 
 def test_hilbert_series_A2_Jcheck():
@@ -396,17 +400,71 @@ def test_hilbert_series_order_independent(name):
 
 def test_hilbert_series_prefix_matches_binomial_sums():
     n = 3
-    series = equivariant_series(n)
-    prefix = series.coefficients(13)
+    series = HilbertSeries.over_one_minus_s2(poly_pow([1, 0, 1], n), 1)
     oracle = series_prefix(poly_pow([1, 0, 1], n), [1, 0, -1], 13)
-    assert prefix == oracle
+    assert prefix(series, 13) == oracle
 
 
 def test_hilbert_series_canonical_reduction():
     # (1-s^4)/(1-s^2) reduces to 1+s^2
-    series = HilbertSeries.from_fraction([1, 0, 0, 0, -1], [1, 0, -1])
+    series = HilbertSeries.over_one_minus_s2([1, 0, 0, 0, -1], 1)
     assert series.numerator == (1, 0, 1)
     assert series.denominator == (1,)
+    # (1-s^2)/(1-s^2)^3 reduces to 1/(1-s^2)^2; trailing zeros are dropped
+    assert HilbertSeries.over_one_minus_s2([1, 0, -1, 0, 0], 3) == \
+        HilbertSeries((1,), (1, 0, -2, 0, 1))
+    # the zero numerator gives 0/1
+    for numerator in ([], [0], [0, 0, 0]):
+        for power in range(3):
+            series = HilbertSeries.over_one_minus_s2(numerator, power)
+            assert (series.numerator, series.denominator) == ((), (1,))
+            assert series == fraction_reduced_series(numerator,
+                                                     poly_pow([1, 0, -1], power))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 5), st.data())
+def test_reduction_matches_the_fraction_gcd_oracle(m_coeffs, power, data):
+    # N = M(s^2) (1 - s^2)^j over (1 - s^2)^power, j <= power
+    j = data.draw(st.integers(0, power))
+    m = [c for coeff in m_coeffs for c in (coeff, 0)]
+    numerator = poly_mul(m, poly_pow([1, 0, -1], j))
+    series = HilbertSeries.over_one_minus_s2(numerator, power)
+    assert series == fraction_reduced_series(numerator, poly_pow([1, 0, -1], power))
+    assert all(type(c) is int for c in series.numerator + series.denominator)
+
+
+def _printed_series(witnesses):
+    """Every series a record's witnesses print, at any depth."""
+    if isinstance(witnesses, dict):
+        if "numerator_coeffs" in witnesses:
+            yield witnesses
+        else:
+            for value in witnesses.values():
+                yield from _printed_series(value)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("E6", "E7"))
+def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypatch):
+    built = []
+    reduce = HilbertSeries.over_one_minus_s2.__func__
+
+    def recording(cls, numerator, power):
+        series = reduce(cls, numerator, power)
+        built.append((list(numerator), power, series))
+        return series
+
+    monkeypatch.setattr(HilbertSeries, "over_one_minus_s2", classmethod(recording))
+    report = run_certification(RunConfig(name, checks=("hilbert", "regular_sequence")))
+    assert report.overall_pass
+    for numerator, power, series in built:
+        assert series == fraction_reduced_series(numerator, poly_pow([1, 0, -1], power))
+        assert all(type(c) is int for c in series.numerator + series.denominator)
+    # the series the report prints are among those checked
+    printed = [item for record in report.records
+               for item in _printed_series(record.witnesses)]
+    assert len(printed) == 8
+    assert all(item in [s.to_json() for _, _, s in built] for item in printed)
 
 
 # -- regular sequences ----------------------------------------------------------
@@ -614,17 +672,6 @@ def test_poly_degrees():
     assert p.graded_degree() == 4
     assert p.is_homogeneous()
     assert not P(1, {(1,): 1, (0,): 1}).is_homogeneous()
-
-
-def test_tpolynomial_gcd():
-    s = TPolynomial((0, 1))
-    one_minus_s2 = TPolynomial((1, 0, -1))
-    one_minus_s4 = TPolynomial((1, 0, 0, 0, -1))
-    assert one_minus_s4.gcd(one_minus_s2) == one_minus_s2.scale(-1)  # monic
-    assert (s * s).gcd(s.scale(3)) == s
-    assert one_minus_s2.gcd(TPolynomial.zero()) == one_minus_s2.scale(-1)
-    assert TPolynomial.zero().gcd(TPolynomial.zero()) == TPolynomial.one()
-    assert TPolynomial((1, 1)).gcd(TPolynomial((2, 1))) == TPolynomial.one()
 
 
 def test_poly_serialization_sorted():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from petcoh import billey, commalg, peterson
 from petcoh.cli import RunConfig, run_certification
-from petcoh.commalg import TPolynomial
+from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonClass, PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
@@ -45,7 +45,7 @@ def shared_model(name):
 
 
 def t_mono(c, k):
-    return TPolynomial.monomial(c, k)
+    return Poly(1, {(k,): c})
 
 
 def test_subset_order_is_by_size_then_mask():
@@ -66,8 +66,8 @@ def test_simple_class_values():
     m = model("A2")
     p1 = m.simple_class(1)
     assert p1.value((1,)) == t_mono(1, 1)      # p_{s_i}(s_i) = t
-    assert p1.value(()) == TPolynomial.zero()  # vanishes at the identity
-    assert p1.value((2,)) == TPolynomial.zero()
+    assert p1.value(()) == Poly.zero(1)  # vanishes at the identity
+    assert p1.value((2,)) == Poly.zero(1)
     assert p1.value((1, 2)) == t_mono(2, 1)    # simply-laced pair gives 2t
 
 
@@ -127,7 +127,7 @@ def test_support_condition():
             cls = m.subset_class(K)
             for J in m.subsets:
                 if not set(K) <= set(J):
-                    assert cls.value(J) == TPolynomial.zero()
+                    assert cls.value(J) == Poly.zero(1)
 
 
 @pytest.mark.parametrize("name", SUITE + ["E6"])
@@ -373,9 +373,9 @@ def test_basis_matrix_entries():
     m = model("A2")
     matrix = basis_matrix(m)
     idx = {K: i for i, K in enumerate(m.subsets)}
-    assert matrix[idx[()]][idx[()]] == TPolynomial.one()
+    assert matrix[idx[()]][idx[()]] == Poly.one(1)
     assert matrix[idx[(1,)]][idx[(1,)]] == t_mono(1, 1)
-    assert matrix[idx[(1, 2)]][idx[(1,)]] == TPolynomial.zero()
+    assert matrix[idx[(1, 2)]][idx[(1,)]] == Poly.zero(1)
 
 
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])

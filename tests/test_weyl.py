@@ -16,6 +16,7 @@ from oracles import (
     mat_mul,
     reflection_matrix,
     weyl_group_degrees,
+    weyl_multiply,
 )
 
 GROUP_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
@@ -108,7 +109,7 @@ def test_longest_element_length_and_involution(name):
             if all(c == 0 or (i + 1) in K for i, c in enumerate(beta))
         ]
         assert w_K.length == len(supported)
-        assert W.multiply(w_K, w_K).is_identity()
+        assert weyl_multiply(W, w_K, w_K).is_identity()
 
 
 def _subsets(n):
