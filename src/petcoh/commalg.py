@@ -28,9 +28,15 @@ installed along the lines of Gebauer and Moeller (J. Symbolic Comput. 6,
 - pending pairs sit in a heap keyed by (order key of the lcm, pair); an
   lcm never changes, so the heap pops pairs in exactly the order of a
   minimum scan over all of them;
-- every reduction (``normal_form`` and the Buchberger loop share it) runs
-  in place on one dict of Fractions, ranking each monomial once, and
-  builds a single ``Poly`` at the end;
+- every reduction (``normal_form`` and the Buchberger loop share it) is
+  fraction-free: it runs in place on one dict of integer coefficients,
+  divides by primitive integer basis elements, cancels each leading term
+  by cross-multiplication and keeps the running scale; the next leading
+  monomial comes from a heap.  At every step the integer state is a
+  positive rational multiple of the state of the same division in
+  Fractions, so the same leading monomials are reached, the same pairs
+  are treated in the same order and the reduced bases, made monic in
+  Fractions at the end, equal the Fraction algorithm's term for term;
 - each (ideal, order) is computed once per process, so the checks that
   need the same basis share it.
 
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import TYPE_CHECKING
 
@@ -165,13 +171,6 @@ class Poly:
                     out.pop(exps, None)
         return Poly(self.nvars, out)
 
-    def term_mul(self, coeff, exps) -> "Poly":
-        return Poly(self.nvars,
-                    {_mono_mul(e, exps): c * coeff for e, c in self.terms.items()})
-
-    def scale(self, c) -> "Poly":
-        return Poly(self.nvars, {e: v * c for e, v in self.terms.items()})
-
     def leading(self, key):
         """(exponents, coefficient) of the leading term under the order key."""
         exps = max(self.terms, key=key)
@@ -189,31 +188,6 @@ class Poly:
     def graded_degree(self) -> int:
         """Cohomological degree: twice the total degree."""
         return 2 * self.total_degree()
-
-    def normalized(self) -> "Poly":
-        """Integer content 1 and positive integer leading coefficient under
-        grevlex; keeps Buchberger's intermediate coefficients small."""
-        if not self.terms:
-            return self
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        nums = [c * den_lcm for c in self.terms.values()]
-        g = 0
-        for c in nums:
-            g = gcd(g, int(c))
-        factor = Fraction(den_lcm, g)
-        out = {e: c * factor for e, c in self.terms.items()}
-        lead = max(out, key=grevlex_key)
-        if out[lead] < 0:
-            out = {e: -c for e, c in out.items()}
-        return Poly(self.nvars, out)
-
-    def monic(self, key) -> "Poly":
-        if not self.terms:
-            return self
-        _, lc = self.leading(key)
-        return self.scale(Fraction(1) / lc)
 
     def sorted_terms(self, key):
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
@@ -383,54 +357,116 @@ def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
 # Buchberger
 
 def normal_form(p: Poly, basis, key) -> Poly:
-    """Remainder of p on division by the basis (full reduction)."""
-    return _reduce(p, [_reducer(g, key) for g in basis if g], key)
+    """Remainder of p on division by the basis (full reduction).
+
+    The division runs on integers: p is split into its content and a
+    primitive integer polynomial, each divisor enters in its primitive
+    integer form (scaling a divisor leaves the remainder unchanged), and
+    the integer remainder is divided by the running scale and multiplied by
+    the content at the end."""
+    num, den, terms = _primitive(p.terms)
+    reducers = [_reducer(g.terms, key) for g in basis if g]
+    remainder, scale = _reduce(terms, reducers, key)
+    factor = Fraction(num, den * scale)
+    return Poly(p.nvars, {e: c * factor for e, c in remainder.items()})
 
 
-def _reducer(g: Poly, key) -> tuple:
-    """(leading monomial, leading coefficient, terms) of a nonzero divisor."""
-    return (*g.leading(key), g.terms.items())
+def _primitive(terms) -> tuple[int, int, dict]:
+    """(num, den, ints): the given rational (or integer) terms are num / den
+    times the integer terms ints of content 1."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    num = gcd(*ints.values())
+    return num, den, {e: c // num for e, c in ints.items()}
 
 
-def _reduce(p: Poly, reducers, key) -> Poly:
-    """``normal_form`` on divisors given as ``_reducer`` triples.  The
-    reduction runs in place on one dict of Fractions, each monomial's order
-    key computed once; the remainder becomes a Poly only at the end."""
-    work = dict(p.terms)
-    rank = {e: key(e) for e in work}
+def _reducer(terms, key) -> tuple:
+    """(leading monomial, leading coefficient, tail terms) of the primitive
+    integer form of nonzero rational (or integer) terms, negated if need be
+    so that the leading coefficient is positive."""
+    terms = _primitive(terms)[2]
+    lead = max(terms, key=key)
+    sign = 1 if terms[lead] > 0 else -1
+    return (lead, sign * terms[lead],
+            tuple((e, sign * c) for e, c in terms.items() if e != lead))
+
+
+def _reduce(work: dict, reducers, key) -> tuple[dict, int]:
+    """Fraction-free full reduction of the integer terms ``work`` (consumed)
+    by ``_reducer`` triples; returns (remainder, scale) with the remainder
+    congruent to scale * work, scale a positive integer.
+
+    The next leading monomial comes from a heap of (negated order key,
+    monomial); a monomial that cancels stays in the heap and is skipped
+    when popped.  A leading term c * m divisible by a reducer's lead lc * l
+    is cancelled by multiplying everything collected so far, the work and
+    the remainder, by lc / d and subtracting c / d * (m / l) * tail, where
+    d = gcd(c, lc)."""
+    def heap_key(exps):
+        # the order key, (total degree, tuple of ints), negated: the
+        # min-heap pops the largest monomial first
+        degree, rest = key(exps)
+        return (-degree, tuple(map(neg, rest)))
+
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
     remainder = {}
-    while work:
-        exps = max(work, key=rank.__getitem__)
-        coeff = work[exps]
-        for ge, gc, gterms in reducers:
+    scale = 1
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work.pop(exps, 0)
+        if not coeff:
+            continue  # cancelled, or a second heap entry of a done monomial
+        for ge, gc, gtail in reducers:
             if _divides(ge, exps):
-                factor = coeff / gc
+                d = gcd(coeff, gc)
+                a, b = gc // d, coeff // d
+                if a != 1:
+                    scale *= a
+                    for e in work:
+                        work[e] *= a
+                    for e in remainder:
+                        remainder[e] *= a
                 shift = _mono_div(exps, ge)
-                for e, c in gterms:
+                for e, c in gtail:
                     m = _mono_mul(e, shift)
                     old = work.get(m)
                     if old is None:
-                        work[m] = -(c * factor)
-                        if m not in rank:
-                            rank[m] = key(m)
+                        work[m] = -b * c
+                        heappush(heap, (heap_key(m), m))
                     else:
-                        acc = old - c * factor
+                        acc = old - b * c
                         if acc:
                             work[m] = acc
                         else:
                             del work[m]
                 break
         else:
-            remainder[exps] = work.pop(exps)
-    return Poly(p.nvars, remainder)
+            remainder[exps] = coeff
+    return remainder, scale
 
 
-def s_polynomial(f: Poly, g: Poly, key) -> Poly:
-    fe, fc = f.leading(key)
-    ge, gc = g.leading(key)
-    lcm = _mono_lcm(fe, ge)
-    return (f.term_mul(Fraction(1) / fc, _mono_div(lcm, fe))
-            - g.term_mul(Fraction(1) / gc, _mono_div(lcm, ge)))
+def s_polynomial(f, g) -> dict:
+    """S-polynomial of two ``_reducer`` triples, in integers:
+    lc_g/d * (l/f_lead) * f - lc_f/d * (l/g_lead) * g with l the lcm of the
+    leading monomials and d = gcd(lc_f, lc_g).  The leading terms cancel,
+    so only the tails enter."""
+    fe, fc, ftail = f
+    ge, gc, gtail = g
+    lcm_fg = _mono_lcm(fe, ge)
+    d = gcd(fc, gc)
+    a, b = gc // d, fc // d
+    shift = _mono_div(lcm_fg, fe)
+    out = {_mono_mul(e, shift): a * c for e, c in ftail}
+    shift = _mono_div(lcm_fg, ge)
+    for e, c in gtail:
+        m = _mono_mul(e, shift)
+        acc = out.get(m, 0) - b * c
+        if acc:
+            out[m] = acc
+        else:
+            del out[m]
+    return out
 
 
 def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
@@ -451,61 +487,60 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
     # always called positionally, so that groebner_basis(I) and
     # groebner_basis(I, "grevlex") share one cache entry
     key = order_key(ordering)
-    basis = [g.normalized() for g in ideal.generators if g]
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
-    # each element's leading term, computed once: divisors for the
-    # reductions, leading monomials for the criteria and the pair keys
-    reducers = [_reducer(g, key) for g in basis]
+    # each element as its primitive integer ``_reducer`` triple: its leading
+    # term, computed once, serves the reductions, both criteria and the
+    # pair keys
+    basis = sorted((_reducer(g.terms, key) for g in ideal.generators),
+                   key=lambda r: key(r[0]))
     # a pair's lcm never changes, so a heap of (key(lcm), pair) pops in the
     # order of min(pairs, key=(key(lcm), pair)); ``pairs`` holds the pairs
     # not yet treated, for the chain criterion
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    heap = [(key(_mono_lcm(reducers[i][0], reducers[j][0])), (i, j))
-            for i, j in pairs]
+    heap = [(key(_mono_lcm(basis[i][0], basis[j][0])), (i, j)) for i, j in pairs]
     heapify(heap)
 
     while heap:
         _, (i, j) = heappop(heap)
         pairs.discard((i, j))
-        fe, ge = reducers[i][0], reducers[j][0]
-        lcm = _mono_lcm(fe, ge)
-        if _mono_mul(fe, ge) == lcm:
+        fe, ge = basis[i][0], basis[j][0]
+        lcm_fg = _mono_lcm(fe, ge)
+        if _mono_mul(fe, ge) == lcm_fg:
             continue  # coprime leading monomials
-        if any(k != i and k != j and _divides(lk, lcm)
+        if any(k != i and k != j and _divides(lk, lcm_fg)
                and (min(i, k), max(i, k)) not in pairs
                and (min(j, k), max(j, k)) not in pairs
-               for k, (lk, _, _) in enumerate(reducers)):
+               for k, (lk, _, _) in enumerate(basis)):
             continue  # chain criterion
-        remainder = _reduce(s_polynomial(basis[i], basis[j], key), reducers, key)
+        remainder, _ = _reduce(s_polynomial(basis[i], basis[j]), basis, key)
         if remainder:
-            remainder = remainder.normalized()
             new = len(basis)
-            basis.append(remainder)
-            reducers.append(_reducer(remainder, key))
-            lead = reducers[new][0]
+            basis.append(_reducer(remainder, key))
+            lead = basis[new][0]
             for k in range(new):
                 pairs.add((k, new))
-                heappush(heap, (key(_mono_lcm(reducers[k][0], lead)), (k, new)))
+                heappush(heap, (key(_mono_lcm(basis[k][0], lead)), (k, new)))
 
-    return tuple(_reduce_basis(basis, key))
+    return tuple(_reduce_basis(basis, key, ideal.nvars))
 
 
-def _reduce_basis(basis, key) -> list[Poly]:
-    """Minimalize then tail-reduce; output monic, sorted by leading monomial."""
-    basis = sorted((g for g in basis if g), key=lambda g: key(g.leading(key)[0]))
-    minimal, reducers = [], []
-    for g in basis:
-        r = _reducer(g, key)
-        if not any(_divides(h[0], r[0]) for h in reducers):
-            minimal.append(g)
-            reducers.append(r)
+def _reduce_basis(basis, key, nvars) -> list[Poly]:
+    """Minimalize then tail-reduce ``_reducer`` triples; output monic Polys,
+    sorted by leading monomial, largest first."""
+    minimal = []
+    for r in sorted(basis, key=lambda r: key(r[0])):
+        if not any(_divides(h[0], r[0]) for h in minimal):
+            minimal.append(r)
     reduced = []
-    for idx, g in enumerate(minimal):
-        h = _reduce(g, reducers[:idx] + reducers[idx + 1:], key)
-        assert h, "minimal basis element reduced to zero"
-        reduced.append(h.monic(key))
-    reduced.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
-    return reduced
+    for idx, (lead, lc, tail) in enumerate(minimal):
+        # no other minimal leading monomial divides this one, so only the
+        # tail reduces, and the lead ends up as lc times the scale
+        remainder, scale = _reduce(dict(tail), minimal[:idx] + minimal[idx + 1:], key)
+        lc *= scale
+        terms = {lead: 1}
+        terms.update((e, Fraction(c, lc)) for e, c in remainder.items())
+        reduced.append(Poly(nvars, terms))
+    # minimal leading monomials are distinct and ascending
+    return reduced[::-1]
 
 
 def leading_term_exponents(basis, ordering: str = "grevlex"):

@@ -27,7 +27,7 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .billey import restricted_table
-from .commalg import IntegerEchelon, Poly
+from .commalg import IntegerEchelon
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -71,11 +71,6 @@ class PetersonClass:
     def coefficient(self, K):
         """The coefficient of t^degree in the restriction at w_K."""
         return self.values[self.model.subset_index(K)]
-
-    def value(self, K) -> Poly:
-        """Restriction at the fixed point w_K: c * t^degree as a polynomial
-        in the one variable t, the ring that restriction to S lands in."""
-        return Poly(1, {(self.degree,): self.coefficient(K)})
 
     def __eq__(self, other):
         # zero is zero in every degree

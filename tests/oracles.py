@@ -186,10 +186,19 @@ def has_skips(report) -> bool:
     return any(r.skipped for r in report.records)
 
 
+def class_value(cls, K):
+    """Restriction of a ``PetersonClass`` at the fixed point w_K:
+    c * t^degree as a polynomial in the one variable t, the ring that
+    restriction to S lands in."""
+    from petcoh.commalg import Poly
+
+    return Poly(1, {(cls.degree,): cls.coefficient(K)})
+
+
 def basis_matrix(model):
     """Matrix of p_{v_K}(w_J) as polynomials in t, with rows K and columns J
     in the model's fixed subset order."""
-    return [[model.subset_class(K).value(J) for J in model.subsets]
+    return [[class_value(model.subset_class(K), J) for J in model.subsets]
             for K in model.subsets]
 
 
@@ -543,9 +552,11 @@ def fraction_verify_giambelli(model, K):
     )
 
 
-# The seed's Buchberger loop, kept as ground truth for commalg's engine.  The
-# monomial helpers are the seed's too, so the oracle shares only the Poly
-# arithmetic with the code it checks.
+# The seed's Buchberger loop, kept as ground truth for commalg's engine.  It
+# divides in Fractions, as the seed did, where the engine divides in
+# integers.  The monomial helpers and the Poly scalings are the seed's too,
+# so the oracle shares only the Poly container and its +, - with the code it
+# checks.
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -563,6 +574,38 @@ def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def term_mul(p, coeff, exps):
+    """p times coeff * x^exps."""
+    from petcoh.commalg import Poly
+
+    return Poly(p.nvars, {_mono_mul(e, exps): c * coeff for e, c in p.terms.items()})
+
+
+def normalized(p):
+    """p scaled to integer content 1 and a positive leading coefficient
+    under grevlex."""
+    from petcoh.commalg import Poly, grevlex_key
+
+    if not p:
+        return p
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    g = gcd(*(int(c * den) for c in p.terms.values()))
+    factor = Q(den, g)
+    if p.leading(grevlex_key)[1] < 0:
+        factor = -factor
+    return Poly(p.nvars, {e: c * factor for e, c in p.terms.items()})
+
+
+def monic(p, key):
+    """p scaled to leading coefficient 1 under the order key."""
+    from petcoh.commalg import Poly
+
+    if not p:
+        return p
+    lc = p.leading(key)[1]
+    return Poly(p.nvars, {e: c / lc for e, c in p.terms.items()})
+
+
 def oracle_normal_form(p, basis, key):
     """The seed's remainder of p on division by the basis: every step builds
     new polynomials, leading terms are recomputed each time."""
@@ -575,7 +618,7 @@ def oracle_normal_form(p, basis, key):
         exps, coeff = work.leading(key)
         for g, (ge, gc) in leads:
             if _divides(ge, exps):
-                work = work - g.term_mul(coeff / gc, _mono_div(exps, ge))
+                work = work - term_mul(g, coeff / gc, _mono_div(exps, ge))
                 break
         else:
             mono = Poly(p.nvars, {exps: coeff})
@@ -584,12 +627,14 @@ def oracle_normal_form(p, basis, key):
     return remainder
 
 
-def _oracle_s_polynomial(f, g, key):
+def oracle_s_polynomial(f, g, key):
+    """The seed's S-polynomial: f / lc(f) and g / lc(g), each shifted up to
+    the lcm of the leading monomials, subtracted."""
     fe, fc = f.leading(key)
     ge, gc = g.leading(key)
     lcm = _mono_lcm(fe, ge)
-    return (f.term_mul(Q(1) / fc, _mono_div(lcm, fe))
-            - g.term_mul(Q(1) / gc, _mono_div(lcm, ge)))
+    return (term_mul(f, Q(1) / fc, _mono_div(lcm, fe))
+            - term_mul(g, Q(1) / gc, _mono_div(lcm, ge)))
 
 
 def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
@@ -599,7 +644,7 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
     from petcoh.commalg import order_key
 
     key = order_key(ordering)
-    basis = [g.normalized() for g in ideal.generators if g]
+    basis = [normalized(g) for g in ideal.generators if g]
     basis.sort(key=lambda g: key(g.leading(key)[0]))
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
 
@@ -626,9 +671,9 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
         if skip:
             continue
         remainder = oracle_normal_form(
-            _oracle_s_polynomial(basis[i], basis[j], key), basis, key)
+            oracle_s_polynomial(basis[i], basis[j], key), basis, key)
         if remainder:
-            remainder = remainder.normalized()
+            remainder = normalized(remainder)
             basis.append(remainder)
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
@@ -650,6 +695,6 @@ def _oracle_reduce_basis(basis, key):
         others = minimal[:idx] + minimal[idx + 1:]
         h = oracle_normal_form(g, others, key)
         assert h, "minimal basis element reduced to zero"
-        reduced.append(h.monic(key))
+        reduced.append(monic(h, key))
     reduced.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
     return reduced

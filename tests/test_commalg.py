@@ -41,7 +41,9 @@ from oracles import (
     fraction_det,
     fraction_rank,
     fraction_reduced_series,
+    normalized,
     oracle_normal_form,
+    oracle_s_polynomial,
     poly_mul,
     poly_pow,
     series_prefix,
@@ -161,7 +163,7 @@ def test_groebner_s_polynomials_reduce_to_zero():
             basis = groebner_basis(ideal)
             for i in range(len(basis)):
                 for j in range(i):
-                    s = s_polynomial(basis[i], basis[j], grevlex_key)
+                    s = oracle_s_polynomial(basis[i], basis[j], grevlex_key)
                     assert not normal_form(s, basis, grevlex_key)
 
 
@@ -218,7 +220,14 @@ def test_groebner_matches_buchberger_oracle(name):
 
 
 def test_groebner_matches_buchberger_oracle_E6():
-    ideal = build_ideal_Jcheck(cartan_matrix("E6"))
+    for label, ideal in _quadric_ideals("E6").items():
+        for ordering in ORDERINGS:
+            assert _serial(groebner_basis(ideal, ordering)) == \
+                _serial(buchberger_groebner_basis(ideal, ordering)), (label, ordering)
+
+
+def test_groebner_matches_buchberger_oracle_E7_Jcheck():
+    ideal = build_ideal_Jcheck(cartan_matrix("E7"))
     assert _serial(groebner_basis(ideal)) == _serial(buchberger_groebner_basis(ideal))
 
 
@@ -247,6 +256,36 @@ def test_normal_form_matches_oracle(data):
     assert normal_form(p, divisors, key) == oracle_normal_form(p, divisors, key)
 
 
+def _scaled(p, c):
+    return Poly(p.nvars, {e: c * v for e, v in p.terms.items()})
+
+
+_NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_normal_form_is_linear_in_p_and_blind_to_divisor_scaling(data):
+    # the integer division clears p's denominators and works on primitive
+    # divisors; neither may show in the remainder
+    name = data.draw(st.sampled_from(DEFAULT_SUITE))
+    ideal = data.draw(st.sampled_from(sorted(_quadric_ideals(name).items())))[1]
+    ordering = data.draw(st.sampled_from(ORDERINGS))
+    key = order_key(ordering)
+    if data.draw(st.booleans()):
+        divisors = groebner_basis(ideal, ordering)
+    else:
+        divisors = list(ideal.generators)
+    p = data.draw(ring_polys(ideal.nvars))
+    c = data.draw(_NONZERO)
+    expected = oracle_normal_form(p, divisors, key)
+    assert normal_form(_scaled(p, c), divisors, key) == _scaled(expected, c) == \
+        oracle_normal_form(_scaled(p, c), divisors, key)
+    rescaled = [_scaled(g, data.draw(_NONZERO)) for g in divisors]
+    assert normal_form(p, rescaled, key) == expected == \
+        oracle_normal_form(p, rescaled, key)
+
+
 @st.composite
 def small_ideals(draw):
     """Two to four generators in three variables, each with up to four terms
@@ -263,6 +302,23 @@ def small_ideals(draw):
 def test_groebner_matches_oracle_on_small_ideals(ideal, ordering):
     assert _serial(groebner_basis(ideal, ordering)) == \
         _serial(buchberger_groebner_basis(ideal, ordering))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_ideals(), st.sampled_from(ORDERINGS))
+def test_integer_s_polynomial_is_a_multiple_of_the_oracle(ideal, ordering):
+    key = order_key(ordering)
+    gens = ideal.generators
+    reducers = [commalg._reducer(g.terms, key) for g in gens]
+    for i in range(len(gens)):
+        for j in range(i):
+            s = s_polynomial(reducers[i], reducers[j])
+            assert all(type(c) is int for c in s.values())
+            expected = oracle_s_polynomial(gens[i], gens[j], key)
+            assert s.keys() == expected.terms.keys()
+            if s:
+                ratio = {v / s[e] for e, v in expected.terms.items()}
+                assert len(ratio) == 1 and ratio.pop() > 0
 
 
 # -- one basis per (ideal, order) --------------------------------------------------
@@ -290,9 +346,9 @@ def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
     reductions = []
     reduce = commalg._reduce
 
-    def counting_reduce(p, reducers, key):
-        reductions.append(p)
-        return reduce(p, reducers, key)
+    def counting_reduce(work, reducers, key):
+        reductions.append(work)
+        return reduce(work, reducers, key)
 
     monkeypatch.setattr(commalg, "_reduce", counting_reduce)
     gens = (P(3, {(2, 0, 0): 1, (0, 1, 1): Fraction(-3, 7)}),
@@ -660,10 +716,17 @@ def test_zero_set_oracle_agreement(name):
 # -- polynomial container --------------------------------------------------------
 
 def test_poly_normalization():
+    # the oracle's Fraction normalization and the engine's integer form of
+    # the same polynomials: content split off, leading coefficient positive
     p = P(2, {(2, 0): Fraction(2, 3), (1, 1): Fraction(-4, 3)})
-    q = p.normalized()
-    assert q.terms == {(2, 0): 1, (1, 1): -2}
-    assert P(1, {(1,): -3}).normalized().terms == {(1,): 1}
+    assert normalized(p).terms == {(2, 0): 1, (1, 1): -2}
+    assert normalized(P(1, {(1,): -3})).terms == {(1,): 1}
+    assert commalg._primitive(p.terms) == (2, 3, {(2, 0): 1, (1, 1): -2})
+    assert commalg._primitive(P(1, {(1,): -3}).terms) == (3, 1, {(1,): -1})
+    assert commalg._reducer(P(1, {(1,): -3}).terms, grevlex_key) == ((1,), 1, ())
+    lead, lc, tail = commalg._reducer(p.terms, grevlex_key)
+    assert (lead, lc, tail) == ((2, 0), 1, (((1, 1), -2),))
+    assert all(type(c) is int for c in (lc,) + tuple(c for _, c in tail))
 
 
 def test_poly_degrees():
