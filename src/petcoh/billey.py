@@ -28,6 +28,16 @@ ht(r) t, its height times t.  Running the same recursion on the
 one-coordinate roots (ht(r(j, w)),) therefore gives sigma_u(w)|_S directly
 as c_u t^l(u), in integers: ``localization_table`` runs it on the inversion
 roots and ``restricted_table`` on their heights.
+
+Every prefix of a reduced word is itself reduced, and the recursion builds
+the table {u: sigma_u(w_j)} from the table at w_{j-1} by one letter step.
+So the tables of all reduced words of length <= m, which the word-
+independence sweep compares, share their steps along the trie of those
+words: ``reduced_word_tables`` walks the trie depth first, and each child
+holds a shallow copy of its parent's table in which only the entries u
+with right descent b_j, l(u) <= j and sigma_{u s_b}(w_{j-1}) != 0 are
+replaced by new dicts.  Each trie node costs one letter step instead of a
+full pass over its word, and the step lists are built once for all words.
 """
 
 from __future__ import annotations
@@ -83,15 +93,80 @@ def _prefix_recursion(group: WeylGroup, targets, w: WeylElement, roots,
 
     if live:
         values[group.identity.action][(0,) * nvars] = 1
+    raised: dict = {}
     for b, root in zip(word, roots):
         factor = [(k, c) for k, c in enumerate(root) if c]
         for target, source in steps[b]:
             # b is an ascent of u s_b, so no source changes during this step
-            for exps, c in source.items():
-                for k, rk in factor:
-                    grown = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-                    target[grown] = target.get(grown, 0) + c * rk
+            _add_product(target, source, factor, raised)
     return [(u, values[u.action]) for u in live]
+
+
+def _add_product(target: dict, source: dict, factor, raised: dict) -> None:
+    """target += r * source on {exponent tuple: int} dicts, where factor
+    lists the nonzero coordinates (k, r_k) of the root r.  raised caches,
+    per exponent tuple, the tuples with one coordinate raised by one, so
+    every table of a call shares one tuple per monomial."""
+    for exps, c in source.items():
+        up = raised.get(exps)
+        if up is None:
+            up = raised[exps] = tuple(exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+                                      for k in range(len(exps)))
+        for k, rk in factor:
+            grown = up[k]
+            target[grown] = target.get(grown, 0) + c * rk
+
+
+def reduced_word_tables(group: WeylGroup, elements, max_len: int) -> dict:
+    """{word: {u.action: {exponent tuple: int}}} for every reduced word of
+    length <= max_len: the nonzero sigma_u(w) over u in elements, w the
+    element of the word.  elements must be a lower weak order ideal, closed
+    under u -> u s_b for every right descent b, as every element of length
+    <= max_len is.
+
+    One depth-first walk over the trie of reduced words: a child's table is
+    its parent's, shallow-copied, with the entries changed by the one new
+    letter replaced (see the module docstring).  The words are built here,
+    so no reduced words are enumerated.
+    """
+    nodes = group.cartan.nodes()
+    # per letter b, by length: (l(u), u, u s_b) for each u with right descent b
+    steps: dict[int, list] = {b: [] for b in nodes}
+    for u in sorted(elements, key=lambda u: u.length):
+        for b in nodes:
+            if group.right_descends(u, b):
+                steps[b].append(
+                    (u.length, u.action, group.right_action(u.action, b)))
+
+    tables: dict = {}
+    raised: dict = {}
+
+    def visit(word, action, table):
+        tables[word] = table
+        depth = len(word) + 1
+        if depth > max_len:
+            return
+        for b in nodes:
+            # r(depth, w) is column b of the prefix; negative means that
+            # word + (b,) is not reduced
+            root = tuple(row[b - 1] for row in action)
+            if is_negative_root_vector(root):
+                continue
+            factor = [(k, c) for k, c in enumerate(root) if c]
+            child = dict(table)
+            for length, target, lower in steps[b]:
+                if length > depth:
+                    break
+                source = table.get(lower)
+                if source is not None:
+                    grown = dict(table.get(target, {}))
+                    _add_product(grown, source, factor, raised)
+                    child[target] = grown
+            visit(word + (b,), group.right_action(action, b), child)
+
+    identity = group.identity.action
+    visit((), identity, {identity: {(0,) * group.rank: 1}})
+    return tables
 
 
 def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:

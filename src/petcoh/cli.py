@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from . import __version__
-from .billey import localization_table
+from .billey import reduced_word_tables
 from .commalg import (
     HilbertSeries,
     Poly,
@@ -35,7 +35,7 @@ from .errors import IntegrityError, ResourceCapError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord
 from .roots import cartan_matrix, parse_lie_type
-from .weyl import WeylGroup, word_to_str
+from .weyl import DEFAULT_REDUCED_WORD_CAP, WeylGroup, word_to_str
 
 CHECK_ORDER = (
     "billey_welldef",
@@ -61,7 +61,7 @@ class RunConfig:
     checks: tuple[str, ...] = CHECK_ORDER
     cutoff_degree: int = 12
     output_format: str = "text"
-    reduced_word_cap: int = 16
+    reduced_word_cap: int = DEFAULT_REDUCED_WORD_CAP
 
     def __post_init__(self):
         parse_lie_type(self.lie_type)
@@ -106,32 +106,47 @@ def expected_ordinary_series(rank: int) -> HilbertSeries:
 
 def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecord:
     """Localization is witness-word independent, vanishes exactly off the
-    Bruhat interval, and is homogeneous; swept over a bounded length range."""
+    Bruhat interval, and is homogeneous; swept over a bounded length range.
+
+    Every reduced word of every w of length <= max_length gets its own table
+    {v: sigma_v(w)}, and the witness word's table is the baseline the others
+    are compared with.  The tables come from one walk over the trie of
+    reduced words (``billey.reduced_word_tables``): a word's table is its
+    parent prefix's table plus one letter step, so no table is built from
+    scratch, yet each is computed along its own word.  Values are compared
+    as {exponent tuple: int} dicts; a missing entry is sigma_v(w) = 0.  The
+    reduced-word cap is checked against the longest w before any table is
+    built.
+    """
     group = model.group
     max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
     elements = group.elements_up_to_length(max_len)
+    cap = group.reduced_word_cap
+    if elements[-1].length > cap:
+        # elements run by length: the first w over the cap has length cap + 1
+        raise ResourceCapError(
+            f"reduced-word enumeration for length {cap + 1} exceeds cap {cap}")
+    tables = reduced_word_tables(group, elements, max_len)
     comparisons = 0
     failures = []
     for w in elements:
         targets = [v for v in elements if v.length <= w.length]
-        # one table per reduced word of w; the witness word's is the baseline
-        tables = {word: localization_table(group, targets, group.from_word(word))
-                  for word in group.enumerate_reduced_words(w)}
         baseline = tables[w.witness_word]
         for v in targets:
-            value = baseline[v]
+            value = baseline.get(v.action)
             if bool(value) != group.bruhat_leq(v, w):
                 failures.append({"kind": "vanishing",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
-            if value and value.total_degrees() != {v.length}:
+            if value and {sum(e) for e in value} != {v.length}:
                 failures.append({"kind": "degree",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
-        for word, table in tables.items():
+        for word in group.enumerate_reduced_words(w):
+            table = tables[word]
             for v in targets:
                 comparisons += 1
-                if table[v] != baseline[v]:
+                if table.get(v.action) != baseline.get(v.action):
                     failures.append({"kind": "witness_dependence",
                                      "v": word_to_str(v.witness_word),
                                      "w_word": word_to_str(word)})
@@ -408,8 +423,10 @@ def _add_common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--cutoff-degree", type=int, default=12,
                         help="even degree bound for the graded-dimension check")
-    parser.add_argument("--word-cap", type=int, default=16,
-                        help="reduced-word enumeration cap (default 16)")
+    parser.add_argument("--word-cap", type=int,
+                        default=DEFAULT_REDUCED_WORD_CAP,
+                        help="reduced-word enumeration cap "
+                             f"(default {DEFAULT_REDUCED_WORD_CAP})")
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:

@@ -494,6 +494,52 @@ def per_class_restriction(model, v):
             for fp in model.fixed_points]
 
 
+def billey_welldef_per_word(model, config):
+    """The ``billey_welldef`` record with one ``localization_table`` per
+    reduced word of each w, each a full prefix recursion over its word:
+    ground truth for the check's one walk over the trie of reduced words."""
+    from petcoh.billey import localization_table
+    from petcoh.cli import _WELLDEF_LENGTH_BY_RANK
+    from petcoh.report import CheckRecord
+    from petcoh.weyl import word_to_str
+
+    group = model.group
+    max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
+    elements = group.elements_up_to_length(max_len)
+    comparisons = 0
+    failures = []
+    for w in elements:
+        targets = [v for v in elements if v.length <= w.length]
+        # one table per reduced word of w; the witness word's is the baseline
+        tables = {word: localization_table(group, targets, group.from_word(word))
+                  for word in group.enumerate_reduced_words(w)}
+        baseline = tables[w.witness_word]
+        for v in targets:
+            value = baseline[v]
+            if bool(value) != group.bruhat_leq(v, w):
+                failures.append({"kind": "vanishing",
+                                 "v": word_to_str(v.witness_word),
+                                 "w": word_to_str(w.witness_word)})
+            if value and value.total_degrees() != {v.length}:
+                failures.append({"kind": "degree",
+                                 "v": word_to_str(v.witness_word),
+                                 "w": word_to_str(w.witness_word)})
+        for word, table in tables.items():
+            for v in targets:
+                comparisons += 1
+                if table[v] != baseline[v]:
+                    failures.append({"kind": "witness_dependence",
+                                     "v": word_to_str(v.witness_word),
+                                     "w_word": word_to_str(word)})
+    return CheckRecord(
+        check="billey_welldef",
+        lie_type=model.type_name(),
+        passed=not failures,
+        parameters={"max_length": max_len, "elements": len(elements)},
+        witnesses={"comparisons": comparisons, "failures": failures[:20]},
+    )
+
+
 def fraction_verify_monk(model, i: int, K):
     """The Monk record with the identity summed in Fractions, each class
     scaled by its own rational coefficient: ground truth for the model's

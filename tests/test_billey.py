@@ -9,9 +9,10 @@ from petcoh.billey import (
     billey_localization,
     inversion_roots,
     localization_table,
+    reduced_word_tables,
     restricted_table,
 )
-from petcoh.cli import DEFAULT_SUITE
+from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
 from petcoh.commalg import Poly
 from petcoh.peterson import subsets_by_size
 from petcoh.roots import cartan_matrix
@@ -186,6 +187,22 @@ def test_restricted_table_is_the_restricted_poly_table(name):
         restricted = restricted_table(W, targets, w)
         assert {v: Poly(1, {(v.length,): c}) for v, c in restricted.items()} \
             == {v: restrict_to_S(p) for v, p in table.items()}, (name, K)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1",))
+def test_reduced_word_tables_match_one_table_per_word(name):
+    # the trie walk of the word-independence sweep against one full prefix
+    # recursion per reduced word: the same words, the same values
+    W = group(name)
+    max_len = _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
+    elements = W.elements_up_to_length(max_len)
+    tables = reduced_word_tables(W, elements, max_len)
+    words = {word for w in elements for word in W.enumerate_reduced_words(w)}
+    assert set(tables) == words
+    for word, table in tables.items():
+        oracle = localization_table(W, elements, W.from_word(word))
+        assert table == {u.action: p.terms for u, p in oracle.items() if p}, \
+            (name, word)
 
 
 # (K, J, number of terms of sigma_{v_K}(w_J), c with p_{v_K}(w_J) = c t^|K|);

@@ -24,7 +24,7 @@ from petcoh.peterson import PetersonModel
 from petcoh.report import CheckRecord, strip_timing
 from petcoh.roots import cartan_matrix
 
-from oracles import has_skips
+from oracles import billey_welldef_per_word, has_skips
 
 
 def test_run_config_validation():
@@ -212,6 +212,74 @@ def test_word_cap_zero_leaves_restriction_checks_runnable():
     for name in ("quadratic", "monk", "giambelli", "basis", "graded_dims"):
         assert not by_name[name].skipped
         assert by_name[name].passed
+
+
+def _welldef_record(lie_type, **config):
+    report = run_certification(RunConfig(lie_type, checks=("billey_welldef",),
+                                         **config))
+    return report.records[0]
+
+
+@pytest.mark.parametrize("lie_type,cap", [
+    ("A1", 0), ("A2", 0), ("A2", 2), ("A3", 4), ("G2", 5)])
+def test_word_cap_trips_before_any_table(lie_type, cap, monkeypatch):
+    # the records of the per-word sweep, which stopped at its first w of
+    # length cap + 1; the cap is checked before the trie is built
+    def no_tables(*args):
+        raise AssertionError("reduced_word_tables called over the cap")
+
+    monkeypatch.setattr(cli, "reduced_word_tables", no_tables)
+    record = _welldef_record(lie_type, reduced_word_cap=cap)
+    assert record.to_dict() == {
+        "check": "billey_welldef", "lie_type": lie_type, "parameters": {},
+        "witnesses": {"skip_reason": "reduced-word enumeration for "
+                      f"length {cap + 1} exceeds cap {cap}"},
+        "pass": None, "skipped": True}
+
+
+def test_word_cap_at_the_longest_element_runs_the_sweep():
+    # A1 sweeps up to length 6, but its longest element has length 1
+    record = _welldef_record("A1", reduced_word_cap=1)
+    assert record.to_dict() == {
+        "check": "billey_welldef", "lie_type": "A1",
+        "parameters": {"elements": 2, "max_length": 6},
+        "witnesses": {"comparisons": 3, "failures": []},
+        "pass": True, "skipped": False}
+
+
+@pytest.mark.parametrize("lie_type", DEFAULT_SUITE + ("A2+A1",))
+def test_billey_welldef_matches_per_word_oracle(lie_type):
+    config = RunConfig(lie_type, checks=("billey_welldef",))
+    model = PetersonModel(cartan_matrix(lie_type))
+    fast = cli._check_billey_welldef(model, config)
+    assert fast.passed
+    assert fast.to_dict() == billey_welldef_per_word(model, config).to_dict()
+
+
+def test_billey_welldef_catches_one_perturbed_word(monkeypatch, capsys):
+    # one coefficient of sigma_{w0}(w0) changed in place in the table of the
+    # non-witness reduced word of w0(A2): a table aliased with the witness
+    # word's would change with it and hide the failure
+    model = PetersonModel(cartan_matrix("A2"))
+    w0 = model.group.longest_element((1, 2))
+    (other,) = model.group.enumerate_reduced_words(w0) - {w0.witness_word}
+    build = cli.reduced_word_tables
+
+    def perturbed(*args):
+        tables = build(*args)
+        terms = tables[other][w0.action]
+        terms[next(iter(terms))] += 1
+        return tables
+
+    monkeypatch.setattr(cli, "reduced_word_tables", perturbed)
+    record = _welldef_record("A2")
+    assert not record.passed
+    assert record.witnesses["failures"] == [{
+        "kind": "witness_dependence",
+        "v": ",".join(map(str, w0.witness_word)),
+        "w_word": ",".join(map(str, other))}]
+    assert main(["certify", "--type", "A2", "--checks", "billey_welldef"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
