@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
-from .roots import (
-    CartanMatrix,
-    is_negative_root_vector,
-    simple_reflection_action,
-)
+from .roots import CartanMatrix, simple_reflection_action
 
 DEFAULT_REDUCED_WORD_CAP = 16
 
@@ -82,8 +78,10 @@ class WeylGroup:
                      if cartan.entries[k][i - 1])
             for i in cartan.nodes()
         }
-        self._count_memo: dict[tuple, int] = {}
-        self._words_memo: dict[tuple, frozenset] = {}
+        # reduced-word memo tables keyed by action, seeded with the identity
+        self._count_memo: dict[tuple, int] = {self._identity_matrix: 1}
+        self._words_memo: dict[tuple, frozenset] = {
+            self._identity_matrix: frozenset({()})}
         self._longest_memo: dict[tuple[int, ...], WeylElement] = {}
 
     # -- construction ---------------------------------------------------
@@ -96,9 +94,9 @@ class WeylGroup:
         return self.right_multiply(self.identity, i)
 
     def right_descends(self, w: WeylElement, i: int) -> bool:
-        """True iff l(w s_i) < l(w), i.e. w(alpha_i) is a negative root."""
-        col = tuple(row[i - 1] for row in w.action)
-        return is_negative_root_vector(col)
+        """True iff l(w s_i) < l(w), i.e. the root w(alpha_i) is negative:
+        it has a negative entry."""
+        return any(row[i - 1] < 0 for row in w.action)
 
     def right_action(self, action, i: int):
         """Matrix of w s_i from the matrix of w.
@@ -193,22 +191,24 @@ class WeylGroup:
 
     # -- reduced words ---------------------------------------------------
 
+    def _descents(self, action) -> list[int]:
+        """Right descents, as in ``right_descends``, of a matrix."""
+        return [i for i in self.cartan.nodes()
+                if any(row[i - 1] < 0 for row in action)]
+
     def count_reduced_words(self, w: WeylElement) -> int:
         """Number of reduced words: sum over right descents s of the count
         for ws, with the identity counting 1.  Memoized per group."""
-        cached = self._count_memo.get(w.action)
-        if cached is not None:
-            return cached
-        if w.is_identity():
-            total = 1
-        else:
-            total = sum(
-                self.count_reduced_words(self.right_multiply(w, i))
-                for i in self.cartan.nodes()
-                if self.right_descends(w, i)
-            )
-        self._count_memo[w.action] = total
-        return total
+
+        def rec(action) -> int:
+            total = self._count_memo.get(action)
+            if total is None:
+                total = self._count_memo[action] = sum(
+                    rec(self.right_action(action, i))
+                    for i in self._descents(action))
+            return total
+
+        return rec(w.action)
 
     def enumerate_reduced_words(self, w: WeylElement) -> frozenset:
         """The full set of reduced words for w.
@@ -221,41 +221,36 @@ class WeylGroup:
                 f"reduced-word enumeration for length {w.length} exceeds "
                 f"cap {self.reduced_word_cap}")
 
-        def rec(u: WeylElement) -> frozenset:
-            cached = self._words_memo.get(u.action)
-            if cached is not None:
-                return cached
-            if u.is_identity():
-                words = frozenset({()})
-            else:
-                acc = set()
-                for i in self.cartan.nodes():
-                    if self.right_descends(u, i):
-                        for prefix in rec(self.right_multiply(u, i)):
-                            acc.add(prefix + (i,))
-                words = frozenset(acc)
-            self._words_memo[u.action] = words
+        def rec(action) -> frozenset:
+            words = self._words_memo.get(action)
+            if words is None:
+                words = self._words_memo[action] = frozenset(
+                    prefix + (i,) for i in self._descents(action)
+                    for prefix in rec(self.right_action(action, i)))
             return words
 
-        words = rec(w)
+        words = rec(w.action)
         assert len(words) == self.count_reduced_words(w)
         return words
 
     # -- Bruhat order ------------------------------------------------------
 
-    def bruhat_leq(self, v: WeylElement, w: WeylElement) -> bool:
-        """Subword criterion: some reduced word of v embeds as a subword of
-        the fixed reduced word of w."""
-        if v.length > w.length:
-            return False
-        if v.length == 0:
-            return True
-        target = w.witness_word
-        for word in self.enumerate_reduced_words(v):
-            it = iter(target)
-            if all(letter in it for letter in word):
-                return True
-        return False
+    def bruhat_intervals(self, elements) -> dict:
+        """{w.action: {v.action : v <= w}} for every w in elements, which
+        must hold ws for each w != e, s the last letter of w's witness word.
+        Built by length from [e, w] = [e, ws] u [e, ws] s for a right descent
+        s of w (lifting property; Bjorner-Brenti, Combinatorics of Coxeter
+        Groups, Prop. 2.2.7), and not cached on the group."""
+        intervals = {}
+        for w in sorted(elements, key=lambda w: w.length):
+            if w.is_identity():
+                intervals[w.action] = {w.action}
+                continue
+            s = w.witness_word[-1]
+            below = intervals[self.right_action(w.action, s)]
+            intervals[w.action] = below | {self.right_action(u, s)
+                                           for u in below}
+        return intervals
 
     # -- bounded enumeration of the group ---------------------------------
 

@@ -20,6 +20,7 @@ from petcoh.weyl import WeylGroup
 
 from oracles import (
     bond_order,
+    bruhat_leq,
     is_monomial_of_degree,
     linear_poly,
     matrix_inversion_roots,
@@ -125,7 +126,7 @@ def _sweep(name, max_length):
             assert value.total_degrees() <= {v.length}
             assert all(c > 0 for c in value.terms.values())
             # vanishing exactly off the Bruhat interval
-            assert bool(value) == W.bruhat_leq(v, w)
+            assert bool(value) == bruhat_leq(W, v, w)
             # independence of the reduced word chosen for w
             for word in W.enumerate_reduced_words(w):
                 assert billey_localization(W, v, W.from_word(word)) == value

@@ -23,6 +23,7 @@ from petcoh.cli import (
 from petcoh.peterson import PetersonModel
 from petcoh.report import CheckRecord, strip_timing
 from petcoh.roots import cartan_matrix
+from petcoh.weyl import WeylGroup, word_to_str
 
 from oracles import billey_welldef_per_word, has_skips
 
@@ -205,7 +206,7 @@ def test_word_cap_skip_is_explicit(monkeypatch):
 
 def test_word_cap_zero_leaves_restriction_checks_runnable():
     # localization does not enumerate reduced words, so a cap of 0 stops
-    # only the well-definedness sweep (reduced words of w, bruhat_leq)
+    # only the well-definedness sweep (the reduced words of each w)
     report = run_certification(RunConfig(lie_type="A2", reduced_word_cap=0))
     by_name = {r.check: r for r in report.records}
     assert by_name["billey_welldef"].skipped
@@ -282,6 +283,33 @@ def test_billey_welldef_catches_one_perturbed_word(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
+                                                           capsys):
+    # s_1 taken out of [e, w0] of A2: sigma_{s_1}(w0) != 0 must then read
+    # as exactly one vanishing failure, and the run must fail (exit 1);
+    # billey_welldef is not a leg of isomorphism_certified
+    group = WeylGroup(cartan_matrix("A2"))
+    w0 = group.elements_up_to_length(6)[-1]  # as the sweep builds it
+    dropped = group.simple_reflection(1)
+    build = WeylGroup.bruhat_intervals
+
+    def dropping(self, elements):
+        intervals = build(self, elements)
+        intervals[w0.action] = intervals[w0.action] - {dropped.action}
+        return intervals
+
+    monkeypatch.setattr(WeylGroup, "bruhat_intervals", dropping)
+    record = _welldef_record("A2")
+    assert not record.passed
+    assert w0.length == 3
+    assert record.witnesses["failures"] == [
+        {"kind": "vanishing", "v": "1", "w": word_to_str(w0.witness_word)}]
+    report = run_certification(RunConfig("A2"))
+    assert not report.overall_pass
+    assert main(["certify", "--type", "A2"]) == 1
+    assert "[FAIL] billey_welldef" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--type", "A2", "--checks", ""],
     ["certify", "--type", "A2", "--checks", "billey_welldef", "--word-cap", "0"],
@@ -332,7 +360,9 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     (lambda: run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set"))).to_dict(),
      "f6fe792c1bf73fa3956cc6bb9b866d986a1829ccdd68ff0d73819e57e8320f94"),
-], ids=["default-suite", "E6-restriction", "E7-quadric"])
+    (lambda: run_certification(RunConfig("E8")).to_dict(),
+     "99d8c83861ba28981f628964430da68aa88a15ab9e5abb66639d9352de98d6fa"),
+], ids=["default-suite", "E6-restriction", "E7-quadric", "E8-certify"])
 def test_default_suite_report_is_pinned(report, digest):
     # the refactor gate: the timing-free report, byte for byte
     blob = json.dumps(strip_timing(report()), sort_keys=True)

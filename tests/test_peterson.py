@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import billey, commalg, peterson
-from petcoh.cli import RunConfig, run_certification
+from petcoh import billey, cli, commalg, peterson
+from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
 from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonClass, PetersonModel, subsets_by_size
@@ -25,6 +25,7 @@ from oracles import (
     per_class_restriction,
     poly_pow,
     series_prefix,
+    verify_monk_full,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
@@ -274,6 +275,63 @@ def test_monk_and_giambelli_records_match_fraction_oracle(name):
         if K and m.cartan.is_connected(K):
             assert m.verify_giambelli(K).to_dict() == \
                 fraction_verify_giambelli(m, K).to_dict(), (name, K)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
+def test_monk_records_match_class_arithmetic_oracle(name):
+    # value tuples compared where p_K or a cover p_J is nonzero against
+    # PetersonClass arithmetic compared at every fixed point
+    m = model(name)
+    for i in m.cartan.nodes():
+        for K in m.subsets:
+            assert m.verify_monk(i, K).to_dict() == \
+                verify_monk_full(m, i, K).to_dict(), (name, i, K)
+
+
+def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
+    # p_{v_K}(w_L) = 0 for L not containing K; making one such value 1
+    # must fail the Monk identity at L, which the comparison set reads off
+    # the values rather than assuming K <= L
+    K, L = (1, 2), (1, 3)
+    group = model("A3").group
+    v_K, w_L = group.v_K(K), group.longest_element(L)
+
+    def doctored(u, w, c):
+        return c + 1 if (u, w) == (v_K, w_L) else c
+
+    _counting_tables(monkeypatch, doctored)
+    m = model("A3")
+    assert m.subset_class(K).values[m.subset_index(L)] == 1
+    failing = []
+    for i in m.cartan.nodes():
+        for J in m.subsets:
+            rec = m.verify_monk(i, J)
+            assert rec.to_dict() == verify_monk_full(m, i, J).to_dict()
+            if not rec.passed:
+                failing.append((i, J))
+    assert (1, K) in failing
+    report = run_certification(RunConfig("A3"))
+    monk = next(r for r in report.records if r.check == "monk")
+    assert not monk.passed
+    assert {"i": 1, "K": list(K)} in monk.witnesses["failures"]
+    assert not report.overall_pass
+    assert not report.isomorphism_certified()
+
+
+@pytest.mark.parametrize("name", ["A3", "G2", "D4", "A2+A1"])
+def test_check_monk_builds_no_class(name, monkeypatch):
+    m = model(name)
+    m.subset_class(())  # builds every p_{v_J}
+    built = []
+    init = PetersonClass.__init__
+
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PetersonClass, "__init__", recording_init)
+    assert cli._check_monk(m, RunConfig(name)).passed
+    assert built == []
 
 
 def test_monk_off_by_a_third_fails_the_identity(monkeypatch):

@@ -4,17 +4,20 @@ from math import prod
 
 import pytest
 
-from petcoh.cli import DEFAULT_SUITE
+from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
 from petcoh.errors import ResourceCapError
 from petcoh.roots import cartan_matrix, parse_lie_type
 from petcoh.weyl import WeylGroup, word_from_str, word_to_str
 
 from oracles import (
     brute_reduced_words,
+    bruhat_leq,
     bruhat_lower_set,
     length_of_matrix,
     mat_mul,
     reflection_matrix,
+    right_multiply_reduced_words,
+    right_multiply_word_count,
     weyl_group_degrees,
     weyl_multiply,
 )
@@ -201,9 +204,9 @@ def test_bruhat_examples():
     W = group("A2")
     w0 = W.longest_element((1, 2))
     for w in W.all_elements():
-        assert W.bruhat_leq(W.identity, w)
-    assert not W.bruhat_leq(W.simple_reflection(1), W.simple_reflection(2))
-    assert W.bruhat_leq(W.from_word((1, 2)), w0)
+        assert bruhat_leq(W, W.identity, w)
+    assert not bruhat_leq(W, W.simple_reflection(1), W.simple_reflection(2))
+    assert bruhat_leq(W, W.from_word((1, 2)), w0)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
@@ -213,7 +216,53 @@ def test_bruhat_against_subword_product_oracle(name):
     for w in elements:
         lower = bruhat_lower_set(W, w)
         for v in elements:
-            assert W.bruhat_leq(v, w) == (v in lower)
+            assert bruhat_leq(W, v, w) == (v in lower)
+
+
+def _swept(name):
+    W = group(name)
+    return W, W.elements_up_to_length(
+        _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3))
+
+
+@pytest.mark.parametrize("name,whole", [
+    *((name, False) for name in DEFAULT_SUITE + ("A2+A1",)),
+    ("A3", True), ("B3", True), ("G2", True)])
+def test_bruhat_intervals_match_subword_criterion(name, whole):
+    # the lifting recursion against the subword criterion and the products
+    # of subwords, on the elements the billey_welldef sweep uses (or all)
+    W, elements = _swept(name)
+    if whole:
+        elements = W.all_elements()
+    intervals = W.bruhat_intervals(elements)
+    assert set(intervals) == {w.action for w in elements}
+    for w in elements:
+        below = {v.action for v in elements if bruhat_leq(W, v, w)}
+        assert intervals[w.action] == below, (name, w)
+        assert {u.action for u in bruhat_lower_set(W, w)} == below, (name, w)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE)
+def test_reduced_words_match_right_multiply_recursion(name):
+    # the action-matrix recursion against the WeylElement one, each group
+    # with its own memo tables
+    W, elements = _swept(name)
+    oracle_group = group(name)
+    for w in elements:
+        assert W.enumerate_reduced_words(w) == \
+            right_multiply_reduced_words(oracle_group, w), (name, w)
+        assert W.count_reduced_words(w) == \
+            right_multiply_word_count(oracle_group, w), (name, w)
+
+
+def test_reduced_words_of_every_v_K_of_E6_match_right_multiply_recursion():
+    W, oracle_group = group("E6"), group("E6")
+    for mask in range(1 << 6):
+        v = W.v_K(tuple(i + 1 for i in range(6) if mask >> i & 1))
+        assert W.count_reduced_words(v) == \
+            right_multiply_word_count(oracle_group, v), v
+        assert W.enumerate_reduced_words(v) == \
+            right_multiply_reduced_words(oracle_group, v), v
 
 
 def test_word_serialization():
