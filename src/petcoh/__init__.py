@@ -18,7 +18,7 @@ from .commalg import (
     zero_set_via_minors,
 )
 from .errors import IntegrityError, ResourceCapError
-from .peterson import FixedPoint, PetersonClass, PetersonModel
+from .peterson import FixedPoint, PetersonModel
 from .report import CertificationReport, CheckRecord
 from .roots import (
     CartanMatrix,
@@ -40,7 +40,6 @@ __all__ = [
     "Ideal",
     "IntegrityError",
     "LieType",
-    "PetersonClass",
     "PetersonModel",
     "Poly",
     "ResourceCapError",

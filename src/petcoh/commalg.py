@@ -1,10 +1,12 @@
-"""The package's exact algebra kernel.
+"""The package's exact algebra kernel, in integers throughout.
 
 One polynomial class and one echelon form serve every layer:
 
 - ``Poly``, multivariate, for polynomials in the simple roots (Billey's
   formula) and in Q[x_1..x_n, t] (the quadric presentation); a value
-  restricted to the circle is a ``Poly`` in the one variable t;
+  restricted to the circle is a ``Poly`` in the one variable t.  A
+  ``Poly`` keeps the coefficients it is given, and every one the package
+  builds has int coefficients;
 - ``IntegerEchelon``, an incremental echelon form of primitive integer
   rows, for the graded ranks of the restriction model; positive
   definiteness (``leading_minors_positive``) runs its own fraction-free
@@ -28,15 +30,16 @@ installed along the lines of Gebauer and Moeller (J. Symbolic Comput. 6,
 - pending pairs sit in a heap keyed by (order key of the lcm, pair); an
   lcm never changes, so the heap pops pairs in exactly the order of a
   minimum scan over all of them;
-- every reduction (``normal_form`` and the Buchberger loop share it) is
-  fraction-free: it runs in place on one dict of integer coefficients,
-  divides by primitive integer basis elements, cancels each leading term
-  by cross-multiplication and keeps the running scale; the next leading
-  monomial comes from a heap.  At every step the integer state is a
-  positive rational multiple of the state of the same division in
-  Fractions, so the same leading monomials are reached, the same pairs
-  are treated in the same order and the reduced bases, made monic in
-  Fractions at the end, equal the Fraction algorithm's term for term;
+- every reduction is fraction-free: ``_reduce`` runs in place on one dict
+  of integer coefficients, divides by primitive integer basis elements,
+  cancels each leading term by cross-multiplication and keeps the running
+  scale; the next leading monomial comes from a heap.  At every step the
+  integer state is a positive rational multiple of the state of the same
+  division over the rationals, so the same leading monomials are reached
+  and the same pairs are treated in the same order.  The reduced basis
+  comes out as primitive integer polynomials with positive leading
+  coefficients; made monic, it is the rational reduced basis term for
+  term.  Only its leading monomials are read downstream;
 - each (ideal, order) is computed once per process, so the checks that
   need the same basis share it.
 
@@ -47,10 +50,9 @@ other module can build on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, neg, sub
 from typing import TYPE_CHECKING
 
@@ -102,19 +104,15 @@ def _mono_div(a, b):
 # polynomials
 
 class Poly:
-    """Multivariate polynomial: exponent tuple -> nonzero Fraction; the zero
-    polynomial has no terms."""
+    """Multivariate polynomial: exponent tuple -> nonzero coefficient, kept
+    as given (every polynomial the package builds has int coefficients);
+    the zero polynomial has no terms."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+        self.terms = {tuple(exps): c for exps, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -139,38 +137,6 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + c
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps, Fraction(0)) - c
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return Poly(self.nvars, out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = _mono_mul(e1, e2)
-                acc = out.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
-        return Poly(self.nvars, out)
-
     def leading(self, key):
         """(exponents, coefficient) of the leading term under the order key."""
         exps = max(self.terms, key=key)
@@ -188,31 +154,6 @@ class Poly:
     def graded_degree(self) -> int:
         """Cohomological degree: twice the total degree."""
         return 2 * self.total_degree()
-
-    def sorted_terms(self, key):
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
-
-    def as_term_list(self, key=grevlex_key):
-        """Serialization: descending [(exponents, numerator, denominator)]."""
-        return [
-            [list(e), c.numerator, c.denominator]
-            for e, c in self.sorted_terms(key)
-        ]
-
-    def render(self, var_names, key=grevlex_key) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms(key):
-            mono = "*".join(
-                f"{var_names[i]}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e) if k)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
-
-    def __repr__(self):
-        names = [f"z{i+1}" for i in range(self.nvars)]
-        return f"Poly({self.render(names)})"
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +246,6 @@ class Ideal:
     def nvars(self) -> int:
         return len(self.var_names)
 
-    def to_json(self):
-        return {
-            "variables": list(self.var_names),
-            "generators": [g.as_term_list() for g in self.generators],
-        }
-
 
 def x_var_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
@@ -323,7 +258,7 @@ def _quadric_ideal(cartan: CartanMatrix, with_t: bool) -> Ideal:
     nvars = n + 1 if with_t else n
     gens = []
     for i in range(1, n + 1):
-        terms: dict[tuple, Fraction] = {}
+        terms: dict[tuple, int] = {}
         for j in range(1, n + 1):
             a_ij = cartan.a(i, j)
             if not a_ij:
@@ -332,12 +267,12 @@ def _quadric_ideal(cartan: CartanMatrix, with_t: bool) -> Ideal:
             exps[i - 1] += 1
             exps[j - 1] += 1
             key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + a_ij
+            terms[key] = terms.get(key, 0) + a_ij
         if with_t:
             exps = [0] * nvars
             exps[i - 1] = 1
             exps[n] = 1
-            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) - 2
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) - 2
         gens.append(Poly(nvars, terms))
     return Ideal(x_var_names(n) + (("t",) if with_t else ()), tuple(gens))
 
@@ -356,35 +291,18 @@ def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def normal_form(p: Poly, basis, key) -> Poly:
-    """Remainder of p on division by the basis (full reduction).
-
-    The division runs on integers: p is split into its content and a
-    primitive integer polynomial, each divisor enters in its primitive
-    integer form (scaling a divisor leaves the remainder unchanged), and
-    the integer remainder is divided by the running scale and multiplied by
-    the content at the end."""
-    num, den, terms = _primitive(p.terms)
-    reducers = [_reducer(g.terms, key) for g in basis if g]
-    remainder, scale = _reduce(terms, reducers, key)
-    factor = Fraction(num, den * scale)
-    return Poly(p.nvars, {e: c * factor for e, c in remainder.items()})
-
-
-def _primitive(terms) -> tuple[int, int, dict]:
-    """(num, den, ints): the given rational (or integer) terms are num / den
-    times the integer terms ints of content 1."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    num = gcd(*ints.values())
-    return num, den, {e: c // num for e, c in ints.items()}
+def _primitive(terms) -> dict:
+    """The integer terms divided by their content (the gcd of all of
+    them)."""
+    g = gcd(*terms.values())
+    return {e: c // g for e, c in terms.items()}
 
 
 def _reducer(terms, key) -> tuple:
     """(leading monomial, leading coefficient, tail terms) of the primitive
-    integer form of nonzero rational (or integer) terms, negated if need be
-    so that the leading coefficient is positive."""
-    terms = _primitive(terms)[2]
+    form of nonzero integer terms, negated if need be so that the leading
+    coefficient is positive."""
+    terms = _primitive(terms)
     lead = max(terms, key=key)
     sign = 1 if terms[lead] > 0 else -1
     return (lead, sign * terms[lead],
@@ -470,7 +388,9 @@ def s_polynomial(f, g) -> dict:
 
 
 def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
-    """Reduced Groebner basis, deterministic for a fixed order.
+    """Reduced Groebner basis, deterministic for a fixed order: each element
+    a primitive integer polynomial with a positive leading coefficient (the
+    monic reduced basis, cleared of its denominators).
 
     Pairs are treated smallest lcm first; a pair is dropped when its leading
     monomials are coprime, or when some third basis element divides the lcm
@@ -524,8 +444,9 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
 
 
 def _reduce_basis(basis, key, nvars) -> list[Poly]:
-    """Minimalize then tail-reduce ``_reducer`` triples; output monic Polys,
-    sorted by leading monomial, largest first."""
+    """Minimalize then tail-reduce ``_reducer`` triples; output primitive
+    integer Polys with a positive leading coefficient, sorted by leading
+    monomial, largest first."""
     minimal = []
     for r in sorted(basis, key=lambda r: key(r[0])):
         if not any(_divides(h[0], r[0]) for h in minimal):
@@ -535,10 +456,8 @@ def _reduce_basis(basis, key, nvars) -> list[Poly]:
         # no other minimal leading monomial divides this one, so only the
         # tail reduces, and the lead ends up as lc times the scale
         remainder, scale = _reduce(dict(tail), minimal[:idx] + minimal[idx + 1:], key)
-        lc *= scale
-        terms = {lead: 1}
-        terms.update((e, Fraction(c, lc)) for e, c in remainder.items())
-        reduced.append(Poly(nvars, terms))
+        remainder[lead] = lc * scale
+        reduced.append(Poly(nvars, _primitive(remainder)))
     # minimal leading monomials are distinct and ascending
     return reduced[::-1]
 

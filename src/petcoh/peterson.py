@@ -6,23 +6,24 @@ contributing the longest element w_K of its parabolic subgroup.  The
 classes p_v are restrictions of equivariant Schubert classes to each w_K,
 with every simple root sent to t; every such value is an integer multiple
 of t^l(v), and ``billey.restricted_table`` computes that integer directly.
-A class is therefore a degree and one integer per fixed point, standing for
-(that integer) * t^degree; the ring structure is pointwise, and degrees add
-under multiplication.
 
-The ring itself is represented purely by these classes (the restriction map
-to the fixed points is injective), so every identity below is checked
-pointwise.  The classes p_{v_J} of all node subsets J are built together on
-first use, with one restricted table per fixed point.  The Monk and
-Giambelli identities have rational coefficients; each is checked with its
-denominators cleared, so every class the checks build holds integers only.
+The ring itself is represented purely by these values (the restriction map
+to the fixed points is injective), and the model keeps one row of ints per
+class: row k holds the integers c_L with p_{v_K}(w_L) = c_L t^|K|, for
+K = ``subsets[k]`` and every fixed point L.  The rows are built together on
+first use, with one restricted table per fixed point.  Every identity
+checked below is homogeneous in t, so it is compared at t = 1, pointwise on
+the rows.  The Monk and Giambelli identities have rational coefficients;
+each is checked with its denominators cleared, so the comparison stays in
+the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import compress
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -40,7 +41,11 @@ class FixedPoint:
 
     K: tuple[int, ...]
     w_K: WeylElement
-    index: int
+
+
+def _row_product(rows) -> tuple[int, ...]:
+    """The pointwise product of one or more rows."""
+    return tuple(reduce(partial(map, mul), rows))
 
 
 def subsets_by_size(n: int):
@@ -49,72 +54,13 @@ def subsets_by_size(n: int):
     return [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
 
 
-class PetersonClass:
-    """A class in the restriction model: ``values[k] * t^degree`` at the
-    k-th fixed point."""
-
-    __slots__ = ("model", "degree", "values")
-
-    def __init__(self, model: "PetersonModel", degree: int, values):
-        values = tuple(values)
-        if len(values) != len(model.fixed_points):
-            raise ValueError("value tuple does not match the fixed-point set")
-        self.model = model
-        self.degree = degree
-        self.values = values
-
-    def _check_compatible(self, other: "PetersonClass"):
-        if self.model.subsets != other.model.subsets or \
-                self.model.cartan != other.model.cartan:
-            raise ValueError("classes live over different fixed-point sets")
-
-    def __eq__(self, other):
-        # zero is zero in every degree
-        return (isinstance(other, PetersonClass) and self.values == other.values
-                and (self.degree == other.degree or self.is_zero()))
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def _sum(self, other, sign):
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add classes of degrees {self.degree} "
-                             f"and {other.degree}")
-        return PetersonClass(self.model, self.degree, (
-            a + sign * b for a, b in zip(self.values, other.values)))
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        return PetersonClass(self.model, self.degree + other.degree,
-                             (a * b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c, power: int = 0) -> "PetersonClass":
-        """Multiply by c * t^power.  The checks pass integers only, so the
-        classes they build keep integer values."""
-        return PetersonClass(self.model, self.degree + power,
-                             (c * a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def __repr__(self):
-        return f"PetersonClass(t^{self.degree} * {list(self.values)})"
-
-
 class PetersonModel:
     """Restriction model for one (semisimple) Lie type.
 
     Fixed points are enumerated by subsets of the node set, ordered by
     (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Construction localizes nothing: the classes p_{v_J} are
-    built together on first use.
+    triangular.  Construction localizes nothing: the rows of the classes
+    p_{v_J} are built together on first use.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -123,9 +69,7 @@ class PetersonModel:
         self.subsets = tuple(subsets_by_size(cartan.rank))
         self._subset_index = {K: i for i, K in enumerate(self.subsets)}
         self.fixed_points = tuple(
-            FixedPoint(K, self.group.longest_element(K), i)
-            for i, K in enumerate(self.subsets)
-        )
+            FixedPoint(K, self.group.longest_element(K)) for K in self.subsets)
 
     @property
     def rank(self) -> int:
@@ -137,23 +81,26 @@ class PetersonModel:
     def subset_index(self, K) -> int:
         return self._subset_index[tuple(sorted(set(K)))]
 
-    def one(self) -> PetersonClass:
-        return PetersonClass(self, 0, (1 for _ in self.fixed_points))
+    def one(self) -> tuple[int, ...]:
+        """The row of the class 1, of degree 0."""
+        return (1,) * len(self.fixed_points)
 
     @cached_property
-    def _subset_classes(self) -> tuple[PetersonClass, ...]:
-        """p_{v_J} for every J, one restricted table per fixed point."""
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row k: p_{v_K}(w_L) / t^|K| at every fixed point L, for
+        K = subsets[k]; one restricted table per fixed point."""
         targets = [self.group.v_K(J) for J in self.subsets]
         columns = [restricted_table(self.group, targets, fp.w_K)
                    for fp in self.fixed_points]
-        return tuple(PetersonClass(self, v.length, (c[v] for c in columns))
-                     for v in targets)
+        return tuple(tuple(c[v] for c in columns) for v in targets)
 
-    def subset_class(self, K) -> PetersonClass:
-        """p_{v_K} for the ascending product v_K of the reflections in K."""
-        return self._subset_classes[self.subset_index(K)]
+    def subset_class(self, K) -> tuple[int, ...]:
+        """The row of p_{v_K}, of degree |K|, for the ascending product v_K
+        of the reflections in K."""
+        return self._rows[self.subset_index(K)]
 
-    def simple_class(self, i: int) -> PetersonClass:
+    def simple_class(self, i: int) -> tuple[int, ...]:
+        """The row of p_{s_i}, of degree 1."""
         return self.subset_class((i,))
 
     # -- Monk rule -------------------------------------------------------
@@ -172,13 +119,12 @@ class PetersonModel:
         if not (set(K) < set(J) and len(J) == len(K) + 1):
             raise ValueError("expected a cover: K subset of J with |J| = |K|+1")
         k, j = self._subset_index[K], self._subset_index[J]
-        p_i = self.simple_class(i).values
-        denominator = self._subset_classes[j].values[j]
+        p_i = self.simple_class(i)
+        denominator = self._rows[j][j]
         if not denominator:
             raise IntegrityError(
                 f"Monk division by zero for i={i}, K={K}, J={J}")
-        return Fraction((p_i[j] - p_i[k]) * self._subset_classes[k].values[j],
-                        denominator)
+        return Fraction((p_i[j] - p_i[k]) * self._rows[k][j], denominator)
 
     def _covers(self, K: tuple[int, ...]) -> list[tuple[int, ...]]:
         return [tuple(sorted(K + (j,))) for j in self.cartan.nodes()
@@ -187,28 +133,27 @@ class PetersonModel:
     @cached_property
     def _monk_support(self) -> tuple[tuple[int, ...], ...]:
         """Per subset index of K, the fixed points at which p_{v_K} or
-        p_{v_J} for some cover J of K is nonzero, read off their values."""
-        nonzero = {K: {L for L, c in enumerate(cls.values) if c}
-                   for K, cls in zip(self.subsets, self._subset_classes)}
+        p_{v_J} for some cover J of K is nonzero, read off the rows."""
+        nonzero = {K: {L for L, c in enumerate(row) if c}
+                   for K, row in zip(self.subsets, self._rows)}
         return tuple(tuple(sorted(nonzero[K].union(
             *map(nonzero.get, self._covers(K))))) for K in self.subsets)
 
     def verify_monk(self, i: int, K) -> CheckRecord:
         """Check p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c_J p_{v_J},
         both sides multiplied by the lcm D of the denominators of the c_J so
-        that every value is an integer.  The sides are compared on the value
-        tuples at the fixed points of ``_monk_support`` only: every term has
+        that every value is an integer.  The sides are compared on the rows
+        at the fixed points of ``_monk_support`` only: every term has
         p_{v_K} or some p_{v_J} as a factor, so elsewhere both sides are 0."""
         K = tuple(sorted(set(K)))
         k = self._subset_index[K]
-        classes = self._subset_classes
-        p_i = self.simple_class(i).values
-        p_K = classes[k].values
+        rows = self._rows
+        p_i = self.simple_class(i)
+        p_K = rows[k]
         covers = self._covers(K)
         cs = [self.monk_coefficient(i, K, J) for J in covers]
         D = lcm(*(c.denominator for c in cs))
-        terms = [(classes[self._subset_index[J]].values,
-                  D // c.denominator * c.numerator)
+        terms = [(rows[self._subset_index[J]], D // c.denominator * c.numerator)
                  for J, c in zip(covers, cs) if c]
         passed = all(
             D * p_i[L] * p_K[L] == D * p_i[k] * p_K[L] + sum(
@@ -232,26 +177,24 @@ class PetersonModel:
 
     def verify_giambelli(self, K) -> CheckRecord:
         """Check (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}
-        for a connected node set K."""
+        for a connected node set K, as |K|! p_{v_K} = #words prod p_{s_i}
+        on the rows."""
         K = tuple(sorted(set(K)))
         if not self.cartan.is_connected(K):
             raise ValueError(
                 f"K={K} is not connected; use verify_disconnected_product "
                 "for split node sets")
-        v = self.group.v_K(K)
-        n_words = self.group.count_reduced_words(v)
-        rhs = self.one()
-        for i in K:
-            rhs = rhs * self.simple_class(i)
-        # both sides times #words keeps the check in integers
-        passed = self.subset_class(K).scale(factorial(len(K))) == \
-            rhs.scale(n_words)
+        n_words = self.group.count_reduced_words(self.group.v_K(K))
+        k_factorial = factorial(len(K))
+        product = _row_product(self.simple_class(i) for i in K)
+        passed = [k_factorial * c for c in self.subset_class(K)] == \
+            [n_words * c for c in product]
         return CheckRecord(
             check="giambelli",
             lie_type=self.type_name(),
             passed=passed,
             parameters={"K": list(K)},
-            witnesses={"coefficient": Fraction(factorial(len(K)), n_words),
+            witnesses={"coefficient": Fraction(k_factorial, n_words),
                        "reduced_words": n_words},
         )
 
@@ -259,6 +202,8 @@ class PetersonModel:
         """Check p_{v_K} = prod_C p_{v_C} for a node set K given as its
         connected components C (the product rule for disconnected K).
         Empty parts are the degenerate identity p_{v_{()}} = 1."""
+        if not parts:
+            raise ValueError("expected at least one part")
         parts = [tuple(sorted(set(C))) for C in parts]
         union = tuple(sorted(set().union(*parts)))
         if sum(map(len, parts)) != len(union):
@@ -271,13 +216,12 @@ class PetersonModel:
                 len(self.cartan.connected_components(union)) != len(components):
             raise ValueError("the parts must be the components of a "
                              "disconnected union")
-        rhs = self.one()
-        for C in parts:
-            rhs = rhs * self.subset_class(C)
+        passed = self.subset_class(union) == \
+            _row_product(self.subset_class(C) for C in parts)
         return CheckRecord(
             check="disconnected_product",
             lie_type=self.type_name(),
-            passed=self.subset_class(union) == rhs,
+            passed=passed,
             parameters={"parts": [list(C) for C in parts]},
             witnesses={"union": list(union)},
         )
@@ -286,14 +230,14 @@ class PetersonModel:
 
     def verify_basis_triangular(self) -> CheckRecord:
         """Upper triangularity with nonzero diagonal, plus the support
-        condition p_{v_K}(w_J) = 0 whenever K is not contained in J."""
-        rows = [self.subset_class(K).values for K in self.subsets]
-        ok_support = not any(
-            rows[r][c] for r, K in enumerate(self.subsets)
-            for c, J in enumerate(self.subsets) if not set(K) <= set(J))
-        ok_triangular = not any(rows[r][c] for r in range(len(rows))
-                                for c in range(r))
-        ok_diagonal = all(rows[r][r] for r in range(len(rows)))
+        condition p_{v_K}(w_J) = 0 whenever K is not contained in J, read
+        off the subset bitmasks: K is in J iff mask(K) & ~mask(J) is 0."""
+        rows = self._rows
+        masks = [sum(1 << i for i in K) for K in self.subsets]
+        ok_support = not any(m & ~M for m, row in zip(masks, rows)
+                             for M in compress(masks, row))
+        ok_triangular = not any(any(row[:r]) for r, row in enumerate(rows))
+        ok_diagonal = all(row[r] for r, row in enumerate(rows))
         return CheckRecord(
             check="basis",
             lie_type=self.type_name(),
@@ -312,19 +256,18 @@ class PetersonModel:
 
     # -- quadratic relations -------------------------------------------------
 
-    def quadratic_combination(self, i: int) -> PetersonClass:
-        """sum_j <alpha_i, alpha_j> p_{s_i} p_{s_j} - 2 t p_{s_i}."""
+    def quadratic_combination(self, i: int) -> tuple[int, ...]:
+        """sum_j <alpha_i, alpha_j> p_{s_i} p_{s_j} - 2 t p_{s_i}, of
+        degree 2, as its row."""
         p_i = self.simple_class(i)
-        acc = p_i.scale(-2, 1)
-        for j in self.cartan.nodes():
-            a_ij = self.cartan.a(i, j)
-            if a_ij:
-                acc = acc + (p_i * self.simple_class(j)).scale(a_ij)
-        return acc
+        terms = [(a_ij, self.simple_class(j)) for j in self.cartan.nodes()
+                 if (a_ij := self.cartan.a(i, j))]
+        return tuple(c * (sum(a_ij * p_j[L] for a_ij, p_j in terms) - 2)
+                     for L, c in enumerate(p_i))
 
     def verify_quadratic_relations(self) -> CheckRecord:
-        residuals = {i: self.quadratic_combination(i) for i in self.cartan.nodes()}
-        failing = sorted(i for i, r in residuals.items() if not r.is_zero())
+        failing = [i for i in self.cartan.nodes()
+                   if any(self.quadratic_combination(i))]
         return CheckRecord(
             check="quadratic",
             lie_type=self.type_name(),
@@ -351,8 +294,8 @@ class PetersonModel:
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
-        simple = [self.simple_class(i).values for i in self.cartan.nodes()]
-        one = self.one().values
+        simple = [self.simple_class(i) for i in self.cartan.nodes()]
+        one = self.one()
         echelon = IntegerEchelon()
         echelon.insert(one)
         new, dims = [one], [1]

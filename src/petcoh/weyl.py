@@ -16,6 +16,9 @@ from .roots import CartanMatrix, simple_reflection_action
 
 DEFAULT_REDUCED_WORD_CAP = 16
 
+# the most elements a bounded enumeration of the group may produce
+ELEMENT_CAP = 200_000
+
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
@@ -254,7 +257,7 @@ class WeylGroup:
 
     # -- bounded enumeration of the group ---------------------------------
 
-    def elements_up_to_length(self, max_length: int, limit: int = 200_000):
+    def elements_up_to_length(self, max_length: int):
         """All elements of length <= max_length, BFS order (layer by layer)."""
         seen = {self.identity.action}
         layer = [self.identity]
@@ -268,16 +271,16 @@ class WeylGroup:
                         if u.action not in seen:
                             seen.add(u.action)
                             nxt.append(u)
-                            if len(seen) > limit:
+                            if len(seen) > ELEMENT_CAP:
                                 raise ResourceCapError(
-                                    f"group enumeration exceeded {limit} elements")
+                                    "group enumeration exceeded "
+                                    f"{ELEMENT_CAP} elements")
             out.extend(nxt)
             layer = nxt
             if not layer:
                 break
         return out
 
-    def all_elements(self, limit: int = 200_000):
-        """The whole group; guarded by an element-count cap."""
-        n_pos = len(self.cartan.positive_roots())
-        return self.elements_up_to_length(n_pos, limit=limit)
+    def all_elements(self):
+        """The whole group; guarded by ``ELEMENT_CAP``."""
+        return self.elements_up_to_length(len(self.cartan.positive_roots()))

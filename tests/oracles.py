@@ -232,6 +232,78 @@ def has_skips(report) -> bool:
     return any(r.skipped for r in report.records)
 
 
+class PetersonClass:
+    """A class in the restriction model: ``values[k] * t^degree`` at the
+    k-th fixed point, with its own ring arithmetic.  The reference for the
+    model's checks, which compare int rows at t = 1 instead."""
+
+    __slots__ = ("model", "degree", "values")
+
+    def __init__(self, model, degree: int, values):
+        values = tuple(values)
+        if len(values) != len(model.fixed_points):
+            raise ValueError("value tuple does not match the fixed-point set")
+        self.model = model
+        self.degree = degree
+        self.values = values
+
+    def _check_compatible(self, other: "PetersonClass"):
+        if self.model.subsets != other.model.subsets or \
+                self.model.cartan != other.model.cartan:
+            raise ValueError("classes live over different fixed-point sets")
+
+    def __eq__(self, other):
+        # zero is zero in every degree
+        return (isinstance(other, PetersonClass) and self.values == other.values
+                and (self.degree == other.degree or self.is_zero()))
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        self._check_compatible(other)
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add classes of degrees {self.degree} "
+                             f"and {other.degree}")
+        return PetersonClass(self.model, self.degree, (
+            a + sign * b for a, b in zip(self.values, other.values)))
+
+    def __mul__(self, other):
+        self._check_compatible(other)
+        return PetersonClass(self.model, self.degree + other.degree,
+                             (a * b for a, b in zip(self.values, other.values)))
+
+    def scale(self, c, power: int = 0) -> "PetersonClass":
+        """Multiply by c * t^power."""
+        return PetersonClass(self.model, self.degree + power,
+                             (c * a for a in self.values))
+
+    def is_zero(self) -> bool:
+        return not any(self.values)
+
+    def __repr__(self):
+        return f"PetersonClass(t^{self.degree} * {list(self.values)})"
+
+
+def subset_class(model, K) -> PetersonClass:
+    """p_{v_K} as a ``PetersonClass``: the model's row, of degree |K|."""
+    return PetersonClass(model, len(set(K)), model.subset_class(K))
+
+
+def simple_class(model, i: int) -> PetersonClass:
+    return subset_class(model, (i,))
+
+
+def one_class(model) -> PetersonClass:
+    return PetersonClass(model, 0, model.one())
+
+
 def class_value(cls, K):
     """Restriction of a ``PetersonClass`` at the fixed point w_K:
     c * t^degree as a polynomial in the one variable t, the ring that
@@ -244,8 +316,103 @@ def class_value(cls, K):
 def basis_matrix(model):
     """Matrix of p_{v_K}(w_J) as polynomials in t, with rows K and columns J
     in the model's fixed subset order."""
-    return [[class_value(model.subset_class(K), J) for J in model.subsets]
+    return [[class_value(subset_class(model, K), J) for J in model.subsets]
             for K in model.subsets]
+
+
+def class_verify_quadratic(model):
+    """The ``quadratic`` record by ``PetersonClass`` arithmetic: each
+    residual sum_j a_ij p_i p_j - 2 t p_i built as a class."""
+    from petcoh.report import CheckRecord
+
+    failing = []
+    for i in model.cartan.nodes():
+        p_i = simple_class(model, i)
+        acc = p_i.scale(-2, 1)
+        for j in model.cartan.nodes():
+            if model.cartan.a(i, j):
+                acc = acc + (p_i * simple_class(model, j)).scale(model.cartan.a(i, j))
+        if not acc.is_zero():
+            failing.append(i)
+    return CheckRecord(
+        check="quadratic",
+        lie_type=model.type_name(),
+        passed=not failing,
+        parameters={"relations": model.rank},
+        witnesses={"failing_rows": failing},
+    )
+
+
+def class_check_giambelli(model):
+    """The ``giambelli`` check record by ``PetersonClass`` arithmetic: a
+    connected K by |K|! p_{v_K} = #words prod p_{s_i}, a disconnected one
+    by p_{v_K} = prod_C p_{v_C} over its components, both as classes."""
+    from math import factorial
+
+    from petcoh.report import CheckRecord
+
+    cartan = model.cartan
+    coefficients, products, failures = [], [], []
+    for K in model.subsets[1:]:
+        components = cartan.connected_components(K)
+        if len(components) == 1:
+            n_words = model.group.count_reduced_words(model.group.v_K(K))
+            rhs = one_class(model)
+            for i in K:
+                rhs = rhs * simple_class(model, i)
+            passed = subset_class(model, K).scale(factorial(len(K))) == \
+                rhs.scale(n_words)
+            coefficients.append({"K": list(K),
+                                 "coefficient": Q(factorial(len(K)), n_words),
+                                 "reduced_words": n_words})
+            kind = "giambelli"
+        else:
+            rhs = one_class(model)
+            for C in components:
+                rhs = rhs * subset_class(model, C)
+            passed = subset_class(model, K) == rhs
+            products.append({"K": list(K),
+                             "components": [list(C) for C in components]})
+            kind = "disconnected_product"
+        if not passed:
+            failures.append({"kind": kind, "K": list(K)})
+    return CheckRecord(
+        check="giambelli",
+        lie_type=model.type_name(),
+        passed=not failures,
+        parameters={"connected_subsets": len(coefficients),
+                    "disconnected_subsets": len(products)},
+        witnesses={"coefficients": coefficients, "products": products,
+                   "failures": failures},
+    )
+
+
+def class_verify_basis(model):
+    """The ``basis`` record with the support condition decided by
+    ``set(K) <= set(J)`` for every pair of subsets, on class values."""
+    from petcoh.report import CheckRecord
+
+    rows = [subset_class(model, K).values for K in model.subsets]
+    ok_support = not any(
+        rows[r][c] for r, K in enumerate(model.subsets)
+        for c, J in enumerate(model.subsets) if not set(K) <= set(J))
+    ok_triangular = not any(rows[r][c] for r in range(len(rows))
+                            for c in range(r))
+    ok_diagonal = all(rows[r][r] for r in range(len(rows)))
+    return CheckRecord(
+        check="basis",
+        lie_type=model.type_name(),
+        passed=ok_support and ok_triangular and ok_diagonal,
+        parameters={"size": len(model.subsets)},
+        witnesses={
+            "upper_triangular": ok_triangular,
+            "support_condition": ok_support,
+            "diagonal_nonzero": ok_diagonal,
+            "diagonal": [["0/1"] * len(K) + [f"{rows[r][r]}/1"]
+                         if rows[r][r] else []
+                         for r, K in enumerate(model.subsets)],
+        },
+    )
 
 
 def series_prefix(numer: list[int], denom: list[int], count: int) -> list[int]:
@@ -419,8 +586,8 @@ def all_monomials_graded_dims(model, cutoff_degree: int, rank=None) -> list[int]
     truth for the frontier recursion.  ``rank`` defaults to the pivoting
     Bareiss rank and can be swapped for another rank function."""
     rank = rank or (lambda rows: len(bareiss_pivots(rows)))
-    ones = model.one().values
-    simple = [model.simple_class(i).values for i in model.cartan.nodes()]
+    ones = model.one()
+    simple = [model.simple_class(i) for i in model.cartan.nodes()]
     dims = []
     for d in range(cutoff_degree // 2 + 1):
         rows = []
@@ -507,8 +674,8 @@ def subword_localization(group, v, w):
             continue
         term = Poly.one(cartan.rank)
         for p in positions:
-            term = term * factors[p]
-        total = total + term
+            term = poly_product(term, factors[p])
+        total = poly_sum(total, term)
     return total
 
 
@@ -593,8 +760,8 @@ def fraction_verify_monk(model, i: int, K):
     from petcoh.report import CheckRecord
 
     K = tuple(sorted(set(K)))
-    p_i = model.simple_class(i)
-    p_K = model.subset_class(K)
+    p_i = simple_class(model, i)
+    p_K = subset_class(model, K)
     lhs = p_i * p_K
     rhs = p_K.scale(p_i.values[model.subset_index(K)], p_i.degree)
     coeffs = []
@@ -605,7 +772,7 @@ def fraction_verify_monk(model, i: int, K):
         c = model.monk_coefficient(i, K, J)
         coeffs.append({"J": list(J), "coefficient": c})
         if c:
-            rhs = rhs + model.subset_class(J).scale(c)
+            rhs = rhs + subset_class(model, J).scale(c)
     passed = lhs == rhs
     nonneg = all(item["coefficient"] >= 0 for item in coeffs)
     return CheckRecord(
@@ -629,8 +796,8 @@ def verify_monk_full(model, i: int, K):
     from petcoh.report import CheckRecord
 
     K = tuple(sorted(set(K)))
-    p_i = model.simple_class(i)
-    p_K = model.subset_class(K)
+    p_i = simple_class(model, i)
+    p_K = subset_class(model, K)
     covers = [tuple(sorted(K + (j,)))
               for j in model.cartan.nodes() if j not in K]
     cs = [model.monk_coefficient(i, K, J) for J in covers]
@@ -639,7 +806,7 @@ def verify_monk_full(model, i: int, K):
     rhs = p_K.scale(D * p_i.values[model.subset_index(K)], p_i.degree)
     for J, c in zip(covers, cs):
         if c:
-            rhs = rhs + model.subset_class(J).scale(
+            rhs = rhs + subset_class(model, J).scale(
                 D // c.denominator * c.numerator)
     coeffs = [{"J": list(J), "coefficient": c} for J, c in zip(covers, cs)]
     passed = lhs == rhs
@@ -668,13 +835,13 @@ def fraction_verify_giambelli(model, K):
     K = tuple(sorted(set(K)))
     n_words = model.group.count_reduced_words(model.group.v_K(K))
     coeff = Q(factorial(len(K)), n_words)
-    rhs = model.one()
+    rhs = one_class(model)
     for i in K:
-        rhs = rhs * model.simple_class(i)
+        rhs = rhs * simple_class(model, i)
     return CheckRecord(
         check="giambelli",
         lie_type=model.type_name(),
-        passed=model.subset_class(K).scale(coeff) == rhs,
+        passed=subset_class(model, K).scale(coeff) == rhs,
         parameters={"K": list(K)},
         witnesses={"coefficient": coeff, "reduced_words": n_words},
     )
@@ -682,9 +849,9 @@ def fraction_verify_giambelli(model, K):
 
 # The seed's Buchberger loop, kept as ground truth for commalg's engine.  It
 # divides in Fractions, as the seed did, where the engine divides in
-# integers.  The monomial helpers and the Poly scalings are the seed's too,
-# so the oracle shares only the Poly container and its +, - with the code it
-# checks.
+# integers.  The monomial helpers, the Poly arithmetic and the Poly scalings
+# are the seed's too, so the oracle shares only the Poly container with the
+# code it checks.
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -700,6 +867,96 @@ def _mono_mul(a, b):
 
 def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _combine(p, q, sign):
+    out = dict(p.terms)
+    for exps, c in q.terms.items():
+        acc = out.get(exps, 0) + sign * c
+        if acc:
+            out[exps] = acc
+        else:
+            out.pop(exps, None)
+    return type(p)(p.nvars, out)
+
+
+def poly_sum(p, q):
+    return _combine(p, q, 1)
+
+
+def poly_difference(p, q):
+    return _combine(p, q, -1)
+
+
+def poly_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = _mono_mul(e1, e2)
+            acc = out.get(exps, 0) + c1 * c2
+            if acc:
+                out[exps] = acc
+            else:
+                out.pop(exps, None)
+    return type(p)(p.nvars, out)
+
+
+def sorted_terms(p, key):
+    return sorted(p.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+
+
+def as_term_list(p, key=None):
+    """Serialization: descending [(exponents, numerator, denominator)],
+    grevlex by default."""
+    from petcoh.commalg import grevlex_key
+
+    return [[list(e), Q(c).numerator, Q(c).denominator]
+            for e, c in sorted_terms(p, key or grevlex_key)]
+
+
+def render(p, var_names=None, key=None) -> str:
+    """p as text, e.g. ``2*x1^2 + -1*x1*x2``; variables z1, z2, ... unless
+    named."""
+    from petcoh.commalg import grevlex_key
+
+    var_names = var_names or [f"z{i + 1}" for i in range(p.nvars)]
+    if not p.terms:
+        return "0"
+    bits = []
+    for e, c in sorted_terms(p, key or grevlex_key):
+        mono = "*".join(
+            f"{var_names[i]}" + (f"^{k}" if k > 1 else "")
+            for i, k in enumerate(e) if k)
+        bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+    return " + ".join(bits)
+
+
+def ideal_to_json(ideal):
+    return {
+        "variables": list(ideal.var_names),
+        "generators": [as_term_list(g) for g in ideal.generators],
+    }
+
+
+def _cleared(terms) -> tuple[int, dict]:
+    """(den, ints): rational terms are ints / den."""
+    den = lcm(*(Q(c).denominator for c in terms.values()))
+    return den, {e: int(c * den) for e, c in terms.items()}
+
+
+def normal_form(p, basis, key):
+    """Remainder of p on division by the basis, by the engine's integer
+    reduction ``commalg._reduce``: p and every divisor are cleared of their
+    denominators, each divisor enters in the engine's primitive form
+    (scaling a divisor leaves the remainder unchanged), and the integer
+    remainder is divided by p's denominator and the running scale."""
+    from petcoh import commalg
+
+    den, work = _cleared(p.terms)
+    reducers = [commalg._reducer(_cleared(g.terms)[1], key) for g in basis if g]
+    remainder, scale = commalg._reduce(work, reducers, key)
+    return commalg.Poly(p.nvars, {e: Q(c, den * scale)
+                                  for e, c in remainder.items()})
 
 
 def term_mul(p, coeff, exps):
@@ -731,7 +988,7 @@ def monic(p, key):
     if not p:
         return p
     lc = p.leading(key)[1]
-    return Poly(p.nvars, {e: c / lc for e, c in p.terms.items()})
+    return Poly(p.nvars, {e: Q(c) / lc for e, c in p.terms.items()})
 
 
 def oracle_normal_form(p, basis, key):
@@ -746,12 +1003,13 @@ def oracle_normal_form(p, basis, key):
         exps, coeff = work.leading(key)
         for g, (ge, gc) in leads:
             if _divides(ge, exps):
-                work = work - term_mul(g, coeff / gc, _mono_div(exps, ge))
+                work = poly_difference(
+                    work, term_mul(g, Q(coeff) / gc, _mono_div(exps, ge)))
                 break
         else:
             mono = Poly(p.nvars, {exps: coeff})
-            remainder = remainder + mono
-            work = work - mono
+            remainder = poly_sum(remainder, mono)
+            work = poly_difference(work, mono)
     return remainder
 
 
@@ -761,8 +1019,8 @@ def oracle_s_polynomial(f, g, key):
     fe, fc = f.leading(key)
     ge, gc = g.leading(key)
     lcm = _mono_lcm(fe, ge)
-    return (term_mul(f, Q(1) / fc, _mono_div(lcm, fe))
-            - term_mul(g, Q(1) / gc, _mono_div(lcm, ge)))
+    return poly_difference(term_mul(f, Q(1) / fc, _mono_div(lcm, fe)),
+                           term_mul(g, Q(1) / gc, _mono_div(lcm, ge)))
 
 
 def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):

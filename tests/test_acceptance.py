@@ -38,8 +38,11 @@ from oracles import (
     bruhat_leq,
     brute_reduced_words,
     class_value,
+    one_class,
     poly_pow,
     series_prefix,
+    simple_class,
+    subset_class,
 )
 
 _MODELS = {}
@@ -89,7 +92,7 @@ def test_criterion_2_quadratic_relations():
             start = time.perf_counter()
             m = model(name)
             for i in m.cartan.nodes():
-                assert m.quadratic_combination(i).is_zero(), (name, i)
+                assert not any(m.quadratic_combination(i)), (name, i)
             assert time.perf_counter() - start < 5.0, f"{name} over 5s"
 
 
@@ -106,10 +109,10 @@ def test_criterion_3_giambelli():
                 if len(K) <= 3:
                     assert n_words == len(brute_reduced_words(m.group, v))
                 coeff = Fraction(factorial(len(K)), n_words)
-                lhs = m.subset_class(K).scale(coeff)
-                rhs = m.one()
+                lhs = subset_class(m, K).scale(coeff)
+                rhs = one_class(m)
                 for i in K:
-                    rhs = rhs * m.simple_class(i)
+                    rhs = rhs * simple_class(m, i)
                 assert lhs == rhs, (name, K)
         assert model("A3").verify_disconnected_product((1,), (3,)).passed
         a4 = model("A4")
@@ -184,7 +187,7 @@ def test_criterion_9_spot_values():
         for name in DEFAULT_SUITE:
             m = model(name)
             for i in m.cartan.nodes():
-                assert class_value(m.simple_class(i), (i,)) == Poly(1, {(1,): 1})
+                assert class_value(simple_class(m, i), (i,)) == Poly(1, {(1,): 1})
         # order-3 bonds: sigma_{s_i}(s_i s_j s_i) = a alpha_i - a_ij alpha_j
         for name, i, j in (("A2", 1, 2), ("A2", 2, 1), ("A3", 2, 3),
                            ("B3", 1, 2), ("F4", 3, 4)):
@@ -204,9 +207,9 @@ def test_criterion_9_spot_values():
         # G2 top fixed point: p_{s_i}(w_Delta) = (4 - 2 a_ij) t
         g2 = model("G2")
         cm = g2.cartan
-        assert class_value(g2.simple_class(1), (1, 2)) == \
+        assert class_value(simple_class(g2, 1), (1, 2)) == \
             Poly(1, {(1,): 4 - 2 * cm.a(1, 2)})
-        assert class_value(g2.simple_class(2), (1, 2)) == \
+        assert class_value(simple_class(g2, 2), (1, 2)) == \
             Poly(1, {(1,): 4 - 2 * cm.a(2, 1)})
 
 

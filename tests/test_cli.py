@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 import petcoh
-from petcoh import cli
+from petcoh import cli, peterson
 from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
@@ -38,6 +38,12 @@ def test_run_config_validation():
         RunConfig(lie_type="A1", checks=("nope",))
     with pytest.raises(ValueError):
         RunConfig(lie_type="A1", output_format="yaml")
+    # the total rank is bounded before anything is built
+    RunConfig(lie_type=f"A{cli.MAX_RANK}")
+    with pytest.raises(ValueError, match=f"total rank 40; at most {cli.MAX_RANK}"):
+        RunConfig(lie_type="A40")
+    with pytest.raises(ValueError, match="total rank"):
+        RunConfig(lie_type=f"A{cli.MAX_RANK - 1}+A2")
 
 
 def test_certification_A1_all_checks():
@@ -146,14 +152,15 @@ def test_giambelli_reaches_every_nonempty_subset(name):
 
 def test_broken_three_component_product_fails_and_does_not_certify(monkeypatch):
     # p_{v_{134}} on D4 is reached only as p_{s_1} p_{s_3} p_{s_4}; a model
-    # that gets it wrong must not certify
-    subset_class = PetersonModel.subset_class
+    # whose row for it is doubled must not certify
+    v_134 = WeylGroup(cartan_matrix("D4")).v_K((1, 3, 4))
+    table = peterson.restricted_table
 
-    def broken(self, K):
-        cls = subset_class(self, K)
-        return cls.scale(2) if tuple(sorted(K)) == (1, 3, 4) else cls
+    def broken(group, targets, w):
+        return {u: 2 * c if u == v_134 else c
+                for u, c in table(group, targets, w).items()}
 
-    monkeypatch.setattr(PetersonModel, "subset_class", broken)
+    monkeypatch.setattr(peterson, "restricted_table", broken)
     report = run_certification(RunConfig(
         lie_type="D4", checks=("quadratic", "giambelli", "basis", "hilbert")))
     by_name = {r.check: r for r in report.records}
@@ -427,9 +434,13 @@ def test_main_rejects_unknown_check():
     ["suite", "--types", "A1", "--word-cap", "-1"],
     ["certify", "--type", "A1", "--out", "/nonexistent/x.json"],
     ["suite", "--types", "A1", "--out", "/nonexistent/x.json"],
+    ["certify", "--type", "A40"],
+    ["suite", "--types", "A1,A40"],
+    ["certify", "--type", f"A{cli.MAX_RANK}+A1"],
 ], ids=["bad-type", "rank-out-of-range", "suite-bad-type",
         "suite-rank-out-of-range", "odd-cutoff", "negative-word-cap",
-        "suite-negative-word-cap", "unwritable-out", "suite-unwritable-out"])
+        "suite-negative-word-cap", "unwritable-out", "suite-unwritable-out",
+        "rank-over-max", "suite-rank-over-max", "total-rank-over-max"])
 def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     runs = []  # a suite would swallow an exception raised here
     monkeypatch.setattr(cli, "run_certification", runs.append)
@@ -441,6 +452,16 @@ def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("petcoh: error: ")
     assert "Traceback" not in captured.err
+
+
+def test_star_import_and_export_list():
+    namespace = {}
+    exec("from petcoh import *", namespace)
+    assert set(petcoh.__all__) <= set(namespace)
+    assert len(petcoh.__all__) == len(set(petcoh.__all__))
+    for name in petcoh.__all__:
+        assert getattr(petcoh, name) is namespace[name], name
+    assert "PetersonClass" not in petcoh.__all__
 
 
 def test_default_suite_contents():

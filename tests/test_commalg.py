@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petcoh import commalg, peterson
-from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
+from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification, run_suite
 from petcoh.commalg import (
     MONOMIAL_ORDERS,
     HilbertSeries,
@@ -26,7 +26,6 @@ from petcoh.commalg import (
     is_regular_sequence,
     leading_minors_positive,
     leading_term_exponents,
-    normal_form,
     order_key,
     s_polynomial,
     zero_set_is_origin,
@@ -36,16 +35,21 @@ from petcoh.roots import cartan_matrix
 
 from oracles import (
     all_monomials_graded_dims,
+    as_term_list,
     bareiss_pivots,
     buchberger_groebner_basis,
     fraction_det,
     fraction_rank,
     fraction_reduced_series,
+    ideal_to_json,
+    monic,
+    normal_form,
     normalized,
     oracle_normal_form,
     oracle_s_polynomial,
     poly_mul,
     poly_pow,
+    render,
     series_prefix,
 )
 
@@ -169,8 +173,8 @@ def test_groebner_s_polynomials_reduce_to_zero():
 
 def test_groebner_deterministic_serialization():
     ideal = build_ideal_J(cartan_matrix("B3"))
-    one = json.dumps([g.as_term_list() for g in groebner_basis(ideal)])
-    two = json.dumps([g.as_term_list() for g in groebner_basis(ideal)])
+    one = json.dumps([as_term_list(g) for g in groebner_basis(ideal)])
+    two = json.dumps([as_term_list(g) for g in groebner_basis(ideal)])
     assert one == two
 
 
@@ -178,7 +182,7 @@ def test_groebner_reduced_basis_properties():
     basis = groebner_basis(build_ideal_J(cartan_matrix("A3")))
     lead = leading_term_exponents(basis)
     for k, g in enumerate(basis):
-        assert g.leading(grevlex_key)[1] == 1  # monic
+        assert _is_primitive_integer(g, grevlex_key)
         for e in g.terms:
             for other_idx, le in enumerate(lead):
                 if other_idx != k:
@@ -196,7 +200,22 @@ ORDERINGS = sorted(MONOMIAL_ORDERS)
 
 
 def _serial(basis):
-    return json.dumps([g.as_term_list() for g in basis])
+    return json.dumps([as_term_list(g) for g in basis])
+
+
+def _is_primitive_integer(p, key) -> bool:
+    """Int coefficients of content 1, leading coefficient positive."""
+    return (all(type(c) is int for c in p.terms.values())
+            and gcd(*p.terms.values()) == 1 and p.leading(key)[1] > 0)
+
+
+def _monic_basis(ideal, ordering):
+    """The engine's basis, checked primitive and made monic, for the
+    term-for-term comparison with the Fraction oracle."""
+    key = order_key(ordering)
+    basis = groebner_basis(ideal, ordering)
+    assert all(_is_primitive_integer(g, key) for g in basis)
+    return [monic(g, key) for g in basis]
 
 
 def _quadric_ideals(name):
@@ -215,20 +234,21 @@ def _quadric_ideals(name):
 def test_groebner_matches_buchberger_oracle(name):
     for label, ideal in _quadric_ideals(name).items():
         for ordering in ORDERINGS:
-            assert _serial(groebner_basis(ideal, ordering)) == \
+            assert _serial(_monic_basis(ideal, ordering)) == \
                 _serial(buchberger_groebner_basis(ideal, ordering)), (label, ordering)
 
 
 def test_groebner_matches_buchberger_oracle_E6():
     for label, ideal in _quadric_ideals("E6").items():
         for ordering in ORDERINGS:
-            assert _serial(groebner_basis(ideal, ordering)) == \
+            assert _serial(_monic_basis(ideal, ordering)) == \
                 _serial(buchberger_groebner_basis(ideal, ordering)), (label, ordering)
 
 
 def test_groebner_matches_buchberger_oracle_E7_Jcheck():
     ideal = build_ideal_Jcheck(cartan_matrix("E7"))
-    assert _serial(groebner_basis(ideal)) == _serial(buchberger_groebner_basis(ideal))
+    assert _serial(_monic_basis(ideal, "grevlex")) == \
+        _serial(buchberger_groebner_basis(ideal))
 
 
 @st.composite
@@ -300,7 +320,7 @@ def small_ideals(draw):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(small_ideals(), st.sampled_from(ORDERINGS))
 def test_groebner_matches_oracle_on_small_ideals(ideal, ordering):
-    assert _serial(groebner_basis(ideal, ordering)) == \
+    assert _serial(_monic_basis(ideal, ordering)) == \
         _serial(buchberger_groebner_basis(ideal, ordering))
 
 
@@ -351,7 +371,7 @@ def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
         return reduce(work, reducers, key)
 
     monkeypatch.setattr(commalg, "_reduce", counting_reduce)
-    gens = (P(3, {(2, 0, 0): 1, (0, 1, 1): Fraction(-3, 7)}),
+    gens = (P(3, {(2, 0, 0): 7, (0, 1, 1): -3}),
             P(3, {(0, 3, 0): 1, (1, 0, 2): -1}))
     ideal = Ideal(("u", "v", "w"), gens)
     twin = Ideal(("u", "v", "w"), tuple(Poly(3, dict(g.terms)) for g in gens))
@@ -374,7 +394,8 @@ def test_groebner_orders_never_conflated():
         ideal = _twisted_cubic(names)
         bases = {ordering: groebner_basis(ideal, ordering) for ordering in orders}
         for ordering, basis in bases.items():
-            assert basis == buchberger_groebner_basis(ideal, ordering)
+            assert _monic_basis(ideal, ordering) == \
+                buchberger_groebner_basis(ideal, ordering)
         assert set(bases["grevlex"]) != set(bases["grlex"])
 
 
@@ -521,6 +542,27 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
                for item in _printed_series(record.witnesses)]
     assert len(printed) == 8
     assert all(item in [s.to_json() for _, _, s in built] for item in printed)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_suite(DEFAULT_SUITE),
+    lambda: run_certification(RunConfig(
+        "E6", checks=("hilbert", "regular_sequence", "zero_set"))),
+], ids=["default-suite", "E6-quadric"])
+def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
+    built = []
+    init = Poly.__init__
+
+    def recording_init(self, nvars, terms=None):
+        init(self, nvars, terms)
+        built.append(self)
+
+    monkeypatch.setattr(Poly, "__init__", recording_init)
+    commalg._groebner_basis.cache_clear()  # so that every basis is rebuilt
+    run()
+    assert any(len(p.terms) > 1 for p in built)
+    for p in built:
+        assert all(type(c) is int for c in p.terms.values()), p.terms
 
 
 # -- regular sequences ----------------------------------------------------------
@@ -717,14 +759,16 @@ def test_zero_set_oracle_agreement(name):
 
 def test_poly_normalization():
     # the oracle's Fraction normalization and the engine's integer form of
-    # the same polynomials: content split off, leading coefficient positive
+    # the same polynomials, the engine's cleared of denominators: content
+    # split off, leading coefficient positive
     p = P(2, {(2, 0): Fraction(2, 3), (1, 1): Fraction(-4, 3)})
-    assert normalized(p).terms == {(2, 0): 1, (1, 1): -2}
+    q = P(2, {(2, 0): 2, (1, 1): -4})  # 3 p
+    assert normalized(p).terms == normalized(q).terms == {(2, 0): 1, (1, 1): -2}
     assert normalized(P(1, {(1,): -3})).terms == {(1,): 1}
-    assert commalg._primitive(p.terms) == (2, 3, {(2, 0): 1, (1, 1): -2})
-    assert commalg._primitive(P(1, {(1,): -3}).terms) == (3, 1, {(1,): -1})
+    assert commalg._primitive(q.terms) == {(2, 0): 1, (1, 1): -2}
+    assert commalg._primitive(P(1, {(1,): -3}).terms) == {(1,): -1}
     assert commalg._reducer(P(1, {(1,): -3}).terms, grevlex_key) == ((1,), 1, ())
-    lead, lc, tail = commalg._reducer(p.terms, grevlex_key)
+    lead, lc, tail = commalg._reducer(q.terms, grevlex_key)
     assert (lead, lc, tail) == ((2, 0), 1, (((1, 1), -2),))
     assert all(type(c) is int for c in (lc,) + tuple(c for _, c in tail))
 
@@ -739,4 +783,19 @@ def test_poly_degrees():
 
 def test_poly_serialization_sorted():
     p = P(2, {(0, 2): Fraction(1, 2), (2, 0): 1})
-    assert p.as_term_list() == [[[2, 0], 1, 1], [[0, 2], 1, 2]]
+    assert as_term_list(p) == [[[2, 0], 1, 1], [[0, 2], 1, 2]]
+    assert render(p) == "1*z1^2 + 1/2*z2^2"
+    assert render(P(2, {})) == "0"
+    ideal = build_ideal_Jcheck(cartan_matrix("A2"))
+    assert render(ideal.generators[0], ideal.var_names) == "2*x1^2 + -1*x1*x2"
+    assert ideal_to_json(ideal) == {
+        "variables": ["x1", "x2"],
+        "generators": [[[[2, 0], 2, 1], [[1, 1], -1, 1]],
+                       [[[1, 1], -1, 1], [[0, 2], 2, 1]]]}
+
+
+def test_poly_keeps_the_coefficients_it_is_given():
+    p = P(2, {(1, 0): 3, (0, 1): Fraction(1, 2), (1, 1): 0})
+    assert p.terms == {(1, 0): 3, (0, 1): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int
+    assert type(p.terms[(0, 1)]) is Fraction

@@ -11,20 +11,28 @@ from petcoh import billey, cli, commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
 from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
-from petcoh.peterson import PetersonClass, PetersonModel, subsets_by_size
+from petcoh.peterson import PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
 
 from oracles import (
     all_monomials_graded_dims,
     basis_matrix,
     brute_reduced_words,
+    class_check_giambelli,
     class_value,
+    class_verify_basis,
+    class_verify_quadratic,
     fraction_verify_giambelli,
     fraction_verify_monk,
     is_monomial_of_degree,
+    one_class,
     per_class_restriction,
+    poly_product,
     poly_pow,
+    poly_sum,
     series_prefix,
+    simple_class,
+    subset_class,
     verify_monk_full,
 )
 
@@ -66,7 +74,7 @@ def test_fixed_points_are_parabolic_longest_elements():
 
 def test_simple_class_values():
     m = model("A2")
-    p1 = m.simple_class(1)
+    p1 = simple_class(m, 1)
     assert class_value(p1, (1,)) == t_mono(1, 1)      # p_{s_i}(s_i) = t
     assert class_value(p1, ()) == Poly.zero(1)  # vanishes at the identity
     assert class_value(p1, (2,)) == Poly.zero(1)
@@ -76,20 +84,21 @@ def test_simple_class_values():
 def test_g2_simple_class_at_top():
     m = model("G2")
     cm = m.cartan
-    assert class_value(m.simple_class(1), (1, 2)) == t_mono(4 - 2 * cm.a(1, 2), 1)
-    assert class_value(m.simple_class(2), (1, 2)) == t_mono(4 - 2 * cm.a(2, 1), 1)
+    assert class_value(simple_class(m, 1), (1, 2)) == t_mono(4 - 2 * cm.a(1, 2), 1)
+    assert class_value(simple_class(m, 2), (1, 2)) == t_mono(4 - 2 * cm.a(2, 1), 1)
 
 
 def test_class_ring_operations():
+    # the oracles' class arithmetic on the model's rows
     m = model("A2")
-    one = m.one()
-    p1 = m.simple_class(1)
+    one = one_class(m)
+    p1 = simple_class(m, 1)
     assert p1 * one == p1
     assert class_value(p1 * p1, (1,)) == t_mono(1, 2)
-    p2 = m.simple_class(2)
+    p2 = simple_class(m, 2)
     s = p1 + p2
     for K in m.subsets:
-        assert class_value(s, K) == class_value(p1, K) + class_value(p2, K)
+        assert class_value(s, K) == poly_sum(class_value(p1, K), class_value(p2, K))
     assert (p1 - p1).is_zero()
     scaled = p1.scale(1, 1)
     assert class_value(scaled, (1,)) == t_mono(1, 2)
@@ -99,15 +108,17 @@ def test_class_ring_operations():
 
 
 def test_class_degrees():
+    # a row stands for p_{v_K} of degree |K|: v_K has length |K|
     m = model("A3")
     for K in m.subsets:
-        assert m.subset_class(K).degree == len(K)
-    p1, p2 = m.simple_class(1), m.simple_class(2)
-    assert (p1 * p2).degree == 2 and m.one().degree == 0
+        assert m.group.v_K(K).length == len(K)
+        assert len(m.subset_class(K)) == len(m.fixed_points)
+    p1, p2 = simple_class(m, 1), simple_class(m, 2)
+    assert (p1 * p2).degree == 2 and one_class(m).degree == 0
     with pytest.raises(ValueError, match="degree"):
         p1 + p1 * p2
     with pytest.raises(ValueError, match="degree"):
-        p1 - m.one()
+        p1 - one_class(m)
     # zero is zero in every degree
     assert p1 - p1 == (p1 * p2).scale(0)
     assert p1 != p1.scale(1, 1)
@@ -117,16 +128,16 @@ def test_class_operations_reject_mismatched_models():
     a = model("A2")
     b = model("A3")
     with pytest.raises(ValueError):
-        a.one() + b.one()
+        one_class(a) + one_class(b)
     with pytest.raises(ValueError):
-        a.one() * b.one()
+        one_class(a) * one_class(b)
 
 
 def test_support_condition():
     for name in ("A3", "B3", "G2"):
         m = model(name)
         for K in m.subsets:
-            cls = m.subset_class(K)
+            cls = subset_class(m, K)
             for J in m.subsets:
                 if not set(K) <= set(J):
                     assert class_value(cls, J) == Poly.zero(1)
@@ -139,7 +150,7 @@ def test_classes_match_per_class_oracle(name):
     m = model(name)
     for J in m.subsets:
         expected = per_class_restriction(m, m.group.v_K(J))
-        cls = m.subset_class(J)
+        cls = subset_class(m, J)
         assert [class_value(cls, fp.K) for fp in m.fixed_points] == expected, (name, J)
 
 
@@ -190,27 +201,23 @@ def test_class_homogeneity():
     m = model("B3")
     for K in m.subsets:
         v = m.group.v_K(K)
-        cls = m.subset_class(K)
+        cls = subset_class(m, K)
         for J in m.subsets:
             assert is_monomial_of_degree(class_value(cls, J), v.length)
 
 
 @pytest.mark.parametrize("name", SUITE + ["E6"])
-def test_class_values_are_ints(name, monkeypatch):
-    # every class the restriction checks build, not only the p_{v_J}
-    built = []
-    init = PetersonClass.__init__
-
-    def recording_init(self, owner, degree, values):
-        init(self, owner, degree, values)
-        built.append(self)
-
-    monkeypatch.setattr(PetersonClass, "__init__", recording_init)
-    report = run_certification(RunConfig(name, checks=CLASS_CHECKS))
-    assert report.overall_pass
-    assert len(built) > 2 ** cartan_matrix(name).rank
-    for cls in built:
-        assert all(type(c) is int for c in cls.values), cls
+def test_class_values_are_ints(name):
+    # every row the restriction checks read, and every quadratic residual
+    m = model(name)
+    for check in CLASS_CHECKS:
+        assert cli._CHECK_FUNCTIONS[check](m, RunConfig(name)).passed, check
+    rows = [m.one()] + [m.subset_class(K) for K in m.subsets] + \
+        [m.quadratic_combination(i) for i in m.cartan.nodes()]
+    assert len(rows) == 1 + 2 ** m.rank + m.rank
+    for row in rows:
+        assert type(row) is tuple and len(row) == len(m.fixed_points)
+        assert all(type(c) is int for c in row), row
 
 
 # -- Monk --------------------------------------------------------------------
@@ -279,7 +286,7 @@ def test_monk_and_giambelli_records_match_fraction_oracle(name):
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
 def test_monk_records_match_class_arithmetic_oracle(name):
-    # value tuples compared where p_K or a cover p_J is nonzero against
+    # int rows compared where p_K or a cover p_J is nonzero against
     # PetersonClass arithmetic compared at every fixed point
     m = model(name)
     for i in m.cartan.nodes():
@@ -301,7 +308,7 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
 
     _counting_tables(monkeypatch, doctored)
     m = model("A3")
-    assert m.subset_class(K).values[m.subset_index(L)] == 1
+    assert m.subset_class(K)[m.subset_index(L)] == 1
     failing = []
     for i in m.cartan.nodes():
         for J in m.subsets:
@@ -310,6 +317,9 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
             if not rec.passed:
                 failing.append((i, J))
     assert (1, K) in failing
+    basis = m.verify_basis_triangular()
+    assert basis.to_dict() == class_verify_basis(m).to_dict()
+    assert not basis.passed and basis.witnesses["support_condition"] is False
     report = run_certification(RunConfig("A3"))
     monk = next(r for r in report.records if r.check == "monk")
     assert not monk.passed
@@ -320,18 +330,12 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A3", "G2", "D4", "A2+A1"])
 def test_check_monk_builds_no_class(name, monkeypatch):
+    # the Monk check reads the rows built once and computes no new table
     m = model(name)
-    m.subset_class(())  # builds every p_{v_J}
-    built = []
-    init = PetersonClass.__init__
-
-    def recording_init(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(PetersonClass, "__init__", recording_init)
+    m.subset_class(())  # builds every row
+    calls = _counting_tables(monkeypatch)
     assert cli._check_monk(m, RunConfig(name)).passed
-    assert built == []
+    assert calls == []
 
 
 def test_monk_off_by_a_third_fails_the_identity(monkeypatch):
@@ -424,6 +428,8 @@ def test_disconnected_product_preconditions():
         a4.verify_disconnected_product((1, 3), (4,))
     with pytest.raises(ValueError, match="disconnected"):
         model("D4").verify_disconnected_product((1,), (2,), (3,))
+    with pytest.raises(ValueError, match="at least one part"):
+        a4.verify_disconnected_product()
 
 
 # -- basis -------------------------------------------------------------------
@@ -449,10 +455,12 @@ def test_basis_triangularity(name):
 # -- quadratic relations --------------------------------------------------------
 
 def test_quadratic_relation_A1_by_hand():
+    # 2 p_1^2 - 2 t p_1 at t = 1, on the row of p_1 = (0, 1)
     m = model("A1")
     p1 = m.simple_class(1)
-    lhs = (p1 * p1).scale(2) - p1.scale(2, 1)
-    assert lhs.is_zero()
+    assert p1 == (0, 1)
+    assert [2 * c * c - 2 * c for c in p1] == [0, 0]
+    assert m.quadratic_combination(1) == (0, 0)
 
 
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])
@@ -463,7 +471,67 @@ def test_quadratic_relations(name):
 def test_quadratic_combination_is_zero_per_row():
     m = model("G2")
     for i in m.cartan.nodes():
-        assert m.quadratic_combination(i).is_zero()
+        assert m.quadratic_combination(i) == (0,) * len(m.fixed_points)
+
+
+# -- int rows against class arithmetic ---------------------------------------------
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
+def test_row_records_match_class_arithmetic_oracle(name):
+    # quadratic, giambelli (disconnected products included) and basis on
+    # the int rows at t = 1 against the same records by PetersonClass
+    # arithmetic, degrees and all
+    m = model(name)
+    config = RunConfig(name)
+    assert m.verify_quadratic_relations().to_dict() == \
+        class_verify_quadratic(m).to_dict()
+    giambelli = cli._check_giambelli(m, config)
+    assert giambelli.passed
+    assert giambelli.to_dict() == class_check_giambelli(m).to_dict()
+    assert m.verify_basis_triangular().to_dict() == class_verify_basis(m).to_dict()
+
+
+def test_one_doctored_simple_value_fails_exactly_the_affected_quadrics(monkeypatch):
+    # p_{s_2}(w_{12}) on A3 made 3 instead of 2: relation 2 fails there,
+    # and so does relation 1, whose p_{s_1}(w_{12}) = 2 meets a_12 p_{s_2};
+    # relation 3 has p_{s_3}(w_{12}) = 0 and still holds
+    group = model("A3").group
+    s_2, w_12 = group.v_K((2,)), group.longest_element((1, 2))
+
+    def doctored(u, w, c):
+        return c + 1 if (u, w) == (s_2, w_12) else c
+
+    _counting_tables(monkeypatch, doctored)
+    m = model("A3")
+    assert m.simple_class(2)[m.subset_index((1, 2))] == 3
+    rec = m.verify_quadratic_relations()
+    assert rec.to_dict() == class_verify_quadratic(m).to_dict()
+    assert not rec.passed and rec.witnesses["failing_rows"] == [1, 2]
+    report = run_certification(RunConfig("A3"))
+    quadratic = next(r for r in report.records if r.check == "quadratic")
+    assert quadratic.witnesses["failing_rows"] == [1, 2]
+    assert not report.isomorphism_certified()
+
+
+def test_one_doctored_connected_class_fails_exactly_its_giambelli(monkeypatch):
+    # p_{v_{12}}(w_{12}) on A3 off by one: only Giambelli for K = {1, 2}
+    # reads it (no disconnected A3 set has {1, 2} as a component)
+    K = (1, 2)
+    group = model("A3").group
+    v_K, w_K = group.v_K(K), group.longest_element(K)
+
+    def doctored(u, w, c):
+        return c + 1 if (u, w) == (v_K, w_K) else c
+
+    _counting_tables(monkeypatch, doctored)
+    m = model("A3")
+    rec = cli._check_giambelli(m, RunConfig("A3"))
+    assert rec.to_dict() == class_check_giambelli(m).to_dict()
+    assert rec.witnesses["failures"] == [{"kind": "giambelli", "K": list(K)}]
+    report = run_certification(RunConfig("A3"))
+    giambelli = next(r for r in report.records if r.check == "giambelli")
+    assert giambelli.witnesses["failures"] == [{"kind": "giambelli", "K": list(K)}]
+    assert not report.isomorphism_certified()
 
 
 # -- graded dimensions -----------------------------------------------------------
@@ -547,7 +615,7 @@ def test_direct_sum_classes_are_products(data):
     def shifted(J):
         return tuple(i + X.rank for i in J)
 
-    lhs = XY.subset_class(K + shifted(L))
-    assert lhs.degree == len(K) + len(L)
-    assert class_value(lhs, K_ + shifted(L_)) == \
-        class_value(X.subset_class(K), K_) * class_value(Y.subset_class(L), L_)
+    lhs = subset_class(XY, K + shifted(L))
+    assert XY.group.v_K(K + shifted(L)).length == len(K) + len(L)
+    assert class_value(lhs, K_ + shifted(L_)) == poly_product(
+        class_value(subset_class(X, K), K_), class_value(subset_class(Y, L), L_))

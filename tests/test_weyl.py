@@ -7,6 +7,7 @@ import pytest
 from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
 from petcoh.errors import ResourceCapError
 from petcoh.roots import cartan_matrix, parse_lie_type
+from petcoh import weyl
 from petcoh.weyl import WeylGroup, word_from_str, word_to_str
 
 from oracles import (
@@ -198,6 +199,17 @@ def test_reduced_word_cap():
     tight = WeylGroup(cartan_matrix("A2"), reduced_word_cap=2)
     with pytest.raises(ResourceCapError):
         tight.enumerate_reduced_words(tight.longest_element((1, 2)))
+
+
+def test_group_enumeration_cap(monkeypatch):
+    # A3 has 24 elements, 9 of them of length <= 2; one over the cap stops
+    # the enumeration
+    W = group("A3")
+    assert len(W.all_elements()) == 24
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 23)
+    with pytest.raises(ResourceCapError, match="exceeded 23 elements"):
+        W.all_elements()
+    assert len(W.elements_up_to_length(2)) == 9
 
 
 def test_bruhat_examples():
