@@ -63,16 +63,20 @@ class CertificationReport:
         return all(r.passed for r in self.records if not r.skipped)
 
     def isomorphism_certified(self) -> bool:
-        """True only when all four proof legs ran and passed: the quadratic
+        """True only when all five proof legs ran and passed: the quadratic
         relations (the map from the quadric ring is well defined), the
         Giambelli witnesses (it is onto the span of the classes p_{v_K}),
         the basis triangularity (the 2^n classes p_{v_K} are independent,
-        so the target has the expected size), and the Hilbert series
-        equality (the source has that size too).  The Giambelli witnesses
-        must moreover reach every one of the 2^n - 1 nonempty node sets K
-        of that basis (p_{v_()} is 1)."""
-        legs = {"quadratic": False, "giambelli": False, "basis": False,
-                "hilbert": False}
+        so the target has the expected size), the Hilbert series equality
+        (the source has that size too), and the well-definedness of
+        Billey's formula.  That last leg is needed because the other
+        restriction legs read the classes off Billey localizations: they
+        are the Peterson classes only if every localization is the same
+        for every reduced word and vanishes off the Bruhat interval.  The
+        Giambelli witnesses must moreover reach every one of the 2^n - 1
+        nonempty node sets K of that basis (p_{v_()} is 1)."""
+        legs = {"billey_welldef": False, "quadratic": False,
+                "giambelli": False, "basis": False, "hilbert": False}
         for r in self.records:
             if r.check in legs and not r.skipped and r.passed:
                 legs[r.check] = True

@@ -946,16 +946,23 @@ def _cleared(terms) -> tuple[int, dict]:
 
 def normal_form(p, basis, key):
     """Remainder of p on division by the basis, by the engine's integer
-    reduction ``commalg._reduce``: p and every divisor are cleared of their
-    denominators, each divisor enters in the engine's primitive form
-    (scaling a divisor leaves the remainder unchanged), and the integer
-    remainder is divided by p's denominator and the running scale."""
+    reduction ``commalg._reduce`` on packed monomials: p and every divisor
+    are cleared of their denominators and packed for the order of ``key``,
+    each divisor enters in the engine's primitive form (scaling a divisor
+    leaves the remainder unchanged), and the unpacked integer remainder is
+    divided by p's denominator and the running scale."""
     from petcoh import commalg
 
-    den, work = _cleared(p.terms)
-    reducers = [commalg._reducer(_cleared(g.terms)[1], key) for g in basis if g]
-    remainder, scale = commalg._reduce(work, reducers, key)
-    return commalg.Poly(p.nvars, {e: Q(c, den * scale)
+    ordering, = (name for name, k in commalg.MONOMIAL_ORDERS.items() if k is key)
+    code = commalg.MonomialCode(p.nvars, ordering)
+
+    def packed(terms):
+        return {code.encode(e): c for e, c in _cleared(terms)[1].items()}
+
+    den = _cleared(p.terms)[0]
+    reducers = [commalg._reducer(packed(g.terms)) for g in basis if g]
+    remainder, scale = commalg._reduce(packed(p.terms), reducers, code, {})
+    return commalg.Poly(p.nvars, {code.decode(e): Q(c, den * scale)
                                   for e, c in remainder.items()})
 
 
@@ -1084,3 +1091,132 @@ def _oracle_reduce_basis(basis, key):
         reduced.append(monic(h, key))
     reduced.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
     return reduced
+
+
+# The tuple engine: commalg's fraction-free Buchberger loop as it ran on
+# exponent tuples and order-key tuples before monomials were packed into
+# ints.  Same pair order, criteria, reducer order and integer reduction, so
+# its reduced bases are the packed engine's term for term.
+
+def tuple_reducer(terms, key) -> tuple:
+    """(leading monomial, leading coefficient, tail terms) of the primitive
+    form of nonzero integer terms, leading coefficient positive."""
+    g = gcd(*terms.values())
+    terms = {e: c // g for e, c in terms.items()}
+    lead = max(terms, key=key)
+    sign = 1 if terms[lead] > 0 else -1
+    return (lead, sign * terms[lead],
+            tuple((e, sign * c) for e, c in terms.items() if e != lead))
+
+
+def tuple_reduce(work, reducers, key):
+    """Fraction-free full reduction of the integer terms ``work`` (consumed)
+    by ``tuple_reducer`` triples, the first dividing reducer each time;
+    returns (remainder, scale), remainder congruent to scale * work."""
+    import heapq
+
+    def heap_key(exps):
+        degree, rest = key(exps)
+        return (-degree, tuple(-x for x in rest))
+
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    scale = 1
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        coeff = work.pop(exps, 0)
+        if not coeff:
+            continue
+        for ge, gc, gtail in reducers:
+            if _divides(ge, exps):
+                d = gcd(coeff, gc)
+                a, b = gc // d, coeff // d
+                if a != 1:
+                    scale *= a
+                    for e in work:
+                        work[e] *= a
+                    for e in remainder:
+                        remainder[e] *= a
+                shift = _mono_div(exps, ge)
+                for e, c in gtail:
+                    m = _mono_mul(e, shift)
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = -b * c
+                        heapq.heappush(heap, (heap_key(m), m))
+                    elif old - b * c:
+                        work[m] = old - b * c
+                    else:
+                        del work[m]
+                break
+        else:
+            remainder[exps] = coeff
+    return remainder, scale
+
+
+def tuple_s_polynomial(f, g) -> dict:
+    """Integer S-polynomial of two ``tuple_reducer`` triples."""
+    fe, fc, ftail = f
+    ge, gc, gtail = g
+    lcm_fg = _mono_lcm(fe, ge)
+    d = gcd(fc, gc)
+    a, b = gc // d, fc // d
+    out = {_mono_mul(e, _mono_div(lcm_fg, fe)): a * c for e, c in ftail}
+    for e, c in gtail:
+        m = _mono_mul(e, _mono_div(lcm_fg, ge))
+        acc = out.get(m, 0) - b * c
+        if acc:
+            out[m] = acc
+        else:
+            del out[m]
+    return out
+
+
+def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
+    """Reduced Groebner basis as primitive integer Polys with positive
+    leading coefficients, largest leading monomial first."""
+    import heapq
+
+    from petcoh.commalg import Poly, order_key
+
+    key = order_key(ordering)
+    basis = sorted((tuple_reducer(g.terms, key) for g in ideal.generators),
+                   key=lambda r: key(r[0]))
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    heap = [(key(_mono_lcm(basis[i][0], basis[j][0])), (i, j)) for i, j in pairs]
+    heapq.heapify(heap)
+    while heap:
+        _, (i, j) = heapq.heappop(heap)
+        pairs.discard((i, j))
+        fe, ge = basis[i][0], basis[j][0]
+        lcm_fg = _mono_lcm(fe, ge)
+        if _mono_mul(fe, ge) == lcm_fg:
+            continue
+        if any(k != i and k != j and _divides(lk, lcm_fg)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, (lk, _, _) in enumerate(basis)):
+            continue
+        remainder, _ = tuple_reduce(tuple_s_polynomial(basis[i], basis[j]),
+                                    basis, key)
+        if remainder:
+            new = len(basis)
+            basis.append(tuple_reducer(remainder, key))
+            for k in range(new):
+                pairs.add((k, new))
+                heapq.heappush(heap, (key(_mono_lcm(basis[k][0], basis[new][0])),
+                                      (k, new)))
+
+    minimal = []
+    for r in sorted(basis, key=lambda r: key(r[0])):
+        if not any(_divides(h[0], r[0]) for h in minimal):
+            minimal.append(r)
+    reduced = []
+    for idx, (lead, lc, tail) in enumerate(minimal):
+        remainder, scale = tuple_reduce(dict(tail), minimal[:idx] + minimal[idx + 1:],
+                                        key)
+        remainder[lead] = lc * scale
+        g = gcd(*remainder.values())
+        reduced.append(Poly(ideal.nvars, {e: c // g for e, c in remainder.items()}))
+    return reduced[::-1]

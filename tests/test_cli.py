@@ -76,16 +76,15 @@ def test_empty_check_set_is_trivially_passing():
     assert not report.isomorphism_certified()  # no legs ran
 
 
-CERTIFICATE_LEGS = ("quadratic", "giambelli", "basis", "hilbert")
+CERTIFICATE_LEGS = ("billey_welldef", "quadratic", "giambelli", "basis", "hilbert")
 
 
 def test_certificate_needs_the_basis_leg():
     partial = run_certification(RunConfig(
-        lie_type="A2", checks=("quadratic", "giambelli", "hilbert")))
+        lie_type="A2", checks=("billey_welldef", "quadratic", "giambelli", "hilbert")))
     assert partial.overall_pass
     assert not partial.isomorphism_certified()
-    full = run_certification(RunConfig(
-        lie_type="A2", checks=("quadratic", "giambelli", "hilbert", "basis")))
+    full = run_certification(RunConfig(lie_type="A2", checks=CERTIFICATE_LEGS))
     assert full.overall_pass
     assert full.isomorphism_certified()
 
@@ -209,6 +208,7 @@ def test_word_cap_skip_is_explicit(monkeypatch):
     assert by_name["hilbert"].passed
     assert report.overall_pass  # skips are reported, not failed
     assert has_skips(report)
+    assert not report.isomorphism_certified()  # a skipped leg proves nothing
 
 
 def test_word_cap_zero_leaves_restriction_checks_runnable():
@@ -293,8 +293,8 @@ def test_billey_welldef_catches_one_perturbed_word(monkeypatch, capsys):
 def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
                                                            capsys):
     # s_1 taken out of [e, w0] of A2: sigma_{s_1}(w0) != 0 must then read
-    # as exactly one vanishing failure, and the run must fail (exit 1);
-    # billey_welldef is not a leg of isomorphism_certified
+    # as exactly one vanishing failure, the run must fail (exit 1), and,
+    # billey_welldef being a leg, it must not certify
     group = WeylGroup(cartan_matrix("A2"))
     w0 = group.elements_up_to_length(6)[-1]  # as the sweep builds it
     dropped = group.simple_reflection(1)
@@ -313,8 +313,12 @@ def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
         {"kind": "vanishing", "v": "1", "w": word_to_str(w0.witness_word)}]
     report = run_certification(RunConfig("A2"))
     assert not report.overall_pass
+    assert all(r.passed for r in report.records if r.check != "billey_welldef")
+    assert not report.isomorphism_certified()
     assert main(["certify", "--type", "A2"]) == 1
-    assert "[FAIL] billey_welldef" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] billey_welldef" in out
+    assert "isomorphism certified: False" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from petcoh import commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification, run_suite
 from petcoh.commalg import (
+    MAX_DEGREE,
     MONOMIAL_ORDERS,
     HilbertSeries,
     Ideal,
     IntegerEchelon,
+    MonomialCode,
     Poly,
     build_ideal_J,
     build_ideal_Jcheck,
@@ -34,6 +36,8 @@ from petcoh.commalg import (
 from petcoh.roots import cartan_matrix
 
 from oracles import (
+    _divides,
+    _mono_lcm,
     all_monomials_graded_dims,
     as_term_list,
     bareiss_pivots,
@@ -51,6 +55,7 @@ from oracles import (
     poly_pow,
     render,
     series_prefix,
+    tuple_groebner_basis,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
@@ -87,6 +92,118 @@ def test_grevlex_vs_grlex():
     assert grevlex_key(y2) > grevlex_key(yz)
     assert grevlex_key((0, 0, 2)) < grevlex_key(yz)
     assert grlex_key((1, 0, 0)) > grlex_key((0, 1, 0))
+
+
+# -- packed monomials ---------------------------------------------------------------
+
+def _packed(code, terms):
+    return {code.encode(e): c for e, c in terms.items()}
+
+
+@st.composite
+def exponent_vectors(draw, nvars):
+    """Exponent vectors of total degree at most ``MAX_DEGREE``; each
+    exponent is often the whole degree left, so a single field at
+    ``MAX_DEGREE`` and vectors of degree exactly ``MAX_DEGREE`` come up."""
+    exps = []
+    for _ in range(nvars):
+        left = MAX_DEGREE - sum(exps)
+        exps.append(draw(st.one_of(st.integers(0, left), st.just(left), st.just(0))))
+    return tuple(draw(st.permutations(exps)))
+
+
+@st.composite
+def packing_cases(draw):
+    ordering = draw(st.sampled_from(ORDERINGS))
+    return MonomialCode(draw(st.integers(1, 9)), ordering), ordering
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(packing_cases(), st.data())
+def test_packing_round_trip_and_order(case, data):
+    code, ordering = case
+    a = data.draw(exponent_vectors(code.nvars))
+    b = data.draw(exponent_vectors(code.nvars))
+    assert code.decode(code.encode(a)) == a
+    assert code.degree(code.encode(a)) == sum(a)
+    key = order_key(ordering)
+    ca, cb = code.encode(a), code.encode(b)
+    assert (ca < cb) == (key(a) < key(b))
+    assert (ca == cb) == (a == b)
+    assert code.divides(ca, cb) == _divides(a, b)
+    if sum(_mono_lcm(a, b)) <= MAX_DEGREE:
+        assert code.lcm(ca, cb) == code.encode(_mono_lcm(a, b))
+    else:
+        with pytest.raises(ValueError):
+            code.lcm(ca, cb)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(packing_cases(), st.data())
+def test_packing_products_and_quotients(case, data):
+    code, _ = case
+    # a product c = a * b of degree at most MAX_DEGREE, split field by field
+    c = data.draw(exponent_vectors(code.nvars))
+    a = tuple(data.draw(st.one_of(st.integers(0, x), st.just(x))) for x in c)
+    b = tuple(x - y for x, y in zip(c, a))
+    assert code.encode(c) == code.encode(a) + code.encode(b)
+    assert code.encode(b) == code.encode(c) - code.encode(a)
+    assert code.divides(code.encode(a), code.encode(c))
+    assert code.divides(code.encode(b), code.encode(c))
+
+
+def test_packing_fixed_cases():
+    for ordering in ORDERINGS:
+        code = MonomialCode(3, ordering)
+        top = (0, MAX_DEGREE, 0)
+        assert code.decode(code.encode(top)) == top
+        assert code.encode((0, 0, 0)) == 0
+        # every guard bit is clear in a valid code's exponent part
+        assert not code.encode((MAX_DEGREE, 0, 0)) & code.guards
+        assert not code.divides(code.encode((1, 0, 0)), code.encode((0, MAX_DEGREE, 0)))
+    with pytest.raises(ValueError):
+        MonomialCode(2, "lex")
+
+
+def test_packing_rejects_a_monomial_beyond_the_field_limit():
+    code = MonomialCode(3, "grevlex")
+    assert code.encode((MAX_DEGREE - 1, 1, 0)) >= 0
+    with pytest.raises(ValueError, match="exceeds the packed monomial limit"):
+        code.encode((MAX_DEGREE, 1, 0))
+
+
+@pytest.mark.parametrize("ordering", sorted(MONOMIAL_ORDERS))
+def test_groebner_rejects_a_generator_beyond_the_field_limit(ordering, monkeypatch):
+    # the guard trips while packing the input, before any reduction
+    def no_reduction(*args):
+        raise AssertionError("reduced a pair")
+
+    monkeypatch.setattr(commalg, "_reduce", no_reduction)
+    big = Ideal(("x", "y"), (P(2, {(MAX_DEGREE + 1, 0): 1, (0, 1): 2}),
+                             P(2, {(1, 1): 1})))
+    with pytest.raises(ValueError, match="exceeds the packed monomial limit"):
+        groebner_basis(big, ordering)
+    # each generator fits, their pair's lcm does not
+    half = MAX_DEGREE // 2 + 1
+    wide = Ideal(("x", "y"), (P(2, {(half, 1): 1}), P(2, {(1, half): 1})))
+    with pytest.raises(ValueError, match="pair lcm of degree"):
+        groebner_basis(wide, ordering)
+
+
+def test_divisor_memo_stays_exact_as_reducers_are_appended():
+    code = MonomialCode(2, "grevlex")
+    x2, xy, y2 = (code.encode(e) for e in ((2, 0), (1, 1), (0, 2)))
+    reducers = [commalg._reducer({x2: 1, y2: -1})]
+    memo = {}
+    remainder, _ = commalg._reduce({xy: 3, y2: 1}, reducers, code, memo)
+    assert remainder == {xy: 3, y2: 1}
+    assert memo == {xy: 1, y2: 1}  # scanned one reducer, none divides
+    reducers.append(commalg._reducer({xy: 2, y2: 1}))
+    # the misses resume their scan at the appended reducer
+    remainder, scale = commalg._reduce({xy: 3, y2: 1}, reducers, code, memo)
+    assert (remainder, scale) == ({y2: -1}, 2)
+    assert memo[xy] is reducers[1] and memo[y2] == 2
+    assert commalg._reduce({xy: 3, y2: 1}, reducers, code, {}) == (remainder, scale)
 
 
 # -- ideal construction -----------------------------------------------------------
@@ -251,6 +368,16 @@ def test_groebner_matches_buchberger_oracle_E7_Jcheck():
         _serial(buchberger_groebner_basis(ideal))
 
 
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
+def test_packed_engine_matches_the_tuple_engine(name):
+    for label, ideal in _quadric_ideals(name).items():
+        for ordering in ORDERINGS:
+            packed = groebner_basis(ideal, ordering)
+            tuples = tuple_groebner_basis(ideal, ordering)
+            assert packed == tuples, (label, ordering)
+            assert _serial(packed) == _serial(tuples), (label, ordering)
+
+
 @st.composite
 def ring_polys(draw, nvars):
     """Up to six terms of degree at most 2 in each variable, small rational
@@ -326,13 +453,22 @@ def test_groebner_matches_oracle_on_small_ideals(ideal, ordering):
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(small_ideals(), st.sampled_from(ORDERINGS))
+def test_packed_engine_matches_the_tuple_engine_on_small_ideals(ideal, ordering):
+    assert groebner_basis(ideal, ordering) == tuple_groebner_basis(ideal, ordering)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_ideals(), st.sampled_from(ORDERINGS))
 def test_integer_s_polynomial_is_a_multiple_of_the_oracle(ideal, ordering):
     key = order_key(ordering)
+    code = MonomialCode(ideal.nvars, ordering)
     gens = ideal.generators
-    reducers = [commalg._reducer(g.terms, key) for g in gens]
+    reducers = [commalg._reducer(_packed(code, g.terms)) for g in gens]
     for i in range(len(gens)):
         for j in range(i):
-            s = s_polynomial(reducers[i], reducers[j])
+            lcm_ij = code.lcm(reducers[i][0], reducers[j][0])
+            s = {code.decode(e): c for e, c in
+                 s_polynomial(reducers[i], reducers[j], lcm_ij).items()}
             assert all(type(c) is int for c in s.values())
             expected = oracle_s_polynomial(gens[i], gens[j], key)
             assert s.keys() == expected.terms.keys()
@@ -366,9 +502,9 @@ def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
     reductions = []
     reduce = commalg._reduce
 
-    def counting_reduce(work, reducers, key):
+    def counting_reduce(work, reducers, code, memo):
         reductions.append(work)
-        return reduce(work, reducers, key)
+        return reduce(work, reducers, code, memo)
 
     monkeypatch.setattr(commalg, "_reduce", counting_reduce)
     gens = (P(3, {(2, 0, 0): 7, (0, 1, 1): -3}),
@@ -767,9 +903,12 @@ def test_poly_normalization():
     assert normalized(P(1, {(1,): -3})).terms == {(1,): 1}
     assert commalg._primitive(q.terms) == {(2, 0): 1, (1, 1): -2}
     assert commalg._primitive(P(1, {(1,): -3}).terms) == {(1,): -1}
-    assert commalg._reducer(P(1, {(1,): -3}).terms, grevlex_key) == ((1,), 1, ())
-    lead, lc, tail = commalg._reducer(q.terms, grevlex_key)
-    assert (lead, lc, tail) == ((2, 0), 1, (((1, 1), -2),))
+    one = MonomialCode(1, "grevlex")
+    assert commalg._reducer(_packed(one, {(1,): -3})) == (one.encode((1,)), 1, ())
+    two = MonomialCode(2, "grevlex")
+    lead, lc, tail = commalg._reducer(_packed(two, q.terms))
+    assert (two.decode(lead), lc) == ((2, 0), 1)
+    assert [(two.decode(e), c) for e, c in tail] == [((1, 1), -2)]
     assert all(type(c) is int for c in (lc,) + tuple(c for _, c in tail))
 
 
