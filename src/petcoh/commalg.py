@@ -20,39 +20,45 @@ In the quadric presentation every variable has cohomological degree 2;
 internally all computations run on ordinary total degree and the doubling
 happens only when a Hilbert series is emitted (s -> s^2).
 
-The Groebner engine is Buchberger's algorithm with normal pair selection
-(smallest lcm first), the coprimality criterion and the chain criterion,
-installed along the lines of Gebauer and Moeller (J. Symbolic Comput. 6,
-1988) so that no work is repeated:
+The Groebner engine is signature based, in the style of F5 (Faugere,
+ISSAC 2002; see Eder and Faugere, J. Symbolic Comput. 80, 2017, for the
+survey this follows).  Every element carries a signature m * e_i, a
+monomial m times the index i of a generator, that records which multiple
+of the generators it came from; signatures compare position over term, as
+the pairs (i, m), so the generators are taken one at a time.  Pairs are
+treated in the order of their signatures, and a pair is skipped when its
+signature T = m * e_i was treated already, when the leading monomial of an
+element of smaller index divides m (F5 criterion), when a signature of
+index i that reduced to zero divides T (syzygy criterion), or when an
+element of index i newer than the pair's own has a signature dividing T
+(rewrite criterion).  Reductions keep the signature: a term may be reduced
+only by a multiple of smaller signature.  For a regular sequence, such as
+the Cartan quadrics, the F5 criterion sees every syzygy, so no reduction
+ends at zero.  Along the way:
 
 - every monomial is one int, its ``MonomialCode``: the order key and the
   exponents packed into fixed-width fields, so that a product is ``+``, a
   quotient ``-``, the leading monomial ``max`` and divisibility one test
-  on the fields' guard bits.  Polynomials are packed on the way in and
-  unpacked on the way out, and nothing in between handles an exponent
-  tuple;
-- each basis element's leading term is computed once, when it joins the
-  basis, and serves the reductions, both criteria and the pair keys;
-- a memo, one per basis computation, maps each monomial met to the first
-  basis element whose leading monomial divides it; basis elements are
-  only appended, so an entry that found none records how far it scanned
-  and later resumes there;
-- pending pairs sit in a heap keyed by (lcm code, pair); an lcm never
-  changes, so the heap pops pairs in exactly the order of a minimum scan
-  over all of them;
-- every reduction is fraction-free: ``_reduce`` runs in place on one dict
-  of integer coefficients, divides by primitive integer basis elements,
-  cancels each leading term by cross-multiplication and keeps the running
-  scale; the next leading monomial comes from a heap of negated codes.
-  At every step the integer state is a positive rational multiple of the
-  state of the same division over the rationals, so the same leading
-  monomials are reached and the same pairs are treated in the same
-  order.  The reduced basis comes out as primitive integer polynomials
-  with positive leading coefficients; made monic, it is the rational
-  reduced basis term for term.  Only its leading monomials are read
-  downstream;
-- each (ideal, order) is computed once per process, so the checks that
-  need the same basis share it.
+  on the fields' guard bits.  Signature monomials are codes too.
+  Polynomials are packed on the way in and unpacked on the way out, and
+  nothing in between handles an exponent tuple;
+- each element's leading term is computed once, when it joins the basis,
+  and serves the reductions, the pair signatures and the F5 criterion;
+- a memo, one per basis computation, maps each monomial met to a position
+  before which no element's leading monomial divides it; elements are only
+  appended, so a later scan resumes there;
+- every reduction is fraction-free: it runs in place on one dict of
+  integer coefficients, divides by primitive integer elements and cancels
+  each leading term by cross-multiplication (``_cancel``); the next
+  leading monomial comes from a heap of negated codes.  At every step the
+  integer state is a positive rational multiple of the state of the same
+  division over the rationals.  The reduced basis is unique, so it is the
+  one any correct engine returns; it comes out as primitive integer
+  polynomials with positive leading coefficients, and made monic it is
+  the rational reduced basis term for term.  Only its leading monomials
+  are read downstream;
+- each (ideal, order) is computed once per process, basis and Hilbert
+  series alike, so the checks that need the same one share it.
 
 This module imports nothing else from the package at run time, so every
 other module can build on it.
@@ -399,7 +405,7 @@ def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger
+# Groebner bases
 
 def _primitive(terms) -> dict:
     """The integer terms divided by their content (the gcd of all of
@@ -419,6 +425,37 @@ def _reducer(terms) -> tuple:
             tuple((e, sign * c) for e, c in terms.items() if e != lead))
 
 
+def _cancel(work: dict, remainder: dict, heap: list, m: int, coeff: int,
+            lead: int, lc: int, tail) -> int:
+    """Cancel the term coeff * m, just popped from ``work``, by a reducer
+    lc * lead + tail with lead | m, fraction-free: multiply everything
+    collected so far, the work and the remainder, by lc / d and subtract
+    coeff / d * (m / lead) * tail, where d = gcd(coeff, lc).  A monomial new
+    to ``work`` goes on the heap of negated codes.  Returns lc / d, the
+    factor by which the reduction's scale grew."""
+    d = gcd(coeff, lc)
+    a, b = lc // d, coeff // d
+    if a != 1:
+        for e in work:
+            work[e] *= a
+        for e in remainder:
+            remainder[e] *= a
+    shift = m - lead
+    for e, c in tail:
+        e += shift
+        old = work.get(e)
+        if old is None:
+            work[e] = -b * c
+            heappush(heap, -e)
+        else:
+            acc = old - b * c
+            if acc:
+                work[e] = acc
+            else:
+                del work[e]
+    return a
+
+
 def _reduce(work: dict, reducers, code: MonomialCode,
             memo: dict) -> tuple[dict, int]:
     """Fraction-free full reduction of the integer terms ``work`` (keyed by
@@ -431,10 +468,7 @@ def _reduce(work: dict, reducers, code: MonomialCode,
     monomial divides it or, if none does, to the number of reducers
     scanned; reducers may be appended between calls, never removed or
     reordered, so every entry stays exact and a miss resumes its scan.
-    A leading term c * m divisible by a reducer's lead lc * l is cancelled
-    by multiplying everything collected so far, the work and the remainder,
-    by lc / d and subtracting c / d * (m / l) * tail, where
-    d = gcd(c, lc)."""
+    Each leading term is cancelled by ``_cancel``."""
     heap = [-m for m in work]
     heapify(heap)
     remainder = {}
@@ -450,29 +484,59 @@ def _reduce(work: dict, reducers, code: MonomialCode,
             if r.__class__ is int:
                 remainder[m] = coeff
                 continue
-        ge, gc, gtail = r
-        d = gcd(coeff, gc)
-        a, b = gc // d, coeff // d
-        if a != 1:
-            scale *= a
-            for e in work:
-                work[e] *= a
-            for e in remainder:
-                remainder[e] *= a
-        shift = m - ge
-        for e, c in gtail:
-            e += shift
-            old = work.get(e)
-            if old is None:
-                work[e] = -b * c
-                heappush(heap, -e)
-            else:
-                acc = old - b * c
-                if acc:
-                    work[e] = acc
-                else:
-                    del work[e]
+        scale *= _cancel(work, remainder, heap, m, coeff, *r)
     return remainder, scale
+
+
+def _first_position(m: int, elements, code: MonomialCode, memo: dict) -> int:
+    """The position of the first engine element whose leading monomial
+    divides m, else the number of elements.  ``memo`` maps a code to a
+    position before which no leading monomial divides it; elements are only
+    appended, so a scan resumes there."""
+    mask, guards = code.mask, code.guards
+    probe = m & mask | guards
+    p = memo.get(m, 0)
+    count = len(elements)
+    while p < count and (probe - (elements[p][2] & mask)) & guards != guards:
+        p += 1
+    memo[m] = p
+    return p
+
+
+def _regular_reduce(work: dict, index: int, sig: int, elements,
+                    code: MonomialCode, memo: dict) -> dict:
+    """Fraction-free full regular reduction of the integer terms ``work``
+    (keyed by code, consumed) of signature sig * e_index by the engine's
+    elements ``(index, signature monomial, lead, lc, tail)``; returns the
+    remainder, congruent to a positive multiple of the work.
+
+    A term t is reduced by the first element h whose leading monomial
+    divides it and whose multiple (t / lm h) * sig(h) has a smaller
+    signature, so that the signature stays sig * e_index: every element of
+    a smaller index qualifies, one of the same index when its signature
+    monomial times t / lm h is below sig.  The search starts at the first
+    divisor ``_first_position`` finds, and each term is cancelled by
+    ``_cancel``."""
+    mask, guards = code.mask, code.guards
+    count = len(elements)
+    heap = [-t for t in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        t = -heappop(heap)
+        coeff = work.pop(t, 0)
+        if not coeff:
+            continue  # cancelled, or a second heap entry of a done monomial
+        probe = t & mask | guards
+        for p in range(_first_position(t, elements, code, memo), count):
+            hi, hm, lead, lc, tail = elements[p]
+            if ((probe - (lead & mask)) & guards == guards
+                    and (hi < index or t - lead + hm < sig)):
+                _cancel(work, remainder, heap, t, coeff, lead, lc, tail)
+                break
+        else:
+            remainder[t] = coeff
+    return remainder
 
 
 def s_polynomial(f, g, lcm_fg: int) -> dict:
@@ -502,15 +566,38 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
     a primitive integer polynomial with a positive leading coefficient (the
     monic reduced basis, cleared of its denominators).
 
-    Pairs are treated smallest lcm first; a pair is dropped when its leading
-    monomials are coprime, or when some third basis element divides the lcm
-    and both sibling pairs were already treated (chain criterion).
+    The engine is signature based.  Every element h carries a signature
+    m * e_i: h is c * m * f_i, with c > 0 and f_i the i-th generator, plus
+    a combination of f_1, ..., f_{i-1} and of f_i times monomials below m.
+    Signatures compare position over term, as the pairs (i, m).  Generator
+    i starts with signature 1 * e_i; for each pair of elements, the J-pair
+    is the multiple of the one with the larger signature that reaches the
+    lcm of the two leading monomials, and signatures are treated smallest
+    first.  A signature T = m * e_i is skipped when
 
-    The engine runs on ``MonomialCode`` ints.  A generator monomial or a
-    pair lcm of degree above ``MAX_DEGREE`` is a ValueError, raised before
-    that pair is reduced.  That guard suffices: both orders are graded, so
-    every term met while treating a pair, and every tail term of the
-    element it may add, has degree at most that of the pair's lcm.
+    - it was already treated;
+    - the leading monomial of an element of index below i divides m (F5:
+      T is the signature of a syzygy, since those elements form a Groebner
+      basis of (f_1, ..., f_{i-1}));
+    - a signature of index i that reduced to zero divides it (syzygy);
+    - an element of index i added after the J-pair's own element has a
+      signature dividing it (rewrite: the multiple of that newer element
+      with signature T stands for the J-pair).
+
+    Otherwise the S-polynomial is reduced, in full and only by multiples of
+    smaller signature; a nonzero result joins the basis with signature T.
+    For a regular sequence, such as the Cartan quadrics, no reduction ends
+    at zero.
+
+    The engine runs on ``MonomialCode`` ints.  A generator monomial, a pair
+    lcm or a J-pair signature of degree above ``MAX_DEGREE`` is a
+    ValueError, raised before that pair is reduced.  Both orders are
+    graded, so every term met while treating a pair, and every tail term of
+    the element it may add, has degree at most that of the pair's lcm.  A
+    signature m * e_i has degree at most that of the lcm minus that of f_i
+    when the generators are homogeneous, but with inhomogeneous ones a
+    reduction can drop in degree below its signature, so the signature's
+    own degree is checked.
 
     Each (ideal, ordering) is computed once per process; every call returns
     a fresh list of the same polynomials.
@@ -523,42 +610,66 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
     # always called positionally, so that groebner_basis(I) and
     # groebner_basis(I, "grevlex") share one cache entry
     code = MonomialCode(ideal.nvars, ordering)
-    # each element as its primitive integer ``_reducer`` triple: its leading
-    # term, computed once, serves the reductions, both criteria and the
-    # pair keys
-    basis = sorted((_reducer({code.encode(e): c for e, c in g.terms.items()})
-                    for g in ideal.generators), key=itemgetter(0))
-    # a pair's lcm never changes, so a heap of (lcm, i, j) pops in the order
-    # of min(pairs, key=(lcm, pair)); ``pairs`` holds the pairs not yet
-    # treated, for the chain criterion
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    heap = [(code.lcm(basis[i][0], basis[j][0]), i, j) for i, j in pairs]
-    heapify(heap)
-    memo = {}  # code -> first dividing basis element, see ``_reduce``
+    gens = [{code.encode(e): c for e, c in g.terms.items()}
+            for g in ideal.generators]
+    # (index, signature monomial, lead, lc, tail), in the order treated:
+    # every element of index i comes before any of index i + 1
+    elements = []
+    syzygies = [[] for _ in gens]  # signature monomials reduced to zero
+    # J-pairs (index, signature monomial, own element, other element, lcm),
+    # own holding the larger signature; generator i enters with signature
+    # (i, 1), 1 being code 0, and own -1
+    queue = [(i, 0, -1, -1, 0) for i in range(len(gens))]
+    memo = {}  # code -> position, see ``_first_position``
+    done = None  # the last signature reduced
+    first = 0  # position of the first element of the current index
 
-    while heap:
-        lcm_fg, i, j = heappop(heap)
-        pairs.discard((i, j))
-        # codes are linear with positive weights, so the sum of two codes
-        # exceeds the lcm's by the code of the gcd, 0 only when coprime
-        if basis[i][0] + basis[j][0] == lcm_fg:
-            continue  # coprime leading monomials
-        if any(k != i and k != j and code.divides(lk, lcm_fg)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k, (lk, _, _) in enumerate(basis)):
-            continue  # chain criterion
-        remainder, _ = _reduce(s_polynomial(basis[i], basis[j], lcm_fg),
-                               basis, code, memo)
-        if remainder:
-            new = len(basis)
-            basis.append(_reducer(remainder))
-            lead = basis[new][0]
-            for k in range(new):
-                pairs.add((k, new))
-                heappush(heap, (code.lcm(basis[k][0], lead), k, new))
+    while queue:
+        i, m, own, other, lcm_fg = heappop(queue)
+        if (i, m) == done:
+            # every J-pair formed after reducing T has a larger signature,
+            # so equal signatures pop one after another
+            continue
+        if own < 0:
+            first = len(elements)
+            work = gens[i]
+        else:
+            if (_first_position(m, elements, code, memo) < first
+                    or any(code.divides(s, m) for s in syzygies[i])
+                    or any(code.divides(h[1], m)
+                           for h in islice(elements, own + 1, None))):
+                continue  # F5, syzygy or rewrite criterion
+            work = s_polynomial(elements[own][2:], elements[other][2:], lcm_fg)
+        done = (i, m)
+        remainder = _regular_reduce(work, i, m, elements, code, memo)
+        if not remainder:
+            syzygies[i].append(m)
+            continue
+        # kept even when singular top-reducible, that is when some
+        # (lead / lm h) * sig(h) equals the signature: the rewrite criterion
+        # must find this element as the newest of its signature, and
+        # dropping it can lose a basis element
+        lead, lc, tail = _reducer(remainder)
+        new = len(elements)
+        for k, (hi, hm, hl, _, _) in enumerate(elements):
+            lcm_fg = code.lcm(lead, hl)
+            mine, theirs = (i, lcm_fg - lead + m), (hi, lcm_fg - hl + hm)
+            if mine == theirs:
+                continue  # the two sides cancel in the signature
+            pair = ((*mine, new, k, lcm_fg) if mine > theirs
+                    else (*theirs, k, new, lcm_fg))
+            # (lcm / lead) * m, from codes within the limit, has degree at
+            # most 2 * MAX_DEGREE < 2 ** FIELD_BITS: no field carries, so its
+            # code and degree are exact
+            degree = code.degree(pair[1])
+            if degree > MAX_DEGREE:
+                raise ValueError(f"J-pair signature of degree {degree} "
+                                 f"exceeds the packed monomial limit "
+                                 f"{MAX_DEGREE}")
+            heappush(queue, pair)
+        elements.append((i, m, lead, lc, tail))
 
-    return tuple(_reduce_basis(basis, code))
+    return tuple(_reduce_basis([h[2:] for h in elements], code))
 
 
 def _reduce_basis(basis, code: MonomialCode) -> list[Poly]:
@@ -693,7 +804,15 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
     Computed from the leading-term ideal of a Groebner basis; the result is
     order-independent, and every ``hilbert`` check (``cli._check_hilbert``)
     recomputes the t = 0 series under grlex and requires the two to agree.
+    Like the basis, each (ideal, ordering) is computed once per process, so
+    the ``regular_sequence`` check reuses the series of J that ``hilbert``
+    built.
     """
+    return _hilbert_series(ideal, ordering)
+
+
+@lru_cache(maxsize=None)
+def _hilbert_series(ideal: Ideal, ordering: str) -> HilbertSeries:
     basis = groebner_basis(ideal, ordering)
     lead = leading_term_exponents(basis, ordering)
     numer = _monomial_quotient_numerator(lead, ideal.nvars)

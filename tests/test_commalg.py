@@ -174,20 +174,43 @@ def test_packing_rejects_a_monomial_beyond_the_field_limit():
 
 @pytest.mark.parametrize("ordering", sorted(MONOMIAL_ORDERS))
 def test_groebner_rejects_a_generator_beyond_the_field_limit(ordering, monkeypatch):
-    # the guard trips while packing the input, before any reduction
-    def no_reduction(*args):
-        raise AssertionError("reduced a pair")
+    reduced = []  # the signature (index, monomial) of every reduction
+    reduce = commalg._regular_reduce
 
-    monkeypatch.setattr(commalg, "_reduce", no_reduction)
+    def recording_reduce(work, index, sig, *args):
+        reduced.append((index, sig))
+        return reduce(work, index, sig, *args)
+
+    monkeypatch.setattr(commalg, "_regular_reduce", recording_reduce)
+    # the guard trips while packing the input, before any reduction
     big = Ideal(("x", "y"), (P(2, {(MAX_DEGREE + 1, 0): 1, (0, 1): 2}),
                              P(2, {(1, 1): 1})))
     with pytest.raises(ValueError, match="exceeds the packed monomial limit"):
         groebner_basis(big, ordering)
-    # each generator fits, their pair's lcm does not
+    assert reduced == []
+    # each generator fits, their pair's lcm does not: both generators are
+    # reduced, the pair never is
     half = MAX_DEGREE // 2 + 1
     wide = Ideal(("x", "y"), (P(2, {(half, 1): 1}), P(2, {(1, half): 1})))
     with pytest.raises(ValueError, match="pair lcm of degree"):
         groebner_basis(wide, ordering)
+    assert reduced == [(0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("ordering", sorted(MONOMIAL_ORDERS))
+def test_groebner_rejects_a_signature_beyond_the_field_limit(ordering):
+    # with inhomogeneous generators a reduction can fall in degree below its
+    # signature: unscaled, every generator and pair lcm of this ideal has
+    # degree at most 6 while a J-pair signature reaches 13, so scaling every
+    # exponent by s keeps the lcms within the limit and not the signatures
+    gens = ({(2, 0): -1, (1, 3): 1, (0, 0): -2}, {(3, 0): -1})
+    small = Ideal(("x", "y"), tuple(P(2, g) for g in gens))
+    assert groebner_basis(small, ordering) == tuple_groebner_basis(small, ordering)
+    s = MAX_DEGREE // 6
+    scaled = Ideal(("x", "y"), tuple(P(2, {(a * s, b * s): c for (a, b), c in g.items()})
+                                     for g in gens))
+    with pytest.raises(ValueError, match="J-pair signature of degree"):
+        groebner_basis(scaled, ordering)
 
 
 def test_divisor_memo_stays_exact_as_reducers_are_appended():
@@ -442,14 +465,14 @@ def test_normal_form_is_linear_in_p_and_blind_to_divisor_scaling(data):
 
 
 @st.composite
-def small_ideals(draw):
-    """Two to four generators in three variables, each with up to four terms
-    of total degree at most 3."""
-    exps = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: 0 < sum(e) <= 3)
+def small_ideals(draw, nvars=3, max_generators=4):
+    """Two to ``max_generators`` generators in ``nvars`` variables, each with
+    up to four terms of total degree at most 3."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda e: 0 < sum(e) <= 3)
     coeffs = st.integers(-3, 3).filter(bool)
     gens = draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=4),
-                         min_size=2, max_size=4))
-    return Ideal(("x", "y", "z"), tuple(Poly(3, g) for g in gens))
+                         min_size=2, max_size=max_generators))
+    return Ideal(("x", "y", "z", "w")[:nvars], tuple(Poly(nvars, g) for g in gens))
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -463,6 +486,36 @@ def test_groebner_matches_oracle_on_small_ideals(ideal, ordering):
 @given(small_ideals(), st.sampled_from(ORDERINGS))
 def test_packed_engine_matches_the_tuple_engine_on_small_ideals(ideal, ordering):
     assert groebner_basis(ideal, ordering) == tuple_groebner_basis(ideal, ordering)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_ideals(4, 5), st.sampled_from(ORDERINGS))
+def test_groebner_matches_oracle_on_four_variable_ideals(ideal, ordering):
+    assert _serial(_monic_basis(ideal, ordering)) == \
+        _serial(buchberger_groebner_basis(ideal, ordering))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_ideals(4, 5), st.sampled_from(ORDERINGS))
+def test_packed_engine_matches_the_tuple_engine_on_four_variable_ideals(ideal, ordering):
+    assert groebner_basis(ideal, ordering) == tuple_groebner_basis(ideal, ordering)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_groebner_keeps_a_singular_top_reducible_element(ordering):
+    # one reduction ends at an element whose leading term some older element
+    # divides with a multiple of exactly its signature; an engine that drops
+    # it (rewriting later pairs to nothing) returns five of the six elements
+    ideal = Ideal(("x", "y", "z"), (
+        P(3, {(0, 0, 2): 2, (0, 0, 1): 1}),
+        P(3, {(0, 3, 0): -1, (2, 1, 0): -1, (1, 2, 0): -3}),
+        P(3, {(2, 0, 1): -1, (0, 0, 2): 3, (0, 1, 0): -2}),
+    ))
+    basis = groebner_basis(ideal, ordering)
+    assert len(basis) == 6
+    assert basis == tuple_groebner_basis(ideal, ordering)
+    assert _serial(_monic_basis(ideal, ordering)) == \
+        _serial(buchberger_groebner_basis(ideal, ordering))
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -508,13 +561,13 @@ def test_groebner_returns_a_fresh_list():
 
 def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
     reductions = []
-    reduce = commalg._reduce
+    reduce = commalg._regular_reduce
 
-    def counting_reduce(work, reducers, code, memo):
+    def counting_reduce(work, *args):
         reductions.append(work)
-        return reduce(work, reducers, code, memo)
+        return reduce(work, *args)
 
-    monkeypatch.setattr(commalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(commalg, "_regular_reduce", counting_reduce)
     gens = (P(3, {(2, 0, 0): 7, (0, 1, 1): -3}),
             P(3, {(0, 3, 0): 1, (1, 0, 2): -1}))
     ideal = Ideal(("u", "v", "w"), gens)
@@ -530,6 +583,40 @@ def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
     assert len(reductions) == computed
     after = commalg._groebner_basis.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+
+
+def _reductions(ideal, ordering, monkeypatch):
+    """Whether each reduction of a fresh basis computation ended at zero."""
+    zero = []
+    reduce = commalg._regular_reduce
+
+    def recording_reduce(work, *args):
+        remainder = reduce(work, *args)
+        zero.append(not remainder)
+        return remainder
+
+    monkeypatch.setattr(commalg, "_regular_reduce", recording_reduce)
+    # past the per-process cache, which keeps its entries
+    commalg._groebner_basis.__wrapped__(ideal, ordering)
+    monkeypatch.undo()
+    return zero
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
+def test_no_reduction_of_the_quadrics_ends_at_zero(name, monkeypatch):
+    # the quadrics form a regular sequence, so every syzygy the pairs meet is
+    # one the F5 criterion sees
+    for label, ideal in _quadric_ideals(name).items():
+        for ordering in ORDERINGS:
+            zero = _reductions(ideal, ordering, monkeypatch)
+            assert len(zero) >= len(ideal.generators), (label, ordering)
+            assert not any(zero), (label, ordering, sum(zero))
+
+
+def test_twisted_cubic_reduces_a_pair_to_zero(monkeypatch):
+    # not a regular sequence: some syzygy shows only as a reduction to zero
+    for ordering in ORDERINGS:
+        assert any(_reductions(_twisted_cubic("xyzw"), ordering, monkeypatch))
 
 
 def test_groebner_orders_never_conflated():
@@ -676,6 +763,7 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
         return series
 
     monkeypatch.setattr(HilbertSeries, "over_one_minus_s2", classmethod(recording))
+    commalg._hilbert_series.cache_clear()  # so that every series is rebuilt
     report = run_certification(RunConfig(name, checks=("hilbert", "regular_sequence")))
     assert report.overall_pass
     for numerator, power, series in built:
@@ -686,6 +774,20 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
                for item in _printed_series(record.witnesses)]
     assert len(printed) == 8
     assert all(item in [s.to_json() for _, _, s in built] for item in printed)
+
+
+def test_hilbert_series_computed_once_per_ideal_and_order():
+    # hilbert builds J, J-check and J-check under grlex, regular_sequence
+    # J + (t) and J again; zero_set reads the J-check basis
+    commalg._hilbert_series.cache_clear()
+    commalg._groebner_basis.cache_clear()
+    report = run_certification(RunConfig(
+        "E7", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert report.overall_pass
+    series = commalg._hilbert_series.cache_info()
+    assert (series.misses, series.hits) == (4, 1)
+    bases = commalg._groebner_basis.cache_info()
+    assert (bases.misses, bases.hits) == (4, 1)
 
 
 @pytest.mark.parametrize("run", [
@@ -702,7 +804,9 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Poly, "__init__", recording_init)
-    commalg._groebner_basis.cache_clear()  # so that every basis is rebuilt
+    # so that every series and basis is rebuilt
+    commalg._hilbert_series.cache_clear()
+    commalg._groebner_basis.cache_clear()
     run()
     assert any(len(p.terms) > 1 for p in built)
     for p in built:
