@@ -27,9 +27,8 @@ from .roots import (
     leading_minors_positive,
     parse_lie_type,
     simple_reflection_action,
-    simple_root,
 )
-from .weyl import WeylElement, WeylGroup, word_from_str, word_to_str
+from .weyl import WeylElement, WeylGroup, word_to_str
 
 __all__ = [
     "CartanMatrix",
@@ -56,8 +55,6 @@ __all__ = [
     "localization_table",
     "parse_lie_type",
     "simple_reflection_action",
-    "simple_root",
-    "word_from_str",
     "word_to_str",
     "zero_set_is_origin",
     "zero_set_via_minors",

@@ -174,7 +174,7 @@ def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
     witness word of w on the lower weak order ideal of the targets."""
     n = group.rank
     targets = tuple(targets)
-    table = {u: Poly.zero(n) for u in targets}
+    table = {u: Poly(n) for u in targets}
     for u, terms in _prefix_recursion(
             group, targets, w, inversion_roots(group, w), n):
         table[u] = Poly(n, terms)

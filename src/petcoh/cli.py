@@ -81,8 +81,11 @@ class RunConfig:
 
     def __post_init__(self):
         _parse_bounded_type(self.lie_type)
-        if self.cutoff_degree < 0 or self.cutoff_degree % 2:
-            raise ValueError("cutoff_degree must be even and non-negative")
+        # every graded dimension is constant from degree 2 * rank on, so a
+        # larger cutoff adds nothing, only work
+        if not 0 <= self.cutoff_degree <= 2 * MAX_RANK or self.cutoff_degree % 2:
+            raise ValueError(f"cutoff_degree must be even and between 0 and "
+                             f"{2 * MAX_RANK}, got {self.cutoff_degree}")
         if self.reduced_word_cap < 0:
             raise ValueError(f"reduced_word_cap must be non-negative, "
                              f"got {self.reduced_word_cap}")
@@ -430,7 +433,8 @@ def _add_common_options(parser: argparse.ArgumentParser):
                         choices=("text", "json"))
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--cutoff-degree", type=int, default=12,
-                        help="even degree bound for the graded-dimension check")
+                        help="even degree bound for the graded-dimension check "
+                             f"(at most {2 * MAX_RANK})")
     parser.add_argument("--word-cap", type=int,
                         default=DEFAULT_REDUCED_WORD_CAP,
                         help="reduced-word enumeration cap "

@@ -52,11 +52,12 @@ ends at zero.  Along the way:
   each leading term by cross-multiplication (``_cancel``); the next
   leading monomial comes from a heap of negated codes.  At every step the
   integer state is a positive rational multiple of the state of the same
-  division over the rationals.  The reduced basis is unique, so it is the
-  one any correct engine returns; it comes out as primitive integer
-  polynomials with positive leading coefficients, and made monic it is
-  the rational reduced basis term for term.  Only its leading monomials
-  are read downstream;
+  division over the rationals.  ``_regular_reduce`` is the one reduction;
+- the basis returned is the loop's own elements, in the order added, as
+  primitive integer polynomials with positive leading coefficients.  It is
+  a Groebner basis, deterministic per (ideal, order), but neither minimal
+  nor reduced: downstream only its leading monomials are read, and they
+  generate the leading-term ideal;
 - each (ideal, order) is computed once per process, basis and Hilbert
   series alike, so the checks that need the same one share it.
 
@@ -71,7 +72,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
-from operator import itemgetter, le, mul, neg
+from operator import le, mul, neg
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -191,16 +192,6 @@ class MonomialCode:
         mask, guards = self.mask, self.guards
         return ((m & mask | guards) - (l & mask)) & guards == guards
 
-    def first_divisor(self, m: int, reducers, start: int):
-        """The first of ``reducers[start:]`` (``_reducer`` triples) whose
-        leading monomial divides m, else the number of reducers."""
-        mask, guards = self.mask, self.guards
-        probe = m & mask | guards
-        for r in islice(reducers, start, None):
-            if (probe - (r[0] & mask)) & guards == guards:
-                return r
-        return len(reducers)
-
     def lcm(self, a: int, b: int) -> int:
         """The code of the lcm; ValueError if its degree exceeds
         ``MAX_DEGREE``.  The fields of a that are at least those of b are
@@ -229,14 +220,6 @@ class Poly:
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         self.terms = {tuple(exps): c for exps, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -456,38 +439,6 @@ def _cancel(work: dict, remainder: dict, heap: list, m: int, coeff: int,
     return a
 
 
-def _reduce(work: dict, reducers, code: MonomialCode,
-            memo: dict) -> tuple[dict, int]:
-    """Fraction-free full reduction of the integer terms ``work`` (keyed by
-    code, consumed) by ``_reducer`` triples; returns (remainder, scale) with
-    the remainder congruent to scale * work, scale a positive integer.
-
-    The next leading monomial is the largest code, popped from a heap of
-    negated codes; a monomial that cancels stays in the heap and is skipped
-    when popped.  ``memo`` maps a code to the first reducer whose leading
-    monomial divides it or, if none does, to the number of reducers
-    scanned; reducers may be appended between calls, never removed or
-    reordered, so every entry stays exact and a miss resumes its scan.
-    Each leading term is cancelled by ``_cancel``."""
-    heap = [-m for m in work]
-    heapify(heap)
-    remainder = {}
-    scale = 1
-    while heap:
-        m = -heappop(heap)
-        coeff = work.pop(m, 0)
-        if not coeff:
-            continue  # cancelled, or a second heap entry of a done monomial
-        r = memo.get(m, 0)
-        if r.__class__ is int:
-            r = memo[m] = code.first_divisor(m, reducers, r)
-            if r.__class__ is int:
-                remainder[m] = coeff
-                continue
-        scale *= _cancel(work, remainder, heap, m, coeff, *r)
-    return remainder, scale
-
-
 def _first_position(m: int, elements, code: MonomialCode, memo: dict) -> int:
     """The position of the first engine element whose leading monomial
     divides m, else the number of elements.  ``memo`` maps a code to a
@@ -504,11 +455,12 @@ def _first_position(m: int, elements, code: MonomialCode, memo: dict) -> int:
 
 
 def _regular_reduce(work: dict, index: int, sig: int, elements,
-                    code: MonomialCode, memo: dict) -> dict:
+                    code: MonomialCode, memo: dict) -> tuple[dict, int]:
     """Fraction-free full regular reduction of the integer terms ``work``
     (keyed by code, consumed) of signature sig * e_index by the engine's
-    elements ``(index, signature monomial, lead, lc, tail)``; returns the
-    remainder, congruent to a positive multiple of the work.
+    elements ``(index, signature monomial, lead, lc, tail)``; returns
+    (remainder, scale) with the remainder congruent to scale * work, scale a
+    positive integer.
 
     A term t is reduced by the first element h whose leading monomial
     divides it and whose multiple (t / lm h) * sig(h) has a smaller
@@ -522,6 +474,7 @@ def _regular_reduce(work: dict, index: int, sig: int, elements,
     heap = [-t for t in work]
     heapify(heap)
     remainder = {}
+    scale = 1
     while heap:
         t = -heappop(heap)
         coeff = work.pop(t, 0)
@@ -532,11 +485,11 @@ def _regular_reduce(work: dict, index: int, sig: int, elements,
             hi, hm, lead, lc, tail = elements[p]
             if ((probe - (lead & mask)) & guards == guards
                     and (hi < index or t - lead + hm < sig)):
-                _cancel(work, remainder, heap, t, coeff, lead, lc, tail)
+                scale *= _cancel(work, remainder, heap, t, coeff, lead, lc, tail)
                 break
         else:
             remainder[t] = coeff
-    return remainder
+    return remainder, scale
 
 
 def s_polynomial(f, g, lcm_fg: int) -> dict:
@@ -562,9 +515,11 @@ def s_polynomial(f, g, lcm_fg: int) -> dict:
 
 
 def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
-    """Reduced Groebner basis, deterministic for a fixed order: each element
-    a primitive integer polynomial with a positive leading coefficient (the
-    monic reduced basis, cleared of its denominators).
+    """A Groebner basis, deterministic for a fixed (ideal, order): the
+    elements the signature loop adds, in the order added, each a primitive
+    integer polynomial with a positive leading coefficient.  Their leading
+    monomials generate the leading-term ideal, which is all a caller reads;
+    the basis is neither minimal nor reduced.
 
     The engine is signature based.  Every element h carries a signature
     m * e_i: h is c * m * f_i, with c > 0 and f_i the i-th generator, plus
@@ -641,7 +596,7 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
                 continue  # F5, syzygy or rewrite criterion
             work = s_polynomial(elements[own][2:], elements[other][2:], lcm_fg)
         done = (i, m)
-        remainder = _regular_reduce(work, i, m, elements, code, memo)
+        remainder, _ = _regular_reduce(work, i, m, elements, code, memo)
         if not remainder:
             syzygies[i].append(m)
             continue
@@ -669,31 +624,8 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
             heappush(queue, pair)
         elements.append((i, m, lead, lc, tail))
 
-    return tuple(_reduce_basis([h[2:] for h in elements], code))
-
-
-def _reduce_basis(basis, code: MonomialCode) -> list[Poly]:
-    """Minimalize then tail-reduce ``_reducer`` triples; output primitive
-    integer Polys with a positive leading coefficient, sorted by leading
-    monomial, largest first."""
-    minimal = []
-    for r in sorted(basis, key=itemgetter(0)):
-        if not any(code.divides(h[0], r[0]) for h in minimal):
-            minimal.append(r)
-    memo = {}
-    reduced = []
-    for lead, lc, tail in minimal:
-        # no other minimal leading monomial divides this one, so only the
-        # tail reduces, and the lead ends up as lc times the scale; every
-        # term met is below the lead, which therefore divides none of them,
-        # so all of ``minimal`` reduces exactly as the others would, with
-        # one memo for every element
-        remainder, scale = _reduce(dict(tail), minimal, code, memo)
-        remainder[lead] = lc * scale
-        reduced.append(Poly(code.nvars, {code.decode(e): c for e, c
-                                         in _primitive(remainder).items()}))
-    # minimal leading monomials are distinct and ascending
-    return reduced[::-1]
+    return tuple(Poly(code.nvars, {code.decode(e): c for e, c in ((lead, lc), *tail)})
+                 for _, _, lead, lc, tail in elements)
 
 
 def leading_term_exponents(basis, ordering: str = "grevlex"):
@@ -743,10 +675,6 @@ class HilbertSeries:
             "numerator_coeffs": list(self.numerator),
             "denominator_coeffs": list(self.denominator),
         }
-
-    def __repr__(self):
-        return (f"HilbertSeries(num={list(self.numerator)}, "
-                f"den={list(self.denominator)})")
 
 
 def _one_minus_product(degrees) -> list[int]:
@@ -801,9 +729,11 @@ def _minimalize(gens):
 def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> HilbertSeries:
     """Hilbert series of the quotient by the ideal, all variables degree 2.
 
-    Computed from the leading-term ideal of a Groebner basis; the result is
-    order-independent, and every ``hilbert`` check (``cli._check_hilbert``)
-    recomputes the t = 0 series under grlex and requires the two to agree.
+    Computed from the leading monomials of a Groebner basis, any one: they
+    generate the leading-term ideal, and ``_monomial_quotient_numerator``
+    minimalizes them first.  The result is order-independent, and every
+    ``hilbert`` check (``cli._check_hilbert``) recomputes the t = 0 series
+    under grlex and requires the two to agree.
     Like the basis, each (ideal, ordering) is computed once per process, so
     the ``regular_sequence`` check reuses the series of J that ``hilbert``
     built.
@@ -852,7 +782,8 @@ def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
 def zero_set_is_origin(ideal: Ideal, ordering: str = "grevlex") -> bool:
     """For a homogeneous ideal: the affine zero set is {0} iff the quotient
     is finite dimensional, i.e. the leading-term ideal contains a pure power
-    of every variable."""
+    of every variable.  The leading monomials of any Groebner basis generate
+    that ideal, so one of them is such a power iff the ideal holds one."""
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise ValueError("zero-set criterion requires homogeneous generators")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import compress
+from itertools import accumulate, compress
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -310,11 +310,8 @@ class PetersonModel:
         """Compare the computed dimensions with the coefficients of the
         closed-form series (1+s^2)^n / (1-s^2): partial sums of binomials."""
         dims = self.image_graded_dimensions(cutoff_degree)
-        n = self.rank
-        expected = [
-            sum(comb(n, k) for k in range(d + 1))
-            for d in range(cutoff_degree // 2 + 1)
-        ]
+        expected = list(accumulate(
+            comb(self.rank, k) for k in range(cutoff_degree // 2 + 1)))
         return CheckRecord(
             check="graded_dims",
             lie_type=self.type_name(),

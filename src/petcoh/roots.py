@@ -238,11 +238,6 @@ def cartan_matrix(lie_type) -> CartanMatrix:
     return CartanMatrix(entries, types)
 
 
-def simple_root(cartan: CartanMatrix, i: int) -> tuple[int, ...]:
-    """Coordinate vector of alpha_i."""
-    return tuple(1 if k == i - 1 else 0 for k in range(cartan.rank))
-
-
 def simple_reflection_action(cartan: CartanMatrix, j: int, v) -> tuple[int, ...]:
     """Apply s_j to a root-coordinate vector.
 

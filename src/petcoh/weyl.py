@@ -53,13 +53,6 @@ def word_to_str(word) -> str:
     return ",".join(str(i) for i in word)
 
 
-def word_from_str(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
-
-
 class WeylGroup:
     """Weyl group of a Cartan matrix.
 

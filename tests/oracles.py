@@ -665,14 +665,14 @@ def subword_localization(group, v, w):
     word = w.witness_word
     factors = [linear_poly(r) for r in matrix_inversion_roots(cartan, word)]
     products: dict[tuple, tuple] = {}
-    total = Poly.zero(cartan.rank)
+    total = Poly(cartan.rank)
     for positions in itertools.combinations(range(len(word)), v.length):
         letters = tuple(word[p] for p in positions)
         if letters not in products:
             products[letters] = word_matrix(cartan, letters)
         if products[letters] != v.action:
             continue
-        term = Poly.one(cartan.rank)
+        term = Poly(cartan.rank, {(0,) * cartan.rank: 1})
         for p in positions:
             term = poly_product(term, factors[p])
         total = poly_sum(total, term)
@@ -946,11 +946,13 @@ def _cleared(terms) -> tuple[int, dict]:
 
 def normal_form(p, basis, key):
     """Remainder of p on division by the basis, by the engine's integer
-    reduction ``commalg._reduce`` on packed monomials: p and every divisor
-    are cleared of their denominators and packed for the order of ``key``,
-    each divisor enters in the engine's primitive form (scaling a divisor
-    leaves the remainder unchanged), and the unpacked integer remainder is
-    divided by p's denominator and the running scale."""
+    reduction ``commalg._regular_reduce`` on packed monomials: p and every
+    divisor are cleared of their denominators and packed for the order of
+    ``key``, each divisor enters in the engine's primitive form (scaling a
+    divisor leaves the remainder unchanged) at index 0, below the work's
+    index 1, so that every divisor qualifies and the first dividing one
+    reduces, and the unpacked integer remainder is divided by p's
+    denominator and the running scale."""
     from petcoh import commalg
 
     ordering, = (name for name, k in commalg.MONOMIAL_ORDERS.items() if k is key)
@@ -960,8 +962,9 @@ def normal_form(p, basis, key):
         return {code.encode(e): c for e, c in _cleared(terms)[1].items()}
 
     den = _cleared(p.terms)[0]
-    reducers = [commalg._reducer(packed(g.terms)) for g in basis if g]
-    remainder, scale = commalg._reduce(packed(p.terms), reducers, code, {})
+    divisors = [(0, 0, *commalg._reducer(packed(g.terms))) for g in basis if g]
+    remainder, scale = commalg._regular_reduce(packed(p.terms), 1, 0, divisors,
+                                               code, {})
     return commalg.Poly(p.nvars, {code.decode(e): Q(c, den * scale)
                                   for e, c in remainder.items()})
 
@@ -1003,7 +1006,7 @@ def oracle_normal_form(p, basis, key):
     new polynomials, leading terms are recomputed each time."""
     from petcoh.commalg import Poly
 
-    remainder = Poly.zero(p.nvars)
+    remainder = Poly(p.nvars)
     leads = [(g, g.leading(key)) for g in basis if g]
     work = p
     while work:
@@ -1095,8 +1098,9 @@ def _oracle_reduce_basis(basis, key):
 
 # The tuple engine: commalg's fraction-free Buchberger loop as it ran on
 # exponent tuples and order-key tuples before monomials were packed into
-# ints.  Same pair order, criteria, reducer order and integer reduction, so
-# its reduced bases are the packed engine's term for term.
+# ints, with the final interreduction commalg no longer runs.  A reduced
+# basis is unique up to scaling, so ``tuple_reduced_basis`` of any Groebner
+# basis of an ideal is ``tuple_groebner_basis`` of it term for term.
 
 def tuple_reducer(terms, key) -> tuple:
     """(leading monomial, leading coefficient, tail terms) of the primitive
@@ -1178,7 +1182,7 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
     leading coefficients, largest leading monomial first."""
     import heapq
 
-    from petcoh.commalg import Poly, order_key
+    from petcoh.commalg import order_key
 
     key = order_key(ordering)
     basis = sorted((tuple_reducer(g.terms, key) for g in ideal.generators),
@@ -1207,6 +1211,24 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
                 pairs.add((k, new))
                 heapq.heappush(heap, (key(_mono_lcm(basis[k][0], basis[new][0])),
                                       (k, new)))
+    return _tuple_interreduced(basis, key, ideal.nvars)
+
+
+def tuple_reduced_basis(polys, ordering: str = "grevlex"):
+    """The reduced Groebner basis of the ideal that the Groebner basis
+    ``polys`` generates, in the form ``tuple_groebner_basis`` returns."""
+    from petcoh.commalg import order_key
+
+    key = order_key(ordering)
+    return _tuple_interreduced([tuple_reducer(g.terms, key) for g in polys], key,
+                               polys[0].nvars)
+
+
+def _tuple_interreduced(basis, key, nvars):
+    """Minimalize then tail-reduce the ``tuple_reducer`` triples of a
+    Groebner basis; primitive integer Polys with positive leading
+    coefficients, largest leading monomial first."""
+    from petcoh.commalg import Poly
 
     minimal = []
     for r in sorted(basis, key=lambda r: key(r[0])):
@@ -1218,5 +1240,5 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
                                         key)
         remainder[lead] = lc * scale
         g = gcd(*remainder.values())
-        reduced.append(Poly(ideal.nvars, {e: c // g for e, c in remainder.items()}))
+        reduced.append(Poly(nvars, {e: c // g for e, c in remainder.items()}))
     return reduced[::-1]

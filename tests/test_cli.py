@@ -34,6 +34,10 @@ def test_run_config_validation():
         RunConfig(lie_type="A1", cutoff_degree=5)
     with pytest.raises(ValueError):
         RunConfig(lie_type="A1", cutoff_degree=-2)
+    # every graded dimension is constant from degree 2 * rank on
+    RunConfig(lie_type="A1", cutoff_degree=2 * cli.MAX_RANK)
+    with pytest.raises(ValueError, match=f"between 0 and {2 * cli.MAX_RANK}"):
+        RunConfig(lie_type="A1", cutoff_degree=2 * cli.MAX_RANK + 2)
     with pytest.raises(ValueError):
         RunConfig(lie_type="A1", checks=("nope",))
     with pytest.raises(ValueError):
@@ -434,6 +438,7 @@ def test_main_rejects_unknown_check():
     ["suite", "--types", "A1,Z9"],
     ["suite", "--types", "A1,E9"],
     ["certify", "--type", "A1", "--cutoff-degree", "3"],
+    ["certify", "--type", "A1", "--cutoff-degree", "26"],
     ["certify", "--type", "A1", "--word-cap", "-1"],
     ["suite", "--types", "A1", "--word-cap", "-1"],
     ["certify", "--type", "A1", "--out", "/nonexistent/x.json"],
@@ -442,7 +447,8 @@ def test_main_rejects_unknown_check():
     ["suite", "--types", "A1,A40"],
     ["certify", "--type", f"A{cli.MAX_RANK}+A1"],
 ], ids=["bad-type", "rank-out-of-range", "suite-bad-type",
-        "suite-rank-out-of-range", "odd-cutoff", "negative-word-cap",
+        "suite-rank-out-of-range", "odd-cutoff", "cutoff-over-max",
+        "negative-word-cap",
         "suite-negative-word-cap", "unwritable-out", "suite-unwritable-out",
         "rank-over-max", "suite-rank-over-max", "total-rank-over-max"])
 def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
@@ -456,6 +462,14 @@ def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("petcoh: error: ")
     assert "Traceback" not in captured.err
+
+
+def test_largest_cutoff_runs(capsys):
+    assert main(["certify", "--type", "A2", "--checks", "graded_dims",
+                 "--cutoff-degree", "24", "--format", "json"]) == 0
+    record, = json.loads(capsys.readouterr().out)["checks"]
+    assert record["pass"]
+    assert record["witnesses"]["expected"] == [1, 3] + [4] * 11
 
 
 def test_star_import_and_export_list():
