@@ -18,7 +18,7 @@ from .commalg import (
     zero_set_via_minors,
 )
 from .errors import IntegrityError, ResourceCapError
-from .peterson import FixedPoint, PetersonModel
+from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord
 from .roots import (
     CartanMatrix,
@@ -34,7 +34,6 @@ __all__ = [
     "CartanMatrix",
     "CertificationReport",
     "CheckRecord",
-    "FixedPoint",
     "HilbertSeries",
     "Ideal",
     "IntegrityError",

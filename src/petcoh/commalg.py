@@ -39,9 +39,10 @@ ends at zero.  Along the way:
 - every monomial is one int, its ``MonomialCode``: the order key and the
   exponents packed into fixed-width fields, so that a product is ``+``, a
   quotient ``-``, the leading monomial ``max`` and divisibility one test
-  on the fields' guard bits.  Signature monomials are codes too.
-  Polynomials are packed on the way in and unpacked on the way out, and
-  nothing in between handles an exponent tuple;
+  on the fields' guard bits.  ``MonomialCode`` is the package's one
+  definition of each monomial order.  Signature monomials are codes too.
+  Polynomials are packed on the way in, and only the public
+  ``groebner_basis`` unpacks them;
 - each element's leading term is computed once, when it joins the basis,
   and serves the reductions, the pair signatures and the F5 criterion;
 - a memo, one per basis computation, maps each monomial met to a position
@@ -58,6 +59,9 @@ ends at zero.  Along the way:
   a Groebner basis, deterministic per (ideal, order), but neither minimal
   nor reduced: downstream only its leading monomials are read, and they
   generate the leading-term ideal;
+- the Hilbert-series and zero-set checks read those leading monomials as
+  packed codes: minimalizing, colon ideals and pure powers are int
+  arithmetic on codes;
 - each (ideal, order) is computed once per process, basis and Hilbert
   series alike, so the checks that need the same one share it.
 
@@ -72,43 +76,16 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
-from operator import le, mul, neg
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .roots import CartanMatrix
 
 # ---------------------------------------------------------------------------
-# monomial orders
-
-def grevlex_key(exps):
-    """Graded reverse lexicographic, first listed variable largest."""
-    return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
-def grlex_key(exps):
-    """Graded lexicographic, first listed variable largest."""
-    return (sum(exps), exps)
-
-
-MONOMIAL_ORDERS = {"grevlex": grevlex_key, "grlex": grlex_key}
-
-
-def order_key(ordering: str):
-    try:
-        return MONOMIAL_ORDERS[ordering]
-    except KeyError:
-        raise ValueError(
-            f"unknown monomial order {ordering!r}; expected one of "
-            f"{sorted(MONOMIAL_ORDERS)}") from None
-
-
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-# ---------------------------------------------------------------------------
 # packed monomials
+
+ORDERINGS = ("grevlex", "grlex")  # both graded, see ``MonomialCode``
 
 FIELD_BITS = 16
 """Bits per field of a packed monomial; the top bit of an exponent field is
@@ -120,7 +97,8 @@ of exponents of such a monomial fits below the guard bit of a field."""
 
 
 class MonomialCode:
-    """Monomials in ``nvars`` variables as ints, for one monomial order.
+    """Monomials in ``nvars`` variables as ints, for one monomial order:
+    the package's one definition of grevlex and grlex.
 
     The code of an exponent vector e is ``K(e) << S | P(e)``:
 
@@ -144,7 +122,9 @@ class MonomialCode:
                  "_grevlex", "_degree_shift")
 
     def __init__(self, nvars: int, ordering: str):
-        order_key(ordering)  # rejects an unknown order
+        if ordering not in ORDERINGS:
+            raise ValueError(f"unknown monomial order {ordering!r}; expected "
+                             f"one of {list(ORDERINGS)}")
         width = FIELD_BITS
         self.nvars = nvars
         self.shift = width * nvars
@@ -235,11 +215,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def leading(self, key):
-        """(exponents, coefficient) of the leading term under the order key."""
-        exps = max(self.terms, key=key)
-        return exps, self.terms[exps]
 
     def total_degrees(self) -> set[int]:
         return {sum(e) for e in self.terms}
@@ -554,16 +529,20 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
     reduction can drop in degree below its signature, so the signature's
     own degree is checked.
 
-    Each (ideal, ordering) is computed once per process; every call returns
+    Each (ideal, ordering) is computed once per process; every call decodes
     a fresh list of the same polynomials.
     """
-    return list(_groebner_basis(ideal, ordering))
+    code, elements = _groebner_basis(ideal, ordering)
+    return [Poly(code.nvars, {code.decode(e): c for e, c in ((lead, lc), *tail)})
+            for _, _, lead, lc, tail in elements]
 
 
 @lru_cache(maxsize=None)
-def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
-    # always called positionally, so that groebner_basis(I) and
-    # groebner_basis(I, "grevlex") share one cache entry
+def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
+    """(code, elements): the engine's elements ``(index, signature
+    monomial, lead, lc, tail)`` as ``groebner_basis`` describes them, packed
+    by ``code``.  Always called positionally, so that groebner_basis(I) and
+    groebner_basis(I, "grevlex") share one cache entry."""
     code = MonomialCode(ideal.nvars, ordering)
     gens = [{code.encode(e): c for e, c in g.terms.items()}
             for g in ideal.generators]
@@ -624,13 +603,7 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[Poly, ...]:
             heappush(queue, pair)
         elements.append((i, m, lead, lc, tail))
 
-    return tuple(Poly(code.nvars, {code.decode(e): c for e, c in ((lead, lc), *tail)})
-                 for _, _, lead, lc, tail in elements)
-
-
-def leading_term_exponents(basis, ordering: str = "grevlex"):
-    key = order_key(ordering)
-    return [g.leading(key)[0] for g in basis]
+    return code, tuple(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -687,41 +660,44 @@ def _one_minus_product(degrees) -> list[int]:
     return out
 
 
-def _monomial_quotient_numerator(gens, nvars: int) -> list[int]:
-    """Coefficients of the numerator of the Hilbert series of R/I for a
-    monomial ideal I, over the internal degree-1 grading:
-    F = N(s)/(1-s)^nvars.
+def _monomial_quotient_numerator(gens, code: MonomialCode) -> list[int]:
+    """Coefficients of the numerator of the Hilbert series of R/I for the
+    monomial ideal I generated by the codes ``gens``, over the internal
+    degree-1 grading: F = N(s)/(1-s)^nvars.
 
-    Recursion: pivot on a variable x occurring in a mixed generator, using
-    N(I) = N(I + (x)) + s * N(I : x); base cases are pure-power ideals.
+    Recursion: pivot on the variable x that divides the most mixed
+    generators, using N(I) = N(I + (x)) + s * N(I : x); base cases are
+    pure-power ideals.  I : x is generated by g / x for the g that x divides
+    and by the other g as they are.
     """
-    gens = _minimalize(gens)
-    if any(sum(g) == 0 for g in gens):
+    gens = _minimalize(gens, code)
+    if gens and gens[0] == 0:
         return []  # ideal contains 1
-    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
-    if not mixed:
-        return _one_minus_product(sum(g) for g in gens)
-    counts = [0] * nvars
-    for g in mixed:
-        for v in range(nvars):
-            if g[v]:
+    weights = code.weights
+    counts = [0] * code.nvars
+    for g in gens:
+        support = [v for v, x in enumerate(weights) if code.divides(x, g)]
+        if len(support) > 1:
+            for v in support:
                 counts[v] += 1
-    pivot_var = counts.index(max(counts))
-    pivot = tuple(1 if v == pivot_var else 0 for v in range(nvars))
-    plus = gens + [pivot]
-    colon = [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens]
-    out = _monomial_quotient_numerator(plus, nvars)
-    n_colon = _monomial_quotient_numerator(colon, nvars)
+    if not any(counts):
+        return _one_minus_product(map(code.degree, gens))
+    x = weights[counts.index(max(counts))]
+    out = _monomial_quotient_numerator(gens + [x], code)
+    n_colon = _monomial_quotient_numerator(
+        [g - x if code.divides(x, g) else g for g in gens], code)
     out += [0] * (len(n_colon) + 1 - len(out))
     for k, c in enumerate(n_colon, 1):
         out[k] += c
     return out
 
 
-def _minimalize(gens):
+def _minimalize(gens, code: MonomialCode) -> list[int]:
+    """The minimal generators among the codes, ascending.  Both orders are
+    graded, so a proper divisor has the smaller code and is kept first."""
     out = []
-    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
-        if not any(_divides(h, g) for h in out):
+    for g in sorted(set(gens)):
+        if not any(code.divides(h, g) for h in out):
             out.append(g)
     return out
 
@@ -731,9 +707,10 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
 
     Computed from the leading monomials of a Groebner basis, any one: they
     generate the leading-term ideal, and ``_monomial_quotient_numerator``
-    minimalizes them first.  The result is order-independent, and every
-    ``hilbert`` check (``cli._check_hilbert``) recomputes the t = 0 series
-    under grlex and requires the two to agree.
+    minimalizes them first; it reads the engine's packed leads as they are.
+    The result is order-independent, and every ``hilbert`` check
+    (``cli._check_hilbert``) recomputes the t = 0 series under grlex and
+    requires the two to agree.
     Like the basis, each (ideal, ordering) is computed once per process, so
     the ``regular_sequence`` check reuses the series of J that ``hilbert``
     built.
@@ -743,9 +720,8 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
 
 @lru_cache(maxsize=None)
 def _hilbert_series(ideal: Ideal, ordering: str) -> HilbertSeries:
-    basis = groebner_basis(ideal, ordering)
-    lead = leading_term_exponents(basis, ordering)
-    numer = _monomial_quotient_numerator(lead, ideal.nvars)
+    code, elements = _groebner_basis(ideal, ordering)
+    numer = _monomial_quotient_numerator([h[2] for h in elements], code)
     # substitute s -> s^2 under the denominator (1 - s^2)^nvars
     numer = [c for coeff in numer for c in (coeff, 0)]
     return HilbertSeries.over_one_minus_s2(numer, ideal.nvars)
@@ -783,16 +759,16 @@ def zero_set_is_origin(ideal: Ideal, ordering: str = "grevlex") -> bool:
     """For a homogeneous ideal: the affine zero set is {0} iff the quotient
     is finite dimensional, i.e. the leading-term ideal contains a pure power
     of every variable.  The leading monomials of any Groebner basis generate
-    that ideal, so one of them is such a power iff the ideal holds one."""
+    that ideal, so one of them is such a power iff the ideal holds one; the
+    engine's packed leads are read as they are."""
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise ValueError("zero-set criterion requires homogeneous generators")
-    basis = groebner_basis(ideal, ordering)
-    lead = leading_term_exponents(basis, ordering)
-    for v in range(ideal.nvars):
-        if not any(e[v] and sum(e) == e[v] for e in lead):
-            return False
-    return True
+    code, elements = _groebner_basis(ideal, ordering)
+    leads = {h[2] for h in elements}
+    # x_v^d, d > 0, has the code d * weights[v]; the constant 1 has code 0
+    return all(any(lead and lead == code.degree(lead) * x for lead in leads)
+               for x in code.weights)
 
 
 def zero_set_via_minors(cartan: CartanMatrix) -> bool:

@@ -20,7 +20,6 @@ the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, compress
@@ -32,15 +31,7 @@ from .commalg import IntegerEchelon
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
-from .weyl import WeylElement, WeylGroup
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """One circle fixed point: a node subset K with its longest element."""
-
-    K: tuple[int, ...]
-    w_K: WeylElement
+from .weyl import WeylGroup
 
 
 def _row_product(rows) -> tuple[int, ...]:
@@ -59,8 +50,8 @@ class PetersonModel:
 
     Fixed points are enumerated by subsets of the node set, ordered by
     (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Construction localizes nothing: the rows of the classes
-    p_{v_J} are built together on first use.
+    triangular.  Construction computes nothing: the longest elements w_K
+    and the rows of the classes p_{v_J} are built together on first use.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -68,8 +59,6 @@ class PetersonModel:
         self.group = group or WeylGroup(cartan)
         self.subsets = tuple(subsets_by_size(cartan.rank))
         self._subset_index = {K: i for i, K in enumerate(self.subsets)}
-        self.fixed_points = tuple(
-            FixedPoint(K, self.group.longest_element(K)) for K in self.subsets)
 
     @property
     def rank(self) -> int:
@@ -83,15 +72,16 @@ class PetersonModel:
 
     def one(self) -> tuple[int, ...]:
         """The row of the class 1, of degree 0."""
-        return (1,) * len(self.fixed_points)
+        return (1,) * len(self.subsets)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         """Row k: p_{v_K}(w_L) / t^|K| at every fixed point L, for
-        K = subsets[k]; one restricted table per fixed point."""
+        K = subsets[k]; one restricted table per fixed point w_L."""
         targets = [self.group.v_K(J) for J in self.subsets]
-        columns = [restricted_table(self.group, targets, fp.w_K)
-                   for fp in self.fixed_points]
+        columns = [restricted_table(self.group, targets,
+                                    self.group.longest_element(L))
+                   for L in self.subsets]
         return tuple(tuple(c[v] for c in columns) for v in targets)
 
     def subset_class(self, K) -> tuple[int, ...]:

@@ -86,9 +86,6 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return WeylElement(self._identity_matrix, 0, ())
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        return self.right_multiply(self.identity, i)
-
     def right_descends(self, w: WeylElement, i: int) -> bool:
         """True iff l(w s_i) < l(w), i.e. the root w(alpha_i) is negative:
         it has a negative entry."""

@@ -241,7 +241,7 @@ class PetersonClass:
 
     def __init__(self, model, degree: int, values):
         values = tuple(values)
-        if len(values) != len(model.fixed_points):
+        if len(values) != len(model.subsets):
             raise ValueError("value tuple does not match the fixed-point set")
         self.model = model
         self.degree = degree
@@ -703,8 +703,9 @@ def per_class_restriction(model, v):
     truth for the model's one table per fixed point."""
     from petcoh.billey import billey_localization
 
-    return [restrict_to_S(billey_localization(model.group, v, fp.w_K))
-            for fp in model.fixed_points]
+    return [restrict_to_S(billey_localization(model.group, v,
+                                              model.group.longest_element(K)))
+            for K in model.subsets]
 
 
 def billey_welldef_per_word(model, config):
@@ -847,6 +848,45 @@ def fraction_verify_giambelli(model, K):
     )
 
 
+# Monomial orders on exponent tuples, as order keys: the reference for the
+# packed orders of ``commalg.MonomialCode``, and the orders of the tuple
+# engines below.
+
+def grevlex_key(exps):
+    """Graded reverse lexicographic, first listed variable largest."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def grlex_key(exps):
+    """Graded lexicographic, first listed variable largest."""
+    return (sum(exps), exps)
+
+
+MONOMIAL_ORDERS = {"grevlex": grevlex_key, "grlex": grlex_key}
+
+
+def order_key(ordering: str):
+    try:
+        return MONOMIAL_ORDERS[ordering]
+    except KeyError:
+        raise ValueError(
+            f"unknown monomial order {ordering!r}; expected one of "
+            f"{sorted(MONOMIAL_ORDERS)}") from None
+
+
+def leading(p, key):
+    """(exponents, coefficient) of the leading term of p under the order
+    key."""
+    exps = max(p.terms, key=key)
+    return exps, p.terms[exps]
+
+
+def leading_exponents(basis, ordering: str = "grevlex"):
+    """The leading exponent tuple of every polynomial of the basis."""
+    key = order_key(ordering)
+    return [leading(g, key)[0] for g in basis]
+
+
 # The seed's Buchberger loop, kept as ground truth for commalg's engine.  It
 # divides in Fractions, as the seed did, where the engine divides in
 # integers.  The monomial helpers, the Poly arithmetic and the Poly scalings
@@ -908,8 +948,6 @@ def sorted_terms(p, key):
 def as_term_list(p, key=None):
     """Serialization: descending [(exponents, numerator, denominator)],
     grevlex by default."""
-    from petcoh.commalg import grevlex_key
-
     return [[list(e), Q(c).numerator, Q(c).denominator]
             for e, c in sorted_terms(p, key or grevlex_key)]
 
@@ -917,8 +955,6 @@ def as_term_list(p, key=None):
 def render(p, var_names=None, key=None) -> str:
     """p as text, e.g. ``2*x1^2 + -1*x1*x2``; variables z1, z2, ... unless
     named."""
-    from petcoh.commalg import grevlex_key
-
     var_names = var_names or [f"z{i + 1}" for i in range(p.nvars)]
     if not p.terms:
         return "0"
@@ -955,7 +991,7 @@ def normal_form(p, basis, key):
     denominator and the running scale."""
     from petcoh import commalg
 
-    ordering, = (name for name, k in commalg.MONOMIAL_ORDERS.items() if k is key)
+    ordering, = (name for name, k in MONOMIAL_ORDERS.items() if k is key)
     code = commalg.MonomialCode(p.nvars, ordering)
 
     def packed(terms):
@@ -979,14 +1015,14 @@ def term_mul(p, coeff, exps):
 def normalized(p):
     """p scaled to integer content 1 and a positive leading coefficient
     under grevlex."""
-    from petcoh.commalg import Poly, grevlex_key
+    from petcoh.commalg import Poly
 
     if not p:
         return p
     den = lcm(*(c.denominator for c in p.terms.values()))
     g = gcd(*(int(c * den) for c in p.terms.values()))
     factor = Q(den, g)
-    if p.leading(grevlex_key)[1] < 0:
+    if leading(p, grevlex_key)[1] < 0:
         factor = -factor
     return Poly(p.nvars, {e: c * factor for e, c in p.terms.items()})
 
@@ -997,7 +1033,7 @@ def monic(p, key):
 
     if not p:
         return p
-    lc = p.leading(key)[1]
+    lc = leading(p, key)[1]
     return Poly(p.nvars, {e: Q(c) / lc for e, c in p.terms.items()})
 
 
@@ -1007,10 +1043,10 @@ def oracle_normal_form(p, basis, key):
     from petcoh.commalg import Poly
 
     remainder = Poly(p.nvars)
-    leads = [(g, g.leading(key)) for g in basis if g]
+    leads = [(g, leading(g, key)) for g in basis if g]
     work = p
     while work:
-        exps, coeff = work.leading(key)
+        exps, coeff = leading(work, key)
         for g, (ge, gc) in leads:
             if _divides(ge, exps):
                 work = poly_difference(
@@ -1026,8 +1062,8 @@ def oracle_normal_form(p, basis, key):
 def oracle_s_polynomial(f, g, key):
     """The seed's S-polynomial: f / lc(f) and g / lc(g), each shifted up to
     the lcm of the leading monomials, subtracted."""
-    fe, fc = f.leading(key)
-    ge, gc = g.leading(key)
+    fe, fc = leading(f, key)
+    ge, gc = leading(g, key)
     lcm = _mono_lcm(fe, ge)
     return poly_difference(term_mul(f, Q(1) / fc, _mono_div(lcm, fe)),
                            term_mul(g, Q(1) / gc, _mono_div(lcm, ge)))
@@ -1037,21 +1073,19 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
     """The seed's reduced Groebner basis: a plain Buchberger loop that picks
     the smallest-lcm pair by a scan over all pairs, recomputing every
     leading monomial each time, with the coprimality and chain criteria."""
-    from petcoh.commalg import order_key
-
     key = order_key(ordering)
     basis = [normalized(g) for g in ideal.generators if g]
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
+    basis.sort(key=lambda g: key(leading(g, key)[0]))
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
 
     def lcm_of(i, j):
-        return _mono_lcm(basis[i].leading(key)[0], basis[j].leading(key)[0])
+        return _mono_lcm(leading(basis[i], key)[0], leading(basis[j], key)[0])
 
     while pairs:
         i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
         pairs.discard((i, j))
-        fe = basis[i].leading(key)[0]
-        ge = basis[j].leading(key)[0]
+        fe = leading(basis[i], key)[0]
+        ge = leading(basis[j], key)[0]
         lcm = _mono_lcm(fe, ge)
         if _mono_mul(fe, ge) == lcm:
             continue  # coprime leading monomials
@@ -1059,7 +1093,7 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(basis[k].leading(key)[0], lcm) \
+            if _divides(leading(basis[k], key)[0], lcm) \
                     and (min(i, k), max(i, k)) not in pairs \
                     and (min(j, k), max(j, k)) not in pairs:
                 skip = True
@@ -1080,11 +1114,11 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
 def _oracle_reduce_basis(basis, key):
     """Minimalize then tail-reduce; output monic, sorted by leading monomial."""
     basis = [g for g in basis if g]
-    basis.sort(key=lambda g: key(g.leading(key)[0]))
+    basis.sort(key=lambda g: key(leading(g, key)[0]))
     minimal = []
     for g in basis:
-        ge = g.leading(key)[0]
-        if not any(_divides(h.leading(key)[0], ge) for h in minimal):
+        ge = leading(g, key)[0]
+        if not any(_divides(leading(h, key)[0], ge) for h in minimal):
             minimal.append(g)
     reduced = []
     for idx, g in enumerate(minimal):
@@ -1092,7 +1126,7 @@ def _oracle_reduce_basis(basis, key):
         h = oracle_normal_form(g, others, key)
         assert h, "minimal basis element reduced to zero"
         reduced.append(monic(h, key))
-    reduced.sort(key=lambda g: key(g.leading(key)[0]), reverse=True)
+    reduced.sort(key=lambda g: key(leading(g, key)[0]), reverse=True)
     return reduced
 
 
@@ -1182,8 +1216,6 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
     leading coefficients, largest leading monomial first."""
     import heapq
 
-    from petcoh.commalg import order_key
-
     key = order_key(ordering)
     basis = sorted((tuple_reducer(g.terms, key) for g in ideal.generators),
                    key=lambda r: key(r[0]))
@@ -1217,8 +1249,6 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
 def tuple_reduced_basis(polys, ordering: str = "grevlex"):
     """The reduced Groebner basis of the ideal that the Groebner basis
     ``polys`` generates, in the form ``tuple_groebner_basis`` returns."""
-    from petcoh.commalg import order_key
-
     key = order_key(ordering)
     return _tuple_interreduced([tuple_reducer(g.terms, key) for g in polys], key,
                                polys[0].nvars)
@@ -1242,3 +1272,48 @@ def _tuple_interreduced(basis, key, nvars):
         g = gcd(*remainder.values())
         reduced.append(Poly(nvars, {e: c // g for e, c in remainder.items()}))
     return reduced[::-1]
+
+
+# The monomial Hilbert numerator and the pure-power test on exponent tuples,
+# as commalg ran them before its Hilbert and zero-set checks read the
+# engine's packed leading monomials: ground truth for the packed recursion.
+
+def tuple_monomial_quotient_numerator(gens, nvars: int) -> list[int]:
+    """Coefficients of the numerator N of the Hilbert series N(s)/(1-s)^nvars
+    of R/I for the monomial ideal I generated by the exponent tuples, all
+    variables of degree 1: pivot on the variable x in the most mixed
+    generators, N(I) = N(I + (x)) + s * N(I : x), pure powers at the base."""
+    gens = _tuple_minimalize(gens)
+    if any(sum(g) == 0 for g in gens):
+        return []  # ideal contains 1
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        out = [1]
+        for d in (sum(g) for g in gens):
+            out += [0] * d
+            for k in range(len(out) - 1, d - 1, -1):
+                out[k] -= out[k - d]
+        return out
+    counts = [sum(1 for g in mixed if g[v]) for v in range(nvars)]
+    pivot_var = counts.index(max(counts))
+    pivot = tuple(int(v == pivot_var) for v in range(nvars))
+    out = tuple_monomial_quotient_numerator(gens + [pivot], nvars)
+    n_colon = tuple_monomial_quotient_numerator(
+        [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens], nvars)
+    out += [0] * (len(n_colon) + 1 - len(out))
+    for k, c in enumerate(n_colon, 1):
+        out[k] += c
+    return out
+
+
+def _tuple_minimalize(gens):
+    out = []
+    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+        if not any(_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+def tuple_pure_power_variables(leads, nvars: int) -> list[bool]:
+    """Per variable v, whether some exponent tuple is x_v^d with d > 0."""
+    return [any(e[v] and sum(e) == e[v] for e in leads) for v in range(nvars)]

@@ -46,13 +46,13 @@ def alpha(n, i):
 def test_diagonal_rank_one(name):
     W = group(name)
     for i in W.cartan.nodes():
-        s_i = W.simple_reflection(i)
+        s_i = W.from_word((i,))
         assert billey_localization(W, s_i, s_i) == alpha(W.rank, i)
 
 
 def test_vanishing_off_diagonal_rank_one():
     W = group("A2")
-    s1, s2 = W.simple_reflection(1), W.simple_reflection(2)
+    s1, s2 = W.from_word((1,)), W.from_word((2,))
     assert not billey_localization(W, s1, s2)
     assert restrict_to_S(billey_localization(W, s1, s2)) == Poly(1)
 
@@ -71,8 +71,8 @@ def test_order_three_closed_form(name, i, j):
         W.rank,
         {tuple(1 if k == i - 1 else 0 for k in range(W.rank)): a,
          tuple(1 if k == j - 1 else 0 for k in range(W.rank)): -a_ij})
-    assert billey_localization(W, W.simple_reflection(i), w) == expected
-    assert restrict_to_S(billey_localization(W, W.simple_reflection(i), w)) \
+    assert billey_localization(W, W.from_word((i,)), w) == expected
+    assert restrict_to_S(billey_localization(W, W.from_word((i,)), w)) \
         == Poly(1, {(1,): a - a_ij})
 
 
@@ -84,7 +84,7 @@ def test_order_four_closed_form(i, j):
     w = W.from_word((i, j, i, j))
     assert w == W.longest_element((1, 2))
     a = cm.a(i, j) * cm.a(j, i)
-    value = billey_localization(W, W.simple_reflection(i), w)
+    value = billey_localization(W, W.from_word((i,)), w)
     assert restrict_to_S(value) == Poly(1, {(1,): a - cm.a(i, j)})
 
 
@@ -101,7 +101,7 @@ def test_order_six_closed_form(i, j):
         n,
         {tuple(1 if k == i - 1 else 0 for k in range(n)): 4,
          tuple(1 if k == j - 1 else 0 for k in range(n)): -2 * a_ij})
-    assert billey_localization(W, W.simple_reflection(i), w) == expected
+    assert billey_localization(W, W.from_word((i,)), w) == expected
     assert restrict_to_S(expected) == Poly(1, {(1,): 4 - 2 * a_ij})
 
 

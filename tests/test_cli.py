@@ -301,7 +301,7 @@ def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
     # billey_welldef being a leg, it must not certify
     group = WeylGroup(cartan_matrix("A2"))
     w0 = group.elements_up_to_length(6)[-1]  # as the sweep builds it
-    dropped = group.simple_reflection(1)
+    dropped = group.from_word((1,))
     build = WeylGroup.bruhat_intervals
 
     def dropping(self, elements):
@@ -480,6 +480,7 @@ def test_star_import_and_export_list():
     for name in petcoh.__all__:
         assert getattr(petcoh, name) is namespace[name], name
     assert "PetersonClass" not in petcoh.__all__
+    assert "FixedPoint" not in petcoh.__all__ and not hasattr(petcoh, "FixedPoint")
 
 
 def test_default_suite_contents():

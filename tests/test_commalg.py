@@ -13,7 +13,6 @@ from petcoh import commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification, run_suite
 from petcoh.commalg import (
     MAX_DEGREE,
-    MONOMIAL_ORDERS,
     HilbertSeries,
     Ideal,
     IntegerEchelon,
@@ -21,14 +20,10 @@ from petcoh.commalg import (
     Poly,
     build_ideal_J,
     build_ideal_Jcheck,
-    grevlex_key,
-    grlex_key,
     groebner_basis,
     hilbert_series_of_quotient,
     is_regular_sequence,
     leading_minors_positive,
-    leading_term_exponents,
-    order_key,
     s_polynomial,
     zero_set_is_origin,
     zero_set_via_minors,
@@ -36,6 +31,7 @@ from petcoh.commalg import (
 from petcoh.roots import cartan_matrix
 
 from oracles import (
+    MONOMIAL_ORDERS,
     _divides,
     _mono_lcm,
     all_monomials_graded_dims,
@@ -45,17 +41,24 @@ from oracles import (
     fraction_det,
     fraction_rank,
     fraction_reduced_series,
+    grevlex_key,
+    grlex_key,
     ideal_to_json,
+    leading,
+    leading_exponents,
     monic,
     normal_form,
     normalized,
     oracle_normal_form,
     oracle_s_polynomial,
+    order_key,
     poly_mul,
     poly_pow,
     render,
     series_prefix,
     tuple_groebner_basis,
+    tuple_monomial_quotient_numerator,
+    tuple_pure_power_variables,
     tuple_reduced_basis,
 )
 
@@ -162,7 +165,8 @@ def test_packing_fixed_cases():
         # every guard bit is clear in a valid code's exponent part
         assert not code.encode((MAX_DEGREE, 0, 0)) & code.guards
         assert not code.divides(code.encode((1, 0, 0)), code.encode((0, MAX_DEGREE, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown monomial order 'lex'; "
+                       r"expected one of \['grevlex', 'grlex'\]"):
         MonomialCode(2, "lex")
 
 
@@ -298,7 +302,7 @@ def test_groebner_A1_Jcheck_monic():
 def test_groebner_A2_Jcheck_pure_powers_and_quotient_dimension():
     ideal = build_ideal_Jcheck(cartan_matrix("A2"))
     basis = groebner_basis(ideal)
-    lead = leading_term_exponents(basis)
+    lead = leading_exponents(basis)
     for v in range(2):
         assert any(e[v] == sum(e) and e[v] > 0 for e in lead)
     # the quotient has total dimension (1+s^2)^2 evaluated at 1 = 4
@@ -327,7 +331,7 @@ def test_groebner_deterministic_serialization():
 
 def test_groebner_reduced_basis_properties():
     basis = tuple_reduced_basis(groebner_basis(build_ideal_J(cartan_matrix("A3"))))
-    lead = leading_term_exponents(basis)
+    lead = leading_exponents(basis)
     for k, g in enumerate(basis):
         assert _is_primitive_integer(g, grevlex_key)
         for e in g.terms:
@@ -353,7 +357,7 @@ def _serial(basis):
 def _is_primitive_integer(p, key) -> bool:
     """Int coefficients of content 1, leading coefficient positive."""
     return (all(type(c) is int for c in p.terms.values())
-            and gcd(*p.terms.values()) == 1 and p.leading(key)[1] > 0)
+            and gcd(*p.terms.values()) == 1 and leading(p, key)[1] > 0)
 
 
 def _reduced_basis(ideal, ordering):
@@ -837,6 +841,84 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
     assert any(len(p.terms) > 1 for p in built)
     for p in built:
         assert all(type(c) is int for c in p.terms.values()), p.terms
+
+
+# -- packed leads against the tuple Hilbert recursion and pure-power test -------------
+
+def _packed_leads(ideal, ordering):
+    code, elements = commalg._groebner_basis(ideal, ordering)
+    return code, [lead for _, _, lead, _, _ in elements]
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
+def test_packed_leads_match_the_tuple_recursion(name):
+    for label, ideal in _quadric_ideals(name).items():
+        for ordering in ORDERINGS:
+            code, leads = _packed_leads(ideal, ordering)
+            tuples = leading_exponents(groebner_basis(ideal, ordering), ordering)
+            assert [code.decode(lead) for lead in leads] == tuples, (label, ordering)
+            assert commalg._monomial_quotient_numerator(leads, code) == \
+                tuple_monomial_quotient_numerator(tuples, ideal.nvars), (label, ordering)
+            assert zero_set_is_origin(ideal, ordering) == \
+                all(tuple_pure_power_variables(tuples, ideal.nvars)), (label, ordering)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to six monomials of degree at most 3 per variable in one to five
+    variables; the empty ideal and the unit ideal come up on their own."""
+    nvars = draw(st.integers(1, 5))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    gens = draw(st.one_of(st.just([]), st.just([(0,) * nvars]),
+                          st.lists(monomial, max_size=6)))
+    return nvars, gens
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(monomial_ideals(), st.sampled_from(ORDERINGS))
+def test_packed_numerator_matches_the_tuple_recursion_on_monomial_ideals(case, ordering):
+    nvars, gens = case
+    code = MonomialCode(nvars, ordering)
+    numerator = tuple_monomial_quotient_numerator(gens, nvars)
+    assert commalg._monomial_quotient_numerator([code.encode(e) for e in gens],
+                                                code) == numerator
+    # through the engine: the same monomial ideal, generated by the leads
+    ideal = Ideal(tuple(f"x{v}" for v in range(nvars)),
+                  tuple(P(nvars, {e: 1}) for e in gens))
+    assert hilbert_series_of_quotient(ideal, ordering) == \
+        HilbertSeries.over_one_minus_s2(
+            [c for coeff in numerator for c in (coeff, 0)], nvars)
+    leads = leading_exponents(groebner_basis(ideal, ordering), ordering)
+    assert zero_set_is_origin(ideal, ordering) == \
+        all(tuple_pure_power_variables(leads, nvars))
+
+
+def test_packed_numerator_fixed_cases():
+    code = MonomialCode(2, "grevlex")
+    x2, xy, y3 = (code.encode(e) for e in ((2, 0), (1, 1), (0, 3)))
+    assert commalg._monomial_quotient_numerator([], code) == [1]
+    assert commalg._monomial_quotient_numerator([0, x2], code) == []
+    # (x^2, xy, y^3) leaves 1, x, y, y^2: N = (1 + 2s + s^2) (1 - s)^2
+    assert commalg._monomial_quotient_numerator([y3, xy, x2, xy], code) == \
+        [1, 0, -2, 0, 1]
+
+
+def test_quadric_checks_never_decode_a_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was decoded")
+
+    monkeypatch.setattr(commalg, "groebner_basis", refuse)
+    monkeypatch.setattr(MonomialCode, "decode", refuse)
+    # so that every basis and series is rebuilt
+    commalg._hilbert_series.cache_clear()
+    commalg._groebner_basis.cache_clear()
+    cm = cartan_matrix("E6")
+    assert hilbert_series_of_quotient(build_ideal_J(cm)) == equivariant_series(6)
+    assert zero_set_is_origin(build_ideal_Jcheck(cm))
+    assert not zero_set_is_origin(build_ideal_J(cm))  # the t axis
+    report = run_certification(RunConfig(
+        "E6", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert [r.passed for r in report.records] == [True, True, True]
 
 
 # -- regular sequences ----------------------------------------------------------

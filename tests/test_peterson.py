@@ -63,13 +63,16 @@ def test_subset_order_is_by_size_then_mask():
     assert subsets_by_size(3)[:5] == [(), (1,), (2,), (3,), (1, 2)]
 
 
-def test_fixed_points_are_parabolic_longest_elements():
+def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
+    # the rows are read off one table per fixed point w_K, in subset order
+    calls = _counting_tables(monkeypatch)
     m = model("A2")
-    by_K = {fp.K: fp.w_K for fp in m.fixed_points}
+    m.simple_class(1)
+    by_K = dict(zip(m.subsets, calls))
     assert by_K[()].is_identity()
-    assert by_K[(1,)] == m.group.simple_reflection(1)
+    assert by_K[(1,)] == m.group.from_word((1,))
     assert by_K[(1, 2)] == m.group.longest_element((1, 2))
-    assert len(m.fixed_points) == 4
+    assert len(calls) == 4
 
 
 def test_simple_class_values():
@@ -112,7 +115,7 @@ def test_class_degrees():
     m = model("A3")
     for K in m.subsets:
         assert m.group.v_K(K).length == len(K)
-        assert len(m.subset_class(K)) == len(m.fixed_points)
+        assert len(m.subset_class(K)) == len(m.subsets)
     p1, p2 = simple_class(m, 1), simple_class(m, 2)
     assert (p1 * p2).degree == 2 and one_class(m).degree == 0
     with pytest.raises(ValueError, match="degree"):
@@ -151,7 +154,7 @@ def test_classes_match_per_class_oracle(name):
     for J in m.subsets:
         expected = per_class_restriction(m, m.group.v_K(J))
         cls = subset_class(m, J)
-        assert [class_value(cls, fp.K) for fp in m.fixed_points] == expected, (name, J)
+        assert [class_value(cls, K) for K in m.subsets] == expected, (name, J)
 
 
 def _counting_tables(monkeypatch, doctor=None):
@@ -178,11 +181,26 @@ def test_model_construction_localizes_nothing(name, monkeypatch):
     m = model(name)
     assert calls == []
     m.simple_class(1)
-    assert calls == [fp.w_K for fp in m.fixed_points]  # one table each
+    # one table each
+    assert calls == [m.group.longest_element(K) for K in m.subsets]
     for K in m.subsets:
         m.subset_class(K)
     m.verify_quadratic_relations()
-    assert len(calls) == len(m.fixed_points)
+    assert len(calls) == len(m.subsets)
+
+
+def test_quadric_checks_compute_no_fixed_point(monkeypatch):
+    # the quadric checks never read a fixed point, so a run of only them
+    # computes no longest element
+    def refuse(self, K):
+        raise AssertionError(f"longest element of {K} computed")
+
+    monkeypatch.setattr(peterson.WeylGroup, "longest_element", refuse)
+    report = run_certification(RunConfig(
+        "E7", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert [r.passed for r in report.records] == [True, True, True]
+    with pytest.raises(AssertionError, match="longest element"):
+        model("A2").simple_class(1)
 
 
 def test_monk_zero_denominator_is_an_integrity_error(monkeypatch):
@@ -216,7 +234,7 @@ def test_class_values_are_ints(name):
         [m.quadratic_combination(i) for i in m.cartan.nodes()]
     assert len(rows) == 1 + 2 ** m.rank + m.rank
     for row in rows:
-        assert type(row) is tuple and len(row) == len(m.fixed_points)
+        assert type(row) is tuple and len(row) == len(m.subsets)
         assert all(type(c) is int for c in row), row
 
 
@@ -471,7 +489,7 @@ def test_quadratic_relations(name):
 def test_quadratic_combination_is_zero_per_row():
     m = model("G2")
     for i in m.cartan.nodes():
-        assert m.quadratic_combination(i) == (0,) * len(m.fixed_points)
+        assert m.quadratic_combination(i) == (0,) * len(m.subsets)
 
 
 # -- int rows against class arithmetic ---------------------------------------------

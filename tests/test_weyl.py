@@ -86,7 +86,7 @@ def test_word_insensitivity(name):
 def test_longest_element_examples():
     W = group("A2")
     assert W.longest_element(()) == W.identity
-    assert W.longest_element((1,)) == W.simple_reflection(1)
+    assert W.longest_element((1,)) == W.from_word((1,))
     assert W.longest_element((1, 2)).length == 3
 
     W3 = group("A3")
@@ -176,7 +176,7 @@ def test_reduced_word_counts_match_enumeration_rank3():
 
 def test_count_examples():
     W = group("A2")
-    assert W.count_reduced_words(W.simple_reflection(1)) == 1
+    assert W.count_reduced_words(W.from_word((1,))) == 1
     assert W.count_reduced_words(W.longest_element((1, 2))) == 2
     # non-commuting adjacent product has a unique reduced word
     for name in ("A2", "B2", "G2"):
@@ -217,7 +217,7 @@ def test_bruhat_examples():
     w0 = W.longest_element((1, 2))
     for w in W.all_elements():
         assert bruhat_leq(W, W.identity, w)
-    assert not bruhat_leq(W, W.simple_reflection(1), W.simple_reflection(2))
+    assert not bruhat_leq(W, W.from_word((1,)), W.from_word((2,)))
     assert bruhat_leq(W, W.from_word((1, 2)), w0)
 
 
@@ -296,7 +296,7 @@ def test_witness_word_deterministic():
 def test_right_multiply_matches_matrix_product(name):
     W = group(name)
     for i in W.cartan.nodes():
-        assert W.simple_reflection(i).action == reflection_matrix(W.cartan, i)
+        assert W.from_word((i,)).action == reflection_matrix(W.cartan, i)
     for w in W.elements_up_to_length(4):
         for i in W.cartan.nodes():
             product = W.right_multiply(w, i)
