@@ -13,7 +13,6 @@ from .commalg import (
     build_ideal_Jcheck,
     groebner_basis,
     hilbert_series_of_quotient,
-    is_regular_sequence,
     zero_set_is_origin,
     zero_set_via_minors,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "cartan_matrix",
     "groebner_basis",
     "hilbert_series_of_quotient",
-    "is_regular_sequence",
     "leading_minors_positive",
     "localization_table",
     "parse_lie_type",

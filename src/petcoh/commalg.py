@@ -201,11 +201,6 @@ class Poly:
         self.nvars = nvars
         self.terms = {tuple(exps): c for exps, c in (terms or {}).items() if c}
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Poly":
-        exps = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls(nvars, {exps: 1})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -221,13 +216,6 @@ class Poly:
 
     def is_homogeneous(self) -> bool:
         return len(self.total_degrees()) <= 1
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def graded_degree(self) -> int:
-        """Cohomological degree: twice the total degree."""
-        return 2 * self.total_degree()
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +700,8 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
     (``cli._check_hilbert``) recomputes the t = 0 series under grlex and
     requires the two to agree.
     Like the basis, each (ideal, ordering) is computed once per process, so
-    the ``regular_sequence`` check reuses the series of J that ``hilbert``
-    built.
+    the ``regular_sequence`` check reuses the series of J and of its t = 0
+    counterpart J-check that ``hilbert`` built.
     """
     return _hilbert_series(ideal, ordering)
 
@@ -730,29 +718,23 @@ def _hilbert_series(ideal: Ideal, ordering: str) -> HilbertSeries:
 # ---------------------------------------------------------------------------
 # regular sequences and zero sets
 
-def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
-    """Hilbert-series criterion: the sequence is regular iff the quotient
-    series equals F(R) * prod_k (1 - s^(deg theta_k)).
+def regular_sequence_certificate(series: HilbertSeries, nvars: int, degrees):
+    """Hilbert-series criterion: homogeneous elements of positive
+    cohomological degrees ``degrees`` in a polynomial ring in ``nvars``
+    variables of degree 2 form a regular sequence iff the quotient by them
+    has the series F(R) * prod_k (1 - s^d_k), F(R) = 1 / (1 - s^2)^nvars.
 
-    Returns (flag, certificate) where the certificate carries both series.
+    Returns (flag, certificate) for the quotient's ``series``; the
+    certificate carries both series and the degrees.
     """
-    var_names = tuple(var_names)
-    for p in polys:
-        if not p.is_homogeneous() or p.total_degree() < 1:
-            raise ValueError("regular-sequence input must be homogeneous of "
-                             "positive degree")
-    ideal = Ideal(var_names, tuple(polys))
-    actual = hilbert_series_of_quotient(ideal, ordering)
-    degrees = [p.graded_degree() for p in polys]
     expected = HilbertSeries.over_one_minus_s2(_one_minus_product(degrees),
-                                               len(var_names))
-    flag = actual == expected
+                                               nvars)
     certificate = {
-        "computed_series": actual.to_json(),
+        "computed_series": series.to_json(),
         "expected_series": expected.to_json(),
         "degrees": degrees,
     }
-    return flag, certificate
+    return series == expected, certificate
 
 
 def zero_set_is_origin(ideal: Ideal, ordering: str = "grevlex") -> bool:

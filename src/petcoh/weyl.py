@@ -56,8 +56,9 @@ def word_to_str(word) -> str:
 class WeylGroup:
     """Weyl group of a Cartan matrix.
 
-    Holds the per-group caches (positive roots, reduced-word memo tables);
-    all returned values are immutable.
+    Holds the per-group caches (reduced-word counts and sets, longest
+    elements of node subsets); the positive roots live on ``CartanMatrix``.
+    All returned values are immutable.
     """
 
     def __init__(self, cartan: CartanMatrix, reduced_word_cap: int = DEFAULT_REDUCED_WORD_CAP):

@@ -1317,3 +1317,57 @@ def _tuple_minimalize(gens):
 def tuple_pure_power_variables(leads, nvars: int) -> list[bool]:
     """Per variable v, whether some exponent tuple is x_v^d with d > 0."""
     return [any(e[v] and sum(e) == e[v] for e in leads) for v in range(nvars)]
+
+
+# The regular-sequence check as commalg ran it before the check read the
+# series of J and of J-check that the ``hilbert`` check computes: it builds
+# the ideal of the sequence itself, J + (t) for the whole sequence, and
+# computes its own basis.  Ground truth for ``cli._check_regular_sequence``.
+
+def variable(nvars: int, index: int):
+    """The variable of the given index as a ``Poly``."""
+    from petcoh.commalg import Poly
+
+    exps = tuple(1 if k == index else 0 for k in range(nvars))
+    return Poly(nvars, {exps: 1})
+
+
+def total_degree(p) -> int:
+    return max((sum(e) for e in p.terms), default=-1)
+
+
+def graded_degree(p) -> int:
+    """Cohomological degree: twice the total degree."""
+    return 2 * total_degree(p)
+
+
+def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
+    """Hilbert-series criterion: the sequence is regular iff the quotient
+    series equals F(R) * prod_k (1 - s^(deg theta_k)).
+
+    Returns (flag, certificate) where the certificate carries both series.
+    """
+    from petcoh.commalg import (
+        HilbertSeries,
+        Ideal,
+        _one_minus_product,
+        hilbert_series_of_quotient,
+    )
+
+    var_names = tuple(var_names)
+    for p in polys:
+        if not p.is_homogeneous() or total_degree(p) < 1:
+            raise ValueError("regular-sequence input must be homogeneous of "
+                             "positive degree")
+    ideal = Ideal(var_names, tuple(polys))
+    actual = hilbert_series_of_quotient(ideal, ordering)
+    degrees = [graded_degree(p) for p in polys]
+    expected = HilbertSeries.over_one_minus_s2(_one_minus_product(degrees),
+                                               len(var_names))
+    flag = actual == expected
+    certificate = {
+        "computed_series": actual.to_json(),
+        "expected_series": expected.to_json(),
+        "degrees": degrees,
+    }
+    return flag, certificate

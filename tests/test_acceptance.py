@@ -24,7 +24,6 @@ from petcoh.commalg import (
     build_ideal_J,
     build_ideal_Jcheck,
     hilbert_series_of_quotient,
-    is_regular_sequence,
     zero_set_is_origin,
     zero_set_via_minors,
 )
@@ -38,11 +37,13 @@ from oracles import (
     bruhat_leq,
     brute_reduced_words,
     class_value,
+    is_regular_sequence,
     one_class,
     poly_pow,
     series_prefix,
     simple_class,
     subset_class,
+    variable,
 )
 
 _MODELS = {}
@@ -148,7 +149,7 @@ def test_criterion_6_regular_sequences_and_zero_sets():
             cm = cartan_matrix(name)
             ideal = build_ideal_J(cm)
             thetas = list(ideal.generators)
-            t_var = Poly.variable(cm.rank + 1, cm.rank)
+            t_var = variable(cm.rank + 1, cm.rank)
             with_t, _ = is_regular_sequence(ideal.var_names, thetas + [t_var])
             prefix, _ = is_regular_sequence(ideal.var_names, thetas)
             assert with_t and prefix, name

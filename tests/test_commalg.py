@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import commalg, peterson
+from petcoh import cli, commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification, run_suite
 from petcoh.commalg import (
     MAX_DEGREE,
@@ -22,7 +22,6 @@ from petcoh.commalg import (
     build_ideal_Jcheck,
     groebner_basis,
     hilbert_series_of_quotient,
-    is_regular_sequence,
     leading_minors_positive,
     s_polynomial,
     zero_set_is_origin,
@@ -41,9 +40,11 @@ from oracles import (
     fraction_det,
     fraction_rank,
     fraction_reduced_series,
+    graded_degree,
     grevlex_key,
     grlex_key,
     ideal_to_json,
+    is_regular_sequence,
     leading,
     leading_exponents,
     monic,
@@ -56,10 +57,12 @@ from oracles import (
     poly_pow,
     render,
     series_prefix,
+    total_degree,
     tuple_groebner_basis,
     tuple_monomial_quotient_numerator,
     tuple_pure_power_variables,
     tuple_reduced_basis,
+    variable,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
@@ -380,7 +383,7 @@ def _quadric_ideals(name):
     """J, its t = 0 counterpart, and J + (t), as the quadric checks build them."""
     cm = cartan_matrix(name)
     ideal = build_ideal_J(cm)
-    t_var = Poly.variable(ideal.nvars, cm.rank)
+    t_var = variable(ideal.nvars, cm.rank)
     return {
         "J": ideal,
         "Jcheck": build_ideal_Jcheck(cm),
@@ -806,18 +809,32 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
     assert all(item in [s.to_json() for _, _, s in built] for item in printed)
 
 
-def test_hilbert_series_computed_once_per_ideal_and_order():
-    # hilbert builds J, J-check and J-check under grlex, regular_sequence
-    # J + (t) and J again; zero_set reads the J-check basis
+def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
+    # hilbert builds J, J-check and J-check under grlex; regular_sequence
+    # reads the series of J and J-check again, since (J, t) = (J-check, t);
+    # zero_set reads the J-check basis
+    ideals = []
+    post_init = Ideal.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        ideals.append(self)
+
+    monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
     commalg._hilbert_series.cache_clear()
     commalg._groebner_basis.cache_clear()
     report = run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set")))
     assert report.overall_pass
     series = commalg._hilbert_series.cache_info()
-    assert (series.misses, series.hits) == (4, 1)
+    assert (series.misses, series.hits) == (3, 2)
     bases = commalg._groebner_basis.cache_info()
-    assert (bases.misses, bases.hits) == (4, 1)
+    assert (bases.misses, bases.hits) == (3, 1)
+    # every ideal the run builds is J or J-check: seven quadrics, no t
+    assert ideals
+    for ideal in ideals:
+        assert len(ideal.generators) == 7
+        assert all(g.total_degrees() == {2} for g in ideal.generators)
 
 
 @pytest.mark.parametrize("run", [
@@ -956,10 +973,47 @@ def test_regularity_chain(name):
     cm = cartan_matrix(name)
     ideal = build_ideal_J(cm)
     thetas = list(ideal.generators)
-    t_var = Poly.variable(cm.rank + 1, cm.rank)
+    t_var = variable(cm.rank + 1, cm.rank)
     full, _ = is_regular_sequence(ideal.var_names, thetas + [t_var])
     prefix, _ = is_regular_sequence(ideal.var_names, thetas)
     assert full and prefix
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
+def test_regular_sequence_record_matches_the_oracle(name):
+    # the check reads the series of J-check for J + (t); the oracle builds
+    # J + (t) and computes its own basis
+    [record] = run_certification(RunConfig(name, checks=("regular_sequence",))).records
+    ideals = _quadric_ideals(name)
+    with_t = is_regular_sequence(ideals["J+t"].var_names, ideals["J+t"].generators)
+    prefix = is_regular_sequence(ideals["J"].var_names, ideals["J"].generators)
+    assert with_t[0] and prefix[0] and record.passed
+    assert record.witnesses == {"with_t": with_t[1], "prefix": prefix[1]}
+
+
+def test_doctored_Jcheck_series_fails_regular_sequence_and_hilbert(monkeypatch):
+    # one wrong coefficient in the series of J-check must show in both checks
+    # that read it
+    jcheck = build_ideal_Jcheck(cartan_matrix("B3"))
+
+    def doctored(ideal, ordering="grevlex"):
+        series = hilbert_series_of_quotient(ideal, ordering)
+        if ideal != jcheck:
+            return series
+        return HilbertSeries(series.numerator + (1,), series.denominator)
+
+    monkeypatch.setattr(cli, "hilbert_series_of_quotient", doctored)
+    report = run_certification(RunConfig(
+        "B3", checks=("hilbert", "regular_sequence", "zero_set")))
+    hilbert, regular, zero_set = report.records
+    assert hilbert.passed is False
+    assert hilbert.witnesses["ordinary_series"] != hilbert.witnesses["ordinary_expected"]
+    assert regular.passed is False
+    with_t, prefix = regular.witnesses["with_t"], regular.witnesses["prefix"]
+    assert with_t["computed_series"] != with_t["expected_series"]
+    assert prefix["computed_series"] == prefix["expected_series"]
+    assert zero_set.passed
+    assert not report.overall_pass
 
 
 # -- zero sets -------------------------------------------------------------------
@@ -1134,8 +1188,8 @@ def test_poly_normalization():
 
 def test_poly_degrees():
     p = P(3, {(1, 1, 0): 1})
-    assert p.total_degree() == 2
-    assert p.graded_degree() == 4
+    assert total_degree(p) == 2
+    assert graded_degree(p) == 4
     assert p.is_homogeneous()
     assert not P(1, {(1,): 1, (0,): 1}).is_homogeneous()
 
