@@ -24,10 +24,14 @@ subword formula, so the values agree term for term.
 The recursion only adds products of the roots r(j, w), so it commutes with
 any ring map applied to those roots.  Restricting to the one-dimensional
 subtorus S sends every simple root to t and so a positive root r to
-ht(r) t, its height times t.  Running the same recursion on the
-one-coordinate roots (ht(r(j, w)),) therefore gives sigma_u(w)|_S directly
-as c_u t^l(u), in integers: ``localization_table`` runs it on the inversion
-roots and ``restricted_table`` on their heights.
+ht(r) t, its height times t.  Running the same recursion on the heights
+gives sigma_u(w)|_S directly as c_u t^l(u), in integers.  The Peterson
+classes need them for the v_J, the ascending products of the reflections
+in J, and {v_J} is its own lower weak order ideal: s_b is a right descent
+of v_J exactly when b is in J and no larger neighbour of b is, and then
+v_J s_b = v_{J - b}.  So ``restricted_rows`` runs the recursion on one int
+per subset bitmask, along the steps (J, J - b) that ``subset_steps`` reads
+off the action matrices of the v_J once per group.
 
 Every prefix of a reduced word is itself reduced, and the recursion builds
 the table {u: sigma_u(w_j)} from the table at w_{j-1} by one letter step.
@@ -60,11 +64,10 @@ def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
     return out
 
 
-def _prefix_recursion(group: WeylGroup, targets, w: WeylElement, roots,
-                      nvars: int) -> list:
+def _prefix_recursion(group: WeylGroup, targets, w: WeylElement) -> list:
     """(u, {exponent tuple: integer coefficient}) for every target u that
-    can be nonzero at w, by the prefix recursion over w's witness word;
-    roots[j] is r(j, w) in whichever nvars coordinates the caller chose."""
+    can be nonzero at w, by the prefix recursion over w's witness word on
+    the roots r(j, w) in the simple-root coordinates."""
     word = w.witness_word
     support = set(word)
     # sigma_u(w) = 0 unless some subword of w's word is a reduced word of u,
@@ -72,9 +75,10 @@ def _prefix_recursion(group: WeylGroup, targets, w: WeylElement, roots,
     live = [u for u in targets
             if u.length <= w.length and support.issuperset(u.witness_word)]
 
-    # the ideal: action -> {exponent tuple: positive integer coefficient}
+    # the ideal: action -> {exponent tuple: positive integer coefficient},
+    # and per letter b, (u, u s_b) for every u in it with descent b
     values: dict = {}
-    edges = []
+    steps: dict[int, list] = {b: [] for b in support}
     stack = [u.action for u in live]
     while stack:
         action = stack.pop()
@@ -84,21 +88,17 @@ def _prefix_recursion(group: WeylGroup, targets, w: WeylElement, roots,
         for b in support:
             if is_negative_root_vector(tuple(row[b - 1] for row in action)):
                 lower = group.right_action(action, b)
-                edges.append((b, action, lower))
+                steps[b].append((action, lower))
                 stack.append(lower)
-    # per letter b, the values of u and of u s_b for every u with descent b
-    steps: dict[int, list] = {b: [] for b in support}
-    for b, upper, lower in edges:
-        steps[b].append((values[upper], values[lower]))
 
     if live:
-        values[group.identity.action][(0,) * nvars] = 1
+        values[group.identity.action][(0,) * group.rank] = 1
     raised: dict = {}
-    for b, root in zip(word, roots):
+    for b, root in zip(word, inversion_roots(group, w)):
         factor = [(k, c) for k, c in enumerate(root) if c]
-        for target, source in steps[b]:
+        for upper, lower in steps[b]:
             # b is an ascent of u s_b, so no source changes during this step
-            _add_product(target, source, factor, raised)
+            _add_product(values[upper], values[lower], factor, raised)
     return [(u, values[u.action]) for u in live]
 
 
@@ -118,16 +118,16 @@ def _add_product(target: dict, source: dict, factor, raised: dict) -> None:
 
 
 def reduced_word_tables(group: WeylGroup, elements, max_len: int) -> dict:
-    """{word: {u.action: {exponent tuple: int}}} for every reduced word of
-    length <= max_len: the nonzero sigma_u(w) over u in elements, w the
-    element of the word.  elements must be a lower weak order ideal, closed
+    """{w.action: {word: {u.action: {exponent tuple: int}}}} for every w of
+    length <= max_len and every reduced word of w: the nonzero sigma_u(w)
+    over u in elements.  elements must be a lower weak order ideal, closed
     under u -> u s_b for every right descent b, as every element of length
     <= max_len is.
 
     One depth-first walk over the trie of reduced words: a child's table is
     its parent's, shallow-copied, with the entries changed by the one new
     letter replaced (see the module docstring).  The words are built here,
-    so no reduced words are enumerated.
+    each once, and grouped by their element's action matrix.
     """
     nodes = group.cartan.nodes()
     # per letter b, by length: (l(u), u, u s_b) for each u with right descent b
@@ -142,7 +142,7 @@ def reduced_word_tables(group: WeylGroup, elements, max_len: int) -> dict:
     raised: dict = {}
 
     def visit(word, action, table):
-        tables[word] = table
+        tables.setdefault(action, {})[word] = table
         depth = len(word) + 1
         if depth > max_len:
             return
@@ -175,21 +175,48 @@ def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
     n = group.rank
     targets = tuple(targets)
     table = {u: Poly(n) for u in targets}
-    for u, terms in _prefix_recursion(
-            group, targets, w, inversion_roots(group, w), n):
+    for u, terms in _prefix_recursion(group, targets, w):
         table[u] = Poly(n, terms)
     return table
 
 
-def restricted_table(group: WeylGroup, targets, w: WeylElement) -> dict:
-    """{u: c_u} for every target u, with sigma_u(w)|_S = c_u t^l(u): the
-    prefix recursion run on the heights of the roots r(j, w)."""
-    targets = tuple(targets)
-    table = dict.fromkeys(targets, 0)
-    heights = [(sum(r),) for r in inversion_roots(group, w)]
-    for u, terms in _prefix_recursion(group, targets, w, heights, 1):
-        table[u] = sum(terms.values())  # the one term t^l(u), if any
-    return table
+def subset_steps(group: WeylGroup) -> dict[int, list[tuple[int, int]]]:
+    """Per letter b, (mask of J, mask of J - b) for every node set J with
+    right descent b of v_J, by mask; node i is bit i - 1.  v_J is v_{J - m}
+    s_m for the largest node m of J, and its descents are read off it."""
+    actions = [group.identity.action]
+    steps: dict[int, list] = {b: [] for b in group.cartan.nodes()}
+    for J in range(1, 1 << group.rank):
+        top = J.bit_length()
+        action = group.right_action(actions[J ^ 1 << top - 1], top)
+        actions.append(action)
+        for b in group.descents(action):
+            lower = J ^ 1 << b - 1
+            assert lower < J and group.right_action(action, b) == \
+                actions[lower], "v_J s_b must be v_{J - b}"
+            steps[b].append((J, lower))
+    return steps
+
+
+def restricted_rows(group: WeylGroup, subsets) -> tuple[tuple[int, ...], ...]:
+    """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
+    J = subsets[k].  The witness word of each w_L runs over the steps with
+    J inside L; sigma_{v_J}(w_L) = 0 for every other J."""
+    steps = subset_steps(group)
+    masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    columns = []
+    for K, L in zip(subsets, masks):
+        w = group.longest_element(K)
+        inside = {b: [(J, lower) for J, lower in steps[b] if not J & ~L]
+                  for b in K}
+        values = [1] + [0] * ((1 << group.rank) - 1)
+        for b, root in zip(w.witness_word, inversion_roots(group, w)):
+            height = sum(root)
+            # b is an ascent of v_{J - b}, so no source changes in this step
+            for J, lower in inside[b]:
+                values[J] += height * values[lower]
+        columns.append(values)
+    return tuple(tuple(values[J] for values in columns) for J in masks)
 
 
 def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> Poly:

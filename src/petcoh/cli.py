@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import comb
 
 from . import __version__
@@ -94,15 +94,6 @@ class RunConfig:
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
 
-    def to_dict(self) -> dict:
-        return {
-            "lie_type": self.lie_type,
-            "checks": list(self.checks),
-            "cutoff_degree": self.cutoff_degree,
-            "output_format": self.output_format,
-            "reduced_word_cap": self.reduced_word_cap,
-        }
-
 
 def _one_plus_s2_power(rank: int) -> list[int]:
     """Coefficients of (1 + s^2)^rank."""
@@ -129,9 +120,10 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
     Every reduced word of every w of length <= max_length gets its own table
     {v: sigma_v(w)}, and the witness word's table is the baseline the others
     are compared with.  The tables come from one walk over the trie of
-    reduced words (``billey.reduced_word_tables``): a word's table is its
-    parent prefix's table plus one letter step, so no table is built from
-    scratch, yet each is computed along its own word.  Values are compared
+    reduced words (``billey.reduced_word_tables``), by element, which alone
+    lists the words: a word's table is its parent prefix's table plus one
+    letter step, so no table is built from scratch, yet each is computed
+    along its own word.  Values are compared
     as {exponent tuple: int} dicts; a missing entry is sigma_v(w) = 0.  A
     value vanishes iff v is off the Bruhat interval [e, w], a set lookup:
     ``WeylGroup.bruhat_intervals`` builds [e, w] for every swept w by the
@@ -152,7 +144,9 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
     failures = []
     for w in elements:
         targets = [v for v in elements if v.length <= w.length]
-        baseline = tables[w.witness_word]
+        words = tables[w.action]
+        assert len(words) == group.count_reduced_words(w)
+        baseline = words[w.witness_word]
         below = intervals[w.action]
         for v in targets:
             value = baseline.get(v.action)
@@ -164,8 +158,7 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
                 failures.append({"kind": "degree",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
-        for word in group.enumerate_reduced_words(w):
-            table = tables[word]
+        for word, table in words.items():
             for v in targets:
                 comparisons += 1
                 if table.get(v.action) != baseline.get(v.action):
@@ -300,6 +293,9 @@ def _check_regular_sequence(model: PetersonModel, config: RunConfig) -> CheckRec
 
 
 def _check_zero_set(model: PetersonModel, config: RunConfig) -> CheckRecord:
+    """J-check vanishes only at the origin, two ways: its Groebner leads hold
+    a pure power of every variable, and, as theta-check_i = x_i (A x)_i,
+    every principal minor of the Cartan matrix A is positive."""
     cartan = model.cartan
     ideal = build_ideal_Jcheck(cartan)
     via_groebner = zero_set_is_origin(ideal)
@@ -366,7 +362,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
     timing["total"] = time.perf_counter() - start
     return CertificationReport(
         lie_type=model.type_name(),
-        config=config.to_dict(),
+        config=asdict(config),
         records=records,
         timing=timing,
         tool_version=__version__,

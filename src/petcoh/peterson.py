@@ -5,13 +5,13 @@ The circle fixed points are indexed by subsets K of the Dynkin nodes, each
 contributing the longest element w_K of its parabolic subgroup.  The
 classes p_v are restrictions of equivariant Schubert classes to each w_K,
 with every simple root sent to t; every such value is an integer multiple
-of t^l(v), and ``billey.restricted_table`` computes that integer directly.
+of t^l(v), and ``billey.restricted_rows`` computes those integers directly.
 
 The ring itself is represented purely by these values (the restriction map
 to the fixed points is injective), and the model keeps one row of ints per
 class: row k holds the integers c_L with p_{v_K}(w_L) = c_L t^|K|, for
 K = ``subsets[k]`` and every fixed point L.  The rows are built together on
-first use, with one restricted table per fixed point.  Every identity
+first use, one pass per fixed point on subset bitmasks.  Every identity
 checked below is homogeneous in t, so it is compared at t = 1, pointwise on
 the rows.  The Monk and Giambelli identities have rational coefficients;
 each is checked with its denominators cleared, so the comparison stays in
@@ -26,7 +26,7 @@ from itertools import accumulate, compress
 from math import comb, factorial, lcm
 from operator import mul
 
-from .billey import restricted_table
+from .billey import restricted_rows
 from .commalg import IntegerEchelon
 from .errors import IntegrityError
 from .report import CheckRecord
@@ -55,6 +55,9 @@ class PetersonModel:
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
+        if group is not None and group.cartan != cartan:
+            raise ValueError(f"group is of type {group.cartan.type_name()}, "
+                             f"not {cartan.type_name()}")
         self.cartan = cartan
         self.group = group or WeylGroup(cartan)
         self.subsets = tuple(subsets_by_size(cartan.rank))
@@ -77,12 +80,9 @@ class PetersonModel:
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         """Row k: p_{v_K}(w_L) / t^|K| at every fixed point L, for
-        K = subsets[k]; one restricted table per fixed point w_L."""
-        targets = [self.group.v_K(J) for J in self.subsets]
-        columns = [restricted_table(self.group, targets,
-                                    self.group.longest_element(L))
-                   for L in self.subsets]
-        return tuple(tuple(c[v] for c in columns) for v in targets)
+        K = subsets[k]; one pass of each w_L's witness word over the
+        descent steps of the v_J (``billey.restricted_rows``)."""
+        return restricted_rows(self.group, self.subsets)
 
     def subset_class(self, K) -> tuple[int, ...]:
         """The row of p_{v_K}, of degree |K|, for the ascending product v_K

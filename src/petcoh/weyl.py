@@ -56,9 +56,9 @@ def word_to_str(word) -> str:
 class WeylGroup:
     """Weyl group of a Cartan matrix.
 
-    Holds the per-group caches (reduced-word counts and sets, longest
-    elements of node subsets); the positive roots live on ``CartanMatrix``.
-    All returned values are immutable.
+    Holds the per-group caches (reduced-word counts, longest elements of
+    node subsets); the positive roots live on ``CartanMatrix``.  All
+    returned values are immutable.
     """
 
     def __init__(self, cartan: CartanMatrix, reduced_word_cap: int = DEFAULT_REDUCED_WORD_CAP):
@@ -75,10 +75,8 @@ class WeylGroup:
                      if cartan.entries[k][i - 1])
             for i in cartan.nodes()
         }
-        # reduced-word memo tables keyed by action, seeded with the identity
+        # reduced-word counts keyed by action, seeded with the identity
         self._count_memo: dict[tuple, int] = {self._identity_matrix: 1}
-        self._words_memo: dict[tuple, frozenset] = {
-            self._identity_matrix: frozenset({()})}
         self._longest_memo: dict[tuple[int, ...], WeylElement] = {}
 
     # -- construction ---------------------------------------------------
@@ -185,7 +183,7 @@ class WeylGroup:
 
     # -- reduced words ---------------------------------------------------
 
-    def _descents(self, action) -> list[int]:
+    def descents(self, action) -> list[int]:
         """Right descents, as in ``right_descends``, of a matrix."""
         return [i for i in self.cartan.nodes()
                 if any(row[i - 1] < 0 for row in action)]
@@ -199,33 +197,10 @@ class WeylGroup:
             if total is None:
                 total = self._count_memo[action] = sum(
                     rec(self.right_action(action, i))
-                    for i in self._descents(action))
+                    for i in self.descents(action))
             return total
 
         return rec(w.action)
-
-    def enumerate_reduced_words(self, w: WeylElement) -> frozenset:
-        """The full set of reduced words for w.
-
-        Raises ResourceCapError when l(w) exceeds the configured cap; the
-        enumeration is never silently truncated.
-        """
-        if w.length > self.reduced_word_cap:
-            raise ResourceCapError(
-                f"reduced-word enumeration for length {w.length} exceeds "
-                f"cap {self.reduced_word_cap}")
-
-        def rec(action) -> frozenset:
-            words = self._words_memo.get(action)
-            if words is None:
-                words = self._words_memo[action] = frozenset(
-                    prefix + (i,) for i in self._descents(action)
-                    for prefix in rec(self.right_action(action, i)))
-            return words
-
-        words = rec(w.action)
-        assert len(words) == self.count_reduced_words(w)
-        return words
 
     # -- Bruhat order ------------------------------------------------------
 

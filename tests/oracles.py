@@ -9,6 +9,7 @@ checked against something they do not share.
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -128,6 +129,40 @@ def brute_reduced_words(group, w) -> set[tuple[int, ...]]:
     return all_words_evaluating_to(group, w, w.length)
 
 
+# per group: action -> the set of its reduced words
+_words_memo = weakref.WeakKeyDictionary()
+
+
+def enumerate_reduced_words(group, w) -> frozenset:
+    """The full set of reduced words for w, by recursing on action matrices
+    over the right descents: the reference word set for the trie walk of
+    ``billey.reduced_word_tables``.
+
+    Raises ResourceCapError when l(w) exceeds the group's cap; the
+    enumeration is never silently truncated.
+    """
+    from petcoh.errors import ResourceCapError
+
+    if w.length > group.reduced_word_cap:
+        raise ResourceCapError(
+            f"reduced-word enumeration for length {w.length} exceeds "
+            f"cap {group.reduced_word_cap}")
+    memo = _words_memo.setdefault(
+        group, {group.identity.action: frozenset({()})})
+
+    def rec(action) -> frozenset:
+        words = memo.get(action)
+        if words is None:
+            words = memo[action] = frozenset(
+                prefix + (i,) for i in group.descents(action)
+                for prefix in rec(group.right_action(action, i)))
+        return words
+
+    words = rec(w.action)
+    assert len(words) == group.count_reduced_words(w)
+    return words
+
+
 def right_multiply_reduced_words(group, w) -> frozenset:
     """Reduced words for w by recursing on ``WeylElement`` objects: each
     step builds w s_i with ``right_multiply`` (the exchange-condition
@@ -167,7 +202,7 @@ def bruhat_leq(group, v, w) -> bool:
     if v.length == 0:
         return True
     target = w.witness_word
-    for word in group.enumerate_reduced_words(v):
+    for word in enumerate_reduced_words(group, v):
         it = iter(target)
         if all(letter in it for letter in word):
             return True
@@ -726,7 +761,7 @@ def billey_welldef_per_word(model, config):
         targets = [v for v in elements if v.length <= w.length]
         # one table per reduced word of w; the witness word's is the baseline
         tables = {word: localization_table(group, targets, group.from_word(word))
-                  for word in group.enumerate_reduced_words(w)}
+                  for word in enumerate_reduced_words(group, w)}
         baseline = tables[w.witness_word]
         for v in targets:
             value = baseline[v]

@@ -37,6 +37,7 @@ from oracles import (
     bruhat_leq,
     brute_reduced_words,
     class_value,
+    enumerate_reduced_words,
     is_regular_sequence,
     one_class,
     poly_pow,
@@ -177,7 +178,7 @@ def test_criterion_8_billey_welldefinedness():
                     value = billey_localization(W, v, w)
                     assert value.total_degrees() <= {v.length}
                     assert bool(value) == bruhat_leq(W, v, w)
-                    for word in W.enumerate_reduced_words(w):
+                    for word in enumerate_reduced_words(W, w):
                         alt = billey_localization(W, v, W.from_word(word))
                         assert alt == value, (name, v, w, word)
 

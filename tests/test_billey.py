@@ -10,7 +10,8 @@ from petcoh.billey import (
     inversion_roots,
     localization_table,
     reduced_word_tables,
-    restricted_table,
+    restricted_rows,
+    subset_steps,
 )
 from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
 from petcoh.commalg import Poly
@@ -21,6 +22,7 @@ from petcoh.weyl import WeylGroup
 from oracles import (
     bond_order,
     bruhat_leq,
+    enumerate_reduced_words,
     is_monomial_of_degree,
     linear_poly,
     as_term_list,
@@ -131,7 +133,7 @@ def _sweep(name, max_length):
             # vanishing exactly off the Bruhat interval
             assert bool(value) == bruhat_leq(W, v, w)
             # independence of the reduced word chosen for w
-            for word in W.enumerate_reduced_words(w):
+            for word in enumerate_reduced_words(W, w):
                 assert billey_localization(W, v, W.from_word(word)) == value
 
 
@@ -169,44 +171,66 @@ def test_prefix_recursion_matches_subword_oracle(name, w_letters, v_letters):
     vs = [_element(W, letters) for letters in v_letters]
     assert inversion_roots(W, w) == matrix_inversion_roots(W.cartan, w.witness_word)
     table = localization_table(W, vs, w)
-    restricted = restricted_table(W, vs, w)
     for v in vs:
         value = billey_localization(W, v, w)
         oracle = subword_localization(W, v, w)
         assert value == oracle
         assert table[v] == value
-        assert type(restricted[v]) is int
-        assert Poly(1, {(v.length,): restricted[v]}) == restrict_to_S(oracle)
+        assert is_monomial_of_degree(restrict_to_S(oracle), v.length)
 
 
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("E6",))
+ROW_TYPES = DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8")
+
+
+@pytest.mark.parametrize("name", ROW_TYPES)
 def test_restricted_table_is_the_restricted_poly_table(name):
-    # the recursion on root heights against the full polynomials restricted
-    # to t, at every fixed point w_K of the Peterson model
+    # the rows, the recursion on root heights over the subset steps, against
+    # one full polynomial table of every v_J per fixed point w_L, restricted
+    # to t
     W = group(name)
-    targets = [W.v_K(J) for J in subsets_by_size(W.rank)]
-    for K in subsets_by_size(W.rank):
-        w = W.longest_element(K)
-        table = localization_table(W, targets, w)
-        restricted = restricted_table(W, targets, w)
-        assert {v: Poly(1, {(v.length,): c}) for v, c in restricted.items()} \
-            == {v: restrict_to_S(p) for v, p in table.items()}, (name, K)
+    subsets = subsets_by_size(W.rank)
+    targets = [W.v_K(J) for J in subsets]
+    rows = restricted_rows(W, subsets)
+    assert all(type(c) is int for row in rows for c in row)
+    for k, L in enumerate(subsets):
+        table = localization_table(W, targets, W.longest_element(L))
+        assert [Poly(1, {(v.length,): row[k]}) for v, row in zip(targets, rows)] \
+            == [restrict_to_S(table[v]) for v in targets], (name, L)
+
+
+@pytest.mark.parametrize("name", ROW_TYPES)
+def test_subset_steps_follow_the_dynkin_rule(name):
+    # s_b is a right descent of v_J exactly when b is in J and no larger
+    # neighbour of b is, and then v_J s_b = v_{J - b}
+    W = group(name)
+    nodes = W.cartan.nodes()
+
+    def rule(J, b):
+        return J >> b - 1 & 1 and not any(
+            J >> c - 1 & 1 for c in nodes if c > b and W.cartan.a(b, c))
+
+    assert subset_steps(W) == {
+        b: [(J, J ^ 1 << b - 1) for J in range(1 << W.rank) if rule(J, b)]
+        for b in nodes}
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1",))
 def test_reduced_word_tables_match_one_table_per_word(name):
     # the trie walk of the word-independence sweep against one full prefix
-    # recursion per reduced word: the same words, the same values
+    # recursion per reduced word: the same words of each element, the same
+    # values
     W = group(name)
     max_len = _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
     elements = W.elements_up_to_length(max_len)
     tables = reduced_word_tables(W, elements, max_len)
-    words = {word for w in elements for word in W.enumerate_reduced_words(w)}
-    assert set(tables) == words
-    for word, table in tables.items():
-        oracle = localization_table(W, elements, W.from_word(word))
-        assert table == {u.action: p.terms for u, p in oracle.items() if p}, \
-            (name, word)
+    assert set(tables) == {w.action for w in elements}
+    for w in elements:
+        assert set(tables[w.action]) == enumerate_reduced_words(W, w), \
+            (name, w)
+        for word, table in tables[w.action].items():
+            oracle = localization_table(W, elements, W.from_word(word))
+            assert table == {u.action: p.terms for u, p in oracle.items()
+                             if p}, (name, word)
 
 
 # (K, J, number of terms of sigma_{v_K}(w_J), c with p_{v_K}(w_J) = c t^|K|);

@@ -25,7 +25,11 @@ from petcoh.report import CheckRecord, strip_timing
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup, word_to_str
 
-from oracles import billey_welldef_per_word, has_skips
+from oracles import (
+    billey_welldef_per_word,
+    enumerate_reduced_words,
+    has_skips,
+)
 
 
 def test_run_config_validation():
@@ -156,14 +160,13 @@ def test_giambelli_reaches_every_nonempty_subset(name):
 def test_broken_three_component_product_fails_and_does_not_certify(monkeypatch):
     # p_{v_{134}} on D4 is reached only as p_{s_1} p_{s_3} p_{s_4}; a model
     # whose row for it is doubled must not certify
-    v_134 = WeylGroup(cartan_matrix("D4")).v_K((1, 3, 4))
-    table = peterson.restricted_table
+    rows = peterson.restricted_rows
 
-    def broken(group, targets, w):
-        return {u: 2 * c if u == v_134 else c
-                for u, c in table(group, targets, w).items()}
+    def broken(group, subsets):
+        return tuple(tuple(2 * c for c in row) if K == (1, 3, 4) else row
+                     for K, row in zip(subsets, rows(group, subsets)))
 
-    monkeypatch.setattr(peterson, "restricted_table", broken)
+    monkeypatch.setattr(peterson, "restricted_rows", broken)
     report = run_certification(RunConfig(
         lie_type="D4", checks=("quadratic", "giambelli", "basis", "hilbert")))
     by_name = {r.check: r for r in report.records}
@@ -274,12 +277,12 @@ def test_billey_welldef_catches_one_perturbed_word(monkeypatch, capsys):
     # word's would change with it and hide the failure
     model = PetersonModel(cartan_matrix("A2"))
     w0 = model.group.longest_element((1, 2))
-    (other,) = model.group.enumerate_reduced_words(w0) - {w0.witness_word}
+    (other,) = enumerate_reduced_words(model.group, w0) - {w0.witness_word}
     build = cli.reduced_word_tables
 
     def perturbed(*args):
         tables = build(*args)
-        terms = tables[other][w0.action]
+        terms = tables[w0.action][other][w0.action]
         terms[next(iter(terms))] += 1
         return tables
 

@@ -17,6 +17,9 @@ from petcoh.cli import main
 ALLOWED = {
     "billey.billey_localization": "perfbench traces it",
     "billey.localization_table": "perfbench traces it",
+    "billey._prefix_recursion":
+        "only localization_table runs it, and perfbench traces "
+        "billey_localization",
     "roots.CartanMatrix.positive_roots": "perfbench traces it",
     "weyl.WeylGroup.all_elements": "perfbench's self-test enumerates the group",
     "weyl.WeylGroup._delete_letter":

@@ -13,6 +13,7 @@ from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
+from petcoh.weyl import WeylGroup
 
 from oracles import (
     all_monomials_graded_dims,
@@ -64,7 +65,8 @@ def test_subset_order_is_by_size_then_mask():
 
 
 def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
-    # the rows are read off one table per fixed point w_K, in subset order
+    # the rows run the witness word of one fixed point w_K each, in subset
+    # order
     calls = _counting_tables(monkeypatch)
     m = model("A2")
     m.simple_class(1)
@@ -158,20 +160,28 @@ def test_classes_match_per_class_oracle(name):
 
 
 def _counting_tables(monkeypatch, doctor=None):
-    """Patch restricted_table in billey and peterson; record every call
-    and let ``doctor(u, w, value)`` rewrite the values it returns."""
+    """Patch restricted_rows in billey and peterson; record the fixed point
+    w_L of every witness word the rows run, through inversion_roots, and
+    let ``doctor(u, w, value)`` rewrite the value of u = v_J at w = w_L."""
     calls = []
-    real = billey.restricted_table
+    real_rows, real_roots = billey.restricted_rows, billey.inversion_roots
 
-    def table(group, targets, w):
+    def roots(group, w):
         calls.append(w)
-        out = real(group, targets, w)
-        if doctor is not None:
-            out = {u: doctor(u, w, c) for u, c in out.items()}
-        return out
+        return real_roots(group, w)
 
-    monkeypatch.setattr(billey, "restricted_table", table)
-    monkeypatch.setattr(peterson, "restricted_table", table)
+    def rows(group, subsets):
+        out = real_rows(group, subsets)
+        if doctor is None:
+            return out
+        fixed = [group.longest_element(L) for L in subsets]
+        return tuple(tuple(doctor(group.v_K(J), w, c)
+                           for w, c in zip(fixed, row))
+                     for J, row in zip(subsets, out))
+
+    monkeypatch.setattr(billey, "inversion_roots", roots)
+    monkeypatch.setattr(billey, "restricted_rows", rows)
+    monkeypatch.setattr(peterson, "restricted_rows", rows)
     return calls
 
 
@@ -181,12 +191,44 @@ def test_model_construction_localizes_nothing(name, monkeypatch):
     m = model(name)
     assert calls == []
     m.simple_class(1)
-    # one table each
+    # one witness word each
     assert calls == [m.group.longest_element(K) for K in m.subsets]
     for K in m.subsets:
         m.subset_class(K)
     m.verify_quadratic_relations()
     assert len(calls) == len(m.subsets)
+
+
+def test_model_rejects_a_group_of_another_type():
+    # an A3 group passes the A2 quadratic relations; a B2 group would give
+    # the B2 rows to an A2 model
+    for other in ("A3", "B2"):
+        with pytest.raises(ValueError, match=f"group is of type {other}"):
+            PetersonModel(cartan_matrix("A2"), WeylGroup(cartan_matrix(other)))
+    cartan = cartan_matrix("A2")
+    assert PetersonModel(cartan, WeylGroup(cartan_matrix("A2"))).rank == 2
+
+
+def test_one_dropped_step_changes_the_rows_and_does_not_certify(monkeypatch):
+    # v_{13} on A3 has the descents 1 and 3; without the step of letter 3,
+    # p_{v_{13}} collects only the embeddings that end in letter 1
+    real = billey.subset_steps
+    rows = model("A3")._rows
+
+    def dropped(group):
+        steps = real(group)
+        steps[3].remove((0b101, 0b001))
+        return steps
+
+    monkeypatch.setattr(billey, "subset_steps", dropped)
+    m = model("A3")
+    changed = [K for K, old, new in zip(m.subsets, rows, m._rows) if old != new]
+    assert changed == [(1, 3)]
+    report = run_certification(RunConfig("A3"))
+    giambelli = next(r for r in report.records if r.check == "giambelli")
+    assert giambelli.witnesses["failures"] == [
+        {"kind": "disconnected_product", "K": [1, 3]}]
+    assert not report.isomorphism_certified()
 
 
 def test_quadric_checks_compute_no_fixed_point(monkeypatch):
