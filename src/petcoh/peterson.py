@@ -14,8 +14,9 @@ K = ``subsets[k]`` and every fixed point L.  The rows are built together on
 first use, one pass per fixed point on subset bitmasks.  Every identity
 checked below is homogeneous in t, so it is compared at t = 1, pointwise on
 the rows.  The Monk and Giambelli identities have rational coefficients;
-each is checked with its denominators cleared, so the comparison stays in
-the integers.
+each is computed on the rows with its denominators cleared, so the
+comparison stays in the integers, and returns a bool: the ``monk`` and
+``giambelli`` checks in ``cli`` build the one record of each check.
 """
 
 from __future__ import annotations
@@ -129,12 +130,13 @@ class PetersonModel:
         return tuple(tuple(sorted(nonzero[K].union(
             *map(nonzero.get, self._covers(K))))) for K in self.subsets)
 
-    def verify_monk(self, i: int, K) -> CheckRecord:
-        """Check p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c_J p_{v_J},
-        both sides multiplied by the lcm D of the denominators of the c_J so
-        that every value is an integer.  The sides are compared on the rows
-        at the fixed points of ``_monk_support`` only: every term has
-        p_{v_K} or some p_{v_J} as a factor, so elsewhere both sides are 0."""
+    def monk_holds(self, i: int, K) -> bool:
+        """True iff p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c_J p_{v_J}
+        over the covers J of K, with every c_J nonnegative.  Both sides are
+        multiplied by the lcm D of the denominators of the c_J so that every
+        value is an integer, and compared on the rows at the fixed points of
+        ``_monk_support`` only: every term has p_{v_K} or some p_{v_J} as a
+        factor, so elsewhere both sides are 0."""
         K = tuple(sorted(set(K)))
         k = self._subset_index[K]
         rows = self._rows
@@ -142,79 +144,34 @@ class PetersonModel:
         p_K = rows[k]
         covers = self._covers(K)
         cs = [self.monk_coefficient(i, K, J) for J in covers]
+        if any(c < 0 for c in cs):
+            return False
         D = lcm(*(c.denominator for c in cs))
         terms = [(rows[self._subset_index[J]], D // c.denominator * c.numerator)
                  for J, c in zip(covers, cs) if c]
-        passed = all(
+        return all(
             D * p_i[L] * p_K[L] == D * p_i[k] * p_K[L] + sum(
                 m * p_J[L] for p_J, m in terms)
             for L in self._monk_support[k])
-        coeffs = [{"J": list(J), "coefficient": c} for J, c in zip(covers, cs)]
-        nonneg = all(c >= 0 for c in cs)
-        return CheckRecord(
-            check="monk",
-            lie_type=self.type_name(),
-            passed=passed and nonneg,
-            parameters={"i": i, "K": list(K)},
-            witnesses={
-                "coefficients": coeffs,
-                "identity_holds": passed,
-                "coefficients_nonnegative": nonneg,
-            },
-        )
 
     # -- Giambelli rule ----------------------------------------------------
 
-    def verify_giambelli(self, K) -> CheckRecord:
-        """Check (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}
-        for a connected node set K, as |K|! p_{v_K} = #words prod p_{s_i}
-        on the rows."""
+    def giambelli_holds(self, K) -> tuple[int, bool]:
+        """The number of reduced words of v_K, and whether
+        (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}, compared
+        as |K|! p_{v_K} = #words prod p_{s_i} on the rows."""
         K = tuple(sorted(set(K)))
-        if not self.cartan.is_connected(K):
-            raise ValueError(
-                f"K={K} is not connected; use verify_disconnected_product "
-                "for split node sets")
         n_words = self.group.count_reduced_words(self.group.v_K(K))
         k_factorial = factorial(len(K))
         product = _row_product(self.simple_class(i) for i in K)
-        passed = [k_factorial * c for c in self.subset_class(K)] == \
+        return n_words, [k_factorial * c for c in self.subset_class(K)] == \
             [n_words * c for c in product]
-        return CheckRecord(
-            check="giambelli",
-            lie_type=self.type_name(),
-            passed=passed,
-            parameters={"K": list(K)},
-            witnesses={"coefficient": Fraction(k_factorial, n_words),
-                       "reduced_words": n_words},
-        )
 
-    def verify_disconnected_product(self, *parts) -> CheckRecord:
-        """Check p_{v_K} = prod_C p_{v_C} for a node set K given as its
-        connected components C (the product rule for disconnected K).
-        Empty parts are the degenerate identity p_{v_{()}} = 1."""
-        if not parts:
-            raise ValueError("expected at least one part")
-        parts = [tuple(sorted(set(C))) for C in parts]
-        union = tuple(sorted(set().union(*parts)))
-        if sum(map(len, parts)) != len(union):
-            raise ValueError("the parts must be disjoint")
-        for C in parts:
-            if C and not self.cartan.is_connected(C):
-                raise ValueError(f"{C} must be connected")
-        components = [C for C in parts if C]
-        if len(components) > 1 and \
-                len(self.cartan.connected_components(union)) != len(components):
-            raise ValueError("the parts must be the components of a "
-                             "disconnected union")
-        passed = self.subset_class(union) == \
-            _row_product(self.subset_class(C) for C in parts)
-        return CheckRecord(
-            check="disconnected_product",
-            lie_type=self.type_name(),
-            passed=passed,
-            parameters={"parts": [list(C) for C in parts]},
-            witnesses={"union": list(union)},
-        )
+    def product_holds(self, K, components) -> bool:
+        """True iff p_{v_K} = prod_C p_{v_C} over the given node sets C (the
+        product rule, for the connected components C of a disconnected K)."""
+        return self.subset_class(K) == \
+            _row_product(self.subset_class(C) for C in components)
 
     # -- module basis -------------------------------------------------------
 

@@ -184,13 +184,6 @@ class CartanMatrix:
             remaining -= comp
         return comps
 
-    def is_connected(self, nodes) -> bool:
-        """True iff the induced subdiagram is nonempty and connected."""
-        nodes = set(nodes)
-        if not nodes:
-            return False
-        return len(self.connected_components(nodes)) == 1
-
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """All positive roots in simple-root coordinates, sorted.
 

@@ -251,6 +251,21 @@ def bond_order(cartan, i: int, j: int) -> int:
     return BOND_ORDERS[cartan.a(i, j) * cartan.a(j, i)]
 
 
+def is_connected(cartan, nodes) -> bool:
+    """True iff the Dynkin subdiagram on ``nodes`` is nonempty and
+    connected, by a flood fill along the nonzero Cartan entries."""
+    nodes = set(nodes)
+    if not nodes:
+        return False
+    reached, frontier = set(), [min(nodes)]
+    while frontier:
+        v = frontier.pop()
+        if v not in reached:
+            reached.add(v)
+            frontier.extend(u for u in nodes if u != v and cartan.a(v, u))
+    return reached == nodes
+
+
 def length_of_matrix(group, action) -> int:
     """Inversion count: positive roots whose image under the action matrix
     is negative."""
@@ -856,6 +871,34 @@ def verify_monk_full(model, i: int, K):
             "coefficients": coeffs,
             "identity_holds": passed,
             "coefficients_nonnegative": nonneg,
+        },
+    )
+
+
+def class_check_monk(model):
+    """The whole ``monk`` check record, each identity decided by
+    ``verify_monk_full`` at every fixed point, plus the Cartan-integer
+    cross-check on the covers of singletons."""
+    from petcoh.report import CheckRecord
+
+    cartan = model.cartan
+    nodes = cartan.nodes()
+    failures = [{"i": i, "K": list(K)} for i in nodes for K in model.subsets
+                if not verify_monk_full(model, i, K).passed]
+    cross = [{"i": i, "j": j,
+              "coefficient": model.monk_coefficient(i, (i,), (i, j)),
+              "expected": -cartan.a(i, j)}
+             for i in nodes for j in nodes if i != j]
+    cross_ok = all(c["coefficient"] == c["expected"] for c in cross)
+    return CheckRecord(
+        check="monk",
+        lie_type=model.type_name(),
+        passed=not failures and cross_ok,
+        parameters={"identities_checked": len(nodes) * len(model.subsets)},
+        witnesses={
+            "failures": failures,
+            "cartan_cross_check": cross,
+            "cartan_cross_check_ok": cross_ok,
         },
     )
 

@@ -38,6 +38,7 @@ from oracles import (
     brute_reduced_words,
     class_value,
     enumerate_reduced_words,
+    is_connected,
     is_regular_sequence,
     one_class,
     poly_pow,
@@ -104,7 +105,7 @@ def test_criterion_3_giambelli():
             m = model(name)
             assert m.rank <= 4
             for K in m.subsets:
-                if not K or not m.cartan.is_connected(K):
+                if not is_connected(m.cartan, K):
                     continue
                 v = m.group.v_K(K)
                 n_words = m.group.count_reduced_words(v)
@@ -116,12 +117,12 @@ def test_criterion_3_giambelli():
                 for i in K:
                     rhs = rhs * simple_class(m, i)
                 assert lhs == rhs, (name, K)
-        assert model("A3").verify_disconnected_product((1,), (3,)).passed
-        a4 = model("A4")
-        assert a4.verify_disconnected_product((1, 2), (4,)).passed
-        assert a4.verify_disconnected_product((1,), (3, 4)).passed
-        mixed = model("A2+A1")
-        assert mixed.verify_disconnected_product((1, 2), (3,)).passed
+        for name, parts in [("A3", [(1,), (3,)]), ("A4", [(1, 2), (4,)]),
+                            ("A4", [(1,), (3, 4)]), ("A2+A1", [(1, 2), (3,)])]:
+            m = model(name)
+            K = tuple(sorted(x for C in parts for x in C))
+            assert m.cartan.connected_components(K) == parts, (name, K)
+            assert m.product_holds(K, parts), (name, K)
 
 
 def test_criterion_4_basis_triangularity():

@@ -29,6 +29,7 @@ from oracles import (
     billey_welldef_per_word,
     enumerate_reduced_words,
     has_skips,
+    is_connected,
 )
 
 
@@ -146,11 +147,11 @@ def test_giambelli_reaches_every_nonempty_subset(name):
     nonempty = [K for k in nodes for K in combinations(nodes, k)]
     # each nonempty K reached exactly once
     assert sorted(connected + list(products)) == sorted(nonempty)
-    assert all(model.cartan.is_connected(K) for K in connected)
+    assert all(is_connected(model.cartan, K) for K in connected)
     for K, components in products.items():
         assert len(components) >= 2
         assert sorted(x for C in components for x in C) == list(K)
-        assert all(model.cartan.is_connected(C) for C in components)
+        assert all(is_connected(model.cartan, C) for C in components)
     three_or_more = sorted(K for K, c in products.items() if len(c) >= 3)
     assert len(three_or_more) == {"D4": 1, "A5": 1, "E6": 11}.get(name, 0)
     if name in ("D4", "A5"):
@@ -175,6 +176,23 @@ def test_broken_three_component_product_fails_and_does_not_certify(monkeypatch):
         {"kind": "disconnected_product", "K": [1, 3, 4]}]
     assert all(by_name[c].passed for c in ("quadratic", "basis", "hilbert"))
     assert not report.isomorphism_certified()
+
+
+def test_a_full_run_builds_one_record_per_check(monkeypatch):
+    # every identity of monk and giambelli is a bool on the rows; the only
+    # records are the ones the report shows
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(CheckRecord(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "CheckRecord", counting)
+    monkeypatch.setattr(peterson, "CheckRecord", counting)
+    report = run_certification(RunConfig("E6"))
+    assert [r.check for r in report.records] == list(CHECK_ORDER)
+    assert len(built) == len(CHECK_ORDER) == 9
+    assert all(a is b for a, b in zip(built, report.records))
 
 
 @pytest.mark.parametrize("witness", ["coefficients", "products"])

@@ -2,6 +2,7 @@
 relations, graded dimensions."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,13 @@ from oracles import (
     basis_matrix,
     brute_reduced_words,
     class_check_giambelli,
+    class_check_monk,
     class_value,
     class_verify_basis,
     class_verify_quadratic,
     fraction_verify_giambelli,
     fraction_verify_monk,
+    is_connected,
     is_monomial_of_degree,
     one_class,
     per_class_restriction,
@@ -318,30 +321,49 @@ def test_monk_coefficient_rejects_non_covers():
         m.monk_coefficient(1, (2,), (1, 3))
 
 
+def covers(m, K):
+    """The covers J of K, |J| = |K| + 1, in node order."""
+    return [tuple(sorted(K + (j,))) for j in m.cartan.nodes() if j not in K]
+
+
+def giambelli_entry(m, K):
+    """How the ``giambelli`` record reached the connected set K."""
+    record = cli._check_giambelli(m, RunConfig(m.type_name()))
+    return next(c for c in record.witnesses["coefficients"]
+                if c["K"] == list(K))
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 def test_verify_monk_all_cases(name):
     m = model(name)
     for i in m.cartan.nodes():
         for K in m.subsets:
-            rec = m.verify_monk(i, K)
-            assert rec.passed, (name, i, K)
-            assert all(item["coefficient"] >= 0
-                       for item in rec.witnesses["coefficients"])
+            assert m.monk_holds(i, K), (name, i, K)
+            assert all(m.monk_coefficient(i, K, J) >= 0 for J in covers(m, K))
 
 
 @pytest.mark.parametrize("name", SUITE + ["E6"])
 def test_monk_and_giambelli_records_match_fraction_oracle(name):
     # denominators cleared in integers against the identities summed in
-    # Fractions: the same record, coefficients included
+    # Fractions: the same outcome, coefficients included
     m = model(name)
     for i in m.cartan.nodes():
         for K in m.subsets:
-            assert m.verify_monk(i, K).to_dict() == \
-                fraction_verify_monk(m, i, K).to_dict(), (name, i, K)
+            oracle = fraction_verify_monk(m, i, K)
+            assert m.monk_holds(i, K) == oracle.passed, (name, i, K)
+            assert [{"J": list(J), "coefficient": m.monk_coefficient(i, K, J)}
+                    for J in covers(m, K)] == oracle.witnesses["coefficients"]
+    record = cli._check_giambelli(m, RunConfig(name))
+    entries = {tuple(c["K"]): c for c in record.witnesses["coefficients"]}
     for K in m.subsets:
-        if K and m.cartan.is_connected(K):
-            assert m.verify_giambelli(K).to_dict() == \
-                fraction_verify_giambelli(m, K).to_dict(), (name, K)
+        if K and is_connected(m.cartan, K):
+            oracle = fraction_verify_giambelli(m, K)
+            n_words = oracle.witnesses["reduced_words"]
+            assert m.giambelli_holds(K) == (n_words, oracle.passed), (name, K)
+            assert entries.pop(K) == {
+                "K": list(K), "coefficient": oracle.witnesses["coefficient"],
+                "reduced_words": n_words}
+    assert entries == {}
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
@@ -351,8 +373,10 @@ def test_monk_records_match_class_arithmetic_oracle(name):
     m = model(name)
     for i in m.cartan.nodes():
         for K in m.subsets:
-            assert m.verify_monk(i, K).to_dict() == \
-                verify_monk_full(m, i, K).to_dict(), (name, i, K)
+            oracle = verify_monk_full(m, i, K)
+            assert m.monk_holds(i, K) == oracle.passed, (name, i, K)
+            assert all(m.monk_coefficient(i, K, J) >= 0 for J in covers(m, K)) \
+                == oracle.witnesses["coefficients_nonnegative"]
 
 
 def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
@@ -372,11 +396,13 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
     failing = []
     for i in m.cartan.nodes():
         for J in m.subsets:
-            rec = m.verify_monk(i, J)
-            assert rec.to_dict() == verify_monk_full(m, i, J).to_dict()
-            if not rec.passed:
+            holds = m.monk_holds(i, J)
+            assert holds == verify_monk_full(m, i, J).passed
+            if not holds:
                 failing.append((i, J))
     assert (1, K) in failing
+    assert cli._check_monk(m, RunConfig("A3")).to_dict() == \
+        class_check_monk(m).to_dict()
     basis = m.verify_basis_triangular()
     assert basis.to_dict() == class_verify_basis(m).to_dict()
     assert not basis.passed and basis.witnesses["support_condition"] is False
@@ -409,19 +435,18 @@ def test_monk_off_by_a_third_fails_the_identity(monkeypatch):
 
     monkeypatch.setattr(PetersonModel, "monk_coefficient", nudged)
     m = model("B3")
-    rec = m.verify_monk(1, (1,))
-    assert not rec.witnesses["identity_holds"]
-    assert not rec.passed
+    # every coefficient stays nonnegative, so the identity is what fails
+    assert all(m.monk_coefficient(1, (1,), J) >= 0 for J in covers(m, (1,)))
+    assert not m.monk_holds(1, (1,))
     assert not fraction_verify_monk(m, 1, (1,)).witnesses["identity_holds"]
-    assert m.verify_monk(2, (1,)).passed
+    assert m.monk_holds(2, (1,))
 
 
 def test_verify_monk_empty_K_coefficients():
     # c_{i,{}}^{{j}} is 1 when j = i and 0 otherwise
     m = model("A2")
-    rec = m.verify_monk(1, ())
-    coeffs = {tuple(item["J"]): item["coefficient"]
-              for item in rec.witnesses["coefficients"]}
+    assert m.monk_holds(1, ())
+    coeffs = {J: m.monk_coefficient(1, (), J) for J in covers(m, ())}
     assert coeffs == {(1,): 1, (2,): 0}
 
 
@@ -429,67 +454,74 @@ def test_verify_monk_empty_K_coefficients():
 
 def test_giambelli_singleton_trivial():
     m = model("A2")
-    rec = m.verify_giambelli((1,))
-    assert rec.passed and rec.witnesses["coefficient"] == 1
+    assert m.giambelli_holds((1,)) == (1, True)
+    assert giambelli_entry(m, (1,))["coefficient"] == 1
 
 
 def test_giambelli_connected_pair_coefficient_two():
     for name in ("A2", "B2", "G2"):
         m = model(name)
-        rec = m.verify_giambelli((1, 2))
-        assert rec.passed
-        assert rec.witnesses["coefficient"] == 2
+        n_words, holds = m.giambelli_holds((1, 2))
+        assert holds and n_words == 1
+        assert giambelli_entry(m, (1, 2))["coefficient"] == 2
 
 
 def test_giambelli_A3_full_set():
     m = model("A3")
     v = m.group.v_K((1, 2, 3))
     assert brute_reduced_words(m.group, v) == {(1, 2, 3)}
-    rec = m.verify_giambelli((1, 2, 3))
-    assert rec.passed
-    assert rec.witnesses["coefficient"] == 6
-    assert rec.witnesses["reduced_words"] == 1
+    assert m.giambelli_holds((1, 2, 3)) == (1, True)
+    assert giambelli_entry(m, (1, 2, 3)) == {
+        "K": [1, 2, 3], "coefficient": 6, "reduced_words": 1}
 
 
-def test_giambelli_rejects_disconnected():
-    m = model("A3")
-    with pytest.raises(ValueError, match="disconnected"):
-        m.verify_giambelli((1, 3))
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "A5", "E6"))
+def test_giambelli_holds_on_disconnected_subsets(name):
+    # the count of reduced words of v_K is the shuffle count
+    # |K|!/prod |C|! times the counts of the v_C over the components C, so
+    # Giambelli's coefficient for K is the product of those for the C and
+    # the formula holds for every nonempty K, connected or not
+    m = model(name)
+    count = m.group.count_reduced_words
+    for K in m.subsets[1:]:
+        components = m.cartan.connected_components(K)
+        shuffles = factorial(len(K))
+        for C in components:
+            shuffles //= factorial(len(C))
+        n_words, holds = m.giambelli_holds(K)
+        assert holds, (name, K)
+        assert n_words == shuffles * prod(
+            count(m.group.v_K(C)) for C in components), (name, K)
 
 
 @pytest.mark.parametrize("name", SUITE)
 def test_giambelli_every_connected_subset(name):
     m = model(name)
     for K in m.subsets:
-        if K and m.cartan.is_connected(K):
-            assert m.verify_giambelli(K).passed, (name, K)
+        if K and is_connected(m.cartan, K):
+            assert m.giambelli_holds(K)[1], (name, K)
 
 
 def test_disconnected_product_examples():
     a3 = model("A3")
-    assert a3.verify_disconnected_product((1,), (3,)).passed
-    assert a3.verify_disconnected_product((), (2,)).passed  # degenerate
+    assert a3.product_holds((1, 3), [(1,), (3,)])
+    assert a3.product_holds((2,), [(), (2,)])  # degenerate
     a4 = model("A4")
-    assert a4.verify_disconnected_product((1, 2), (4,)).passed
+    assert a4.product_holds((1, 2, 4), [(1, 2), (4,)])
     mixed = model("A2+A1")
-    assert mixed.verify_disconnected_product((1, 2), (3,)).passed
+    assert mixed.product_holds((1, 2, 3), [(1, 2), (3,)])
     # three components: sets that no pair of connected sets reaches
-    assert model("D4").verify_disconnected_product((1,), (3,), (4,)).passed
-    assert model("A5").verify_disconnected_product((1,), (3,), (5,)).passed
+    assert model("D4").product_holds((1, 3, 4), [(1,), (3,), (4,)])
+    assert model("A5").product_holds((1, 3, 5), [(1,), (3,), (5,)])
 
 
-def test_disconnected_product_preconditions():
+def test_product_fails_on_a_split_component():
+    # p_{v_{12}} is not p_{s_1} p_{s_2}: the product rule needs the whole
+    # connected components
     a4 = model("A4")
-    with pytest.raises(ValueError, match="disjoint"):
-        a4.verify_disconnected_product((1, 2), (2, 4))
-    with pytest.raises(ValueError, match="disconnected"):
-        a4.verify_disconnected_product((1,), (2,))
-    with pytest.raises(ValueError, match="connected"):
-        a4.verify_disconnected_product((1, 3), (4,))
-    with pytest.raises(ValueError, match="disconnected"):
-        model("D4").verify_disconnected_product((1,), (2,), (3,))
-    with pytest.raises(ValueError, match="at least one part"):
-        a4.verify_disconnected_product()
+    assert not a4.product_holds((1, 2, 4), [(1,), (2,), (4,)])
+    assert a4.product_holds((1, 2, 4), [(1, 2), (4,)])
+    assert not a4.product_holds((1, 2), [(1,), (2,)])
 
 
 # -- basis -------------------------------------------------------------------
@@ -538,13 +570,16 @@ def test_quadratic_combination_is_zero_per_row():
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
 def test_row_records_match_class_arithmetic_oracle(name):
-    # quadratic, giambelli (disconnected products included) and basis on
+    # quadratic, monk, giambelli (disconnected products included) and basis on
     # the int rows at t = 1 against the same records by PetersonClass
     # arithmetic, degrees and all
     m = model(name)
     config = RunConfig(name)
     assert m.verify_quadratic_relations().to_dict() == \
         class_verify_quadratic(m).to_dict()
+    monk = cli._check_monk(m, config)
+    assert monk.passed
+    assert monk.to_dict() == class_check_monk(m).to_dict()
     giambelli = cli._check_giambelli(m, config)
     assert giambelli.passed
     assert giambelli.to_dict() == class_check_giambelli(m).to_dict()

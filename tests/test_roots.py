@@ -1,5 +1,7 @@
 """Cartan matrices, reflections, and diagram queries."""
 
+import itertools
+
 import pytest
 
 from petcoh.roots import (
@@ -11,7 +13,7 @@ from petcoh.roots import (
     simple_reflection_action,
 )
 
-from oracles import bond_order, cartan_matrix_from_inner_products
+from oracles import bond_order, cartan_matrix_from_inner_products, is_connected
 
 ALL_SIMPLE = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -199,13 +201,27 @@ def test_bond_order():
 
 def test_connectivity_queries():
     a4 = cartan_matrix("A4")
-    assert a4.is_connected((1, 2, 3))
-    assert not a4.is_connected((1, 3))
-    assert not a4.is_connected(())
+    assert is_connected(a4, (1, 2, 3))
+    assert not is_connected(a4, (1, 3))
+    assert not is_connected(a4, ())
     assert a4.connected_components((1, 2, 4)) == [(1, 2), (4,)]
     d4 = cartan_matrix("D4")
-    assert d4.is_connected((2, 3, 4))  # both legs attach through node 2
-    assert not d4.is_connected((3, 4))
+    assert is_connected(d4, (2, 3, 4))  # both legs attach through node 2
+    assert not is_connected(d4, (3, 4))
     mixed = cartan_matrix("A2+A1")
-    assert not mixed.is_connected((1, 2, 3))
+    assert not is_connected(mixed, (1, 2, 3))
     assert mixed.connected_components((1, 2, 3)) == [(1, 2), (3,)]
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "E6", "A2+A1", "B2+G2+A1"])
+def test_connected_components_match_the_flood_fill(name):
+    # the components are connected, disjoint, cover K, and no two of them
+    # are joined by an edge
+    cartan = cartan_matrix(name)
+    nodes = cartan.nodes()
+    for k in range(1, len(nodes) + 1):
+        for K in itertools.combinations(nodes, k):
+            components = cartan.connected_components(K)
+            assert sorted(x for C in components for x in C) == list(K)
+            assert all(is_connected(cartan, C) for C in components)
+            assert is_connected(cartan, K) == (len(components) == 1)
