@@ -1,16 +1,13 @@
 """The package's exact algebra kernel, in integers throughout.
 
-One polynomial class and one echelon form serve every layer:
-
-- ``Poly``, multivariate, for polynomials in the simple roots (Billey's
-  formula) and in Q[x_1..x_n, t] (the quadric presentation); a value
-  restricted to the circle is a ``Poly`` in the one variable t.  A
-  ``Poly`` keeps the coefficients it is given, and every one the package
-  builds has int coefficients;
-- ``IntegerEchelon``, an incremental echelon form of primitive integer
-  rows, for the graded ranks of the restriction model; positive
-  definiteness (``leading_minors_positive``) runs its own fraction-free
-  elimination.
+One polynomial class serves every layer: ``Poly``, multivariate, for
+polynomials in the simple roots (Billey's formula) and in Q[x_1..x_n, t]
+(the quadric presentation); a value restricted to the circle is a ``Poly``
+in the one variable t.  A ``Poly`` keeps the coefficients it is given, and
+every one the package builds has int coefficients.  The one Gaussian
+elimination is the fraction-free one of ``leading_minors_positive``, for
+positive definiteness; the graded ranks of the restriction model need none
+(``peterson.PetersonModel.image_graded_dimensions``).
 
 Every Hilbert series is N(s)/(1 - s^2)^k with an integer polynomial N, so
 univariate quantities are plain integer coefficient lists, constant term
@@ -220,44 +217,6 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # exact elimination
-
-class IntegerEchelon:
-    """An echelon form of primitive integer rows, grown one row at a time.
-
-    Rows are stored by pivot (leading) column, in insertion order.  A new
-    row is reduced against every stored row in that order, each step a
-    cross-multiplication that clears the stored row's pivot column; a
-    stored row vanishes at the pivots of the rows stored before it, so one
-    pass clears every pivot column.  A nonzero remainder is divided by the
-    gcd of its entries and stored under its leading column.  The number of
-    stored rows is the rank of everything inserted.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def insert(self, row) -> bool:
-        """Add a row; True iff it is independent of the rows stored so far."""
-        row = list(row)
-        for col, stored in self.rows.items():
-            f = row[col]
-            if f:
-                p = stored[col]
-                g = gcd(f, p)
-                f, p = f // g, p // g
-                row = [a * p - f * b for a, b in zip(row, stored)]
-        lead = next((col for col, a in enumerate(row) if a), None)
-        if lead is None:
-            return False
-        g = gcd(*row)
-        self.rows[lead] = [a // g for a in row]
-        return True
-
 
 def leading_minors_positive(rows) -> bool:
     """True iff every leading principal minor of the square integer matrix

@@ -17,6 +17,12 @@ the rows.  The Monk and Giambelli identities have rational coefficients;
 each is computed on the rows with its denominators cleared, so the
 comparison stays in the integers, and returns a bool: the ``monk`` and
 ``giambelli`` checks in ``cli`` build the one record of each check.
+
+Beside the rows, the model keeps one product table, built on first use
+with one row product per subset: row k holds b_S = prod_{i in S} p_{s_i}
+at every fixed point, for S = ``subsets[k]``.  Giambelli's formula reads
+b_K off it, and the graded dimensions are proven on it without
+elimination (``image_graded_dimensions``).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .billey import restricted_rows
-from .commalg import IntegerEchelon
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -38,6 +43,21 @@ from .weyl import WeylGroup
 def _row_product(rows) -> tuple[int, ...]:
     """The pointwise product of one or more rows."""
     return tuple(reduce(partial(map, mul), rows))
+
+
+def _cleared_identity(p_i, rows, k, covers, nums, diagonals, D, points) -> bool:
+    """True iff p_i r_k = p_i[k] r_k + sum_J (num_J / den_J) r_J at every
+    index in ``points``, for the rows r = ``rows``, J over the indices
+    ``covers`` and den_J over ``diagonals``.  Compared in integers as
+    D (p_i - p_i[k]) r_k = sum_J (D / den_J) num_J r_J, for D a common
+    multiple of the den_J."""
+    row, base = rows[k], p_i[k]
+    residual = [D * (p_i[L] - base) * row[L] for L in points]
+    for j, num, den in zip(covers, nums, diagonals):
+        if num:
+            r_J, m = rows[j], D // den * num
+            residual = [x - m * r_J[L] for x, L in zip(residual, points)]
+    return not any(residual)
 
 
 def subsets_by_size(n: int):
@@ -63,6 +83,11 @@ class PetersonModel:
         self.group = group or WeylGroup(cartan)
         self.subsets = tuple(subsets_by_size(cartan.rank))
         self._subset_index = {K: i for i, K in enumerate(self.subsets)}
+        # node i is bit i - 1; _position[mask] is the subset index of mask
+        self._masks = tuple(sum(1 << i - 1 for i in K) for K in self.subsets)
+        self._position = [0] * len(self.subsets)
+        for k, mask in enumerate(self._masks):
+            self._position[mask] = k
 
     @property
     def rank(self) -> int:
@@ -94,6 +119,27 @@ class PetersonModel:
         """The row of p_{s_i}, of degree 1."""
         return self.subset_class((i,))
 
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, ...], ...]:
+        """Per subset index k, the subset indices of the covers K + j of
+        K = subsets[k], for the nodes j not in K in node order."""
+        position = self._position
+        return tuple(tuple(position[mask | 1 << b] for b in range(self.rank)
+                           if not mask >> b & 1) for mask in self._masks)
+
+    @cached_property
+    def _products(self) -> tuple[tuple[int, ...], ...]:
+        """Row k: b_S at every fixed point, for S = subsets[k], where
+        b_S = prod_{i in S} p_{s_i} and b_{} = 1; one row product per
+        subset, b_S = b_{S - m} p_{s_m} for the largest node m of S."""
+        rows, position = self._rows, self._position
+        products = [self.one()]
+        for mask in self._masks[1:]:
+            top = 1 << mask.bit_length() - 1
+            products.append(tuple(map(mul, products[position[mask ^ top]],
+                                      rows[position[top]])))
+        return tuple(products)
+
     # -- Monk rule -------------------------------------------------------
 
     def monk_coefficient(self, i: int, K, J) -> Fraction:
@@ -103,7 +149,9 @@ class PetersonModel:
         Computed as (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) / p_{v_J}(w_J).
         Numerator and denominator are both multiples of t^|J|, so the
         quotient is the rational number of their coefficients; a zero
-        denominator is a pipeline bug.
+        denominator is a pipeline bug.  ``monk_holds`` decides the identity
+        in integers; the ``monk`` check reads this only for its Cartan
+        cross-check.
         """
         K = tuple(sorted(set(K)))
         J = tuple(sorted(set(J)))
@@ -117,55 +165,63 @@ class PetersonModel:
                 f"Monk division by zero for i={i}, K={K}, J={J}")
         return Fraction((p_i[j] - p_i[k]) * self._rows[k][j], denominator)
 
-    def _covers(self, K: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(sorted(K + (j,))) for j in self.cartan.nodes()
-                if j not in K]
+    @cached_property
+    def _monk_denominators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per subset index k of K: the diagonals p_{v_J}(w_J) of the covers
+        J of K, in the order of ``_covers``, and their lcm (0 if one of them
+        is 0)."""
+        rows = self._rows
+        table = []
+        for covers in self._covers:
+            diagonals = tuple(rows[j][j] for j in covers)
+            table.append((diagonals, lcm(*diagonals)))
+        return tuple(table)
 
     @cached_property
     def _monk_support(self) -> tuple[tuple[int, ...], ...]:
         """Per subset index of K, the fixed points at which p_{v_K} or
         p_{v_J} for some cover J of K is nonzero, read off the rows."""
-        nonzero = {K: {L for L, c in enumerate(row) if c}
-                   for K, row in zip(self.subsets, self._rows)}
-        return tuple(tuple(sorted(nonzero[K].union(
-            *map(nonzero.get, self._covers(K))))) for K in self.subsets)
+        nonzero = [{L for L, c in enumerate(row) if c} for row in self._rows]
+        return tuple(tuple(sorted(nonzero[k].union(*map(nonzero.__getitem__, covers))))
+                     for k, covers in enumerate(self._covers))
 
     def monk_holds(self, i: int, K) -> bool:
         """True iff p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c_J p_{v_J}
-        over the covers J of K, with every c_J nonnegative.  Both sides are
-        multiplied by the lcm D of the denominators of the c_J so that every
-        value is an integer, and compared on the rows at the fixed points of
+        over the covers J of K, with every c_J nonnegative, in integers:
+        c_J = num_J / den_J with num_J = (p_{s_i}(w_J) - p_{s_i}(w_K))
+        p_{v_K}(w_J) and den_J = p_{v_J}(w_J), so c_J < 0 iff
+        num_J den_J < 0.  The identity is multiplied by the lcm D of the
+        den_J and compared on the rows at the fixed points of
         ``_monk_support`` only: every term has p_{v_K} or some p_{v_J} as a
         factor, so elsewhere both sides are 0."""
         K = tuple(sorted(set(K)))
         k = self._subset_index[K]
-        rows = self._rows
-        p_i = self.simple_class(i)
-        p_K = rows[k]
-        covers = self._covers(K)
-        cs = [self.monk_coefficient(i, K, J) for J in covers]
-        if any(c < 0 for c in cs):
+        covers = self._covers[k]
+        diagonals, D = self._monk_denominators[k]
+        if not D:
+            J = self.subsets[covers[diagonals.index(0)]]
+            raise IntegrityError(
+                f"Monk division by zero for i={i}, K={K}, J={J}")
+        p_i, p_K = self.simple_class(i), self._rows[k]
+        nums = [(p_i[j] - p_i[k]) * p_K[j] for j in covers]
+        if any(num * den < 0 for num, den in zip(nums, diagonals)):
             return False
-        D = lcm(*(c.denominator for c in cs))
-        terms = [(rows[self._subset_index[J]], D // c.denominator * c.numerator)
-                 for J, c in zip(covers, cs) if c]
-        return all(
-            D * p_i[L] * p_K[L] == D * p_i[k] * p_K[L] + sum(
-                m * p_J[L] for p_J, m in terms)
-            for L in self._monk_support[k])
+        return _cleared_identity(p_i, self._rows, k, covers, nums, diagonals,
+                                 D, self._monk_support[k])
 
     # -- Giambelli rule ----------------------------------------------------
 
     def giambelli_holds(self, K) -> tuple[int, bool]:
         """The number of reduced words of v_K, and whether
         (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}, compared
-        as |K|! p_{v_K} = #words prod p_{s_i} on the rows."""
+        as |K|! p_{v_K} = #words b_K on the rows, with b_K read off the
+        product table."""
         K = tuple(sorted(set(K)))
         n_words = self.group.count_reduced_words(self.group.v_K(K))
+        k = self._subset_index[K]
         k_factorial = factorial(len(K))
-        product = _row_product(self.simple_class(i) for i in K)
-        return n_words, [k_factorial * c for c in self.subset_class(K)] == \
-            [n_words * c for c in product]
+        return n_words, [k_factorial * c for c in self._rows[k]] == \
+            [n_words * c for c in self._products[k]]
 
     def product_holds(self, K, components) -> bool:
         """True iff p_{v_K} = prod_C p_{v_C} over the given node sets C (the
@@ -179,8 +235,7 @@ class PetersonModel:
         """Upper triangularity with nonzero diagonal, plus the support
         condition p_{v_K}(w_J) = 0 whenever K is not contained in J, read
         off the subset bitmasks: K is in J iff mask(K) & ~mask(J) is 0."""
-        rows = self._rows
-        masks = [sum(1 << i for i in K) for K in self.subsets]
+        rows, masks = self._rows, self._masks
         ok_support = not any(m & ~M for m, row in zip(masks, rows)
                              for M in compress(masks, row))
         ok_triangular = not any(any(row[:r]) for r, row in enumerate(rows))
@@ -225,44 +280,116 @@ class PetersonModel:
 
     # -- graded dimensions -----------------------------------------------
 
-    def image_graded_dimensions(self, cutoff_degree: int) -> list[int]:
-        """Rank of the span of degree-2d monomials in {t, p_{s_1}..p_{s_n}},
-        evaluated as fixed-point tuples, for 2d = 0, 2, ..., cutoff_degree.
+    def image_graded_dimensions(self, cutoff_degree: int,
+                                failure: dict | None = None) -> list[int]:
+        """Dimension of the span of the degree-2d monomials in
+        {t, p_{s_1}..p_{s_n}}, evaluated as fixed-point tuples, for
+        2d = 0, 2, ..., cutoff_degree, proven on the product basis b_S
+        without elimination.
 
         Every generator is a class of t-degree 1, so a degree-d monomial
-        evaluates at each fixed point to (integer) * t^d and the span lives
-        in a vector space of dimension 2^n.  At t = 1 the degree-d span V_d
-        is spanned by the p-monomials of degree at most d, so
-        V_d = V_{d-1} + sum_i p_{s_i} N_{d-1}, where N_{d-1} holds the rows
-        that were new at degree d-1 (together with V_{d-2} they span
-        V_{d-1}).  Each candidate row goes through one incremental integer
-        echelon form; at most 2^n rows are ever new and each spawns n
-        candidates, so at most 1 + n 2^n rows are tried over all degrees.
+        evaluates at each fixed point to (integer) * t^d, and at t = 1 the
+        degree-d span V_d is the span of the p-monomials of degree at most
+        d.  The argument, degree by degree:
+
+        - *Triangularity.*  If every p_{s_i} vanishes at the w_L with
+          i not in L (checked once, on the simple rows), then b_S vanishes
+          off the supersets of S.  In the (size, bitmask) order the matrix
+          b_S(w_L) is then upper triangular with diagonal b_S(w_S), so once
+          every diagonal with |S| <= d is nonzero (checked per degree), the
+          b_S with |S| <= d are independent.
+        - *Spanning.*  V_d = V_{d-1} + sum_i p_{s_i} V_{d-1}.  Suppose
+          V_{d-1} is spanned by the b_T with |T| <= d - 1.  For i not in T,
+          p_{s_i} b_T = b_{T+i}.  For i in T with |T| < d - 1, p_{s_i} b_T
+          lies in V_{|T|+1}, which is inside V_{d-1}.  So V_d is spanned by
+          the b_S with |S| <= d once, for every S with |S| = d - 1 and every
+          i in S, p_{s_i} b_S lies in that span.
+        - *The reduction.*  p_{s_i} b_S vanishes off the supersets of S.
+          If it is a combination of the b_U with |U| <= d, evaluate at w_U
+          for a minimal U with a nonzero coefficient: only b_U is nonzero
+          there, so U contains S, and so does every U of the combination.
+          With |U| <= |S| + 1 that leaves b_S and the b_{S+j}, j not in S.
+          p_{s_i} b_S is reduced by b_S (coefficient p_{s_i}(w_S), exact)
+          and then by each b_{S+j}, which vanishes at w_S and at every other
+          w_{S+j'}, so these steps do not interact.  They run fraction-free,
+          the denominators b_{S+j}(w_{S+j}) cleared by their lcm, on the
+          2^(n - |S|) fixed points above S (``_cleared_identity``).  The
+          remainder must be zero.
+
+        When every step of degree d holds, its dimension is
+        sum_{k <= d} C(n, k); the list stops at the first degree that fails,
+        and ``failure``, if given, receives the witness: the first simple
+        entry off the supersets ({"kind": "support", "i", "L"}), a zero
+        diagonal ({"kind": "diagonal", "S"}), or a nonzero remainder
+        ({"kind": "reduction", "degree": 2d, "S", "i"}).
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
-        simple = [self.simple_class(i) for i in self.cartan.nodes()]
-        one = self.one()
-        echelon = IntegerEchelon()
-        echelon.insert(one)
-        new, dims = [one], [1]
-        for _ in range(cutoff_degree // 2):
-            candidates = [tuple(map(mul, row, vec))
-                          for row in new for vec in simple]
-            new = [row for row in candidates if echelon.insert(row)]
-            dims.append(len(echelon))
+        dims = [1]
+        for d in range(1, cutoff_degree // 2 + 1):
+            witness = self._support_failure() if d == 1 else None
+            witness = witness or self._degree_failure(d, dims[-1])
+            if witness:
+                if failure is not None:
+                    failure.update(witness)
+                break
+            dims.append(dims[-1] + comb(self.rank, d))
         return dims
 
+    def _support_failure(self) -> dict | None:
+        """The first simple-row entry p_{s_i}(w_L) != 0 with i not in L."""
+        for i in self.cartan.nodes():
+            bit = 1 << i - 1
+            for L, mask, c in zip(self.subsets, self._masks, self.simple_class(i)):
+                if c and not mask & bit:
+                    return {"kind": "support", "i": i, "L": list(L)}
+        return None
+
+    def _degree_failure(self, d: int, start: int) -> dict | None:
+        """The first zero diagonal b_S(w_S) with |S| = d, then the first
+        (S, i) with |S| = d - 1 and i in S whose p_{s_i} b_S does not reduce
+        to zero; subsets of size d start at index ``start``."""
+        products, subsets, position = self._products, self.subsets, self._position
+        for k in range(start, start + comb(self.rank, d)):
+            if not products[k][k]:
+                return {"kind": "diagonal", "S": list(subsets[k])}
+        full = len(subsets) - 1
+        for k in range(start - comb(self.rank, d - 1), start):
+            covers = self._covers[k]
+            diagonals = [products[j][j] for j in covers]
+            D = lcm(*diagonals)
+            row, mask = products[k], self._masks[k]
+            above, free = [], full & ~mask
+            sub = free
+            while True:  # the supersets of S: S | sub for every sub of free
+                above.append(position[mask | sub])
+                if not sub:
+                    break
+                sub = sub - 1 & free
+            for i in subsets[k]:
+                p_i = self.simple_class(i)
+                nums = [(p_i[j] - p_i[k]) * row[j] for j in covers]
+                if not _cleared_identity(p_i, products, k, covers, nums,
+                                         diagonals, D, above):
+                    return {"kind": "reduction", "degree": 2 * d,
+                            "S": list(subsets[k]), "i": i}
+        return None
+
     def verify_graded_dimensions(self, cutoff_degree: int) -> CheckRecord:
-        """Compare the computed dimensions with the coefficients of the
-        closed-form series (1+s^2)^n / (1-s^2): partial sums of binomials."""
-        dims = self.image_graded_dimensions(cutoff_degree)
+        """Compare the proven dimensions with the coefficients of the
+        closed-form series (1+s^2)^n / (1-s^2): partial sums of binomials.
+        A failure lists the degrees proven before it and its witness."""
+        failure: dict = {}
+        dims = self.image_graded_dimensions(cutoff_degree, failure)
         expected = list(accumulate(
             comb(self.rank, k) for k in range(cutoff_degree // 2 + 1)))
+        witnesses = {"computed": dims, "expected": expected}
+        if failure:
+            witnesses["failure"] = failure
         return CheckRecord(
             check="graded_dims",
             lie_type=self.type_name(),
             passed=dims == expected,
             parameters={"cutoff_degree": cutoff_degree},
-            witnesses={"computed": dims, "expected": expected},
+            witnesses=witnesses,
         )

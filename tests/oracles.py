@@ -633,8 +633,9 @@ def all_monomials_graded_dims(model, cutoff_degree: int, rank=None) -> list[int]
     """The graded dimensions of the image of Q[t, p_{s_1}..p_{s_n}] the
     slow way: for each degree d, one integer row per monomial of degree d
     in t, p_{s_1}..p_{s_n} (C(d+n, n) rows), ranked from scratch; ground
-    truth for the frontier recursion.  ``rank`` defaults to the pivoting
-    Bareiss rank and can be swapped for another rank function."""
+    truth for ``echelon_graded_dims`` and the product-basis argument.
+    ``rank`` defaults to the pivoting Bareiss rank and can be swapped for
+    another rank function."""
     rank = rank or (lambda rows: len(bareiss_pivots(rows)))
     ones = model.one()
     simple = [model.simple_class(i) for i in model.cartan.nodes()]
@@ -649,6 +650,64 @@ def all_monomials_graded_dims(model, cutoff_degree: int, rank=None) -> list[int]
                     row = [a * b ** e for a, b in zip(row, vec)]
             rows.append(row)
         dims.append(rank(rows))
+    return dims
+
+
+class IntegerEchelon:
+    """An echelon form of primitive integer rows, grown one row at a time.
+
+    Rows are stored by pivot (leading) column, in insertion order.  A new
+    row is reduced against every stored row in that order, each step a
+    cross-multiplication that clears the stored row's pivot column; a
+    stored row vanishes at the pivots of the rows stored before it, so one
+    pass clears every pivot column.  A nonzero remainder is divided by the
+    gcd of its entries and stored under its leading column.  The number of
+    stored rows is the rank of everything inserted.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row) -> bool:
+        """Add a row; True iff it is independent of the rows stored so far."""
+        row = list(row)
+        for col, stored in self.rows.items():
+            f = row[col]
+            if f:
+                p = stored[col]
+                g = gcd(f, p)
+                f, p = f // g, p // g
+                row = [a * p - f * b for a, b in zip(row, stored)]
+        lead = next((col for col, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        g = gcd(*row)
+        self.rows[lead] = [a // g for a in row]
+        return True
+
+
+def echelon_graded_dims(model, cutoff_degree: int) -> list[int]:
+    """The graded dimensions of the image of Q[t, p_{s_1}..p_{s_n}] by the
+    frontier recursion at t = 1: V_d = V_{d-1} + sum_i p_{s_i} N_{d-1}, where
+    N_{d-1} holds the rows that were new at degree d-1, every candidate
+    going through one ``IntegerEchelon``; at most 1 + n 2^n rows are tried
+    over all degrees.  Ground truth for the product-basis argument of
+    ``PetersonModel.image_graded_dimensions``."""
+    simple = [model.simple_class(i) for i in model.cartan.nodes()]
+    one = model.one()
+    echelon = IntegerEchelon()
+    echelon.insert(one)
+    new, dims = [one], [1]
+    for _ in range(cutoff_degree // 2):
+        candidates = [tuple(a * b for a, b in zip(row, vec))
+                      for row in new for vec in simple]
+        new = [row for row in candidates if echelon.insert(row)]
+        dims.append(len(echelon))
     return dims
 
 

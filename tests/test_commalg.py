@@ -15,7 +15,6 @@ from petcoh.commalg import (
     MAX_DEGREE,
     HilbertSeries,
     Ideal,
-    IntegerEchelon,
     MonomialCode,
     Poly,
     build_ideal_J,
@@ -31,6 +30,7 @@ from petcoh.roots import cartan_matrix
 
 from oracles import (
     MONOMIAL_ORDERS,
+    IntegerEchelon,
     _divides,
     _mono_lcm,
     all_monomials_graded_dims,
@@ -1104,6 +1104,9 @@ def test_bareiss_fixed_cases():
     assert bareiss_pivots([[0, 1], [1, 0]], pivoting=False) == [0]
     assert bareiss_pivots([[2, -1], [-1, 2]], pivoting=False) == [2, 3]
 
+
+# ``IntegerEchelon`` is the test oracle behind ``echelon_graded_dims``; its
+# cases stay here, next to the other eliminations on the same matrices
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(int_matrices())

@@ -2,13 +2,13 @@
 relations, graded dimensions."""
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import billey, cli, commalg, peterson
+from petcoh import billey, cli, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
 from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
@@ -25,6 +25,7 @@ from oracles import (
     class_value,
     class_verify_basis,
     class_verify_quadratic,
+    echelon_graded_dims,
     fraction_verify_giambelli,
     fraction_verify_monk,
     is_connected,
@@ -342,7 +343,7 @@ def test_verify_monk_all_cases(name):
             assert all(m.monk_coefficient(i, K, J) >= 0 for J in covers(m, K))
 
 
-@pytest.mark.parametrize("name", SUITE + ["E6"])
+@pytest.mark.parametrize("name", SUITE + ["E6", "E7"])
 def test_monk_and_giambelli_records_match_fraction_oracle(name):
     # denominators cleared in integers against the identities summed in
     # Fractions: the same outcome, coefficients included
@@ -425,21 +426,54 @@ def test_check_monk_builds_no_class(name, monkeypatch):
 
 
 def test_monk_off_by_a_third_fails_the_identity(monkeypatch):
-    # a coefficient that is not an integer must still be checked exactly
-    # once the denominators are cleared
-    real = PetersonModel.monk_coefficient
+    # p_{v_{12}}(w_{12}) on B3 made 3 instead of 2 turns the coefficient of
+    # p_{s_1} p_{v_1} on p_{v_{12}} from 1 into 2/3: not an integer, still
+    # nonnegative, so the identity is what fails, and it must be decided
+    # exactly in integers, as the Fraction oracle decides it
+    J = (1, 2)
+    group = model("B3").group
+    v_J, w_J = group.v_K(J), group.longest_element(J)
 
-    def nudged(self, i, K, J):
-        c = real(self, i, K, J)
-        return c + Fraction(1, 3) if (i, tuple(K), tuple(J)) == (1, (1,), (1, 2)) else c
+    def doctored(u, w, c):
+        return 3 if (u, w) == (v_J, w_J) else c
 
-    monkeypatch.setattr(PetersonModel, "monk_coefficient", nudged)
+    _counting_tables(monkeypatch, doctored)
     m = model("B3")
-    # every coefficient stays nonnegative, so the identity is what fails
-    assert all(m.monk_coefficient(1, (1,), J) >= 0 for J in covers(m, (1,)))
+    assert m.monk_coefficient(1, (1,), J) == Fraction(2, 3)
+    assert all(m.monk_coefficient(1, (1,), C) >= 0 for C in covers(m, (1,)))
     assert not m.monk_holds(1, (1,))
     assert not fraction_verify_monk(m, 1, (1,)).witnesses["identity_holds"]
-    assert m.monk_holds(2, (1,))
+    failing = [(i, K) for i in m.cartan.nodes() for K in m.subsets
+               if not m.monk_holds(i, K)]
+    assert failing == [(i, K) for i in m.cartan.nodes() for K in m.subsets
+                       if not fraction_verify_monk(m, i, K).passed]
+    # p_{s_3} vanishes at w_1 and w_{12}, so its coefficient on p_{v_{12}}
+    # is 0 and the doctored diagonal drops out
+    assert m.monk_holds(3, (1,))
+
+
+def test_monk_zero_diagonal_witness_names_the_first_identity(monkeypatch):
+    # p_{v_{23}}(w_{23}) = 0 on A3: the record carries the IntegrityError
+    # of the first (i, K, J) that divides by it, in the order the Fraction
+    # coefficients of each identity are computed
+    J = (2, 3)
+    group = model("A3").group
+    v_J, w_J = group.v_K(J), group.longest_element(J)
+
+    def doctored(u, w, c):
+        return 0 if (u, w) == (v_J, w_J) else c
+
+    _counting_tables(monkeypatch, doctored)
+    m = model("A3")
+    with pytest.raises(IntegrityError) as oracle:
+        for i in m.cartan.nodes():
+            for K in m.subsets:
+                fraction_verify_monk(m, i, K)
+    message = "Monk division by zero for i=1, K=(2,), J=(2, 3)"
+    assert str(oracle.value) == message
+    [record] = run_certification(RunConfig("A3", checks=("monk",))).records
+    assert record.passed is False
+    assert record.witnesses == {"integrity_error": message}
 
 
 def test_verify_monk_empty_K_coefficients():
@@ -667,6 +701,18 @@ def test_graded_dims_match_all_monomials_oracle(name):
     assert m.image_graded_dimensions(12) == all_monomials_graded_dims(m, 12)
 
 
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
+def test_graded_dims_match_echelon_oracle(name):
+    # the product-basis argument against the frontier recursion through an
+    # integer echelon form, at every cutoff the CLI accepts; the oracle runs
+    # once, at the largest cutoff, and every smaller one is its prefix
+    m = model(name)
+    oracle = echelon_graded_dims(m, 24)
+    for cutoff in range(0, 25, 2):
+        assert m.image_graded_dimensions(cutoff) == oracle[:cutoff // 2 + 1], \
+            (name, cutoff)
+
+
 def test_graded_dims_E7_match_series():
     m = model("E7")
     coeffs = series_prefix(poly_pow([1, 0, 1], 7), [1, 0, -1], 13)
@@ -674,21 +720,82 @@ def test_graded_dims_E7_match_series():
 
 
 def test_graded_dims_cost_on_E6(monkeypatch):
-    # one insert for the class 1, then n per row that was new below the
-    # top degree: at most 1 + n 2^n in all, against C(d+n, n) rows per degree
-    inserts = []
-    insert = commalg.IntegerEchelon.insert
+    # no elimination: one reduction per (S, i) with i in S and |S| below the
+    # top degree, sum_{s<6} s C(6, s) = 186 at cutoff 12, each on the
+    # 2^(n - |S|) fixed points above S
+    reductions = []
+    real = peterson._cleared_identity
 
-    def counting_insert(self, row):
-        inserts.append(row)
-        return insert(self, row)
+    def counting(p_i, rows, k, covers, nums, diagonals, D, points):
+        reductions.append((k, len(points)))
+        return real(p_i, rows, k, covers, nums, diagonals, D, points)
 
-    monkeypatch.setattr(commalg.IntegerEchelon, "insert", counting_insert)
+    monkeypatch.setattr(peterson, "_cleared_identity", counting)
     m = model("E6")
-    dims = m.image_graded_dimensions(12)
     n = m.rank
-    assert len(inserts) == 1 + n * dims[-2] == 379
-    assert len(inserts) <= 1 + n * 2 ** n
+    assert m.image_graded_dimensions(12) == [1, 7, 22, 42, 57, 63, 64]
+    assert len(reductions) == sum(s * comb(n, s) for s in range(6)) == 186
+    assert all(points == 2 ** (n - len(m.subsets[k]))
+               for k, points in reductions)
+
+
+def _doctored_graded_dims(monkeypatch, name, J, L, value):
+    """The ``graded_dims`` record of ``name`` with p_{v_J}(w_L) replaced by
+    value(p_{v_J}(w_L)), the model it ran on, and the echelon oracle's
+    dimensions on the same rows."""
+    group = model(name).group
+    v_J, w_L = group.v_K(J), group.longest_element(L)
+
+    def doctored(u, w, c):
+        return value(c) if (u, w) == (v_J, w_L) else c
+
+    _counting_tables(monkeypatch, doctored)
+    m = model(name)
+    record = m.verify_graded_dimensions(12)
+    assert not record.passed
+    assert record.to_dict() == run_certification(
+        RunConfig(name, checks=("graded_dims",))).records[0].to_dict()
+    return record, m, echelon_graded_dims(m, 12)
+
+
+def test_graded_dims_fails_on_an_entry_off_the_support(monkeypatch):
+    # p_{s_1}(w_{2}) on G2 made 1: the simple row no longer vanishes off
+    # the supersets of {1}.  The echelon sees the same dimensions as on the
+    # true rows, so the argument is stricter than the rank
+    record, m, oracle = _doctored_graded_dims(
+        monkeypatch, "G2", (1,), (2,), lambda c: c + 1)
+    assert record.witnesses == {
+        "computed": [1], "expected": [1, 3, 4, 4, 4, 4, 4],
+        "failure": {"kind": "support", "i": 1, "L": [2]}}
+    assert oracle == record.witnesses["expected"]
+    assert not m.verify_basis_triangular().passed
+
+
+def test_graded_dims_fails_on_a_zero_diagonal(monkeypatch):
+    # p_{s_1}(w_{12}) on A3 made 0: b_{12}(w_{12}) = 0, so degree 2 is not
+    # proven; degrees 0 and 1 are
+    record, m, oracle = _doctored_graded_dims(
+        monkeypatch, "A3", (1,), (1, 2), lambda c: 0)
+    assert record.witnesses == {
+        "computed": [1, 4], "expected": [1, 4, 7, 8, 8, 8, 8],
+        "failure": {"kind": "diagonal", "S": [1, 2]}}
+    assert oracle != record.witnesses["expected"]
+    assert m.verify_basis_triangular().passed
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_graded_dims_fails_on_one_extra_term_in_a_reduction(name, monkeypatch):
+    # p_{s_1}(w_Delta) one more: support and diagonals hold, but p_{s_1} b_1
+    # leaves one nonzero term at w_Delta after b_1 and the b_{1j} reduce it
+    n = model(name).rank
+    top = tuple(range(1, n + 1))
+    record, m, oracle = _doctored_graded_dims(
+        monkeypatch, name, (1,), top, lambda c: c + 1)
+    assert record.witnesses["computed"] == [1, 1 + n]
+    assert record.witnesses["failure"] == {
+        "kind": "reduction", "degree": 4, "S": [1], "i": 1}
+    assert oracle != record.witnesses["expected"]
+    assert m.verify_basis_triangular().passed
 
 
 # -- direct sums ---------------------------------------------------------------
