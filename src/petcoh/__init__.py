@@ -13,6 +13,8 @@ from .commalg import (
     build_ideal_Jcheck,
     groebner_basis,
     hilbert_series_of_quotient,
+    t_section_hilbert_series,
+    t_section_leads,
     zero_set_is_origin,
     zero_set_via_minors,
 )
@@ -52,6 +54,8 @@ __all__ = [
     "localization_table",
     "parse_lie_type",
     "simple_reflection_action",
+    "t_section_hilbert_series",
+    "t_section_leads",
     "word_to_str",
     "zero_set_is_origin",
     "zero_set_via_minors",

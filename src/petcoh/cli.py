@@ -28,6 +28,8 @@ from .commalg import (
     build_ideal_Jcheck,
     hilbert_series_of_quotient,
     regular_sequence_certificate,
+    t_section_hilbert_series,
+    t_section_leads,
     zero_set_is_origin,
     zero_set_via_minors,
 )
@@ -239,20 +241,28 @@ def _check_giambelli(model: PetersonModel, config: RunConfig) -> CheckRecord:
 
 
 def _check_hilbert(model: PetersonModel, config: RunConfig) -> CheckRecord:
-    """Quotient Hilbert series match the closed forms; one series is
-    recomputed under a second monomial order as an order-independence spot
-    check."""
+    """Quotient Hilbert series match the closed forms, and the ordinary one
+    is recomputed under a second monomial order as an order-independence
+    check.
+
+    The ordinary series, of J-check, is read off J's grevlex basis
+    (``t_section_hilbert_series``): under grevlex with t last, in(J + (t))
+    = in(J) + (t) for the homogeneous J (Bayer and Stillman, Invent. Math.
+    87, 1987), and (J, t) = (J-check, t).  The grlex series comes from
+    J-check's own basis, so ``order_independent`` also cross-checks that
+    reading.
+    """
     cartan = model.cartan
     n = cartan.rank
     ideal_full = build_ideal_J(cartan)
-    ideal_reduced = build_ideal_Jcheck(cartan)
     series_full = hilbert_series_of_quotient(ideal_full)
-    series_reduced = hilbert_series_of_quotient(ideal_reduced)
+    series_reduced = t_section_hilbert_series(ideal_full)
     expected_full = expected_equivariant_series(n)
     expected_reduced = expected_ordinary_series(n)
     ok_full = series_full == expected_full
     ok_reduced = series_reduced == expected_reduced
-    ok_order = hilbert_series_of_quotient(ideal_reduced, "grlex") == series_reduced
+    ok_order = hilbert_series_of_quotient(
+        build_ideal_Jcheck(cartan), "grlex") == series_reduced
     return CheckRecord(
         check="hilbert",
         lie_type=model.type_name(),
@@ -277,16 +287,17 @@ def _check_regular_sequence(model: PetersonModel, config: RunConfig) -> CheckRec
     Neither needs a basis of its own.  The prefix's quotient is Q[x, t]/J,
     whose series ``hilbert`` computes.  For the whole sequence, theta_i =
     theta-check_i - 2 t x_i, so (J, t) = (J-check, t) and Q[x, t]/(J, t) is
-    Q[x]/J-check as a graded ring: its series is that of J-check, which
-    ``hilbert`` computes too.
+    Q[x]/J-check as a graded ring: its series is the one ``hilbert`` reads
+    off J's grevlex basis, as in(J + (t)) = in(J) + (t) under grevlex with
+    t last (Bayer and Stillman, Invent. Math. 87, 1987).
     """
     cartan = model.cartan
     n = cartan.rank
+    ideal = build_ideal_J(cartan)
     ok_full, cert_full = regular_sequence_certificate(
-        hilbert_series_of_quotient(build_ideal_Jcheck(cartan)), n + 1,
-        [4] * n + [2])
+        t_section_hilbert_series(ideal), n + 1, [4] * n + [2])
     ok_prefix, cert_prefix = regular_sequence_certificate(
-        hilbert_series_of_quotient(build_ideal_J(cartan)), n + 1, [4] * n)
+        hilbert_series_of_quotient(ideal), n + 1, [4] * n)
     return CheckRecord(
         check="regular_sequence",
         lie_type=model.type_name(),
@@ -297,12 +308,14 @@ def _check_regular_sequence(model: PetersonModel, config: RunConfig) -> CheckRec
 
 
 def _check_zero_set(model: PetersonModel, config: RunConfig) -> CheckRecord:
-    """J-check vanishes only at the origin, two ways: its Groebner leads hold
+    """J-check vanishes only at the origin, two ways: its grevlex leads hold
     a pure power of every variable, and, as theta-check_i = x_i (A x)_i,
-    every principal minor of the Cartan matrix A is positive."""
+    every principal minor of the Cartan matrix A is positive.  The leads
+    are read off J's grevlex basis (``t_section_leads``): under grevlex
+    with t last, in(J + (t)) = in(J) + (t) for the homogeneous J (Bayer
+    and Stillman, Invent. Math. 87, 1987), and (J, t) = (J-check, t)."""
     cartan = model.cartan
-    ideal = build_ideal_Jcheck(cartan)
-    via_groebner = zero_set_is_origin(ideal)
+    via_groebner = zero_set_is_origin(*t_section_leads(build_ideal_J(cartan)))
     via_minors = zero_set_via_minors(cartan)
     return CheckRecord(
         check="zero_set",

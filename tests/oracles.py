@@ -1456,6 +1456,20 @@ def tuple_pure_power_variables(leads, nvars: int) -> list[bool]:
     return [any(e[v] and sum(e) == e[v] for e in leads) for v in range(nvars)]
 
 
+def ideal_zero_set_is_origin(ideal, ordering: str = "grevlex") -> bool:
+    """The zero-set test as ``commalg.zero_set_is_origin`` ran it before it
+    took leads: after a homogeneity check, on the packed leads of the
+    ideal's own basis under the order.  Ground truth for the ``zero_set``
+    check, which reads J-check's grevlex leads off J's basis."""
+    from petcoh import commalg
+
+    for g in ideal.generators:
+        if not g.is_homogeneous():
+            raise ValueError("zero-set criterion requires homogeneous generators")
+    code, elements = commalg._groebner_basis(ideal, ordering)
+    return commalg.zero_set_is_origin(code, [h[2] for h in elements])
+
+
 # The regular-sequence check as commalg ran it before the check read the
 # series of J and of J-check that the ``hilbert`` check computes: it builds
 # the ideal of the sequence itself, J + (t) for the whole sequence, and

@@ -42,6 +42,7 @@ from oracles import (
     fraction_reduced_series,
     graded_degree,
     grevlex_key,
+    ideal_zero_set_is_origin,
     grlex_key,
     ideal_to_json,
     is_regular_sequence,
@@ -810,9 +811,10 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
 
 
 def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
-    # hilbert builds J, J-check and J-check under grlex; regular_sequence
-    # reads the series of J and J-check again, since (J, t) = (J-check, t);
-    # zero_set reads the J-check basis
+    # hilbert builds the series of J and reads J-check's off J's basis, and
+    # builds J-check's grlex series; regular_sequence reads the series of J
+    # and of the section again, since (J, t) = (J-check, t); zero_set reads
+    # the section's leads.  Two bases: J under grevlex, J-check under grlex
     ideals = []
     post_init = Ideal.__post_init__
 
@@ -823,13 +825,28 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
     monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
     commalg._hilbert_series.cache_clear()
     commalg._groebner_basis.cache_clear()
+    commalg.t_section_leads.cache_clear()
+    engine = commalg._groebner_basis
+    asked = []
+
+    def recording_engine(ideal, ordering):
+        asked.append((ideal, ordering))
+        return engine(ideal, ordering)
+
+    monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
     report = run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set")))
     assert report.overall_pass
     series = commalg._hilbert_series.cache_info()
-    assert (series.misses, series.hits) == (3, 2)
-    bases = commalg._groebner_basis.cache_info()
-    assert (bases.misses, bases.hits) == (3, 1)
+    assert (series.misses, series.hits) == (2, 3)
+    sections = commalg.t_section_leads.cache_info()
+    assert (sections.misses, sections.hits) == (1, 2)
+    bases = engine.cache_info()
+    assert bases.misses == 2
+    cm = cartan_matrix("E7")
+    assert set(asked) == {(build_ideal_J(cm), "grevlex"),
+                          (build_ideal_Jcheck(cm), "grlex")}
+    assert (build_ideal_Jcheck(cm), "grevlex") not in asked
     # every ideal the run builds is J or J-check: seven quadrics, no t
     assert ideals
     for ideal in ideals:
@@ -867,8 +884,10 @@ def _packed_leads(ideal, ordering):
     return code, [lead for _, _, lead, _, _ in elements]
 
 
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
 def test_packed_leads_match_the_tuple_recursion(name):
+    # every lead set of the quadric ideals under both orders, and the t = 0
+    # section of J
     for label, ideal in _quadric_ideals(name).items():
         for ordering in ORDERINGS:
             code, leads = _packed_leads(ideal, ordering)
@@ -876,8 +895,12 @@ def test_packed_leads_match_the_tuple_recursion(name):
             assert [code.decode(lead) for lead in leads] == tuples, (label, ordering)
             assert commalg._monomial_quotient_numerator(leads, code) == \
                 tuple_monomial_quotient_numerator(tuples, ideal.nvars), (label, ordering)
-            assert zero_set_is_origin(ideal, ordering) == \
+            assert zero_set_is_origin(code, leads) == \
                 all(tuple_pure_power_variables(tuples, ideal.nvars)), (label, ordering)
+    code, leads = commalg.t_section_leads(_quadric_ideals(name)["J"])
+    tuples = [code.decode(lead) for lead in leads]
+    assert commalg._monomial_quotient_numerator(leads, code) == \
+        tuple_monomial_quotient_numerator(tuples, code.nvars)
 
 
 @st.composite
@@ -906,8 +929,35 @@ def test_packed_numerator_matches_the_tuple_recursion_on_monomial_ideals(case, o
         HilbertSeries.over_one_minus_s2(
             [c for coeff in numerator for c in (coeff, 0)], nvars)
     leads = leading_exponents(groebner_basis(ideal, ordering), ordering)
-    assert zero_set_is_origin(ideal, ordering) == \
+    assert zero_set_is_origin(*_packed_leads(ideal, ordering)) == \
         all(tuple_pure_power_variables(leads, nvars))
+
+
+@st.composite
+def redundant_monomial_ideals(draw):
+    """Monomials in three to five variables with duplicates, multiples of
+    other generators and, now and then, the unit, in any order."""
+    nvars = draw(st.integers(3, 5))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    base = draw(st.lists(monomial, min_size=1, max_size=7))
+    gens = base + draw(st.lists(st.sampled_from(base), max_size=3))
+    for g in draw(st.lists(st.sampled_from(base), max_size=3)):
+        gens.append(tuple(e + f for e, f in zip(g, draw(monomial))))
+    if draw(st.integers(0, 7)) == 0:
+        gens.append((0,) * nvars)
+    return nvars, draw(st.permutations(gens))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(redundant_monomial_ideals(), st.sampled_from(ORDERINGS))
+def test_incremental_numerator_matches_the_tuple_recursion(case, ordering):
+    # the packed recursion minimalizes once and keeps its children minimal;
+    # the tuple oracle minimalizes at every node
+    nvars, gens = case
+    code = MonomialCode(nvars, ordering)
+    assert commalg._monomial_quotient_numerator([code.encode(e) for e in gens],
+                                                code) == \
+        tuple_monomial_quotient_numerator(gens, nvars)
 
 
 def test_packed_numerator_fixed_cases():
@@ -918,6 +968,84 @@ def test_packed_numerator_fixed_cases():
     # (x^2, xy, y^3) leaves 1, x, y, y^2: N = (1 + 2s + s^2) (1 - s)^2
     assert commalg._monomial_quotient_numerator([y3, xy, x2, xy], code) == \
         [1, 0, -2, 0, 1]
+
+
+# -- the t = 0 section against J-check's own grevlex basis --------------------------
+
+def _minimal(code_and_leads):
+    """The variable count of a grevlex code and the minimal leads."""
+    code, leads = code_and_leads
+    return code.nvars, commalg._minimalize(leads, code)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8"))
+def test_section_leads_match_the_Jcheck_basis(name):
+    cm = cartan_matrix(name)
+    ideal, jcheck = build_ideal_J(cm), build_ideal_Jcheck(cm)
+    code, leads = commalg.t_section_leads(ideal)
+    assert code.nvars == cm.rank
+    assert _minimal((code, leads)) == _minimal(_packed_leads(jcheck, "grevlex"))
+    # no lead of J's basis involves t, so the series of J is reused, and it
+    # agrees with the one computed from the section's leads
+    assert len(leads) == len(commalg._groebner_basis(ideal, "grevlex")[1])
+    series = commalg.t_section_hilbert_series(ideal)
+    assert series == hilbert_series_of_quotient(jcheck) == \
+        commalg._series_of_leads(code, leads)
+
+
+def _t_free(ideal):
+    """The ideal with t, its last variable, set to zero, in the other
+    variables; the generators that vanish are left out."""
+    nvars = ideal.nvars - 1
+    gens = (Poly(nvars, {e[:-1]: c for e, c in g.terms.items() if not e[-1]})
+            for g in ideal.generators)
+    return Ideal(ideal.var_names[:-1], tuple(g for g in gens if g))
+
+
+def test_section_with_a_lead_that_t_divides():
+    # the lead x_1 t leaves the section, so the series is computed from the
+    # section's own leads
+    ideal = Ideal(("x1", "t"), (P(2, {(1, 1): 1}), P(2, {(2, 0): 1})))
+    code, leads = commalg.t_section_leads(ideal)
+    assert len(leads) < len(commalg._groebner_basis(ideal, "grevlex")[1])
+    direct = _t_free(ideal)
+    assert direct.generators == (P(1, {(2,): 1}),)
+    assert _minimal((code, leads)) == _minimal(_packed_leads(direct, "grevlex"))
+    assert commalg.t_section_hilbert_series(ideal) == \
+        hilbert_series_of_quotient(direct) == HilbertSeries((1, 0, 1), (1,))
+
+
+@st.composite
+def homogeneous_ideals_with_t(draw):
+    """Up to three homogeneous forms of degree one to three in x1, x2, t."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        terms = draw(st.dictionaries(st.sampled_from(monomials),
+                                     st.integers(-2, 2).filter(bool),
+                                     min_size=1, max_size=4))
+        gens.append(P(3, terms))
+    return Ideal(("x1", "x2", "t"), tuple(gens))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(homogeneous_ideals_with_t())
+def test_section_leads_match_the_t_free_basis(ideal):
+    # in(I + (t)) = in(I) + (t) under grevlex for every homogeneous I
+    direct = _t_free(ideal)
+    assert _minimal(commalg.t_section_leads(ideal)) == \
+        _minimal(_packed_leads(direct, "grevlex"))
+    assert commalg.t_section_hilbert_series(ideal) == \
+        hilbert_series_of_quotient(direct)
+
+
+def test_section_rejects_inhomogeneous():
+    bad = Ideal(("x1", "t"), (P(2, {(2, 0): 1, (0, 1): 1}),))
+    with pytest.raises(ValueError, match="homogeneous"):
+        commalg.t_section_leads(bad)
+    with pytest.raises(ValueError, match="homogeneous"):
+        commalg.t_section_hilbert_series(bad)
 
 
 def test_quadric_checks_never_decode_a_basis(monkeypatch):
@@ -931,8 +1059,8 @@ def test_quadric_checks_never_decode_a_basis(monkeypatch):
     commalg._groebner_basis.cache_clear()
     cm = cartan_matrix("E6")
     assert hilbert_series_of_quotient(build_ideal_J(cm)) == equivariant_series(6)
-    assert zero_set_is_origin(build_ideal_Jcheck(cm))
-    assert not zero_set_is_origin(build_ideal_J(cm))  # the t axis
+    assert zero_set_is_origin(*commalg.t_section_leads(build_ideal_J(cm)))
+    assert not ideal_zero_set_is_origin(build_ideal_J(cm))  # the t axis
     report = run_certification(RunConfig(
         "E6", checks=("hilbert", "regular_sequence", "zero_set")))
     assert [r.passed for r in report.records] == [True, True, True]
@@ -991,18 +1119,24 @@ def test_regular_sequence_record_matches_the_oracle(name):
     assert record.witnesses == {"with_t": with_t[1], "prefix": prefix[1]}
 
 
+def _doctor_section(monkeypatch, change):
+    """Every reader of the t = 0 section of J gets ``change(code, leads)``
+    instead of its leads."""
+    section = commalg.t_section_leads
+
+    def doctored(ideal):
+        code, leads = section(ideal)
+        return code, tuple(change(code, leads))
+
+    monkeypatch.setattr(commalg, "t_section_leads", doctored)
+    monkeypatch.setattr(cli, "t_section_leads", doctored)
+
+
 def test_doctored_Jcheck_series_fails_regular_sequence_and_hilbert(monkeypatch):
-    # one wrong coefficient in the series of J-check must show in both checks
-    # that read it
-    jcheck = build_ideal_Jcheck(cartan_matrix("B3"))
-
-    def doctored(ideal, ordering="grevlex"):
-        series = hilbert_series_of_quotient(ideal, ordering)
-        if ideal != jcheck:
-            return series
-        return HilbertSeries(series.numerator + (1,), series.denominator)
-
-    monkeypatch.setattr(cli, "hilbert_series_of_quotient", doctored)
+    # one lead too many in the section, x_1, changes the series of J-check
+    # but keeps a pure power of every variable; it must show in both checks
+    # that read that series
+    _doctor_section(monkeypatch, lambda code, leads: leads + (code.weights[0],))
     report = run_certification(RunConfig(
         "B3", checks=("hilbert", "regular_sequence", "zero_set")))
     hilbert, regular, zero_set = report.records
@@ -1016,24 +1150,46 @@ def test_doctored_Jcheck_series_fails_regular_sequence_and_hilbert(monkeypatch):
     assert not report.overall_pass
 
 
+def test_doctored_section_fails_hilbert_and_zero_set(monkeypatch):
+    # without its pure power of x_1 the section is no longer J-check's
+    # leading-term ideal: the grlex series of J-check's own basis and the
+    # zero-set test must both see it
+    def drop_x1_power(code, leads):
+        x1 = code.weights[0]
+        kept = [lead for lead in leads if lead != code.degree(lead) * x1]
+        assert len(kept) < len(leads)
+        return kept
+
+    _doctor_section(monkeypatch, drop_x1_power)
+    report = run_certification(RunConfig(
+        "B3", checks=("hilbert", "regular_sequence", "zero_set")))
+    hilbert, _, zero_set = report.records
+    assert hilbert.passed is False
+    assert hilbert.witnesses["order_independent"] is False
+    assert zero_set.passed is False
+    assert zero_set.witnesses["groebner_route"] is False
+    assert zero_set.witnesses["minor_route"] is True
+    assert not report.overall_pass
+
+
 # -- zero sets -------------------------------------------------------------------
 
 def test_zero_set_pure_powers():
     gens = tuple(P(3, {tuple(2 if k == v else 0 for k in range(3)): 1})
                  for v in range(3))
-    assert zero_set_is_origin(Ideal(("x1", "x2", "x3"), gens))
+    assert ideal_zero_set_is_origin(Ideal(("x1", "x2", "x3"), gens))
 
 
 def test_zero_set_examples():
-    assert zero_set_is_origin(build_ideal_Jcheck(cartan_matrix("A2")))
+    assert ideal_zero_set_is_origin(build_ideal_Jcheck(cartan_matrix("A2")))
     axes = Ideal(("x1", "x2"), (P(2, {(1, 1): 1}),))
-    assert not zero_set_is_origin(axes)
+    assert not ideal_zero_set_is_origin(axes)
 
 
 def test_zero_set_rejects_inhomogeneous():
     bad = Ideal(("x1",), (P(1, {(2,): 1, (1,): 1}),))
     with pytest.raises(ValueError):
-        zero_set_is_origin(bad)
+        ideal_zero_set_is_origin(bad)
 
 
 def test_positive_definiteness():
@@ -1164,7 +1320,8 @@ def test_zero_set_via_minors_examples():
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])
 def test_zero_set_oracle_agreement(name):
     cm = cartan_matrix(name)
-    assert zero_set_is_origin(build_ideal_Jcheck(cm)) == \
+    assert zero_set_is_origin(*commalg.t_section_leads(build_ideal_J(cm))) == \
+        ideal_zero_set_is_origin(build_ideal_Jcheck(cm)) == \
         zero_set_via_minors(cm) == True  # noqa: E712
 
 

@@ -74,6 +74,7 @@ def test_every_function_is_called_or_allowed():
     # so that every basis and series is rebuilt
     commalg._groebner_basis.cache_clear()
     commalg._hilbert_series.cache_clear()
+    commalg.t_section_leads.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
