@@ -42,13 +42,19 @@ holds a shallow copy of its parent's table in which only the entries u
 with right descent b_j, l(u) <= j and sigma_{u s_b}(w_{j-1}) != 0 are
 replaced by new dicts.  Each trie node costs one letter step instead of a
 full pass over its word, and the step lists are built once for all words.
+The walk runs on element indices: a ``weyl.CayleyTable`` of the swept
+ideal gives every element its index, u s_b for each letter b and the root
+u(alpha_b) of each ascent, and it is the one place where the sweep hashes
+an action matrix, once per element.  The per-word ``localization_table``
+still keys its ideal by action matrices; it serves single localizations
+and the tests.
 """
 
 from __future__ import annotations
 
 from .commalg import Poly
 from .roots import is_negative_root_vector, is_positive_root_vector
-from .weyl import WeylElement, WeylGroup
+from .weyl import CayleyTable, WeylElement, WeylGroup
 
 
 def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
@@ -117,42 +123,37 @@ def _add_product(target: dict, source: dict, factor, raised: dict) -> None:
             target[grown] = target.get(grown, 0) + c * rk
 
 
-def reduced_word_tables(group: WeylGroup, elements, max_len: int) -> dict:
-    """{w.action: {word: {u.action: {exponent tuple: int}}}} for every w of
-    length <= max_len and every reduced word of w: the nonzero sigma_u(w)
-    over u in elements.  elements must be a lower weak order ideal, closed
-    under u -> u s_b for every right descent b, as every element of length
-    <= max_len is.
+def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
+    """{w index: {word: {u index: {exponent tuple: int}}}} for every element
+    w of the Cayley table and every reduced word of w: the nonzero
+    sigma_u(w) over u in the table's ideal, by index into
+    ``cayley.elements``.
 
     One depth-first walk over the trie of reduced words: a child's table is
     its parent's, shallow-copied, with the entries changed by the one new
     letter replaced (see the module docstring).  The words are built here,
-    each once, and grouped by their element's action matrix.
+    each once, and grouped by their element's index.
     """
-    nodes = group.cartan.nodes()
-    # per letter b, by length: (l(u), u, u s_b) for each u with right descent b
-    steps: dict[int, list] = {b: [] for b in nodes}
-    for u in sorted(elements, key=lambda u: u.length):
-        for b in nodes:
-            if group.right_descends(u, b):
-                steps[b].append(
-                    (u.length, u.action, group.right_action(u.action, b)))
+    # per letter b, by length: (l(u), u, u s_b) for each u with right
+    # descent b; the elements run by length
+    steps: dict[int, list] = {b: [] for b in group.cartan.nodes()}
+    for i, (u, times, ascents) in enumerate(
+            zip(cayley.elements, cayley.times, cayley.ascents)):
+        for b, lower in times.items():
+            if b not in ascents:
+                steps[b].append((u.length, i, lower))
+    # per element, the ascents b with r(l(u) + 1, w) = u(alpha_b) as the
+    # nonzero coordinates of the next letter's root
+    factors = [{b: [(k, c) for k, c in enumerate(root) if c]
+                for b, root in ascents.items()} for ascents in cayley.ascents]
 
     tables: dict = {}
     raised: dict = {}
 
-    def visit(word, action, table):
-        tables.setdefault(action, {})[word] = table
+    def visit(word, i, table):
+        tables.setdefault(i, {})[word] = table
         depth = len(word) + 1
-        if depth > max_len:
-            return
-        for b in nodes:
-            # r(depth, w) is column b of the prefix; negative means that
-            # word + (b,) is not reduced
-            root = tuple(row[b - 1] for row in action)
-            if is_negative_root_vector(root):
-                continue
-            factor = [(k, c) for k, c in enumerate(root) if c]
+        for b, factor in factors[i].items():
             child = dict(table)
             for length, target, lower in steps[b]:
                 if length > depth:
@@ -162,10 +163,10 @@ def reduced_word_tables(group: WeylGroup, elements, max_len: int) -> dict:
                     grown = dict(table.get(target, {}))
                     _add_product(grown, source, factor, raised)
                     child[target] = grown
-            visit(word + (b,), group.right_action(action, b), child)
+            visit(word + (b,), cayley.times[i][b], child)
 
-    identity = group.identity.action
-    visit((), identity, {identity: {(0,) * group.rank: 1}})
+    # elements[0] is the identity
+    visit((), 0, {0: {(0,) * group.rank: 1}})
     return tables
 
 

@@ -37,7 +37,7 @@ from .errors import IntegrityError, ResourceCapError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord
 from .roots import cartan_matrix, parse_lie_type
-from .weyl import DEFAULT_REDUCED_WORD_CAP, WeylGroup, word_to_str
+from .weyl import DEFAULT_REDUCED_WORD_CAP, CayleyTable, WeylGroup, word_to_str
 
 CHECK_ORDER = (
     "billey_welldef",
@@ -122,16 +122,23 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
 
     Every reduced word of every w of length <= max_length gets its own table
     {v: sigma_v(w)}, and the witness word's table is the baseline the others
-    are compared with.  The tables come from one walk over the trie of
-    reduced words (``billey.reduced_word_tables``), by element, which alone
-    lists the words: a word's table is its parent prefix's table plus one
-    letter step, so no table is built from scratch, yet each is computed
-    along its own word.  Values are compared
-    as {exponent tuple: int} dicts; a missing entry is sigma_v(w) = 0.  A
-    value vanishes iff v is off the Bruhat interval [e, w], a set lookup:
-    ``WeylGroup.bruhat_intervals`` builds [e, w] for every swept w by the
-    lifting recursion [e, w] = [e, ws] u [e, ws] s.  The reduced-word cap
-    is checked against the longest w before any table is built.
+    are compared with.  The sweep runs on element indices: one
+    ``weyl.CayleyTable`` of the swept ideal holds u s_b and the ascent roots
+    by index, and nothing after it hashes an action matrix.  The tables come
+    from one walk over the trie of reduced words on that table
+    (``billey.reduced_word_tables``), by element, which alone lists the
+    words: a word's table is its parent prefix's table plus one letter step,
+    so no table is built from scratch, yet each is computed along its own
+    word.  The number of words of each w must be ``count_reduced_words``,
+    which recurses on action matrices apart from the trie; otherwise the
+    record is an integrity error.  Values are compared as {exponent tuple:
+    int} dicts; a missing entry is sigma_v(w) = 0.  Every key of a table has
+    length <= l(w), so a table equal to the baseline as a whole agrees at
+    every target, and only a table that differs is compared target by
+    target.  A value vanishes iff v is off the Bruhat interval [e, w], a set
+    lookup: ``CayleyTable.bruhat_intervals`` builds [e, w] for every swept w
+    by the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The reduced-word
+    cap is checked against the longest w before any table is built.
     """
     group = model.group
     max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
@@ -141,33 +148,44 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
         # elements run by length: the first w over the cap has length cap + 1
         raise ResourceCapError(
             f"reduced-word enumeration for length {cap + 1} exceeds cap {cap}")
-    tables = reduced_word_tables(group, elements, max_len)
-    intervals = group.bruhat_intervals(elements)
+    cayley = CayleyTable(group, elements, max_len)
+    tables = reduced_word_tables(group, cayley)
+    intervals = cayley.bruhat_intervals()
+    # elements run by length, so the targets of w, the v with l(v) <= l(w),
+    # are the first ends[l(w)] of them
+    ends = {u.length: i + 1 for i, u in enumerate(elements)}
     comparisons = 0
     failures = []
-    for w in elements:
-        targets = [v for v in elements if v.length <= w.length]
-        words = tables[w.action]
-        assert len(words) == group.count_reduced_words(w)
+    for i, w in enumerate(elements):
+        targets = range(ends[w.length])
+        words = tables[i]
+        count = group.count_reduced_words(w)
+        if len(words) != count:
+            raise IntegrityError(
+                f"the trie lists {len(words)} reduced words of "
+                f"{word_to_str(w.witness_word)}, but it has {count}")
         baseline = words[w.witness_word]
-        below = intervals[w.action]
+        below = intervals[i]
         for v in targets:
-            value = baseline.get(v.action)
-            if bool(value) != (v.action in below):
+            value = baseline.get(v)
+            if bool(value) != (v in below):
                 failures.append({"kind": "vanishing",
-                                 "v": word_to_str(v.witness_word),
+                                 "v": word_to_str(elements[v].witness_word),
                                  "w": word_to_str(w.witness_word)})
-            if value and {sum(e) for e in value} != {v.length}:
+            if value and {sum(e) for e in value} != {elements[v].length}:
                 failures.append({"kind": "degree",
-                                 "v": word_to_str(v.witness_word),
+                                 "v": word_to_str(elements[v].witness_word),
                                  "w": word_to_str(w.witness_word)})
+        comparisons += len(words) * len(targets)
         for word, table in words.items():
+            if table == baseline:
+                continue
             for v in targets:
-                comparisons += 1
-                if table.get(v.action) != baseline.get(v.action):
-                    failures.append({"kind": "witness_dependence",
-                                     "v": word_to_str(v.witness_word),
-                                     "w_word": word_to_str(word)})
+                if table.get(v) != baseline.get(v):
+                    failures.append({
+                        "kind": "witness_dependence",
+                        "v": word_to_str(elements[v].witness_word),
+                        "w_word": word_to_str(word)})
     return CheckRecord(
         check="billey_welldef",
         lie_type=model.type_name(),

@@ -12,7 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
-from .roots import CartanMatrix, simple_reflection_action
+from .roots import (
+    CartanMatrix,
+    is_negative_root_vector,
+    simple_reflection_action,
+)
 
 DEFAULT_REDUCED_WORD_CAP = 16
 
@@ -202,25 +206,6 @@ class WeylGroup:
 
         return rec(w.action)
 
-    # -- Bruhat order ------------------------------------------------------
-
-    def bruhat_intervals(self, elements) -> dict:
-        """{w.action: {v.action : v <= w}} for every w in elements, which
-        must hold ws for each w != e, s the last letter of w's witness word.
-        Built by length from [e, w] = [e, ws] u [e, ws] s for a right descent
-        s of w (lifting property; Bjorner-Brenti, Combinatorics of Coxeter
-        Groups, Prop. 2.2.7), and not cached on the group."""
-        intervals = {}
-        for w in sorted(elements, key=lambda w: w.length):
-            if w.is_identity():
-                intervals[w.action] = {w.action}
-                continue
-            s = w.witness_word[-1]
-            below = intervals[self.right_action(w.action, s)]
-            intervals[w.action] = below | {self.right_action(u, s)
-                                           for u in below}
-        return intervals
-
     # -- bounded enumeration of the group ---------------------------------
 
     def elements_up_to_length(self, max_length: int):
@@ -250,3 +235,50 @@ class WeylGroup:
     def all_elements(self):
         """The whole group; guarded by ``ELEMENT_CAP``."""
         return self.elements_up_to_length(len(self.cartan.positive_roots()))
+
+
+class CayleyTable:
+    """Right multiplication by the simple reflections on the elements of
+    length <= max_len, by their index in ``elements`` (BFS order, as
+    ``WeylGroup.elements_up_to_length(max_len)`` lists them).
+
+    ``times[i]`` maps b to the index of u_i s_b for every right descent b
+    of u_i and, when l(u_i) < max_len, every ascent b; ``ascents[i]`` maps
+    each such ascent b to the root u_i(alpha_b), column b of the matrix.
+    The matrices are hashed here, once per element, and by nothing that
+    reads the table.
+    """
+
+    def __init__(self, group: WeylGroup, elements, max_len: int):
+        self.elements = elements
+        index = {u.action: i for i, u in enumerate(elements)}
+        self.times: list[dict[int, int]] = [{} for _ in elements]
+        self.ascents: list[dict[int, tuple[int, ...]]] = [{} for _ in elements]
+        for i, u in enumerate(elements):
+            if u.length >= max_len:
+                continue
+            for b in group.cartan.nodes():
+                root = tuple(row[b - 1] for row in u.action)
+                if is_negative_root_vector(root):
+                    continue
+                # every descent of an element is the ascent of the one below
+                j = index[group.right_action(u.action, b)]
+                self.times[i][b] = j
+                self.times[j][b] = i
+                self.ascents[i][b] = root
+
+    def bruhat_intervals(self) -> list[set[int]]:
+        """[e, u_i] as a set of indices for every i, by length from
+        [e, w] = [e, ws] u [e, ws] s for the last letter s of w's witness
+        word, a right descent (lifting property; Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, Prop. 2.2.7).  Each u in [e, ws]
+        has l(u) < l(w) <= max_len, so u s is in the table."""
+        intervals: list[set[int]] = []
+        for i, w in enumerate(self.elements):
+            if w.is_identity():
+                intervals.append({i})
+                continue
+            s = w.witness_word[-1]
+            below = intervals[self.times[i][s]]
+            intervals.append(below | {self.times[u][s] for u in below})
+        return intervals

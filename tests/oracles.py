@@ -223,6 +223,25 @@ def bruhat_lower_set(group, w) -> set:
     return out
 
 
+def bruhat_intervals(group, elements) -> dict:
+    """{w.action: {v.action : v <= w}} for every w in elements, which
+    must hold ws for each w != e, s the last letter of w's witness word.
+    Built by length from [e, w] = [e, ws] u [e, ws] s for a right descent
+    s of w (lifting property; Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, Prop. 2.2.7), on action matrices: ground truth for the index
+    intervals of ``weyl.CayleyTable``."""
+    intervals = {}
+    for w in sorted(elements, key=lambda w: w.length):
+        if w.is_identity():
+            intervals[w.action] = {w.action}
+            continue
+        s = w.witness_word[-1]
+        below = intervals[group.right_action(w.action, s)]
+        intervals[w.action] = below | {group.right_action(u, s)
+                                       for u in below}
+    return intervals
+
+
 def weyl_group_degrees(family: str, rank: int) -> list[int]:
     """The degrees of the basic invariants of the Weyl group (Humphreys,
     Reflection Groups and Coxeter Groups, Table 3.1): |W| is their

@@ -17,7 +17,7 @@ from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
 from petcoh.commalg import Poly
 from petcoh.peterson import subsets_by_size
 from petcoh.roots import cartan_matrix
-from petcoh.weyl import WeylGroup
+from petcoh.weyl import CayleyTable, WeylGroup
 
 from oracles import (
     bond_order,
@@ -218,18 +218,18 @@ def test_subset_steps_follow_the_dynkin_rule(name):
 def test_reduced_word_tables_match_one_table_per_word(name):
     # the trie walk of the word-independence sweep against one full prefix
     # recursion per reduced word: the same words of each element, the same
-    # values
+    # values, keyed by index into the swept elements
     W = group(name)
     max_len = _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
     elements = W.elements_up_to_length(max_len)
-    tables = reduced_word_tables(W, elements, max_len)
-    assert set(tables) == {w.action for w in elements}
-    for w in elements:
-        assert set(tables[w.action]) == enumerate_reduced_words(W, w), \
-            (name, w)
-        for word, table in tables[w.action].items():
+    tables = reduced_word_tables(W, CayleyTable(W, elements, max_len))
+    assert set(tables) == set(range(len(elements)))
+    index = {u: i for i, u in enumerate(elements)}
+    for i, w in enumerate(elements):
+        assert set(tables[i]) == enumerate_reduced_words(W, w), (name, w)
+        for word, table in tables[i].items():
             oracle = localization_table(W, elements, W.from_word(word))
-            assert table == {u.action: p.terms for u, p in oracle.items()
+            assert table == {index[u]: p.terms for u, p in oracle.items()
                              if p}, (name, word)
 
 

@@ -23,7 +23,7 @@ from petcoh.cli import (
 from petcoh.peterson import PetersonModel
 from petcoh.report import CheckRecord, strip_timing
 from petcoh.roots import cartan_matrix
-from petcoh.weyl import WeylGroup, word_to_str
+from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
 from oracles import (
     billey_welldef_per_word,
@@ -280,7 +280,8 @@ def test_word_cap_at_the_longest_element_runs_the_sweep():
         "pass": True, "skipped": False}
 
 
-@pytest.mark.parametrize("lie_type", DEFAULT_SUITE + ("A2+A1",))
+@pytest.mark.parametrize("lie_type", DEFAULT_SUITE + (
+    "A2+A1", "A5", "D5", "E6", "E7", "E8"))
 def test_billey_welldef_matches_per_word_oracle(lie_type):
     config = RunConfig(lie_type, checks=("billey_welldef",))
     model = PetersonModel(cartan_matrix(lie_type))
@@ -289,22 +290,52 @@ def test_billey_welldef_matches_per_word_oracle(lie_type):
     assert fast.to_dict() == billey_welldef_per_word(model, config).to_dict()
 
 
+def _swept_elements(lie_type):
+    """The group and the elements its billey_welldef sweep builds, by index."""
+    group = WeylGroup(cartan_matrix(lie_type))
+    return group, group.elements_up_to_length(
+        cli._WELLDEF_LENGTH_BY_RANK.get(group.rank, 3))
+
+
+def _doctor_tables(monkeypatch, doctor):
+    """Make the sweep's trie tables pass through doctor(tables) first."""
+    build = cli.reduced_word_tables
+
+    def doctored(*args):
+        tables = build(*args)
+        doctor(tables)
+        return tables
+
+    monkeypatch.setattr(cli, "reduced_word_tables", doctored)
+
+
+def _assert_fails_without_certificate(lie_type, capsys):
+    """A full run fails on billey_welldef alone, exits 1 and certifies
+    nothing."""
+    report = run_certification(RunConfig(lie_type))
+    assert not report.overall_pass
+    assert all(r.passed for r in report.records if r.check != "billey_welldef")
+    assert not report.isomorphism_certified()
+    assert main(["certify", "--type", lie_type]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] billey_welldef" in out
+    assert "isomorphism certified: False" in out
+
+
 def test_billey_welldef_catches_one_perturbed_word(monkeypatch, capsys):
     # one coefficient of sigma_{w0}(w0) changed in place in the table of the
     # non-witness reduced word of w0(A2): a table aliased with the witness
     # word's would change with it and hide the failure
-    model = PetersonModel(cartan_matrix("A2"))
-    w0 = model.group.longest_element((1, 2))
-    (other,) = enumerate_reduced_words(model.group, w0) - {w0.witness_word}
-    build = cli.reduced_word_tables
+    group, elements = _swept_elements("A2")
+    w0 = elements[-1]
+    top = len(elements) - 1
+    (other,) = enumerate_reduced_words(group, w0) - {w0.witness_word}
 
-    def perturbed(*args):
-        tables = build(*args)
-        terms = tables[w0.action][other][w0.action]
+    def perturb(tables):
+        terms = tables[top][other][top]
         terms[next(iter(terms))] += 1
-        return tables
 
-    monkeypatch.setattr(cli, "reduced_word_tables", perturbed)
+    _doctor_tables(monkeypatch, perturb)
     record = _welldef_record("A2")
     assert not record.passed
     assert record.witnesses["failures"] == [{
@@ -315,35 +346,97 @@ def test_billey_welldef_catches_one_perturbed_word(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_billey_welldef_catches_one_changed_entry_past_the_first_target(
+        monkeypatch):
+    # sigma_{s_2}(w) raised by one in the table of one non-witness word of
+    # the last swept element of A3: the whole-table comparison must fall
+    # back to the per-target loop and name exactly that (v, word)
+    group, elements = _swept_elements("A3")
+    top = len(elements) - 1
+    w = elements[top]
+    word = min(enumerate_reduced_words(group, w) - {w.witness_word})
+    v = elements.index(group.from_word((2,)))
+    assert v > 0
+
+    def change(tables):
+        table = tables[top][word]
+        table[v] = {exps: c + 1 for exps, c in table[v].items()}
+
+    _doctor_tables(monkeypatch, change)
+    record = _welldef_record("A3")
+    assert not record.passed
+    assert record.witnesses["failures"] == [{
+        "kind": "witness_dependence", "v": "2", "w_word": word_to_str(word)}]
+
+
+def test_billey_welldef_catches_one_inhomogeneous_value(monkeypatch, capsys):
+    # one exponent of sigma_{s_1}(w0) raised in the witness word's table of
+    # A2: exactly one degree failure, and the other word of w0 now differs
+    # from the baseline there
+    group, elements = _swept_elements("A2")
+    w0 = elements[-1]
+    top = len(elements) - 1
+    s1 = elements.index(group.from_word((1,)))
+    (other,) = enumerate_reduced_words(group, w0) - {w0.witness_word}
+
+    def raise_exponent(tables):
+        table = tables[top][w0.witness_word]
+        (exps, c), *rest = table[s1].items()
+        table[s1] = {(exps[0] + 1,) + exps[1:]: c, **dict(rest)}
+
+    _doctor_tables(monkeypatch, raise_exponent)
+    record = _welldef_record("A2")
+    assert not record.passed
+    w0_name = word_to_str(w0.witness_word)
+    assert record.witnesses["failures"] == [
+        {"kind": "degree", "v": "1", "w": w0_name},
+        {"kind": "witness_dependence", "v": "1", "w_word": word_to_str(other)}]
+    _assert_fails_without_certificate("A2", capsys)
+
+
 def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
                                                            capsys):
     # s_1 taken out of [e, w0] of A2: sigma_{s_1}(w0) != 0 must then read
     # as exactly one vanishing failure, the run must fail (exit 1), and,
     # billey_welldef being a leg, it must not certify
-    group = WeylGroup(cartan_matrix("A2"))
-    w0 = group.elements_up_to_length(6)[-1]  # as the sweep builds it
-    dropped = group.from_word((1,))
-    build = WeylGroup.bruhat_intervals
+    group, elements = _swept_elements("A2")
+    w0 = elements[-1]
+    assert w0.length == 3
+    dropped = elements.index(group.from_word((1,)))
+    build = CayleyTable.bruhat_intervals
 
-    def dropping(self, elements):
-        intervals = build(self, elements)
-        intervals[w0.action] = intervals[w0.action] - {dropped.action}
+    def dropping(self):
+        intervals = build(self)
+        intervals[-1] = intervals[-1] - {dropped}
         return intervals
 
-    monkeypatch.setattr(WeylGroup, "bruhat_intervals", dropping)
+    monkeypatch.setattr(CayleyTable, "bruhat_intervals", dropping)
     record = _welldef_record("A2")
     assert not record.passed
-    assert w0.length == 3
     assert record.witnesses["failures"] == [
         {"kind": "vanishing", "v": "1", "w": word_to_str(w0.witness_word)}]
-    report = run_certification(RunConfig("A2"))
-    assert not report.overall_pass
-    assert all(r.passed for r in report.records if r.check != "billey_welldef")
-    assert not report.isomorphism_certified()
-    assert main(["certify", "--type", "A2"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] billey_welldef" in out
-    assert "isomorphism certified: False" in out
+    _assert_fails_without_certificate("A2", capsys)
+
+
+def test_reduced_word_count_mismatch_is_an_integrity_error(monkeypatch,
+                                                           capsys):
+    # the trie's words of s_2 s_1 in A2 against a count one too high: the
+    # record fails with the integrity error, and the run certifies nothing
+    group = WeylGroup(cartan_matrix("A2"))
+    s2s1 = group.from_word((2, 1))
+    count = WeylGroup.count_reduced_words
+
+    def one_too_many(self, w):
+        return count(self, w) + (w == s2s1)
+
+    monkeypatch.setattr(WeylGroup, "count_reduced_words", one_too_many)
+    record = _welldef_record("A2")
+    assert record.to_dict() == {
+        "check": "billey_welldef", "lie_type": "A2", "parameters": {},
+        "witnesses": {"integrity_error": "the trie lists 1 reduced words "
+                      "of 2,1, but it has 2"},
+        "pass": False, "skipped": False}
+    _assert_fails_without_certificate("A2", capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,10 +8,11 @@ from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
 from petcoh.errors import ResourceCapError
 from petcoh.roots import cartan_matrix, parse_lie_type
 from petcoh import weyl
-from petcoh.weyl import WeylGroup, word_to_str
+from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
 from oracles import (
     brute_reduced_words,
+    bruhat_intervals,
     bruhat_leq,
     bruhat_lower_set,
     enumerate_reduced_words,
@@ -232,27 +233,53 @@ def test_bruhat_against_subword_product_oracle(name):
             assert bruhat_leq(W, v, w) == (v in lower)
 
 
+def _swept_length(W):
+    return _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
+
+
 def _swept(name):
     W = group(name)
-    return W, W.elements_up_to_length(
-        _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3))
+    return W, W.elements_up_to_length(_swept_length(W))
 
 
 @pytest.mark.parametrize("name,whole", [
     *((name, False) for name in DEFAULT_SUITE + ("A2+A1",)),
     ("A3", True), ("B3", True), ("G2", True)])
 def test_bruhat_intervals_match_subword_criterion(name, whole):
-    # the lifting recursion against the subword criterion and the products
-    # of subwords, on the elements the billey_welldef sweep uses (or all)
+    # the lifting recursion on indices, mapped back to actions, against the
+    # same recursion on actions, the subword criterion and the products of
+    # subwords, on the elements the billey_welldef sweep uses (or all)
     W, elements = _swept(name)
+    max_len = _swept_length(W)
     if whole:
         elements = W.all_elements()
-    intervals = W.bruhat_intervals(elements)
-    assert set(intervals) == {w.action for w in elements}
+        max_len = elements[-1].length
+    intervals = CayleyTable(W, elements, max_len).bruhat_intervals()
+    assert len(intervals) == len(elements)
+    by_action = {w.action: {elements[v].action for v in below}
+                 for w, below in zip(elements, intervals)}
+    assert by_action == bruhat_intervals(W, elements)
     for w in elements:
         below = {v.action for v in elements if bruhat_leq(W, v, w)}
-        assert intervals[w.action] == below, (name, w)
+        assert by_action[w.action] == below, (name, w)
         assert {u.action for u in bruhat_lower_set(W, w)} == below, (name, w)
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
+def test_cayley_table_multiplies_by_the_simple_reflections(name):
+    # u s_b for every descent, and for every ascent below the top length
+    # with its root u(alpha_b), against right_action and the matrix columns
+    W, elements = _swept(name)
+    max_len = _swept_length(W)
+    cayley = CayleyTable(W, elements, max_len)
+    for u, times, ascents in zip(elements, cayley.times, cayley.ascents):
+        expected = {b: W.right_action(u.action, b) for b in W.cartan.nodes()
+                    if W.right_descends(u, b) or u.length < max_len}
+        assert {b: elements[j].action for b, j in times.items()} == \
+            expected, (name, u)
+        assert ascents == {b: tuple(row[b - 1] for row in u.action)
+                           for b in expected
+                           if not W.right_descends(u, b)}, (name, u)
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE)
