@@ -53,6 +53,7 @@ and the tests.
 from __future__ import annotations
 
 from .commalg import Poly
+from .errors import IntegrityError
 from .roots import is_negative_root_vector, is_positive_root_vector
 from .weyl import CayleyTable, WeylElement, WeylGroup
 
@@ -64,7 +65,8 @@ def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
     out = []
     for b in w.witness_word:
         r = tuple(row[b - 1] for row in prefix)
-        assert is_positive_root_vector(r), "r(i, w) must be a positive root"
+        if not is_positive_root_vector(r):
+            raise IntegrityError(f"r(i, w) = {r} is not a positive root")
         out.append(r)
         prefix = group.right_action(prefix, b)
     return out
@@ -193,8 +195,10 @@ def subset_steps(group: WeylGroup) -> dict[int, list[tuple[int, int]]]:
         actions.append(action)
         for b in group.descents(action):
             lower = J ^ 1 << b - 1
-            assert lower < J and group.right_action(action, b) == \
-                actions[lower], "v_J s_b must be v_{J - b}"
+            if not (lower < J and
+                    group.right_action(action, b) == actions[lower]):
+                raise IntegrityError(
+                    f"v_J s_b is not v_(J - b) for J = {J:#b}, b = {b}")
             steps[b].append((J, lower))
     return steps
 

@@ -37,7 +37,7 @@ from .errors import IntegrityError, ResourceCapError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord
 from .roots import cartan_matrix, parse_lie_type
-from .weyl import DEFAULT_REDUCED_WORD_CAP, CayleyTable, WeylGroup, word_to_str
+from .weyl import CayleyTable, WeylGroup, word_to_str
 
 CHECK_ORDER = (
     "billey_welldef",
@@ -79,7 +79,6 @@ class RunConfig:
     checks: tuple[str, ...] = CHECK_ORDER
     cutoff_degree: int = 12
     output_format: str = "text"
-    reduced_word_cap: int = DEFAULT_REDUCED_WORD_CAP
 
     def __post_init__(self):
         _parse_bounded_type(self.lie_type)
@@ -88,9 +87,6 @@ class RunConfig:
         if not 0 <= self.cutoff_degree <= 2 * MAX_RANK or self.cutoff_degree % 2:
             raise ValueError(f"cutoff_degree must be even and between 0 and "
                              f"{2 * MAX_RANK}, got {self.cutoff_degree}")
-        if self.reduced_word_cap < 0:
-            raise ValueError(f"reduced_word_cap must be non-negative, "
-                             f"got {self.reduced_word_cap}")
         unknown = set(self.checks) - set(CHECK_ORDER)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -123,13 +119,13 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
     Every reduced word of every w of length <= max_length gets its own table
     {v: sigma_v(w)}, and the witness word's table is the baseline the others
     are compared with.  The sweep runs on element indices: one
-    ``weyl.CayleyTable`` of the swept ideal holds u s_b and the ascent roots
-    by index, and nothing after it hashes an action matrix.  The tables come
-    from one walk over the trie of reduced words on that table
-    (``billey.reduced_word_tables``), by element, which alone lists the
-    words: a word's table is its parent prefix's table plus one letter step,
-    so no table is built from scratch, yet each is computed along its own
-    word.  The number of words of each w must be ``count_reduced_words``,
+    ``weyl.CayleyTable`` walks the swept ideal once and holds u s_b and the
+    ascent roots by index, and nothing after it hashes an action matrix.
+    The tables come from one walk over the trie of reduced words on that
+    table (``billey.reduced_word_tables``), by element, which alone lists
+    the words: a word's table is its parent prefix's table plus one letter
+    step, so no table is built from scratch, yet each is computed along its
+    own word.  The number of words of each w must be ``count_reduced_words``,
     which recurses on action matrices apart from the trie; otherwise the
     record is an integrity error.  Values are compared as {exponent tuple:
     int} dicts; a missing entry is sigma_v(w) = 0.  Every key of a table has
@@ -137,18 +133,14 @@ def _check_billey_welldef(model: PetersonModel, config: RunConfig) -> CheckRecor
     every target, and only a table that differs is compared target by
     target.  A value vanishes iff v is off the Bruhat interval [e, w], a set
     lookup: ``CayleyTable.bruhat_intervals`` builds [e, w] for every swept w
-    by the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The reduced-word
-    cap is checked against the longest w before any table is built.
+    by the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The length
+    bound is ``_WELLDEF_LENGTH_BY_RANK``; a walk past ``weyl.ELEMENT_CAP``
+    elements skips the check before any table is built.
     """
     group = model.group
     max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
-    elements = group.elements_up_to_length(max_len)
-    cap = group.reduced_word_cap
-    if elements[-1].length > cap:
-        # elements run by length: the first w over the cap has length cap + 1
-        raise ResourceCapError(
-            f"reduced-word enumeration for length {cap + 1} exceeds cap {cap}")
-    cayley = CayleyTable(group, elements, max_len)
+    cayley = CayleyTable(group, max_len)
+    elements = cayley.elements
     tables = reduced_word_tables(group, cayley)
     intervals = cayley.bruhat_intervals()
     # elements run by length, so the targets of w, the v with l(v) <= l(w),
@@ -366,7 +358,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
     """
     types = parse_lie_type(config.lie_type)
     cartan = cartan_matrix(types)
-    group = WeylGroup(cartan, reduced_word_cap=config.reduced_word_cap)
+    group = WeylGroup(cartan)
     model = PetersonModel(cartan, group)
     records = []
     timing = {}
@@ -476,10 +468,6 @@ def _add_common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--cutoff-degree", type=int, default=12,
                         help="even degree bound for the graded-dimension check "
                              f"(at most {2 * MAX_RANK})")
-    parser.add_argument("--word-cap", type=int,
-                        default=DEFAULT_REDUCED_WORD_CAP,
-                        help="reduced-word enumeration cap "
-                             f"(default {DEFAULT_REDUCED_WORD_CAP})")
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -522,7 +510,6 @@ def main(argv=None) -> int:
             checks=_parse_checks(args.checks),
             cutoff_degree=args.cutoff_degree,
             output_format=args.output_format,
-            reduced_word_cap=args.word_cap,
         )
         # every suite type is parsed before any check runs
         types = [] if args.command == "certify" else \

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceCapError
+from .errors import IntegrityError, ResourceCapError
 from .roots import (
     CartanMatrix,
     is_negative_root_vector,
     simple_reflection_action,
 )
-
-DEFAULT_REDUCED_WORD_CAP = 16
 
 # the most elements a bounded enumeration of the group may produce
 ELEMENT_CAP = 200_000
@@ -65,10 +63,9 @@ class WeylGroup:
     returned values are immutable.
     """
 
-    def __init__(self, cartan: CartanMatrix, reduced_word_cap: int = DEFAULT_REDUCED_WORD_CAP):
+    def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.rank = cartan.rank
-        self.reduced_word_cap = reduced_word_cap
         n = cartan.rank
         self._identity_matrix = tuple(
             tuple(1 if r == c else 0 for c in range(n)) for r in range(n)
@@ -182,7 +179,8 @@ class WeylGroup:
         """Product of the simple reflections of K in ascending node order."""
         word = tuple(sorted(set(K)))
         v = self.from_word(word)
-        assert v.length == len(word), "v_K must be reduced"
+        if v.length != len(word):
+            raise IntegrityError(f"v_K for K = {word} is not reduced")
         return v
 
     # -- reduced words ---------------------------------------------------
@@ -206,66 +204,58 @@ class WeylGroup:
 
         return rec(w.action)
 
-    # -- bounded enumeration of the group ---------------------------------
-
-    def elements_up_to_length(self, max_length: int):
-        """All elements of length <= max_length, BFS order (layer by layer)."""
-        seen = {self.identity.action}
-        layer = [self.identity]
-        out = [self.identity]
-        for _ in range(max_length):
-            nxt = []
-            for w in layer:
-                for i in self.cartan.nodes():
-                    if not self.right_descends(w, i):
-                        u = self.right_multiply(w, i)
-                        if u.action not in seen:
-                            seen.add(u.action)
-                            nxt.append(u)
-                            if len(seen) > ELEMENT_CAP:
-                                raise ResourceCapError(
-                                    "group enumeration exceeded "
-                                    f"{ELEMENT_CAP} elements")
-            out.extend(nxt)
-            layer = nxt
-            if not layer:
-                break
-        return out
-
     def all_elements(self):
-        """The whole group; guarded by ``ELEMENT_CAP``."""
-        return self.elements_up_to_length(len(self.cartan.positive_roots()))
+        """The whole group, in BFS order; guarded by ``ELEMENT_CAP``."""
+        return CayleyTable(self, len(self.cartan.positive_roots())).elements
 
 
 class CayleyTable:
-    """Right multiplication by the simple reflections on the elements of
-    length <= max_len, by their index in ``elements`` (BFS order, as
-    ``WeylGroup.elements_up_to_length(max_len)`` lists them).
+    """The elements of length <= max_len, found by one breadth-first walk,
+    and right multiplication by the simple reflections on them by index.
 
-    ``times[i]`` maps b to the index of u_i s_b for every right descent b
-    of u_i and, when l(u_i) < max_len, every ascent b; ``ascents[i]`` maps
-    each such ascent b to the root u_i(alpha_b), column b of the matrix.
-    The matrices are hashed here, once per element, and by nothing that
-    reads the table.
+    ``elements`` runs layer by layer; within a layer, the products u s_b
+    are met for u in order and then b in node order, and each new one gets
+    the witness word of u followed by b.  ``times[i]`` maps b to the index
+    of u_i s_b for every right descent b of u_i and, when l(u_i) < max_len,
+    every ascent b; ``ascents[i]`` maps each such ascent b to the root
+    u_i(alpha_b), column b of the matrix.  Each ascent costs one
+    ``right_action``, and its product is hashed once, here; nothing that
+    reads the table hashes an action matrix.  Raises ``ResourceCapError``
+    past ``ELEMENT_CAP`` elements.
     """
 
-    def __init__(self, group: WeylGroup, elements, max_len: int):
-        self.elements = elements
-        index = {u.action: i for i, u in enumerate(elements)}
-        self.times: list[dict[int, int]] = [{} for _ in elements]
-        self.ascents: list[dict[int, tuple[int, ...]]] = [{} for _ in elements]
-        for i, u in enumerate(elements):
-            if u.length >= max_len:
-                continue
-            for b in group.cartan.nodes():
-                root = tuple(row[b - 1] for row in u.action)
-                if is_negative_root_vector(root):
-                    continue
-                # every descent of an element is the ascent of the one below
-                j = index[group.right_action(u.action, b)]
-                self.times[i][b] = j
-                self.times[j][b] = i
-                self.ascents[i][b] = root
+    def __init__(self, group: WeylGroup, max_len: int):
+        identity = group.identity
+        self.elements: list[WeylElement] = [identity]
+        self.times: list[dict[int, int]] = [{}]
+        self.ascents: list[dict[int, tuple[int, ...]]] = [{}]
+        index = {identity.action: 0}
+        start = 0
+        for _ in range(max_len):
+            end = len(self.elements)
+            for i in range(start, end):
+                u = self.elements[i]
+                for b in group.cartan.nodes():
+                    root = tuple(row[b - 1] for row in u.action)
+                    if is_negative_root_vector(root):
+                        continue
+                    action = group.right_action(u.action, b)
+                    j = index.get(action)
+                    if j is None:
+                        j = index[action] = len(self.elements)
+                        self.elements.append(WeylElement(
+                            action, u.length + 1, u.witness_word + (b,)))
+                        self.times.append({})
+                        self.ascents.append({})
+                        if len(index) > ELEMENT_CAP:
+                            raise ResourceCapError(
+                                "group enumeration exceeded "
+                                f"{ELEMENT_CAP} elements")
+                    # every descent of an element is the ascent of one below
+                    self.times[i][b] = j
+                    self.times[j][b] = i
+                    self.ascents[i][b] = root
+            start = end
 
     def bruhat_intervals(self) -> list[set[int]]:
         """[e, u_i] as a set of indices for every i, by length from

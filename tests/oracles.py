@@ -133,20 +133,20 @@ def brute_reduced_words(group, w) -> set[tuple[int, ...]]:
 _words_memo = weakref.WeakKeyDictionary()
 
 
-def enumerate_reduced_words(group, w) -> frozenset:
+def enumerate_reduced_words(group, w, cap=16) -> frozenset:
     """The full set of reduced words for w, by recursing on action matrices
     over the right descents: the reference word set for the trie walk of
     ``billey.reduced_word_tables``.
 
-    Raises ResourceCapError when l(w) exceeds the group's cap; the
-    enumeration is never silently truncated.
+    Raises ResourceCapError when l(w) exceeds cap; the enumeration is never
+    silently truncated.
     """
     from petcoh.errors import ResourceCapError
 
-    if w.length > group.reduced_word_cap:
+    if w.length > cap:
         raise ResourceCapError(
             f"reduced-word enumeration for length {w.length} exceeds "
-            f"cap {group.reduced_word_cap}")
+            f"cap {cap}")
     memo = _words_memo.setdefault(
         group, {group.identity.action: frozenset({()})})
 
@@ -192,6 +192,36 @@ def right_multiply_word_count(group, w) -> int:
         return memo[u.action]
 
     return rec(w)
+
+
+def elements_up_to_length(group, max_length: int):
+    """All elements of length <= max_length, BFS order (layer by layer):
+    one ``right_multiply`` per ascent, keeping the new products, as
+    ground truth for the walk of ``weyl.CayleyTable``."""
+    from petcoh import weyl
+    from petcoh.errors import ResourceCapError
+
+    seen = {group.identity.action}
+    layer = [group.identity]
+    out = [group.identity]
+    for _ in range(max_length):
+        nxt = []
+        for w in layer:
+            for i in group.cartan.nodes():
+                if not group.right_descends(w, i):
+                    u = group.right_multiply(w, i)
+                    if u.action not in seen:
+                        seen.add(u.action)
+                        nxt.append(u)
+                        if len(seen) > weyl.ELEMENT_CAP:
+                            raise ResourceCapError(
+                                "group enumeration exceeded "
+                                f"{weyl.ELEMENT_CAP} elements")
+        out.extend(nxt)
+        layer = nxt
+        if not layer:
+            break
+    return out
 
 
 def bruhat_leq(group, v, w) -> bool:
@@ -847,7 +877,7 @@ def billey_welldef_per_word(model, config):
 
     group = model.group
     max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
-    elements = group.elements_up_to_length(max_len)
+    elements = elements_up_to_length(group, max_len)
     comparisons = 0
     failures = []
     for w in elements:

@@ -38,6 +38,7 @@ from oracles import (
     bruhat_leq,
     brute_reduced_words,
     class_value,
+    elements_up_to_length,
     enumerate_reduced_words,
     is_connected,
     is_regular_sequence,
@@ -174,7 +175,7 @@ def test_criterion_8_billey_welldefinedness():
     with criterion(8, "localization independent of the reduced word"):
         for name in ("A2", "B2", "G2"):
             W = WeylGroup(cartan_matrix(name))
-            elements = W.elements_up_to_length(6)
+            elements = elements_up_to_length(W, 6)
             for w in elements:
                 for v in elements:
                     value = billey_localization(W, v, w)

@@ -22,6 +22,7 @@ from petcoh.weyl import CayleyTable, WeylGroup
 from oracles import (
     bond_order,
     bruhat_leq,
+    elements_up_to_length,
     enumerate_reduced_words,
     is_monomial_of_degree,
     linear_poly,
@@ -119,7 +120,7 @@ def test_restriction_substitutes_t():
 
 def _sweep(name, max_length):
     W = group(name)
-    elements = W.elements_up_to_length(max_length)
+    elements = elements_up_to_length(W, max_length)
     for w in elements:
         inv = inversion_roots(W, w)
         assert len(inv) == w.length
@@ -221,8 +222,9 @@ def test_reduced_word_tables_match_one_table_per_word(name):
     # values, keyed by index into the swept elements
     W = group(name)
     max_len = _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
-    elements = W.elements_up_to_length(max_len)
-    tables = reduced_word_tables(W, CayleyTable(W, elements, max_len))
+    cayley = CayleyTable(W, max_len)
+    elements = cayley.elements
+    tables = reduced_word_tables(W, cayley)
     assert set(tables) == set(range(len(elements)))
     index = {u: i for i, u in enumerate(elements)}
     for i, w in enumerate(elements):

@@ -1,16 +1,19 @@
 """Pipeline orchestration: configs, reports, suites, CLI surface."""
 
+import ast
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
 import petcoh
-from petcoh import cli, peterson
+from petcoh import billey, cli, peterson, weyl
 from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
@@ -35,6 +38,9 @@ from oracles import (
 
 def test_run_config_validation():
     RunConfig(lie_type="A1")
+    # the run options, each set on its own
+    assert [f.name for f in fields(RunConfig)] == [
+        "lie_type", "checks", "cutoff_degree", "output_format"]
     with pytest.raises(ValueError):
         RunConfig(lie_type="A1", cutoff_degree=5)
     with pytest.raises(ValueError):
@@ -221,58 +227,50 @@ def test_report_determinism():
     assert one == two
 
 
-def test_word_cap_skip_is_explicit(monkeypatch):
-    # a cap of 2 blocks the well-definedness sweep of A2 (w0 has length 3)
-    # but leaves the algebraic checks runnable
-    config = RunConfig(lie_type="A2", reduced_word_cap=2)
-    report = run_certification(config)
+def test_element_cap_skip_is_explicit(monkeypatch):
+    # an element cap of 5 blocks the well-definedness sweep of A2 (6
+    # elements) but leaves every other check runnable: none walks the group
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 5)
+    report = run_certification(RunConfig(lie_type="A2"))
     by_name = {r.check: r for r in report.records}
     assert by_name["billey_welldef"].skipped
-    assert "skip_reason" in by_name["billey_welldef"].witnesses
-    assert by_name["quadratic"].passed
-    assert by_name["hilbert"].passed
+    assert by_name["billey_welldef"].witnesses == {
+        "skip_reason": "group enumeration exceeded 5 elements"}
+    for name in CHECK_ORDER[1:]:
+        assert not by_name[name].skipped
+        assert by_name[name].passed
     assert report.overall_pass  # skips are reported, not failed
     assert has_skips(report)
     assert not report.isomorphism_certified()  # a skipped leg proves nothing
 
 
-def test_word_cap_zero_leaves_restriction_checks_runnable():
-    # localization does not enumerate reduced words, so a cap of 0 stops
-    # only the well-definedness sweep (the reduced words of each w)
-    report = run_certification(RunConfig(lie_type="A2", reduced_word_cap=0))
-    by_name = {r.check: r for r in report.records}
-    assert by_name["billey_welldef"].skipped
-    for name in ("quadratic", "monk", "giambelli", "basis", "graded_dims"):
-        assert not by_name[name].skipped
-        assert by_name[name].passed
-
-
-def _welldef_record(lie_type, **config):
-    report = run_certification(RunConfig(lie_type, checks=("billey_welldef",),
-                                         **config))
+def _welldef_record(lie_type):
+    report = run_certification(RunConfig(lie_type, checks=("billey_welldef",)))
     return report.records[0]
 
 
 @pytest.mark.parametrize("lie_type,cap", [
     ("A1", 0), ("A2", 0), ("A2", 2), ("A3", 4), ("G2", 5)])
-def test_word_cap_trips_before_any_table(lie_type, cap, monkeypatch):
-    # the records of the per-word sweep, which stopped at its first w of
-    # length cap + 1; the cap is checked before the trie is built
+def test_element_cap_trips_before_any_table(lie_type, cap, monkeypatch):
+    # the walk of the swept ideal stops at its element cap + 1, before the
+    # trie is built
     def no_tables(*args):
         raise AssertionError("reduced_word_tables called over the cap")
 
     monkeypatch.setattr(cli, "reduced_word_tables", no_tables)
-    record = _welldef_record(lie_type, reduced_word_cap=cap)
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", cap)
+    record = _welldef_record(lie_type)
     assert record.to_dict() == {
         "check": "billey_welldef", "lie_type": lie_type, "parameters": {},
-        "witnesses": {"skip_reason": "reduced-word enumeration for "
-                      f"length {cap + 1} exceeds cap {cap}"},
+        "witnesses": {"skip_reason": f"group enumeration exceeded {cap} "
+                      "elements"},
         "pass": None, "skipped": True}
 
 
-def test_word_cap_at_the_longest_element_runs_the_sweep():
-    # A1 sweeps up to length 6, but its longest element has length 1
-    record = _welldef_record("A1", reduced_word_cap=1)
+def test_element_cap_at_the_swept_size_runs_the_sweep(monkeypatch):
+    # A1 sweeps up to length 6, but its group has 2 elements
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 2)
+    record = _welldef_record("A1")
     assert record.to_dict() == {
         "check": "billey_welldef", "lie_type": "A1",
         "parameters": {"elements": 2, "max_length": 6},
@@ -293,8 +291,8 @@ def test_billey_welldef_matches_per_word_oracle(lie_type):
 def _swept_elements(lie_type):
     """The group and the elements its billey_welldef sweep builds, by index."""
     group = WeylGroup(cartan_matrix(lie_type))
-    return group, group.elements_up_to_length(
-        cli._WELLDEF_LENGTH_BY_RANK.get(group.rank, 3))
+    return group, CayleyTable(
+        group, cli._WELLDEF_LENGTH_BY_RANK.get(group.rank, 3)).elements
 
 
 def _doctor_tables(monkeypatch, doctor):
@@ -439,16 +437,87 @@ def test_reduced_word_count_mismatch_is_an_integrity_error(monkeypatch,
     _assert_fails_without_certificate("A2", capsys)
 
 
+def _assert_integrity_failure(lie_type, check, message, capsys):
+    """A full run records message as the integrity error of check, fails,
+    exits 1 and certifies nothing."""
+    report = run_certification(RunConfig(lie_type))
+    record = next(r for r in report.records if r.check == check)
+    assert record.to_dict() == {
+        "check": check, "lie_type": lie_type, "parameters": {},
+        "witnesses": {"integrity_error": message},
+        "pass": False, "skipped": False}
+    assert not report.overall_pass
+    assert not report.isomorphism_certified()
+    assert main(["certify", "--type", lie_type]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] {check}" in out
+    assert "isomorphism certified: False" in out
+
+
+def test_non_positive_inversion_root_is_an_integrity_error(monkeypatch,
+                                                           capsys):
+    # the root (1, 1) of A2's w_0 read as not positive: the rows, and so
+    # the first check that reads them, stop on it
+    monkeypatch.setattr(billey, "is_positive_root_vector",
+                        lambda root: root != (1, 1))
+    _assert_integrity_failure(
+        "A2", "quadratic", "r(i, w) = (1, 1) is not a positive root", capsys)
+
+
+def test_wrong_subset_step_is_an_integrity_error(monkeypatch, capsys):
+    # the rows' group reads every node as a descent of every v_J, so s_2
+    # looks like a descent of v_{1} = s_1; the sweep's group is left alone
+    rows = peterson.restricted_rows
+
+    def every_node_a_descent(group, subsets):
+        doctored = copy.copy(group)
+        doctored.descents = lambda action: list(group.cartan.nodes())
+        return rows(doctored, subsets)
+
+    monkeypatch.setattr(peterson, "restricted_rows", every_node_a_descent)
+    _assert_integrity_failure(
+        "A2", "quadratic", "v_J s_b is not v_(J - b) for J = 0b1, b = 2",
+        capsys)
+
+
+def test_non_reduced_v_K_is_an_integrity_error(monkeypatch, capsys):
+    # every word read with its last letter doubled: v_{1} comes out as the
+    # identity, and giambelli, which counts the reduced words of each v_K,
+    # stops on it
+    from_word = WeylGroup.from_word
+
+    def doubled(self, word):
+        return from_word(self, tuple(word) + tuple(word)[-1:])
+
+    monkeypatch.setattr(WeylGroup, "from_word", doubled)
+    _assert_integrity_failure(
+        "A2", "giambelli", "v_K for K = (1,) is not reduced", capsys)
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements; every integrity check raises
+    root = os.path.dirname(petcoh.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--type", "A2", "--checks", ""],
-    ["certify", "--type", "A2", "--checks", "billey_welldef", "--word-cap", "0"],
+    ["certify", "--type", "A2", "--checks", "billey_welldef"],
     ["suite", "--types", "A1,A2", "--checks", ""],
-    ["suite", "--types", "A1,A2", "--checks", "billey_welldef,quadratic",
-     "--word-cap", "0"],
+    ["suite", "--types", "A1,A2", "--checks", "billey_welldef,quadratic"],
     ["suite", "--types", "", "--checks", "quadratic"],
 ], ids=["certify-no-checks", "certify-all-skipped", "suite-no-checks",
         "suite-one-skipped", "suite-no-types"])
-def test_run_that_proved_nothing_exits_3(argv, capsys):
+def test_run_that_proved_nothing_exits_3(argv, monkeypatch, capsys):
+    # an element cap of 1 skips every billey_welldef sweep
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 1)
     assert main(argv) == 3
     # the report itself is unchanged: nothing failed
     assert "FAIL" not in capsys.readouterr().out
@@ -462,8 +531,9 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(cli._CHECK_FUNCTIONS, "quadratic", failing)
     assert main(["certify", "--type", "A1", "--checks", "quadratic"]) == 1
     # a failure outranks a skip
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 1)
     assert main(["certify", "--type", "A2", "--checks",
-                 "billey_welldef,quadratic", "--word-cap", "0"]) == 1
+                 "billey_welldef,quadratic"]) == 1
     assert main(["suite", "--types", "A1,G2", "--checks", "quadratic"]) == 1
     # a suite type that could not run fails the suite, the others passing
     monkeypatch.undo()
@@ -481,16 +551,16 @@ def test_failed_check_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("report,digest", [
     (lambda: run_suite(DEFAULT_SUITE),
-     "df8c3ceff12bf161faa35795024e6e8cbd26944402ac92abae4825a6aab96d21"),
+     "ea91667e98c8b40845ac47706fd814f0d21039ddeba7f50fb733fc444ba170ff"),
     (lambda: run_certification(RunConfig(
         "E6", checks=("quadratic", "monk", "giambelli", "basis",
                       "graded_dims"))).to_dict(),
-     "e1d11cc909d4024d2ca1b698b411bb7d6fc0450599c1a58f16fcaca9bbaf4408"),
+     "b0295cb4ce273b97c5059a0796e79d79271ad51449c6d2eace9a25e472369090"),
     (lambda: run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set"))).to_dict(),
-     "f6fe792c1bf73fa3956cc6bb9b866d986a1829ccdd68ff0d73819e57e8320f94"),
+     "43fc27898d412688054a4ffd01f7efc68d1fc9000ac782bc6cb2c0346431a003"),
     (lambda: run_certification(RunConfig("E8")).to_dict(),
-     "99d8c83861ba28981f628964430da68aa88a15ab9e5abb66639d9352de98d6fa"),
+     "8ee16c430ca20568e0b2858ca5a72b366de3379aa2da814c4e367401688707f5"),
 ], ids=["default-suite", "E6-restriction", "E7-quadric", "E8-certify"])
 def test_default_suite_report_is_pinned(report, digest):
     # the refactor gate: the timing-free report, byte for byte
@@ -555,6 +625,8 @@ def test_main_rejects_unknown_check():
     ["certify", "--type", "A1", "--cutoff-degree", "26"],
     ["certify", "--type", "A1", "--word-cap", "-1"],
     ["suite", "--types", "A1", "--word-cap", "-1"],
+    ["certify", "--type", "A1", "--word-cap", "16"],
+    ["suite", "--types", "A1", "--word-cap", "16"],
     ["certify", "--type", "A1", "--out", "/nonexistent/x.json"],
     ["suite", "--types", "A1", "--out", "/nonexistent/x.json"],
     ["certify", "--type", "A40"],
@@ -562,8 +634,8 @@ def test_main_rejects_unknown_check():
     ["certify", "--type", f"A{cli.MAX_RANK}+A1"],
 ], ids=["bad-type", "rank-out-of-range", "suite-bad-type",
         "suite-rank-out-of-range", "odd-cutoff", "cutoff-over-max",
-        "negative-word-cap",
-        "suite-negative-word-cap", "unwritable-out", "suite-unwritable-out",
+        "negative-word-cap", "suite-negative-word-cap", "word-cap",
+        "suite-word-cap", "unwritable-out", "suite-unwritable-out",
         "rank-over-max", "suite-rank-over-max", "total-rank-over-max"])
 def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     runs = []  # a suite would swallow an exception raised here

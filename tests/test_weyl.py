@@ -15,6 +15,7 @@ from oracles import (
     bruhat_intervals,
     bruhat_leq,
     bruhat_lower_set,
+    elements_up_to_length,
     enumerate_reduced_words,
     length_of_matrix,
     mat_mul,
@@ -196,22 +197,24 @@ def test_reduced_word_cap():
     W = WeylGroup(cartan_matrix("F4"))
     w0 = W.longest_element((1, 2, 3, 4))
     assert w0.length == 24
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match="length 24 exceeds cap 16"):
         enumerate_reduced_words(W, w0)
-    tight = WeylGroup(cartan_matrix("A2"), reduced_word_cap=2)
-    with pytest.raises(ResourceCapError):
-        enumerate_reduced_words(tight, tight.longest_element((1, 2)))
+    A2 = group("A2")
+    with pytest.raises(ResourceCapError, match="length 3 exceeds cap 2"):
+        enumerate_reduced_words(A2, A2.longest_element((1, 2)), cap=2)
 
 
 def test_group_enumeration_cap(monkeypatch):
     # A3 has 24 elements, 9 of them of length <= 2; one over the cap stops
-    # the enumeration
+    # the walk of the Cayley table, and so the whole group
     W = group("A3")
-    assert len(W.all_elements()) == 24
+    assert len(CayleyTable(W, 6).elements) == 24
     monkeypatch.setattr(weyl, "ELEMENT_CAP", 23)
     with pytest.raises(ResourceCapError, match="exceeded 23 elements"):
+        CayleyTable(W, 6)
+    with pytest.raises(ResourceCapError, match="exceeded 23 elements"):
         W.all_elements()
-    assert len(W.elements_up_to_length(2)) == 9
+    assert len(CayleyTable(W, 2).elements) == 9
 
 
 def test_bruhat_examples():
@@ -237,9 +240,9 @@ def _swept_length(W):
     return _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
 
 
-def _swept(name):
-    W = group(name)
-    return W, W.elements_up_to_length(_swept_length(W))
+def _table_length(W, whole):
+    """The length the billey_welldef sweep walks to, or l(w_0)."""
+    return len(W.cartan.positive_roots()) if whole else _swept_length(W)
 
 
 @pytest.mark.parametrize("name,whole", [
@@ -249,12 +252,10 @@ def test_bruhat_intervals_match_subword_criterion(name, whole):
     # the lifting recursion on indices, mapped back to actions, against the
     # same recursion on actions, the subword criterion and the products of
     # subwords, on the elements the billey_welldef sweep uses (or all)
-    W, elements = _swept(name)
-    max_len = _swept_length(W)
-    if whole:
-        elements = W.all_elements()
-        max_len = elements[-1].length
-    intervals = CayleyTable(W, elements, max_len).bruhat_intervals()
+    W = group(name)
+    cayley = CayleyTable(W, _table_length(W, whole))
+    elements = cayley.elements
+    intervals = cayley.bruhat_intervals()
     assert len(intervals) == len(elements)
     by_action = {w.action: {elements[v].action for v in below}
                  for w, below in zip(elements, intervals)}
@@ -265,13 +266,39 @@ def test_bruhat_intervals_match_subword_criterion(name, whole):
         assert {u.action for u in bruhat_lower_set(W, w)} == below, (name, w)
 
 
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
-def test_cayley_table_multiplies_by_the_simple_reflections(name):
-    # u s_b for every descent, and for every ascent below the top length
-    # with its root u(alpha_b), against right_action and the matrix columns
-    W, elements = _swept(name)
-    max_len = _swept_length(W)
-    cayley = CayleyTable(W, elements, max_len)
+_SWEPT = DEFAULT_SUITE + ("A2+A1", "A5", "D5", "E6", "E7", "E8")
+_WHOLE = ("A3", "B3", "G2")
+
+
+@pytest.mark.parametrize(
+    "name,whole", [(name, False) for name in _SWEPT] +
+    [(name, True) for name in _WHOLE],
+    ids=list(_SWEPT) + [f"{name}-whole" for name in _WHOLE])
+def test_cayley_table_multiplies_by_the_simple_reflections(name, whole,
+                                                           monkeypatch):
+    # the walk's elements against the right_multiply BFS, in order, with
+    # their actions, lengths and witness words; then u s_b for every
+    # descent, and for every ascent below the top length with its root
+    # u(alpha_b), against right_action and the matrix columns.  Building
+    # the table costs one right_action per ascent
+    W = group(name)
+    max_len = _table_length(W, whole)
+    calls = []
+    right_action = WeylGroup.right_action
+
+    def counting(self, action, i):
+        calls.append(i)
+        return right_action(self, action, i)
+
+    monkeypatch.setattr(WeylGroup, "right_action", counting)
+    cayley = CayleyTable(W, max_len)
+    monkeypatch.undo()
+    assert len(calls) == sum(map(len, cayley.ascents))
+    elements = cayley.elements
+    assert [(u.action, u.length, u.witness_word) for u in elements] == \
+        [(u.action, u.length, u.witness_word)
+         for u in elements_up_to_length(W, max_len)]
+    assert len(cayley.times) == len(cayley.ascents) == len(elements)
     for u, times, ascents in zip(elements, cayley.times, cayley.ascents):
         expected = {b: W.right_action(u.action, b) for b in W.cartan.nodes()
                     if W.right_descends(u, b) or u.length < max_len}
@@ -286,9 +313,9 @@ def test_cayley_table_multiplies_by_the_simple_reflections(name):
 def test_reduced_words_match_right_multiply_recursion(name):
     # the action-matrix recursion against the WeylElement one, each group
     # with its own memo tables
-    W, elements = _swept(name)
+    W = group(name)
     oracle_group = group(name)
-    for w in elements:
+    for w in CayleyTable(W, _swept_length(W)).elements:
         assert enumerate_reduced_words(W, w) == \
             right_multiply_reduced_words(oracle_group, w), (name, w)
         assert W.count_reduced_words(w) == \
@@ -325,7 +352,7 @@ def test_right_multiply_matches_matrix_product(name):
     W = group(name)
     for i in W.cartan.nodes():
         assert W.from_word((i,)).action == reflection_matrix(W.cartan, i)
-    for w in W.elements_up_to_length(4):
+    for w in elements_up_to_length(W, 4):
         for i in W.cartan.nodes():
             product = W.right_multiply(w, i)
             assert product.action == mat_mul(w.action, reflection_matrix(W.cartan, i))
