@@ -229,19 +229,29 @@ def test_report_determinism():
 
 def test_element_cap_skip_is_explicit(monkeypatch):
     # an element cap of 5 blocks the well-definedness sweep of A2 (6
-    # elements) but leaves every other check runnable: none walks the group
+    # elements); the skip is reported with its reason and certifies nothing
     monkeypatch.setattr(weyl, "ELEMENT_CAP", 5)
     report = run_certification(RunConfig(lie_type="A2"))
     by_name = {r.check: r for r in report.records}
     assert by_name["billey_welldef"].skipped
     assert by_name["billey_welldef"].witnesses == {
         "skip_reason": "group enumeration exceeded 5 elements"}
-    for name in CHECK_ORDER[1:]:
-        assert not by_name[name].skipped
-        assert by_name[name].passed
     assert report.overall_pass  # skips are reported, not failed
     assert has_skips(report)
     assert not report.isomorphism_certified()  # a skipped leg proves nothing
+
+
+def test_element_cap_zero_leaves_restriction_checks_runnable(monkeypatch):
+    # only the well-definedness sweep walks the group, so a cap of 0 stops
+    # it alone: every other check, localization included, runs and passes
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 0)
+    report = run_certification(RunConfig(lie_type="A2"))
+    by_name = {r.check: r for r in report.records}
+    assert by_name["billey_welldef"].skipped
+    assert CHECK_ORDER[0] == "billey_welldef"
+    for name in CHECK_ORDER[1:]:
+        assert not by_name[name].skipped
+        assert by_name[name].passed
 
 
 def _welldef_record(lie_type):
