@@ -31,7 +31,11 @@ in J, and {v_J} is its own lower weak order ideal: s_b is a right descent
 of v_J exactly when b is in J and no larger neighbour of b is, and then
 v_J s_b = v_{J - b}.  So ``restricted_rows`` runs the recursion on one int
 per subset bitmask, along the steps (J, J - b) that ``subset_steps`` reads
-off the action matrices of the v_J once per group.
+off the action matrices of the v_J once per group.  The fixed points w_K
+share their words too: greedy ascent over K from w_{K - m}, m = max K,
+ends at w_K, so one walk of the subset lattice resumes each w_K's
+recursion from the finished column of w_{K - m} and makes one
+``right_action`` per new letter.
 
 Every prefix of a reduced word is itself reduced, and the recursion builds
 the table {u: sigma_u(w_j)} from the table at w_{j-1} by one letter step.
@@ -203,25 +207,60 @@ def subset_steps(group: WeylGroup) -> dict[int, list[tuple[int, int]]]:
     return steps
 
 
-def restricted_rows(group: WeylGroup, subsets) -> tuple[tuple[int, ...], ...]:
+def restricted_rows(group: WeylGroup, subsets,
+                    steps) -> tuple[tuple[int, ...], ...]:
     """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
-    J = subsets[k].  The witness word of each w_L runs over the steps with
-    J inside L; sigma_{v_J}(w_L) = 0 for every other J."""
-    steps = subset_steps(group)
+    J = subsets[k], along the descent steps ``steps`` of ``subset_steps``.
+    Each K must come after K - m, m = max K, as in ``subsets_by_size``.
+
+    One walk of the subset lattice builds every column.  The column of K
+    starts as the finished column of w_{K - m} and ascends from its action
+    (``_ascend``): greedy ascent from any element of W_K ends at w_K, the
+    one element of W_K with every node of K a descent, and the word it
+    spells, w_{K - m}'s word followed by the new letters, is reduced
+    because every letter is an ascent.  So the column is the recursion
+    over one reduced word of w_K, resumed where w_{K - m}'s stopped.
+
+    No step needs filtering by K: a column is 0 at every J not inside its
+    K.  That holds at the empty K, and if it holds for K - m, a step
+    (J, J - b) with b in K and J not inside K has J - b not inside K, so it
+    adds 0 and J stays 0.
+    """
     masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    walked: dict[int, tuple] = {}
     columns = []
     for K, L in zip(subsets, masks):
-        w = group.longest_element(K)
-        inside = {b: [(J, lower) for J, lower in steps[b] if not J & ~L]
-                  for b in K}
-        values = [1] + [0] * ((1 << group.rank) - 1)
-        for b, root in zip(w.witness_word, inversion_roots(group, w)):
-            height = sum(root)
-            # b is an ascent of v_{J - b}, so no source changes in this step
-            for J, lower in inside[b]:
-                values[J] += height * values[lower]
+        if L:
+            action, values = walked[L ^ 1 << L.bit_length() - 1]
+            values = values.copy()
+        else:
+            action = group.identity.action
+            values = [1] + [0] * ((1 << group.rank) - 1)
+        walked[L] = _ascend(group, action, K, steps, values), values
         columns.append(values)
     return tuple(tuple(values[J] for values in columns) for J in masks)
+
+
+def _ascend(group: WeylGroup, action, K, steps, values: list):
+    """The action of w_K, by greedy ascent over the nodes K (in node order,
+    from the smallest after each letter) from ``action``, an element of W_K.
+    Each letter b reads the root r = column b once, adds ht(r) times the
+    value at J - b to the value at J over b's steps in ``values``, and
+    makes one ``right_action``."""
+    while True:
+        for b in K:
+            root = tuple(row[b - 1] for row in action)
+            if not is_negative_root_vector(root):
+                break
+        else:
+            return action
+        if not is_positive_root_vector(root):
+            raise IntegrityError(f"r(i, w) = {root} is not a positive root")
+        height = sum(root)
+        # b is an ascent of v_{J - b}, so no source changes in this step
+        for J, lower in steps[b]:
+            values[J] += height * values[lower]
+        action = group.right_action(action, b)
 
 
 def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> Poly:

@@ -11,9 +11,12 @@ The ring itself is represented purely by these values (the restriction map
 to the fixed points is injective), and the model keeps one row of ints per
 class: row k holds the integers c_L with p_{v_K}(w_L) = c_L t^|K|, for
 K = ``subsets[k]`` and every fixed point L.  The rows are built together on
-first use, one pass per fixed point on subset bitmasks.  Every identity
-checked below is homogeneous in t, so it is compared at t = 1, pointwise on
-the rows.  The Monk and Giambelli identities have rational coefficients;
+first use, in one walk of the subset lattice that grows each w_K from
+w_{K - m}, m = max K, on subset bitmasks.  Giambelli's reduced-word counts
+of the v_K are read off the same descent steps (J, J - b) of the v_J that
+the walk runs over, computed once per model.  Every identity checked below
+is homogeneous in t, so it is compared at t = 1, pointwise on the rows.
+The Monk and Giambelli identities have rational coefficients;
 each is computed on the rows with its denominators cleared, so the
 comparison stays in the integers, and returns a bool: the ``monk`` and
 ``giambelli`` checks in ``cli`` build the one record of each check.
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from math import comb, factorial, lcm
 from operator import mul
 
+from . import billey
 from .billey import restricted_rows
 from .errors import IntegrityError
 from .report import CheckRecord
@@ -71,8 +75,9 @@ class PetersonModel:
 
     Fixed points are enumerated by subsets of the node set, ordered by
     (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Construction computes nothing: the longest elements w_K
-    and the rows of the classes p_{v_J} are built together on first use.
+    triangular.  Construction computes nothing: the descent steps of the
+    v_J, the fixed points w_K and the rows of the classes p_{v_J} are built
+    on first use, the w_K and the rows together in one walk.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -104,11 +109,31 @@ class PetersonModel:
         return (1,) * len(self.subsets)
 
     @cached_property
+    def _steps(self) -> dict[int, list[tuple[int, int]]]:
+        """The descent steps (J, J - b) of the v_J by subset mask
+        (``billey.subset_steps``), read by the rows and the word counts."""
+        return billey.subset_steps(self.group)
+
+    @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         """Row k: p_{v_K}(w_L) / t^|K| at every fixed point L, for
-        K = subsets[k]; one pass of each w_L's witness word over the
-        descent steps of the v_J (``billey.restricted_rows``)."""
-        return restricted_rows(self.group, self.subsets)
+        K = subsets[k]; one walk of the subset lattice grows each w_L from
+        w_{L - m} over the descent steps (``billey.restricted_rows``)."""
+        return restricted_rows(self.group, self.subsets, self._steps)
+
+    @cached_property
+    def _word_counts(self) -> list[int]:
+        """Per subset mask J, the number of reduced words of v_J: 1 for the
+        empty J, else the sum of the counts of J - b over J's descent
+        steps.  This is ``count_reduced_words``'s recursion, run on the v_J
+        alone since v_J s_b = v_{J - b}; each step has J - b < J, so the
+        steps in increasing order of J read only finished counts.  Every
+        counted path takes |J| descents, so a zero count for a nonempty J
+        means l(v_J) < |J|."""
+        counts = [1] + [0] * (len(self.subsets) - 1)
+        for J, lower in sorted(chain.from_iterable(self._steps.values())):
+            counts[J] += counts[lower]
+        return counts
 
     def subset_class(self, K) -> tuple[int, ...]:
         """The row of p_{v_K}, of degree |K|, for the ascending product v_K
@@ -215,10 +240,13 @@ class PetersonModel:
         """The number of reduced words of v_K, and whether
         (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}, compared
         as |K|! p_{v_K} = #words b_K on the rows, with b_K read off the
-        product table."""
+        product table.  The count is read off the descent steps of the v_J
+        (``_word_counts``); a zero count is an ``IntegrityError``."""
         K = tuple(sorted(set(K)))
-        n_words = self.group.count_reduced_words(self.group.v_K(K))
         k = self._subset_index[K]
+        n_words = self._word_counts[self._masks[k]]
+        if not n_words:
+            raise IntegrityError(f"v_K for K = {K} is not reduced")
         k_factorial = factorial(len(K))
         return n_words, [k_factorial * c for c in self._rows[k]] == \
             [n_words * c for c in self._products[k]]

@@ -60,7 +60,8 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-_TYPE_RE = re.compile(r"^([A-G])(\d+)$")
+# ASCII digits only: \d would also read "A\u0663" as A3
+_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
 def parse_lie_type(text: str) -> tuple[LieType, ...]:

@@ -866,6 +866,52 @@ def per_class_restriction(model, v):
             for K in model.subsets]
 
 
+def restricted_rows_per_fixed_point(group, subsets) -> tuple[tuple[int, ...], ...]:
+    """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
+    J = subsets[k].  The witness word of each w_L, from its own greedy
+    ``longest_element``, runs over the steps with J inside L;
+    sigma_{v_J}(w_L) = 0 for every other J: ground truth for the rows'
+    one walk of the subset lattice."""
+    from petcoh.billey import inversion_roots, subset_steps
+
+    steps = subset_steps(group)
+    masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    columns = []
+    for K, L in zip(subsets, masks):
+        w = group.longest_element(K)
+        inside = {b: [(J, lower) for J, lower in steps[b] if not J & ~L]
+                  for b in K}
+        values = [1] + [0] * ((1 << group.rank) - 1)
+        for b, root in zip(w.witness_word, inversion_roots(group, w)):
+            height = sum(root)
+            # b is an ascent of v_{J - b}, so no source changes in this step
+            for J, lower in inside[b]:
+                values[J] += height * values[lower]
+        columns.append(values)
+    return tuple(tuple(values[J] for values in columns) for J in masks)
+
+
+def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
+    """The fundamental weights varpi_i in simple-root coordinates, as
+    Fractions: <varpi_i, alpha_j^vee> = delta_ij with
+    <alpha_k, alpha_j^vee> = cartan.a(k, j) gives A^T varpi_i = e_i, so
+    varpi_i is column i of (A^T)^{-1}, by Gauss-Jordan elimination."""
+    n = cartan.rank
+    rows = [[Q(cartan.a(k, j)) for k in range(1, n + 1)]
+            + [Q(int(j == i)) for i in range(1, n + 1)]
+            for j in range(1, n + 1)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [tuple(rows[k][n + i] for k in range(n)) for i in range(n)]
+
+
 def billey_welldef_per_word(model, config):
     """The ``billey_welldef`` record with one ``localization_table`` per
     reduced word of each w, each a full prefix recursion over its word:

@@ -191,7 +191,7 @@ def test_restricted_table_is_the_restricted_poly_table(name):
     W = group(name)
     subsets = subsets_by_size(W.rank)
     targets = [W.v_K(J) for J in subsets]
-    rows = restricted_rows(W, subsets)
+    rows = restricted_rows(W, subsets, subset_steps(W))
     assert all(type(c) is int for row in rows for c in row)
     for k, L in enumerate(subsets):
         table = localization_table(W, targets, W.longest_element(L))

@@ -169,9 +169,9 @@ def test_broken_three_component_product_fails_and_does_not_certify(monkeypatch):
     # whose row for it is doubled must not certify
     rows = peterson.restricted_rows
 
-    def broken(group, subsets):
+    def broken(group, subsets, steps):
         return tuple(tuple(2 * c for c in row) if K == (1, 3, 4) else row
-                     for K, row in zip(subsets, rows(group, subsets)))
+                     for K, row in zip(subsets, rows(group, subsets, steps)))
 
     monkeypatch.setattr(peterson, "restricted_rows", broken)
     report = run_certification(RunConfig(
@@ -475,31 +475,33 @@ def test_non_positive_inversion_root_is_an_integrity_error(monkeypatch,
 
 
 def test_wrong_subset_step_is_an_integrity_error(monkeypatch, capsys):
-    # the rows' group reads every node as a descent of every v_J, so s_2
+    # the steps' group reads every node as a descent of every v_J, so s_2
     # looks like a descent of v_{1} = s_1; the sweep's group is left alone
-    rows = peterson.restricted_rows
+    steps = billey.subset_steps
 
-    def every_node_a_descent(group, subsets):
+    def every_node_a_descent(group):
         doctored = copy.copy(group)
         doctored.descents = lambda action: list(group.cartan.nodes())
-        return rows(doctored, subsets)
+        return steps(doctored)
 
-    monkeypatch.setattr(peterson, "restricted_rows", every_node_a_descent)
+    monkeypatch.setattr(billey, "subset_steps", every_node_a_descent)
     _assert_integrity_failure(
         "A2", "quadratic", "v_J s_b is not v_(J - b) for J = 0b1, b = 2",
         capsys)
 
 
 def test_non_reduced_v_K_is_an_integrity_error(monkeypatch, capsys):
-    # every word read with its last letter doubled: v_{1} comes out as the
-    # identity, and giambelli, which counts the reduced words of each v_K,
-    # stops on it
-    from_word = WeylGroup.from_word
+    # the steps lose v_{1}'s one descent step, as if v_{1} = s_1 had length
+    # 0: it has no reduced word of length 1, and giambelli, which counts
+    # the reduced words of each v_K on the steps, stops on it
+    steps = billey.subset_steps
 
-    def doubled(self, word):
-        return from_word(self, tuple(word) + tuple(word)[-1:])
+    def without_v1_step(group):
+        out = steps(group)
+        out[1].remove((0b1, 0b0))
+        return out
 
-    monkeypatch.setattr(WeylGroup, "from_word", doubled)
+    monkeypatch.setattr(billey, "subset_steps", without_v1_step)
     _assert_integrity_failure(
         "A2", "giambelli", "v_K for K = (1,) is not reduced", capsys)
 
@@ -642,11 +644,17 @@ def test_main_rejects_unknown_check():
     ["certify", "--type", "A40"],
     ["suite", "--types", "A1,A40"],
     ["certify", "--type", f"A{cli.MAX_RANK}+A1"],
+    ["certify", "--type", "A\u0663"],
+    ["suite", "--types", "A1,A\u0663"],
+    ["certify", "--type", "A\uff13"],
+    ["suite", "--types", "A1,A\uff13"],
 ], ids=["bad-type", "rank-out-of-range", "suite-bad-type",
         "suite-rank-out-of-range", "odd-cutoff", "cutoff-over-max",
         "negative-word-cap", "suite-negative-word-cap", "word-cap",
         "suite-word-cap", "unwritable-out", "suite-unwritable-out",
-        "rank-over-max", "suite-rank-over-max", "total-rank-over-max"])
+        "rank-over-max", "suite-rank-over-max", "total-rank-over-max",
+        "arabic-indic-digit", "suite-arabic-indic-digit",
+        "fullwidth-digit", "suite-fullwidth-digit"])
 def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     runs = []  # a suite would swallow an exception raised here
     monkeypatch.setattr(cli, "run_certification", runs.append)

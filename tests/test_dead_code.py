@@ -23,7 +23,21 @@ ALLOWED = {
     "roots.CartanMatrix.positive_roots": "perfbench traces it",
     "weyl.WeylGroup.all_elements": "perfbench's self-test enumerates the group",
     "weyl.WeylGroup._delete_letter":
-        "from_word needs it on a non-reduced word, which no run builds",
+        "right_multiply needs it on a descent, which no run takes",
+    "weyl.WeylGroup.longest_element":
+        "perfbench traces it; the rows grow each w_K from w_(K - m) in one "
+        "walk of the subset lattice",
+    "billey.inversion_roots":
+        "perfbench traces it; only _prefix_recursion reads it",
+    "weyl.WeylGroup.right_multiply":
+        "perfbench traces it; longest_element and from_word build with it",
+    "weyl.WeylGroup.right_descends":
+        "longest_element and right_multiply test descents with it",
+    "weyl.WeylGroup.from_word":
+        "the tests build elements from words with it; v_K calls it",
+    "weyl.WeylGroup.v_K":
+        "the tests name the v_K with it; giambelli counts their words on "
+        "the subset steps",
     "roots.simple_reflection_action": "_delete_letter reflects with it",
     "weyl.word_to_str": "only failure paths and WeylElement reprs print words",
     "report.strip_timing": "perfbench and the tests compare reports with it",

@@ -28,6 +28,7 @@ from oracles import (
     echelon_graded_dims,
     fraction_verify_giambelli,
     fraction_verify_monk,
+    fundamental_weights,
     is_connected,
     is_monomial_of_degree,
     one_class,
@@ -35,6 +36,7 @@ from oracles import (
     poly_product,
     poly_pow,
     poly_sum,
+    restricted_rows_per_fixed_point,
     series_prefix,
     simple_class,
     subset_class,
@@ -42,6 +44,7 @@ from oracles import (
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
+WALK_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
 CLASS_CHECKS = ("quadratic", "monk", "giambelli", "basis", "graded_dims")
 
 
@@ -69,16 +72,73 @@ def test_subset_order_is_by_size_then_mask():
 
 
 def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
-    # the rows run the witness word of one fixed point w_K each, in subset
-    # order
+    # one walk of the subset lattice reaches each fixed point w_K once, in
+    # subset order, and ends each ascent at w_K's action
     calls = _counting_tables(monkeypatch)
     m = model("A2")
     m.simple_class(1)
-    by_K = dict(zip(m.subsets, calls))
-    assert by_K[()].is_identity()
-    assert by_K[(1,)] == m.group.from_word((1,))
-    assert by_K[(1, 2)] == m.group.longest_element((1, 2))
+    assert [K for K, _ in calls] == list(m.subsets)
+    by_K = dict(calls)
+    assert by_K[()] == m.group.identity.action
+    assert by_K[(1,)] == m.group.from_word((1,)).action
+    assert by_K[(1, 2)] == m.group.longest_element((1, 2)).action
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_rows_match_the_per_fixed_point_walk(name):
+    # the one walk of the subset lattice against one greedy longest element
+    # and one witness word per fixed point
+    m = model(name)
+    assert m._rows == restricted_rows_per_fixed_point(
+        WeylGroup(m.cartan), m.subsets)
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_word_counts_match_count_reduced_words(name):
+    # the counts on the subset steps against the recursion on the action
+    # matrices of each v_K
+    m = model(name)
+    group = WeylGroup(m.cartan)
+    assert [m._word_counts[mask] for mask in m._masks] == \
+        [group.count_reduced_words(group.v_K(K)) for K in m.subsets]
+
+
+@pytest.mark.parametrize("name,calls", [("E6", 325), ("E7", 687),
+                                        ("E8", 1447)])
+def test_one_row_build_makes_one_right_action_per_letter(name, calls,
+                                                          monkeypatch):
+    # subset_steps makes one right_action per nonempty v_J and one per
+    # step; the walk then makes one per new letter of each w_K, that is
+    # l(w_K) - l(w_{K - m}) for m = max K
+    m = model(name)
+    actions = []
+    real = m.group.right_action
+    monkeypatch.setattr(m.group, "right_action",
+                        lambda action, i: actions.append(i) or real(action, i))
+    m._rows
+    group = WeylGroup(m.cartan)
+    letters = sum(group.longest_element(K).length
+                  - group.longest_element(K[:-1]).length
+                  for K in m.subsets[1:])
+    steps = sum(map(len, billey.subset_steps(group).values()))
+    assert len(actions) == len(m.subsets) - 1 + steps + letters == calls
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
+def test_simple_rows_are_heights_of_weight_differences(name):
+    # sigma_{s_i}(w) = varpi_i - w varpi_i for any word of w, reduced or
+    # not, so p_{s_i}(w_L) / t = ht(varpi_i - w_L varpi_i) with no word
+    # read; B3, C3, G2 and F4 tell the transpose of the Cartan matrix from
+    # the matrix itself
+    m = model(name)
+    weights = fundamental_weights(m.cartan)
+    actions = [m.group.longest_element(L).action for L in m.subsets]
+    for i, varpi in zip(m.cartan.nodes(), weights):
+        heights = [sum(varpi) - sum(sum(a * c for a, c in zip(row, varpi))
+                                    for row in action)
+                   for action in actions]
+        assert list(m.simple_class(i)) == heights, (name, i)
 
 
 def test_simple_class_values():
@@ -164,18 +224,20 @@ def test_classes_match_per_class_oracle(name):
 
 
 def _counting_tables(monkeypatch, doctor=None):
-    """Patch restricted_rows in billey and peterson; record the fixed point
-    w_L of every witness word the rows run, through inversion_roots, and
-    let ``doctor(u, w, value)`` rewrite the value of u = v_J at w = w_L."""
+    """Patch restricted_rows in billey and peterson; record (L, action)
+    for every fixed point w_L the rows' walk ascends to, through
+    billey._ascend, and let ``doctor(u, w, value)`` rewrite the value of
+    u = v_J at w = w_L."""
     calls = []
-    real_rows, real_roots = billey.restricted_rows, billey.inversion_roots
+    real_rows, real_ascend = billey.restricted_rows, billey._ascend
 
-    def roots(group, w):
-        calls.append(w)
-        return real_roots(group, w)
+    def ascend(group, action, K, steps, values):
+        end = real_ascend(group, action, K, steps, values)
+        calls.append((K, end))
+        return end
 
-    def rows(group, subsets):
-        out = real_rows(group, subsets)
+    def rows(group, subsets, steps):
+        out = real_rows(group, subsets, steps)
         if doctor is None:
             return out
         fixed = [group.longest_element(L) for L in subsets]
@@ -183,7 +245,7 @@ def _counting_tables(monkeypatch, doctor=None):
                            for w, c in zip(fixed, row))
                      for J, row in zip(subsets, out))
 
-    monkeypatch.setattr(billey, "inversion_roots", roots)
+    monkeypatch.setattr(billey, "_ascend", ascend)
     monkeypatch.setattr(billey, "restricted_rows", rows)
     monkeypatch.setattr(peterson, "restricted_rows", rows)
     return calls
@@ -195,8 +257,9 @@ def test_model_construction_localizes_nothing(name, monkeypatch):
     m = model(name)
     assert calls == []
     m.simple_class(1)
-    # one witness word each
-    assert calls == [m.group.longest_element(K) for K in m.subsets]
+    # one row build walks each w_K once, and ends it at w_K
+    assert calls == [(K, m.group.longest_element(K).action)
+                     for K in m.subsets]
     for K in m.subsets:
         m.subset_class(K)
     m.verify_quadratic_relations()
@@ -237,15 +300,16 @@ def test_one_dropped_step_changes_the_rows_and_does_not_certify(monkeypatch):
 
 def test_quadric_checks_compute_no_fixed_point(monkeypatch):
     # the quadric checks never read a fixed point, so a run of only them
-    # computes no longest element
-    def refuse(self, K):
-        raise AssertionError(f"longest element of {K} computed")
+    # never enters the walk of the fixed points
+    def refuse(group, subsets, steps):
+        raise AssertionError(f"fixed points of {group.cartan.type_name()} "
+                             "walked")
 
-    monkeypatch.setattr(peterson.WeylGroup, "longest_element", refuse)
+    monkeypatch.setattr(peterson, "restricted_rows", refuse)
     report = run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set")))
     assert [r.passed for r in report.records] == [True, True, True]
-    with pytest.raises(AssertionError, match="longest element"):
+    with pytest.raises(AssertionError, match="fixed points of A2 walked"):
         model("A2").simple_class(1)
 
 
