@@ -319,8 +319,10 @@ def _check_regular_sequence(model: PetersonModel, config: RunConfig) -> CheckRec
 
 def _check_zero_set(model: PetersonModel, config: RunConfig) -> CheckRecord:
     """J-check vanishes only at the origin, two ways: its grevlex leads hold
-    a pure power of every variable, and, as theta-check_i = x_i (A x)_i,
-    every principal minor of the Cartan matrix A is positive.  The leads
+    a pure power of every variable, and (``zero_set_via_minors``) its own
+    generators are theta-check_i = x_i (A x)_i while every principal minor
+    of the Cartan matrix A is positive, by Sylvester's criterion on the
+    symmetric D A for a positive diagonal symmetrizer D.  The leads
     are read off J's grevlex basis (``t_section_leads``): under grevlex
     with t last, in(J + (t)) = in(J) + (t) for the homogeneous J (Bayer
     and Stillman, Invent. Math. 87, 1987), and (J, t) = (J-check, t)."""

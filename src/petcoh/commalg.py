@@ -5,8 +5,11 @@ polynomials in the simple roots (Billey's formula) and in Q[x_1..x_n, t]
 (the quadric presentation); a value restricted to the circle is a ``Poly``
 in the one variable t.  A ``Poly`` keeps the coefficients it is given, and
 every one the package builds has int coefficients.  The one Gaussian
-elimination is the fraction-free one of ``leading_minors_positive``, for
-positive definiteness; the graded ranks of the restriction model need none
+elimination is the fraction-free one of ``leading_minors_positive``: the
+leading minors of the Cartan matrix, and one elimination of its
+symmetrization D A, which proves every principal minor positive for the
+minors route of the zero-set check (``zero_set_via_minors``); the graded
+ranks of the restriction model need none
 (``peterson.PetersonModel.image_graded_dimensions``).
 
 Every Hilbert series is N(s)/(1 - s^2)^k with an integer polynomial N, so
@@ -28,8 +31,11 @@ signature T = m * e_i was treated already, when the leading monomial of an
 element of smaller index divides m (F5 criterion), when a signature of
 index i that reduced to zero divides T (syzygy criterion), or when an
 element of index i newer than the pair's own has a signature dividing T
-(rewrite criterion).  Reductions keep the signature: a term may be reduced
-only by a multiple of smaller signature.  For a regular sequence, such as
+(rewrite criterion).  The F5 criterion reads only elements of smaller
+index, which are final once a pair is formed, so a pair it rejects is
+never queued; the other two are tested when the pair is treated.
+Reductions keep the signature: a term may be reduced only by a multiple
+of smaller signature.  For a regular sequence, such as
 the Cartan quadrics, the F5 criterion sees every syzygy, so no reduction
 ends at zero.  Along the way:
 
@@ -42,7 +48,8 @@ ends at zero.  Along the way:
   ``groebner_basis`` unpacks them;
 - each element's leading term is computed once, when it joins the basis,
   and serves the reductions, the pair signatures and the F5 criterion;
-- a memo, one per basis computation, maps each monomial met to a position
+- a memo, one per basis computation, maps each monomial met, a leading
+  term of a reduction or a J-pair's signature monomial, to a position
   before which no element's leading monomial divides it; elements are only
   appended, so a later scan resumes there;
 - every reduction is fraction-free: it runs in place on one dict of
@@ -50,7 +57,11 @@ ends at zero.  Along the way:
   each leading term by cross-multiplication (``_cancel``); the next
   leading monomial comes from a heap of negated codes.  At every step the
   integer state is a positive rational multiple of the state of the same
-  division over the rationals.  ``_regular_reduce`` is the one reduction;
+  division over the rationals.  ``_regular_reduce`` is the one reduction,
+  and it reduces the top only: it stops at the first leading term no
+  element may reduce.  A full reduction makes the same steps up to there,
+  so every element keeps the index, signature and leading monomial it
+  would have; only the tails differ, and no check reads them;
 - the basis returned is the loop's own elements, in the order added, as
   primitive integer polynomials with positive leading coefficients.  It is
   a Groebner basis, deterministic per (ideal, order), but neither minimal
@@ -230,11 +241,13 @@ def leading_minors_positive(rows) -> bool:
     """True iff every leading principal minor of the square integer matrix
     is positive.
 
-    By Sylvester's criterion this decides positive definiteness, also for
-    (possibly non-symmetric) Cartan matrices A: a_ij = 2(alpha_i, alpha_j) /
-    (alpha_j, alpha_j), so A = B D with B symmetric and D a positive
-    diagonal, and the leading minors of A are positive multiples of those
-    of B.
+    For a symmetric matrix this is positive definiteness (Sylvester's
+    criterion), and then every principal minor is positive too.  A matrix
+    A with a positive diagonal D such that D A is symmetric (``symmetrizer``)
+    has det((D A)_S) = prod_{i in S} d_i * det(A_S) for every set S of
+    rows and columns, so running this on D A proves that every principal
+    minor of A is positive (``zero_set_via_minors``).  On A itself it reads
+    only the leading minors, each a positive multiple of D A's.
 
     The minors are the pivots of fraction-free Gaussian elimination without
     row exchanges (Bareiss, Math. Comp. 22, 1968): each step replaces every
@@ -255,6 +268,43 @@ def leading_minors_positive(rows) -> bool:
                            for a, b in zip(row[k + 1:], top[k + 1:])]
         prev = pivot
     return True
+
+
+def symmetrizer(rows) -> list[int] | None:
+    """Positive integers d with d_i a_ij = d_j a_ji for every i, j of the
+    square integer matrix, else None.
+
+    Each connected part of the graph of nonzero off-diagonal entries takes
+    d = 1 at its first node and spreads by d_j = d_i a_ij / a_ji along a
+    spanning tree, scaling the part to keep every d an integer; a pair
+    with a_ij a_ji <= 0 has no positive d.  The values are then verified
+    on every entry, which the tree alone does not decide on a cycle."""
+    n = len(rows)
+    d = [0] * n
+    for root in range(n):
+        if d[root]:
+            continue
+        d[root] = 1
+        part = [root]
+        for i in part:  # grows as the part is reached
+            for j in range(n):
+                a, b = rows[i][j], rows[j][i]
+                if j == i or not a or d[j]:
+                    continue
+                if a * b <= 0:
+                    return None
+                num, den = d[i] * abs(a), abs(b)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                if den != 1:
+                    for k in part:
+                        d[k] *= den
+                d[j] = num
+                part.append(j)
+    if any(d[i] * rows[i][j] != d[j] * rows[j][i]
+           for i in range(n) for j in range(n)):
+        return None
+    return d
 
 
 @dataclass(frozen=True)
@@ -338,21 +388,17 @@ def _reducer(terms) -> tuple:
             tuple((e, sign * c) for e, c in terms.items() if e != lead))
 
 
-def _cancel(work: dict, remainder: dict, heap: list, m: int, coeff: int,
-            lead: int, lc: int, tail) -> int:
+def _cancel(work: dict, heap: list, m: int, coeff: int, lead: int, lc: int,
+            tail) -> None:
     """Cancel the term coeff * m, just popped from ``work``, by a reducer
-    lc * lead + tail with lead | m, fraction-free: multiply everything
-    collected so far, the work and the remainder, by lc / d and subtract
-    coeff / d * (m / lead) * tail, where d = gcd(coeff, lc).  A monomial new
-    to ``work`` goes on the heap of negated codes.  Returns lc / d, the
-    factor by which the reduction's scale grew."""
+    lc * lead + tail with lead | m, fraction-free: multiply the work by
+    lc / d and subtract coeff / d * (m / lead) * tail, where d = gcd(coeff,
+    lc).  A monomial new to ``work`` goes on the heap of negated codes."""
     d = gcd(coeff, lc)
     a, b = lc // d, coeff // d
     if a != 1:
         for e in work:
             work[e] *= a
-        for e in remainder:
-            remainder[e] *= a
     shift = m - lead
     for e, c in tail:
         e += shift
@@ -366,7 +412,6 @@ def _cancel(work: dict, remainder: dict, heap: list, m: int, coeff: int,
                 work[e] = acc
             else:
                 del work[e]
-    return a
 
 
 def _first_position(m: int, elements, code: MonomialCode, memo: dict) -> int:
@@ -385,12 +430,12 @@ def _first_position(m: int, elements, code: MonomialCode, memo: dict) -> int:
 
 
 def _regular_reduce(work: dict, index: int, sig: int, elements,
-                    code: MonomialCode, memo: dict) -> tuple[dict, int]:
-    """Fraction-free full regular reduction of the integer terms ``work``
-    (keyed by code, consumed) of signature sig * e_index by the engine's
-    elements ``(index, signature monomial, lead, lc, tail)``; returns
-    (remainder, scale) with the remainder congruent to scale * work, scale a
-    positive integer.
+                    code: MonomialCode, memo: dict) -> dict:
+    """Fraction-free regular top-reduction of the integer terms ``work``
+    (keyed by code, reduced in place) of signature sig * e_index by the
+    engine's elements ``(index, signature monomial, lead, lc, tail)``;
+    returns ``work``, then empty or with a leading term that no element
+    may reduce, and congruent to a positive integer multiple of the input.
 
     A term t is reduced by the first element h whose leading monomial
     divides it and whose multiple (t / lm h) * sig(h) has a smaller
@@ -398,13 +443,15 @@ def _regular_reduce(work: dict, index: int, sig: int, elements,
     a smaller index qualifies, one of the same index when its signature
     monomial times t / lm h is below sig.  The search starts at the first
     divisor ``_first_position`` finds, and each term is cancelled by
-    ``_cancel``."""
+    ``_cancel``.  The reduction stops at the first leading term that no
+    element may reduce and leaves the terms below it as they are.  A full
+    reduction makes the same steps up to that term, so it ends at zero
+    exactly when this one does and otherwise has the same leading
+    monomial: only the tails differ, and no check reads a tail."""
     mask, guards = code.mask, code.guards
     count = len(elements)
     heap = [-t for t in work]
     heapify(heap)
-    remainder = {}
-    scale = 1
     while heap:
         t = -heappop(heap)
         coeff = work.pop(t, 0)
@@ -415,11 +462,12 @@ def _regular_reduce(work: dict, index: int, sig: int, elements,
             hi, hm, lead, lc, tail = elements[p]
             if ((probe - (lead & mask)) & guards == guards
                     and (hi < index or t - lead + hm < sig)):
-                scale *= _cancel(work, remainder, heap, t, coeff, lead, lc, tail)
+                _cancel(work, heap, t, coeff, lead, lc, tail)
                 break
         else:
-            remainder[t] = coeff
-    return remainder, scale
+            work[t] = coeff
+            break
+    return work
 
 
 def s_polynomial(f, g, lcm_fg: int) -> dict:
@@ -469,10 +517,17 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
       signature dividing it (rewrite: the multiple of that newer element
       with signature T stands for the J-pair).
 
-    Otherwise the S-polynomial is reduced, in full and only by multiples of
-    smaller signature; a nonzero result joins the basis with signature T.
-    For a regular sequence, such as the Cartan quadrics, no reduction ends
-    at zero.
+    The F5 test is made when the pair is formed, as the elements of index
+    below i are final by then, and a pair that fails it is never queued;
+    the others are made when it is treated.  Otherwise the S-polynomial is
+    top-reduced, only by multiples of smaller signature, until its leading
+    term is irreducible; a nonzero result joins the basis with signature
+    T.  A full reduction ends at the same leading monomial
+    (``_regular_reduce``), and the criteria read only indices, signatures,
+    leads and the order of the elements, so every element's (index,
+    signature, lead) is that of the fully reducing engine; only the tails
+    differ.  For a regular sequence, such as the Cartan quadrics, no
+    reduction ends at zero.
 
     The engine runs on ``MonomialCode`` ints.  A generator monomial, a pair
     lcm or a J-pair signature of degree above ``MAX_DEGREE`` is a
@@ -523,14 +578,13 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
             first = len(elements)
             work = gens[i]
         else:
-            if (_first_position(m, elements, code, memo) < first
-                    or any(code.divides(s, m) for s in syzygies[i])
+            if (any(code.divides(s, m) for s in syzygies[i])
                     or any(code.divides(h[1], m)
                            for h in islice(elements, own + 1, None))):
-                continue  # F5, syzygy or rewrite criterion
+                continue  # syzygy or rewrite criterion
             work = s_polynomial(elements[own][2:], elements[other][2:], lcm_fg)
         done = (i, m)
-        remainder, _ = _regular_reduce(work, i, m, elements, code, memo)
+        remainder = _regular_reduce(work, i, m, elements, code, memo)
         if not remainder:
             syzygies[i].append(m)
             continue
@@ -555,7 +609,10 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
                 raise ValueError(f"J-pair signature of degree {degree} "
                                  f"exceeds the packed monomial limit "
                                  f"{MAX_DEGREE}")
-            heappush(queue, pair)
+            # the pair has index i, and the elements of smaller index are
+            # final, so the F5 criterion is decided here, once
+            if _first_position(pair[1], elements, code, memo) >= first:
+                heappush(queue, pair)
         elements.append((i, m, lead, lc, tail))
 
     return code, tuple(elements)
@@ -802,12 +859,29 @@ def zero_set_is_origin(code: MonomialCode, leads) -> bool:
 
 
 def zero_set_via_minors(cartan: CartanMatrix) -> bool:
-    """Independent oracle: every principal submatrix of the Cartan matrix is
-    positive definite, so the quadric system forces the origin."""
+    """Independent oracle: J-check's zero set is the origin because every
+    principal minor of the Cartan matrix A is positive.
+
+    J-check's own generators are checked to be theta-check_i =
+    x_i (A x)_i.  A common zero x with support S then has A_S x_S = 0,
+    which a nonzero det(A_S) forbids.  Those minors are proven positive
+    by one elimination: A has a positive diagonal symmetrizer D
+    (``symmetrizer``), D A is symmetric, and Sylvester's criterion on its
+    leading minors makes D A positive definite, so every principal minor
+    of D A is positive, and det((D A)_S) = prod_{i in S} d_i * det(A_S).
+    False if a generator differs or no symmetrizer exists."""
+    rows = cartan.entries
     n = cartan.rank
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sub = [[cartan.entries[r][c] for c in idx] for r in idx]
-        if idx and not leading_minors_positive(sub):
+    for i, g in enumerate(build_ideal_Jcheck(cartan).generators):
+        expected = {}
+        for j, a_ij in enumerate(rows[i]):
+            if a_ij:
+                exps = [0] * n
+                exps[i] += 1
+                exps[j] += 1
+                expected[tuple(exps)] = a_ij
+        if g.terms != expected:
             return False
-    return True
+    d = symmetrizer(rows)
+    return d is not None and leading_minors_positive(
+        [[d_i * a for a in row] for d_i, row in zip(d, rows)])

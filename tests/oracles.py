@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction as Q
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -1214,13 +1216,14 @@ def _cleared(terms) -> tuple[int, dict]:
 
 def normal_form(p, basis, key):
     """Remainder of p on division by the basis, by the engine's integer
-    reduction ``commalg._regular_reduce`` on packed monomials: p and every
-    divisor are cleared of their denominators and packed for the order of
-    ``key``, each divisor enters in the engine's primitive form (scaling a
-    divisor leaves the remainder unchanged) at index 0, below the work's
-    index 1, so that every divisor qualifies and the first dividing one
-    reduces, and the unpacked integer remainder is divided by p's
-    denominator and the running scale."""
+    reduction as it ran before it stopped at the top,
+    ``full_regular_reduce``, on packed monomials: p and every divisor are
+    cleared of their denominators and packed for the order of ``key``,
+    each divisor enters in the engine's primitive form (scaling a divisor
+    leaves the remainder unchanged) at index 0, below the work's index 1,
+    so that every divisor qualifies and the first dividing one reduces,
+    and the unpacked integer remainder is divided by p's denominator and
+    the running scale."""
     from petcoh import commalg
 
     ordering, = (name for name, k in MONOMIAL_ORDERS.items() if k is key)
@@ -1231,10 +1234,162 @@ def normal_form(p, basis, key):
 
     den = _cleared(p.terms)[0]
     divisors = [(0, 0, *commalg._reducer(packed(g.terms))) for g in basis if g]
-    remainder, scale = commalg._regular_reduce(packed(p.terms), 1, 0, divisors,
-                                               code, {})
+    remainder, scale = full_regular_reduce(packed(p.terms), 1, 0, divisors,
+                                           code, {})
     return commalg.Poly(p.nvars, {code.decode(e): Q(c, den * scale)
                                   for e, c in remainder.items()})
+
+
+# The signature engine as commalg ran it before its reduction stopped at the
+# top and before the F5 criterion moved to pair creation: every reduction
+# reduces the tail in full, and every J-pair is queued.  Ground truth for
+# the (index, signature, lead) of every element of ``commalg._groebner_basis``.
+
+def _full_cancel(work: dict, remainder: dict, heap: list, m: int, coeff: int,
+                 lead: int, lc: int, tail) -> int:
+    """Cancel the term coeff * m, just popped from ``work``, by a reducer
+    lc * lead + tail with lead | m, fraction-free: multiply everything
+    collected so far, the work and the remainder, by lc / d and subtract
+    coeff / d * (m / lead) * tail, where d = gcd(coeff, lc).  A monomial new
+    to ``work`` goes on the heap of negated codes.  Returns lc / d, the
+    factor by which the reduction's scale grew."""
+    d = gcd(coeff, lc)
+    a, b = lc // d, coeff // d
+    if a != 1:
+        for e in work:
+            work[e] *= a
+        for e in remainder:
+            remainder[e] *= a
+    shift = m - lead
+    for e, c in tail:
+        e += shift
+        old = work.get(e)
+        if old is None:
+            work[e] = -b * c
+            heappush(heap, -e)
+        else:
+            acc = old - b * c
+            if acc:
+                work[e] = acc
+            else:
+                del work[e]
+    return a
+
+
+def full_regular_reduce(work: dict, index: int, sig: int, elements,
+                        code, memo: dict) -> tuple[dict, int]:
+    """Fraction-free full regular reduction of the integer terms ``work``
+    (keyed by code, consumed) of signature sig * e_index by the engine's
+    elements ``(index, signature monomial, lead, lc, tail)``; returns
+    (remainder, scale) with the remainder congruent to scale * work, scale a
+    positive integer.
+
+    A term t is reduced by the first element h whose leading monomial
+    divides it and whose multiple (t / lm h) * sig(h) has a smaller
+    signature, so that the signature stays sig * e_index: every element of
+    a smaller index qualifies, one of the same index when its signature
+    monomial times t / lm h is below sig.  The search starts at the first
+    divisor ``_first_position`` finds, and each term is cancelled by
+    ``_full_cancel``."""
+    from petcoh.commalg import _first_position
+
+    mask, guards = code.mask, code.guards
+    count = len(elements)
+    heap = [-t for t in work]
+    heapify(heap)
+    remainder = {}
+    scale = 1
+    while heap:
+        t = -heappop(heap)
+        coeff = work.pop(t, 0)
+        if not coeff:
+            continue  # cancelled, or a second heap entry of a done monomial
+        probe = t & mask | guards
+        for p in range(_first_position(t, elements, code, memo), count):
+            hi, hm, lead, lc, tail = elements[p]
+            if ((probe - (lead & mask)) & guards == guards
+                    and (hi < index or t - lead + hm < sig)):
+                scale *= _full_cancel(work, remainder, heap, t, coeff, lead, lc,
+                                      tail)
+                break
+        else:
+            remainder[t] = coeff
+    return remainder, scale
+
+
+def tail_reduced_signature_basis(ideal, ordering: str = "grevlex"):
+    """(code, elements) as ``commalg._groebner_basis`` returns them, from
+    the loop that reduces in full with ``full_regular_reduce`` and tests
+    the F5 criterion when a pair is popped, uncached."""
+    from petcoh.commalg import (
+        MAX_DEGREE,
+        MonomialCode,
+        _first_position,
+        _reducer,
+        s_polynomial,
+    )
+
+    code = MonomialCode(ideal.nvars, ordering)
+    gens = [{code.encode(e): c for e, c in g.terms.items()}
+            for g in ideal.generators]
+    # (index, signature monomial, lead, lc, tail), in the order treated:
+    # every element of index i comes before any of index i + 1
+    elements = []
+    syzygies = [[] for _ in gens]  # signature monomials reduced to zero
+    # J-pairs (index, signature monomial, own element, other element, lcm),
+    # own holding the larger signature; generator i enters with signature
+    # (i, 1), 1 being code 0, and own -1
+    queue = [(i, 0, -1, -1, 0) for i in range(len(gens))]
+    memo = {}  # code -> position, see ``_first_position``
+    done = None  # the last signature reduced
+    first = 0  # position of the first element of the current index
+
+    while queue:
+        i, m, own, other, lcm_fg = heappop(queue)
+        if (i, m) == done:
+            # every J-pair formed after reducing T has a larger signature,
+            # so equal signatures pop one after another
+            continue
+        if own < 0:
+            first = len(elements)
+            work = gens[i]
+        else:
+            if (_first_position(m, elements, code, memo) < first
+                    or any(code.divides(s, m) for s in syzygies[i])
+                    or any(code.divides(h[1], m)
+                           for h in islice(elements, own + 1, None))):
+                continue  # F5, syzygy or rewrite criterion
+            work = s_polynomial(elements[own][2:], elements[other][2:], lcm_fg)
+        done = (i, m)
+        remainder, _ = full_regular_reduce(work, i, m, elements, code, memo)
+        if not remainder:
+            syzygies[i].append(m)
+            continue
+        # kept even when singular top-reducible, that is when some
+        # (lead / lm h) * sig(h) equals the signature: the rewrite criterion
+        # must find this element as the newest of its signature, and
+        # dropping it can lose a basis element
+        lead, lc, tail = _reducer(remainder)
+        new = len(elements)
+        for k, (hi, hm, hl, _, _) in enumerate(elements):
+            lcm_fg = code.lcm(lead, hl)
+            mine, theirs = (i, lcm_fg - lead + m), (hi, lcm_fg - hl + hm)
+            if mine == theirs:
+                continue  # the two sides cancel in the signature
+            pair = ((*mine, new, k, lcm_fg) if mine > theirs
+                    else (*theirs, k, new, lcm_fg))
+            # (lcm / lead) * m, from codes within the limit, has degree at
+            # most 2 * MAX_DEGREE < 2 ** FIELD_BITS: no field carries, so its
+            # code and degree are exact
+            degree = code.degree(pair[1])
+            if degree > MAX_DEGREE:
+                raise ValueError(f"J-pair signature of degree {degree} "
+                                 f"exceeds the packed monomial limit "
+                                 f"{MAX_DEGREE}")
+            heappush(queue, pair)
+        elements.append((i, m, lead, lc, tail))
+
+    return code, tuple(elements)
 
 
 def term_mul(p, coeff, exps):
@@ -1563,6 +1718,22 @@ def ideal_zero_set_is_origin(ideal, ordering: str = "grevlex") -> bool:
             raise ValueError("zero-set criterion requires homogeneous generators")
     code, elements = commalg._groebner_basis(ideal, ordering)
     return commalg.zero_set_is_origin(code, [h[2] for h in elements])
+
+
+def principal_minors_positive(cartan) -> bool:
+    """The minors route of the ``zero_set`` check as commalg ran it before
+    it symmetrized the Cartan matrix: every principal submatrix, one per
+    nonempty subset of the nodes, has positive leading minors, so every
+    principal minor is positive."""
+    from petcoh.commalg import leading_minors_positive
+
+    n = cartan.rank
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        sub = [[cartan.entries[r][c] for c in idx] for r in idx]
+        if idx and not leading_minors_positive(sub):
+            return False
+    return True
 
 
 # The regular-sequence check as commalg ran it before the check read the

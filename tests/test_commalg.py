@@ -3,7 +3,7 @@ oracles."""
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +23,11 @@ from petcoh.commalg import (
     hilbert_series_of_quotient,
     leading_minors_positive,
     s_polynomial,
+    symmetrizer,
     zero_set_is_origin,
     zero_set_via_minors,
 )
-from petcoh.roots import cartan_matrix
+from petcoh.roots import CartanMatrix, cartan_matrix
 
 from oracles import (
     MONOMIAL_ORDERS,
@@ -64,6 +65,12 @@ from oracles import (
     tuple_pure_power_variables,
     tuple_reduced_basis,
     variable,
+)
+import oracles
+from oracles import (
+    full_regular_reduce,
+    principal_minors_positive,
+    tail_reduced_signature_basis,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
@@ -228,19 +235,19 @@ def test_divisor_memo_stays_exact_as_reducers_are_appended():
     x2, xy, y2 = (code.encode(e) for e in ((2, 0), (1, 1), (0, 2)))
     elements = [(0, 0, *commalg._reducer({x2: 1, y2: -1}))]
     memo = {}
-    remainder, scale = commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements,
-                                               code, memo)
-    assert (remainder, scale) == ({xy: 3, y2: 1}, 1)
-    assert memo == {xy: 1, y2: 1}  # scanned one element, none divides
+    remainder = commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements, code,
+                                        memo)
+    assert remainder == {xy: 3, y2: 1}
+    assert memo == {xy: 1}  # scanned one element for the top, none divides
     assert commalg._first_position(x2, elements, code, memo) == 0
     elements.append((0, 0, *commalg._reducer({xy: 2, y2: 1})))
     # the misses resume their scan at the appended element
-    remainder, scale = commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements,
-                                               code, memo)
-    assert (remainder, scale) == ({y2: -1}, 2)
+    remainder = commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements, code,
+                                        memo)
+    assert remainder == {y2: -1}
     assert memo == {x2: 0, xy: 1, y2: 2}
     assert commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements, code, {}) == \
-        (remainder, scale)
+        remainder
 
 
 # -- ideal construction -----------------------------------------------------------
@@ -613,9 +620,9 @@ def _reductions(ideal, ordering, monkeypatch):
     reduce = commalg._regular_reduce
 
     def recording_reduce(work, *args):
-        remainder, scale = reduce(work, *args)
+        remainder = reduce(work, *args)
         zero.append(not remainder)
-        return remainder, scale
+        return remainder
 
     monkeypatch.setattr(commalg, "_regular_reduce", recording_reduce)
     # past the per-process cache, which keeps its entries
@@ -651,6 +658,125 @@ def test_twisted_cubic_reduces_a_pair_to_zero(monkeypatch):
     # not a regular sequence: some syzygy shows only as a reduction to zero
     for ordering in ORDERINGS:
         assert any(_reductions(_twisted_cubic("xyzw"), ordering, monkeypatch))
+
+
+# -- top reduction against the engine that reduced in full ------------------------
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_top_reduction_agrees_with_the_full_reduction(data):
+    # same divisors and work as the normal-form tests; the work's signature
+    # is drawn too, so that some divisors do not qualify
+    name = data.draw(st.sampled_from(DEFAULT_SUITE))
+    ideal = data.draw(st.sampled_from(sorted(_quadric_ideals(name).items())))[1]
+    ordering = data.draw(st.sampled_from(ORDERINGS))
+    code = MonomialCode(ideal.nvars, ordering)
+    if data.draw(st.booleans()):
+        divisors = groebner_basis(ideal, ordering)
+    else:
+        divisors = list(ideal.generators)
+    elements = [(0, 0, *commalg._reducer(_packed(code, g.terms))) for g in divisors]
+    p = data.draw(ring_polys(ideal.nvars))
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    work = _packed(code, {e: int(c * den) for e, c in p.terms.items()})
+    index = data.draw(st.sampled_from((0, 1)))
+    sig = code.encode(data.draw(st.tuples(*[st.integers(0, 2)] * ideal.nvars)))
+    top = commalg._regular_reduce(dict(work), index, sig, elements, code, {})
+    full, _ = full_regular_reduce(dict(work), index, sig, elements, code, {})
+    assert bool(top) == bool(full)
+    if full:
+        lead = max(full)
+        assert max(top) == lead
+        assert top[lead] * full[lead] > 0
+
+
+def _signature_leads(elements):
+    return [h[:3] for h in elements]
+
+
+ENGINE_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
+
+
+def _engine_cases(name):
+    """(label, ideal, order): the quadric ideals of the type, or the twisted
+    cubic, each under both orders."""
+    ideals = ({"cubic": _twisted_cubic("xyzw")} if name == "cubic"
+              else _quadric_ideals(name))
+    return [(label, ideal, ordering) for label, ideal in ideals.items()
+            for ordering in ORDERINGS]
+
+
+@pytest.mark.parametrize("name", ENGINE_TYPES + ("cubic",))
+def test_engine_elements_match_the_tail_reducing_engine(name):
+    for label, ideal, ordering in _engine_cases(name):
+        elements = commalg._groebner_basis.__wrapped__(ideal, ordering)[1]
+        oracle_elements = tail_reduced_signature_basis(ideal, ordering)[1]
+        assert _signature_leads(elements) == _signature_leads(oracle_elements), \
+            (label, ordering)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.one_of(small_ideals(), small_ideals(4, 5)), st.sampled_from(ORDERINGS))
+def test_engine_elements_match_the_tail_reducing_engine_on_small_ideals(ideal,
+                                                                        ordering):
+    elements = commalg._groebner_basis.__wrapped__(ideal, ordering)[1]
+    assert _signature_leads(elements) == \
+        _signature_leads(tail_reduced_signature_basis(ideal, ordering)[1])
+
+
+def _count_reductions(build, ideal, ordering, monkeypatch, module, name):
+    calls = []
+    reduce = getattr(module, name)
+
+    def counting_reduce(*args):
+        calls.append(args[1:3])
+        return reduce(*args)
+
+    monkeypatch.setattr(module, name, counting_reduce)
+    build(ideal, ordering)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name", ENGINE_TYPES + ("cubic",))
+def test_the_same_signatures_are_reduced(name, monkeypatch):
+    # moving the F5 test to pair creation drops only pairs that were skipped
+    # anyway, so every reduction of the old loop still happens, in order
+    counts = {}
+    for label, ideal, ordering in _engine_cases(name):
+        mine = _count_reductions(commalg._groebner_basis.__wrapped__, ideal,
+                                 ordering, monkeypatch, commalg, "_regular_reduce")
+        theirs = _count_reductions(tail_reduced_signature_basis, ideal, ordering,
+                                   monkeypatch, oracles, "full_regular_reduce")
+        assert mine == theirs, (label, ordering)
+        counts[label, ordering] = len(mine)
+    if name == "E7":  # the two bases a run computes
+        assert counts["J", "grevlex"] + counts["Jcheck", "grlex"] == 67
+
+
+@pytest.mark.parametrize("name", ENGINE_TYPES + ("cubic",))
+def test_no_queued_pair_fails_the_F5_criterion(name, monkeypatch):
+    treated = 0
+    for label, ideal, ordering in _engine_cases(name):
+        popped = []
+        pop = commalg.heappop
+
+        def recording_pop(heap):
+            item = pop(heap)
+            if isinstance(item, tuple):  # the J-pair queue, not a reduction heap
+                popped.append(item)
+            return item
+
+        monkeypatch.setattr(commalg, "heappop", recording_pop)
+        code, elements = commalg._groebner_basis.__wrapped__(ideal, ordering)
+        monkeypatch.undo()
+        pairs = [(i, m) for i, m, own, _, _ in popped if own >= 0]
+        assert len(popped) - len(pairs) == len(ideal.generators)
+        treated += len(pairs)
+        for i, m in pairs:
+            assert not any(code.divides(h[2], m) for h in elements if h[0] < i), \
+                (label, ordering, i, m)
+    assert treated or name == "A1"  # A1 has one generator and no pair
 
 
 def test_groebner_orders_never_conflated():
@@ -1323,6 +1449,64 @@ def test_zero_set_oracle_agreement(name):
     assert zero_set_is_origin(*commalg.t_section_leads(build_ideal_J(cm))) == \
         ideal_zero_set_is_origin(build_ideal_Jcheck(cm)) == \
         zero_set_via_minors(cm) == True  # noqa: E712
+
+
+@pytest.mark.parametrize("name", ENGINE_TYPES)
+def test_minors_route_matches_the_route_over_every_subset(name):
+    cm = cartan_matrix(name)
+    assert zero_set_via_minors(cm) == principal_minors_positive(cm) == True  # noqa: E712
+    rows = cm.entries
+    d = symmetrizer(rows)
+    assert all(type(x) is int and x > 0 for x in d)
+    symmetric = [[d_i * a for a in row] for d_i, row in zip(d, rows)]
+    assert symmetric == [list(col) for col in zip(*symmetric)]
+    # det((D A)_S) = prod_{i in S} d_i * det(A_S), for every S
+    for mask in range(1, 1 << cm.rank):
+        idx = [i for i in range(cm.rank) if mask >> i & 1]
+        scale = 1
+        for i in idx:
+            scale *= d[i]
+        assert fraction_det([[symmetric[r][c] for c in idx] for r in idx]) == \
+            scale * fraction_det([[rows[r][c] for c in idx] for r in idx]) > 0
+
+
+def test_symmetrizer_on_raw_entries():
+    assert symmetrizer([[2]]) == [1]
+    assert symmetrizer([[2, -1], [-3, 2]]) == [3, 1]
+    assert symmetrizer([[2, 0], [0, 2]]) == [1, 1]
+    # one side of a bond is zero
+    assert symmetrizer([[2, -1], [0, 2]]) is None
+    # a bond with entries of opposite signs has no positive symmetrizer
+    assert symmetrizer([[2, 1], [-1, 2]]) is None
+    # a 3-cycle with a12 a23 a31 = -2 != a21 a32 a13 = -1: each bond alone
+    # is symmetrizable, the cycle is not
+    cycle = [[2, -1, -1], [-1, 2, -1], [-2, -1, 2]]
+    assert symmetrizer(cycle) is None
+    balanced = [[2, -1, -2], [-1, 2, -2], [-1, -1, 2]]  # -2 == -2
+    assert symmetrizer(balanced) == [1, 1, 2]
+
+
+_QUADRIC_IDEAL = commalg._quadric_ideal
+
+
+def _transposed_quadric_ideal(cartan, with_t):
+    """The quadrics with cartan.a(j, i) in place of cartan.a(i, j): the
+    transposed Cartan convention."""
+    return _QUADRIC_IDEAL(CartanMatrix([list(col) for col in zip(*cartan.entries)]),
+                          with_t)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2", "A3", "D4"])
+def test_transposed_quadrics_fail_the_zero_set_check(name, monkeypatch):
+    monkeypatch.setattr(commalg, "_quadric_ideal", _transposed_quadric_ideal)
+    report = run_certification(RunConfig(name))
+    record = next(r for r in report.records if r.check == "zero_set")
+    # simply laced Cartan matrices are symmetric, so nothing changes there
+    laced = name in ("A3", "D4")
+    assert record.witnesses == {"groebner_route": True, "minor_route": laced}
+    assert [r.check for r in report.records if not r.passed] == \
+        ([] if laced else ["zero_set"])
+    assert report.overall_pass == laced
 
 
 # -- polynomial container --------------------------------------------------------
