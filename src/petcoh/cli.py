@@ -57,9 +57,9 @@ DEFAULT_SUITE = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2")
 _WELLDEF_LENGTH_BY_RANK = {1: 6, 2: 6, 3: 5, 4: 4}
 
 # the largest total rank accepted, checked before any model is built: the
-# model holds 4^rank class values.  A12 certifies in about 12.2 s with a
-# peak RSS of 313 MB, and A10 in 1.1 s with 39 MB (one run each, 2-vCPU
-# VM, Python 3.11.7); each further rank multiplies both by about 3
+# model holds 4^rank class values, and each further rank multiplies the
+# wall time and peak RSS of a full run by about 3.  Single wall times drift
+# by about a third from one session to the next, so none is quoted here
 MAX_RANK = 12
 
 

@@ -33,7 +33,10 @@ index i that reduced to zero divides T (syzygy criterion), or when an
 element of index i newer than the pair's own has a signature dividing T
 (rewrite criterion).  The F5 criterion reads only elements of smaller
 index, which are final once a pair is formed, so a pair it rejects is
-never queued; the other two are tested when the pair is treated.
+never queued; for an element h of smaller index it is first tried on the
+exponent parts, as gcd(lead, h) dividing the new element's signature
+monomial, before the pair's lcm is formed.  The other two are tested when
+the pair is treated.
 Reductions keep the signature: a term may be reduced only by a multiple
 of smaller signature.  For a regular sequence, such as
 the Cartan quadrics, the F5 criterion sees every syzygy, so no reduction
@@ -187,6 +190,18 @@ class MonomialCode:
     def divides(self, l: int, m: int) -> bool:
         mask, guards = self.mask, self.guards
         return ((m & mask | guards) - (l & mask)) & guards == guards
+
+    def gcd_divides(self, a: int, b: int, m: int) -> bool:
+        """True iff gcd(a, b) divides m, for codes within the limit.  The
+        gcd takes the fields of b where a's are at least b's, read off the
+        guard bits as in ``lcm``, and a's elsewhere; the division is
+        ``divides``'s one guard-bit test."""
+        mask, guards = self.mask, self.guards
+        pa, pb = a & mask, b & mask
+        ge = ((pa | guards) - pb & guards) >> FIELD_BITS - 1
+        select = (ge << FIELD_BITS) - ge  # all ones in those fields
+        low = pb & select | pa & ~select
+        return ((m & mask | guards) - low) & guards == guards
 
     def lcm(self, a: int, b: int) -> int:
         """The code of the lcm; ValueError if its degree exceeds
@@ -519,10 +534,24 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
 
     The F5 test is made when the pair is formed, as the elements of index
     below i are final by then, and a pair that fails it is never queued;
-    the others are made when it is treated.  Otherwise the S-polynomial is
-    top-reduced, only by multiples of smaller signature, until its leading
-    term is irreducible; a nonzero result joins the basis with signature
-    T.  A full reduction ends at the same leading monomial
+    the others are made when it is treated.  When the new element of index
+    i, signature monomial m and lead l pairs with an element h of smaller
+    index, the pair's signature is (lcm(l, h) / l) * m, and h divides it
+    iff gcd(l, h) divides m: per variable, the quotient adds max(l, h) - l
+    to m, which reaches h iff m reaches min(l, h).  For a generator (m = 1)
+    this is the coprime criterion.  So the pair is first tested on the
+    exponent parts (``MonomialCode.gcd_divides``: a guard-bit minimum and
+    one guard-bit divisibility test), and a pair that fails is dropped
+    before its lcm is formed.  No decision moves: h lies before the first
+    element of index i, so the scan for a dividing lead would drop the
+    same pair.  The pre-test runs only where deg l + deg h + deg m <=
+    ``MAX_DEGREE``: there the lcm and the signature are within the limit,
+    so every pair it drops is one that would not have raised.
+
+    A pair that passes every test has its S-polynomial top-reduced, only
+    by multiples of smaller signature, until its leading term is
+    irreducible; a nonzero result joins the basis with signature T.  A full
+    reduction ends at the same leading monomial
     (``_regular_reduce``), and the criteria read only indices, signatures,
     leads and the order of the elements, so every element's (index,
     signature, lead) is that of the fully reducing engine; only the tails
@@ -554,6 +583,7 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
     by ``code``.  Always called positionally, so that groebner_basis(I) and
     groebner_basis(I, "grevlex") share one cache entry."""
     code = MonomialCode(ideal.nvars, ordering)
+    degree_shift = code._degree_shift
     gens = [{code.encode(e): c for e, c in g.terms.items()}
             for g in ideal.generators]
     # (index, signature monomial, lead, lc, tail), in the order treated:
@@ -594,7 +624,14 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
         # dropping it can lose a basis element
         lead, lc, tail = _reducer(remainder)
         new = len(elements)
+        # the F5 pre-test (see ``groebner_basis``), for an h of smaller
+        # index: h | (lcm / lead) * m iff gcd(lead, h) | m, decided only
+        # where deg lead + deg h + deg m <= MAX_DEGREE
+        room = MAX_DEGREE - code.degree(lead) - code.degree(m)
         for k, (hi, hm, hl, _, _) in enumerate(elements):
+            if (k < first and hl >> degree_shift <= room
+                    and code.gcd_divides(lead, hl, m)):
+                continue
             lcm_fg = code.lcm(lead, hl)
             mine, theirs = (i, lcm_fg - lead + m), (hi, lcm_fg - hl + hm)
             if mine == theirs:
@@ -695,8 +732,9 @@ def _minimal_numerator(gens, code: MonomialCode, fields) -> list[int]:
 
     Recursion: pivot on the variable x that divides the most mixed
     generators, using N(I) = N(I + (x)) + s * N(I : x); base cases are
-    pure-power ideals.  Both children come out minimal without a pass over
-    all pairs (Bigatti, J. Pure Appl. Algebra 119, 1997):
+    pure-power ideals.  The pivot is counted over the mixed generators
+    alone (``_mixed_parts``).  Both children come out minimal without a
+    pass over all pairs (Bigatti, J. Pure Appl. Algebra 119, 1997):
 
     - I + (x) is generated by x and the g that x does not divide.  Only x
       itself could divide x, and were x a generator, it would divide no
@@ -708,14 +746,10 @@ def _minimal_numerator(gens, code: MonomialCode, fields) -> list[int]:
       mixed generator.
     """
     mask, guards = code.mask, code.guards
-    counts = [0] * len(fields)
-    for g in gens:
-        support = [v for v, f in enumerate(fields) if g & f]
-        if len(support) > 1:
-            for v in support:
-                counts[v] += 1
-    if not any(counts):
+    mixed = _mixed_parts(gens, code)
+    if not mixed:
         return _one_minus_product(map(code.degree, gens))
+    counts = [len([p for p in mixed if p & f]) for f in fields]
     v = counts.index(max(counts))
     x, field = code.weights[v], fields[v]
     quotients = [g - x for g in gens if g & field]
@@ -730,6 +764,17 @@ def _minimal_numerator(gens, code: MonomialCode, fields) -> list[int]:
     for k, c in enumerate(n_colon, 1):
         out[k] += c
     return out
+
+
+def _mixed_parts(gens, code: MonomialCode) -> list[int]:
+    """The exponent parts of the mixed codes among ``gens``, those of two
+    or more variables, in order.  A code is mixed iff its exponent part p
+    is above the guard bit of the field of p's lowest set bit: every bit of
+    that field lies below its guard bit, every bit of a higher field above
+    it.  That guard bit is the lowest one that -p shares with the guards,
+    as -p keeps p's lowest set bit and flips every bit above it."""
+    mask, guards = code.mask, code.guards
+    return [p for g in gens if (p := g & mask) > (top := guards & -p) & -top]
 
 
 def _minimalize(gens, code: MonomialCode) -> list[int]:

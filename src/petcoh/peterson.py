@@ -32,12 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from math import comb, factorial, lcm
-from operator import mul
+from operator import add, mul
 
 from . import billey
 from .billey import restricted_rows
+from .commalg import build_ideal_J
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -62,6 +63,17 @@ def _cleared_identity(p_i, rows, k, covers, nums, diagonals, D, points) -> bool:
             r_J, m = rows[j], D // den * num
             residual = [x - m * r_J[L] for x, L in zip(residual, points)]
     return not any(residual)
+
+
+def _evaluate(poly, rows) -> tuple[int, ...]:
+    """The polynomial at every fixed point, variable v taking the values
+    ``rows[v]``; the terms are summed lazily, in one pass at the end."""
+    total = repeat(0, len(rows[0]))
+    for exps, c in poly.terms.items():
+        factors = chain.from_iterable(repeat(rows[v], e)
+                                      for v, e in enumerate(exps) if e)
+        total = map(add, total, reduce(partial(map, mul), factors, repeat(c)))
+    return tuple(total)
 
 
 def subsets_by_size(n: int):
@@ -286,18 +298,27 @@ class PetersonModel:
 
     # -- quadratic relations -------------------------------------------------
 
-    def quadratic_combination(self, i: int) -> tuple[int, ...]:
-        """sum_j <alpha_i, alpha_j> p_{s_i} p_{s_j} - 2 t p_{s_i}, of
-        degree 2, as its row."""
-        p_i = self.simple_class(i)
-        terms = [(a_ij, self.simple_class(j)) for j in self.cartan.nodes()
-                 if (a_ij := self.cartan.a(i, j))]
-        return tuple(c * (sum(a_ij * p_j[L] for a_ij, p_j in terms) - 2)
-                     for L, c in enumerate(p_i))
+    def quadric_rows(self) -> list[tuple[int, ...]]:
+        """Per node i, the row of the generator theta_i of
+        ``commalg.build_ideal_J``, the ideal the ``hilbert`` check reads,
+        under x_j -> p_{s_j} and t -> t.  Every theta_i is homogeneous of
+        degree 2 and every simple row holds values over t, so the row is
+        theta_i evaluated on the simple rows with t -> 1: its values over
+        t^2.  A theta_i that is not homogeneous, where t -> 1 would mix
+        degrees, is an ``IntegrityError``."""
+        thetas = build_ideal_J(self.cartan).generators
+        if not all(theta.is_homogeneous() for theta in thetas):
+            raise IntegrityError("a quadric generator is not homogeneous")
+        values = [self.simple_class(i) for i in self.cartan.nodes()]
+        values.append(self.one())  # t, the last variable
+        return [_evaluate(theta, values) for theta in thetas]
 
     def verify_quadratic_relations(self) -> CheckRecord:
-        failing = [i for i in self.cartan.nodes()
-                   if any(self.quadratic_combination(i))]
+        """x_i -> p_{s_i}, t -> t is well defined on Q[x, t]/J iff every
+        generator theta_i of J maps to zero: ``failing_rows`` lists the
+        nodes i whose theta_i does not (``quadric_rows``)."""
+        failing = [i for i, row in enumerate(self.quadric_rows(), 1)
+                   if any(row)]
         return CheckRecord(
             check="quadratic",
             lie_type=self.type_name(),

@@ -64,7 +64,8 @@ class CertificationReport:
 
     def isomorphism_certified(self) -> bool:
         """True only when all five proof legs ran and passed: the quadratic
-        relations (the map from the quadric ring is well defined), the
+        relations (the map from the quadric ring is well defined, checked
+        on the generators of the very J the Hilbert leg reads), the
         Giambelli witnesses (it is onto the span of the classes p_{v_K}),
         the basis triangularity (the 2^n classes p_{v_K} are independent,
         so the target has the expected size), the Hilbert series equality

@@ -421,6 +421,17 @@ def basis_matrix(model):
             for K in model.subsets]
 
 
+def quadratic_combination(model, i: int) -> tuple[int, ...]:
+    """sum_j <alpha_i, alpha_j> p_{s_i} p_{s_j} - 2 t p_{s_i}, of degree 2,
+    as its row: theta_i written out from the Cartan matrix, apart from
+    ``commalg.build_ideal_J``, as ground truth for ``quadric_rows``."""
+    p_i = model.simple_class(i)
+    terms = [(a_ij, model.simple_class(j)) for j in model.cartan.nodes()
+             if (a_ij := model.cartan.a(i, j))]
+    return tuple(c * (sum(a_ij * p_j[L] for a_ij, p_j in terms) - 2)
+                 for L, c in enumerate(p_i))
+
+
 def class_verify_quadratic(model):
     """The ``quadratic`` record by ``PetersonClass`` arithmetic: each
     residual sum_j a_ij p_i p_j - 2 t p_i built as a class."""

@@ -167,6 +167,36 @@ def test_packing_products_and_quotients(case, data):
     assert code.divides(code.encode(b), code.encode(c))
 
 
+@st.composite
+def pair_degree_cases(draw, nvars):
+    """Exponent vectors l, h, m with deg l + deg h + deg m <= MAX_DEGREE:
+    each field of one vector within the limit is split in three, often
+    with a part 0 or the whole field."""
+    total = draw(exponent_vectors(nvars))
+    l, h, m = [], [], []
+    for x in total:
+        a = draw(st.one_of(st.integers(0, x), st.just(x), st.just(0)))
+        b = draw(st.one_of(st.integers(0, x - a), st.just(x - a), st.just(0)))
+        c = draw(st.one_of(st.integers(0, x - a - b), st.just(x - a - b)))
+        l.append(a)
+        h.append(b)
+        m.append(c)
+    return tuple(l), tuple(h), tuple(m)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(packing_cases(), st.data())
+def test_gcd_pre_test_decides_the_F5_criterion_of_a_pair(case, data):
+    # the element h divides the pair signature (lcm(l, h) / l) * m iff
+    # gcd(l, h) divides m, wherever the three degrees sum to at most the limit
+    code, _ = case
+    l, h, m = (code.encode(e) for e in data.draw(pair_degree_cases(code.nvars)))
+    decided = code.gcd_divides(l, h, m)
+    assert decided == code.divides(h, code.lcm(l, h) - l + m)
+    assert decided == all(min(a, b) <= c for a, b, c in
+                          zip(code.decode(l), code.decode(h), code.decode(m)))
+
+
 def test_packing_fixed_cases():
     for ordering in ORDERINGS:
         code = MonomialCode(3, ordering)
@@ -210,6 +240,15 @@ def test_groebner_rejects_a_generator_beyond_the_field_limit(ordering, monkeypat
     wide = Ideal(("x", "y"), (P(2, {(half, 1): 1}), P(2, {(1, half): 1})))
     with pytest.raises(ValueError, match="pair lcm of degree"):
         groebner_basis(wide, ordering)
+    assert reduced == [(0, 0), (1, 0)]
+    # coprime leads: the F5 pre-test would drop their pair, but their
+    # degrees sum past the limit, so it stands aside and the lcm raises
+    reduced.clear()
+    coprime = Ideal(("x", "y"), (P(2, {(half, 0): 1}), P(2, {(0, half): 1})))
+    code = MonomialCode(2, ordering)
+    assert code.gcd_divides(code.encode((0, half)), code.encode((half, 0)), 0)
+    with pytest.raises(ValueError, match="pair lcm of degree"):
+        groebner_basis(coprime, ordering)
     assert reduced == [(0, 0), (1, 0)]
 
 
@@ -1086,6 +1125,52 @@ def test_incremental_numerator_matches_the_tuple_recursion(case, ordering):
         tuple_monomial_quotient_numerator(gens, nvars)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(packing_cases(), st.data())
+def test_mixed_parts_are_the_codes_of_two_or_more_variables(case, data):
+    code, _ = case
+    exps = data.draw(st.lists(exponent_vectors(code.nvars), max_size=4))
+    gens = [code.encode(e) for e in exps]
+    assert commalg._mixed_parts(gens, code) == \
+        [g & code.mask for g, e in zip(gens, exps) if sum(map(bool, e)) > 1]
+
+
+def test_mixed_parts_fixed_cases():
+    for ordering in ORDERINGS:
+        code = MonomialCode(3, ordering)
+        single = [code.encode(e) for e in
+                  ((MAX_DEGREE, 0, 0), (0, MAX_DEGREE, 0), (0, 0, MAX_DEGREE), (0, 0, 0))]
+        assert commalg._mixed_parts(single, code) == []
+        pairs = [code.encode(e) for e in
+                 ((MAX_DEGREE - 1, 1, 0), (1, 0, MAX_DEGREE - 1), (0, 1, 1))]
+        assert commalg._mixed_parts(pairs, code) == [g & code.mask for g in pairs]
+
+
+def _numerator_nodes(ideal, ordering, monkeypatch):
+    """The number of ``_minimal_numerator`` calls, the recursion's nodes, in
+    the numerator of the leads of the ideal's basis."""
+    calls = []
+    real = commalg._minimal_numerator
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(commalg, "_minimal_numerator", counting)
+    code, leads = _packed_leads(ideal, ordering)
+    commalg._monomial_quotient_numerator(leads, code)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_numerator_nodes_of_the_E7_run_bases(monkeypatch):
+    # the recursion of the two E7 series a quadric run computes; the
+    # pivot is counted on the mixed generators alone, and no node moves
+    ideals = _quadric_ideals("E7")
+    assert _numerator_nodes(ideals["J"], "grevlex", monkeypatch) == 57
+    assert _numerator_nodes(ideals["Jcheck"], "grlex", monkeypatch) == 73
+
+
 def test_packed_numerator_fixed_cases():
     code = MonomialCode(2, "grevlex")
     x2, xy, y3 = (code.encode(e) for e in ((2, 0), (1, 1), (0, 3)))
@@ -1505,8 +1590,48 @@ def test_transposed_quadrics_fail_the_zero_set_check(name, monkeypatch):
     laced = name in ("A3", "D4")
     assert record.witnesses == {"groebner_route": True, "minor_route": laced}
     assert [r.check for r in report.records if not r.passed] == \
-        ([] if laced else ["zero_set"])
+        ([] if laced else ["quadratic", "zero_set"])
     assert report.overall_pass == laced
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
+def test_transposed_quadrics_fail_the_quadratic_check(name, monkeypatch):
+    # the rows are read off the Weyl group, the quadrics off J: a J in the
+    # transposed convention no longer vanishes on the rows, so the run
+    # does not certify; the failing nodes are those with an asymmetric bond
+    monkeypatch.setattr(commalg, "_quadric_ideal", _transposed_quadric_ideal)
+    report = run_certification(RunConfig(name))
+    record = next(r for r in report.records if r.check == "quadratic")
+    cartan = cartan_matrix(name)
+    asymmetric = [i for i in cartan.nodes()
+                  if any(cartan.a(i, j) != cartan.a(j, i) for j in cartan.nodes())]
+    assert asymmetric and record.witnesses["failing_rows"] == asymmetric
+    assert not record.passed
+    assert not report.isomorphism_certified()
+
+
+def _wrong_t_quadric_ideal(cartan, with_t):
+    """The quadrics with -3 t x_i in place of -2 t x_i."""
+    ideal = _QUADRIC_IDEAL(cartan, with_t)
+    if not with_t:
+        return ideal
+    t = cartan.rank
+    return Ideal(ideal.var_names, tuple(
+        P(g.nvars, {e: 3 * c // 2 if e[t] else c for e, c in g.terms.items()})
+        for g in ideal.generators))
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE)
+def test_a_wrong_t_coefficient_fails_the_quadratic_check(name, monkeypatch):
+    # theta_i - t x_i maps to -p_{s_i}, nonzero at w_{i}: every relation fails
+    monkeypatch.setattr(commalg, "_quadric_ideal", _wrong_t_quadric_ideal)
+    assert build_ideal_J(cartan_matrix("A1")).generators == \
+        (P(2, {(2, 0): 2, (1, 1): -3}),)
+    report = run_certification(RunConfig(name))
+    record = next(r for r in report.records if r.check == "quadratic")
+    assert record.witnesses["failing_rows"] == \
+        list(cartan_matrix(name).nodes())
+    assert not report.isomorphism_certified()
 
 
 # -- polynomial container --------------------------------------------------------

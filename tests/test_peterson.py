@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import billey, cli, peterson
+from petcoh import billey, cli, commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
 from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
@@ -36,6 +36,7 @@ from oracles import (
     poly_product,
     poly_pow,
     poly_sum,
+    quadratic_combination,
     restricted_rows_per_fixed_point,
     series_prefix,
     simple_class,
@@ -341,7 +342,7 @@ def test_class_values_are_ints(name):
     for check in CLASS_CHECKS:
         assert cli._CHECK_FUNCTIONS[check](m, RunConfig(name)).passed, check
     rows = [m.one()] + [m.subset_class(K) for K in m.subsets] + \
-        [m.quadratic_combination(i) for i in m.cartan.nodes()]
+        [quadratic_combination(m, i) for i in m.cartan.nodes()]
     assert len(rows) == 1 + 2 ** m.rank + m.rank
     for row in rows:
         assert type(row) is tuple and len(row) == len(m.subsets)
@@ -650,7 +651,7 @@ def test_quadratic_relation_A1_by_hand():
     p1 = m.simple_class(1)
     assert p1 == (0, 1)
     assert [2 * c * c - 2 * c for c in p1] == [0, 0]
-    assert m.quadratic_combination(1) == (0, 0)
+    assert quadratic_combination(m, 1) == (0, 0)
 
 
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])
@@ -661,7 +662,37 @@ def test_quadratic_relations(name):
 def test_quadratic_combination_is_zero_per_row():
     m = model("G2")
     for i in m.cartan.nodes():
-        assert m.quadratic_combination(i) == (0,) * len(m.subsets)
+        assert quadratic_combination(m, i) == (0,) * len(m.subsets)
+
+
+def test_an_inhomogeneous_quadric_fails_the_quadratic_check(monkeypatch):
+    # theta_1 + x_1 - t on A2: at t = 1 the degree-1 part x_1 - t would
+    # mix with the degree-2 part, so the check refuses to evaluate it
+    real = commalg._quadric_ideal
+
+    def inhomogeneous(cartan, with_t):
+        ideal = real(cartan, with_t)
+        first, *rest = ideal.generators
+        terms = dict(first.terms)
+        terms[(1, 0, 0)] = 1
+        terms[(0, 0, 1)] = -1
+        return commalg.Ideal(ideal.var_names, (Poly(3, terms), *rest))
+
+    monkeypatch.setattr(commalg, "_quadric_ideal", inhomogeneous)
+    report = run_certification(RunConfig("A2", checks=("quadratic",)))
+    (record,) = report.records
+    assert record.passed is False
+    assert record.witnesses == {
+        "integrity_error": "a quadric generator is not homogeneous"}
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
+def test_quadric_rows_match_the_written_out_quadrics(name):
+    # J's own generators at t = 1 against theta_i written out from the
+    # Cartan matrix, row for row
+    m = model(name)
+    assert m.quadric_rows() == [quadratic_combination(m, i)
+                                for i in m.cartan.nodes()]
 
 
 # -- int rows against class arithmetic ---------------------------------------------
