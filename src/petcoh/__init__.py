@@ -8,7 +8,6 @@ from .billey import billey_localization, localization_table
 from .commalg import (
     HilbertSeries,
     Ideal,
-    Poly,
     build_ideal_J,
     build_ideal_Jcheck,
     groebner_basis,
@@ -40,7 +39,6 @@ __all__ = [
     "IntegrityError",
     "LieType",
     "PetersonModel",
-    "Poly",
     "ResourceCapError",
     "WeylElement",
     "WeylGroup",

@@ -56,7 +56,6 @@ and the tests.
 
 from __future__ import annotations
 
-from .commalg import Poly
 from .errors import IntegrityError
 from .roots import is_negative_root_vector, is_positive_root_vector
 from .weyl import CayleyTable, WeylElement, WeylGroup
@@ -177,13 +176,12 @@ def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
 
 
 def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
-    """{u: sigma_u(w)} for every target u, by the prefix recursion over the
-    witness word of w on the lower weak order ideal of the targets."""
-    n = group.rank
+    """{u: sigma_u(w)} for every target u, each {exponent tuple: int} in the
+    simple roots and {} for zero, by the prefix recursion over the witness
+    word of w on the lower weak order ideal of the targets."""
     targets = tuple(targets)
-    table = {u: Poly(n) for u in targets}
-    for u, terms in _prefix_recursion(group, targets, w):
-        table[u] = Poly(n, terms)
+    table = {u: {} for u in targets}
+    table.update(_prefix_recursion(group, targets, w))
     return table
 
 
@@ -263,8 +261,8 @@ def _ascend(group: WeylGroup, action, K, steps, values: list):
         action = group.right_action(action, b)
 
 
-def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> Poly:
-    """sigma_v(w), a polynomial in the simple roots: the sum over embeddings
-    of reduced words of v in w's witness word of the product of the positive
-    roots at the embedded positions."""
+def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> dict:
+    """sigma_v(w), {exponent tuple: int} in the simple roots and {} for
+    zero: the sum over embeddings of reduced words of v in w's witness word
+    of the product of the positive roots at the embedded positions."""
     return localization_table(group, (v,), w)[v]

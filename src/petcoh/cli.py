@@ -256,11 +256,9 @@ def _check_hilbert(model: PetersonModel, config: RunConfig) -> CheckRecord:
     check.
 
     The ordinary series, of J-check, is read off J's grevlex basis
-    (``t_section_hilbert_series``): under grevlex with t last, in(J + (t))
-    = in(J) + (t) for the homogeneous J (Bayer and Stillman, Invent. Math.
-    87, 1987), and (J, t) = (J-check, t).  The grlex series comes from
-    J-check's own basis, so ``order_independent`` also cross-checks that
-    reading.
+    (``t_section_hilbert_series``; ``commalg.t_section_leads`` gives the
+    argument).  The grlex series comes from J-check's own basis, so
+    ``order_independent`` also cross-checks that reading.
     """
     cartan = model.cartan
     n = cartan.rank
@@ -298,8 +296,8 @@ def _check_regular_sequence(model: PetersonModel, config: RunConfig) -> CheckRec
     whose series ``hilbert`` computes.  For the whole sequence, theta_i =
     theta-check_i - 2 t x_i, so (J, t) = (J-check, t) and Q[x, t]/(J, t) is
     Q[x]/J-check as a graded ring: its series is the one ``hilbert`` reads
-    off J's grevlex basis, as in(J + (t)) = in(J) + (t) under grevlex with
-    t last (Bayer and Stillman, Invent. Math. 87, 1987).
+    off J's grevlex basis (``commalg.t_section_leads`` gives the
+    argument).
     """
     cartan = model.cartan
     n = cartan.rank
@@ -323,9 +321,8 @@ def _check_zero_set(model: PetersonModel, config: RunConfig) -> CheckRecord:
     generators are theta-check_i = x_i (A x)_i while every principal minor
     of the Cartan matrix A is positive, by Sylvester's criterion on the
     symmetric D A for a positive diagonal symmetrizer D.  The leads
-    are read off J's grevlex basis (``t_section_leads``): under grevlex
-    with t last, in(J + (t)) = in(J) + (t) for the homogeneous J (Bayer
-    and Stillman, Invent. Math. 87, 1987), and (J, t) = (J-check, t)."""
+    are read off J's grevlex basis (``commalg.t_section_leads`` gives the
+    argument)."""
     cartan = model.cartan
     via_groebner = zero_set_is_origin(*t_section_leads(build_ideal_J(cartan)))
     via_minors = zero_set_via_minors(cartan)

@@ -1,10 +1,12 @@
 """The package's exact algebra kernel, in integers throughout.
 
-One polynomial class serves every layer: ``Poly``, multivariate, for
-polynomials in the simple roots (Billey's formula) and in Q[x_1..x_n, t]
-(the quadric presentation); a value restricted to the circle is a ``Poly``
-in the one variable t.  A ``Poly`` keeps the coefficients it is given, and
-every one the package builds has int coefficients.  The one Gaussian
+There is no polynomial class.  A polynomial, in the simple roots (Billey's
+formula) or in Q[x_1..x_n, t] (the quadric presentation), is plain term
+data: a dict {exponent tuple: int} where it is computed, and the sorted
+tuple of its (exponent tuple, int) items where it must be hashed, as an
+``Ideal``'s generators are.  ``Ideal`` validates its generators, so every
+polynomial the Groebner engine reads has int coefficients; a value
+restricted to the circle is an int times a power of t.  The one Gaussian
 elimination is the fraction-free one of ``leading_minors_positive``: the
 leading minors of the Cartan matrix, and one elimination of its
 symmetrization D A, which proves every principal minor positive for the
@@ -47,8 +49,9 @@ ends at zero.  Along the way:
   quotient ``-``, the leading monomial ``max`` and divisibility one test
   on the fields' guard bits.  ``MonomialCode`` is the package's one
   definition of each monomial order.  Signature monomials are codes too.
-  Polynomials are packed on the way in, and only the public
-  ``groebner_basis`` unpacks them;
+  Generators are packed on the way in, and only the public
+  ``groebner_basis`` unpacks the basis, into the generator form of
+  ``Ideal``;
 - each element's leading term is computed once, when it joins the basis,
   and serves the reductions, the pair signatures and the F5 criterion;
 - a memo, one per basis computation, maps each monomial met, a leading
@@ -74,13 +77,10 @@ ends at zero.  Along the way:
   packed codes: minimalizing, colon ideals and pure powers are int
   arithmetic on codes, and the Hilbert recursion minimalizes once, at
   entry, then keeps every generator set minimal as it builds it;
-- no basis of the t = 0 ideal J-check is computed under grevlex.  Under
-  grevlex with t the last variable, in(I + (t)) = in(I) + (t) for every
-  homogeneous I (Bayer and Stillman, Invent. Math. 87, 1987; Eisenbud,
-  Commutative Algebra, Prop. 15.12), and (J, t) = (J-check, t), so
-  ``t_section_leads`` reads J-check's grevlex leads off J's basis.  A
-  quadric run computes two bases: J under grevlex, and J-check under
-  grlex for the order-independence check;
+- no basis of the t = 0 ideal J-check is computed under grevlex:
+  ``t_section_leads`` reads J-check's grevlex leads off J's basis, and its
+  docstring gives the argument.  A quadric run computes two bases: J under
+  grevlex, and J-check under grlex for the order-independence check;
 - each (ideal, order) is computed once per process, basis and Hilbert
   series alike, so the checks that need the same one share it.
 
@@ -219,37 +219,6 @@ class MonomialCode:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
-
-class Poly:
-    """Multivariate polynomial: exponent tuple -> nonzero coefficient, kept
-    as given (every polynomial the package builds has int coefficients);
-    the zero polynomial has no terms."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {tuple(exps): c for exps, c in (terms or {}).items() if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.total_degrees()) <= 1
-
-
-# ---------------------------------------------------------------------------
 # exact elimination
 
 def leading_minors_positive(rows) -> bool:
@@ -324,62 +293,88 @@ def symmetrizer(rows) -> list[int] | None:
 
 @dataclass(frozen=True)
 class Ideal:
-    """A list of nonzero generators in a named polynomial ring."""
+    """Nonzero generators in a named polynomial ring.
+
+    Each generator is given as a dict {exponent tuple: int}, or as its
+    items, and is stored as the sorted tuple of its (exponent tuple, int)
+    pairs with the zero coefficients dropped, so that an ideal hashes.  A
+    generator that is zero, an exponent that is not a tuple of ``nvars``
+    non-negative ints, or a coefficient that is not an int (a bool is not)
+    is a ValueError.
+    """
 
     var_names: tuple[str, ...]
-    generators: tuple[Poly, ...]
+    generators: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
 
     def __post_init__(self):
-        for g in self.generators:
-            if not g:
+        nvars = len(self.var_names)
+        generators = []
+        for k, g in enumerate(self.generators, 1):
+            try:
+                terms = dict(g)
+            except (TypeError, ValueError):
+                raise ValueError(f"generator {k} is not term data: {g!r}") from None
+            for e, c in terms.items():
+                if not (type(e) is tuple and len(e) == nvars
+                        and all(type(a) is int and a >= 0 for a in e)):
+                    raise ValueError(f"generator {k}: exponent {e!r} is not a "
+                                     f"tuple of {nvars} non-negative ints")
+                if type(c) is not int:
+                    raise ValueError(f"generator {k}: coefficient {c!r} is "
+                                     f"not an int")
+            if not any(terms.values()):
                 raise ValueError("ideal generators must be nonzero")
-            if g.nvars != len(self.var_names):
-                raise ValueError("generator variable count mismatch")
+            generators.append(tuple(sorted((e, c) for e, c in terms.items() if c)))
+        object.__setattr__(self, "generators", tuple(generators))
 
     @property
     def nvars(self) -> int:
         return len(self.var_names)
 
 
+def is_homogeneous(generator) -> bool:
+    """True iff the (exponent tuple, coefficient) pairs of a generator, in
+    the form ``Ideal`` stores, all have one total degree."""
+    return len({sum(e) for e, _ in generator}) <= 1
+
+
 def x_var_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def _quadric_ideal(cartan: CartanMatrix, with_t: bool) -> Ideal:
-    """One quadric per node i: sum_j <alpha_i, alpha_j> x_i x_j, minus
-    2 t x_i when the trailing variable t is present."""
+def _quadric_ideal(cartan: CartanMatrix) -> Ideal:
+    """One quadric per node i, sum_j <alpha_i, alpha_j> x_i x_j - 2 t x_i,
+    in Q[x_1..x_n, t]."""
     n = cartan.rank
-    nvars = n + 1 if with_t else n
     gens = []
     for i in range(1, n + 1):
-        terms: dict[tuple, int] = {}
+        terms = {}
         for j in range(1, n + 1):
             a_ij = cartan.a(i, j)
             if not a_ij:
                 continue
-            exps = [0] * nvars
+            exps = [0] * (n + 1)
             exps[i - 1] += 1
             exps[j - 1] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + a_ij
-        if with_t:
-            exps = [0] * nvars
-            exps[i - 1] = 1
-            exps[n] = 1
-            terms[tuple(exps)] = terms.get(tuple(exps), 0) - 2
-        gens.append(Poly(nvars, terms))
-    return Ideal(x_var_names(n) + (("t",) if with_t else ()), tuple(gens))
+            terms[tuple(exps)] = a_ij
+        exps = [0] * (n + 1)
+        exps[i - 1] = exps[n] = 1
+        terms[tuple(exps)] = -2
+        gens.append(terms)
+    return Ideal(x_var_names(n) + ("t",), tuple(gens))
 
 
 def build_ideal_J(cartan: CartanMatrix) -> Ideal:
     """Quadric ideal of the equivariant presentation in Q[x_1..x_n, t]:
     one generator sum_j <alpha_i, alpha_j> x_i x_j - 2 t x_i per node i."""
-    return _quadric_ideal(cartan, with_t=True)
+    return _quadric_ideal(cartan)
 
 
 def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
     """The same generators with t set to zero, in Q[x_1..x_n]."""
-    return _quadric_ideal(cartan, with_t=False)
+    ideal = _quadric_ideal(cartan)
+    return Ideal(ideal.var_names[:-1], tuple(
+        {e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +502,14 @@ def s_polynomial(f, g, lcm_fg: int) -> dict:
     return out
 
 
-def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
+def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[tuple]:
     """A Groebner basis, deterministic for a fixed (ideal, order): the
     elements the signature loop adds, in the order added, each a primitive
-    integer polynomial with a positive leading coefficient.  Their leading
-    monomials generate the leading-term ideal, which is all a caller reads;
-    the basis is neither minimal nor reduced.
+    integer polynomial with a positive leading coefficient, in the
+    generator form of ``Ideal``, so that ``Ideal(ideal.var_names, basis)``
+    is the same ideal.  Their leading monomials generate the leading-term
+    ideal, which is all a caller reads; the basis is neither minimal nor
+    reduced.
 
     The engine is signature based.  Every element h carries a signature
     m * e_i: h is c * m * f_i, with c > 0 and f_i the i-th generator, plus
@@ -572,7 +569,7 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[Poly]:
     a fresh list of the same polynomials.
     """
     code, elements = _groebner_basis(ideal, ordering)
-    return [Poly(code.nvars, {code.decode(e): c for e, c in ((lead, lc), *tail)})
+    return [tuple(sorted((code.decode(e), c) for e, c in ((lead, lc), *tail)))
             for _, _, lead, lc, tail in elements]
 
 
@@ -584,8 +581,7 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
     groebner_basis(I, "grevlex") share one cache entry."""
     code = MonomialCode(ideal.nvars, ordering)
     degree_shift = code._degree_shift
-    gens = [{code.encode(e): c for e, c in g.terms.items()}
-            for g in ideal.generators]
+    gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]
     # (index, signature monomial, lead, lc, tail), in the order treated:
     # every element of index i comes before any of index i + 1
     elements = []
@@ -732,9 +728,13 @@ def _minimal_numerator(gens, code: MonomialCode, fields) -> list[int]:
 
     Recursion: pivot on the variable x that divides the most mixed
     generators, using N(I) = N(I + (x)) + s * N(I : x); base cases are
-    pure-power ideals.  The pivot is counted over the mixed generators
-    alone (``_mixed_parts``).  Both children come out minimal without a
-    pass over all pairs (Bigatti, J. Pure Appl. Algebra 119, 1997):
+    pure-power ideals.  The tree is walked on a worklist of (generators,
+    shift) pairs, each node standing for s^shift times its numerator, so
+    its depth, one level per unit of a pivot's exponent, meets no
+    recursion limit; N(I) is the sum of s^shift times each base case's
+    product.  The pivot is counted over the mixed generators alone
+    (``_mixed_parts``).  Both children come out minimal without a pass
+    over all pairs (Bigatti, J. Pure Appl. Algebra 119, 1997):
 
     - I + (x) is generated by x and the g that x does not divide.  Only x
       itself could divide x, and were x a generator, it would divide no
@@ -746,23 +746,27 @@ def _minimal_numerator(gens, code: MonomialCode, fields) -> list[int]:
       mixed generator.
     """
     mask, guards = code.mask, code.guards
-    mixed = _mixed_parts(gens, code)
-    if not mixed:
-        return _one_minus_product(map(code.degree, gens))
-    counts = [len([p for p in mixed if p & f]) for f in fields]
-    v = counts.index(max(counts))
-    x, field = code.weights[v], fields[v]
-    quotients = [g - x for g in gens if g & field]
-    others = [g for g in gens if not g & field]
-    out = _minimal_numerator(others + [x], code, fields)
-    parts = [q & mask for q in quotients]
-    others = [g for g in others
-              if not any((g & mask | guards) - q & guards == guards
-                         for q in parts)]
-    n_colon = _minimal_numerator(quotients + others, code, fields)
-    out += [0] * (len(n_colon) + 1 - len(out))
-    for k, c in enumerate(n_colon, 1):
-        out[k] += c
+    out = []
+    work = [(gens, 0)]
+    while work:
+        gens, shift = work.pop()
+        mixed = _mixed_parts(gens, code)
+        if not mixed:
+            base = _one_minus_product(map(code.degree, gens))
+            out += [0] * (shift + len(base) - len(out))
+            for k, c in enumerate(base, shift):
+                out[k] += c
+            continue
+        counts = [len([p for p in mixed if p & f]) for f in fields]
+        v = counts.index(max(counts))
+        x, field = code.weights[v], fields[v]
+        quotients = [g - x for g in gens if g & field]
+        others = [g for g in gens if not g & field]
+        parts = [q & mask for q in quotients]
+        kept = [g for g in others
+                if not any((g & mask | guards) - q & guards == guards
+                           for q in parts)]
+        work += [(quotients + kept, shift + 1), (others + [x], shift)]
     return out
 
 
@@ -798,11 +802,10 @@ def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> Hilbe
     check reuses the series of J that ``hilbert`` built.
 
     A run computes no basis of the t = 0 ideal J-check under grevlex: its
-    leads are read off J's basis (``t_section_leads``, by Bayer and
-    Stillman's in(J + (t)) = in(J) + (t)), and its series is
-    ``t_section_hilbert_series`` of J.  Every ``hilbert`` check
-    (``cli._check_hilbert``) recomputes that series from J-check's own
-    basis under grlex and requires the two to agree.
+    leads are read off J's basis (``t_section_leads`` gives the argument),
+    and its series is ``t_section_hilbert_series`` of J.  Every ``hilbert``
+    check (``cli._check_hilbert``) recomputes that series from J-check's
+    own basis under grlex and requires the two to agree.
     """
     return _hilbert_series(ideal, ordering)
 
@@ -835,14 +838,15 @@ def t_section_leads(ideal: Ideal) -> tuple[MonomialCode, tuple[int, ...]]:
     homogeneity.  So the leads of I's basis that t does not divide
     generate in((I + (t))/(t)): they are kept, in the order of the basis,
     and re-encoded in the n-variable grevlex code (their t field is zero,
-    so the exponent part carries over).  For the quadric ideal J, (J, t) =
-    (J-check, t), so these are J-check's grevlex leads, and no basis of
-    J-check is computed under grevlex.
+    so the exponent part carries over).  For the quadric ideal J, theta_i =
+    theta-check_i - 2 t x_i gives (J, t) = (J-check, t), so these are
+    J-check's grevlex leads, and no basis of J-check is computed under
+    grevlex.  This is the one statement of the argument; the checks that
+    rest on it point here.
     """
-    for g in ideal.generators:
-        if not g.is_homogeneous():
-            raise ValueError("the t = 0 section of the leading monomials "
-                             "requires homogeneous generators")
+    if not all(map(is_homogeneous, ideal.generators)):
+        raise ValueError("the t = 0 section of the leading monomials "
+                         "requires homogeneous generators")
     code, elements = _groebner_basis(ideal, "grevlex")
     section = MonomialCode(ideal.nvars - 1, "grevlex")
     return section, tuple(section._from_p(lead & code.mask)
@@ -925,7 +929,7 @@ def zero_set_via_minors(cartan: CartanMatrix) -> bool:
                 exps[i] += 1
                 exps[j] += 1
                 expected[tuple(exps)] = a_ij
-        if g.terms != expected:
+        if dict(g) != expected:
             return False
     d = symmetrizer(rows)
     return d is not None and leading_minors_positive(

@@ -38,7 +38,7 @@ from operator import add, mul
 
 from . import billey
 from .billey import restricted_rows
-from .commalg import build_ideal_J
+from .commalg import build_ideal_J, is_homogeneous
 from .errors import IntegrityError
 from .report import CheckRecord
 from .roots import CartanMatrix
@@ -65,11 +65,12 @@ def _cleared_identity(p_i, rows, k, covers, nums, diagonals, D, points) -> bool:
     return not any(residual)
 
 
-def _evaluate(poly, rows) -> tuple[int, ...]:
-    """The polynomial at every fixed point, variable v taking the values
-    ``rows[v]``; the terms are summed lazily, in one pass at the end."""
+def _evaluate(generator, rows) -> tuple[int, ...]:
+    """The (exponent tuple, int) pairs of a generator at every fixed point,
+    variable v taking the values ``rows[v]``; the terms are summed lazily,
+    in one pass at the end."""
     total = repeat(0, len(rows[0]))
-    for exps, c in poly.terms.items():
+    for exps, c in generator:
         factors = chain.from_iterable(repeat(rows[v], e)
                                       for v, e in enumerate(exps) if e)
         total = map(add, total, reduce(partial(map, mul), factors, repeat(c)))
@@ -307,7 +308,7 @@ class PetersonModel:
         t^2.  A theta_i that is not homogeneous, where t -> 1 would mix
         degrees, is an ``IntegrityError``."""
         thetas = build_ideal_J(self.cartan).generators
-        if not all(theta.is_homogeneous() for theta in thetas):
+        if not all(map(is_homogeneous, thetas)):
             raise IntegrityError("a quadric generator is not homogeneous")
         values = [self.simple_class(i) for i in self.cartan.nodes()]
         values.append(self.one())  # t, the last variable

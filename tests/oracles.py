@@ -16,6 +16,41 @@ from itertools import islice
 from math import gcd, lcm
 
 
+class Poly:
+    """Multivariate polynomial for the Fraction oracles: exponent tuple ->
+    nonzero coefficient, kept as given, from a dict or from the (exponent
+    tuple, coefficient) pairs of an ``Ideal`` generator or a
+    ``groebner_basis`` element; the zero polynomial has no terms.  The
+    package itself holds polynomials as plain term data."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        self.terms = {tuple(exps): c for exps, c in dict(terms or {}).items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly) and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+
+    def total_degrees(self) -> set[int]:
+        return {sum(e) for e in self.terms}
+
+    def is_homogeneous(self) -> bool:
+        return len(self.total_degrees()) <= 1
+
+
+def generator_polys(ideal) -> list[Poly]:
+    """The generators of an ``Ideal`` as ``Poly``s."""
+    return [Poly(ideal.nvars, g) for g in ideal.generators]
+
+
 def _e(i: int, dim: int) -> tuple[Q, ...]:
     v = [Q(0)] * dim
     v[i] = Q(1)
@@ -409,8 +444,6 @@ def class_value(cls, K):
     """Restriction of a ``PetersonClass`` at the fixed point w_K:
     c * t^degree as a polynomial in the one variable t, the ring that
     restriction to S lands in."""
-    from petcoh.commalg import Poly
-
     return Poly(1, {(cls.degree,): cls.values[cls.model.subset_index(K)]})
 
 
@@ -815,8 +848,6 @@ def matrix_inversion_roots(cartan, word) -> list[tuple[int, ...]]:
 
 def linear_poly(coords):
     """The linear form sum_i c_i z_i, e.g. a root in the simple roots."""
-    from petcoh.commalg import Poly
-
     n = len(coords)
     return Poly(n, {tuple(1 if k == i else 0 for k in range(n)): c
                     for i, c in enumerate(coords)})
@@ -830,8 +861,6 @@ def subword_localization(group, v, w):
     letters, such a word is then a reduced word of v.  Products of
     reflections and the roots r(j) both come from plain matrix products.
     """
-    from petcoh.commalg import Poly
-
     cartan = group.cartan
     word = w.witness_word
     factors = [linear_poly(r) for r in matrix_inversion_roots(cartan, word)]
@@ -850,14 +879,13 @@ def subword_localization(group, v, w):
     return total
 
 
-def restrict_to_S(p):
+def restrict_to_S(terms):
     """Substitute alpha_i -> t for every i in a polynomial in the simple
-    roots, summing in Fractions: a polynomial in the one variable t, ground
+    roots, {exponent tuple: coefficient} as ``billey_localization`` returns
+    it, summing in Fractions: a polynomial in the one variable t, ground
     truth for the integer restricted table."""
-    from petcoh.commalg import Poly
-
     out: dict[tuple[int], Q] = {}
-    for exps, c in p.terms.items():
+    for exps, c in terms.items():
         k = (sum(exps),)
         out[k] = out.get(k, Q(0)) + c
     return Poly(1, out)
@@ -951,7 +979,7 @@ def billey_welldef_per_word(model, config):
                 failures.append({"kind": "vanishing",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
-            if value and value.total_degrees() != {v.length}:
+            if value and {sum(e) for e in value} != {v.length}:
                 failures.append({"kind": "degree",
                                  "v": word_to_str(v.witness_word),
                                  "w": word_to_str(w.witness_word)})
@@ -1127,16 +1155,17 @@ def leading(p, key):
 
 
 def leading_exponents(basis, ordering: str = "grevlex"):
-    """The leading exponent tuple of every polynomial of the basis."""
+    """The leading exponent tuple of every polynomial of the basis, each
+    given as plain term data (as ``groebner_basis`` returns it)."""
     key = order_key(ordering)
-    return [leading(g, key)[0] for g in basis]
+    return [max(dict(g), key=key) for g in basis]
 
 
 # The seed's Buchberger loop, kept as ground truth for commalg's engine.  It
 # divides in Fractions, as the seed did, where the engine divides in
 # integers.  The monomial helpers, the Poly arithmetic and the Poly scalings
-# are the seed's too, so the oracle shares only the Poly container with the
-# code it checks.
+# are the seed's too, and the Poly container lives here, so the oracle
+# shares no code with the engine it checks.
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -1215,7 +1244,7 @@ def render(p, var_names=None, key=None) -> str:
 def ideal_to_json(ideal):
     return {
         "variables": list(ideal.var_names),
-        "generators": [as_term_list(g) for g in ideal.generators],
+        "generators": [as_term_list(g) for g in generator_polys(ideal)],
     }
 
 
@@ -1247,8 +1276,8 @@ def normal_form(p, basis, key):
     divisors = [(0, 0, *commalg._reducer(packed(g.terms))) for g in basis if g]
     remainder, scale = full_regular_reduce(packed(p.terms), 1, 0, divisors,
                                            code, {})
-    return commalg.Poly(p.nvars, {code.decode(e): Q(c, den * scale)
-                                  for e, c in remainder.items()})
+    return Poly(p.nvars, {code.decode(e): Q(c, den * scale)
+                          for e, c in remainder.items()})
 
 
 # The signature engine as commalg ran it before its reduction stopped at the
@@ -1341,8 +1370,7 @@ def tail_reduced_signature_basis(ideal, ordering: str = "grevlex"):
     )
 
     code = MonomialCode(ideal.nvars, ordering)
-    gens = [{code.encode(e): c for e, c in g.terms.items()}
-            for g in ideal.generators]
+    gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]
     # (index, signature monomial, lead, lc, tail), in the order treated:
     # every element of index i comes before any of index i + 1
     elements = []
@@ -1405,16 +1433,12 @@ def tail_reduced_signature_basis(ideal, ordering: str = "grevlex"):
 
 def term_mul(p, coeff, exps):
     """p times coeff * x^exps."""
-    from petcoh.commalg import Poly
-
     return Poly(p.nvars, {_mono_mul(e, exps): c * coeff for e, c in p.terms.items()})
 
 
 def normalized(p):
     """p scaled to integer content 1 and a positive leading coefficient
     under grevlex."""
-    from petcoh.commalg import Poly
-
     if not p:
         return p
     den = lcm(*(c.denominator for c in p.terms.values()))
@@ -1427,8 +1451,6 @@ def normalized(p):
 
 def monic(p, key):
     """p scaled to leading coefficient 1 under the order key."""
-    from petcoh.commalg import Poly
-
     if not p:
         return p
     lc = leading(p, key)[1]
@@ -1438,8 +1460,6 @@ def monic(p, key):
 def oracle_normal_form(p, basis, key):
     """The seed's remainder of p on division by the basis: every step builds
     new polynomials, leading terms are recomputed each time."""
-    from petcoh.commalg import Poly
-
     remainder = Poly(p.nvars)
     leads = [(g, leading(g, key)) for g in basis if g]
     work = p
@@ -1472,7 +1492,7 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
     the smallest-lcm pair by a scan over all pairs, recomputing every
     leading monomial each time, with the coprimality and chain criteria."""
     key = order_key(ordering)
-    basis = [normalized(g) for g in ideal.generators if g]
+    basis = [normalized(g) for g in generator_polys(ideal)]
     basis.sort(key=lambda g: key(leading(g, key)[0]))
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
 
@@ -1615,7 +1635,7 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
     import heapq
 
     key = order_key(ordering)
-    basis = sorted((tuple_reducer(g.terms, key) for g in ideal.generators),
+    basis = sorted((tuple_reducer(dict(g), key) for g in ideal.generators),
                    key=lambda r: key(r[0]))
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     heap = [(key(_mono_lcm(basis[i][0], basis[j][0])), (i, j)) for i, j in pairs]
@@ -1644,20 +1664,19 @@ def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
     return _tuple_interreduced(basis, key, ideal.nvars)
 
 
-def tuple_reduced_basis(polys, ordering: str = "grevlex"):
+def tuple_reduced_basis(basis, ordering: str = "grevlex"):
     """The reduced Groebner basis of the ideal that the Groebner basis
-    ``polys`` generates, in the form ``tuple_groebner_basis`` returns."""
+    generates, given as ``groebner_basis`` returns it, in the form
+    ``tuple_groebner_basis`` returns."""
     key = order_key(ordering)
-    return _tuple_interreduced([tuple_reducer(g.terms, key) for g in polys], key,
-                               polys[0].nvars)
+    reducers = [tuple_reducer(dict(g), key) for g in basis]
+    return _tuple_interreduced(reducers, key, len(reducers[0][0]))
 
 
 def _tuple_interreduced(basis, key, nvars):
     """Minimalize then tail-reduce the ``tuple_reducer`` triples of a
     Groebner basis; primitive integer Polys with positive leading
     coefficients, largest leading monomial first."""
-    from petcoh.commalg import Poly
-
     minimal = []
     for r in sorted(basis, key=lambda r: key(r[0])):
         if not any(_divides(h[0], r[0]) for h in minimal):
@@ -1724,9 +1743,8 @@ def ideal_zero_set_is_origin(ideal, ordering: str = "grevlex") -> bool:
     check, which reads J-check's grevlex leads off J's basis."""
     from petcoh import commalg
 
-    for g in ideal.generators:
-        if not g.is_homogeneous():
-            raise ValueError("zero-set criterion requires homogeneous generators")
+    if not all(map(commalg.is_homogeneous, ideal.generators)):
+        raise ValueError("zero-set criterion requires homogeneous generators")
     code, elements = commalg._groebner_basis(ideal, ordering)
     return commalg.zero_set_is_origin(code, [h[2] for h in elements])
 
@@ -1754,8 +1772,6 @@ def principal_minors_positive(cartan) -> bool:
 
 def variable(nvars: int, index: int):
     """The variable of the given index as a ``Poly``."""
-    from petcoh.commalg import Poly
-
     exps = tuple(1 if k == index else 0 for k in range(nvars))
     return Poly(nvars, {exps: 1})
 
@@ -1787,7 +1803,7 @@ def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
         if not p.is_homogeneous() or total_degree(p) < 1:
             raise ValueError("regular-sequence input must be homogeneous of "
                              "positive degree")
-    ideal = Ideal(var_names, tuple(polys))
+    ideal = Ideal(var_names, tuple(p.terms for p in polys))
     actual = hilbert_series_of_quotient(ideal, ordering)
     degrees = [graded_degree(p) for p in polys]
     expected = HilbertSeries.over_one_minus_s2(_one_minus_product(degrees),

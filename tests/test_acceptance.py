@@ -20,7 +20,6 @@ from petcoh.cli import (
     run_suite,
 )
 from petcoh.commalg import (
-    Poly,
     build_ideal_J,
     build_ideal_Jcheck,
     hilbert_series_of_quotient,
@@ -34,12 +33,14 @@ from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup
 
 from oracles import (
+    Poly,
     bond_order,
     bruhat_leq,
     brute_reduced_words,
     class_value,
     elements_up_to_length,
     enumerate_reduced_words,
+    generator_polys,
     is_connected,
     is_regular_sequence,
     one_class,
@@ -153,7 +154,7 @@ def test_criterion_6_regular_sequences_and_zero_sets():
         for name in DEFAULT_SUITE:
             cm = cartan_matrix(name)
             ideal = build_ideal_J(cm)
-            thetas = list(ideal.generators)
+            thetas = generator_polys(ideal)
             t_var = variable(cm.rank + 1, cm.rank)
             with_t, _ = is_regular_sequence(ideal.var_names, thetas + [t_var])
             prefix, _ = is_regular_sequence(ideal.var_names, thetas)
@@ -180,7 +181,7 @@ def test_criterion_8_billey_welldefinedness():
             for w in elements:
                 for v in elements:
                     value = billey_localization(W, v, w)
-                    assert value.total_degrees() <= {v.length}
+                    assert {sum(e) for e in value} <= {v.length}
                     assert bool(value) == bruhat_leq(W, v, w)
                     for word in enumerate_reduced_words(W, w):
                         alt = billey_localization(W, v, W.from_word(word))
@@ -209,7 +210,7 @@ def test_criterion_9_spot_values():
                 tuple(1 if k == j - 1 else 0 for k in range(cm.rank)):
                     Fraction(-cm.a(i, j)),
             }
-            assert value.terms == expected, (name, i, j)
+            assert value == expected, (name, i, j)
         # G2 top fixed point: p_{s_i}(w_Delta) = (4 - 2 a_ij) t
         g2 = model("G2")
         cm = g2.cartan

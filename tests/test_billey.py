@@ -14,12 +14,12 @@ from petcoh.billey import (
     subset_steps,
 )
 from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
-from petcoh.commalg import Poly
 from petcoh.peterson import subsets_by_size
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup
 
 from oracles import (
+    Poly,
     bond_order,
     bruhat_leq,
     elements_up_to_length,
@@ -50,7 +50,7 @@ def test_diagonal_rank_one(name):
     W = group(name)
     for i in W.cartan.nodes():
         s_i = W.from_word((i,))
-        assert billey_localization(W, s_i, s_i) == alpha(W.rank, i)
+        assert billey_localization(W, s_i, s_i) == alpha(W.rank, i).terms
 
 
 def test_vanishing_off_diagonal_rank_one():
@@ -74,7 +74,7 @@ def test_order_three_closed_form(name, i, j):
         W.rank,
         {tuple(1 if k == i - 1 else 0 for k in range(W.rank)): a,
          tuple(1 if k == j - 1 else 0 for k in range(W.rank)): -a_ij})
-    assert billey_localization(W, W.from_word((i,)), w) == expected
+    assert billey_localization(W, W.from_word((i,)), w) == expected.terms
     assert restrict_to_S(billey_localization(W, W.from_word((i,)), w)) \
         == Poly(1, {(1,): a - a_ij})
 
@@ -104,16 +104,16 @@ def test_order_six_closed_form(i, j):
         n,
         {tuple(1 if k == i - 1 else 0 for k in range(n)): 4,
          tuple(1 if k == j - 1 else 0 for k in range(n)): -2 * a_ij})
-    assert billey_localization(W, W.from_word((i,)), w) == expected
-    assert restrict_to_S(expected) == Poly(1, {(1,): 4 - 2 * a_ij})
+    assert billey_localization(W, W.from_word((i,)), w) == expected.terms
+    assert restrict_to_S(expected.terms) == Poly(1, {(1,): 4 - 2 * a_ij})
 
 
 def test_restriction_substitutes_t():
     p = alpha(3, 1)
-    assert restrict_to_S(p) == Poly(1, {(1,): 1})
+    assert restrict_to_S(p.terms) == Poly(1, {(1,): 1})
     q = poly_product(alpha(2, 1), alpha(2, 2))
-    assert restrict_to_S(q) == Poly(1, {(2,): 1})
-    assert restrict_to_S(Poly(2)) == Poly(1)
+    assert restrict_to_S(q.terms) == Poly(1, {(2,): 1})
+    assert restrict_to_S({}) == Poly(1)
 
 
 # -- property sweep ----------------------------------------------------------
@@ -129,8 +129,8 @@ def _sweep(name, max_length):
         for v in elements:
             value = billey_localization(W, v, w)
             # degree and positivity
-            assert value.total_degrees() <= {v.length}
-            assert all(c > 0 for c in value.terms.values())
+            assert {sum(e) for e in value} <= {v.length}
+            assert all(c > 0 for c in value.values())
             # vanishing exactly off the Bruhat interval
             assert bool(value) == bruhat_leq(W, v, w)
             # independence of the reduced word chosen for w
@@ -175,9 +175,9 @@ def test_prefix_recursion_matches_subword_oracle(name, w_letters, v_letters):
     for v in vs:
         value = billey_localization(W, v, w)
         oracle = subword_localization(W, v, w)
-        assert value == oracle
+        assert value == oracle.terms
         assert table[v] == value
-        assert is_monomial_of_degree(restrict_to_S(oracle), v.length)
+        assert is_monomial_of_degree(restrict_to_S(oracle.terms), v.length)
 
 
 ROW_TYPES = DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8")
@@ -231,7 +231,7 @@ def test_reduced_word_tables_match_one_table_per_word(name):
         assert set(tables[i]) == enumerate_reduced_words(W, w), (name, w)
         for word, table in tables[i].items():
             oracle = localization_table(W, elements, W.from_word(word))
-            assert table == {index[u]: p.terms for u, p in oracle.items()
+            assert table == {index[u]: p for u, p in oracle.items()
                              if p}, (name, word)
 
 
@@ -256,11 +256,11 @@ def test_e6_spot_values(K, J, terms, c):
     W = group("E6")
     v, w = W.v_K(K), W.longest_element(J)
     value = billey_localization(W, v, w)
-    assert len(value.terms) == terms
+    assert len(value) == terms
     expected = Poly(1, {(len(K),): c})
     assert restrict_to_S(value) == expected
     if len(K) <= 3:
-        assert value == subword_localization(W, v, w)
+        assert value == subword_localization(W, v, w).terms
 
 
 @pytest.mark.parametrize("K", [(1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 7)])
@@ -273,7 +273,7 @@ def test_e7_localization_at_longest_element(K):
     assert reversed_w0.witness_word != w0.witness_word
     v = W.v_K(K)
     value = billey_localization(W, v, w0)
-    assert value.total_degrees() == {6}
+    assert {sum(e) for e in value} == {6}
     assert billey_localization(W, v, reversed_w0) == value
 
 

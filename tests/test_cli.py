@@ -689,6 +689,9 @@ def test_star_import_and_export_list():
     # that builds J + (t) lives in the test oracles
     assert "is_regular_sequence" not in petcoh.__all__
     assert not hasattr(petcoh, "is_regular_sequence")
+    # a polynomial is plain term data; the Poly class lives in the oracles
+    assert "Poly" not in petcoh.__all__
+    assert not hasattr(petcoh, "Poly") and not hasattr(petcoh.commalg, "Poly")
 
 
 def test_default_suite_contents():

@@ -45,8 +45,10 @@ ALLOWED = {
         "certify prints it in the default text format; the run here asks "
         "for json",
     "commalg.groebner_basis":
-        "the public basis API; the checks read the engine's packed leads",
-    "commalg.MonomialCode.decode": "groebner_basis unpacks the basis with it",
+        "the public basis API, in the generator form of Ideal; the checks "
+        "read the engine's packed leads",
+    "commalg.MonomialCode.decode":
+        "groebner_basis unpacks the basis into exponent tuples with it",
 }
 
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from petcoh import billey, cli, commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
-from petcoh.commalg import Poly
 from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonModel, subsets_by_size
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup
 
 from oracles import (
+    Poly,
     all_monomials_graded_dims,
     basis_matrix,
     brute_reduced_words,
@@ -670,13 +670,13 @@ def test_an_inhomogeneous_quadric_fails_the_quadratic_check(monkeypatch):
     # mix with the degree-2 part, so the check refuses to evaluate it
     real = commalg._quadric_ideal
 
-    def inhomogeneous(cartan, with_t):
-        ideal = real(cartan, with_t)
+    def inhomogeneous(cartan):
+        ideal = real(cartan)
         first, *rest = ideal.generators
-        terms = dict(first.terms)
+        terms = dict(first)
         terms[(1, 0, 0)] = 1
         terms[(0, 0, 1)] = -1
-        return commalg.Ideal(ideal.var_names, (Poly(3, terms), *rest))
+        return commalg.Ideal(ideal.var_names, (terms, *rest))
 
     monkeypatch.setattr(commalg, "_quadric_ideal", inhomogeneous)
     report = run_certification(RunConfig("A2", checks=("quadratic",)))
