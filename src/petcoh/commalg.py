@@ -82,7 +82,8 @@ ends at zero.  Along the way:
   docstring gives the argument.  A quadric run computes two bases: J under
   grevlex, and J-check under grlex for the order-independence check;
 - each (ideal, order) is computed once per process, basis and Hilbert
-  series alike, so the checks that need the same one share it.
+  series alike, so the checks that need the same one share it; so is each
+  quadric ideal, once per Cartan matrix.
 
 This module imports nothing else from the package at run time, so every
 other module can build on it.
@@ -364,15 +365,17 @@ def _quadric_ideal(cartan: CartanMatrix) -> Ideal:
     return Ideal(x_var_names(n) + ("t",), tuple(gens))
 
 
+@lru_cache(maxsize=None)
 def build_ideal_J(cartan: CartanMatrix) -> Ideal:
     """Quadric ideal of the equivariant presentation in Q[x_1..x_n, t]:
     one generator sum_j <alpha_i, alpha_j> x_i x_j - 2 t x_i per node i."""
     return _quadric_ideal(cartan)
 
 
+@lru_cache(maxsize=None)
 def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
     """The same generators with t set to zero, in Q[x_1..x_n]."""
-    ideal = _quadric_ideal(cartan)
+    ideal = build_ideal_J(cartan)
     return Ideal(ideal.var_names[:-1], tuple(
         {e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators))
 

@@ -30,7 +30,6 @@ elimination (``image_graded_dimensions``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from math import comb, factorial, lcm
@@ -40,7 +39,7 @@ from . import billey
 from .billey import restricted_rows
 from .commalg import build_ideal_J, is_homogeneous
 from .errors import IntegrityError
-from .report import CheckRecord
+from .report import CheckRecord, ratio
 from .roots import CartanMatrix
 from .weyl import WeylGroup
 
@@ -180,16 +179,15 @@ class PetersonModel:
 
     # -- Monk rule -------------------------------------------------------
 
-    def monk_coefficient(self, i: int, K, J) -> Fraction:
+    def monk_coefficient(self, i: int, K, J) -> tuple[int, int]:
         """Structure constant of p_{s_i} p_{v_K} on p_{v_J} for a cover
-        K subset J, |J| = |K| + 1.
+        K subset J, |J| = |K| + 1, as the integer pair (num, den).
 
         Computed as (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) / p_{v_J}(w_J).
-        Numerator and denominator are both multiples of t^|J|, so the
-        quotient is the rational number of their coefficients; a zero
-        denominator is a pipeline bug.  ``monk_holds`` decides the identity
-        in integers; the ``monk`` check reads this only for its Cartan
-        cross-check.
+        Numerator and denominator are both multiples of t^|J|; their
+        coefficients are returned, unreduced, and a zero denominator is a
+        pipeline bug.  ``monk_holds`` decides the identity in integers; the
+        ``monk`` check reads this only for its Cartan cross-check.
         """
         K = tuple(sorted(set(K)))
         J = tuple(sorted(set(J)))
@@ -201,7 +199,7 @@ class PetersonModel:
         if not denominator:
             raise IntegrityError(
                 f"Monk division by zero for i={i}, K={K}, J={J}")
-        return Fraction((p_i[j] - p_i[k]) * self._rows[k][j], denominator)
+        return (p_i[j] - p_i[k]) * self._rows[k][j], denominator
 
     @cached_property
     def _monk_denominators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -291,7 +289,7 @@ class PetersonModel:
                 "support_condition": ok_support,
                 "diagonal_nonzero": ok_diagonal,
                 # c * t^|K| as "num/den" coefficients of t^0, t^1, ...
-                "diagonal": [["0/1"] * len(K) + [f"{rows[r][r]}/1"]
+                "diagonal": [[ratio(0, 1)] * len(K) + [ratio(rows[r][r], 1)]
                              if rows[r][r] else []
                              for r, K in enumerate(self.subsets)],
             },
@@ -425,10 +423,13 @@ class PetersonModel:
                             "S": list(subsets[k]), "i": i}
         return None
 
-    def verify_graded_dimensions(self, cutoff_degree: int) -> CheckRecord:
+    def verify_graded_dimensions(self) -> CheckRecord:
         """Compare the proven dimensions with the coefficients of the
         closed-form series (1+s^2)^n / (1-s^2): partial sums of binomials.
-        A failure lists the degrees proven before it and its witness."""
+        A failure lists the degrees proven before it and its witness.  The
+        degrees run through max(12, 2n), as the series is constant from 2n
+        on; the floor keeps the degrees 0..12 of ``perfbench/reference.json``."""
+        cutoff_degree = max(12, 2 * self.rank)
         failure: dict = {}
         dims = self.image_graded_dimensions(cutoff_degree, failure)
         expected = list(accumulate(

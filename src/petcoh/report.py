@@ -4,23 +4,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 SCHEMA_VERSION = 1
 
 
+def ratio(num: int, den: int) -> str:
+    """num/den as the string "num/den", reduced, with den > 0: 0 is "0/1"."""
+    if not den:
+        raise ZeroDivisionError(f"ratio {num}/0")
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def jsonable(value):
     """Recursively convert report payloads to JSON-native deterministic data."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return [jsonable(v) for v in sorted(value)]
-    if hasattr(value, "to_json"):
-        return value.to_json()
     return value
 
 

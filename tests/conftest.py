@@ -1,4 +1,5 @@
-"""Per-test time limit for the whole suite, with the standard library only.
+"""Shared fixtures: a per-test time limit for the whole suite, with the
+standard library only, and ``quadric_mutant``.
 
 A test that runs past ``TEST_TIME_LIMIT_S`` dumps every thread's traceback
 to the terminal and ends the run, so a hang (say, a Groebner engine that
@@ -30,3 +31,23 @@ def _time_limit():
                                       file=_stderr_fd)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def quadric_mutant(monkeypatch):
+    """Installs a replacement for ``commalg._quadric_ideal``.  The quadric
+    ideals are cached per Cartan matrix, so the caches are cleared when the
+    replacement is installed, for the run to build its ideals, and when the
+    test ends, for no later test to read them."""
+    from petcoh import commalg
+
+    def clear():
+        commalg.build_ideal_J.cache_clear()
+        commalg.build_ideal_Jcheck.cache_clear()
+
+    def install(builder):
+        monkeypatch.setattr(commalg, "_quadric_ideal", builder)
+        clear()
+
+    yield install
+    clear()

@@ -508,7 +508,8 @@ def class_check_giambelli(model):
             passed = subset_class(model, K).scale(factorial(len(K))) == \
                 rhs.scale(n_words)
             coefficients.append({"K": list(K),
-                                 "coefficient": Q(factorial(len(K)), n_words),
+                                 "coefficient": fraction_text(Q(factorial(len(K)),
+                                                                n_words)),
                                  "reduced_words": n_words})
             kind = "giambelli"
         else:
@@ -953,7 +954,7 @@ def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
     return [tuple(rows[k][n + i] for k in range(n)) for i in range(n)]
 
 
-def billey_welldef_per_word(model, config):
+def billey_welldef_per_word(model):
     """The ``billey_welldef`` record with one ``localization_table`` per
     reduced word of each w, each a full prefix recursion over its word:
     ground truth for the check's one walk over the trie of reduced words."""
@@ -999,6 +1000,17 @@ def billey_welldef_per_word(model, config):
     )
 
 
+def fraction_text(q: Q) -> str:
+    """The report's "num/den" form of a rational, in the lowest terms and
+    with the positive denominator that ``Fraction`` keeps."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+def monk_fraction(model, i: int, K, J) -> Q:
+    """``PetersonModel.monk_coefficient``'s (num, den) pair as a Fraction."""
+    return Q(*model.monk_coefficient(i, K, J))
+
+
 def fraction_verify_monk(model, i: int, K):
     """The Monk record with the identity summed in Fractions, each class
     scaled by its own rational coefficient: ground truth for the model's
@@ -1015,7 +1027,7 @@ def fraction_verify_monk(model, i: int, K):
         if j in K:
             continue
         J = tuple(sorted(K + (j,)))
-        c = model.monk_coefficient(i, K, J)
+        c = monk_fraction(model, i, K, J)
         coeffs.append({"J": list(J), "coefficient": c})
         if c:
             rhs = rhs + subset_class(model, J).scale(c)
@@ -1046,7 +1058,7 @@ def verify_monk_full(model, i: int, K):
     p_K = subset_class(model, K)
     covers = [tuple(sorted(K + (j,)))
               for j in model.cartan.nodes() if j not in K]
-    cs = [model.monk_coefficient(i, K, J) for J in covers]
+    cs = [monk_fraction(model, i, K, J) for J in covers]
     D = lcm(*(c.denominator for c in cs))
     lhs = (p_i * p_K).scale(D)
     rhs = p_K.scale(D * p_i.values[model.subset_index(K)], p_i.degree)
@@ -1080,11 +1092,12 @@ def class_check_monk(model):
     nodes = cartan.nodes()
     failures = [{"i": i, "K": list(K)} for i in nodes for K in model.subsets
                 if not verify_monk_full(model, i, K).passed]
-    cross = [{"i": i, "j": j,
-              "coefficient": model.monk_coefficient(i, (i,), (i, j)),
+    pairs = [(i, j) for i in nodes for j in nodes if i != j]
+    coefficients = [monk_fraction(model, i, (i,), (i, j)) for i, j in pairs]
+    cross = [{"i": i, "j": j, "coefficient": fraction_text(c),
               "expected": -cartan.a(i, j)}
-             for i in nodes for j in nodes if i != j]
-    cross_ok = all(c["coefficient"] == c["expected"] for c in cross)
+             for (i, j), c in zip(pairs, coefficients)]
+    cross_ok = all(c == -cartan.a(i, j) for (i, j), c in zip(pairs, coefficients))
     return CheckRecord(
         check="monk",
         lie_type=model.type_name(),

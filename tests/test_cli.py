@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -24,13 +25,14 @@ from petcoh.cli import (
     run_suite,
 )
 from petcoh.peterson import PetersonModel
-from petcoh.report import CheckRecord, strip_timing
+from petcoh.report import CheckRecord, ratio, strip_timing
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
 from oracles import (
     billey_welldef_per_word,
     enumerate_reduced_words,
+    fraction_text,
     has_skips,
     is_connected,
 )
@@ -39,20 +41,9 @@ from oracles import (
 def test_run_config_validation():
     RunConfig(lie_type="A1")
     # the run options, each set on its own
-    assert [f.name for f in fields(RunConfig)] == [
-        "lie_type", "checks", "cutoff_degree", "output_format"]
-    with pytest.raises(ValueError):
-        RunConfig(lie_type="A1", cutoff_degree=5)
-    with pytest.raises(ValueError):
-        RunConfig(lie_type="A1", cutoff_degree=-2)
-    # every graded dimension is constant from degree 2 * rank on
-    RunConfig(lie_type="A1", cutoff_degree=2 * cli.MAX_RANK)
-    with pytest.raises(ValueError, match=f"between 0 and {2 * cli.MAX_RANK}"):
-        RunConfig(lie_type="A1", cutoff_degree=2 * cli.MAX_RANK + 2)
+    assert [f.name for f in fields(RunConfig)] == ["lie_type", "checks"]
     with pytest.raises(ValueError):
         RunConfig(lie_type="A1", checks=("nope",))
-    with pytest.raises(ValueError):
-        RunConfig(lie_type="A1", output_format="yaml")
     # the total rank is bounded before anything is built
     RunConfig(lie_type=f"A{cli.MAX_RANK}")
     with pytest.raises(ValueError, match=f"total rank 40; at most {cli.MAX_RANK}"):
@@ -81,7 +72,7 @@ def test_certification_G2_monk_cross_check():
     assert report.overall_pass
     cross = report.records[0].witnesses["cartan_cross_check"]
     coeffs = {(item["i"], item["j"]): item["coefficient"] for item in cross}
-    assert coeffs == {(1, 2): 1, (2, 1): 3}
+    assert coeffs == {(1, 2): "1/1", (2, 1): "3/1"}
 
 
 def test_empty_check_set_is_trivially_passing():
@@ -120,6 +111,18 @@ def test_checks_run_in_dependency_order():
         ["quadratic", "hilbert", "zero_set"]
 
 
+def test_checks_are_stored_in_check_order_each_once(capsys):
+    # the config a report prints lists the checks that ran, as they ran
+    config = RunConfig("A2", checks=("zero_set", "monk", "monk", "quadratic"))
+    assert config.checks == ("quadratic", "monk", "zero_set")
+    assert RunConfig("A2", checks=list(reversed(CHECK_ORDER))).checks == CHECK_ORDER
+    assert main(["certify", "--type", "A1", "--checks", "monk,monk",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"] == {"checks": ["monk"], "lie_type": "A1"}
+    assert [c["check"] for c in payload["checks"]] == ["monk"]
+
+
 def test_suite_of_one_type_matches_single_run():
     config = RunConfig(lie_type="B2")
     single = strip_timing(run_certification(config).to_dict())
@@ -144,7 +147,7 @@ def test_suite_includes_semisimple_disconnected_products():
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A5", "E6"))
 def test_giambelli_reaches_every_nonempty_subset(name):
     model = PetersonModel(cartan_matrix(name))
-    record = cli._check_giambelli(model, RunConfig(lie_type=name))
+    record = cli._check_giambelli(model)
     assert record.passed
     connected = [tuple(c["K"]) for c in record.witnesses["coefficients"]]
     products = {tuple(p["K"]): p["components"]
@@ -291,11 +294,10 @@ def test_element_cap_at_the_swept_size_runs_the_sweep(monkeypatch):
 @pytest.mark.parametrize("lie_type", DEFAULT_SUITE + (
     "A2+A1", "A5", "D5", "E6", "E7", "E8"))
 def test_billey_welldef_matches_per_word_oracle(lie_type):
-    config = RunConfig(lie_type, checks=("billey_welldef",))
     model = PetersonModel(cartan_matrix(lie_type))
-    fast = cli._check_billey_welldef(model, config)
+    fast = cli._check_billey_welldef(model)
     assert fast.passed
-    assert fast.to_dict() == billey_welldef_per_word(model, config).to_dict()
+    assert fast.to_dict() == billey_welldef_per_word(model).to_dict()
 
 
 def _swept_elements(lie_type):
@@ -535,8 +537,31 @@ def test_run_that_proved_nothing_exits_3(argv, monkeypatch, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_model_checks_are_looked_up_when_they_run(monkeypatch):
+    # a wrapper set on PetersonModel after import is the one a run calls
+    called = []
+
+    def wrap(name):
+        real = getattr(PetersonModel, name)
+
+        def wrapper(self):
+            called.append(name)
+            return real(self)
+
+        monkeypatch.setattr(PetersonModel, name, wrapper)
+
+    names = ("verify_quadratic_relations", "verify_basis_triangular",
+             "verify_graded_dimensions")
+    for name in names:
+        wrap(name)
+    report = run_certification(RunConfig(
+        "A2", checks=("quadratic", "basis", "graded_dims")))
+    assert report.overall_pass
+    assert called == list(names)
+
+
 def test_failed_check_exits_1(monkeypatch, capsys):
-    def failing(model, config):
+    def failing(model):
         return CheckRecord(check="quadratic", lie_type=model.type_name(),
                            passed=False)
 
@@ -563,16 +588,16 @@ def test_failed_check_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("report,digest", [
     (lambda: run_suite(DEFAULT_SUITE),
-     "ea91667e98c8b40845ac47706fd814f0d21039ddeba7f50fb733fc444ba170ff"),
+     "38ca5a1f665eab07403ededdf6b3e32d5e1b4465288f37d2da1e9c0de2e970c0"),
     (lambda: run_certification(RunConfig(
         "E6", checks=("quadratic", "monk", "giambelli", "basis",
                       "graded_dims"))).to_dict(),
-     "b0295cb4ce273b97c5059a0796e79d79271ad51449c6d2eace9a25e472369090"),
+     "ff1db3adf3a4a0b538dab17e70c5d4e456bbf0f0e19cf7adafc4845c3836464f"),
     (lambda: run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set"))).to_dict(),
-     "43fc27898d412688054a4ffd01f7efc68d1fc9000ac782bc6cb2c0346431a003"),
+     "54a36c7b8f4a6d7f7e8f6a92ff3006538a0f8525484c5f46db881faa274de9a1"),
     (lambda: run_certification(RunConfig("E8")).to_dict(),
-     "8ee16c430ca20568e0b2858ca5a72b366de3379aa2da814c4e367401688707f5"),
+     "3f3c8b3acd4995d16d31d116fced5f76f3ec71737b715bed225c098cbdfb822d"),
 ], ids=["default-suite", "E6-restriction", "E7-quadric", "E8-certify"])
 def test_default_suite_report_is_pinned(report, digest):
     # the refactor gate: the timing-free report, byte for byte
@@ -590,6 +615,8 @@ def test_main_certify_exit_code_and_json(tmp_path):
     assert payload["isomorphism_certified"] is True
     assert payload["lie_type"] == "G2"
     assert payload["schema_version"] == 1
+    # a run is configured by its type and its checks alone
+    assert payload["config"] == {"checks": list(CHECK_ORDER), "lie_type": "G2"}
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -668,12 +695,33 @@ def test_bad_input_is_a_one_line_usage_error(argv, monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_largest_cutoff_runs(capsys):
-    assert main(["certify", "--type", "A2", "--checks", "graded_dims",
-                 "--cutoff-degree", "24", "--format", "json"]) == 0
+@pytest.mark.parametrize("lie_type,cutoff,dims", [
+    ("A2", 12, [1, 3] + [4] * 5),
+    ("E6", 12, [1, 7, 22, 42, 57, 63, 64]),
+    ("E7", 14, [1, 8, 29, 64, 99, 120, 127, 128]),
+    ("E8", 16, [1, 9, 37, 93, 163, 219, 247, 255, 256]),
+], ids=["A2", "E6", "E7", "E8"])
+def test_graded_dims_cutoff_comes_from_the_rank(lie_type, cutoff, dims, capsys):
+    # every degree through max(12, 2 * rank): the dimensions are constant
+    # from degree 2 * rank on, and the floor keeps degrees 0..12 listed
+    assert main(["certify", "--type", lie_type, "--checks", "graded_dims",
+                 "--format", "json"]) == 0
     record, = json.loads(capsys.readouterr().out)["checks"]
     assert record["pass"]
-    assert record["witnesses"]["expected"] == [1, 3] + [4] * 11
+    assert record["parameters"] == {"cutoff_degree": cutoff}
+    assert record["witnesses"] == {"computed": dims, "expected": dims}
+
+
+@pytest.mark.parametrize("num,den", [
+    (0, 1), (0, -7), (5, 1), (6, 4), (-6, 4), (6, -4), (-6, -4), (3, 9),
+    (-24, -24), (720, 1), (7, -1)])
+def test_ratio_is_the_text_of_the_fraction(num, den):
+    assert ratio(num, den) == fraction_text(Fraction(num, den))
+
+
+def test_ratio_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
 
 
 def test_star_import_and_export_list():

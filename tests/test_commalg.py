@@ -1075,6 +1075,8 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
         ideals.append(self)
 
     monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
+    commalg.build_ideal_J.cache_clear()
+    commalg.build_ideal_Jcheck.cache_clear()
     commalg._hilbert_series.cache_clear()
     commalg._groebner_basis.cache_clear()
     commalg.t_section_leads.cache_clear()
@@ -1106,6 +1108,38 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
         assert all({sum(e) for e, _ in g} == {2} for g in ideal.generators)
 
 
+def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
+    # J and J-check are cached per Cartan matrix, J-check derived from the
+    # cached J: the checks that read them share two ideals, each built and
+    # validated once
+    ideals = []
+    quadrics = []
+    post_init = Ideal.__post_init__
+    quadric_ideal = commalg._quadric_ideal
+
+    def recording_post_init(self):
+        post_init(self)
+        ideals.append(self)
+
+    def recording_quadric_ideal(cartan):
+        quadrics.append(cartan)
+        return quadric_ideal(cartan)
+
+    monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
+    monkeypatch.setattr(commalg, "_quadric_ideal", recording_quadric_ideal)
+    commalg.build_ideal_J.cache_clear()
+    commalg.build_ideal_Jcheck.cache_clear()
+    report = run_certification(RunConfig(
+        "E7", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert report.overall_pass
+    cm = cartan_matrix("E7")
+    assert quadrics == [cm]
+    # the lookups are cache hits, which construct nothing
+    cached = [build_ideal_J(cm), build_ideal_Jcheck(cm)]
+    assert len(ideals) == 2
+    assert all(built is ideal for built, ideal in zip(ideals, cached))
+
+
 @pytest.mark.parametrize("run", [
     lambda: run_suite(DEFAULT_SUITE),
     lambda: run_certification(RunConfig(
@@ -1130,7 +1164,9 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
 
     monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
     monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
-    # so that every series and basis is rebuilt
+    # so that every ideal, series and basis is rebuilt
+    commalg.build_ideal_J.cache_clear()
+    commalg.build_ideal_Jcheck.cache_clear()
     commalg._hilbert_series.cache_clear()
     engine.cache_clear()
     run()
@@ -1690,8 +1726,8 @@ def _transposed_quadric_ideal(cartan):
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2", "A3", "D4"])
-def test_transposed_quadrics_fail_the_zero_set_check(name, monkeypatch):
-    monkeypatch.setattr(commalg, "_quadric_ideal", _transposed_quadric_ideal)
+def test_transposed_quadrics_fail_the_zero_set_check(name, quadric_mutant):
+    quadric_mutant(_transposed_quadric_ideal)
     report = run_certification(RunConfig(name))
     record = next(r for r in report.records if r.check == "zero_set")
     # simply laced Cartan matrices are symmetric, so nothing changes there
@@ -1703,11 +1739,11 @@ def test_transposed_quadrics_fail_the_zero_set_check(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
-def test_transposed_quadrics_fail_the_quadratic_check(name, monkeypatch):
+def test_transposed_quadrics_fail_the_quadratic_check(name, quadric_mutant):
     # the rows are read off the Weyl group, the quadrics off J: a J in the
     # transposed convention no longer vanishes on the rows, so the run
     # does not certify; the failing nodes are those with an asymmetric bond
-    monkeypatch.setattr(commalg, "_quadric_ideal", _transposed_quadric_ideal)
+    quadric_mutant(_transposed_quadric_ideal)
     report = run_certification(RunConfig(name))
     record = next(r for r in report.records if r.check == "quadratic")
     cartan = cartan_matrix(name)
@@ -1727,9 +1763,9 @@ def _wrong_t_quadric_ideal(cartan):
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE)
-def test_a_wrong_t_coefficient_fails_the_quadratic_check(name, monkeypatch):
+def test_a_wrong_t_coefficient_fails_the_quadratic_check(name, quadric_mutant):
     # theta_i - t x_i maps to -p_{s_i}, nonzero at w_{i}: every relation fails
-    monkeypatch.setattr(commalg, "_quadric_ideal", _wrong_t_quadric_ideal)
+    quadric_mutant(_wrong_t_quadric_ideal)
     assert build_ideal_J(cartan_matrix("A1")).generators == \
         (G({(2, 0): 2, (1, 1): -3}),)
     report = run_certification(RunConfig(name))

@@ -87,7 +87,9 @@ def test_every_function_is_called_or_allowed():
         if event == "call":
             called.add(frame.f_code)
 
-    # so that every basis and series is rebuilt
+    # so that every quadric ideal, basis and series is rebuilt
+    commalg.build_ideal_J.cache_clear()
+    commalg.build_ideal_Jcheck.cache_clear()
     commalg._groebner_basis.cache_clear()
     commalg._hilbert_series.cache_clear()
     commalg.t_section_leads.cache_clear()
