@@ -462,13 +462,12 @@ def _add_common_options(parser: argparse.ArgumentParser):
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
-    """Check names as listed; RunConfig rejects unknown ones."""
+    """Check names as listed, empty items dropped as in ``--types``;
+    RunConfig rejects unknown ones."""
     text = text.strip()
     if text == "all":
         return CHECK_ORDER
-    if not text:
-        return ()
-    return tuple(p.strip() for p in text.split(","))
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:

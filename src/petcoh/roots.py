@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .commalg import leading_minors_positive
+from .errors import IntegrityError
 
 RANK_CONSTRAINTS = {
     "A": (1, None),
@@ -99,7 +100,7 @@ def _simple_edges(family: str, n: int) -> list[tuple[int, int, int, int]]:
         return [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
     if family == "G":
         return [(1, 2, -1, -3)]
-    raise AssertionError(family)
+    raise IntegrityError(f"no diagram for family {family!r}")
 
 
 class CartanMatrix:

@@ -1,4 +1,7 @@
-"""Weyl group elements with canonical equality and reduced-word machinery.
+"""Weyl group elements with canonical equality, and what a run does with them:
+right multiplication of action matrices by simple reflections, right
+descents, reduced-word counts, and the breadth-first walk of the group in
+``CayleyTable``.
 
 An element is stored as its exact integer matrix acting on simple-root
 coordinates; equality and hashing use only that matrix, so any two words for
@@ -11,12 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IntegrityError, ResourceCapError
-from .roots import (
-    CartanMatrix,
-    is_negative_root_vector,
-    simple_reflection_action,
-)
+from .errors import ResourceCapError
+from .roots import CartanMatrix, is_negative_root_vector
 
 # the most elements a bounded enumeration of the group may produce
 ELEMENT_CAP = 200_000
@@ -58,9 +57,9 @@ def word_to_str(word) -> str:
 class WeylGroup:
     """Weyl group of a Cartan matrix.
 
-    Holds the per-group caches (reduced-word counts, longest elements of
-    node subsets); the positive roots live on ``CartanMatrix``.  All
-    returned values are immutable.
+    Works on action matrices and holds the per-group cache of reduced-word
+    counts; the positive roots live on ``CartanMatrix``.  All returned
+    values are immutable.
     """
 
     def __init__(self, cartan: CartanMatrix):
@@ -78,18 +77,12 @@ class WeylGroup:
         }
         # reduced-word counts keyed by action, seeded with the identity
         self._count_memo: dict[tuple, int] = {self._identity_matrix: 1}
-        self._longest_memo: dict[tuple[int, ...], WeylElement] = {}
 
     # -- construction ---------------------------------------------------
 
     @property
     def identity(self) -> WeylElement:
         return WeylElement(self._identity_matrix, 0, ())
-
-    def right_descends(self, w: WeylElement, i: int) -> bool:
-        """True iff l(w s_i) < l(w), i.e. the root w(alpha_i) is negative:
-        it has a negative entry."""
-        return any(row[i - 1] < 0 for row in w.action)
 
     def right_action(self, action, i: int):
         """Matrix of w s_i from the matrix of w.
@@ -112,81 +105,11 @@ class WeylGroup:
             out.append(row)
         return tuple(out)
 
-    def right_multiply(self, w: WeylElement, i: int) -> WeylElement:
-        action = self.right_action(w.action, i)
-        if self.right_descends(w, i):
-            return WeylElement(action, w.length - 1, self._delete_letter(w, i))
-        return WeylElement(action, w.length + 1, w.witness_word + (i,))
-
-    def _delete_letter(self, w: WeylElement, j: int) -> tuple[int, ...]:
-        """Reduced word for w s_j when s_j is a right descent of w.
-
-        Exchange condition: scanning the reduced word b_1..b_m of w from the
-        right, the first position i with s_{b_{i+1}}..s_{b_m}(alpha_j) equal
-        to alpha_{b_i} can be deleted.
-        """
-        word = w.witness_word
-        n = self.rank
-        gamma = tuple(1 if k == j - 1 else 0 for k in range(n))
-        for pos in range(len(word) - 1, -1, -1):
-            b = word[pos]
-            if gamma == tuple(1 if k == b - 1 else 0 for k in range(n)):
-                return word[:pos] + word[pos + 1:]
-            gamma = simple_reflection_action(self.cartan, b, gamma)
-        raise AssertionError("no deletion position found for a right descent")
-
-    def from_word(self, word) -> WeylElement:
-        """Element of a word (not necessarily reduced).
-
-        The witness word is the input when it is already reduced, otherwise a
-        reduced word obtained by repeated deletion.
-        """
-        word = tuple(int(i) for i in word)
-        for i in word:
-            if not 1 <= i <= self.rank:
-                raise IndexError(f"node index {i} out of range 1..{self.rank}")
-        w = self.identity
-        for i in word:
-            w = self.right_multiply(w, i)
-        if len(word) == w.length:
-            w = WeylElement(w.action, w.length, word)
-        return w
-
-    # -- parabolic data -------------------------------------------------
-
-    def longest_element(self, K) -> WeylElement:
-        """Longest element w_K of the parabolic subgroup on the nodes K.
-
-        Greedy ascent: repeatedly right-multiply by the smallest generator
-        in K that increases length.
-        """
-        key = tuple(sorted(set(K)))
-        cached = self._longest_memo.get(key)
-        if cached is not None:
-            return cached
-        w = self.identity
-        while True:
-            for i in key:
-                if not self.right_descends(w, i):
-                    w = self.right_multiply(w, i)
-                    break
-            else:
-                break
-        self._longest_memo[key] = w
-        return w
-
-    def v_K(self, K) -> WeylElement:
-        """Product of the simple reflections of K in ascending node order."""
-        word = tuple(sorted(set(K)))
-        v = self.from_word(word)
-        if v.length != len(word):
-            raise IntegrityError(f"v_K for K = {word} is not reduced")
-        return v
-
     # -- reduced words ---------------------------------------------------
 
     def descents(self, action) -> list[int]:
-        """Right descents, as in ``right_descends``, of a matrix."""
+        """Right descents of a matrix: the i with l(w s_i) < l(w), i.e.
+        the root w(alpha_i), column i, has a negative entry."""
         return [i for i in self.cartan.nodes()
                 if any(row[i - 1] < 0 for row in action)]
 
@@ -203,10 +126,6 @@ class WeylGroup:
             return total
 
         return rec(w.action)
-
-    def all_elements(self):
-        """The whole group, in BFS order; guarded by ``ELEMENT_CAP``."""
-        return CayleyTable(self, len(self.cartan.positive_roots())).elements
 
 
 class CayleyTable:

@@ -143,27 +143,69 @@ def cartan_matrix_from_inner_products(family: str, rank: int) -> list[list[int]]
     return out
 
 
-def all_words_evaluating_to(group, w, length: int) -> set[tuple[int, ...]]:
-    """Every word of the given length whose product is w (raw enumeration)."""
-    n = group.rank
-    found = set()
-    for word in itertools.product(range(1, n + 1), repeat=length):
-        if group.from_word(word) == w:
-            found.add(word)
-    return found
+def right_multiply(group, w, i: int):
+    """w s_i with a reduced witness word: w's word then i on an ascent; on
+    a right descent, w's word less the letter the exchange condition
+    deletes, the first position p from the right of w's word b_1..b_m
+    with s_{b_{p+1}}..s_{b_m}(alpha_i) = alpha_{b_p}."""
+    from petcoh.roots import simple_reflection_action
+    from petcoh.weyl import WeylElement
+
+    action, word = group.right_action(w.action, i), w.witness_word
+    if i not in group.descents(w.action):
+        return WeylElement(action, w.length + 1, word + (i,))
+    root = lambda b: tuple(int(k == b - 1) for k in range(group.rank))
+    gamma = root(i)
+    for p in range(len(word) - 1, -1, -1):
+        if gamma == root(word[p]):
+            return WeylElement(action, w.length - 1, word[:p] + word[p + 1:])
+        gamma = simple_reflection_action(group.cartan, word[p], gamma)
+    raise AssertionError("no deletion position found for a right descent")
+
+
+def from_word(group, word):
+    """The element of a word, reduced or not, one ``right_multiply`` per
+    letter: the witness word is the word itself when it is reduced."""
+    word = tuple(int(i) for i in word)
+    if not all(1 <= i <= group.rank for i in word):
+        raise IndexError(f"node index out of range 1..{group.rank}: {word}")
+    w = group.identity
+    for i in word:
+        w = right_multiply(group, w, i)
+    return w
+
+
+def longest_element(group, K):
+    """Longest element w_K of the parabolic subgroup on the nodes K, by
+    greedy ascent: right-multiply by the smallest ascent in K while there
+    is one."""
+    nodes = sorted(set(K))
+    w = group.identity
+    while ascents := [i for i in nodes if i not in group.descents(w.action)]:
+        w = right_multiply(group, w, ascents[0])
+    return w
+
+
+def v_K(group, K):
+    """The product of the simple reflections of K in ascending node order,
+    a reduced word."""
+    v = from_word(group, sorted(set(K)))
+    assert v.length == len(set(K)), K
+    return v
 
 
 def weyl_multiply(group, u, v):
     """The product u v, one right multiplication per letter of v."""
     w = u
     for i in v.witness_word:
-        w = group.right_multiply(w, i)
+        w = right_multiply(group, w, i)
     return w
 
 
 def brute_reduced_words(group, w) -> set[tuple[int, ...]]:
     """Reduced words for w by filtering all words of length ``w.length``."""
-    return all_words_evaluating_to(group, w, w.length)
+    words = itertools.product(group.cartan.nodes(), repeat=w.length)
+    return {word for word in words if from_word(group, word) == w}
 
 
 # per group: action -> the set of its reduced words
@@ -209,23 +251,8 @@ def right_multiply_reduced_words(group, w) -> frozenset:
     def rec(u):
         if u.action not in memo:
             memo[u.action] = frozenset({()}) if u.is_identity() else frozenset(
-                prefix + (i,) for i in group.cartan.nodes()
-                if group.right_descends(u, i)
-                for prefix in rec(group.right_multiply(u, i)))
-        return memo[u.action]
-
-    return rec(w)
-
-
-def right_multiply_word_count(group, w) -> int:
-    """Number of reduced words by the same ``WeylElement`` recursion."""
-    memo = {}
-
-    def rec(u):
-        if u.action not in memo:
-            memo[u.action] = 1 if u.is_identity() else sum(
-                rec(group.right_multiply(u, i)) for i in group.cartan.nodes()
-                if group.right_descends(u, i))
+                prefix + (i,) for i in group.descents(u.action)
+                for prefix in rec(right_multiply(group, u, i)))
         return memo[u.action]
 
     return rec(w)
@@ -245,8 +272,8 @@ def elements_up_to_length(group, max_length: int):
         nxt = []
         for w in layer:
             for i in group.cartan.nodes():
-                if not group.right_descends(w, i):
-                    u = group.right_multiply(w, i)
+                if i not in group.descents(w.action):
+                    u = right_multiply(group, w, i)
                     if u.action not in seen:
                         seen.add(u.action)
                         nxt.append(u)
@@ -286,7 +313,7 @@ def bruhat_lower_set(group, w) -> set:
     out = set()
     for k in range(len(word) + 1):
         for positions in itertools.combinations(range(len(word)), k):
-            out.add(group.from_word(tuple(word[p] for p in positions)))
+            out.add(from_word(group, (word[p] for p in positions)))
     return out
 
 
@@ -501,7 +528,7 @@ def class_check_giambelli(model):
     for K in model.subsets[1:]:
         components = cartan.connected_components(K)
         if len(components) == 1:
-            n_words = model.group.count_reduced_words(model.group.v_K(K))
+            n_words = model.group.count_reduced_words(v_K(model.group, K))
             rhs = one_class(model)
             for i in K:
                 rhs = rhs * simple_class(model, i)
@@ -904,7 +931,7 @@ def per_class_restriction(model, v):
     from petcoh.billey import billey_localization
 
     return [restrict_to_S(billey_localization(model.group, v,
-                                              model.group.longest_element(K)))
+                                              longest_element(model.group, K)))
             for K in model.subsets]
 
 
@@ -920,7 +947,7 @@ def restricted_rows_per_fixed_point(group, subsets) -> tuple[tuple[int, ...], ..
     masks = [sum(1 << i - 1 for i in K) for K in subsets]
     columns = []
     for K, L in zip(subsets, masks):
-        w = group.longest_element(K)
+        w = longest_element(group, K)
         inside = {b: [(J, lower) for J, lower in steps[b] if not J & ~L]
                   for b in K}
         values = [1] + [0] * ((1 << group.rank) - 1)
@@ -971,7 +998,7 @@ def billey_welldef_per_word(model):
     for w in elements:
         targets = [v for v in elements if v.length <= w.length]
         # one table per reduced word of w; the witness word's is the baseline
-        tables = {word: localization_table(group, targets, group.from_word(word))
+        tables = {word: localization_table(group, targets, from_word(group, word))
                   for word in enumerate_reduced_words(group, w)}
         baseline = tables[w.witness_word]
         for v in targets:
@@ -1120,7 +1147,7 @@ def fraction_verify_giambelli(model, K):
     from petcoh.report import CheckRecord
 
     K = tuple(sorted(set(K)))
-    n_words = model.group.count_reduced_words(model.group.v_K(K))
+    n_words = model.group.count_reduced_words(v_K(model.group, K))
     coeff = Q(factorial(len(K)), n_words)
     rhs = one_class(model)
     for i in K:

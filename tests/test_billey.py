@@ -24,14 +24,17 @@ from oracles import (
     bruhat_leq,
     elements_up_to_length,
     enumerate_reduced_words,
+    from_word,
     is_monomial_of_degree,
     linear_poly,
     as_term_list,
+    longest_element,
     matrix_inversion_roots,
     poly_product,
     poly_sum,
     restrict_to_S,
     subword_localization,
+    v_K,
 )
 
 
@@ -49,13 +52,13 @@ def alpha(n, i):
 def test_diagonal_rank_one(name):
     W = group(name)
     for i in W.cartan.nodes():
-        s_i = W.from_word((i,))
+        s_i = from_word(W, (i,))
         assert billey_localization(W, s_i, s_i) == alpha(W.rank, i).terms
 
 
 def test_vanishing_off_diagonal_rank_one():
     W = group("A2")
-    s1, s2 = W.from_word((1,)), W.from_word((2,))
+    s1, s2 = from_word(W, (1,)), from_word(W, (2,))
     assert not billey_localization(W, s1, s2)
     assert restrict_to_S(billey_localization(W, s1, s2)) == Poly(1)
 
@@ -67,15 +70,15 @@ def test_order_three_closed_form(name, i, j):
     W = group(name)
     cm = W.cartan
     assert bond_order(cm, i, j) == 3
-    w = W.from_word((i, j, i))
+    w = from_word(W, (i, j, i))
     a_ij, a_ji = cm.a(i, j), cm.a(j, i)
     a = a_ij * a_ji
     expected = Poly(
         W.rank,
         {tuple(1 if k == i - 1 else 0 for k in range(W.rank)): a,
          tuple(1 if k == j - 1 else 0 for k in range(W.rank)): -a_ij})
-    assert billey_localization(W, W.from_word((i,)), w) == expected.terms
-    assert restrict_to_S(billey_localization(W, W.from_word((i,)), w)) \
+    assert billey_localization(W, from_word(W, (i,)), w) == expected.terms
+    assert restrict_to_S(billey_localization(W, from_word(W, (i,)), w)) \
         == Poly(1, {(1,): a - a_ij})
 
 
@@ -84,10 +87,10 @@ def test_order_four_closed_form(i, j):
     # same closed form for the order-4 bond, at w = (s_i s_j)^2
     W = group("B2")
     cm = W.cartan
-    w = W.from_word((i, j, i, j))
-    assert w == W.longest_element((1, 2))
+    w = from_word(W, (i, j, i, j))
+    assert w == longest_element(W, (1, 2))
     a = cm.a(i, j) * cm.a(j, i)
-    value = billey_localization(W, W.from_word((i,)), w)
+    value = billey_localization(W, from_word(W, (i,)), w)
     assert restrict_to_S(value) == Poly(1, {(1,): a - cm.a(i, j)})
 
 
@@ -96,15 +99,15 @@ def test_order_six_closed_form(i, j):
     # G2: sigma_{s_i}((s_i s_j)^3) = 4*alpha_i - 2*a_ij*alpha_j
     W = group("G2")
     cm = W.cartan
-    w = W.from_word((i, j) * 3)
-    assert w == W.longest_element((1, 2))
+    w = from_word(W, (i, j) * 3)
+    assert w == longest_element(W, (1, 2))
     a_ij = cm.a(i, j)
     n = W.rank
     expected = Poly(
         n,
         {tuple(1 if k == i - 1 else 0 for k in range(n)): 4,
          tuple(1 if k == j - 1 else 0 for k in range(n)): -2 * a_ij})
-    assert billey_localization(W, W.from_word((i,)), w) == expected.terms
+    assert billey_localization(W, from_word(W, (i,)), w) == expected.terms
     assert restrict_to_S(expected.terms) == Poly(1, {(1,): 4 - 2 * a_ij})
 
 
@@ -135,7 +138,7 @@ def _sweep(name, max_length):
             assert bool(value) == bruhat_leq(W, v, w)
             # independence of the reduced word chosen for w
             for word in enumerate_reduced_words(W, w):
-                assert billey_localization(W, v, W.from_word(word)) == value
+                assert billey_localization(W, v, from_word(W, word)) == value
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -159,7 +162,7 @@ _LETTERS = st.integers(1, 8)  # folded onto the nodes of the drawn type
 
 
 def _element(W, letters):
-    return W.from_word(1 + (x - 1) % W.rank for x in letters)
+    return from_word(W, (1 + (x - 1) % W.rank for x in letters))
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE)
@@ -190,11 +193,11 @@ def test_restricted_table_is_the_restricted_poly_table(name):
     # to t
     W = group(name)
     subsets = subsets_by_size(W.rank)
-    targets = [W.v_K(J) for J in subsets]
+    targets = [v_K(W, J) for J in subsets]
     rows = restricted_rows(W, subsets, subset_steps(W))
     assert all(type(c) is int for row in rows for c in row)
     for k, L in enumerate(subsets):
-        table = localization_table(W, targets, W.longest_element(L))
+        table = localization_table(W, targets, longest_element(W, L))
         assert [Poly(1, {(v.length,): row[k]}) for v, row in zip(targets, rows)] \
             == [restrict_to_S(table[v]) for v in targets], (name, L)
 
@@ -230,7 +233,7 @@ def test_reduced_word_tables_match_one_table_per_word(name):
     for i, w in enumerate(elements):
         assert set(tables[i]) == enumerate_reduced_words(W, w), (name, w)
         for word, table in tables[i].items():
-            oracle = localization_table(W, elements, W.from_word(word))
+            oracle = localization_table(W, elements, from_word(W, word))
             assert table == {index[u]: p for u, p in oracle.items()
                              if p}, (name, word)
 
@@ -254,7 +257,7 @@ E6_SPOT_VALUES = [
 @pytest.mark.parametrize("K,J,terms,c", E6_SPOT_VALUES)
 def test_e6_spot_values(K, J, terms, c):
     W = group("E6")
-    v, w = W.v_K(K), W.longest_element(J)
+    v, w = v_K(W, K), longest_element(W, J)
     value = billey_localization(W, v, w)
     assert len(value) == terms
     expected = Poly(1, {(len(K),): c})
@@ -267,11 +270,11 @@ def test_e6_spot_values(K, J, terms, c):
 def test_e7_localization_at_longest_element(K):
     # the subword scan would visit C(63, 6) = 67.9M position sets here
     W = group("E7")
-    w0 = W.longest_element(W.cartan.nodes())
-    reversed_w0 = W.from_word(tuple(reversed(w0.witness_word)))
+    w0 = longest_element(W, W.cartan.nodes())
+    reversed_w0 = from_word(W, tuple(reversed(w0.witness_word)))
     assert reversed_w0 == w0
     assert reversed_w0.witness_word != w0.witness_word
-    v = W.v_K(K)
+    v = v_K(W, K)
     value = billey_localization(W, v, w0)
     assert {sum(e) for e in value} == {6}
     assert billey_localization(W, v, reversed_w0) == value

@@ -33,6 +33,7 @@ from oracles import (
     billey_welldef_per_word,
     enumerate_reduced_words,
     fraction_text,
+    from_word,
     has_skips,
     is_connected,
 )
@@ -121,6 +122,15 @@ def test_checks_are_stored_in_check_order_each_once(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"] == {"checks": ["monk"], "lie_type": "A1"}
     assert [c["check"] for c in payload["checks"]] == ["monk"]
+
+
+def test_empty_check_items_are_dropped(capsys):
+    # as in --types, a trailing comma names no check
+    assert main(["certify", "--type", "A2", "--checks", "hilbert,",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"] == {"checks": ["hilbert"], "lie_type": "A2"}
+    assert [c["check"] for c in payload["checks"]] == ["hilbert"]
 
 
 def test_suite_of_one_type_matches_single_run():
@@ -365,7 +375,7 @@ def test_billey_welldef_catches_one_changed_entry_past_the_first_target(
     top = len(elements) - 1
     w = elements[top]
     word = min(enumerate_reduced_words(group, w) - {w.witness_word})
-    v = elements.index(group.from_word((2,)))
+    v = elements.index(from_word(group, (2,)))
     assert v > 0
 
     def change(tables):
@@ -386,7 +396,7 @@ def test_billey_welldef_catches_one_inhomogeneous_value(monkeypatch, capsys):
     group, elements = _swept_elements("A2")
     w0 = elements[-1]
     top = len(elements) - 1
-    s1 = elements.index(group.from_word((1,)))
+    s1 = elements.index(from_word(group, (1,)))
     (other,) = enumerate_reduced_words(group, w0) - {w0.witness_word}
 
     def raise_exponent(tables):
@@ -412,7 +422,7 @@ def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
     group, elements = _swept_elements("A2")
     w0 = elements[-1]
     assert w0.length == 3
-    dropped = elements.index(group.from_word((1,)))
+    dropped = elements.index(from_word(group, (1,)))
     build = CayleyTable.bruhat_intervals
 
     def dropping(self):
@@ -433,7 +443,7 @@ def test_reduced_word_count_mismatch_is_an_integrity_error(monkeypatch,
     # the trie's words of s_2 s_1 in A2 against a count one too high: the
     # record fails with the integrity error, and the run certifies nothing
     group = WeylGroup(cartan_matrix("A2"))
-    s2s1 = group.from_word((2, 1))
+    s2s1 = from_word(group, (2, 1))
     count = WeylGroup.count_reduced_words
 
     def one_too_many(self, w):
@@ -509,7 +519,8 @@ def test_non_reduced_v_K_is_an_integrity_error(monkeypatch, capsys):
 
 
 def test_no_assert_statement_in_the_package():
-    # python -O strips assert statements; every integrity check raises
+    # python -O strips assert statements; every integrity check raises an
+    # IntegrityError, not an AssertionError that reads as a test failure
     root = os.path.dirname(petcoh.__file__)
     found = []
     for name in sorted(os.listdir(root)):
@@ -517,18 +528,21 @@ def test_no_assert_statement_in_the_package():
             with open(os.path.join(root, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
             found += [(name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                      if isinstance(node, ast.Assert)
+                      or isinstance(node, ast.Name)
+                      and node.id == "AssertionError"]
     assert found == []
 
 
 @pytest.mark.parametrize("argv", [
     ["certify", "--type", "A2", "--checks", ""],
+    ["certify", "--type", "A2", "--checks", ","],
     ["certify", "--type", "A2", "--checks", "billey_welldef"],
     ["suite", "--types", "A1,A2", "--checks", ""],
     ["suite", "--types", "A1,A2", "--checks", "billey_welldef,quadratic"],
     ["suite", "--types", "", "--checks", "quadratic"],
-], ids=["certify-no-checks", "certify-all-skipped", "suite-no-checks",
-        "suite-one-skipped", "suite-no-types"])
+], ids=["certify-no-checks", "certify-empty-items", "certify-all-skipped",
+        "suite-no-checks", "suite-one-skipped", "suite-no-types"])
 def test_run_that_proved_nothing_exits_3(argv, monkeypatch, capsys):
     # an element cap of 1 skips every billey_welldef sweep
     monkeypatch.setattr(weyl, "ELEMENT_CAP", 1)

@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
+from petcoh.errors import IntegrityError
 from petcoh.roots import (
     CartanMatrix,
     LieType,
+    _simple_edges,
     cartan_matrix,
     leading_minors_positive,
     parse_lie_type,
@@ -86,6 +88,12 @@ def test_invalid_rank_rejected(family, rank):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         LieType("H", 3)
+
+
+def test_diagram_of_an_unknown_family_is_an_integrity_error():
+    # LieType rejects the family first, so only a bug reaches this
+    with pytest.raises(IntegrityError, match="no diagram for family 'H'"):
+        _simple_edges("H", 3)
 
 
 def test_parse_lie_type():
