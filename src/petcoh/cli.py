@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
 from math import comb, factorial
 from operator import methodcaller
 
@@ -73,20 +72,31 @@ def _parse_bounded_type(text: str):
     return types
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """A Lie type and the checks run on it, kept in ``CHECK_ORDER``, each once."""
+    """A Lie type and a sequence of check names, kept in ``CHECK_ORDER``, each once."""
 
-    lie_type: str
-    checks: tuple[str, ...] = CHECK_ORDER
+    __slots__ = ("lie_type", "checks")
 
-    def __post_init__(self):
-        _parse_bounded_type(self.lie_type)
-        unknown = set(self.checks) - set(CHECK_ORDER)
+    def __init__(self, lie_type: str, checks: tuple[str, ...] = CHECK_ORDER):
+        _parse_bounded_type(lie_type)
+        if isinstance(checks, str):
+            raise ValueError(f"checks takes a sequence of check names, not {checks!r}")
+        unknown = set(checks) - set(CHECK_ORDER)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        object.__setattr__(self, "lie_type", lie_type)
         object.__setattr__(self, "checks", tuple(
-            name for name in CHECK_ORDER if name in self.checks))
+            name for name in CHECK_ORDER if name in checks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RunConfig is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, RunConfig)
+                and (self.lie_type, self.checks) == (other.lie_type, other.checks))
+
+    def __hash__(self):
+        return hash((self.lie_type, self.checks))
 
 
 def _one_plus_s2_power(rank: int) -> list[int]:
@@ -383,7 +393,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
     timing["total"] = time.perf_counter() - start
     return CertificationReport(
         lie_type=model.type_name(),
-        config=asdict(config),
+        config={"lie_type": config.lie_type, "checks": config.checks},
         records=records,
         timing=timing,
         tool_version=__version__,
@@ -392,7 +402,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
 
 def _run_one_suite_entry(type_name: str, template: RunConfig) -> dict:
     try:
-        return run_certification(replace(template, lie_type=type_name)).to_dict()
+        return run_certification(RunConfig(type_name, template.checks)).to_dict()
     except Exception as exc:  # isolate per-type blowups
         return {"lie_type": type_name, "error": str(exc)}
 

@@ -91,7 +91,6 @@ other module can build on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -292,25 +291,27 @@ def symmetrizer(rows) -> list[int] | None:
     return d
 
 
-@dataclass(frozen=True)
 class Ideal:
     """Nonzero generators in a named polynomial ring.
 
-    Each generator is given as a dict {exponent tuple: int}, or as its
-    items, and is stored as the sorted tuple of its (exponent tuple, int)
-    pairs with the zero coefficients dropped, so that an ideal hashes.  A
-    generator that is zero, an exponent that is not a tuple of ``nvars``
-    non-negative ints, or a coefficient that is not an int (a bool is not)
-    is a ValueError.
+    The ring's variables are named by a tuple of strs.  Each generator is
+    given as a dict {exponent tuple: int}, or as its items, and is stored as
+    the sorted tuple of its (exponent tuple, int) pairs with the zero
+    coefficients dropped, so that an ideal hashes.  Names that are not a
+    tuple of strs, a generator that is zero, an exponent that is not a tuple
+    of ``nvars`` non-negative ints, or a coefficient that is not an int (a
+    bool is not): each is a ValueError.
     """
 
-    var_names: tuple[str, ...]
-    generators: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+    __slots__ = ("var_names", "generators")
 
-    def __post_init__(self):
-        nvars = len(self.var_names)
-        generators = []
-        for k, g in enumerate(self.generators, 1):
+    def __init__(self, var_names: tuple[str, ...], generators):
+        if not (type(var_names) is tuple
+                and all(type(name) is str for name in var_names)):
+            raise ValueError(f"variable names {var_names!r} are not a tuple of strs")
+        nvars = len(var_names)
+        stored = []
+        for k, g in enumerate(generators, 1):
             try:
                 terms = dict(g)
             except (TypeError, ValueError):
@@ -325,8 +326,19 @@ class Ideal:
                                      f"not an int")
             if not any(terms.values()):
                 raise ValueError("ideal generators must be nonzero")
-            generators.append(tuple(sorted((e, c) for e, c in terms.items() if c)))
-        object.__setattr__(self, "generators", tuple(generators))
+            stored.append(tuple(sorted((e, c) for e, c in terms.items() if c)))
+        object.__setattr__(self, "var_names", var_names)
+        object.__setattr__(self, "generators", tuple(stored))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ideal is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, Ideal) and (self.var_names, self.generators)
+                == (other.var_names, other.generators))
+
+    def __hash__(self):
+        return hash((self.var_names, self.generators))
 
     @property
     def nvars(self) -> int:
@@ -657,7 +669,6 @@ def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-@dataclass(frozen=True)
 class HilbertSeries:
     """Rational function numerator/denominator in s, canonically reduced.
 
@@ -665,8 +676,21 @@ class HilbertSeries:
     of degree 2 every exponent appearing is even.
     """
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...]):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HilbertSeries is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, HilbertSeries) and (self.numerator, self.denominator)
+                == (other.numerator, other.denominator))
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     @classmethod
     def over_one_minus_s2(cls, numerator, power: int) -> "HilbertSeries":

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import gcd
 
 SCHEMA_VERSION = 1
@@ -26,20 +25,29 @@ def jsonable(value):
     return value
 
 
-@dataclass
 class CheckRecord:
     """Outcome of one verification: inputs, witnesses, and a pass flag.
 
     ``passed`` is None for checks that were skipped (resource caps); those
     carry the reason in ``witnesses`` and are excluded from conjunctions.
+    Records compare by value and, being mutable, do not hash.
     """
 
-    check: str
-    lie_type: str
-    passed: bool | None
-    parameters: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    skipped: bool = False
+    __slots__ = ("check", "lie_type", "passed", "parameters", "witnesses", "skipped")
+
+    def __init__(self, check: str, lie_type: str, passed: bool | None,
+                 parameters: dict | None = None, witnesses: dict | None = None,
+                 skipped: bool = False):
+        self.check = check
+        self.lie_type = lie_type
+        self.passed = passed
+        self.parameters = {} if parameters is None else parameters
+        self.witnesses = {} if witnesses is None else witnesses
+        self.skipped = skipped
+
+    def __eq__(self, other):
+        return isinstance(other, CheckRecord) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_dict(self) -> dict:
         return {
@@ -52,13 +60,22 @@ class CheckRecord:
         }
 
 
-@dataclass
 class CertificationReport:
-    lie_type: str
-    config: dict
-    records: list[CheckRecord]
-    timing: dict
-    tool_version: str
+    """One type's records, config and timing; compares by value, does not hash."""
+
+    __slots__ = ("lie_type", "config", "records", "timing", "tool_version")
+
+    def __init__(self, lie_type: str, config: dict, records: list[CheckRecord],
+                 timing: dict, tool_version: str):
+        self.lie_type = lie_type
+        self.config = config
+        self.records = records
+        self.timing = timing
+        self.tool_version = tool_version
+
+    def __eq__(self, other):
+        return isinstance(other, CertificationReport) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def overall_pass(self) -> bool:

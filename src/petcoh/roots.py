@@ -24,7 +24,6 @@ integer linear maps on simple-root coordinates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .commalg import leading_minors_positive
 from .errors import IntegrityError
@@ -40,22 +39,33 @@ RANK_CONSTRAINTS = {
 }
 
 
-@dataclass(frozen=True)
 class LieType:
-    """A simple Lie type: family letter plus rank."""
+    """A simple Lie type: family letter plus rank (an int; a bool is not)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in RANK_CONSTRAINTS:
-            raise ValueError(f"unknown family {self.family!r}; expected one of A-G")
-        lo, hi = RANK_CONSTRAINTS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __init__(self, family: str, rank: int):
+        if family not in RANK_CONSTRAINTS:
+            raise ValueError(f"unknown family {family!r}; expected one of A-G")
+        if type(rank) is not int:
+            raise ValueError(f"rank {rank!r} is not an int")
+        lo, hi = RANK_CONSTRAINTS[family]
+        if rank < lo or (hi is not None and rank > hi):
             bound = f"rank >= {lo}" if hi is None else (
                 f"rank == {lo}" if lo == hi else f"{lo} <= rank <= {hi}")
-            raise ValueError(
-                f"family {self.family} requires {bound}, got rank {self.rank}")
+            raise ValueError(f"family {family} requires {bound}, got rank {rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieType is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, LieType)
+                and (self.family, self.rank) == (other.family, other.rank))
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     def __str__(self):
         return f"{self.family}{self.rank}"

@@ -12,8 +12,6 @@ the element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResourceCapError
 from .roots import CartanMatrix, is_negative_root_vector
 
@@ -21,7 +19,6 @@ from .roots import CartanMatrix, is_negative_root_vector
 ELEMENT_CAP = 200_000
 
 
-@dataclass(frozen=True, eq=False)
 class WeylElement:
     """A Weyl group element.
 
@@ -31,9 +28,16 @@ class WeylElement:
     ``len(witness_word)``.
     """
 
-    action: tuple[tuple[int, ...], ...]
-    length: int
-    witness_word: tuple[int, ...]
+    __slots__ = ("action", "length", "witness_word")
+
+    def __init__(self, action: tuple[tuple[int, ...], ...], length: int,
+                 witness_word: tuple[int, ...]):
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "witness_word", witness_word)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeylElement is immutable")
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.action == other.action

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,7 +41,7 @@ from oracles import (
 def test_run_config_validation():
     RunConfig(lie_type="A1")
     # the run options, each set on its own
-    assert [f.name for f in fields(RunConfig)] == ["lie_type", "checks"]
+    assert RunConfig.__slots__ == ("lie_type", "checks")
     with pytest.raises(ValueError):
         RunConfig(lie_type="A1", checks=("nope",))
     # the total rank is bounded before anything is built
@@ -51,6 +50,57 @@ def test_run_config_validation():
         RunConfig(lie_type="A40")
     with pytest.raises(ValueError, match="total rank"):
         RunConfig(lie_type=f"A{cli.MAX_RANK - 1}+A2")
+
+
+def test_run_config_rejects_a_bare_string_of_checks():
+    # unchecked, "hilbert" would be read letter by letter as check names
+    with pytest.raises(ValueError) as info:
+        RunConfig("A2", "hilbert")
+    assert str(info.value) == \
+        "checks takes a sequence of check names, not 'hilbert'"
+    assert RunConfig("A2", ("hilbert",)).checks == ("hilbert",)
+
+
+def test_run_configs_are_frozen_values():
+    config = RunConfig("B3", ("monk", "quadratic"))
+    twin = RunConfig(lie_type="B3", checks=["quadratic", "monk"])
+    assert config is not twin
+    assert config == twin and hash(config) == hash(twin)
+    assert config != RunConfig("B3") and config != RunConfig("C3", config.checks)
+    for name in RunConfig.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(config, name, "A1")
+    assert config.lie_type == "B3"
+
+
+def test_records_and_reports_compare_by_value_and_do_not_hash():
+    def record(passed=True):
+        return CheckRecord("hilbert", "A2", passed, {"rank": 2})
+
+    assert record() == record() and record() != record(passed=False)
+    assert record().witnesses == {} and not record().skipped
+    report = run_certification(RunConfig("A1", ("quadratic",)))
+    twin = run_certification(RunConfig("A1", ("quadratic",)))
+    twin.timing = report.timing
+    assert report == twin
+    twin.records[0].passed = False
+    assert report != twin
+    for value in (record(), report):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_importing_petcoh_loads_no_dataclass_machinery():
+    # a command-line run pays for every module the package imports; -S
+    # keeps the site's .pth files, which may import anything, out
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(petcoh.__file__)))
+    script = ("import sys, petcoh, petcoh.cli; print(sorted(set(sys.modules) & "
+              "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}))")
+    result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_certification_A1_all_checks():

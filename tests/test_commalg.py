@@ -389,6 +389,37 @@ def test_ideal_rejects_generators_that_are_not_term_data():
     assert "generator 1" in _one_line_error((((1, 0),),))
 
 
+def test_ideal_rejects_variable_names_that_are_not_a_tuple_of_strs():
+    # unchecked, a list of names would end in a TypeError from the caches
+    xy = ({(1, 0): 1},)
+    assert "['x', 'y'] are not a tuple of strs" in _one_line_error(xy, ["x", "y"])
+    assert "('x', 2) are not" in _one_line_error(xy, ("x", 2))
+    assert "'xy' are not" in _one_line_error(xy, "xy")
+
+
+def test_ideals_and_series_are_frozen_values():
+    ideal = Ideal(("x", "y"), ({(2, 0): 1, (1, 1): -1},))
+    twin = Ideal(("x", "y"), ((((1, 1), -1), ((2, 0), 1)),))
+    assert ideal is not twin
+    assert ideal == twin and hash(ideal) == hash(twin)
+    assert ideal != Ideal(("x", "z"), twin.generators)
+    series = HilbertSeries.over_one_minus_s2([1, 0, 1], 1)
+    again = HilbertSeries((1, 0, 1), (1, 0, -1))
+    assert series is not again
+    assert series == again and hash(series) == hash(again)
+    assert series != HilbertSeries((1, 0, 1), (1,))
+    for value, name in ((ideal, "var_names"), (ideal, "generators"),
+                        (series, "numerator"), (series, "denominator")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+    # an equal ideal built apart is a hit of the basis cache
+    commalg._groebner_basis.cache_clear()
+    basis = commalg._groebner_basis(ideal, "grevlex")
+    assert commalg._groebner_basis(twin, "grevlex") is basis
+    info = commalg._groebner_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
 def test_Jcheck_is_J_with_t_set_to_zero(name):
     cm = cartan_matrix(name)
@@ -1068,13 +1099,13 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
     # and of the section again, since (J, t) = (J-check, t); zero_set reads
     # the section's leads.  Two bases: J under grevlex, J-check under grlex
     ideals = []
-    post_init = Ideal.__post_init__
+    init = Ideal.__init__
 
-    def recording_post_init(self):
-        post_init(self)
+    def recording_init(self, *args):
+        init(self, *args)
         ideals.append(self)
 
-    monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
+    monkeypatch.setattr(Ideal, "__init__", recording_init)
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
     commalg._hilbert_series.cache_clear()
@@ -1114,18 +1145,18 @@ def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
     # validated once
     ideals = []
     quadrics = []
-    post_init = Ideal.__post_init__
+    init = Ideal.__init__
     quadric_ideal = commalg._quadric_ideal
 
-    def recording_post_init(self):
-        post_init(self)
+    def recording_init(self, *args):
+        init(self, *args)
         ideals.append(self)
 
     def recording_quadric_ideal(cartan):
         quadrics.append(cartan)
         return quadric_ideal(cartan)
 
-    monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
+    monkeypatch.setattr(Ideal, "__init__", recording_init)
     monkeypatch.setattr(commalg, "_quadric_ideal", recording_quadric_ideal)
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
@@ -1149,10 +1180,10 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
     # the polynomials a run builds: the generators of every ideal, and every
     # element the Groebner engine keeps
     built = []
-    post_init = Ideal.__post_init__
+    init = Ideal.__init__
 
-    def recording_post_init(self):
-        post_init(self)
+    def recording_init(self, *args):
+        init(self, *args)
         built.extend(self.generators)
 
     engine = commalg._groebner_basis
@@ -1162,7 +1193,7 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
         built.extend(((lead, lc), *tail) for _, _, lead, lc, tail in elements)
         return code, elements
 
-    monkeypatch.setattr(Ideal, "__post_init__", recording_post_init)
+    monkeypatch.setattr(Ideal, "__init__", recording_init)
     monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
     # so that every ideal, series and basis is rebuilt
     commalg.build_ideal_J.cache_clear()

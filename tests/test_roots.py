@@ -85,6 +85,25 @@ def test_invalid_rank_rejected(family, rank):
         LieType(family, rank)
 
 
+@pytest.mark.parametrize("rank", [2.0, True, "2", None])
+def test_rank_must_be_an_int(rank):
+    # unchecked, LieType("A", 2.0) would print as A2.0
+    with pytest.raises(ValueError) as info:
+        LieType("A", rank)
+    assert str(info.value) == f"rank {rank!r} is not an int"
+
+
+def test_lie_types_are_frozen_values():
+    a2 = LieType("A", 2)
+    assert a2 is not LieType("A", 2)
+    assert a2 == LieType("A", 2) and hash(a2) == hash(LieType("A", 2))
+    assert a2 != LieType("A", 3) and a2 != LieType("G", 2) and a2 != "A2"
+    for name in ("family", "rank"):
+        with pytest.raises(AttributeError):
+            setattr(a2, name, 3)
+    assert str(a2) == "A2"
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         LieType("H", 3)
