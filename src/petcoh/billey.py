@@ -219,12 +219,14 @@ def restricted_rows(group: WeylGroup, subsets,
     because every letter is an ascent.  So the column is the recursion
     over one reduced word of w_K, resumed where w_{K - m}'s stopped.
 
-    No step needs filtering by K: a column is 0 at every J not inside its
-    K.  That holds at the empty K, and if it holds for K - m, a step
-    (J, J - b) with b in K and J not inside K has J - b not inside K, so it
-    adds 0 and J stays 0.
+    The column of K runs only the steps (J, J - b) with J inside K, found
+    by enumerating the subsets J of K that contain b (``_local_steps``):
+    a column is 0 at every J not inside its K.  That holds at the empty K,
+    and if it holds for K - m, a step (J, J - b) with b in K and J not
+    inside K has J - b not inside K, so it adds 0 and J stays 0.
     """
     masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    by_J = {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
     walked: dict[int, tuple] = {}
     columns = []
     for K, L in zip(subsets, masks):
@@ -234,9 +236,31 @@ def restricted_rows(group: WeylGroup, subsets,
         else:
             action = group.identity.action
             values = [1] + [0] * ((1 << group.rank) - 1)
-        walked[L] = _ascend(group, action, K, steps, values), values
+        local = _local_steps(by_J, K, L)
+        walked[L] = _ascend(group, action, K, local, values), values
         columns.append(values)
-    return tuple(tuple(values[J] for values in columns) for J in masks)
+    by_mask = list(zip(*columns))
+    return tuple(by_mask[J] for J in masks)
+
+
+def _local_steps(by_J, K, L: int) -> dict[int, list]:
+    """Per node b of K, the steps (J, J - b) of b whose J lies inside K
+    (mask L), in increasing order of J: the subsets J of L that contain b,
+    each looked up in ``by_J[b]``, which maps J to its pair of ``steps[b]``."""
+    local = {}
+    for b in K:
+        bit = 1 << b - 1
+        rest, pairs = L ^ bit, by_J[b]
+        found, sub = [], 0
+        while True:  # every subset of rest, increasing
+            pair = pairs.get(sub | bit)
+            if pair is not None:
+                found.append(pair)
+            if sub == rest:
+                break
+            sub = sub - rest & rest
+        local[b] = found
+    return local
 
 
 def _ascend(group: WeylGroup, action, K, steps, values: list):
@@ -247,11 +271,12 @@ def _ascend(group: WeylGroup, action, K, steps, values: list):
     makes one ``right_action``."""
     while True:
         for b in K:
-            root = tuple(row[b - 1] for row in action)
+            root = [row[b - 1] for row in action]
             if not is_negative_root_vector(root):
                 break
         else:
             return action
+        root = tuple(root)  # as the error prints it
         if not is_positive_root_vector(root):
             raise IntegrityError(f"r(i, w) = {root} is not a positive root")
         height = sum(root)

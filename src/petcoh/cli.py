@@ -195,12 +195,12 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
 def _check_monk(model: PetersonModel) -> CheckRecord:
     """Full Monk verification over every (i, K), plus the Cartan-integer
     cross-check on covers of singletons computed via the quotient formula.
-    Each identity is computed on the rows (``PetersonModel.monk_holds``);
-    no record is built per identity, and this is the check's one record."""
+    The identities are computed on the rows, those of one K together
+    (``PetersonModel.monk_failures``); no record is built per identity, and
+    this is the check's one record."""
     cartan = model.cartan
     nodes = cartan.nodes()
-    failures = [{"i": i, "K": list(K)} for i in nodes for K in model.subsets
-                if not model.monk_holds(i, K)]
+    failures = [{"i": i, "K": list(K)} for i, K in model.monk_failures()]
     coefficients = {(i, j): model.monk_coefficient(i, (i,), (i, j))
                     for i in nodes for j in nodes if i != j}
     cross = [{"i": i, "j": j, "coefficient": ratio(*c), "expected": -cartan.a(i, j)}

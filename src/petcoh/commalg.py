@@ -96,10 +96,9 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .roots import CartanMatrix
+# the CartanMatrix of the annotations is roots.CartanMatrix; roots imports
+# this module, and the annotations are never evaluated, so it is not imported
 
 # ---------------------------------------------------------------------------
 # packed monomials

@@ -18,8 +18,10 @@ the walk runs over, computed once per model.  Every identity checked below
 is homogeneous in t, so it is compared at t = 1, pointwise on the rows.
 The Monk and Giambelli identities have rational coefficients;
 each is computed on the rows with its denominators cleared, so the
-comparison stays in the integers, and returns a bool: the ``monk`` and
-``giambelli`` checks in ``cli`` build the one record of each check.
+comparison stays in the integers.  The Monk identities are evaluated
+together per K and return the failing (i, K), a Giambelli identity
+returns a bool: the ``monk`` and ``giambelli`` checks in ``cli`` build the
+one record of each check.
 
 Beside the rows, the model keeps one product table, built on first use
 with one row product per subset: row k holds b_S = prod_{i in S} p_{s_i}
@@ -186,8 +188,8 @@ class PetersonModel:
         Computed as (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) / p_{v_J}(w_J).
         Numerator and denominator are both multiples of t^|J|; their
         coefficients are returned, unreduced, and a zero denominator is a
-        pipeline bug.  ``monk_holds`` decides the identity in integers; the
-        ``monk`` check reads this only for its Cartan cross-check.
+        pipeline bug.  ``monk_failures`` decides the identities in integers;
+        the ``monk`` check reads this only for its Cartan cross-check.
         """
         K = tuple(sorted(set(K)))
         J = tuple(sorted(set(J)))
@@ -201,49 +203,58 @@ class PetersonModel:
                 f"Monk division by zero for i={i}, K={K}, J={J}")
         return (p_i[j] - p_i[k]) * self._rows[k][j], denominator
 
-    @cached_property
-    def _monk_denominators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per subset index k of K: the diagonals p_{v_J}(w_J) of the covers
-        J of K, in the order of ``_covers``, and their lcm (0 if one of them
-        is 0)."""
-        rows = self._rows
-        table = []
-        for covers in self._covers:
-            diagonals = tuple(rows[j][j] for j in covers)
-            table.append((diagonals, lcm(*diagonals)))
-        return tuple(table)
-
-    @cached_property
-    def _monk_support(self) -> tuple[tuple[int, ...], ...]:
-        """Per subset index of K, the fixed points at which p_{v_K} or
-        p_{v_J} for some cover J of K is nonzero, read off the rows."""
-        nonzero = [{L for L, c in enumerate(row) if c} for row in self._rows]
-        return tuple(tuple(sorted(nonzero[k].union(*map(nonzero.__getitem__, covers))))
-                     for k, covers in enumerate(self._covers))
-
-    def monk_holds(self, i: int, K) -> bool:
-        """True iff p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum c_J p_{v_J}
-        over the covers J of K, with every c_J nonnegative, in integers:
-        c_J = num_J / den_J with num_J = (p_{s_i}(w_J) - p_{s_i}(w_K))
-        p_{v_K}(w_J) and den_J = p_{v_J}(w_J), so c_J < 0 iff
+    def monk_failures(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The (i, K) whose Monk identity fails, for i in node order and
+        then K in subset order: p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} +
+        sum c_J p_{v_J} over the covers J of K, with every c_J nonnegative,
+        in integers.  c_J = num_J / den_J with num_J = (p_{s_i}(w_J) -
+        p_{s_i}(w_K)) p_{v_K}(w_J) and den_J = p_{v_J}(w_J), so c_J < 0 iff
         num_J den_J < 0.  The identity is multiplied by the lcm D of the
-        den_J and compared on the rows at the fixed points of
-        ``_monk_support`` only: every term has p_{v_K} or some p_{v_J} as a
-        factor, so elsewhere both sides are 0."""
-        K = tuple(sorted(set(K)))
-        k = self._subset_index[K]
-        covers = self._covers[k]
-        diagonals, D = self._monk_denominators[k]
-        if not D:
-            J = self.subsets[covers[diagonals.index(0)]]
-            raise IntegrityError(
-                f"Monk division by zero for i={i}, K={K}, J={J}")
-        p_i, p_K = self.simple_class(i), self._rows[k]
-        nums = [(p_i[j] - p_i[k]) * p_K[j] for j in covers]
-        if any(num * den < 0 for num, den in zip(nums, diagonals)):
-            return False
-        return _cleared_identity(p_i, self._rows, k, covers, nums, diagonals,
-                                 D, self._monk_support[k])
+        den_J and compared on the rows at the fixed points where p_{v_K} or
+        some cover p_{v_J} is nonzero, read off the rows: every term has one
+        of them as a factor, so elsewhere both sides are 0.
+
+        The n identities of one K share everything but p_{s_i}: the covers,
+        the den_J and D, the fixed points compared and the rows there are
+        read once per K.  D does not depend on i, so a zero den_J is an
+        ``IntegrityError`` for the first K that has one and the first node,
+        the first identity that divides by it."""
+        rows, subsets = self._rows, self.subsets
+        nodes = self.cartan.nodes()
+        simple = [self.simple_class(i) for i in nodes]
+        everywhere = range(len(subsets))
+        nonzero = [set(compress(everywhere, row)) for row in rows]
+        failing = []
+        for k, (K, covers) in enumerate(zip(subsets, self._covers)):
+            p_K = rows[k]
+            diagonals = [rows[j][j] for j in covers]
+            D = lcm(*diagonals)
+            if not D:
+                J = subsets[covers[diagonals.index(0)]]
+                raise IntegrityError(
+                    f"Monk division by zero for i={nodes[0]}, K={K}, J={J}")
+            points = sorted(nonzero[k].union(*map(nonzero.__getitem__, covers)))
+            D_at_K = [D * p_K[L] for L in points]
+            # per cover J with p_{v_K}(w_J) != 0: J, p_{v_K}(w_J) den_J,
+            # D / den_J p_{v_K}(w_J), and p_{v_J} at the points
+            terms = [(j, p_K[j] * den, D // den * p_K[j],
+                      [rows[j][L] for L in points])
+                     for j, den in zip(covers, diagonals) if p_K[j]]
+            for i, p_i in zip(nodes, simple):
+                base = p_i[k]
+                residual = [(p_i[L] - base) * c for L, c in zip(points, D_at_K)]
+                for j, sign, scale, at_J in terms:
+                    step = p_i[j] - base
+                    if step * sign < 0:  # num_J den_J < 0
+                        break
+                    if step:
+                        m = scale * step
+                        residual = [x - m * c for x, c in zip(residual, at_J)]
+                else:
+                    if not any(residual):
+                        continue
+                failing.append((i, k))
+        return [(i, subsets[k]) for i, k in sorted(failing)]
 
     # -- Giambelli rule ----------------------------------------------------
 

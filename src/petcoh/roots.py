@@ -259,8 +259,10 @@ def simple_reflection_action(cartan: CartanMatrix, j: int, v) -> tuple[int, ...]
 
 
 def is_negative_root_vector(v) -> bool:
-    return all(c <= 0 for c in v) and any(c < 0 for c in v)
+    """Every coordinate <= 0 and one < 0; v is not empty."""
+    return max(v) <= 0 and min(v) < 0
 
 
 def is_positive_root_vector(v) -> bool:
-    return all(c >= 0 for c in v) and any(c > 0 for c in v)
+    """Every coordinate >= 0 and one > 0; v is not empty."""
+    return min(v) >= 0 and max(v) > 0

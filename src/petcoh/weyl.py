@@ -114,8 +114,8 @@ class WeylGroup:
     def descents(self, action) -> list[int]:
         """Right descents of a matrix: the i with l(w s_i) < l(w), i.e.
         the root w(alpha_i), column i, has a negative entry."""
-        return [i for i in self.cartan.nodes()
-                if any(row[i - 1] < 0 for row in action)]
+        return [i for i, column in zip(self.cartan.nodes(), zip(*action))
+                if min(column) < 0]
 
     def count_reduced_words(self, w: WeylElement) -> int:
         """Number of reduced words: sum over right descents s of the count

@@ -960,6 +960,38 @@ def restricted_rows_per_fixed_point(group, subsets) -> tuple[tuple[int, ...], ..
     return tuple(tuple(values[J] for values in columns) for J in masks)
 
 
+def restricted_rows_all_steps(group, subsets, steps) -> tuple[tuple[int, ...], ...]:
+    """``billey.restricted_rows`` with every letter b of a column's ascent
+    running over all of ``steps[b]``, with no filter by K, and the rows
+    read off the columns entry by entry: ground truth for the walk that
+    runs each column over the steps inside its K only."""
+    masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    walked: dict[int, tuple] = {}
+    columns = []
+    for K, L in zip(subsets, masks):
+        if L:
+            action, values = walked[L ^ 1 << L.bit_length() - 1]
+            values = values.copy()
+        else:
+            action = group.identity.action
+            values = [1] + [0] * ((1 << group.rank) - 1)
+        while True:  # greedy ascent over K to w_K
+            for b in K:
+                root = tuple(row[b - 1] for row in action)
+                if not (all(c <= 0 for c in root) and any(c < 0 for c in root)):
+                    break
+            else:
+                break
+            assert all(c >= 0 for c in root) and any(c > 0 for c in root), root
+            height = sum(root)
+            for J, lower in steps[b]:
+                values[J] += height * values[lower]
+            action = group.right_action(action, b)
+        walked[L] = action, values
+        columns.append(values)
+    return tuple(tuple(values[J] for values in columns) for J in masks)
+
+
 def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
     """The fundamental weights varpi_i in simple-root coordinates, as
     Fractions: <varpi_i, alpha_j^vee> = delta_ij with
@@ -1071,6 +1103,37 @@ def fraction_verify_monk(model, i: int, K):
             "coefficients_nonnegative": nonneg,
         },
     )
+
+
+def monk_holds_per_identity(model, i: int, K) -> bool:
+    """One Monk identity (i, K) in integers, with the covers, their
+    diagonals, the lcm D and the fixed points compared all found for this
+    identity alone: ground truth for ``PetersonModel.monk_failures``, which
+    reads them once per K.  Compared where p_{v_K} or a cover p_{v_J} is
+    nonzero; a zero diagonal is the model's ``IntegrityError``."""
+    from petcoh.errors import IntegrityError
+
+    rows = model._rows
+    K = tuple(sorted(set(K)))
+    k = model.subset_index(K)
+    covers = [model.subset_index(K + (j,))
+              for j in model.cartan.nodes() if j not in K]
+    diagonals = [rows[j][j] for j in covers]
+    D = lcm(*diagonals)
+    if not D:
+        J = model.subsets[covers[diagonals.index(0)]]
+        raise IntegrityError(f"Monk division by zero for i={i}, K={K}, J={J}")
+    p_i, p_K = model.simple_class(i), rows[k]
+    nums = [(p_i[j] - p_i[k]) * p_K[j] for j in covers]
+    if any(num * den < 0 for num, den in zip(nums, diagonals)):
+        return False
+    points = sorted({L for r in [k] + covers for L, c in enumerate(rows[r]) if c})
+    for L in points:
+        rhs = sum(D // den * num * rows[j][L]
+                  for j, num, den in zip(covers, nums, diagonals))
+        if D * (p_i[L] - p_i[k]) * p_K[L] != rhs:
+            return False
+    return True
 
 
 def verify_monk_full(model, i: int, K):

@@ -96,7 +96,7 @@ def test_importing_petcoh_loads_no_dataclass_machinery():
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(petcoh.__file__)))
     script = ("import sys, petcoh, petcoh.cli; print(sorted(set(sys.modules) & "
-              "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}))")
+              "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'}))")
     result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

@@ -35,12 +35,14 @@ from oracles import (
     is_monomial_of_degree,
     longest_element,
     monk_fraction,
+    monk_holds_per_identity,
     one_class,
     per_class_restriction,
     poly_product,
     poly_pow,
     poly_sum,
     quadratic_combination,
+    restricted_rows_all_steps,
     restricted_rows_per_fixed_point,
     series_prefix,
     simple_class,
@@ -98,6 +100,45 @@ def test_rows_match_the_per_fixed_point_walk(name):
     m = model(name)
     assert m._rows == restricted_rows_per_fixed_point(
         WeylGroup(m.cartan), m.subsets)
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_rows_match_the_all_steps_walk(name):
+    # each column over the steps inside its K against each column over
+    # every step of each letter
+    m = model(name)
+    assert m._rows == restricted_rows_all_steps(m.group, m.subsets, m._steps)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1", "E6"])
+def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
+    # the steps _ascend receives for K, per node b of K, against a filter
+    # of all of b's steps by J inside K, in the same order
+    m = model(name)
+    every = billey.subset_steps(m.group)
+    seen = []
+    real = billey._ascend
+
+    def ascend(group, action, K, steps, values):
+        seen.append((K, steps))
+        return real(group, action, K, steps, values)
+
+    monkeypatch.setattr(billey, "_ascend", ascend)
+    m._rows
+    assert [K for K, _ in seen] == list(m.subsets)
+    for (K, steps), mask in zip(seen, m._masks):
+        assert steps == {b: [(J, lower) for J, lower in every[b]
+                             if not J & ~mask] for b in K}, (name, K)
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_monk_failures_match_the_per_identity_oracle(name):
+    # the identities evaluated together per K against each identity on
+    # its own; on the undoctored rows both find none
+    m = model(name)
+    assert m.monk_failures() == [
+        (i, K) for i in m.cartan.nodes() for K in m.subsets
+        if not monk_holds_per_identity(m, i, K)] == []
 
 
 @pytest.mark.parametrize("name", WALK_TYPES)
@@ -411,9 +452,9 @@ def giambelli_entry(m, K):
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 def test_verify_monk_all_cases(name):
     m = model(name)
+    assert m.monk_failures() == []
     for i in m.cartan.nodes():
         for K in m.subsets:
-            assert m.monk_holds(i, K), (name, i, K)
             assert all(monk_fraction(m, i, K, J) >= 0 for J in covers(m, K))
 
 
@@ -422,10 +463,11 @@ def test_monk_and_giambelli_records_match_fraction_oracle(name):
     # denominators cleared in integers against the identities summed in
     # Fractions: the same outcome, coefficients included
     m = model(name)
+    failing = set(m.monk_failures())
     for i in m.cartan.nodes():
         for K in m.subsets:
             oracle = fraction_verify_monk(m, i, K)
-            assert m.monk_holds(i, K) == oracle.passed, (name, i, K)
+            assert ((i, K) not in failing) == oracle.passed, (name, i, K)
             assert [{"J": list(J), "coefficient": monk_fraction(m, i, K, J)}
                     for J in covers(m, K)] == oracle.witnesses["coefficients"]
     record = cli._check_giambelli(m)
@@ -447,10 +489,11 @@ def test_monk_records_match_class_arithmetic_oracle(name):
     # int rows compared where p_K or a cover p_J is nonzero against
     # PetersonClass arithmetic compared at every fixed point
     m = model(name)
+    failing = set(m.monk_failures())
     for i in m.cartan.nodes():
         for K in m.subsets:
             oracle = verify_monk_full(m, i, K)
-            assert m.monk_holds(i, K) == oracle.passed, (name, i, K)
+            assert ((i, K) not in failing) == oracle.passed, (name, i, K)
             assert all(monk_fraction(m, i, K, J) >= 0 for J in covers(m, K)) \
                 == oracle.witnesses["coefficients_nonnegative"]
 
@@ -469,13 +512,9 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
     _counting_tables(monkeypatch, doctored)
     m = model("A3")
     assert m.subset_class(K)[m.subset_index(L)] == 1
-    failing = []
-    for i in m.cartan.nodes():
-        for J in m.subsets:
-            holds = m.monk_holds(i, J)
-            assert holds == verify_monk_full(m, i, J).passed
-            if not holds:
-                failing.append((i, J))
+    failing = m.monk_failures()
+    assert failing == [(i, J) for i in m.cartan.nodes() for J in m.subsets
+                       if not verify_monk_full(m, i, J).passed]
     assert (1, K) in failing
     assert cli._check_monk(m).to_dict() == \
         class_check_monk(m).to_dict()
@@ -516,15 +555,42 @@ def test_monk_off_by_a_third_fails_the_identity(monkeypatch):
     m = model("B3")
     assert m.monk_coefficient(1, (1,), J) == (2, 3)
     assert all(monk_fraction(m, 1, (1,), C) >= 0 for C in covers(m, (1,)))
-    assert not m.monk_holds(1, (1,))
+    failing = m.monk_failures()
+    assert (1, (1,)) in failing
     assert not fraction_verify_monk(m, 1, (1,)).witnesses["identity_holds"]
-    failing = [(i, K) for i in m.cartan.nodes() for K in m.subsets
-               if not m.monk_holds(i, K)]
     assert failing == [(i, K) for i in m.cartan.nodes() for K in m.subsets
                        if not fraction_verify_monk(m, i, K).passed]
     # p_{s_3} vanishes at w_1 and w_{12}, so its coefficient on p_{v_{12}}
     # is 0 and the doctored diagonal drops out
-    assert m.monk_holds(3, (1,))
+    assert (3, (1,)) not in failing
+
+
+def test_monk_record_lists_failures_node_first(monkeypatch):
+    # two doctored entries on B3, p_{v_{12}}(w_{12}) and p_{v_2}(w_{23})
+    # each one more, fail identities of three K and three nodes; the record
+    # lists them for i in node order, then K in subset order, as the
+    # Fraction oracle and the per-identity oracle fail them
+    group = model("B3").group
+    doctored_at = {(v_K(group, (1, 2)), longest_element(group, (1, 2))),
+                   (v_K(group, (2,)), longest_element(group, (2, 3)))}
+
+    def doctored(u, w, c):
+        return c + 1 if (u, w) in doctored_at else c
+
+    _counting_tables(monkeypatch, doctored)
+    m = model("B3")
+    identities = [(i, K) for i in m.cartan.nodes() for K in m.subsets]
+    expected = [(i, K) for i, K in identities
+                if not fraction_verify_monk(m, i, K).passed]
+    assert expected == [(i, K) for i, K in identities
+                        if not monk_holds_per_identity(m, i, K)]
+    assert {K for _, K in expected} == {(1,), (2,), (3,)}
+    assert {i for i, _ in expected} == {1, 2, 3}
+    assert expected != sorted(expected, key=lambda iK: m.subset_index(iK[1]))
+    record = cli._check_monk(m)
+    assert not record.passed
+    assert record.witnesses["failures"] == [{"i": i, "K": list(K)}
+                                            for i, K in expected]
 
 
 def test_monk_zero_diagonal_witness_names_the_first_identity(monkeypatch):
@@ -554,7 +620,7 @@ def test_monk_zero_diagonal_witness_names_the_first_identity(monkeypatch):
 def test_verify_monk_empty_K_coefficients():
     # c_{i,{}}^{{j}} is 1 when j = i and 0 otherwise
     m = model("A2")
-    assert m.monk_holds(1, ())
+    assert (1, ()) not in m.monk_failures()
     coeffs = {J: monk_fraction(m, 1, (), J) for J in covers(m, ())}
     assert coeffs == {(1,): 1, (2,): 0}
 

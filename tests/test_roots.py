@@ -10,6 +10,8 @@ from petcoh.roots import (
     LieType,
     _simple_edges,
     cartan_matrix,
+    is_negative_root_vector,
+    is_positive_root_vector,
     leading_minors_positive,
     parse_lie_type,
     simple_reflection_action,
@@ -204,6 +206,17 @@ def test_reflections_permute_roots(name):
     for j in cm.nodes():
         images = {simple_reflection_action(cm, j, v) for v in roots}
         assert images == roots
+
+
+def test_root_sign_predicates_match_their_definition():
+    # max/min against every coordinate <= 0 (>= 0) with one < 0 (> 0), on
+    # every vector of length 1 to 3 with coordinates in -2..2
+    for n in (1, 2, 3):
+        for v in itertools.product(range(-2, 3), repeat=n):
+            assert is_negative_root_vector(v) == (
+                all(c <= 0 for c in v) and any(c < 0 for c in v)), v
+            assert is_positive_root_vector(v) == (
+                all(c >= 0 for c in v) and any(c > 0 for c in v)), v
 
 
 @pytest.mark.parametrize("family,rank", ALL_SIMPLE)
