@@ -15,19 +15,15 @@ first use, in one walk of the subset lattice that grows each w_K from
 w_{K - m}, m = max K, on subset bitmasks.  Giambelli's reduced-word counts
 of the v_K are read off the same descent steps (J, J - b) of the v_J that
 the walk runs over, computed once per model.  Every identity checked below
-is homogeneous in t, so it is compared at t = 1, pointwise on the rows.
-The Monk and Giambelli identities have rational coefficients;
-each is computed on the rows with its denominators cleared, so the
-comparison stays in the integers.  The Monk identities are evaluated
-together per K and return the failing (i, K), a Giambelli identity
-returns a bool: the ``monk`` and ``giambelli`` checks in ``cli`` build the
-one record of each check.
+is homogeneous in t, so it is compared at t = 1, pointwise on the rows, in
+integers, rational coefficients cleared of their denominators.
 
 Beside the rows, the model keeps one product table, built on first use
 with one row product per subset: row k holds b_S = prod_{i in S} p_{s_i}
 at every fixed point, for S = ``subsets[k]``.  Giambelli's formula reads
-b_K off it, and the graded dimensions are proven on it without
-elimination (``image_graded_dimensions``).
+b_K off it.  Monk's rule is stated once, for any table, in
+``_expansion_failures``: on the rows it is the ``monk`` check, on the
+product table the spanning step of the graded dimensions.
 """
 
 from __future__ import annotations
@@ -51,19 +47,53 @@ def _row_product(rows) -> tuple[int, ...]:
     return tuple(reduce(partial(map, mul), rows))
 
 
-def _cleared_identity(p_i, rows, k, covers, nums, diagonals, D, points) -> bool:
-    """True iff p_i r_k = p_i[k] r_k + sum_J (num_J / den_J) r_J at every
-    index in ``points``, for the rows r = ``rows``, J over the indices
-    ``covers`` and den_J over ``diagonals``.  Compared in integers as
-    D (p_i - p_i[k]) r_k = sum_J (D / den_J) num_J r_J, for D a common
-    multiple of the den_J."""
-    row, base = rows[k], p_i[k]
-    residual = [D * (p_i[L] - base) * row[L] for L in points]
-    for j, num, den in zip(covers, nums, diagonals):
-        if num:
-            r_J, m = rows[j], D // den * num
-            residual = [x - m * r_J[L] for x, L in zip(residual, points)]
-    return not any(residual)
+def _nonzero_points(table) -> tuple[frozenset[int], ...]:
+    """Per row of a table, the set of fixed points where it is nonzero."""
+    everywhere = range(len(table))
+    return tuple(frozenset(compress(everywhere, row)) for row in table)
+
+
+def _expansion_failures(table, support, k, covers, simple) -> list[int]:
+    """The positions in ``simple`` whose Monk expansion of row k fails.
+
+    Monk's rule on a table of rows r (r_k[L] a class at the fixed point L)
+    and a simple row p (p_{s_i}), over the covers J of k (``covers``):
+
+        p r_k = p[k] r_k + sum_J c_J r_J,  c_J = num_J / den_J >= 0,
+
+    num_J = (p[J] - p[k]) r_k[J] and den_J = r_J[J].  On the rows p_{v_K}
+    it is Drellich's Monk formula (``monk_failures``), on the product table
+    b_S the spanning step of ``image_graded_dimensions``.  The identity is
+    multiplied by the lcm D of the den_J and compared in integers at the
+    fixed points where r_k or some r_J is nonzero (``support``, per row):
+    every term has one of them as a factor, so elsewhere both sides are 0.
+    All but p is read once per k: the den_J, D, the points and, per J with
+    r_k[J] != 0, r_J, r_k[J] den_J and D r_k[J] / den_J.  A zero den_J
+    raises ``ZeroDivisionError`` with the first such J."""
+    row = table[k]
+    diagonals = [table[j][j] for j in covers]
+    D = lcm(*diagonals)
+    if not D:
+        raise ZeroDivisionError(covers[diagonals.index(0)])
+    points = sorted(support[k].union(*map(support.__getitem__, covers)))
+    terms = [(j, table[j], row[j] * den, D // den * row[j])
+             for j, den in zip(covers, diagonals) if row[j]]
+    failing = []
+    for position, p in enumerate(simple):
+        base = p[k]
+        residual = [D * (p[L] - base) * row[L] for L in points]
+        for j, r_J, sign, scale in terms:
+            step = p[j] - base
+            if step * sign < 0:  # num_J den_J < 0
+                break
+            if step:
+                m = scale * step
+                residual = [x - m * r_J[L] for x, L in zip(residual, points)]
+        else:
+            if not any(residual):
+                continue
+        failing.append(position)
+    return failing
 
 
 def _evaluate(generator, rows) -> tuple[int, ...]:
@@ -179,6 +209,16 @@ class PetersonModel:
                                       rows[position[top]])))
         return tuple(products)
 
+    @cached_property
+    def _row_support(self) -> tuple[frozenset[int], ...]:
+        """Per row of ``_rows``, the set of its nonzero fixed points."""
+        return _nonzero_points(self._rows)
+
+    @cached_property
+    def _product_support(self) -> tuple[frozenset[int], ...]:
+        """Per row of ``_products``, the set of its nonzero fixed points."""
+        return _nonzero_points(self._products)
+
     # -- Monk rule -------------------------------------------------------
 
     def monk_coefficient(self, i: int, K, J) -> tuple[int, int]:
@@ -205,55 +245,21 @@ class PetersonModel:
 
     def monk_failures(self) -> list[tuple[int, tuple[int, ...]]]:
         """The (i, K) whose Monk identity fails, for i in node order and
-        then K in subset order: p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} +
-        sum c_J p_{v_J} over the covers J of K, with every c_J nonnegative,
-        in integers.  c_J = num_J / den_J with num_J = (p_{s_i}(w_J) -
-        p_{s_i}(w_K)) p_{v_K}(w_J) and den_J = p_{v_J}(w_J), so c_J < 0 iff
-        num_J den_J < 0.  The identity is multiplied by the lcm D of the
-        den_J and compared on the rows at the fixed points where p_{v_K} or
-        some cover p_{v_J} is nonzero, read off the rows: every term has one
-        of them as a factor, so elsewhere both sides are 0.
-
-        The n identities of one K share everything but p_{s_i}: the covers,
-        the den_J and D, the fixed points compared and the rows there are
-        read once per K.  D does not depend on i, so a zero den_J is an
-        ``IntegrityError`` for the first K that has one and the first node,
-        the first identity that divides by it."""
-        rows, subsets = self._rows, self.subsets
-        nodes = self.cartan.nodes()
+        then K in subset order: Monk's rule (``_expansion_failures``) on the
+        rows, the n identities of one K together.  D does not depend on i,
+        so a zero den_J is an ``IntegrityError`` for the first K that has
+        one and the first node, the first identity that divides by it."""
+        subsets, nodes = self.subsets, self.cartan.nodes()
         simple = [self.simple_class(i) for i in nodes]
-        everywhere = range(len(subsets))
-        nonzero = [set(compress(everywhere, row)) for row in rows]
         failing = []
-        for k, (K, covers) in enumerate(zip(subsets, self._covers)):
-            p_K = rows[k]
-            diagonals = [rows[j][j] for j in covers]
-            D = lcm(*diagonals)
-            if not D:
-                J = subsets[covers[diagonals.index(0)]]
+        for k, covers in enumerate(self._covers):
+            try:
+                failing += [(nodes[p], k) for p in _expansion_failures(
+                    self._rows, self._row_support, k, covers, simple)]
+            except ZeroDivisionError as zero:
                 raise IntegrityError(
-                    f"Monk division by zero for i={nodes[0]}, K={K}, J={J}")
-            points = sorted(nonzero[k].union(*map(nonzero.__getitem__, covers)))
-            D_at_K = [D * p_K[L] for L in points]
-            # per cover J with p_{v_K}(w_J) != 0: J, p_{v_K}(w_J) den_J,
-            # D / den_J p_{v_K}(w_J), and p_{v_J} at the points
-            terms = [(j, p_K[j] * den, D // den * p_K[j],
-                      [rows[j][L] for L in points])
-                     for j, den in zip(covers, diagonals) if p_K[j]]
-            for i, p_i in zip(nodes, simple):
-                base = p_i[k]
-                residual = [(p_i[L] - base) * c for L, c in zip(points, D_at_K)]
-                for j, sign, scale, at_J in terms:
-                    step = p_i[j] - base
-                    if step * sign < 0:  # num_J den_J < 0
-                        break
-                    if step:
-                        m = scale * step
-                        residual = [x - m * c for x, c in zip(residual, at_J)]
-                else:
-                    if not any(residual):
-                        continue
-                failing.append((i, k))
+                    f"Monk division by zero for i={nodes[0]}, K={subsets[k]}, "
+                    f"J={subsets[zero.args[0]]}") from None
         return [(i, subsets[k]) for i, k in sorted(failing)]
 
     # -- Giambelli rule ----------------------------------------------------
@@ -284,11 +290,13 @@ class PetersonModel:
     def verify_basis_triangular(self) -> CheckRecord:
         """Upper triangularity with nonzero diagonal, plus the support
         condition p_{v_K}(w_J) = 0 whenever K is not contained in J, read
-        off the subset bitmasks: K is in J iff mask(K) & ~mask(J) is 0."""
-        rows, masks = self._rows, self._masks
-        ok_support = not any(m & ~M for m, row in zip(masks, rows)
-                             for M in compress(masks, row))
-        ok_triangular = not any(any(row[:r]) for r, row in enumerate(rows))
+        off the subset bitmasks: K is in J iff mask(K) & ~mask(J) is 0;
+        both read the nonzero points of each row."""
+        rows, masks, support = self._rows, self._masks, self._row_support
+        ok_support = not any(m & ~masks[L] for m, points in zip(masks, support)
+                             for L in points)
+        ok_triangular = not any(points and min(points) < r
+                                for r, points in enumerate(support))
         ok_diagonal = all(row[r] for r, row in enumerate(rows))
         return CheckRecord(
             check="basis",
@@ -367,20 +375,21 @@ class PetersonModel:
           If it is a combination of the b_U with |U| <= d, evaluate at w_U
           for a minimal U with a nonzero coefficient: only b_U is nonzero
           there, so U contains S, and so does every U of the combination.
-          With |U| <= |S| + 1 that leaves b_S and the b_{S+j}, j not in S.
-          p_{s_i} b_S is reduced by b_S (coefficient p_{s_i}(w_S), exact)
-          and then by each b_{S+j}, which vanishes at w_S and at every other
-          w_{S+j'}, so these steps do not interact.  They run fraction-free,
-          the denominators b_{S+j}(w_{S+j}) cleared by their lcm, on the
-          2^(n - |S|) fixed points above S (``_cleared_identity``).  The
-          remainder must be zero.
+          With |U| <= |S| + 1 that leaves b_S and the b_J, J = S + j, whose
+          coefficients evaluation at w_S and each w_J fixes: p_{s_i} b_S
+          must obey Monk's rule on row S of the product table
+          (``_expansion_failures``).  The rule also asks c_J >= 0, which the
+          span does not need but every correct table meets: b_S(w_J) and
+          b_J(w_J) are positive and, for i in L, p_{s_i}(w_L) is the
+          alpha_i^vee coefficient of 2 rho^vee of i's component of L, which
+          only grows with L.
 
         When every step of degree d holds, its dimension is
         sum_{k <= d} C(n, k); the list stops at the first degree that fails,
         and ``failure``, if given, receives the witness: the first simple
         entry off the supersets ({"kind": "support", "i", "L"}), a zero
-        diagonal ({"kind": "diagonal", "S"}), or a nonzero remainder
-        ({"kind": "reduction", "degree": 2d, "S", "i"}).
+        diagonal ({"kind": "diagonal", "S"}), or the first (S, i) whose
+        expansion fails ({"kind": "reduction", "degree": 2d, "S", "i"}).
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
@@ -399,39 +408,27 @@ class PetersonModel:
         """The first simple-row entry p_{s_i}(w_L) != 0 with i not in L."""
         for i in self.cartan.nodes():
             bit = 1 << i - 1
-            for L, mask, c in zip(self.subsets, self._masks, self.simple_class(i)):
-                if c and not mask & bit:
-                    return {"kind": "support", "i": i, "L": list(L)}
+            for L in sorted(self._row_support[self._position[bit]]):
+                if not self._masks[L] & bit:
+                    return {"kind": "support", "i": i, "L": list(self.subsets[L])}
         return None
 
     def _degree_failure(self, d: int, start: int) -> dict | None:
         """The first zero diagonal b_S(w_S) with |S| = d, then the first
-        (S, i) with |S| = d - 1 and i in S whose p_{s_i} b_S does not reduce
-        to zero; subsets of size d start at index ``start``."""
-        products, subsets, position = self._products, self.subsets, self._position
+        (S, i) with |S| = d - 1 and i in S whose p_{s_i} b_S fails Monk's
+        rule on the product table; subsets of size d start at ``start``."""
+        products, subsets = self._products, self.subsets
         for k in range(start, start + comb(self.rank, d)):
             if not products[k][k]:
                 return {"kind": "diagonal", "S": list(subsets[k])}
-        full = len(subsets) - 1
         for k in range(start - comb(self.rank, d - 1), start):
-            covers = self._covers[k]
-            diagonals = [products[j][j] for j in covers]
-            D = lcm(*diagonals)
-            row, mask = products[k], self._masks[k]
-            above, free = [], full & ~mask
-            sub = free
-            while True:  # the supersets of S: S | sub for every sub of free
-                above.append(position[mask | sub])
-                if not sub:
-                    break
-                sub = sub - 1 & free
-            for i in subsets[k]:
-                p_i = self.simple_class(i)
-                nums = [(p_i[j] - p_i[k]) * row[j] for j in covers]
-                if not _cleared_identity(p_i, products, k, covers, nums,
-                                         diagonals, D, above):
-                    return {"kind": "reduction", "degree": 2 * d,
-                            "S": list(subsets[k]), "i": i}
+            S = subsets[k]
+            failing = _expansion_failures(
+                products, self._product_support, k, self._covers[k],
+                [self.simple_class(i) for i in S])
+            if failing:
+                return {"kind": "reduction", "degree": 2 * d,
+                        "S": list(S), "i": S[failing[0]]}
         return None
 
     def verify_graded_dimensions(self) -> CheckRecord:

@@ -1105,32 +1105,47 @@ def fraction_verify_monk(model, i: int, K):
     )
 
 
-def monk_holds_per_identity(model, i: int, K) -> bool:
-    """One Monk identity (i, K) in integers, with the covers, their
-    diagonals, the lcm D and the fixed points compared all found for this
-    identity alone: ground truth for ``PetersonModel.monk_failures``, which
-    reads them once per K.  Compared where p_{v_K} or a cover p_{v_J} is
-    nonzero; a zero diagonal is the model's ``IntegrityError``."""
-    from petcoh.errors import IntegrityError
-
-    rows = model._rows
+def monk_coefficients_per_identity(model, i: int, K, table=None):
+    """The cover indices of K and, per cover J, the pair (num_J, den_J) of
+    Monk's coefficient c_J of p_{s_i} times row K of ``table`` (default
+    ``model._rows``): num_J = (p_{s_i}(w_J) - p_{s_i}(w_K)) r_K(w_J) and
+    den_J = r_J(w_J), found for this identity alone.  On the product table
+    c_J is the coefficient of b_J in p_{s_i} b_K."""
+    rows = model._rows if table is None else table
     K = tuple(sorted(set(K)))
     k = model.subset_index(K)
     covers = [model.subset_index(K + (j,))
               for j in model.cartan.nodes() if j not in K]
-    diagonals = [rows[j][j] for j in covers]
-    D = lcm(*diagonals)
+    p_i = model.simple_class(i)
+    return covers, [((p_i[j] - p_i[k]) * rows[k][j], rows[j][j])
+                    for j in covers]
+
+
+def monk_holds_per_identity(model, i: int, K, table=None) -> bool:
+    """One Monk identity (i, K) in integers on ``table`` (default
+    ``model._rows``), with the covers, their diagonals, the lcm D and the
+    fixed points compared all found for this identity alone: ground truth
+    for ``peterson._expansion_failures``, which reads them once per K, on
+    the rows (``monk_failures``) and on the product table (the
+    ``graded_dims`` spanning step).  Compared where row K or a cover row is
+    nonzero; a zero diagonal is the model's ``IntegrityError``."""
+    from petcoh.errors import IntegrityError
+
+    rows = model._rows if table is None else table
+    K = tuple(sorted(set(K)))
+    k = model.subset_index(K)
+    covers, pairs = monk_coefficients_per_identity(model, i, K, rows)
+    D = lcm(*(den for _, den in pairs))
     if not D:
-        J = model.subsets[covers[diagonals.index(0)]]
+        J = model.subsets[covers[[den for _, den in pairs].index(0)]]
         raise IntegrityError(f"Monk division by zero for i={i}, K={K}, J={J}")
-    p_i, p_K = model.simple_class(i), rows[k]
-    nums = [(p_i[j] - p_i[k]) * p_K[j] for j in covers]
-    if any(num * den < 0 for num, den in zip(nums, diagonals)):
+    if any(num * den < 0 for num, den in pairs):
         return False
+    p_i, p_K = model.simple_class(i), rows[k]
     points = sorted({L for r in [k] + covers for L, c in enumerate(rows[r]) if c})
     for L in points:
         rhs = sum(D // den * num * rows[j][L]
-                  for j, num, den in zip(covers, nums, diagonals))
+                  for j, (num, den) in zip(covers, pairs))
         if D * (p_i[L] - p_i[k]) * p_K[L] != rhs:
             return False
     return True

@@ -34,6 +34,7 @@ from oracles import (
     is_connected,
     is_monomial_of_degree,
     longest_element,
+    monk_coefficients_per_identity,
     monk_fraction,
     monk_holds_per_identity,
     one_class,
@@ -889,24 +890,31 @@ def test_graded_dims_E7_match_series():
     assert m.image_graded_dimensions(12) == coeffs[::2]
 
 
-def test_graded_dims_cost_on_E6(monkeypatch):
-    # no elimination: one reduction per (S, i) with i in S and |S| below the
-    # top degree, sum_{s<6} s C(6, s) = 186 at cutoff 12, each on the
-    # 2^(n - |S|) fixed points above S
-    reductions = []
-    real = peterson._cleared_identity
-
-    def counting(p_i, rows, k, covers, nums, diagonals, D, points):
-        reductions.append((k, len(points)))
-        return real(p_i, rows, k, covers, nums, diagonals, D, points)
-
-    monkeypatch.setattr(peterson, "_cleared_identity", counting)
+def test_expansion_kernel_cost_on_E6(monkeypatch):
+    # no elimination: graded_dims expands p_{s_i} b_S once per (S, i) with
+    # i in S and |S| below the top degree, sum_{s<6} s C(6, s) = 186 at
+    # cutoff 12, and monk p_{s_i} p_{v_K} once per (i, K), 6 * 64 = 384;
+    # each is compared on the 2^(n - |K|) fixed points above K, where row K
+    # or a cover row is nonzero
     m = model("E6")
     n = m.rank
+    identities = {"graded_dims": [], "monk": []}
+    real = peterson._expansion_failures
+
+    def counting(table, support, k, covers, simple):
+        check = "graded_dims" if table is m._products else "monk"
+        points = support[k].union(*map(support.__getitem__, covers))
+        identities[check] += [(k, len(points))] * len(simple)
+        return real(table, support, k, covers, simple)
+
+    monkeypatch.setattr(peterson, "_expansion_failures", counting)
     assert m.image_graded_dimensions(12) == [1, 7, 22, 42, 57, 63, 64]
-    assert len(reductions) == sum(s * comb(n, s) for s in range(6)) == 186
+    assert m.monk_failures() == []
+    assert len(identities["graded_dims"]) == \
+        sum(s * comb(n, s) for s in range(6)) == 186
+    assert len(identities["monk"]) == n * 2 ** n == 384
     assert all(points == 2 ** (n - len(m.subsets[k]))
-               for k, points in reductions)
+               for calls in identities.values() for k, points in calls)
 
 
 def _doctored_graded_dims(monkeypatch, name, J, L, value):
@@ -966,6 +974,172 @@ def test_graded_dims_fails_on_one_extra_term_in_a_reduction(name, monkeypatch):
         "kind": "reduction", "degree": 4, "S": [1], "i": 1}
     assert oracle != record.witnesses["expected"]
     assert m.verify_basis_triangular().passed
+
+
+def _set_entry(m, table, K, L, change):
+    """Build both tables of ``m``, then replace the entry of row K at w_L
+    of ``table`` ("_rows" or "_products") by ``change(entry)``."""
+    m._rows, m._products
+    rows = [list(row) for row in getattr(m, table)]
+    k, l = m.subset_index(K), m.subset_index(L)
+    rows[k][l] = change(rows[k][l])
+    setattr(m, table, tuple(map(tuple, rows)))
+
+
+def _product_verdicts(m, table):
+    """Per (S, i) with i in S: whether p_{s_i} b_S expands by Monk's rule
+    on ``table`` by the kernel and by the per-identity oracle, a zero
+    diagonal read as "zero" by both."""
+    support = peterson._nonzero_points(table)
+    kernel, oracle = {}, {}
+    for k, S in enumerate(m.subsets):
+        simple = [m.simple_class(i) for i in S]
+        try:
+            failing = peterson._expansion_failures(table, support, k,
+                                                   m._covers[k], simple)
+            kernel.update({(S, i): p not in failing for p, i in enumerate(S)})
+        except ZeroDivisionError:
+            kernel.update({(S, i): "zero" for i in S})
+        for i in S:
+            try:
+                oracle[S, i] = monk_holds_per_identity(m, i, S, table)
+            except IntegrityError:
+                oracle[S, i] = "zero"
+    return kernel, oracle
+
+
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
+def test_product_expansions_match_the_per_identity_oracle(name):
+    # the graded_dims verdict of every (S, i in S), the kernel against each
+    # identity on its own; on the true product table every one holds
+    m = model(name)
+    kernel, oracle = _product_verdicts(m, m._products)
+    assert kernel == oracle
+    assert set(kernel.values()) <= {True}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1"])
+def test_product_expansions_match_the_oracle_under_every_fault(name):
+    # every entry of the product table one more or one less: the kernel
+    # and the oracle fail the same (S, i)
+    m = model(name)
+    for S in m.subsets:
+        for L in m.subsets:
+            for delta in (1, -1):
+                _set_entry(m, "_products", S, L, lambda c: c + delta)
+                kernel, oracle = _product_verdicts(m, m._products)
+                assert kernel == oracle, (name, S, L, delta)
+                _set_entry(m, "_products", S, L, lambda c: c - delta)
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_product_basis_monk_coefficients_are_nonnegative(name):
+    # c_J of p_{s_i} b_S on b_J, by the oracle: the sign test that
+    # graded_dims adds to the expansion holds on every correct table
+    m = model(name)
+    negative = [(S, i, m.subsets[j]) for S in m.subsets for i in m.cartan.nodes()
+                for j, (num, den) in zip(*monk_coefficients_per_identity(
+                    m, i, S, m._products))
+                if num * den < 0 or not den]
+    assert negative == []
+
+
+def test_graded_dims_fails_on_a_negative_product_coefficient():
+    # b_{13}(w_{123}) on A3 negated: p_{s_1} b_{13} still equals
+    # p_{s_1}(w_{13}) b_{13} + c b_{123}, as b_{13}(w_{123}) enters both
+    # sides, but c = (3 - 1) (-9) / b_{123}(w_{123}) is negative
+    m = model("A3")
+    _set_entry(m, "_products", (1, 3), (1, 2, 3), lambda c: -c)
+    (num, den), = monk_coefficients_per_identity(m, 1, (1, 3), m._products)[1]
+    assert (num, den) == (2 * -9, m._products[-1][-1]) and den > 0
+    failure = {}
+    assert m.image_graded_dimensions(12, failure) == [1, 4, 7]
+    assert failure == {"kind": "reduction", "degree": 6, "S": [1, 3], "i": 1}
+
+
+# -- every fault of one table entry -------------------------------------------
+
+FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
+_ONE = ("p_{v_()}(w_()) need only be nonzero: Monk's rule reads it times "
+        "p_{s_i}(w_()) - p_{s_i}(w_()) = 0")
+_EMPTY = "no check reads b_() after the build"
+_DIAGONAL = ("b_S(w_S) for S of two unlinked nodes need only be nonzero: "
+             "Giambelli skips S, and Monk's rule reads it times p_{s_i}(w_S) "
+             "- p_{s_i}(w_T) = 0, T = S or S - j")
+_TOP = ("b_D(w_D) for the disconnected node set D need only be nonzero: "
+        "b_D is nonzero only at w_D, where Monk's rule reads c_J b_D(w_D) = "
+        "num_J whatever b_D(w_D) is")
+_COVER = ("b_S(w_J) for a disconnected S and a cover J cancels: Monk's rule "
+          "of S reads it on both sides at w_J, that of S - j times c_S = 0")
+
+
+def _unseen_faults(name):
+    """The one-entry faults, (table, K, L, delta), that no restriction
+    check can see, each with the reason."""
+    m = model(name)
+    top = m.subsets[-1]
+    unseen_faults = {("_rows", (), (), 1): _ONE}
+    unseen_faults.update({("_products", (), L, delta): _EMPTY
+                          for L in m.subsets for delta in (1, -1)})
+    for S in m.subsets:
+        if len(m.cartan.connected_components(S)) < 2:
+            continue
+        value = m._products[m.subset_index(S)][m.subset_index(S)]
+        reason = _TOP if S == top else _DIAGONAL
+        unseen_faults.update({("_products", S, S, delta): reason
+                              for delta in (1, -1) if value + delta})
+        unseen_faults.update({("_products", S, J, delta): _COVER
+                              for J in covers(m, S) for delta in (1, -1)})
+    return unseen_faults
+
+
+def _faulty_runs(monkeypatch, name):
+    """A function of a fault (table, K, L, delta) that returns the
+    ``overall_pass`` of the restriction checks on ``name`` with that entry
+    moved by delta after both tables are built."""
+    build, fault = cli.PetersonModel, []
+
+    def faulty(cartan, group=None):
+        m = build(cartan, group)
+        table, K, L, delta = fault
+        _set_entry(m, table, K, L, lambda c: c + delta)
+        return m
+
+    monkeypatch.setattr(cli, "PetersonModel", faulty)
+
+    def run(*entry):
+        fault[:] = entry
+        config = RunConfig(name, checks=CLASS_CHECKS)
+        return run_certification(config).overall_pass
+    return run
+
+
+@pytest.mark.parametrize("table", ["_rows", "_products"])
+@pytest.mark.parametrize("name", FAULT_TYPES)
+def test_every_table_fault_fails_the_restriction_run(name, table, monkeypatch):
+    # each entry of the table one more or one less, set after the build:
+    # the run fails unless the fault is one that no check can see
+    run = _faulty_runs(monkeypatch, name)
+    unseen_faults = _unseen_faults(name)
+    subsets = model(name).subsets
+    passing = [(K, L, delta) for K in subsets for L in subsets
+               for delta in (1, -1) if (table, K, L, delta) not in unseen_faults
+               and run(table, K, L, delta)]
+    assert passing == []
+
+
+def _fault_id(name, table, K, L, delta):
+    return "{}-{}-K{}-at{}{:+d}".format(
+        name, table.strip("_"), "".join(map(str, K)) or "()",
+        "".join(map(str, L)) or "()", delta)
+
+
+@pytest.mark.parametrize("name,fault,reason", [
+    pytest.param(name, fault, reason, id=_fault_id(name, *fault))
+    for name in FAULT_TYPES for fault, reason in _unseen_faults(name).items()])
+def test_an_unseen_fault_passes_the_restriction_run(name, fault, reason,
+                                                    monkeypatch):
+    assert _faulty_runs(monkeypatch, name)(*fault), reason
 
 
 # -- direct sums ---------------------------------------------------------------
