@@ -17,7 +17,7 @@ from .commalg import (
     zero_set_is_origin,
     zero_set_via_minors,
 )
-from .errors import IntegrityError, ResourceCapError
+from .errors import IntegrityError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord
 from .roots import (
@@ -39,7 +39,6 @@ __all__ = [
     "IntegrityError",
     "LieType",
     "PetersonModel",
-    "ResourceCapError",
     "WeylElement",
     "WeylGroup",
     "billey_localization",

@@ -4,9 +4,8 @@ Runs the selected verifications for one Lie type (or a suite of types) and
 emits a deterministic report: same inputs and tool version give the same
 JSON up to the timing fields.  Exit status, for ``certify`` and ``suite``
 alike: 0 when every selected check ran and passed, 1 when a check failed
-(or a suite type could not run), 3 when nothing failed but a check was
-skipped or none was selected, so that nothing was proved, and 2 for
-invalid input.
+(or a suite type could not run), 3 when no check was selected or a suite
+had no types, so that nothing was proved, and 2 for invalid input.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .commalg import (
     zero_set_is_origin,
     zero_set_via_minors,
 )
-from .errors import IntegrityError, ResourceCapError
+from .errors import IntegrityError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord, ratio
 from .roots import cartan_matrix, parse_lie_type
@@ -73,7 +72,7 @@ def _parse_bounded_type(text: str):
 
 
 class RunConfig:
-    """A Lie type and a sequence of check names, kept in ``CHECK_ORDER``, each once."""
+    """A Lie type and an iterable of check names, kept in ``CHECK_ORDER``, each once."""
 
     __slots__ = ("lie_type", "checks")
 
@@ -81,6 +80,8 @@ class RunConfig:
         _parse_bounded_type(lie_type)
         if isinstance(checks, str):
             raise ValueError(f"checks takes a sequence of check names, not {checks!r}")
+        # read once, so that a one-shot iterable is validated and kept whole
+        checks = tuple(checks)
         unknown = set(checks) - set(CHECK_ORDER)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -139,8 +140,8 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
     target.  A value vanishes iff v is off the Bruhat interval [e, w], a set
     lookup: ``CayleyTable.bruhat_intervals`` builds [e, w] for every swept w
     by the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The length
-    bound is ``_WELLDEF_LENGTH_BY_RANK``; a walk past ``weyl.ELEMENT_CAP``
-    elements skips the check before any table is built.
+    bound is ``_WELLDEF_LENGTH_BY_RANK``, which with ``MAX_RANK`` bounds the
+    sweep: 442 elements at most, for B12, C12 and D12.
     """
     group = model.group
     max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
@@ -225,12 +226,14 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
     a connected K by Giambelli's formula, a disconnected one as the product
     of p_{v_C} over its connected components C.  Each identity is computed
     on the rows (``giambelli_holds``, ``product_holds``); no record is built
-    per identity.  The witnesses say how each K was reached."""
+    per identity.  The witnesses say how each K was reached.  The empty K
+    needs no formula, as p_{v_()} = 1, but its row is checked to be 1."""
     cartan = model.cartan
     coefficients = []
     products = []
-    failures = []
-    for K in model.subsets[1:]:  # subsets[0] is (), and p_{v_()} = 1
+    failures = [] if model.subset_class(()) == model.one() else \
+        [{"kind": "unit", "K": []}]
+    for K in model.subsets[1:]:
         components = cartan.connected_components(K)
         if len(components) == 1:
             n_words, passed = model.giambelli_holds(K)
@@ -359,8 +362,8 @@ _CHECK_FUNCTIONS = {
 def run_certification(config: RunConfig) -> CertificationReport:
     """Execute the selected checks in ``CHECK_ORDER``.
 
-    Failures never short-circuit the run; resource-cap overruns become
-    explicit skipped entries rather than partial answers.
+    Failures never short-circuit the run, and every check gives a record
+    that passed or failed: an integrity error fails its check.
     """
     types = parse_lie_type(config.lie_type)
     cartan = cartan_matrix(types)
@@ -373,14 +376,6 @@ def run_certification(config: RunConfig) -> CertificationReport:
         t0 = time.perf_counter()
         try:
             record = _CHECK_FUNCTIONS[name](model)
-        except ResourceCapError as exc:
-            record = CheckRecord(
-                check=name,
-                lie_type=model.type_name(),
-                passed=None,
-                skipped=True,
-                witnesses={"skip_reason": str(exc)},
-            )
         except IntegrityError as exc:
             record = CheckRecord(
                 check=name,
@@ -431,13 +426,12 @@ def run_suite(types, template: RunConfig | None = None) -> dict:
 
 def exit_status(entries) -> int:
     """Exit status for the report dicts of the types run: 1 if a check
-    failed or a type could not run, else 3 if a check was skipped or none
-    ran, else 0."""
+    failed or a type could not run, else 3 if no check ran, else 0."""
     checks = [c for entry in entries for c in entry.get("checks", ())]
     if any("error" in entry for entry in entries) or \
-            any(c["pass"] is False for c in checks):
+            not all(c["pass"] for c in checks):
         return 1
-    if not checks or any(c["skipped"] for c in checks):
+    if not checks:
         return 3
     return 0
 
@@ -451,9 +445,8 @@ def render_suite_text(aggregate: dict) -> str:
             continue
         lines.append(f"== certification: {entry['lie_type']} ==")
         for check in entry["checks"]:
-            status = "SKIP" if check["skipped"] else (
-                "PASS" if check["pass"] else "FAIL")
-            lines.append(f"[{status}] {check['check']}")
+            lines.append(f"[{'PASS' if check['pass'] else 'FAIL'}] "
+                         f"{check['check']}")
         lines.append(f"overall: {'PASS' if entry['overall_pass'] else 'FAIL'}")
     lines.append(f"suite overall: "
                  f"{'PASS' if aggregate['overall_pass'] else 'FAIL'}")

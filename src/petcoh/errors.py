@@ -1,9 +1,5 @@
 """Exception types shared across the package."""
 
 
-class ResourceCapError(RuntimeError):
-    """An enumeration would exceed its configured cap; nothing was truncated."""
-
-
 class IntegrityError(RuntimeError):
     """An exactness guarantee failed, which indicates a pipeline bug."""

@@ -12,11 +12,7 @@ the element.
 
 from __future__ import annotations
 
-from .errors import ResourceCapError
 from .roots import CartanMatrix, is_negative_root_vector
-
-# the most elements a bounded enumeration of the group may produce
-ELEMENT_CAP = 200_000
 
 
 class WeylElement:
@@ -143,8 +139,8 @@ class CayleyTable:
     every ascent b; ``ascents[i]`` maps each such ascent b to the root
     u_i(alpha_b), column b of the matrix.  Each ascent costs one
     ``right_action``, and its product is hashed once, here; nothing that
-    reads the table hashes an action matrix.  Raises ``ResourceCapError``
-    past ``ELEMENT_CAP`` elements.
+    reads the table hashes an action matrix.  The walk is bounded by
+    max_len alone: layer k holds at most rank^k elements.
     """
 
     def __init__(self, group: WeylGroup, max_len: int):
@@ -170,10 +166,6 @@ class CayleyTable:
                             action, u.length + 1, u.witness_word + (b,)))
                         self.times.append({})
                         self.ascents.append({})
-                        if len(index) > ELEMENT_CAP:
-                            raise ResourceCapError(
-                                "group enumeration exceeded "
-                                f"{ELEMENT_CAP} elements")
                     # every descent of an element is the ascent of one below
                     self.times[i][b] = j
                     self.times[j][b] = i

@@ -208,6 +208,13 @@ def brute_reduced_words(group, w) -> set[tuple[int, ...]]:
     return {word for word in words if from_word(group, word) == w}
 
 
+class EnumerationCapError(RuntimeError):
+    """A reference enumeration would exceed its cap; nothing was truncated."""
+
+
+# the most elements ``elements_up_to_length`` may produce
+ELEMENT_CAP = 200_000
+
 # per group: action -> the set of its reduced words
 _words_memo = weakref.WeakKeyDictionary()
 
@@ -217,13 +224,11 @@ def enumerate_reduced_words(group, w, cap=16) -> frozenset:
     over the right descents: the reference word set for the trie walk of
     ``billey.reduced_word_tables``.
 
-    Raises ResourceCapError when l(w) exceeds cap; the enumeration is never
-    silently truncated.
+    Raises EnumerationCapError when l(w) exceeds cap; the enumeration is
+    never silently truncated.
     """
-    from petcoh.errors import ResourceCapError
-
     if w.length > cap:
-        raise ResourceCapError(
+        raise EnumerationCapError(
             f"reduced-word enumeration for length {w.length} exceeds "
             f"cap {cap}")
     memo = _words_memo.setdefault(
@@ -261,10 +266,8 @@ def right_multiply_reduced_words(group, w) -> frozenset:
 def elements_up_to_length(group, max_length: int):
     """All elements of length <= max_length, BFS order (layer by layer):
     one ``right_multiply`` per ascent, keeping the new products, as
-    ground truth for the walk of ``weyl.CayleyTable``."""
-    from petcoh import weyl
-    from petcoh.errors import ResourceCapError
-
+    ground truth for the walk of ``weyl.CayleyTable``.  Raises
+    EnumerationCapError past ``ELEMENT_CAP`` elements."""
     seen = {group.identity.action}
     layer = [group.identity]
     out = [group.identity]
@@ -277,10 +280,10 @@ def elements_up_to_length(group, max_length: int):
                     if u.action not in seen:
                         seen.add(u.action)
                         nxt.append(u)
-                        if len(seen) > weyl.ELEMENT_CAP:
-                            raise ResourceCapError(
+                        if len(seen) > ELEMENT_CAP:
+                            raise EnumerationCapError(
                                 "group enumeration exceeded "
-                                f"{weyl.ELEMENT_CAP} elements")
+                                f"{ELEMENT_CAP} elements")
         out.extend(nxt)
         layer = nxt
         if not layer:
@@ -388,11 +391,6 @@ def length_of_matrix(group, action) -> int:
         if all(x <= 0 for x in img):
             count += 1
     return count
-
-
-def has_skips(report) -> bool:
-    """True iff some check of the report was skipped."""
-    return any(r.skipped for r in report.records)
 
 
 class PetersonClass:

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 import petcoh
-from petcoh import billey, cli, peterson, weyl
+from petcoh import billey, cli, peterson
 from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
@@ -33,7 +33,6 @@ from oracles import (
     enumerate_reduced_words,
     fraction_text,
     from_word,
-    has_skips,
     is_connected,
 )
 
@@ -61,6 +60,16 @@ def test_run_config_rejects_a_bare_string_of_checks():
     assert RunConfig("A2", ("hilbert",)).checks == ("hilbert",)
 
 
+def test_run_config_reads_a_one_shot_iterable_of_checks():
+    # validating the names must not use up the only pass over them
+    names = ["hilbert", "quadratic"]
+    expected = ("quadratic", "hilbert")
+    assert RunConfig("A2", iter(names)).checks == expected
+    assert RunConfig("A2", (name for name in names)).checks == expected
+    with pytest.raises(ValueError, match="unknown checks: \\['nope'\\]"):
+        RunConfig("A2", iter(["hilbert", "nope"]))
+
+
 def test_run_configs_are_frozen_values():
     config = RunConfig("B3", ("monk", "quadratic"))
     twin = RunConfig(lie_type="B3", checks=["quadratic", "monk"])
@@ -78,7 +87,12 @@ def test_records_and_reports_compare_by_value_and_do_not_hash():
         return CheckRecord("hilbert", "A2", passed, {"rank": 2})
 
     assert record() == record() and record() != record(passed=False)
-    assert record().witnesses == {} and not record().skipped
+    assert record().witnesses == {}
+    # a record passed or failed; "skipped" is a fixed key of its dict
+    assert not hasattr(record(), "skipped")
+    assert record(passed=False).to_dict()["skipped"] is False
+    with pytest.raises(TypeError):
+        CheckRecord("hilbert", "A2", True, skipped=False)
     report = run_certification(RunConfig("A1", ("quadratic",)))
     twin = run_certification(RunConfig("A1", ("quadratic",)))
     twin.timing = report.timing
@@ -290,59 +304,13 @@ def test_report_determinism():
     assert one == two
 
 
-def test_element_cap_skip_is_explicit(monkeypatch):
-    # an element cap of 5 blocks the well-definedness sweep of A2 (6
-    # elements); the skip is reported with its reason and certifies nothing
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", 5)
-    report = run_certification(RunConfig(lie_type="A2"))
-    by_name = {r.check: r for r in report.records}
-    assert by_name["billey_welldef"].skipped
-    assert by_name["billey_welldef"].witnesses == {
-        "skip_reason": "group enumeration exceeded 5 elements"}
-    assert report.overall_pass  # skips are reported, not failed
-    assert has_skips(report)
-    assert not report.isomorphism_certified()  # a skipped leg proves nothing
-
-
-def test_element_cap_zero_leaves_restriction_checks_runnable(monkeypatch):
-    # only the well-definedness sweep walks the group, so a cap of 0 stops
-    # it alone: every other check, localization included, runs and passes
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", 0)
-    report = run_certification(RunConfig(lie_type="A2"))
-    by_name = {r.check: r for r in report.records}
-    assert by_name["billey_welldef"].skipped
-    assert CHECK_ORDER[0] == "billey_welldef"
-    for name in CHECK_ORDER[1:]:
-        assert not by_name[name].skipped
-        assert by_name[name].passed
-
-
 def _welldef_record(lie_type):
     report = run_certification(RunConfig(lie_type, checks=("billey_welldef",)))
     return report.records[0]
 
 
-@pytest.mark.parametrize("lie_type,cap", [
-    ("A1", 0), ("A2", 0), ("A2", 2), ("A3", 4), ("G2", 5)])
-def test_element_cap_trips_before_any_table(lie_type, cap, monkeypatch):
-    # the walk of the swept ideal stops at its element cap + 1, before the
-    # trie is built
-    def no_tables(*args):
-        raise AssertionError("reduced_word_tables called over the cap")
-
-    monkeypatch.setattr(cli, "reduced_word_tables", no_tables)
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", cap)
-    record = _welldef_record(lie_type)
-    assert record.to_dict() == {
-        "check": "billey_welldef", "lie_type": lie_type, "parameters": {},
-        "witnesses": {"skip_reason": f"group enumeration exceeded {cap} "
-                      "elements"},
-        "pass": None, "skipped": True}
-
-
-def test_element_cap_at_the_swept_size_runs_the_sweep(monkeypatch):
+def test_a1_sweep_walks_its_whole_group():
     # A1 sweeps up to length 6, but its group has 2 elements
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", 2)
     record = _welldef_record("A1")
     assert record.to_dict() == {
         "check": "billey_welldef", "lie_type": "A1",
@@ -587,15 +555,12 @@ def test_no_assert_statement_in_the_package():
 @pytest.mark.parametrize("argv", [
     ["certify", "--type", "A2", "--checks", ""],
     ["certify", "--type", "A2", "--checks", ","],
-    ["certify", "--type", "A2", "--checks", "billey_welldef"],
     ["suite", "--types", "A1,A2", "--checks", ""],
-    ["suite", "--types", "A1,A2", "--checks", "billey_welldef,quadratic"],
     ["suite", "--types", "", "--checks", "quadratic"],
-], ids=["certify-no-checks", "certify-empty-items", "certify-all-skipped",
-        "suite-no-checks", "suite-one-skipped", "suite-no-types"])
-def test_run_that_proved_nothing_exits_3(argv, monkeypatch, capsys):
-    # an element cap of 1 skips every billey_welldef sweep
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", 1)
+], ids=["certify-no-checks", "certify-empty-items", "suite-no-checks",
+        "suite-no-types"])
+def test_run_that_proved_nothing_exits_3(argv, capsys):
+    # no check selected, or a suite with no types
     assert main(argv) == 3
     # the report itself is unchanged: nothing failed
     assert "FAIL" not in capsys.readouterr().out
@@ -631,10 +596,6 @@ def test_failed_check_exits_1(monkeypatch, capsys):
 
     monkeypatch.setitem(cli._CHECK_FUNCTIONS, "quadratic", failing)
     assert main(["certify", "--type", "A1", "--checks", "quadratic"]) == 1
-    # a failure outranks a skip
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", 1)
-    assert main(["certify", "--type", "A2", "--checks",
-                 "billey_welldef,quadratic"]) == 1
     assert main(["suite", "--types", "A1,G2", "--checks", "quadratic"]) == 1
     # a suite type that could not run fails the suite, the others passing
     monkeypatch.undo()

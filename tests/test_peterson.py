@@ -1057,11 +1057,21 @@ def test_graded_dims_fails_on_a_negative_product_coefficient():
     assert failure == {"kind": "reduction", "degree": 6, "S": [1, 3], "i": 1}
 
 
+def test_giambelli_fails_when_the_row_of_one_is_not_one():
+    # p_{v_()} = 1 needs no formula, but its row is checked, not assumed:
+    # p_{v_()}(w_()) = 2 passes Monk's rule, which reads it times
+    # p_{s_i}(w_()) - p_{s_i}(w_()) = 0
+    m = model("A3")
+    _set_entry(m, "_rows", (), (), lambda c: c + 1)
+    record = cli._check_giambelli(m)
+    assert not record.passed
+    assert record.witnesses["failures"] == [{"kind": "unit", "K": []}]
+    assert cli._check_monk(m).passed
+
+
 # -- every fault of one table entry -------------------------------------------
 
 FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
-_ONE = ("p_{v_()}(w_()) need only be nonzero: Monk's rule reads it times "
-        "p_{s_i}(w_()) - p_{s_i}(w_()) = 0")
 _EMPTY = "no check reads b_() after the build"
 _DIAGONAL = ("b_S(w_S) for S of two unlinked nodes need only be nonzero: "
              "Giambelli skips S, and Monk's rule reads it times p_{s_i}(w_S) "
@@ -1078,9 +1088,8 @@ def _unseen_faults(name):
     check can see, each with the reason."""
     m = model(name)
     top = m.subsets[-1]
-    unseen_faults = {("_rows", (), (), 1): _ONE}
-    unseen_faults.update({("_products", (), L, delta): _EMPTY
-                          for L in m.subsets for delta in (1, -1)})
+    unseen_faults = {("_products", (), L, delta): _EMPTY
+                     for L in m.subsets for delta in (1, -1)}
     for S in m.subsets:
         if len(m.cartan.connected_components(S)) < 2:
             continue

@@ -4,13 +4,12 @@ from math import prod
 
 import pytest
 
-from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
-from petcoh.errors import ResourceCapError
+from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE, MAX_RANK
 from petcoh.roots import cartan_matrix, parse_lie_type
-from petcoh import weyl
 from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
 from oracles import (
+    EnumerationCapError,
     brute_reduced_words,
     bruhat_intervals,
     bruhat_leq,
@@ -205,22 +204,36 @@ def test_reduced_word_cap():
     W = WeylGroup(cartan_matrix("F4"))
     w0 = longest_element(W, (1, 2, 3, 4))
     assert w0.length == 24
-    with pytest.raises(ResourceCapError, match="length 24 exceeds cap 16"):
+    with pytest.raises(EnumerationCapError, match="length 24 exceeds cap 16"):
         enumerate_reduced_words(W, w0)
     A2 = group("A2")
-    with pytest.raises(ResourceCapError, match="length 3 exceeds cap 2"):
+    with pytest.raises(EnumerationCapError, match="length 3 exceeds cap 2"):
         enumerate_reduced_words(A2, longest_element(A2, (1, 2)), cap=2)
 
 
-def test_group_enumeration_cap(monkeypatch):
-    # A3 has 24 elements, 9 of them of length <= 2; one over the cap stops
-    # the walk of the Cayley table to l(w_0) = 6, the whole group
+def test_cayley_table_of_a3():
+    # A3 has 24 elements, 9 of them of length <= 2; the walk to
+    # l(w_0) = 6 finds the whole group
     W = group("A3")
     assert len(CayleyTable(W, 6).elements) == 24
-    monkeypatch.setattr(weyl, "ELEMENT_CAP", 23)
-    with pytest.raises(ResourceCapError, match="exceeded 23 elements"):
-        CayleyTable(W, 6)
     assert len(CayleyTable(W, 2).elements) == 9
+
+
+@pytest.mark.parametrize("name,size", [
+    ("A12", 441), ("B12", 442), ("C12", 442), ("D12", 442), ("E8+B4", 429),
+    ("E6+E6", 429), ("F4", 55), ("B4", 54), ("G2+G2", 41)])
+def test_welldef_sweep_is_bounded_by_rank(name, size):
+    # the billey_welldef sweep walks the elements of length at most
+    # _WELLDEF_LENGTH_BY_RANK (3 from rank 5 on), and MAX_RANK = 12 bounds
+    # the rank, so no accepted type sweeps more than 442 elements; layer k
+    # of the walk holds at most n^k of them
+    W = group(name)
+    n = W.rank
+    assert n <= MAX_RANK
+    swept = len(CayleyTable(W, _WELLDEF_LENGTH_BY_RANK.get(n, 3)).elements)
+    assert swept == size <= 442
+    if n >= 5:
+        assert swept <= 1 + n + n ** 2 + n ** 3
 
 
 def test_bruhat_examples():
