@@ -23,7 +23,6 @@ from .billey import reduced_word_tables
 from .commalg import (
     HilbertSeries,
     build_ideal_J,
-    build_ideal_Jcheck,
     hilbert_series_of_quotient,
     regular_sequence_certificate,
     t_section_hilbert_series,
@@ -222,12 +221,18 @@ def _check_monk(model: PetersonModel) -> CheckRecord:
 
 
 def _check_giambelli(model: PetersonModel) -> CheckRecord:
-    """Reach every nonempty node set K in the image of the quadric ring:
-    a connected K by Giambelli's formula, a disconnected one as the product
-    of p_{v_C} over its connected components C.  Each identity is computed
-    on the rows (``giambelli_holds``, ``product_holds``); no record is built
-    per identity.  The witnesses say how each K was reached.  The empty K
-    needs no formula, as p_{v_()} = 1, but its row is checked to be 1."""
+    """Reach every nonempty node set K in the image of the quadric ring by
+    one identity, |K|! p_{v_K} = #words(v_K) b_K, computed on the rows
+    (``giambelli_holds``); no record is built per identity.
+
+    For a connected K it is Giambelli's formula.  For a disconnected K it
+    is the product of Giambelli's formulas over the connected components C:
+    the v_C commute, so p_{v_K} = prod_C p_{v_C}, b_K = prod_C b_C, and a
+    reduced word of v_K shuffles reduced words of the v_C, so #words(v_K) =
+    |K|! prod_C #words(v_C) / |C|!.  The witnesses say how each K was
+    reached: a connected K with its coefficient, a disconnected one with
+    its components.  The empty K needs no formula, as p_{v_()} = 1, but its
+    row is checked to be 1."""
     cartan = model.cartan
     coefficients = []
     products = []
@@ -235,14 +240,13 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
         [{"kind": "unit", "K": []}]
     for K in model.subsets[1:]:
         components = cartan.connected_components(K)
+        n_words, passed = model.giambelli_holds(K)
         if len(components) == 1:
-            n_words, passed = model.giambelli_holds(K)
             coefficients.append({"K": list(K),
                                  "coefficient": ratio(factorial(len(K)), n_words),
                                  "reduced_words": n_words})
             kind = "giambelli"
         else:
-            passed = model.product_holds(K, components)
             products.append({"K": list(K),
                              "components": [list(C) for C in components]})
             kind = "disconnected_product"
@@ -260,14 +264,26 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
 
 
 def _check_hilbert(model: PetersonModel) -> CheckRecord:
-    """Quotient Hilbert series match the closed forms, and the ordinary one
-    is recomputed under a second monomial order as an order-independence
-    check.
+    """The quotient Hilbert series are the closed forms, two ways.
 
-    The ordinary series, of J-check, is read off J's grevlex basis
+    The first route reads them off J's Groebner basis: the series of
+    Q[x, t]/J, and that of Q[x]/J-check, read off the same basis
     (``t_section_hilbert_series``; ``commalg.t_section_leads`` gives the
-    argument).  The grlex series comes from J-check's own basis, so
-    ``order_independent`` also cross-checks that reading.
+    argument).  They must be (1 + s^2)^n / (1 - s^2) and (1 + s^2)^n.
+
+    The second route, ``minor_route``, proves those closed forms without a
+    basis.  Every generator of J is homogeneous of degree 2, and
+    ``zero_set_via_minors`` shows that J-check = (theta-check_i =
+    x_i (A x)_i) vanishes only at the origin, every principal minor of the
+    Cartan matrix A being positive.  Since (J, t) = (J-check, t), the
+    sequence theta_1, ..., theta_n, t then cuts Q[x, t] down to a finite
+    dimension: it is a homogeneous system of parameters, and in the
+    Cohen-Macaulay ring Q[x, t] a homogeneous system of parameters is a
+    regular sequence (Bruns and Herzog, Cohen-Macaulay Rings, Sec. 2.1).
+    The quotient by a regular sequence of forms of degrees 4, ..., 4, 2 has
+    the series (1 - s^4)^n (1 - s^2) / (1 - s^2)^(n + 1), and dropping the
+    last element leaves (1 - s^4)^n / (1 - s^2)^(n + 1): the two closed
+    forms.  The check passes only when both routes hold, so they agree.
     """
     cartan = model.cartan
     n = cartan.rank
@@ -278,19 +294,19 @@ def _check_hilbert(model: PetersonModel) -> CheckRecord:
     expected_reduced = expected_ordinary_series(n)
     ok_full = series_full == expected_full
     ok_reduced = series_reduced == expected_reduced
-    ok_order = hilbert_series_of_quotient(
-        build_ideal_Jcheck(cartan), "grlex") == series_reduced
+    ok_minors = zero_set_via_minors(cartan) and all(
+        {sum(e) for e, _ in g} == {2} for g in ideal_full.generators)
     return CheckRecord(
         check="hilbert",
         lie_type=model.type_name(),
-        passed=ok_full and ok_reduced and ok_order,
+        passed=ok_full and ok_reduced and ok_minors,
         parameters={"rank": n},
         witnesses={
             "equivariant_series": series_full.to_json(),
             "equivariant_expected": expected_full.to_json(),
             "ordinary_series": series_reduced.to_json(),
             "ordinary_expected": expected_reduced.to_json(),
-            "order_independent": ok_order,
+            "minor_route": ok_minors,
         },
     )
 

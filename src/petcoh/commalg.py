@@ -48,7 +48,8 @@ ends at zero.  Along the way:
   exponents packed into fixed-width fields, so that a product is ``+``, a
   quotient ``-``, the leading monomial ``max`` and divisibility one test
   on the fields' guard bits.  ``MonomialCode`` is the package's one
-  definition of each monomial order.  Signature monomials are codes too.
+  definition of its one monomial order, grevlex.  Signature monomials are
+  codes too.
   Generators are packed on the way in, and only the public
   ``groebner_basis`` unpacks the basis, into the generator form of
   ``Ideal``;
@@ -70,20 +71,19 @@ ends at zero.  Along the way:
   would have; only the tails differ, and no check reads them;
 - the basis returned is the loop's own elements, in the order added, as
   primitive integer polynomials with positive leading coefficients.  It is
-  a Groebner basis, deterministic per (ideal, order), but neither minimal
+  a Groebner basis, deterministic per ideal, but neither minimal
   nor reduced: downstream only its leading monomials are read, and they
   generate the leading-term ideal;
 - the Hilbert-series and zero-set checks read those leading monomials as
   packed codes: minimalizing, colon ideals and pure powers are int
   arithmetic on codes, and the Hilbert recursion minimalizes once, at
   entry, then keeps every generator set minimal as it builds it;
-- no basis of the t = 0 ideal J-check is computed under grevlex:
-  ``t_section_leads`` reads J-check's grevlex leads off J's basis, and its
-  docstring gives the argument.  A quadric run computes two bases: J under
-  grevlex, and J-check under grlex for the order-independence check;
-- each (ideal, order) is computed once per process, basis and Hilbert
-  series alike, so the checks that need the same one share it; so is each
-  quadric ideal, once per Cartan matrix.
+- no basis of the t = 0 ideal J-check is computed: ``t_section_leads``
+  reads J-check's leads off J's basis, and its docstring gives the
+  argument.  A quadric run computes one basis, of J;
+- each ideal's basis and Hilbert series is computed once per process, so
+  the checks that need the same one share it; so is each quadric ideal,
+  once per Cartan matrix.
 
 This module imports nothing else from the package at run time, so every
 other module can build on it.
@@ -103,8 +103,6 @@ from operator import mul
 # ---------------------------------------------------------------------------
 # packed monomials
 
-ORDERINGS = ("grevlex", "grlex")  # both graded, see ``MonomialCode``
-
 FIELD_BITS = 16
 """Bits per field of a packed monomial; the top bit of an exponent field is
 its guard bit."""
@@ -115,17 +113,17 @@ of exponents of such a monomial fits below the guard bit of a field."""
 
 
 class MonomialCode:
-    """Monomials in ``nvars`` variables as ints, for one monomial order:
-    the package's one definition of grevlex and grlex.
+    """Monomials in ``nvars`` variables as ints, in the graded reverse
+    lexicographic order (grevlex), the first variable largest: the
+    package's one definition of its one monomial order.
 
     The code of an exponent vector e is ``K(e) << S | P(e)``:
 
-    - ``P(e)`` holds one exponent per ``FIELD_BITS``-bit field, below the
-      field's guard bit: e_i in field i - 1 for grevlex, in field n - i for
-      grlex;
-    - ``K(e)`` is the order key packed most significant field first:
-      (f_n, ..., f_1) with f_k = e_1 + ... + e_k for grevlex,
-      (deg, e_1, ..., e_n) for grlex.
+    - ``P(e)`` holds e_i in the ``FIELD_BITS``-bit field i - 1, below the
+      field's guard bit;
+    - ``K(e)`` is the order key (f_n, ..., f_1), f_k = e_1 + ... + e_k,
+      packed most significant field first: the degree f_n decides first,
+      then the larger f_{n-1}, that is the smaller e_n, and so on.
 
     Both parts are linear in e, and no field overflows up to total degree
     ``MAX_DEGREE``.  There, the code of a product is the sum of the codes,
@@ -137,36 +135,23 @@ class MonomialCode:
     """
 
     __slots__ = ("nvars", "shift", "mask", "guards", "weights", "_ones",
-                 "_grevlex", "_degree_shift")
+                 "_degree_shift")
 
-    def __init__(self, nvars: int, ordering: str):
-        if ordering not in ORDERINGS:
-            raise ValueError(f"unknown monomial order {ordering!r}; expected "
-                             f"one of {list(ORDERINGS)}")
+    def __init__(self, nvars: int):
         width = FIELD_BITS
         self.nvars = nvars
         self.shift = width * nvars
         self.mask = (1 << self.shift) - 1
         self.guards = sum(1 << width * k + width - 1 for k in range(nvars))
         self._ones = sum(1 << width * k for k in range(nvars))
-        self._grevlex = ordering == "grevlex"
-        # the degree is the top field of K: field n - 1 of K for grevlex,
-        # field n for grlex
-        self._degree_shift = 2 * self.shift - (width if self._grevlex else 0)
-        fields = range(nvars) if self._grevlex else reversed(range(nvars))
-        self.weights = tuple(self._from_p(1 << width * k) for k in fields)
+        # the degree f_n is the top field of K
+        self._degree_shift = 2 * self.shift - width
+        self.weights = tuple(self._from_p(1 << width * k) for k in range(nvars))
 
     def _from_p(self, p: int) -> int:
         """The code of the monomial whose exponent part is p.  Field k of
-        p * ones is the sum of fields 0..k of p: the prefix sums f_k for
-        grevlex, and in field n - 1 the degree for both orders."""
-        sums = p * self._ones
-        if self._grevlex:
-            key = sums & self.mask
-        else:
-            degree = sums >> self.shift - FIELD_BITS & (1 << FIELD_BITS) - 1
-            key = degree << self.shift | p
-        return key << self.shift | p
+        p * ones is the sum of fields 0..k of p, the prefix sum f_{k+1}."""
+        return (p * self._ones & self.mask) << self.shift | p
 
     def encode(self, exps) -> int:
         """The code of an exponent vector; ValueError beyond ``MAX_DEGREE``."""
@@ -180,8 +165,7 @@ class MonomialCode:
         width = FIELD_BITS
         field = (1 << width - 1) - 1
         p = code & self.mask
-        exps = tuple(p >> width * k & field for k in range(self.nvars))
-        return exps if self._grevlex else exps[::-1]
+        return tuple(p >> width * k & field for k in range(self.nvars))
 
     def degree(self, code: int) -> int:
         return code >> self._degree_shift
@@ -516,14 +500,13 @@ def s_polynomial(f, g, lcm_fg: int) -> dict:
     return out
 
 
-def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[tuple]:
-    """A Groebner basis, deterministic for a fixed (ideal, order): the
-    elements the signature loop adds, in the order added, each a primitive
-    integer polynomial with a positive leading coefficient, in the
-    generator form of ``Ideal``, so that ``Ideal(ideal.var_names, basis)``
-    is the same ideal.  Their leading monomials generate the leading-term
-    ideal, which is all a caller reads; the basis is neither minimal nor
-    reduced.
+def groebner_basis(ideal: Ideal) -> list[tuple]:
+    """A grevlex Groebner basis, deterministic per ideal: the elements the
+    signature loop adds, in the order added, each a primitive integer
+    polynomial with a positive leading coefficient, in the generator form
+    of ``Ideal``, so that ``Ideal(ideal.var_names, basis)`` is the same
+    ideal.  Their leading monomials generate the leading-term ideal, which
+    is all a caller reads; the basis is neither minimal nor reduced.
 
     The engine is signature based.  Every element h carries a signature
     m * e_i: h is c * m * f_i, with c > 0 and f_i the i-th generator, plus
@@ -571,29 +554,28 @@ def groebner_basis(ideal: Ideal, ordering: str = "grevlex") -> list[tuple]:
 
     The engine runs on ``MonomialCode`` ints.  A generator monomial, a pair
     lcm or a J-pair signature of degree above ``MAX_DEGREE`` is a
-    ValueError, raised before that pair is reduced.  Both orders are
-    graded, so every term met while treating a pair, and every tail term of
-    the element it may add, has degree at most that of the pair's lcm.  A
+    ValueError, raised before that pair is reduced.  Grevlex is graded, so
+    every term met while treating a pair, and every tail term of the
+    element it may add, has degree at most that of the pair's lcm.  A
     signature m * e_i has degree at most that of the lcm minus that of f_i
     when the generators are homogeneous, but with inhomogeneous ones a
     reduction can drop in degree below its signature, so the signature's
     own degree is checked.
 
-    Each (ideal, ordering) is computed once per process; every call decodes
-    a fresh list of the same polynomials.
+    Each ideal is computed once per process; every call decodes a fresh
+    list of the same polynomials.
     """
-    code, elements = _groebner_basis(ideal, ordering)
+    code, elements = _groebner_basis(ideal)
     return [tuple(sorted((code.decode(e), c) for e, c in ((lead, lc), *tail)))
             for _, _, lead, lc, tail in elements]
 
 
 @lru_cache(maxsize=None)
-def _groebner_basis(ideal: Ideal, ordering: str) -> tuple[MonomialCode, tuple]:
+def _groebner_basis(ideal: Ideal) -> tuple[MonomialCode, tuple]:
     """(code, elements): the engine's elements ``(index, signature
     monomial, lead, lc, tail)`` as ``groebner_basis`` describes them, packed
-    by ``code``.  Always called positionally, so that groebner_basis(I) and
-    groebner_basis(I, "grevlex") share one cache entry."""
-    code = MonomialCode(ideal.nvars, ordering)
+    by ``code``."""
+    code = MonomialCode(ideal.nvars)
     degree_shift = code._degree_shift
     gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]
     # (index, signature monomial, lead, lc, tail), in the order treated:
@@ -808,7 +790,7 @@ def _mixed_parts(gens, code: MonomialCode) -> list[int]:
 
 
 def _minimalize(gens, code: MonomialCode) -> list[int]:
-    """The minimal generators among the codes, ascending.  Both orders are
+    """The minimal generators among the codes, ascending.  Grevlex is
     graded, so a proper divisor has the smaller code and is kept first."""
     out = []
     for g in sorted(set(gens)):
@@ -817,28 +799,22 @@ def _minimalize(gens, code: MonomialCode) -> list[int]:
     return out
 
 
-def hilbert_series_of_quotient(ideal: Ideal, ordering: str = "grevlex") -> HilbertSeries:
+@lru_cache(maxsize=None)
+def hilbert_series_of_quotient(ideal: Ideal) -> HilbertSeries:
     """Hilbert series of the quotient by the ideal, all variables degree 2.
 
-    Computed from the leading monomials of a Groebner basis, any one: they
+    Computed from the leading monomials of the ideal's Groebner basis: they
     generate the leading-term ideal, and ``_monomial_quotient_numerator``
     minimalizes them first; it reads the engine's packed leads as they are.
-    The result is order-independent.  Like the basis, each (ideal,
-    ordering) is computed once per process, so the ``regular_sequence``
-    check reuses the series of J that ``hilbert`` built.
+    Like the basis, each ideal's series is computed once per process, so
+    the ``regular_sequence`` check reuses the series of J that ``hilbert``
+    built.
 
-    A run computes no basis of the t = 0 ideal J-check under grevlex: its
-    leads are read off J's basis (``t_section_leads`` gives the argument),
-    and its series is ``t_section_hilbert_series`` of J.  Every ``hilbert``
-    check (``cli._check_hilbert``) recomputes that series from J-check's
-    own basis under grlex and requires the two to agree.
+    A run computes no basis of the t = 0 ideal J-check: its leads are read
+    off J's basis (``t_section_leads`` gives the argument), and its series
+    is ``t_section_hilbert_series`` of J.
     """
-    return _hilbert_series(ideal, ordering)
-
-
-@lru_cache(maxsize=None)
-def _hilbert_series(ideal: Ideal, ordering: str) -> HilbertSeries:
-    code, elements = _groebner_basis(ideal, ordering)
+    code, elements = _groebner_basis(ideal)
     return _series_of_leads(code, [h[2] for h in elements])
 
 
@@ -853,28 +829,27 @@ def _series_of_leads(code: MonomialCode, leads) -> HilbertSeries:
 
 @lru_cache(maxsize=None)
 def t_section_leads(ideal: Ideal) -> tuple[MonomialCode, tuple[int, ...]]:
-    """(code, leads): generators of the grevlex leading-term ideal of
-    (I + (t))/(t) in Q[x_1..x_n], for a homogeneous ideal I of
-    Q[x_1..x_n, t], t its last variable, read off I's own cached grevlex
-    basis.  ValueError if a generator of I is not homogeneous.
+    """(code, leads): generators of the leading-term ideal of (I + (t))/(t)
+    in Q[x_1..x_n], for a homogeneous ideal I of Q[x_1..x_n, t], t its last
+    variable, read off I's own cached basis.  ValueError if a generator of
+    I is not homogeneous.
 
     Under grevlex with t the last variable, in(I + (t)) = in(I) + (t) for
     every homogeneous I (Bayer and Stillman, Invent. Math. 87, 1987;
     Eisenbud, Commutative Algebra, Prop. 15.12), and the theorem needs the
     homogeneity.  So the leads of I's basis that t does not divide
     generate in((I + (t))/(t)): they are kept, in the order of the basis,
-    and re-encoded in the n-variable grevlex code (their t field is zero,
-    so the exponent part carries over).  For the quadric ideal J, theta_i =
+    and re-encoded in the n-variable code (their t field is zero, so the
+    exponent part carries over).  For the quadric ideal J, theta_i =
     theta-check_i - 2 t x_i gives (J, t) = (J-check, t), so these are
-    J-check's grevlex leads, and no basis of J-check is computed under
-    grevlex.  This is the one statement of the argument; the checks that
-    rest on it point here.
+    J-check's leads, and no basis of J-check is computed.  This is the one
+    statement of the argument; the checks that rest on it point here.
     """
     if not all(map(is_homogeneous, ideal.generators)):
         raise ValueError("the t = 0 section of the leading monomials "
                          "requires homogeneous generators")
-    code, elements = _groebner_basis(ideal, "grevlex")
-    section = MonomialCode(ideal.nvars - 1, "grevlex")
+    code, elements = _groebner_basis(ideal)
+    section = MonomialCode(ideal.nvars - 1)
     return section, tuple(section._from_p(lead & code.mask)
                           for _, _, lead, _, _ in elements
                           if not (lead & code.mask) >> section.shift)
@@ -891,9 +866,9 @@ def t_section_hilbert_series(ideal: Ideal) -> HilbertSeries:
     section's leads.
     """
     code, leads = t_section_leads(ideal)
-    if len(leads) != len(_groebner_basis(ideal, "grevlex")[1]):
+    if len(leads) != len(_groebner_basis(ideal)[1]):
         return _series_of_leads(code, leads)
-    series = _hilbert_series(ideal, "grevlex")
+    series = hilbert_series_of_quotient(ideal)
     # N / (1 - s^2)^k, whose denominator has 2k + 1 coefficients
     numer = [a - b for a, b in zip(series.numerator + (0, 0),
                                    (0, 0) + series.numerator)]

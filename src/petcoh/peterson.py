@@ -20,10 +20,10 @@ integers, rational coefficients cleared of their denominators.
 
 Beside the rows, the model keeps one product table, built on first use
 with one row product per subset: row k holds b_S = prod_{i in S} p_{s_i}
-at every fixed point, for S = ``subsets[k]``.  Giambelli's formula reads
-b_K off it.  Monk's rule is stated once, for any table, in
-``_expansion_failures``: on the rows it is the ``monk`` check, on the
-product table the spanning step of the graded dimensions.
+at every fixed point, for S = ``subsets[k]``.  Giambelli's formula, for
+every nonempty K, reads b_K off it.  Monk's rule is stated once, for any
+table, in ``_expansion_failures``: on the rows it is the ``monk`` check,
+on the product table the spanning step of the graded dimensions.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ from .errors import IntegrityError
 from .report import CheckRecord, ratio
 from .roots import CartanMatrix
 from .weyl import WeylGroup
-
-
-def _row_product(rows) -> tuple[int, ...]:
-    """The pointwise product of one or more rows."""
-    return tuple(reduce(partial(map, mul), rows))
 
 
 def _nonzero_points(table) -> tuple[frozenset[int], ...]:
@@ -268,8 +263,10 @@ class PetersonModel:
         """The number of reduced words of v_K, and whether
         (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}, compared
         as |K|! p_{v_K} = #words b_K on the rows, with b_K read off the
-        product table.  The count is read off the descent steps of the v_J
-        (``_word_counts``); a zero count is an ``IntegrityError``."""
+        product table.  It holds for a disconnected K too, as the product
+        of the formulas of its connected components (``cli._check_giambelli``
+        gives the argument).  The count is read off the descent steps of the
+        v_J (``_word_counts``); a zero count is an ``IntegrityError``."""
         K = tuple(sorted(set(K)))
         k = self._subset_index[K]
         n_words = self._word_counts[self._masks[k]]
@@ -278,12 +275,6 @@ class PetersonModel:
         k_factorial = factorial(len(K))
         return n_words, [k_factorial * c for c in self._rows[k]] == \
             [n_words * c for c in self._products[k]]
-
-    def product_holds(self, K, components) -> bool:
-        """True iff p_{v_K} = prod_C p_{v_C} over the given node sets C (the
-        product rule, for the connected components C of a disconnected K)."""
-        return self.subset_class(K) == \
-            _row_product(self.subset_class(C) for C in components)
 
     # -- module basis -------------------------------------------------------
 

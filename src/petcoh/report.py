@@ -88,13 +88,16 @@ class CertificationReport:
         Giambelli witnesses (it is onto the span of the classes p_{v_K}),
         the basis triangularity (the 2^n classes p_{v_K} are independent,
         so the target has the expected size), the Hilbert series equality
-        (the source has that size too), and the well-definedness of
+        (the source has that size too, read off J's Groebner basis and
+        proven again from the Cartan minors, which make the quadrics and
+        t a regular sequence), and the well-definedness of
         Billey's formula.  That last leg is needed because the other
         restriction legs read the classes off Billey localizations: they
         are the Peterson classes only if every localization is the same
         for every reduced word and vanishes off the Bruhat interval.  The
         Giambelli witnesses must moreover reach every one of the 2^n - 1
-        nonempty node sets K of that basis (p_{v_()} is 1)."""
+        nonempty node sets K of that basis (p_{v_()} is 1), each by
+        Giambelli's identity for K itself."""
         legs = {"billey_welldef", "quadratic", "giambelli", "basis", "hilbert"}
         ran = {r.check: r.passed for r in self.records if r.check in legs}
         return set(ran) == legs and all(ran.values()) and \

@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction as Q
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 
 class Poly:
@@ -511,6 +513,21 @@ def class_verify_quadratic(model):
         parameters={"relations": model.rank},
         witnesses={"failing_rows": failing},
     )
+
+
+def _row_product(rows) -> tuple[int, ...]:
+    """The pointwise product of one or more rows."""
+    return tuple(reduce(partial(map, mul), rows))
+
+
+def product_holds(model, K, components) -> bool:
+    """True iff p_{v_K} = prod_C p_{v_C} over the given node sets C, on the
+    model's rows: the product rule, for the connected components C of a
+    disconnected K.  The ``giambelli`` check read it for such a K before
+    it read Giambelli's identity for every K; kept as the test of the
+    product rule itself."""
+    return model.subset_class(K) == \
+        _row_product(model.subset_class(C) for C in components)
 
 
 def class_check_giambelli(model):
@@ -1237,9 +1254,10 @@ def fraction_verify_giambelli(model, K):
     )
 
 
-# Monomial orders on exponent tuples, as order keys: the reference for the
-# packed orders of ``commalg.MonomialCode``, and the orders of the tuple
-# engines below.
+# Monomial orders on exponent tuples, as order keys: grevlex is the
+# reference for the packed order of ``commalg.MonomialCode``; the tuple and
+# Fraction engines below take either, so that a series read under grevlex
+# can be recomputed under grlex.
 
 def grevlex_key(exps):
     """Graded reverse lexicographic, first listed variable largest."""
@@ -1370,20 +1388,18 @@ def _cleared(terms) -> tuple[int, dict]:
     return den, {e: int(c * den) for e, c in terms.items()}
 
 
-def normal_form(p, basis, key):
-    """Remainder of p on division by the basis, by the engine's integer
-    reduction as it ran before it stopped at the top,
+def normal_form(p, basis):
+    """Remainder of p on division by the basis under grevlex, by the
+    engine's integer reduction as it ran before it stopped at the top,
     ``full_regular_reduce``, on packed monomials: p and every divisor are
-    cleared of their denominators and packed for the order of ``key``,
-    each divisor enters in the engine's primitive form (scaling a divisor
-    leaves the remainder unchanged) at index 0, below the work's index 1,
-    so that every divisor qualifies and the first dividing one reduces,
-    and the unpacked integer remainder is divided by p's denominator and
-    the running scale."""
+    cleared of their denominators and packed, each divisor enters in the
+    engine's primitive form (scaling a divisor leaves the remainder
+    unchanged) at index 0, below the work's index 1, so that every divisor
+    qualifies and the first dividing one reduces, and the unpacked integer
+    remainder is divided by p's denominator and the running scale."""
     from petcoh import commalg
 
-    ordering, = (name for name, k in MONOMIAL_ORDERS.items() if k is key)
-    code = commalg.MonomialCode(p.nvars, ordering)
+    code = commalg.MonomialCode(p.nvars)
 
     def packed(terms):
         return {code.encode(e): c for e, c in _cleared(terms)[1].items()}
@@ -1473,7 +1489,7 @@ def full_regular_reduce(work: dict, index: int, sig: int, elements,
     return remainder, scale
 
 
-def tail_reduced_signature_basis(ideal, ordering: str = "grevlex"):
+def tail_reduced_signature_basis(ideal):
     """(code, elements) as ``commalg._groebner_basis`` returns them, from
     the loop that reduces in full with ``full_regular_reduce`` and tests
     the F5 criterion when a pair is popped, uncached."""
@@ -1485,7 +1501,7 @@ def tail_reduced_signature_basis(ideal, ordering: str = "grevlex"):
         s_polynomial,
     )
 
-    code = MonomialCode(ideal.nvars, ordering)
+    code = MonomialCode(ideal.nvars)
     gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]
     # (index, signature monomial, lead, lc, tail), in the order treated:
     # every element of index i comes before any of index i + 1
@@ -1852,16 +1868,16 @@ def tuple_pure_power_variables(leads, nvars: int) -> list[bool]:
     return [any(e[v] and sum(e) == e[v] for e in leads) for v in range(nvars)]
 
 
-def ideal_zero_set_is_origin(ideal, ordering: str = "grevlex") -> bool:
+def ideal_zero_set_is_origin(ideal) -> bool:
     """The zero-set test as ``commalg.zero_set_is_origin`` ran it before it
     took leads: after a homogeneity check, on the packed leads of the
-    ideal's own basis under the order.  Ground truth for the ``zero_set``
-    check, which reads J-check's grevlex leads off J's basis."""
+    ideal's own basis.  Ground truth for the ``zero_set`` check, which
+    reads J-check's leads off J's basis."""
     from petcoh import commalg
 
     if not all(map(commalg.is_homogeneous, ideal.generators)):
         raise ValueError("zero-set criterion requires homogeneous generators")
-    code, elements = commalg._groebner_basis(ideal, ordering)
+    code, elements = commalg._groebner_basis(ideal)
     return commalg.zero_set_is_origin(code, [h[2] for h in elements])
 
 
@@ -1901,7 +1917,7 @@ def graded_degree(p) -> int:
     return 2 * total_degree(p)
 
 
-def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
+def is_regular_sequence(var_names, polys):
     """Hilbert-series criterion: the sequence is regular iff the quotient
     series equals F(R) * prod_k (1 - s^(deg theta_k)).
 
@@ -1920,7 +1936,7 @@ def is_regular_sequence(var_names, polys, ordering: str = "grevlex"):
             raise ValueError("regular-sequence input must be homogeneous of "
                              "positive degree")
     ideal = Ideal(var_names, tuple(p.terms for p in polys))
-    actual = hilbert_series_of_quotient(ideal, ordering)
+    actual = hilbert_series_of_quotient(ideal)
     degrees = [graded_degree(p) for p in polys]
     expected = HilbertSeries.over_one_minus_s2(_one_minus_product(degrees),
                                                len(var_names))

@@ -613,16 +613,16 @@ def test_failed_check_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("report,digest", [
     (lambda: run_suite(DEFAULT_SUITE),
-     "38ca5a1f665eab07403ededdf6b3e32d5e1b4465288f37d2da1e9c0de2e970c0"),
+     "7f0dbab8ca52e0d51eacf680c6c801131ea28e8d1446d8c168ed97c6192710bf"),
     (lambda: run_certification(RunConfig(
         "E6", checks=("quadratic", "monk", "giambelli", "basis",
                       "graded_dims"))).to_dict(),
      "ff1db3adf3a4a0b538dab17e70c5d4e456bbf0f0e19cf7adafc4845c3836464f"),
     (lambda: run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set"))).to_dict(),
-     "54a36c7b8f4a6d7f7e8f6a92ff3006538a0f8525484c5f46db881faa274de9a1"),
+     "a98922d3f99140b55784f3dbd0fb217db08b94a654fd2928a2cfc901c34b370e"),
     (lambda: run_certification(RunConfig("E8")).to_dict(),
-     "3f3c8b3acd4995d16d31d116fced5f76f3ec71737b715bed225c098cbdfb822d"),
+     "1056e4b68f02862c7e97e6b1c2d1d6230367d700d6763f33c1f534fcb624bcf4"),
 ], ids=["default-suite", "E6-restriction", "E7-quadric", "E8-certify"])
 def test_default_suite_report_is_pinned(report, digest):
     # the refactor gate: the timing-free report, byte for byte

@@ -90,7 +90,7 @@ def test_every_function_is_called_or_allowed():
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
     commalg._groebner_basis.cache_clear()
-    commalg._hilbert_series.cache_clear()
+    commalg.hilbert_series_of_quotient.cache_clear()
     commalg.t_section_leads.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(record)
