@@ -11,10 +11,6 @@ from .commalg import (
     build_ideal_J,
     build_ideal_Jcheck,
     groebner_basis,
-    hilbert_series_of_quotient,
-    t_section_hilbert_series,
-    t_section_leads,
-    zero_set_is_origin,
     zero_set_via_minors,
 )
 from .errors import IntegrityError
@@ -46,15 +42,11 @@ __all__ = [
     "build_ideal_Jcheck",
     "cartan_matrix",
     "groebner_basis",
-    "hilbert_series_of_quotient",
     "leading_minors_positive",
     "localization_table",
     "parse_lie_type",
     "simple_reflection_action",
-    "t_section_hilbert_series",
-    "t_section_leads",
     "word_to_str",
-    "zero_set_is_origin",
     "zero_set_via_minors",
     "__version__",
 ]

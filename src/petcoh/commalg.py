@@ -10,17 +10,21 @@ restricted to the circle is an int times a power of t.  The one Gaussian
 elimination is the fraction-free one of ``leading_minors_positive``: the
 leading minors of the Cartan matrix, and one elimination of its
 symmetrization D A, which proves every principal minor positive for the
-minors route of the zero-set check (``zero_set_via_minors``); the graded
+minors route of the quadric checks (``zero_set_via_minors``); the graded
 ranks of the restriction model need none
 (``peterson.PetersonModel.image_graded_dimensions``).
 
 Every Hilbert series is N(s)/(1 - s^2)^k with an integer polynomial N, so
 univariate quantities are plain integer coefficient lists, constant term
-first.
+first.  In the quadric presentation every variable has cohomological
+degree 2, so every series is even in s.
 
-In the quadric presentation every variable has cohomological degree 2;
-internally all computations run on ordinary total degree and the doubling
-happens only when a Hilbert series is emitted (s -> s^2).
+No check computes a Groebner basis or a Hilbert numerator: the quadric
+checks rest on the Cartan minors (``zero_set_via_minors``), which make
+the quadrics and t a regular sequence, and the series they report are the
+closed forms that fact gives.  The Groebner engine stays here, off the run
+path: the test oracles read its leading monomials, and the benchmark's
+tracer wraps ``groebner_basis`` by name.
 
 The Groebner engine is signature based, in the style of F5 (Faugere,
 ISSAC 2002; see Eder and Faugere, J. Symbolic Comput. 80, 2017, for the
@@ -72,18 +76,10 @@ ends at zero.  Along the way:
 - the basis returned is the loop's own elements, in the order added, as
   primitive integer polynomials with positive leading coefficients.  It is
   a Groebner basis, deterministic per ideal, but neither minimal
-  nor reduced: downstream only its leading monomials are read, and they
+  nor reduced: a caller reads only its leading monomials, and they
   generate the leading-term ideal;
-- the Hilbert-series and zero-set checks read those leading monomials as
-  packed codes: minimalizing, colon ideals and pure powers are int
-  arithmetic on codes, and the Hilbert recursion minimalizes once, at
-  entry, then keeps every generator set minimal as it builds it;
-- no basis of the t = 0 ideal J-check is computed: ``t_section_leads``
-  reads J-check's leads off J's basis, and its docstring gives the
-  argument.  A quadric run computes one basis, of J;
-- each ideal's basis and Hilbert series is computed once per process, so
-  the checks that need the same one share it; so is each quadric ideal,
-  once per Cartan matrix.
+- each ideal's basis is computed once per process, and each quadric
+  ideal once per Cartan matrix.
 
 This module imports nothing else from the package at run time, so every
 other module can build on it.
@@ -713,216 +709,28 @@ def _one_minus_product(degrees) -> list[int]:
     return out
 
 
-def _monomial_quotient_numerator(gens, code: MonomialCode) -> list[int]:
-    """Coefficients of the numerator of the Hilbert series of R/I for the
-    monomial ideal I generated by the codes ``gens``, over the internal
-    degree-1 grading: F = N(s)/(1-s)^nvars.
-
-    The generators are minimalized once, here; ``_minimal_numerator``
-    keeps them minimal down the recursion.
-    """
-    gens = _minimalize(gens, code)
-    if gens and gens[0] == 0:
-        return []  # ideal contains 1
-    # the exponent field of each variable, in the order of code.weights
-    fields = tuple((x & code.mask) * ((1 << FIELD_BITS - 1) - 1)
-                   for x in code.weights)
-    return _minimal_numerator(gens, code, fields)
-
-
-def _minimal_numerator(gens, code: MonomialCode, fields) -> list[int]:
-    """The numerator for minimal generators ``gens``, none of them 1;
-    ``fields`` masks the exponent field of each variable.
-
-    Recursion: pivot on the variable x that divides the most mixed
-    generators, using N(I) = N(I + (x)) + s * N(I : x); base cases are
-    pure-power ideals.  The tree is walked on a worklist of (generators,
-    shift) pairs, each node standing for s^shift times its numerator, so
-    its depth, one level per unit of a pivot's exponent, meets no
-    recursion limit; N(I) is the sum of s^shift times each base case's
-    product.  The pivot is counted over the mixed generators alone
-    (``_mixed_parts``).  Both children come out minimal without a pass
-    over all pairs (Bigatti, J. Pure Appl. Algebra 119, 1997):
-
-    - I + (x) is generated by x and the g that x does not divide.  Only x
-      itself could divide x, and were x a generator, it would divide no
-      other one, so it would not be the pivot.
-    - I : x is generated by the g / x for the g that x divides and by the
-      other g that no such quotient divides.  The quotients are minimal
-      among themselves, and no other g divides one: g / x | g' / x means
-      g | g', and h | g / x means h | g.  None is 1, as the pivot divides a
-      mixed generator.
-    """
-    mask, guards = code.mask, code.guards
-    out = []
-    work = [(gens, 0)]
-    while work:
-        gens, shift = work.pop()
-        mixed = _mixed_parts(gens, code)
-        if not mixed:
-            base = _one_minus_product(map(code.degree, gens))
-            out += [0] * (shift + len(base) - len(out))
-            for k, c in enumerate(base, shift):
-                out[k] += c
-            continue
-        counts = [len([p for p in mixed if p & f]) for f in fields]
-        v = counts.index(max(counts))
-        x, field = code.weights[v], fields[v]
-        quotients = [g - x for g in gens if g & field]
-        others = [g for g in gens if not g & field]
-        parts = [q & mask for q in quotients]
-        kept = [g for g in others
-                if not any((g & mask | guards) - q & guards == guards
-                           for q in parts)]
-        work += [(quotients + kept, shift + 1), (others + [x], shift)]
-    return out
-
-
-def _mixed_parts(gens, code: MonomialCode) -> list[int]:
-    """The exponent parts of the mixed codes among ``gens``, those of two
-    or more variables, in order.  A code is mixed iff its exponent part p
-    is above the guard bit of the field of p's lowest set bit: every bit of
-    that field lies below its guard bit, every bit of a higher field above
-    it.  That guard bit is the lowest one that -p shares with the guards,
-    as -p keeps p's lowest set bit and flips every bit above it."""
-    mask, guards = code.mask, code.guards
-    return [p for g in gens if (p := g & mask) > (top := guards & -p) & -top]
-
-
-def _minimalize(gens, code: MonomialCode) -> list[int]:
-    """The minimal generators among the codes, ascending.  Grevlex is
-    graded, so a proper divisor has the smaller code and is kept first."""
-    out = []
-    for g in sorted(set(gens)):
-        if not any(code.divides(h, g) for h in out):
-            out.append(g)
-    return out
-
-
-@lru_cache(maxsize=None)
-def hilbert_series_of_quotient(ideal: Ideal) -> HilbertSeries:
-    """Hilbert series of the quotient by the ideal, all variables degree 2.
-
-    Computed from the leading monomials of the ideal's Groebner basis: they
-    generate the leading-term ideal, and ``_monomial_quotient_numerator``
-    minimalizes them first; it reads the engine's packed leads as they are.
-    Like the basis, each ideal's series is computed once per process, so
-    the ``regular_sequence`` check reuses the series of J that ``hilbert``
-    built.
-
-    A run computes no basis of the t = 0 ideal J-check: its leads are read
-    off J's basis (``t_section_leads`` gives the argument), and its series
-    is ``t_section_hilbert_series`` of J.
-    """
-    code, elements = _groebner_basis(ideal)
-    return _series_of_leads(code, [h[2] for h in elements])
-
-
-def _series_of_leads(code: MonomialCode, leads) -> HilbertSeries:
-    """The series of the quotient by the monomial ideal the codes
-    generate, all variables of degree 2."""
-    numer = _monomial_quotient_numerator(leads, code)
-    # substitute s -> s^2 under the denominator (1 - s^2)^nvars
-    numer = [c for coeff in numer for c in (coeff, 0)]
-    return HilbertSeries.over_one_minus_s2(numer, code.nvars)
-
-
-@lru_cache(maxsize=None)
-def t_section_leads(ideal: Ideal) -> tuple[MonomialCode, tuple[int, ...]]:
-    """(code, leads): generators of the leading-term ideal of (I + (t))/(t)
-    in Q[x_1..x_n], for a homogeneous ideal I of Q[x_1..x_n, t], t its last
-    variable, read off I's own cached basis.  ValueError if a generator of
-    I is not homogeneous.
-
-    Under grevlex with t the last variable, in(I + (t)) = in(I) + (t) for
-    every homogeneous I (Bayer and Stillman, Invent. Math. 87, 1987;
-    Eisenbud, Commutative Algebra, Prop. 15.12), and the theorem needs the
-    homogeneity.  So the leads of I's basis that t does not divide
-    generate in((I + (t))/(t)): they are kept, in the order of the basis,
-    and re-encoded in the n-variable code (their t field is zero, so the
-    exponent part carries over).  For the quadric ideal J, theta_i =
-    theta-check_i - 2 t x_i gives (J, t) = (J-check, t), so these are
-    J-check's leads, and no basis of J-check is computed.  This is the one
-    statement of the argument; the checks that rest on it point here.
-    """
-    if not all(map(is_homogeneous, ideal.generators)):
-        raise ValueError("the t = 0 section of the leading monomials "
-                         "requires homogeneous generators")
-    code, elements = _groebner_basis(ideal)
-    section = MonomialCode(ideal.nvars - 1)
-    return section, tuple(section._from_p(lead & code.mask)
-                          for _, _, lead, _, _ in elements
-                          if not (lead & code.mask) >> section.shift)
-
-
-def t_section_hilbert_series(ideal: Ideal) -> HilbertSeries:
-    """Hilbert series of Q[x_1..x_n]/((I + (t))/(t)), read off
-    ``t_section_leads``: for the quadric ideal J, the series of J-check.
-
-    When the section kept every lead of I's basis, that is none involves
-    t, in(I) is generated by monomials in x alone, in(I) = in((I + (t))/(t))
-    * Q[x, t], and the two quotients have the same numerator: the series
-    is that of I, cached, times 1 - s^2.  Otherwise it is computed from the
-    section's leads.
-    """
-    code, leads = t_section_leads(ideal)
-    if len(leads) != len(_groebner_basis(ideal)[1]):
-        return _series_of_leads(code, leads)
-    series = hilbert_series_of_quotient(ideal)
-    # N / (1 - s^2)^k, whose denominator has 2k + 1 coefficients
-    numer = [a - b for a, b in zip(series.numerator + (0, 0),
-                                   (0, 0) + series.numerator)]
-    return HilbertSeries.over_one_minus_s2(numer, len(series.denominator) // 2)
-
-
 # ---------------------------------------------------------------------------
-# regular sequences and zero sets
-
-def regular_sequence_certificate(series: HilbertSeries, nvars: int, degrees):
-    """Hilbert-series criterion: homogeneous elements of positive
-    cohomological degrees ``degrees`` in a polynomial ring in ``nvars``
-    variables of degree 2 form a regular sequence iff the quotient by them
-    has the series F(R) * prod_k (1 - s^d_k), F(R) = 1 / (1 - s^2)^nvars.
-
-    Returns (flag, certificate) for the quotient's ``series``; the
-    certificate carries both series and the degrees.
-    """
-    expected = HilbertSeries.over_one_minus_s2(_one_minus_product(degrees),
-                                               nvars)
-    certificate = {
-        "computed_series": series.to_json(),
-        "expected_series": expected.to_json(),
-        "degrees": degrees,
-    }
-    return series == expected, certificate
-
-
-def zero_set_is_origin(code: MonomialCode, leads) -> bool:
-    """For a homogeneous ideal, given the packed leading monomials of a
-    Groebner basis (any one): the affine zero set is {0} iff the quotient
-    is finite dimensional, i.e. the leading-term ideal contains a pure
-    power of every variable.  The leads generate that ideal, so one of them
-    is such a power iff the ideal holds one."""
-    # x_v^d, d > 0, has the code d * weights[v]; the constant 1 has code 0
-    return all(any(lead and lead == code.degree(lead) * x for lead in leads)
-               for x in code.weights)
-
+# the Cartan-minors route
 
 def zero_set_via_minors(cartan: CartanMatrix) -> bool:
-    """Independent oracle: J-check's zero set is the origin because every
-    principal minor of the Cartan matrix A is positive.
+    """J-check's zero set is the origin because every principal minor of
+    the Cartan matrix A is positive.
 
     J-check's own generators are checked to be theta-check_i =
-    x_i (A x)_i.  A common zero x with support S then has A_S x_S = 0,
-    which a nonzero det(A_S) forbids.  Those minors are proven positive
-    by one elimination: A has a positive diagonal symmetrizer D
-    (``symmetrizer``), D A is symmetric, and Sylvester's criterion on its
-    leading minors makes D A positive definite, so every principal minor
-    of D A is positive, and det((D A)_S) = prod_{i in S} d_i * det(A_S).
-    False if a generator differs or no symmetrizer exists."""
+    x_i (A x)_i, one per node.  A common zero x with support S then has
+    A_S x_S = 0, which a nonzero det(A_S) forbids.  Those minors are
+    proven positive by one elimination: A has a positive diagonal
+    symmetrizer D (``symmetrizer``), D A is symmetric, and Sylvester's
+    criterion on its leading minors makes D A positive definite, so every
+    principal minor of D A is positive, and det((D A)_S) = prod_{i in S}
+    d_i * det(A_S).  False if a generator differs or is missing, or if no
+    symmetrizer exists."""
     rows = cartan.entries
     n = cartan.rank
-    for i, g in enumerate(build_ideal_Jcheck(cartan).generators):
+    generators = build_ideal_Jcheck(cartan).generators
+    if len(generators) != n:
+        return False
+    for i, g in enumerate(generators):
         expected = {}
         for j, a_ij in enumerate(rows[i]):
             if a_ij:

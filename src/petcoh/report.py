@@ -88,9 +88,9 @@ class CertificationReport:
         Giambelli witnesses (it is onto the span of the classes p_{v_K}),
         the basis triangularity (the 2^n classes p_{v_K} are independent,
         so the target has the expected size), the Hilbert series equality
-        (the source has that size too, read off J's Groebner basis and
-        proven again from the Cartan minors, which make the quadrics and
-        t a regular sequence), and the well-definedness of
+        (the source has that size too: the Cartan minors make the quadrics
+        and t a regular sequence, which gives its series in closed form;
+        no Groebner basis is computed), and the well-definedness of
         Billey's formula.  That last leg is needed because the other
         restriction legs read the classes off Billey localizations: they
         are the Peterson classes only if every localization is the same

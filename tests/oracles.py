@@ -1824,8 +1824,9 @@ def _tuple_interreduced(basis, key, nvars):
 
 
 # The monomial Hilbert numerator and the pure-power test on exponent tuples,
-# as commalg ran them before its Hilbert and zero-set checks read the
-# engine's packed leading monomials: ground truth for the packed recursion.
+# read off the leading monomials of ``commalg.groebner_basis``: the route by
+# elimination that the quadric checks ran before they rested on the Cartan
+# minors alone, and ground truth for the series those checks print.
 
 def tuple_monomial_quotient_numerator(gens, nvars: int) -> list[int]:
     """Coefficients of the numerator N of the Hilbert series N(s)/(1-s)^nvars
@@ -1868,17 +1869,34 @@ def tuple_pure_power_variables(leads, nvars: int) -> list[bool]:
     return [any(e[v] and sum(e) == e[v] for e in leads) for v in range(nvars)]
 
 
-def ideal_zero_set_is_origin(ideal) -> bool:
-    """The zero-set test as ``commalg.zero_set_is_origin`` ran it before it
-    took leads: after a homogeneity check, on the packed leads of the
-    ideal's own basis.  Ground truth for the ``zero_set`` check, which
-    reads J-check's leads off J's basis."""
-    from petcoh import commalg
+def basis_leads(ideal):
+    """The leading exponent tuples of ``commalg.groebner_basis`` of the
+    ideal."""
+    from petcoh.commalg import groebner_basis
 
-    if not all(map(commalg.is_homogeneous, ideal.generators)):
+    return leading_exponents(groebner_basis(ideal))
+
+
+def hilbert_series_of_quotient(ideal):
+    """The series of the quotient by the ideal, all variables of degree 2,
+    as a ``commalg.HilbertSeries``: the numerator of its leading-term ideal
+    (``tuple_monomial_quotient_numerator``) with s -> s^2, over
+    (1 - s^2)^nvars."""
+    from petcoh.commalg import HilbertSeries
+
+    numerator = tuple_monomial_quotient_numerator(basis_leads(ideal), ideal.nvars)
+    return HilbertSeries.over_one_minus_s2(
+        [c for coeff in numerator for c in (coeff, 0)], ideal.nvars)
+
+
+def ideal_zero_set_is_origin(ideal) -> bool:
+    """For a homogeneous ideal: the affine zero set is {0} iff the quotient
+    is finite dimensional, i.e. the leading-term ideal contains a pure
+    power of every variable, which holds iff a lead of the basis is one
+    (``tuple_pure_power_variables``)."""
+    if not all(g.is_homogeneous() for g in generator_polys(ideal)):
         raise ValueError("zero-set criterion requires homogeneous generators")
-    code, elements = commalg._groebner_basis(ideal)
-    return commalg.zero_set_is_origin(code, [h[2] for h in elements])
+    return all(tuple_pure_power_variables(basis_leads(ideal), ideal.nvars))
 
 
 def principal_minors_positive(cartan) -> bool:
@@ -1897,10 +1915,10 @@ def principal_minors_positive(cartan) -> bool:
     return True
 
 
-# The regular-sequence check as commalg ran it before the check read the
-# series of J and of J-check that the ``hilbert`` check computes: it builds
-# the ideal of the sequence itself, J + (t) for the whole sequence, and
-# computes its own basis.  Ground truth for ``cli._check_regular_sequence``.
+# The regular-sequence check by the Hilbert-series criterion, as commalg ran
+# it before the check rested on the Cartan minors: it builds the ideal of
+# the sequence itself, J + (t) for the whole sequence, and reads its series
+# off that ideal's own basis.  Ground truth for ``cli._check_regular_sequence``.
 
 def variable(nvars: int, index: int):
     """The variable of the given index as a ``Poly``."""
@@ -1923,12 +1941,7 @@ def is_regular_sequence(var_names, polys):
 
     Returns (flag, certificate) where the certificate carries both series.
     """
-    from petcoh.commalg import (
-        HilbertSeries,
-        Ideal,
-        _one_minus_product,
-        hilbert_series_of_quotient,
-    )
+    from petcoh.commalg import HilbertSeries, Ideal, _one_minus_product
 
     var_names = tuple(var_names)
     for p in polys:

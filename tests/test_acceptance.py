@@ -19,14 +19,7 @@ from petcoh.cli import (
     expected_ordinary_series,
     run_suite,
 )
-from petcoh.commalg import (
-    build_ideal_J,
-    build_ideal_Jcheck,
-    hilbert_series_of_quotient,
-    t_section_leads,
-    zero_set_is_origin,
-    zero_set_via_minors,
-)
+from petcoh.commalg import build_ideal_J, build_ideal_Jcheck, zero_set_via_minors
 from petcoh.peterson import PetersonModel
 from petcoh.report import strip_timing
 from petcoh.roots import cartan_matrix
@@ -42,6 +35,8 @@ from oracles import (
     enumerate_reduced_words,
     from_word,
     generator_polys,
+    hilbert_series_of_quotient,
+    ideal_zero_set_is_origin,
     is_connected,
     is_regular_sequence,
     monk_fraction,
@@ -163,7 +158,7 @@ def test_criterion_6_regular_sequences_and_zero_sets():
             with_t, _ = is_regular_sequence(ideal.var_names, thetas + [t_var])
             prefix, _ = is_regular_sequence(ideal.var_names, thetas)
             assert with_t and prefix, name
-            groebner_route = zero_set_is_origin(*t_section_leads(ideal))
+            groebner_route = ideal_zero_set_is_origin(build_ideal_Jcheck(cm))
             minor_route = zero_set_via_minors(cm)
             assert groebner_route == minor_route == True, name  # noqa: E712
 

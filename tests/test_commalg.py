@@ -1,6 +1,8 @@
 """Groebner bases, Hilbert series, regular sequences, and the zero-set
 oracles."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import cli, commalg, peterson
-from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification, run_suite
+from petcoh import commalg, peterson
+from petcoh.cli import DEFAULT_SUITE, RunConfig, main, run_certification, run_suite
 from petcoh.commalg import (
     MAX_DEGREE,
     HilbertSeries,
@@ -19,11 +21,9 @@ from petcoh.commalg import (
     build_ideal_J,
     build_ideal_Jcheck,
     groebner_basis,
-    hilbert_series_of_quotient,
     leading_minors_positive,
     s_polynomial,
     symmetrizer,
-    zero_set_is_origin,
     zero_set_via_minors,
 )
 from petcoh.roots import CartanMatrix, cartan_matrix
@@ -33,8 +33,10 @@ from oracles import (
     Poly,
     _divides,
     _mono_lcm,
+    _tuple_minimalize,
     all_monomials_graded_dims,
     as_term_list,
+    basis_leads,
     bareiss_pivots,
     buchberger_groebner_basis,
     fraction_det,
@@ -43,8 +45,9 @@ from oracles import (
     generator_polys,
     graded_degree,
     grevlex_key,
-    ideal_zero_set_is_origin,
     grlex_key,
+    hilbert_series_of_quotient,
+    ideal_zero_set_is_origin,
     ideal_to_json,
     is_regular_sequence,
     leading_exponents,
@@ -60,7 +63,6 @@ from oracles import (
     total_degree,
     tuple_groebner_basis,
     tuple_monomial_quotient_numerator,
-    tuple_pure_power_variables,
     tuple_reduced_basis,
     variable,
 )
@@ -406,6 +408,13 @@ def test_ideals_and_series_are_frozen_values():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def _t_free(ideal):
+    """The ideal with t, its last variable, set to zero, in the other
+    variables; the generators that vanish are left out."""
+    gens = ({e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators)
+    return Ideal(ideal.var_names[:-1], tuple(g for g in gens if g))
+
+
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
 def test_Jcheck_is_J_with_t_set_to_zero(name):
     cm = cartan_matrix(name)
@@ -497,7 +506,7 @@ def _monic_basis(ideal):
 
 
 def _quadric_ideals(name):
-    """J, its t = 0 counterpart, and J + (t), as the quadric checks build them."""
+    """J, its t = 0 counterpart J-check, and J + (t)."""
     cm = cartan_matrix(name)
     ideal = build_ideal_J(cm)
     t_var = variable(ideal.nvars, cm.rank)
@@ -695,9 +704,8 @@ def test_a_basis_fed_back_as_an_ideal_keeps_its_leads_and_series():
         basis = groebner_basis(ideal)
         again = Ideal(ideal.var_names, basis)
         assert again.generators == tuple(basis), label
-        code, leads = _packed_leads(ideal)
-        assert commalg._minimalize(_packed_leads(again)[1], code) == \
-            commalg._minimalize(leads, code), label
+        assert _tuple_minimalize(basis_leads(again)) == \
+            _tuple_minimalize(basis_leads(ideal)), label
         assert hilbert_series_of_quotient(again) == \
             hilbert_series_of_quotient(ideal), label
 
@@ -964,15 +972,14 @@ def test_main_theorem_series_certificates(name):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 def test_hilbert_series_order_independent(name):
-    # the series read off J's grevlex basis is that of the Fraction
-    # oracle's grlex basis of J-check, a basis under another order of
-    # another ideal
+    # the series read off the engine's grevlex basis of J-check is that of
+    # the Fraction oracle's grlex basis, a basis under another order
     cm = cartan_matrix(name)
     jcheck = build_ideal_Jcheck(cm)
     leads = leading_exponents(
         [g.terms for g in buchberger_groebner_basis(jcheck, "grlex")], "grlex")
     numerator = tuple_monomial_quotient_numerator(leads, jcheck.nvars)
-    assert commalg.t_section_hilbert_series(build_ideal_J(cm)) == \
+    assert hilbert_series_of_quotient(jcheck) == \
         HilbertSeries.over_one_minus_s2(
             [c for coeff in numerator for c in (coeff, 0)], jcheck.nvars) == \
         ordinary_series(cm.rank)
@@ -1035,7 +1042,6 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
         return series
 
     monkeypatch.setattr(HilbertSeries, "over_one_minus_s2", classmethod(recording))
-    hilbert_series_of_quotient.cache_clear()  # so that every series is rebuilt
     report = run_certification(RunConfig(name, checks=("hilbert", "regular_sequence")))
     assert report.overall_pass
     for numerator, power, series in built:
@@ -1044,15 +1050,14 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
     # the series the report prints are among those checked
     printed = [item for record in report.records
                for item in _printed_series(record.witnesses)]
-    assert len(printed) == 8
+    assert len(printed) == 2
     assert all(item in [s.to_json() for _, _, s in built] for item in printed)
 
 
-def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
-    # hilbert builds the series of J and reads J-check's off J's basis;
-    # regular_sequence reads the series of J and of the section again,
-    # since (J, t) = (J-check, t); zero_set reads the section's leads.  One
-    # basis, of J
+def test_no_run_computes_a_groebner_basis(monkeypatch):
+    # the quadric checks rest on the Cartan minors alone: from cleared
+    # caches, neither the suite nor a full E7 run asks the engine for a
+    # basis, and every ideal they build is J or J-check of a type they run
     ideals = []
     init = Ideal.__init__
 
@@ -1063,32 +1068,16 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", recording_init)
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
-    hilbert_series_of_quotient.cache_clear()
     commalg._groebner_basis.cache_clear()
-    commalg.t_section_leads.cache_clear()
-    engine = commalg._groebner_basis
-    asked = []
-
-    def recording_engine(ideal):
-        asked.append(ideal)
-        return engine(ideal)
-
-    monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
-    report = run_certification(RunConfig(
-        "E7", checks=("hilbert", "regular_sequence", "zero_set")))
-    assert report.overall_pass
-    series = hilbert_series_of_quotient.cache_info()
-    assert (series.misses, series.hits) == (1, 3)
-    sections = commalg.t_section_leads.cache_info()
-    assert (sections.misses, sections.hits) == (1, 2)
-    bases = engine.cache_info()
-    assert bases.misses == 1
-    assert set(asked) == {build_ideal_J(cartan_matrix("E7"))}
-    # every ideal the run builds is J or J-check: seven quadrics, no t
-    assert ideals
-    for ideal in ideals:
-        assert len(ideal.generators) == 7
-        assert all({sum(e) for e, _ in g} == {2} for g in ideal.generators)
+    assert run_suite(DEFAULT_SUITE)["overall_pass"]
+    report = run_certification(RunConfig("E7"))
+    assert report.overall_pass and report.isomorphism_certified()
+    assert commalg._groebner_basis.cache_info().misses == 0
+    quadrics = {build_ideal_J(cartan_matrix(name))
+                for name in DEFAULT_SUITE + ("E7",)}
+    quadrics |= {build_ideal_Jcheck(cartan_matrix(name))
+                 for name in DEFAULT_SUITE + ("E7",)}
+    assert ideals and set(ideals) <= quadrics
 
 
 def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
@@ -1129,8 +1118,7 @@ def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
         "E6", checks=("hilbert", "regular_sequence", "zero_set"))),
 ], ids=["default-suite", "E6-quadric"])
 def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
-    # the polynomials a run builds: the generators of every ideal, and every
-    # element the Groebner engine keeps
+    # the polynomials a run builds are the generators of its ideals
     built = []
     init = Ideal.__init__
 
@@ -1138,27 +1126,27 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
         init(self, *args)
         built.extend(self.generators)
 
-    engine = commalg._groebner_basis
-
-    def recording_engine(ideal):
-        code, elements = engine(ideal)
-        built.extend(((lead, lc), *tail) for _, _, lead, lc, tail in elements)
-        return code, elements
-
     monkeypatch.setattr(Ideal, "__init__", recording_init)
-    monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
-    # so that every ideal, series and basis is rebuilt
+    # so that every ideal is rebuilt
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
-    hilbert_series_of_quotient.cache_clear()
-    engine.cache_clear()
     run()
     assert any(len(terms) > 1 for terms in built)
     for terms in built:
         assert all(type(c) is int for _, c in terms), terms
 
 
-# -- packed leads against the tuple Hilbert recursion and pure-power test -------------
+# -- the tuple Hilbert recursion ------------------------------------------------------
+
+def test_tuple_numerator_fixed_cases():
+    assert tuple_monomial_quotient_numerator([], 2) == [1]
+    assert tuple_monomial_quotient_numerator([(0, 0), (2, 0)], 2) == []
+    # (x^2, xy, y^3) leaves 1, x, y, y^2: N = (1 + 2s + s^2) (1 - s)^2
+    assert tuple_monomial_quotient_numerator(
+        [(0, 3), (1, 1), (2, 0), (1, 1)], 2) == [1, 0, -2, 0, 1]
+
+
+# -- the engine's leads, read by the tuple recursion --------------------------------
 
 def _packed_leads(ideal):
     code, elements = commalg._groebner_basis(ideal)
@@ -1167,183 +1155,47 @@ def _packed_leads(ideal):
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
 def test_packed_leads_match_the_tuple_recursion(name):
-    # every lead set of the quadric ideals, and the t = 0 section of J
+    # the engine's packed leads are the leads of the basis it returns, and
+    # the tuple recursion on them gives the closed forms: Q[x, t]/(J, t) is
+    # Q[x]/J-check; only J, with its t axis, vanishes off the origin
+    cm = cartan_matrix(name)
+    closed = {"J": equivariant_series(cm.rank), "Jcheck": ordinary_series(cm.rank),
+              "J+t": ordinary_series(cm.rank)}
     for label, ideal in _quadric_ideals(name).items():
         code, leads = _packed_leads(ideal)
-        tuples = leading_exponents(groebner_basis(ideal))
-        assert [code.decode(lead) for lead in leads] == tuples, label
-        assert commalg._monomial_quotient_numerator(leads, code) == \
-            tuple_monomial_quotient_numerator(tuples, ideal.nvars), label
-        assert zero_set_is_origin(code, leads) == \
-            all(tuple_pure_power_variables(tuples, ideal.nvars)), label
-    code, leads = commalg.t_section_leads(_quadric_ideals(name)["J"])
-    tuples = [code.decode(lead) for lead in leads]
-    assert commalg._monomial_quotient_numerator(leads, code) == \
-        tuple_monomial_quotient_numerator(tuples, code.nvars)
+        assert [code.decode(lead) for lead in leads] == basis_leads(ideal), label
+        assert hilbert_series_of_quotient(ideal) == closed[label], label
+        assert ideal_zero_set_is_origin(ideal) == (label != "J"), label
 
 
-@st.composite
-def monomial_ideals(draw):
-    """Up to six monomials of degree at most 3 per variable in one to five
-    variables; the empty ideal and the unit ideal come up on their own."""
-    nvars = draw(st.integers(1, 5))
-    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
-    gens = draw(st.one_of(st.just([]), st.just([(0,) * nvars]),
-                          st.lists(monomial, max_size=6)))
-    return nvars, gens
+# -- the t = 0 section of the engine's leads ----------------------------------------
 
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(monomial_ideals())
-def test_packed_numerator_matches_the_tuple_recursion_on_monomial_ideals(case):
-    nvars, gens = case
-    code = MonomialCode(nvars)
-    numerator = tuple_monomial_quotient_numerator(gens, nvars)
-    assert commalg._monomial_quotient_numerator([code.encode(e) for e in gens],
-                                                code) == numerator
-    # through the engine: the same monomial ideal, generated by the leads
-    ideal = Ideal(tuple(f"x{v}" for v in range(nvars)),
-                  tuple({e: 1} for e in gens))
-    assert hilbert_series_of_quotient(ideal) == \
-        HilbertSeries.over_one_minus_s2(
-            [c for coeff in numerator for c in (coeff, 0)], nvars)
-    leads = leading_exponents(groebner_basis(ideal))
-    assert zero_set_is_origin(*_packed_leads(ideal)) == \
-        all(tuple_pure_power_variables(leads, nvars))
-
-
-@st.composite
-def redundant_monomial_ideals(draw):
-    """Monomials in three to five variables with duplicates, multiples of
-    other generators and, now and then, the unit, in any order."""
-    nvars = draw(st.integers(3, 5))
-    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
-    base = draw(st.lists(monomial, min_size=1, max_size=7))
-    gens = base + draw(st.lists(st.sampled_from(base), max_size=3))
-    for g in draw(st.lists(st.sampled_from(base), max_size=3)):
-        gens.append(tuple(e + f for e, f in zip(g, draw(monomial))))
-    if draw(st.integers(0, 7)) == 0:
-        gens.append((0,) * nvars)
-    return nvars, draw(st.permutations(gens))
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(redundant_monomial_ideals())
-def test_incremental_numerator_matches_the_tuple_recursion(case):
-    # the packed recursion minimalizes once and keeps its children minimal;
-    # the tuple oracle minimalizes at every node
-    nvars, gens = case
-    code = MonomialCode(nvars)
-    assert commalg._monomial_quotient_numerator([code.encode(e) for e in gens],
-                                                code) == \
-        tuple_monomial_quotient_numerator(gens, nvars)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(codes, st.data())
-def test_mixed_parts_are_the_codes_of_two_or_more_variables(code, data):
-    exps = data.draw(st.lists(exponent_vectors(code.nvars), max_size=4))
-    gens = [code.encode(e) for e in exps]
-    assert commalg._mixed_parts(gens, code) == \
-        [g & code.mask for g, e in zip(gens, exps) if sum(map(bool, e)) > 1]
-
-
-def test_mixed_parts_fixed_cases():
-    code = MonomialCode(3)
-    single = [code.encode(e) for e in
-              ((MAX_DEGREE, 0, 0), (0, MAX_DEGREE, 0), (0, 0, MAX_DEGREE), (0, 0, 0))]
-    assert commalg._mixed_parts(single, code) == []
-    pairs = [code.encode(e) for e in
-             ((MAX_DEGREE - 1, 1, 0), (1, 0, MAX_DEGREE - 1), (0, 1, 1))]
-    assert commalg._mixed_parts(pairs, code) == [g & code.mask for g in pairs]
-
-
-def _numerator_nodes(ideal, monkeypatch):
-    """The number of nodes of the Hilbert recursion in the numerator of the
-    leads of the ideal's basis: ``_mixed_parts`` runs once per node."""
-    calls = []
-    real = commalg._mixed_parts
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(commalg, "_mixed_parts", counting)
-    code, leads = _packed_leads(ideal)
-    commalg._monomial_quotient_numerator(leads, code)
-    monkeypatch.undo()
-    return len(calls)
-
-
-def test_numerator_nodes_of_the_E7_run_bases(monkeypatch):
-    # the recursion of the one E7 series a quadric run computes, of J; the
-    # pivot is counted on the mixed generators alone, and no node moves
-    assert _numerator_nodes(_quadric_ideals("E7")["J"], monkeypatch) == 57
-
-
-def test_numerator_of_a_high_power_meets_no_recursion_limit():
-    # the colon by x steps down x^1500 y one unit of x at a time: 1501
-    # levels of the tree, past Python's default recursion limit
-    code = MonomialCode(2)
-    assert commalg._monomial_quotient_numerator([code.encode((1500, 1))], code) \
-        == [1] + [0] * 1500 + [-1]
-    ideal = Ideal(("x", "y"), ({(1500, 1): 1},))
-    # (1 - s^3002) / (1 - s^2)^2
-    assert hilbert_series_of_quotient(ideal) == \
-        HilbertSeries.over_one_minus_s2([1] + [0] * 3001 + [-1], 2)
-
-
-def test_packed_numerator_fixed_cases():
-    code = MonomialCode(2)
-    x2, xy, y3 = (code.encode(e) for e in ((2, 0), (1, 1), (0, 3)))
-    assert commalg._monomial_quotient_numerator([], code) == [1]
-    assert commalg._monomial_quotient_numerator([0, x2], code) == []
-    # (x^2, xy, y^3) leaves 1, x, y, y^2: N = (1 + 2s + s^2) (1 - s)^2
-    assert commalg._monomial_quotient_numerator([y3, xy, x2, xy], code) == \
-        [1, 0, -2, 0, 1]
-
-
-# -- the t = 0 section against J-check's own basis ----------------------------------
-
-def _minimal(code_and_leads):
-    """The variable count of a code and the minimal leads."""
-    code, leads = code_and_leads
-    return code.nvars, commalg._minimalize(leads, code)
+def _section_leads(ideal):
+    """The minimal leads of the engine's basis of I that t, the last
+    variable, does not divide, with t dropped.  For a homogeneous I they
+    generate in((I + (t))/(t)), as in(I + (t)) = in(I) + (t) under grevlex
+    (Bayer and Stillman, Invent. Math. 87, 1987)."""
+    return _tuple_minimalize([e[:-1] for e in basis_leads(ideal) if not e[-1]])
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8"))
 def test_section_leads_match_the_Jcheck_basis(name):
+    # (J, t) = (J-check, t): the section of J's leads generates J-check's
+    # leading-term ideal, and no lead of J's basis involves t
     cm = cartan_matrix(name)
     ideal, jcheck = build_ideal_J(cm), build_ideal_Jcheck(cm)
-    code, leads = commalg.t_section_leads(ideal)
-    assert code.nvars == cm.rank
-    assert _minimal((code, leads)) == _minimal(_packed_leads(jcheck))
-    # no lead of J's basis involves t, so the series of J is reused, and it
-    # agrees with the one computed from the section's leads
-    assert len(leads) == len(commalg._groebner_basis(ideal)[1])
-    series = commalg.t_section_hilbert_series(ideal)
-    assert series == hilbert_series_of_quotient(jcheck) == \
-        commalg._series_of_leads(code, leads)
-
-
-def _t_free(ideal):
-    """The ideal with t, its last variable, set to zero, in the other
-    variables; the generators that vanish are left out."""
-    gens = ({e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators)
-    return Ideal(ideal.var_names[:-1], tuple(g for g in gens if g))
+    assert _section_leads(ideal) == _tuple_minimalize(basis_leads(jcheck))
+    assert not any(e[-1] for e in basis_leads(ideal))
 
 
 def test_section_with_a_lead_that_t_divides():
-    # the lead x_1 t leaves the section, so the series is computed from the
-    # section's own leads
+    # the lead x_1 t leaves the section
     ideal = Ideal(("x1", "t"), ({(1, 1): 1}, {(2, 0): 1}))
-    code, leads = commalg.t_section_leads(ideal)
-    assert len(leads) < len(commalg._groebner_basis(ideal)[1])
+    assert any(e[-1] for e in basis_leads(ideal))
     direct = _t_free(ideal)
     assert direct.generators == (G({(2,): 1}),)
-    assert _minimal((code, leads)) == _minimal(_packed_leads(direct))
-    assert commalg.t_section_hilbert_series(ideal) == \
-        hilbert_series_of_quotient(direct) == HilbertSeries((1, 0, 1), (1,))
+    assert _section_leads(ideal) == _tuple_minimalize(basis_leads(direct)) == [(2,)]
+    assert hilbert_series_of_quotient(direct) == HilbertSeries((1, 0, 1), (1,))
 
 
 @st.composite
@@ -1365,36 +1217,7 @@ def homogeneous_ideals_with_t(draw):
 def test_section_leads_match_the_t_free_basis(ideal):
     # in(I + (t)) = in(I) + (t) under grevlex for every homogeneous I
     direct = _t_free(ideal)
-    assert _minimal(commalg.t_section_leads(ideal)) == \
-        _minimal(_packed_leads(direct))
-    assert commalg.t_section_hilbert_series(ideal) == \
-        hilbert_series_of_quotient(direct)
-
-
-def test_section_rejects_inhomogeneous():
-    bad = Ideal(("x1", "t"), ({(2, 0): 1, (0, 1): 1},))
-    with pytest.raises(ValueError, match="homogeneous"):
-        commalg.t_section_leads(bad)
-    with pytest.raises(ValueError, match="homogeneous"):
-        commalg.t_section_hilbert_series(bad)
-
-
-def test_quadric_checks_never_decode_a_basis(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a basis was decoded")
-
-    monkeypatch.setattr(commalg, "groebner_basis", refuse)
-    monkeypatch.setattr(MonomialCode, "decode", refuse)
-    # so that every basis and series is rebuilt
-    hilbert_series_of_quotient.cache_clear()
-    commalg._groebner_basis.cache_clear()
-    cm = cartan_matrix("E6")
-    assert hilbert_series_of_quotient(build_ideal_J(cm)) == equivariant_series(6)
-    assert zero_set_is_origin(*commalg.t_section_leads(build_ideal_J(cm)))
-    assert not ideal_zero_set_is_origin(build_ideal_J(cm))  # the t axis
-    report = run_certification(RunConfig(
-        "E6", checks=("hilbert", "regular_sequence", "zero_set")))
-    assert [r.passed for r in report.records] == [True, True, True]
+    assert _section_leads(ideal) == _tuple_minimalize(basis_leads(direct))
 
 
 # -- regular sequences ----------------------------------------------------------
@@ -1440,133 +1263,110 @@ def test_regularity_chain(name):
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
 def test_regular_sequence_record_matches_the_oracle(name):
-    # the check reads the series of J-check for J + (t); the oracle builds
-    # J + (t) and computes its own basis
+    # the check rests on the Cartan minors; the oracle builds J + (t) and
+    # reads the Hilbert-series criterion off its own basis
     [record] = run_certification(RunConfig(name, checks=("regular_sequence",))).records
     ideals = _quadric_ideals(name)
     with_t = is_regular_sequence(ideals["J+t"].var_names,
                                  generator_polys(ideals["J+t"]))
     prefix = is_regular_sequence(ideals["J"].var_names, generator_polys(ideals["J"]))
     assert with_t[0] and prefix[0] and record.passed
-    assert record.witnesses == {"with_t": with_t[1], "prefix": prefix[1]}
+    assert record.witnesses == {"degrees": with_t[1]["degrees"],
+                                "minor_route": True}
 
 
-def _doctor_section(monkeypatch, change):
-    """Every reader of the t = 0 section of J gets ``change(code, leads)``
-    instead of its leads."""
-    section = commalg.t_section_leads
+# -- faults on the minors route -------------------------------------------------
 
-    def doctored(ideal):
-        code, leads = section(ideal)
-        return code, tuple(change(code, leads))
-
-    monkeypatch.setattr(commalg, "t_section_leads", doctored)
-    monkeypatch.setattr(cli, "t_section_leads", doctored)
+QUADRIC_CHECKS = ("hilbert", "regular_sequence", "zero_set")
+_QUADRIC_IDEAL = commalg._quadric_ideal
 
 
-def test_doctored_Jcheck_series_fails_regular_sequence_and_hilbert(monkeypatch):
-    # one lead too many in the section, x_1, changes the series of J-check
-    # but keeps a pure power of every variable; it must show in both checks
-    # that read that series
-    _doctor_section(monkeypatch, lambda code, leads: leads + (code.weights[0],))
-    report = run_certification(RunConfig(
-        "B3", checks=("hilbert", "regular_sequence", "zero_set")))
-    hilbert, regular, zero_set = report.records
-    assert hilbert.passed is False
-    assert hilbert.witnesses["ordinary_series"] != hilbert.witnesses["ordinary_expected"]
-    assert regular.passed is False
-    with_t, prefix = regular.witnesses["with_t"], regular.witnesses["prefix"]
-    assert with_t["computed_series"] != with_t["expected_series"]
-    assert prefix["computed_series"] == prefix["expected_series"]
-    assert zero_set.passed
-    assert not report.overall_pass
+def test_a_doctored_Jcheck_generator_fails_the_quadric_checks(monkeypatch):
+    # theta-check_1 with its x_1^2 coefficient doubled is no longer
+    # x_1 (A x)_1: the route does not hold, so no quadric check passes
+    build = commalg.build_ideal_Jcheck
 
+    def doctored(cartan):
+        ideal = build(cartan)
+        first = {e: 2 * c if e[0] == 2 else c for e, c in ideal.generators[0]}
+        return Ideal(ideal.var_names, (first,) + ideal.generators[1:])
 
-def test_doctored_section_fails_hilbert_and_zero_set(monkeypatch):
-    # without its pure power of x_1 the section is no longer J-check's
-    # leading-term ideal: its series and the zero-set test must both see it,
-    # while the minors route, which reads no basis, still holds
-    def drop_x1_power(code, leads):
-        x1 = code.weights[0]
-        kept = [lead for lead in leads if lead != code.degree(lead) * x1]
-        assert len(kept) < len(leads)
-        return kept
-
-    _doctor_section(monkeypatch, drop_x1_power)
-    report = run_certification(RunConfig(
-        "B3", checks=("hilbert", "regular_sequence", "zero_set")))
-    hilbert, _, zero_set = report.records
-    assert hilbert.passed is False
-    assert hilbert.witnesses["ordinary_series"] != hilbert.witnesses["ordinary_expected"]
-    assert hilbert.witnesses["minor_route"] is True
-    assert zero_set.passed is False
-    assert zero_set.witnesses["groebner_route"] is False
-    assert zero_set.witnesses["minor_route"] is True
-    assert not report.overall_pass
-
-
-# -- the two routes of the hilbert check -----------------------------------------
-
-@pytest.fixture
-def fresh_bases():
-    """Clears the per-process basis, series and section caches before the
-    test, so that its run computes them, and after it, so that no later
-    test reads what a patched engine left there.  The caches are taken
-    before the test can patch the engine."""
-    caches = (commalg._groebner_basis, hilbert_series_of_quotient,
-              commalg.t_section_leads)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
-
-
-def test_an_engine_that_drops_a_basis_element_fails_hilbert(monkeypatch,
-                                                             fresh_bases):
-    # without its first element, the lead x_1^2 of theta_1, J's basis no
-    # longer spans in(J): both series grow, and only the first route reads
-    # a basis
-    engine = commalg._groebner_basis
-
-    def dropping_engine(ideal):
-        code, elements = engine(ideal)
-        return code, elements[1:]
-
-    monkeypatch.setattr(commalg, "_groebner_basis", dropping_engine)
+    monkeypatch.setattr(commalg, "build_ideal_Jcheck", doctored)
     report = run_certification(RunConfig("B3"))
-    hilbert = next(r for r in report.records if r.check == "hilbert")
-    assert hilbert.passed is False
-    assert hilbert.witnesses["equivariant_series"] != \
-        hilbert.witnesses["equivariant_expected"]
-    assert hilbert.witnesses["ordinary_series"] != hilbert.witnesses["ordinary_expected"]
-    assert hilbert.witnesses["minor_route"] is True
+    assert [r.check for r in report.records if not r.passed] == list(QUADRIC_CHECKS)
+    assert all(r.witnesses["minor_route"] is False
+               for r in report.records if r.check in QUADRIC_CHECKS)
     assert not report.isomorphism_certified()
 
 
-def test_a_failing_minor_test_fails_hilbert(monkeypatch, fresh_bases):
-    # a Sylvester test that rejects every matrix: the series still match
-    # their closed forms, but the second route no longer proves them
+def test_a_symmetrizer_that_finds_none_fails_the_quadric_checks(monkeypatch):
+    # without a positive diagonal D, Sylvester's criterion on D A proves
+    # nothing about the minors of A
+    monkeypatch.setattr(commalg, "symmetrizer", lambda rows: None)
+    report = run_certification(RunConfig("B3"))
+    assert [r.check for r in report.records if not r.passed] == list(QUADRIC_CHECKS)
+    assert not report.isomorphism_certified()
+
+
+def _quadric_checks_of(name):
+    """The ``hilbert``, ``regular_sequence`` and ``zero_set`` records of a
+    run on ``name``."""
+    return run_certification(RunConfig(name, checks=QUADRIC_CHECKS)).records
+
+
+def test_a_missing_generator_fails_the_quadric_checks(quadric_mutant):
+    # n - 1 quadrics cut out a curve: every generator left is right, so
+    # only the count tells the route that a node has none
+    def without_the_last(cartan):
+        ideal = _QUADRIC_IDEAL(cartan)
+        return Ideal(ideal.var_names, ideal.generators[:-1])
+
+    quadric_mutant(without_the_last)
+    records = _quadric_checks_of("B3")
+    assert [r.passed for r in records] == [False] * 3
+    assert all(r.witnesses["minor_route"] is False for r in records)
+
+
+def test_an_inhomogeneous_generator_fails_the_quadric_checks(quadric_mutant):
+    # theta_1 + t keeps J-check, so the minors alone still hold; the degree
+    # test of the route sees it
+    def with_a_linear_term(cartan):
+        ideal = _QUADRIC_IDEAL(cartan)
+        first = dict(ideal.generators[0])
+        first[(0,) * cartan.rank + (1,)] = 1
+        return Ideal(ideal.var_names, (first,) + ideal.generators[1:])
+
+    quadric_mutant(with_a_linear_term)
+    assert zero_set_via_minors(cartan_matrix("B3"))
+    records = _quadric_checks_of("B3")
+    assert [r.passed for r in records] == [False] * 3
+    assert all(r.witnesses["minor_route"] is False for r in records)
+
+
+def test_a_failing_minor_test_fails_hilbert(monkeypatch):
+    # a Sylvester test that rejects every matrix: the route no longer
+    # proves the closed forms, and every quadric check fails
     monkeypatch.setattr(commalg, "leading_minors_positive", lambda rows: False)
     report = run_certification(RunConfig("B3"))
     hilbert = next(r for r in report.records if r.check == "hilbert")
     assert hilbert.passed is False
-    assert hilbert.witnesses["equivariant_series"] == \
-        hilbert.witnesses["equivariant_expected"]
-    assert hilbert.witnesses["ordinary_series"] == hilbert.witnesses["ordinary_expected"]
     assert hilbert.witnesses["minor_route"] is False
-    assert [r.check for r in report.records if not r.passed] == \
-        ["hilbert", "zero_set"]
+    assert [r.check for r in report.records if not r.passed] == list(QUADRIC_CHECKS)
     assert not report.isomorphism_certified()
 
 
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8"))
 def test_the_two_hilbert_routes_agree(name):
+    # the closed forms the record prints, by the minors route, are the
+    # series that elimination reads off the engine's bases of J and J-check
+    cm = cartan_matrix(name)
     [record] = run_certification(RunConfig(name, checks=("hilbert",))).records
-    w = record.witnesses
-    basis_route = (w["equivariant_series"] == w["equivariant_expected"]
-                   and w["ordinary_series"] == w["ordinary_expected"])
-    assert basis_route is w["minor_route"] is record.passed is True
+    assert record.passed and record.witnesses["minor_route"] is True
+    assert record.witnesses["degrees"] == [4] * cm.rank + [2]
+    assert record.witnesses["equivariant_series"] == \
+        hilbert_series_of_quotient(build_ideal_J(cm)).to_json()
+    assert record.witnesses["ordinary_series"] == \
+        hilbert_series_of_quotient(build_ideal_Jcheck(cm)).to_json()
 
 
 # -- zero sets -------------------------------------------------------------------
@@ -1717,8 +1517,7 @@ def test_zero_set_via_minors_examples():
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])
 def test_zero_set_oracle_agreement(name):
     cm = cartan_matrix(name)
-    assert zero_set_is_origin(*commalg.t_section_leads(build_ideal_J(cm))) == \
-        ideal_zero_set_is_origin(build_ideal_Jcheck(cm)) == \
+    assert ideal_zero_set_is_origin(build_ideal_Jcheck(cm)) == \
         zero_set_via_minors(cm) == True  # noqa: E712
 
 
@@ -1757,9 +1556,6 @@ def test_symmetrizer_on_raw_entries():
     assert symmetrizer(balanced) == [1, 1, 2]
 
 
-_QUADRIC_IDEAL = commalg._quadric_ideal
-
-
 def _transposed_quadric_ideal(cartan):
     """The quadrics with cartan.a(j, i) in place of cartan.a(i, j): the
     transposed Cartan convention."""
@@ -1773,13 +1569,13 @@ def test_transposed_quadrics_fail_the_zero_set_check(name, quadric_mutant):
     record = next(r for r in report.records if r.check == "zero_set")
     # simply laced Cartan matrices are symmetric, so nothing changes there;
     # elsewhere the minors route sees generators other than x_i (A x)_i,
-    # in the zero_set check and as hilbert's second route
+    # and every quadric check rests on it
     laced = name in ("A3", "D4")
-    assert record.witnesses == {"groebner_route": True, "minor_route": laced}
+    assert record.witnesses == {"minor_route": laced}
     hilbert = next(r for r in report.records if r.check == "hilbert")
     assert hilbert.witnesses["minor_route"] is laced
     assert [r.check for r in report.records if not r.passed] == \
-        ([] if laced else ["quadratic", "hilbert", "zero_set"])
+        ([] if laced else ["quadratic", *QUADRIC_CHECKS])
     assert report.overall_pass == laced
 
 
@@ -1818,6 +1614,45 @@ def test_a_wrong_t_coefficient_fails_the_quadratic_check(name, quadric_mutant):
     assert record.witnesses["failing_rows"] == \
         list(cartan_matrix(name).nodes())
     assert not report.isomorphism_certified()
+
+
+# -- every fault of one coefficient of J ----------------------------------------------
+
+FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
+
+
+def _coefficient_faults(name):
+    """Every one-coefficient fault (k, e, delta) of J on ``name``: the
+    coefficient of x^e in generator k moved by delta."""
+    ideal = _QUADRIC_IDEAL(cartan_matrix(name))
+    return [(k, e, delta) for k, g in enumerate(ideal.generators)
+            for e, _ in g for delta in (1, -1)]
+
+
+def _moved_coefficient(k, e, delta):
+    """A replacement for ``commalg._quadric_ideal`` with one fault."""
+    def builder(cartan):
+        ideal = _QUADRIC_IDEAL(cartan)
+        gens = [dict(g) for g in ideal.generators]
+        gens[k][e] += delta
+        return Ideal(ideal.var_names, tuple(gens))
+    return builder
+
+
+@pytest.mark.parametrize("name", FAULT_TYPES)
+def test_every_coefficient_fault_fails_the_certificate(name, quadric_mutant):
+    # each coefficient of each generator of J one more or one less: a full
+    # certify run neither certifies nor exits 0
+    faults = _coefficient_faults(name)
+    passing = []
+    for fault in faults:
+        quadric_mutant(_moved_coefficient(*fault))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["certify", "--type", name, "--format", "json"])
+        if code == 0 or json.loads(out.getvalue())["isomorphism_certified"]:
+            passing.append(fault)
+    assert faults and passing == []
 
 
 # -- polynomial container --------------------------------------------------------
