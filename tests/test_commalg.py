@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import commalg, peterson
+from petcoh import cli, commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, main, run_certification, run_suite
 from petcoh.commalg import (
     MAX_DEGREE,
@@ -1078,6 +1078,68 @@ def test_no_run_computes_a_groebner_basis(monkeypatch):
     quadrics |= {build_ideal_Jcheck(cartan_matrix(name))
                  for name in DEFAULT_SUITE + ("E7",)}
     assert ideals and set(ideals) <= quadrics
+
+
+def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
+    # hilbert prints the closed form of each ideal once, that of J and
+    # that of J-check; regular_sequence and zero_set print no series, and
+    # no check asks the engine for a basis under any order
+    ideals = []
+    init = Ideal.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        ideals.append(self)
+
+    monkeypatch.setattr(Ideal, "__init__", recording_init)
+    commalg.build_ideal_J.cache_clear()
+    commalg.build_ideal_Jcheck.cache_clear()
+    commalg._groebner_basis.cache_clear()
+    engine = commalg._groebner_basis
+    asked = []
+
+    def recording_engine(ideal):
+        asked.append(ideal)
+        return engine(ideal)
+
+    monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
+    closed = {}
+    for name in ("expected_equivariant_series", "expected_ordinary_series"):
+        def recording_series(rank, name=name, series=getattr(cli, name)):
+            closed.setdefault(name, []).append(rank)
+            return series(rank)
+
+        monkeypatch.setattr(cli, name, recording_series)
+    report = run_certification(RunConfig(
+        "E7", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert report.overall_pass
+    assert closed == {"expected_equivariant_series": [7],
+                      "expected_ordinary_series": [7]}
+    hilbert = report.records[0].witnesses
+    assert hilbert["equivariant_series"] == equivariant_series(7).to_json()
+    assert hilbert["ordinary_series"] == ordinary_series(7).to_json()
+    assert asked == [] and engine.cache_info().misses == 0
+    # every ideal the run builds is J or J-check: seven quadrics, no t
+    assert ideals
+    for ideal in ideals:
+        assert len(ideal.generators) == 7
+
+
+def test_quadric_checks_never_decode_a_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis was decoded")
+
+    monkeypatch.setattr(commalg, "groebner_basis", refuse)
+    monkeypatch.setattr(commalg, "_groebner_basis", refuse)
+    monkeypatch.setattr(MonomialCode, "decode", refuse)
+    # so that every ideal is rebuilt
+    commalg.build_ideal_J.cache_clear()
+    commalg.build_ideal_Jcheck.cache_clear()
+    report = run_certification(RunConfig(
+        "E6", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert [r.passed for r in report.records] == [True, True, True]
+    assert report.records[0].witnesses["equivariant_series"] == \
+        equivariant_series(6).to_json()
 
 
 def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
