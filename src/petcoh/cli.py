@@ -20,7 +20,7 @@ from operator import methodcaller
 
 from . import __version__
 from .billey import reduced_word_tables
-from .commalg import HilbertSeries, build_ideal_J, zero_set_via_minors
+from .commalg import HilbertSeries, minor_route
 from .errors import IntegrityError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord, ratio
@@ -213,8 +213,10 @@ def _check_monk(model: PetersonModel) -> CheckRecord:
 
 def _check_giambelli(model: PetersonModel) -> CheckRecord:
     """Reach every nonempty node set K in the image of the quadric ring by
-    one identity, |K|! p_{v_K} = #words(v_K) b_K, computed on the rows
-    (``giambelli_holds``); no record is built per identity.
+    one identity, |K|! p_{v_K} = #words(v_K) b_K, b_K = prod_{i in K}
+    p_{s_i}, proven on the rows by induction on |K|, one step
+    K - max K -> K per K (``giambelli_holds``); no record is built per
+    identity.
 
     For a connected K it is Giambelli's formula.  For a disconnected K it
     is the product of Giambelli's formulas over the connected components C:
@@ -254,37 +256,15 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
     )
 
 
-def _minor_route(cartan) -> bool:
-    """The Cartan-minors argument of the source paper: theta_1, ...,
-    theta_n, t is a regular sequence in Q[x_1..x_n, t].
-
-    Every generator of J is homogeneous of degree 2, and
-    ``zero_set_via_minors`` shows that J-check = (theta-check_i =
-    x_i (A x)_i) vanishes only at the origin, every principal minor of the
-    Cartan matrix A being positive.  Since theta_i = theta-check_i -
-    2 t x_i, (J, t) = (J-check, t), so the sequence cuts Q[x, t] down to a
-    finite dimension: it is a homogeneous system of parameters, and in the
-    Cohen-Macaulay ring Q[x, t] a homogeneous system of parameters is a
-    regular sequence (Bruns and Herzog, Cohen-Macaulay Rings, Sec. 2.1).
-    The quotient by a regular sequence of forms of degrees 4, ..., 4, 2
-    has the series (1 - s^4)^n (1 - s^2) / (1 - s^2)^(n + 1) = (1 + s^2)^n,
-    and dropping the last element leaves (1 - s^4)^n / (1 - s^2)^(n + 1) =
-    (1 + s^2)^n / (1 - s^2): the series of Q[x]/J-check and of Q[x, t]/J.
-    No Groebner basis is computed.  This is the one statement of the
-    argument; the three checks that rest on it point here."""
-    return zero_set_via_minors(cartan) and all(
-        {sum(e) for e, _ in g} == {2} for g in build_ideal_J(cartan).generators)
-
-
 def _check_hilbert(model: PetersonModel) -> CheckRecord:
     """The quotient Hilbert series are the closed forms (1 + s^2)^n /
     (1 - s^2) of Q[x, t]/J and (1 + s^2)^n of Q[x]/J-check, proven by the
-    Cartan minors (``_minor_route``), which make theta_1, ..., theta_n, t
+    Cartan minors (``minor_route``), which make theta_1, ..., theta_n, t
     a regular sequence of the degrees the record lists.  The series the
     record prints are those closed forms; it passes iff the route holds."""
     cartan = model.cartan
     n = cartan.rank
-    holds = _minor_route(cartan)
+    holds = minor_route(cartan)
     return CheckRecord(
         check="hilbert",
         lie_type=model.type_name(),
@@ -302,10 +282,10 @@ def _check_hilbert(model: PetersonModel) -> CheckRecord:
 def _check_regular_sequence(model: PetersonModel) -> CheckRecord:
     """theta_1, ..., theta_n and then t form a regular sequence in
     Q[x_1..x_n, t], of the degrees the record lists, by the Cartan minors
-    (``_minor_route``)."""
+    (``minor_route``)."""
     cartan = model.cartan
     n = cartan.rank
-    holds = _minor_route(cartan)
+    holds = minor_route(cartan)
     return CheckRecord(
         check="regular_sequence",
         lie_type=model.type_name(),
@@ -320,10 +300,10 @@ def _check_zero_set(model: PetersonModel) -> CheckRecord:
     theta-check_i = x_i (A x)_i, and every principal minor of the Cartan
     matrix A is positive, by Sylvester's criterion on the symmetric D A
     for a positive diagonal symmetrizer D (``zero_set_via_minors``).  The
-    record is that of ``_minor_route``, which also checks that J is
+    record is that of ``minor_route``, which also checks that J is
     homogeneous of degree 2."""
     cartan = model.cartan
-    holds = _minor_route(cartan)
+    holds = minor_route(cartan)
     return CheckRecord(
         check="zero_set",
         lie_type=model.type_name(),

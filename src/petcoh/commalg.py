@@ -10,9 +10,9 @@ restricted to the circle is an int times a power of t.  The one Gaussian
 elimination is the fraction-free one of ``leading_minors_positive``: the
 leading minors of the Cartan matrix, and one elimination of its
 symmetrization D A, which proves every principal minor positive for the
-minors route of the quadric checks (``zero_set_via_minors``); the graded
-ranks of the restriction model need none
-(``peterson.PetersonModel.image_graded_dimensions``).
+minors route of the quadric checks and of the graded dimensions
+(``minor_route``); the graded ranks of the restriction model need no
+other (``peterson.PetersonModel.image_graded_dimensions``).
 
 Every Hilbert series is N(s)/(1 - s^2)^k with an integer polynomial N, so
 univariate quantities are plain integer coefficient lists, constant term
@@ -20,7 +20,7 @@ first.  In the quadric presentation every variable has cohomological
 degree 2, so every series is even in s.
 
 No check computes a Groebner basis or a Hilbert numerator: the quadric
-checks rest on the Cartan minors (``zero_set_via_minors``), which make
+checks rest on the Cartan minors (``minor_route``), which make
 the quadrics and t a regular sequence, and the series they report are the
 closed forms that fact gives.  The Groebner engine stays here, off the run
 path: the test oracles read its leading monomials, and the benchmark's
@@ -743,3 +743,25 @@ def zero_set_via_minors(cartan: CartanMatrix) -> bool:
     d = symmetrizer(rows)
     return d is not None and leading_minors_positive(
         [[d_i * a for a in row] for d_i, row in zip(d, rows)])
+
+
+def minor_route(cartan: CartanMatrix) -> bool:
+    """The Cartan-minors argument of the source paper: theta_1, ...,
+    theta_n, t is a regular sequence in Q[x_1..x_n, t].
+
+    Every generator of J is homogeneous of degree 2, and
+    ``zero_set_via_minors`` shows that J-check = (theta-check_i =
+    x_i (A x)_i) vanishes only at the origin, every principal minor of the
+    Cartan matrix A being positive.  Since theta_i = theta-check_i -
+    2 t x_i, (J, t) = (J-check, t), so the sequence cuts Q[x, t] down to a
+    finite dimension: it is a homogeneous system of parameters, and in the
+    Cohen-Macaulay ring Q[x, t] a homogeneous system of parameters is a
+    regular sequence (Bruns and Herzog, Cohen-Macaulay Rings, Sec. 2.1).
+    The quotient by a regular sequence of forms of degrees 4, ..., 4, 2
+    has the series (1 - s^4)^n (1 - s^2) / (1 - s^2)^(n + 1) = (1 + s^2)^n,
+    and dropping the last element leaves (1 - s^4)^n / (1 - s^2)^(n + 1) =
+    (1 + s^2)^n / (1 - s^2): the series of Q[x]/J-check and of Q[x, t]/J.
+    No Groebner basis is computed.  This is the one statement of the
+    argument; the three quadric checks and ``graded_dims`` rest on it."""
+    return zero_set_via_minors(cartan) and all(
+        {sum(e) for e, _ in g} == {2} for g in build_ideal_J(cartan).generators)

@@ -18,47 +18,38 @@ the walk runs over, computed once per model.  Every identity checked below
 is homogeneous in t, so it is compared at t = 1, pointwise on the rows, in
 integers, rational coefficients cleared of their denominators.
 
-Beside the rows, the model keeps one product table, built on first use
-with one row product per subset: row k holds b_S = prod_{i in S} p_{s_i}
-at every fixed point, for S = ``subsets[k]``.  Giambelli's formula, for
-every nonempty K, reads b_K off it.  Monk's rule is stated once, for any
-table, in ``_expansion_failures``: on the rows it is the ``monk`` check,
-on the product table the spanning step of the graded dimensions.
+The rows are the model's one table.  Monk's rule (``_expansion_failures``)
+and Giambelli's formula read them, the latter one step K - m -> K at a
+time, m = max K, with no product b_K = prod_{i in K} p_{s_i} stored.  The
+graded dimensions read only the n simple rows, and the quadrics on them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import add, mul
 
 from . import billey
 from .billey import restricted_rows
-from .commalg import build_ideal_J, is_homogeneous
+from .commalg import build_ideal_J, is_homogeneous, minor_route
 from .errors import IntegrityError
 from .report import CheckRecord, ratio
 from .roots import CartanMatrix
 from .weyl import WeylGroup
 
 
-def _nonzero_points(table) -> tuple[frozenset[int], ...]:
-    """Per row of a table, the set of fixed points where it is nonzero."""
-    everywhere = range(len(table))
-    return tuple(frozenset(compress(everywhere, row)) for row in table)
-
-
 def _expansion_failures(table, support, k, covers, simple) -> list[int]:
     """The positions in ``simple`` whose Monk expansion of row k fails.
 
-    Monk's rule on a table of rows r (r_k[L] a class at the fixed point L)
-    and a simple row p (p_{s_i}), over the covers J of k (``covers``):
+    Drellich's Monk formula (``monk_failures``) on the rows r = p_{v_K}
+    (r_k[L] the class at the fixed point L) and a simple row p (p_{s_i}),
+    over the covers J of k (``covers``):
 
         p r_k = p[k] r_k + sum_J c_J r_J,  c_J = num_J / den_J >= 0,
 
-    num_J = (p[J] - p[k]) r_k[J] and den_J = r_J[J].  On the rows p_{v_K}
-    it is Drellich's Monk formula (``monk_failures``), on the product table
-    b_S the spanning step of ``image_graded_dimensions``.  The identity is
+    num_J = (p[J] - p[k]) r_k[J] and den_J = r_J[J].  The identity is
     multiplied by the lcm D of the den_J and compared in integers at the
     fixed points where r_k or some r_J is nonzero (``support``, per row):
     every term has one of them as a factor, so elsewhere both sides are 0.
@@ -192,27 +183,10 @@ class PetersonModel:
                            if not mask >> b & 1) for mask in self._masks)
 
     @cached_property
-    def _products(self) -> tuple[tuple[int, ...], ...]:
-        """Row k: b_S at every fixed point, for S = subsets[k], where
-        b_S = prod_{i in S} p_{s_i} and b_{} = 1; one row product per
-        subset, b_S = b_{S - m} p_{s_m} for the largest node m of S."""
-        rows, position = self._rows, self._position
-        products = [self.one()]
-        for mask in self._masks[1:]:
-            top = 1 << mask.bit_length() - 1
-            products.append(tuple(map(mul, products[position[mask ^ top]],
-                                      rows[position[top]])))
-        return tuple(products)
-
-    @cached_property
     def _row_support(self) -> tuple[frozenset[int], ...]:
         """Per row of ``_rows``, the set of its nonzero fixed points."""
-        return _nonzero_points(self._rows)
-
-    @cached_property
-    def _product_support(self) -> tuple[frozenset[int], ...]:
-        """Per row of ``_products``, the set of its nonzero fixed points."""
-        return _nonzero_points(self._products)
+        everywhere = range(len(self.subsets))
+        return tuple(frozenset(compress(everywhere, row)) for row in self._rows)
 
     # -- Monk rule -------------------------------------------------------
 
@@ -260,21 +234,37 @@ class PetersonModel:
     # -- Giambelli rule ----------------------------------------------------
 
     def giambelli_holds(self, K) -> tuple[int, bool]:
-        """The number of reduced words of v_K, and whether
-        (|K|!/#reduced-words(v_K)) p_{v_K} = prod_{i in K} p_{s_i}, compared
-        as |K|! p_{v_K} = #words b_K on the rows, with b_K read off the
-        product table.  It holds for a disconnected K too, as the product
-        of the formulas of its connected components (``cli._check_giambelli``
-        gives the argument).  The count is read off the descent steps of the
-        v_J (``_word_counts``); a zero count is an ``IntegrityError``."""
+        """The number of reduced words of v_K, for a nonempty K, and
+        whether its step from J = K - m, m = max K, holds on the rows:
+
+            |K| #words(v_J) p_{v_K} = #words(v_K) p_{v_J} p_{s_m},
+
+        pointwise, with p_{v_J} taken as 1 (not read off the row of ()) for
+        an empty J, at the fixed points where either side can be nonzero.
+        As every count is positive, the steps of all nonempty K hold iff,
+        by induction on |K|, Giambelli's (|K|!/#words(v_K)) p_{v_K} = b_K =
+        prod_{i in K} p_{s_i} holds for every nonempty K; no b_K is
+        built.  It holds for a disconnected K
+        too, as the product of the formulas of its connected components
+        (``cli._check_giambelli`` gives the argument).  The counts are read
+        off the descent steps of the v_J (``_word_counts``); a zero count
+        for K is an ``IntegrityError``."""
         K = tuple(sorted(set(K)))
         k = self._subset_index[K]
-        n_words = self._word_counts[self._masks[k]]
+        mask = self._masks[k]
+        n_words = self._word_counts[mask]
         if not n_words:
             raise IntegrityError(f"v_K for K = {K} is not reduced")
-        k_factorial = factorial(len(K))
-        return n_words, [k_factorial * c for c in self._rows[k]] == \
-            [n_words * c for c in self._products[k]]
+        top = 1 << mask.bit_length() - 1
+        j, m = self._position[mask ^ top], self._position[top]
+        rows, support = self._rows, self._row_support
+        row_K, row_J, row_m = rows[k], rows[j] if j else self.one(), rows[m]
+        scale = len(K) * self._word_counts[mask ^ top]
+        # the left side is 0 off row K's points, the right side off those
+        # of row J or of row m; for an empty J, m is k
+        points = support[k] | support[j] & support[m]
+        return n_words, all(scale * row_K[L] == n_words * row_J[L] * row_m[L]
+                            for L in points)
 
     # -- module basis -------------------------------------------------------
 
@@ -342,7 +332,7 @@ class PetersonModel:
                                 failure: dict | None = None) -> list[int]:
         """Dimension of the span of the degree-2d monomials in
         {t, p_{s_1}..p_{s_n}}, evaluated as fixed-point tuples, for
-        2d = 0, 2, ..., cutoff_degree, proven on the product basis b_S
+        2d = 0, 2, ..., cutoff_degree, proven from the n simple rows
         without elimination.
 
         Every generator is a class of t-degree 1, so a degree-d monomial
@@ -350,44 +340,38 @@ class PetersonModel:
         degree-d span V_d is the span of the p-monomials of degree at most
         d.  The argument, degree by degree:
 
-        - *Triangularity.*  If every p_{s_i} vanishes at the w_L with
-          i not in L (checked once, on the simple rows), then b_S vanishes
-          off the supersets of S.  In the (size, bitmask) order the matrix
-          b_S(w_L) is then upper triangular with diagonal b_S(w_S), so once
-          every diagonal with |S| <= d is nonzero (checked per degree), the
-          b_S with |S| <= d are independent.
-        - *Spanning.*  V_d = V_{d-1} + sum_i p_{s_i} V_{d-1}.  Suppose
-          V_{d-1} is spanned by the b_T with |T| <= d - 1.  For i not in T,
-          p_{s_i} b_T = b_{T+i}.  For i in T with |T| < d - 1, p_{s_i} b_T
-          lies in V_{|T|+1}, which is inside V_{d-1}.  So V_d is spanned by
-          the b_S with |S| <= d once, for every S with |S| = d - 1 and every
-          i in S, p_{s_i} b_S lies in that span.
-        - *The reduction.*  p_{s_i} b_S vanishes off the supersets of S.
-          If it is a combination of the b_U with |U| <= d, evaluate at w_U
-          for a minimal U with a nonzero coefficient: only b_U is nonzero
-          there, so U contains S, and so does every U of the combination.
-          With |U| <= |S| + 1 that leaves b_S and the b_J, J = S + j, whose
-          coefficients evaluation at w_S and each w_J fixes: p_{s_i} b_S
-          must obey Monk's rule on row S of the product table
-          (``_expansion_failures``).  The rule also asks c_J >= 0, which the
-          span does not need but every correct table meets: b_S(w_J) and
-          b_J(w_J) are positive and, for i in L, p_{s_i}(w_L) is the
-          alpha_i^vee coefficient of 2 rho^vee of i's component of L, which
-          only grows with L.
+        - *Lower bound.*  If every p_{s_i} vanishes at the w_L with i not
+          in L (checked once, on the simple rows), then
+          b_S = prod_{i in S} p_{s_i} vanishes off the supersets of S.  In
+          the (size, bitmask) order the matrix b_S(w_L) is then upper
+          triangular with diagonal b_S(w_S) = prod_{i in S} p_{s_i}(w_S),
+          so once every diagonal with |S| <= d is nonzero (checked per
+          degree), the b_S with |S| <= d are independent in V_d.
+        - *Upper bound.*  V_1 is spanned by 1 and the n simple rows.  From
+          d = 2 on, the quadrics do the work: when the Cartan minors make
+          theta_1, ..., theta_n, t a regular sequence (``minor_route``),
+          (Q[x, t]/J)_{2d} has the dimension sum_{k <= d} C(n, k), and
+          when every theta_i vanishes on the simple rows
+          (``quadric_rows``), x_i -> p_{s_i}, t -> t maps it onto V_d.
+          Both are checked once, at d = 2, after its diagonals.
 
-        When every step of degree d holds, its dimension is
+        When both bounds hold at degree d, its dimension is
         sum_{k <= d} C(n, k); the list stops at the first degree that fails,
         and ``failure``, if given, receives the witness: the first simple
         entry off the supersets ({"kind": "support", "i", "L"}), a zero
-        diagonal ({"kind": "diagonal", "S"}), or the first (S, i) whose
-        expansion fails ({"kind": "reduction", "degree": 2d, "S", "i"}).
+        diagonal ({"kind": "diagonal", "S"}), a failing minors route
+        ({"kind": "minors", "degree": 4}) or the first node whose quadric
+        does not vanish on the simple rows ({"kind": "quadric",
+        "degree": 4, "i"}).
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
         dims = [1]
         for d in range(1, cutoff_degree // 2 + 1):
             witness = self._support_failure() if d == 1 else None
-            witness = witness or self._degree_failure(d, dims[-1])
+            witness = witness or self._diagonal_failure(d, dims[-1])
+            if d == 2:
+                witness = witness or self._upper_bound_failure()
             if witness:
                 if failure is not None:
                     failure.update(witness)
@@ -404,22 +388,24 @@ class PetersonModel:
                     return {"kind": "support", "i": i, "L": list(self.subsets[L])}
         return None
 
-    def _degree_failure(self, d: int, start: int) -> dict | None:
-        """The first zero diagonal b_S(w_S) with |S| = d, then the first
-        (S, i) with |S| = d - 1 and i in S whose p_{s_i} b_S fails Monk's
-        rule on the product table; subsets of size d start at ``start``."""
-        products, subsets = self._products, self.subsets
+    def _upper_bound_failure(self) -> dict | None:
+        """A failing minors route, else the first node i whose theta_i
+        does not vanish on the simple rows."""
+        if not minor_route(self.cartan):
+            return {"kind": "minors", "degree": 4}
+        for i, row in enumerate(self.quadric_rows(), 1):
+            if any(row):
+                return {"kind": "quadric", "degree": 4, "i": i}
+        return None
+
+    def _diagonal_failure(self, d: int, start: int) -> dict | None:
+        """The first zero diagonal b_S(w_S) = prod_{i in S} p_{s_i}(w_S)
+        with |S| = d; subsets of size d start at ``start``."""
+        simple = [self.simple_class(i) for i in self.cartan.nodes()]
         for k in range(start, start + comb(self.rank, d)):
-            if not products[k][k]:
-                return {"kind": "diagonal", "S": list(subsets[k])}
-        for k in range(start - comb(self.rank, d - 1), start):
-            S = subsets[k]
-            failing = _expansion_failures(
-                products, self._product_support, k, self._covers[k],
-                [self.simple_class(i) for i in S])
-            if failing:
-                return {"kind": "reduction", "degree": 2 * d,
-                        "S": list(S), "i": S[failing[0]]}
+            S = self.subsets[k]
+            if not all(simple[i - 1][k] for i in S):
+                return {"kind": "diagonal", "S": list(S)}
         return None
 
     def verify_graded_dimensions(self) -> CheckRecord:

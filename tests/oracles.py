@@ -771,7 +771,7 @@ def all_monomials_graded_dims(model, cutoff_degree: int, rank=None) -> list[int]
     """The graded dimensions of the image of Q[t, p_{s_1}..p_{s_n}] the
     slow way: for each degree d, one integer row per monomial of degree d
     in t, p_{s_1}..p_{s_n} (C(d+n, n) rows), ranked from scratch; ground
-    truth for ``echelon_graded_dims`` and the product-basis argument.
+    truth for ``echelon_graded_dims`` and the simple-row argument.
     ``rank`` defaults to the pivoting Bareiss rank and can be swapped for
     another rank function."""
     rank = rank or (lambda rows: len(bareiss_pivots(rows)))
@@ -834,7 +834,7 @@ def echelon_graded_dims(model, cutoff_degree: int) -> list[int]:
     frontier recursion at t = 1: V_d = V_{d-1} + sum_i p_{s_i} N_{d-1}, where
     N_{d-1} holds the rows that were new at degree d-1, every candidate
     going through one ``IntegerEchelon``; at most 1 + n 2^n rows are tried
-    over all degrees.  Ground truth for the product-basis argument of
+    over all degrees.  Ground truth for the simple-row argument of
     ``PetersonModel.image_graded_dimensions``."""
     simple = [model.simple_class(i) for i in model.cartan.nodes()]
     one = model.one()
@@ -1120,13 +1120,12 @@ def fraction_verify_monk(model, i: int, K):
     )
 
 
-def monk_coefficients_per_identity(model, i: int, K, table=None):
+def monk_coefficients_per_identity(model, i: int, K):
     """The cover indices of K and, per cover J, the pair (num_J, den_J) of
-    Monk's coefficient c_J of p_{s_i} times row K of ``table`` (default
-    ``model._rows``): num_J = (p_{s_i}(w_J) - p_{s_i}(w_K)) r_K(w_J) and
-    den_J = r_J(w_J), found for this identity alone.  On the product table
-    c_J is the coefficient of b_J in p_{s_i} b_K."""
-    rows = model._rows if table is None else table
+    Monk's coefficient c_J of p_{s_i} p_{v_K} on p_{v_J}:
+    num_J = (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) and
+    den_J = p_{v_J}(w_J), found for this identity alone."""
+    rows = model._rows
     K = tuple(sorted(set(K)))
     k = model.subset_index(K)
     covers = [model.subset_index(K + (j,))
@@ -1136,20 +1135,19 @@ def monk_coefficients_per_identity(model, i: int, K, table=None):
                     for j in covers]
 
 
-def monk_holds_per_identity(model, i: int, K, table=None) -> bool:
-    """One Monk identity (i, K) in integers on ``table`` (default
-    ``model._rows``), with the covers, their diagonals, the lcm D and the
-    fixed points compared all found for this identity alone: ground truth
-    for ``peterson._expansion_failures``, which reads them once per K, on
-    the rows (``monk_failures``) and on the product table (the
-    ``graded_dims`` spanning step).  Compared where row K or a cover row is
-    nonzero; a zero diagonal is the model's ``IntegrityError``."""
+def monk_holds_per_identity(model, i: int, K) -> bool:
+    """One Monk identity (i, K) in integers on the rows, with the covers,
+    their diagonals, the lcm D and the fixed points compared all found for
+    this identity alone: ground truth for ``peterson._expansion_failures``,
+    which reads them once per K (``monk_failures``).  Compared where row K
+    or a cover row is nonzero; a zero diagonal is the model's
+    ``IntegrityError``."""
     from petcoh.errors import IntegrityError
 
-    rows = model._rows if table is None else table
+    rows = model._rows
     K = tuple(sorted(set(K)))
     k = model.subset_index(K)
-    covers, pairs = monk_coefficients_per_identity(model, i, K, rows)
+    covers, pairs = monk_coefficients_per_identity(model, i, K)
     D = lcm(*(den for _, den in pairs))
     if not D:
         J = model.subsets[covers[[den for _, den in pairs].index(0)]]

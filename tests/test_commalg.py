@@ -1340,12 +1340,14 @@ def test_regular_sequence_record_matches_the_oracle(name):
 # -- faults on the minors route -------------------------------------------------
 
 QUADRIC_CHECKS = ("hilbert", "regular_sequence", "zero_set")
+# graded_dims reads the same route for its upper bound from degree 4 on
+ROUTE_CHECKS = ("graded_dims",) + QUADRIC_CHECKS
 _QUADRIC_IDEAL = commalg._quadric_ideal
 
 
 def test_a_doctored_Jcheck_generator_fails_the_quadric_checks(monkeypatch):
     # theta-check_1 with its x_1^2 coefficient doubled is no longer
-    # x_1 (A x)_1: the route does not hold, so no quadric check passes
+    # x_1 (A x)_1: the route does not hold, so no check that reads it passes
     build = commalg.build_ideal_Jcheck
 
     def doctored(cartan):
@@ -1355,7 +1357,7 @@ def test_a_doctored_Jcheck_generator_fails_the_quadric_checks(monkeypatch):
 
     monkeypatch.setattr(commalg, "build_ideal_Jcheck", doctored)
     report = run_certification(RunConfig("B3"))
-    assert [r.check for r in report.records if not r.passed] == list(QUADRIC_CHECKS)
+    assert [r.check for r in report.records if not r.passed] == list(ROUTE_CHECKS)
     assert all(r.witnesses["minor_route"] is False
                for r in report.records if r.check in QUADRIC_CHECKS)
     assert not report.isomorphism_certified()
@@ -1366,7 +1368,7 @@ def test_a_symmetrizer_that_finds_none_fails_the_quadric_checks(monkeypatch):
     # nothing about the minors of A
     monkeypatch.setattr(commalg, "symmetrizer", lambda rows: None)
     report = run_certification(RunConfig("B3"))
-    assert [r.check for r in report.records if not r.passed] == list(QUADRIC_CHECKS)
+    assert [r.check for r in report.records if not r.passed] == list(ROUTE_CHECKS)
     assert not report.isomorphism_certified()
 
 
@@ -1407,13 +1409,13 @@ def test_an_inhomogeneous_generator_fails_the_quadric_checks(quadric_mutant):
 
 def test_a_failing_minor_test_fails_hilbert(monkeypatch):
     # a Sylvester test that rejects every matrix: the route no longer
-    # proves the closed forms, and every quadric check fails
+    # proves the closed forms, and every check that reads it fails
     monkeypatch.setattr(commalg, "leading_minors_positive", lambda rows: False)
     report = run_certification(RunConfig("B3"))
     hilbert = next(r for r in report.records if r.check == "hilbert")
     assert hilbert.passed is False
     assert hilbert.witnesses["minor_route"] is False
-    assert [r.check for r in report.records if not r.passed] == list(QUADRIC_CHECKS)
+    assert [r.check for r in report.records if not r.passed] == list(ROUTE_CHECKS)
     assert not report.isomorphism_certified()
 
 
@@ -1631,13 +1633,13 @@ def test_transposed_quadrics_fail_the_zero_set_check(name, quadric_mutant):
     record = next(r for r in report.records if r.check == "zero_set")
     # simply laced Cartan matrices are symmetric, so nothing changes there;
     # elsewhere the minors route sees generators other than x_i (A x)_i,
-    # and every quadric check rests on it
+    # and every quadric check and graded_dims rest on it
     laced = name in ("A3", "D4")
     assert record.witnesses == {"minor_route": laced}
     hilbert = next(r for r in report.records if r.check == "hilbert")
     assert hilbert.witnesses["minor_route"] is laced
     assert [r.check for r in report.records if not r.passed] == \
-        ([] if laced else ["quadratic", *QUADRIC_CHECKS])
+        ([] if laced else ["quadratic", *ROUTE_CHECKS])
     assert report.overall_pass == laced
 
 

@@ -34,7 +34,6 @@ from oracles import (
     is_connected,
     is_monomial_of_degree,
     longest_element,
-    monk_coefficients_per_identity,
     monk_fraction,
     monk_holds_per_identity,
     one_class,
@@ -876,7 +875,7 @@ def test_graded_dims_match_all_monomials_oracle(name):
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
 def test_graded_dims_match_echelon_oracle(name):
-    # the product-basis argument against the frontier recursion through an
+    # the simple-row argument against the frontier recursion through an
     # integer echelon form, at every cutoff up to 2 * MAX_RANK; the oracle runs
     # once, at the largest cutoff, and every smaller one is its prefix
     m = model(name)
@@ -893,30 +892,25 @@ def test_graded_dims_E7_match_series():
 
 
 def test_expansion_kernel_cost_on_E6(monkeypatch):
-    # no elimination: graded_dims expands p_{s_i} b_S once per (S, i) with
-    # i in S and |S| below the top degree, sum_{s<6} s C(6, s) = 186 at
-    # cutoff 12, and monk p_{s_i} p_{v_K} once per (i, K), 6 * 64 = 384;
-    # each is compared on the 2^(n - |K|) fixed points above K, where row K
-    # or a cover row is nonzero
+    # no elimination: monk expands p_{s_i} p_{v_K} once per (i, K),
+    # 6 * 64 = 384, each compared on the 2^(n - |K|) fixed points above K,
+    # where row K or a cover row is nonzero
     m = model("E6")
     n = m.rank
-    identities = {"graded_dims": [], "monk": []}
+    identities = []
     real = peterson._expansion_failures
 
     def counting(table, support, k, covers, simple):
-        check = "graded_dims" if table is m._products else "monk"
         points = support[k].union(*map(support.__getitem__, covers))
-        identities[check] += [(k, len(points))] * len(simple)
+        identities.extend([(k, len(points))] * len(simple))
         return real(table, support, k, covers, simple)
 
     monkeypatch.setattr(peterson, "_expansion_failures", counting)
     assert m.image_graded_dimensions(12) == [1, 7, 22, 42, 57, 63, 64]
     assert m.monk_failures() == []
-    assert len(identities["graded_dims"]) == \
-        sum(s * comb(n, s) for s in range(6)) == 186
-    assert len(identities["monk"]) == n * 2 ** n == 384
+    assert len(identities) == n * 2 ** n == 384
     assert all(points == 2 ** (n - len(m.subsets[k]))
-               for calls in identities.values() for k, points in calls)
+               for k, points in identities)
 
 
 def _doctored_graded_dims(monkeypatch, name, J, L, value):
@@ -965,98 +959,39 @@ def test_graded_dims_fails_on_a_zero_diagonal(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_graded_dims_fails_on_one_extra_term_in_a_reduction(name, monkeypatch):
-    # p_{s_1}(w_Delta) one more: support and diagonals hold, but p_{s_1} b_1
-    # leaves one nonzero term at w_Delta after b_1 and the b_{1j} reduce it
+    # p_{s_1}(w_Delta) one more: support and diagonals hold, but theta_1 no
+    # longer vanishes at w_Delta, so the quadric ring need not map onto the
+    # degree-4 span; the echelon oracle sees the span grow past it
     n = model(name).rank
     top = tuple(range(1, n + 1))
     record, m, oracle = _doctored_graded_dims(
         monkeypatch, name, (1,), top, lambda c: c + 1)
     assert record.witnesses["computed"] == [1, 1 + n]
-    assert record.witnesses["failure"] == {
-        "kind": "reduction", "degree": 4, "S": [1], "i": 1}
+    assert record.witnesses["failure"] == {"kind": "quadric", "degree": 4, "i": 1}
     assert oracle != record.witnesses["expected"]
     assert m.verify_basis_triangular().passed
+    assert not m.verify_quadratic_relations().passed
 
 
-def _set_entry(m, table, K, L, change):
-    """Build both tables of ``m``, then replace the entry of row K at w_L
-    of ``table`` ("_rows" or "_products") by ``change(entry)``."""
-    m._rows, m._products
-    rows = [list(row) for row in getattr(m, table)]
+def test_graded_dims_fails_on_a_failing_minors_route_alone(monkeypatch):
+    # true rows, but a symmetrizer that finds none: the Cartan minors no
+    # longer bound (Q[x, t]/J)_4, so only degrees 0 and 2 are proven
+    monkeypatch.setattr(commalg, "symmetrizer", lambda rows: None)
+    m = model("B3")
+    record = m.verify_graded_dimensions()
+    assert record.witnesses == {
+        "computed": [1, 4], "expected": [1, 4, 7, 8, 8, 8, 8],
+        "failure": {"kind": "minors", "degree": 4}}
+    assert m.verify_quadratic_relations().passed
+
+
+def _set_entry(m, K, L, change):
+    """Build the rows of ``m``, then replace the entry of row K at w_L by
+    ``change(entry)``."""
+    rows = [list(row) for row in m._rows]
     k, l = m.subset_index(K), m.subset_index(L)
     rows[k][l] = change(rows[k][l])
-    setattr(m, table, tuple(map(tuple, rows)))
-
-
-def _product_verdicts(m, table):
-    """Per (S, i) with i in S: whether p_{s_i} b_S expands by Monk's rule
-    on ``table`` by the kernel and by the per-identity oracle, a zero
-    diagonal read as "zero" by both."""
-    support = peterson._nonzero_points(table)
-    kernel, oracle = {}, {}
-    for k, S in enumerate(m.subsets):
-        simple = [m.simple_class(i) for i in S]
-        try:
-            failing = peterson._expansion_failures(table, support, k,
-                                                   m._covers[k], simple)
-            kernel.update({(S, i): p not in failing for p, i in enumerate(S)})
-        except ZeroDivisionError:
-            kernel.update({(S, i): "zero" for i in S})
-        for i in S:
-            try:
-                oracle[S, i] = monk_holds_per_identity(m, i, S, table)
-            except IntegrityError:
-                oracle[S, i] = "zero"
-    return kernel, oracle
-
-
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
-def test_product_expansions_match_the_per_identity_oracle(name):
-    # the graded_dims verdict of every (S, i in S), the kernel against each
-    # identity on its own; on the true product table every one holds
-    m = model(name)
-    kernel, oracle = _product_verdicts(m, m._products)
-    assert kernel == oracle
-    assert set(kernel.values()) <= {True}
-
-
-@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1"])
-def test_product_expansions_match_the_oracle_under_every_fault(name):
-    # every entry of the product table one more or one less: the kernel
-    # and the oracle fail the same (S, i)
-    m = model(name)
-    for S in m.subsets:
-        for L in m.subsets:
-            for delta in (1, -1):
-                _set_entry(m, "_products", S, L, lambda c: c + delta)
-                kernel, oracle = _product_verdicts(m, m._products)
-                assert kernel == oracle, (name, S, L, delta)
-                _set_entry(m, "_products", S, L, lambda c: c - delta)
-
-
-@pytest.mark.parametrize("name", WALK_TYPES)
-def test_product_basis_monk_coefficients_are_nonnegative(name):
-    # c_J of p_{s_i} b_S on b_J, by the oracle: the sign test that
-    # graded_dims adds to the expansion holds on every correct table
-    m = model(name)
-    negative = [(S, i, m.subsets[j]) for S in m.subsets for i in m.cartan.nodes()
-                for j, (num, den) in zip(*monk_coefficients_per_identity(
-                    m, i, S, m._products))
-                if num * den < 0 or not den]
-    assert negative == []
-
-
-def test_graded_dims_fails_on_a_negative_product_coefficient():
-    # b_{13}(w_{123}) on A3 negated: p_{s_1} b_{13} still equals
-    # p_{s_1}(w_{13}) b_{13} + c b_{123}, as b_{13}(w_{123}) enters both
-    # sides, but c = (3 - 1) (-9) / b_{123}(w_{123}) is negative
-    m = model("A3")
-    _set_entry(m, "_products", (1, 3), (1, 2, 3), lambda c: -c)
-    (num, den), = monk_coefficients_per_identity(m, 1, (1, 3), m._products)[1]
-    assert (num, den) == (2 * -9, m._products[-1][-1]) and den > 0
-    failure = {}
-    assert m.image_graded_dimensions(12, failure) == [1, 4, 7]
-    assert failure == {"kind": "reduction", "degree": 6, "S": [1, 3], "i": 1}
+    m._rows = tuple(map(tuple, rows))
 
 
 def test_giambelli_fails_when_the_row_of_one_is_not_one():
@@ -1064,76 +999,81 @@ def test_giambelli_fails_when_the_row_of_one_is_not_one():
     # p_{v_()}(w_()) = 2 passes Monk's rule, which reads it times
     # p_{s_i}(w_()) - p_{s_i}(w_()) = 0
     m = model("A3")
-    _set_entry(m, "_rows", (), (), lambda c: c + 1)
+    _set_entry(m, (), (), lambda c: c + 1)
     record = cli._check_giambelli(m)
     assert not record.passed
     assert record.witnesses["failures"] == [{"kind": "unit", "K": []}]
     assert cli._check_monk(m).passed
 
 
-# -- every fault of one table entry -------------------------------------------
+# -- every fault of one row entry or one word count --------------------------
 
 FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
-_EMPTY = "no check reads b_() after the build"
 
 
-def _unseen_faults(name):
-    """The one-entry faults, (table, K, L, delta), that no restriction
-    check can see, each with the reason.  Giambelli's identity reads b_K
-    for every nonempty K, connected or not, so only the row of b_() is
-    left."""
-    m = model(name)
-    return {("_products", (), L, delta): _EMPTY
-            for L in m.subsets for delta in (1, -1)}
-
-
-def _faulty_runs(monkeypatch, name):
-    """A function of a fault (table, K, L, delta) that returns the
-    ``overall_pass`` of the restriction checks on ``name`` with that entry
-    moved by delta after both tables are built."""
+def _faulty_runs(monkeypatch, name, fault_model):
+    """A function of a fault that returns the full report of ``name`` on a
+    model that ``fault_model(model, *fault)`` doctored after it was built.
+    ``billey_welldef`` sweeps its own Cayley table and reads no row, so it
+    runs once, on the true model, and every faulty run reuses its record."""
     build, fault = cli.PetersonModel, []
+    [welldef] = run_certification(RunConfig(name, checks=("billey_welldef",))).records
+    assert welldef.passed
 
     def faulty(cartan, group=None):
         m = build(cartan, group)
-        table, K, L, delta = fault
-        _set_entry(m, table, K, L, lambda c: c + delta)
+        fault_model(m, *fault)
         return m
 
     monkeypatch.setattr(cli, "PetersonModel", faulty)
+    monkeypatch.setitem(cli._CHECK_FUNCTIONS, "billey_welldef", lambda m: welldef)
 
     def run(*entry):
         fault[:] = entry
-        config = RunConfig(name, checks=CLASS_CHECKS)
-        return run_certification(config).overall_pass
+        return run_certification(RunConfig(name))
     return run
 
 
-@pytest.mark.parametrize("table", ["_rows", "_products"])
 @pytest.mark.parametrize("name", FAULT_TYPES)
-def test_every_table_fault_fails_the_restriction_run(name, table, monkeypatch):
-    # each entry of the table one more or one less, set after the build:
-    # the run fails unless the fault is one that no check can see
-    run = _faulty_runs(monkeypatch, name)
-    unseen_faults = _unseen_faults(name)
+def test_every_row_fault_fails_the_restriction_run_and_the_certificate(
+        name, monkeypatch):
+    # each entry of the rows one more or one less, set after the build:
+    # the restriction checks fail, and so does a leg of the certificate
+    def moved(m, K, L, delta):
+        _set_entry(m, K, L, lambda c: c + delta)
+
+    run = _faulty_runs(monkeypatch, name, moved)
     subsets = model(name).subsets
-    passing = [(K, L, delta) for K in subsets for L in subsets
-               for delta in (1, -1) if (table, K, L, delta) not in unseen_faults
-               and run(table, K, L, delta)]
+    passing, certified = [], []
+    for K in subsets:
+        for L in subsets:
+            for delta in (1, -1):
+                report = run(K, L, delta)
+                if all(r.passed for r in report.records if r.check in CLASS_CHECKS):
+                    passing.append((K, L, delta))
+                if report.isomorphism_certified():
+                    certified.append((K, L, delta))
+    assert passing == certified == []
+
+
+@pytest.mark.parametrize("name", FAULT_TYPES)
+def test_every_word_count_fault_fails_giambelli(name, monkeypatch):
+    # #words(v_J) one more or one less, for each nonempty J: Giambelli's
+    # step fails at K = J, or a zero count is an integrity error there
+    def moved(m, J, delta):
+        counts = list(m._word_counts)
+        counts[m._masks[m.subset_index(J)]] += delta
+        m._word_counts = counts
+
+    run = _faulty_runs(monkeypatch, name, moved)
+    passing = []
+    for J in model(name).subsets[1:]:
+        for delta in (1, -1):
+            report = run(J, delta)
+            giambelli = next(r for r in report.records if r.check == "giambelli")
+            if giambelli.passed or report.isomorphism_certified():
+                passing.append((J, delta))
     assert passing == []
-
-
-def _fault_id(name, table, K, L, delta):
-    return "{}-{}-K{}-at{}{:+d}".format(
-        name, table.strip("_"), "".join(map(str, K)) or "()",
-        "".join(map(str, L)) or "()", delta)
-
-
-@pytest.mark.parametrize("name,fault,reason", [
-    pytest.param(name, fault, reason, id=_fault_id(name, *fault))
-    for name in FAULT_TYPES for fault, reason in _unseen_faults(name).items()])
-def test_an_unseen_fault_passes_the_restriction_run(name, fault, reason,
-                                                    monkeypatch):
-    assert _faulty_runs(monkeypatch, name)(*fault), reason
 
 
 # -- direct sums ---------------------------------------------------------------
