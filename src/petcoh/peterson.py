@@ -248,8 +248,10 @@ class PetersonModel:
         too, as the product of the formulas of its connected components
         (``cli._check_giambelli`` gives the argument).  The counts are read
         off the descent steps of the v_J (``_word_counts``); a zero count
-        for K is an ``IntegrityError``."""
+        for K is an ``IntegrityError``, and an empty K a ``ValueError``."""
         K = tuple(sorted(set(K)))
+        if not K:
+            raise ValueError("giambelli_holds needs a nonempty K, got K = ()")
         k = self._subset_index[K]
         mask = self._masks[k]
         n_words = self._word_counts[mask]

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 
@@ -204,12 +204,6 @@ def weyl_multiply(group, u, v):
     return w
 
 
-def brute_reduced_words(group, w) -> set[tuple[int, ...]]:
-    """Reduced words for w by filtering all words of length ``w.length``."""
-    words = itertools.product(group.cartan.nodes(), repeat=w.length)
-    return {word for word in words if from_word(group, word) == w}
-
-
 class EnumerationCapError(RuntimeError):
     """A reference enumeration would exceed its cap; nothing was truncated."""
 
@@ -222,9 +216,11 @@ _words_memo = weakref.WeakKeyDictionary()
 
 
 def enumerate_reduced_words(group, w, cap=16) -> frozenset:
-    """The full set of reduced words for w, by recursing on action matrices
-    over the right descents: the reference word set for the trie walk of
-    ``billey.reduced_word_tables``.
+    """The full set of reduced words for w: a reduced word ends in a right
+    descent i of w, and deleting that letter leaves a reduced word of
+    w s_i, so the words are listed by recursing on action matrices over the
+    right descents.  The reference word set for the trie walk of
+    ``billey.reduced_word_tables`` and the counts of ``count_reduced_words``.
 
     Raises EnumerationCapError when l(w) exceeds cap; the enumeration is
     never silently truncated.
@@ -244,25 +240,7 @@ def enumerate_reduced_words(group, w, cap=16) -> frozenset:
                 for prefix in rec(group.right_action(action, i)))
         return words
 
-    words = rec(w.action)
-    assert len(words) == group.count_reduced_words(w)
-    return words
-
-
-def right_multiply_reduced_words(group, w) -> frozenset:
-    """Reduced words for w by recursing on ``WeylElement`` objects: each
-    step builds w s_i with ``right_multiply`` (the exchange-condition
-    deletion for its witness word), memoized in a table of its own."""
-    memo = {}
-
-    def rec(u):
-        if u.action not in memo:
-            memo[u.action] = frozenset({()}) if u.is_identity() else frozenset(
-                prefix + (i,) for i in group.descents(u.action)
-                for prefix in rec(right_multiply(group, u, i)))
-        return memo[u.action]
-
-    return rec(w)
+    return rec(w.action)
 
 
 def elements_up_to_length(group, max_length: int):
@@ -306,39 +284,6 @@ def bruhat_leq(group, v, w) -> bool:
         if all(letter in it for letter in word):
             return True
     return False
-
-
-def bruhat_lower_set(group, w) -> set:
-    """All elements reachable as products of subwords of w's reduced word.
-
-    By the subword characterization of Bruhat order this is exactly
-    ``{v : v <= w}``.
-    """
-    word = w.witness_word
-    out = set()
-    for k in range(len(word) + 1):
-        for positions in itertools.combinations(range(len(word)), k):
-            out.add(from_word(group, (word[p] for p in positions)))
-    return out
-
-
-def bruhat_intervals(group, elements) -> dict:
-    """{w.action: {v.action : v <= w}} for every w in elements, which
-    must hold ws for each w != e, s the last letter of w's witness word.
-    Built by length from [e, w] = [e, ws] u [e, ws] s for a right descent
-    s of w (lifting property; Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, Prop. 2.2.7), on action matrices: ground truth for the index
-    intervals of ``weyl.CayleyTable``."""
-    intervals = {}
-    for w in sorted(elements, key=lambda w: w.length):
-        if w.is_identity():
-            intervals[w.action] = {w.action}
-            continue
-        s = w.witness_word[-1]
-        below = intervals[group.right_action(w.action, s)]
-        intervals[w.action] = below | {group.right_action(u, s)
-                                       for u in below}
-    return intervals
 
 
 def weyl_group_degrees(family: str, rank: int) -> list[int]:
@@ -395,92 +340,6 @@ def length_of_matrix(group, action) -> int:
     return count
 
 
-class PetersonClass:
-    """A class in the restriction model: ``values[k] * t^degree`` at the
-    k-th fixed point, with its own ring arithmetic.  The reference for the
-    model's checks, which compare int rows at t = 1 instead."""
-
-    __slots__ = ("model", "degree", "values")
-
-    def __init__(self, model, degree: int, values):
-        values = tuple(values)
-        if len(values) != len(model.subsets):
-            raise ValueError("value tuple does not match the fixed-point set")
-        self.model = model
-        self.degree = degree
-        self.values = values
-
-    def _check_compatible(self, other: "PetersonClass"):
-        if self.model.subsets != other.model.subsets or \
-                self.model.cartan != other.model.cartan:
-            raise ValueError("classes live over different fixed-point sets")
-
-    def __eq__(self, other):
-        # zero is zero in every degree
-        return (isinstance(other, PetersonClass) and self.values == other.values
-                and (self.degree == other.degree or self.is_zero()))
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def _sum(self, other, sign):
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add classes of degrees {self.degree} "
-                             f"and {other.degree}")
-        return PetersonClass(self.model, self.degree, (
-            a + sign * b for a, b in zip(self.values, other.values)))
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        return PetersonClass(self.model, self.degree + other.degree,
-                             (a * b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c, power: int = 0) -> "PetersonClass":
-        """Multiply by c * t^power."""
-        return PetersonClass(self.model, self.degree + power,
-                             (c * a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def __repr__(self):
-        return f"PetersonClass(t^{self.degree} * {list(self.values)})"
-
-
-def subset_class(model, K) -> PetersonClass:
-    """p_{v_K} as a ``PetersonClass``: the model's row, of degree |K|."""
-    return PetersonClass(model, len(set(K)), model.subset_class(K))
-
-
-def simple_class(model, i: int) -> PetersonClass:
-    return subset_class(model, (i,))
-
-
-def one_class(model) -> PetersonClass:
-    return PetersonClass(model, 0, model.one())
-
-
-def class_value(cls, K):
-    """Restriction of a ``PetersonClass`` at the fixed point w_K:
-    c * t^degree as a polynomial in the one variable t, the ring that
-    restriction to S lands in."""
-    return Poly(1, {(cls.degree,): cls.values[cls.model.subset_index(K)]})
-
-
-def basis_matrix(model):
-    """Matrix of p_{v_K}(w_J) as polynomials in t, with rows K and columns J
-    in the model's fixed subset order."""
-    return [[class_value(subset_class(model, K), J) for J in model.subsets]
-            for K in model.subsets]
-
-
 def quadratic_combination(model, i: int) -> tuple[int, ...]:
     """sum_j <alpha_i, alpha_j> p_{s_i} p_{s_j} - 2 t p_{s_i}, of degree 2,
     as its row: theta_i written out from the Cartan matrix, apart from
@@ -490,29 +349,6 @@ def quadratic_combination(model, i: int) -> tuple[int, ...]:
              if (a_ij := model.cartan.a(i, j))]
     return tuple(c * (sum(a_ij * p_j[L] for a_ij, p_j in terms) - 2)
                  for L, c in enumerate(p_i))
-
-
-def class_verify_quadratic(model):
-    """The ``quadratic`` record by ``PetersonClass`` arithmetic: each
-    residual sum_j a_ij p_i p_j - 2 t p_i built as a class."""
-    from petcoh.report import CheckRecord
-
-    failing = []
-    for i in model.cartan.nodes():
-        p_i = simple_class(model, i)
-        acc = p_i.scale(-2, 1)
-        for j in model.cartan.nodes():
-            if model.cartan.a(i, j):
-                acc = acc + (p_i * simple_class(model, j)).scale(model.cartan.a(i, j))
-        if not acc.is_zero():
-            failing.append(i)
-    return CheckRecord(
-        check="quadratic",
-        lie_type=model.type_name(),
-        passed=not failing,
-        parameters={"relations": model.rank},
-        witnesses={"failing_rows": failing},
-    )
 
 
 def _row_product(rows) -> tuple[int, ...]:
@@ -530,39 +366,127 @@ def product_holds(model, K, components) -> bool:
         _row_product(model.subset_class(C) for C in components)
 
 
-def class_check_giambelli(model):
-    """The ``giambelli`` check record by ``PetersonClass`` arithmetic: a
-    connected K by |K|! p_{v_K} = #words prod p_{s_i}, a disconnected one
-    by p_{v_K} = prod_C p_{v_C} over its components, both as classes."""
-    from math import factorial
+def fraction_verify_monk(model, i: int, K):
+    """One Monk identity, Drellich's formula for p_{s_i} p_{v_K} on the
+    rows, summed in Fractions at every fixed point:
 
+        p_{s_i} p_{v_K} = p_{s_i}(w_K) p_{v_K} + sum_J c_J p_{v_J},
+        c_J = (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) / p_{v_J}(w_J),
+
+    over the covers J = K + j, j not in K, in node order.  Both sides are
+    an integer times t^(|K| + 1) at every fixed point, so they are
+    compared at t = 1.  The record passes iff the identity holds and every
+    c_J >= 0; a zero p_{v_J}(w_J) is the model's ``IntegrityError``.
+    Ground truth for ``monk_failures`` and ``monk_coefficient``."""
+    from petcoh.errors import IntegrityError
+    from petcoh.report import CheckRecord
+
+    K = tuple(sorted(set(K)))
+    k = model.subset_index(K)
+    p_i, p_K = model.simple_class(i), model.subset_class(K)
+    rhs = [p_i[k] * x for x in p_K]
+    coeffs = []
+    for j in model.cartan.nodes():
+        if j in K:
+            continue
+        J = tuple(sorted(K + (j,)))
+        at, p_J = model.subset_index(J), model.subset_class(J)
+        if not p_J[at]:
+            raise IntegrityError(
+                f"Monk division by zero for i={i}, K={K}, J={J}")
+        c = Q((p_i[at] - p_i[k]) * p_K[at], p_J[at])
+        coeffs.append({"J": list(J), "coefficient": c})
+        if c:  # a zero entry of p_{v_J} adds nothing
+            rhs = [r + c * x if x else r for r, x in zip(rhs, p_J)]
+    holds = [a * b for a, b in zip(p_i, p_K)] == rhs
+    nonneg = all(item["coefficient"] >= 0 for item in coeffs)
+    return CheckRecord(
+        check="monk",
+        lie_type=model.type_name(),
+        passed=holds and nonneg,
+        parameters={"i": i, "K": list(K)},
+        witnesses={
+            "coefficients": coeffs,
+            "identity_holds": holds,
+            "coefficients_nonnegative": nonneg,
+        },
+    )
+
+
+def fraction_check_monk(model):
+    """The ``monk`` record: every identity (i, K) by
+    ``fraction_verify_monk``, i in node order and then K in subset order,
+    and the Cartan cross-check c = -a(i, j) on the coefficient of
+    p_{s_i} p_{s_i} on p_{v_{ij}}, read off the identities of K = {i}."""
     from petcoh.report import CheckRecord
 
     cartan = model.cartan
-    coefficients, products, failures = [], [], []
+    nodes = cartan.nodes()
+    failures, cross = [], []
+    for i in nodes:
+        for K in model.subsets:
+            record = fraction_verify_monk(model, i, K)
+            if not record.passed:
+                failures.append({"i": i, "K": list(K)})
+            if K == (i,):
+                cross += [(i, j, item["coefficient"])
+                          for item in record.witnesses["coefficients"]
+                          for j in item["J"] if j != i]
+    cross_ok = all(c == -cartan.a(i, j) for i, j, c in cross)
+    return CheckRecord(
+        check="monk",
+        lie_type=model.type_name(),
+        passed=not failures and cross_ok,
+        parameters={"identities_checked": len(nodes) * len(model.subsets)},
+        witnesses={
+            "failures": failures,
+            "cartan_cross_check": [
+                {"i": i, "j": j, "coefficient": fraction_text(c),
+                 "expected": -cartan.a(i, j)} for i, j, c in cross],
+            "cartan_cross_check_ok": cross_ok,
+        },
+    )
+
+
+def fraction_verify_giambelli(model, K) -> tuple[int, bool]:
+    """Giambelli's formula for a nonempty K on the rows, in Fractions:
+    (|K|! / #words(v_K)) p_{v_K} = prod_{i in K} p_{s_i} at every fixed
+    point, #words(v_K) counted by ``enumerate_reduced_words``.  Both sides
+    are an integer times t^|K| at every fixed point, so they are compared
+    at t = 1.  For a disconnected K the formula is the product of those of
+    its connected components.  Returns (#words(v_K), whether it holds):
+    ground truth for ``giambelli_holds``."""
+    K = tuple(sorted(set(K)))
+    n_words = len(enumerate_reduced_words(model.group, v_K(model.group, K)))
+    coeff = Q(factorial(len(K)), n_words)
+    rhs = _row_product(model.simple_class(i) for i in K)
+    return n_words, [coeff * x for x in model.subset_class(K)] == list(rhs)
+
+
+def fraction_check_giambelli(model):
+    """The ``giambelli`` record: the row of () against the row of 1, and
+    every nonempty K by ``fraction_verify_giambelli``, a connected K
+    (``is_connected``) listed with its coefficient, a disconnected one
+    with its components."""
+    from petcoh.report import CheckRecord
+
+    cartan = model.cartan
+    failures = [] if set(model.subset_class(())) == {1} else \
+        [{"kind": "unit", "K": []}]
+    coefficients, products = [], []
     for K in model.subsets[1:]:
-        components = cartan.connected_components(K)
-        if len(components) == 1:
-            n_words = model.group.count_reduced_words(v_K(model.group, K))
-            rhs = one_class(model)
-            for i in K:
-                rhs = rhs * simple_class(model, i)
-            passed = subset_class(model, K).scale(factorial(len(K))) == \
-                rhs.scale(n_words)
-            coefficients.append({"K": list(K),
-                                 "coefficient": fraction_text(Q(factorial(len(K)),
-                                                                n_words)),
-                                 "reduced_words": n_words})
+        n_words, holds = fraction_verify_giambelli(model, K)
+        if is_connected(cartan, K):
+            coefficients.append({
+                "K": list(K),
+                "coefficient": fraction_text(Q(factorial(len(K)), n_words)),
+                "reduced_words": n_words})
             kind = "giambelli"
         else:
-            rhs = one_class(model)
-            for C in components:
-                rhs = rhs * subset_class(model, C)
-            passed = subset_class(model, K) == rhs
-            products.append({"K": list(K),
-                             "components": [list(C) for C in components]})
+            products.append({"K": list(K), "components": [
+                list(C) for C in cartan.connected_components(K)]})
             kind = "disconnected_product"
-        if not passed:
+        if not holds:
             failures.append({"kind": kind, "K": list(K)})
     return CheckRecord(
         check="giambelli",
@@ -575,12 +499,13 @@ def class_check_giambelli(model):
     )
 
 
-def class_verify_basis(model):
+def verify_basis_by_sets(model):
     """The ``basis`` record with the support condition decided by
-    ``set(K) <= set(J)`` for every pair of subsets, on class values."""
+    ``set(K) <= set(J)`` for every pair of subsets, on the rows: ground
+    truth for ``verify_basis_triangular``, which reads subset bitmasks."""
     from petcoh.report import CheckRecord
 
-    rows = [subset_class(model, K).values for K in model.subsets]
+    rows = [model.subset_class(K) for K in model.subsets]
     ok_support = not any(
         rows[r][c] for r, K in enumerate(model.subsets)
         for c, J in enumerate(model.subsets) if not set(K) <= set(J))
@@ -715,80 +640,6 @@ def fraction_det(rows) -> Q:
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
-
-
-def bareiss_pivots(rows, pivoting: bool = True) -> list[int]:
-    """Pivots of fraction-free Gaussian elimination on an integer matrix
-    (Bareiss, Math. Comp. 22, 1968).
-
-    Each step replaces every entry below the pivot row by
-    (a * pivot - f * b) / (previous pivot); Sylvester's identity makes the
-    division exact, so the arithmetic never leaves the integers.
-
-    With pivoting, each column takes its first nonzero entry at or below
-    the current row as pivot, and a column without one is skipped; the
-    number of pivots is the rank.  Without pivoting, the k-th pivot is the
-    k-th leading principal minor, and the list stops at the first zero one,
-    past which the elimination cannot go on.
-    """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    prev = 1
-    for col in range(ncols):
-        k = len(pivots)
-        if k == len(m):
-            break
-        if pivoting:
-            r = next((r for r in range(k, len(m)) if m[r][col]), None)
-            if r is None:
-                continue
-            m[k], m[r] = m[r], m[k]
-        top = m[k]
-        pivot = top[col]
-        pivots.append(pivot)
-        if not pivot:
-            break
-        for row in m[k + 1:]:
-            f = row[col]
-            row[col + 1:] = [(a * pivot - f * b) // prev
-                             for a, b in zip(row[col + 1:], top[col + 1:])]
-        prev = pivot
-    return pivots
-
-
-def _compositions(total: int, parts: int):
-    """All exponent tuples of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def all_monomials_graded_dims(model, cutoff_degree: int, rank=None) -> list[int]:
-    """The graded dimensions of the image of Q[t, p_{s_1}..p_{s_n}] the
-    slow way: for each degree d, one integer row per monomial of degree d
-    in t, p_{s_1}..p_{s_n} (C(d+n, n) rows), ranked from scratch; ground
-    truth for ``echelon_graded_dims`` and the simple-row argument.
-    ``rank`` defaults to the pivoting Bareiss rank and can be swapped for
-    another rank function."""
-    rank = rank or (lambda rows: len(bareiss_pivots(rows)))
-    ones = model.one()
-    simple = [model.simple_class(i) for i in model.cartan.nodes()]
-    dims = []
-    for d in range(cutoff_degree // 2 + 1):
-        rows = []
-        for exps in _compositions(d, model.rank + 1):
-            # exps[0] is the power of t, which is 1 at every fixed point
-            row = ones
-            for vec, e in zip(simple, exps[1:]):
-                if e:
-                    row = [a * b ** e for a, b in zip(row, vec)]
-            rows.append(row)
-        dims.append(rank(rows))
-    return dims
 
 
 class IntegerEchelon:
@@ -939,72 +790,27 @@ def is_monomial_of_degree(p, d: int) -> bool:
     return set(p.terms) <= {(d,)}
 
 
-def per_class_restriction(model, v):
-    """p_v as one t-polynomial per fixed point, by one single-target
-    localization per (v, w_K), each restricted to t on its own: ground
-    truth for the model's one table per fixed point."""
-    from petcoh.billey import billey_localization
-
-    return [restrict_to_S(billey_localization(model.group, v,
-                                              longest_element(model.group, K)))
-            for K in model.subsets]
-
-
-def restricted_rows_per_fixed_point(group, subsets) -> tuple[tuple[int, ...], ...]:
+def localized_rows(group, subsets) -> tuple[tuple[int, ...], ...]:
     """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
-    J = subsets[k].  The witness word of each w_L, from its own greedy
-    ``longest_element``, runs over the steps with J inside L;
-    sigma_{v_J}(w_L) = 0 for every other J: ground truth for the rows'
-    one walk of the subset lattice."""
-    from petcoh.billey import inversion_roots, subset_steps
+    J = subsets[k].  Each column is Billey's polynomial sigma_{v_J}(w_L) in
+    the simple roots, one ``billey.localization_table`` of every v_J per
+    fixed point w_L (its prefix recursion is checked against
+    ``subword_localization``), with every simple root sent to t by
+    ``restrict_to_S``; each restricted value must be one term c t^|J|.
+    Ground truth for ``billey.restricted_rows`` and the model's rows."""
+    from petcoh.billey import localization_table
 
-    steps = subset_steps(group)
-    masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    targets = [v_K(group, J) for J in subsets]
     columns = []
-    for K, L in zip(subsets, masks):
-        w = longest_element(group, K)
-        inside = {b: [(J, lower) for J, lower in steps[b] if not J & ~L]
-                  for b in K}
-        values = [1] + [0] * ((1 << group.rank) - 1)
-        for b, root in zip(w.witness_word, inversion_roots(group, w)):
-            height = sum(root)
-            # b is an ascent of v_{J - b}, so no source changes in this step
-            for J, lower in inside[b]:
-                values[J] += height * values[lower]
-        columns.append(values)
-    return tuple(tuple(values[J] for values in columns) for J in masks)
-
-
-def restricted_rows_all_steps(group, subsets, steps) -> tuple[tuple[int, ...], ...]:
-    """``billey.restricted_rows`` with every letter b of a column's ascent
-    running over all of ``steps[b]``, with no filter by K, and the rows
-    read off the columns entry by entry: ground truth for the walk that
-    runs each column over the steps inside its K only."""
-    masks = [sum(1 << i - 1 for i in K) for K in subsets]
-    walked: dict[int, tuple] = {}
-    columns = []
-    for K, L in zip(subsets, masks):
-        if L:
-            action, values = walked[L ^ 1 << L.bit_length() - 1]
-            values = values.copy()
-        else:
-            action = group.identity.action
-            values = [1] + [0] * ((1 << group.rank) - 1)
-        while True:  # greedy ascent over K to w_K
-            for b in K:
-                root = tuple(row[b - 1] for row in action)
-                if not (all(c <= 0 for c in root) and any(c < 0 for c in root)):
-                    break
-            else:
-                break
-            assert all(c >= 0 for c in root) and any(c > 0 for c in root), root
-            height = sum(root)
-            for J, lower in steps[b]:
-                values[J] += height * values[lower]
-            action = group.right_action(action, b)
-        walked[L] = action, values
-        columns.append(values)
-    return tuple(tuple(values[J] for values in columns) for J in masks)
+    for L in subsets:
+        table = localization_table(group, targets, longest_element(group, L))
+        column = []
+        for v in targets:
+            value = restrict_to_S(table[v])
+            assert is_monomial_of_degree(value, v.length), (v, L)
+            column.append(value.terms.get((v.length,), 0))
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
@@ -1083,173 +889,6 @@ def fraction_text(q: Q) -> str:
 def monk_fraction(model, i: int, K, J) -> Q:
     """``PetersonModel.monk_coefficient``'s (num, den) pair as a Fraction."""
     return Q(*model.monk_coefficient(i, K, J))
-
-
-def fraction_verify_monk(model, i: int, K):
-    """The Monk record with the identity summed in Fractions, each class
-    scaled by its own rational coefficient: ground truth for the model's
-    check with the denominators cleared."""
-    from petcoh.report import CheckRecord
-
-    K = tuple(sorted(set(K)))
-    p_i = simple_class(model, i)
-    p_K = subset_class(model, K)
-    lhs = p_i * p_K
-    rhs = p_K.scale(p_i.values[model.subset_index(K)], p_i.degree)
-    coeffs = []
-    for j in model.cartan.nodes():
-        if j in K:
-            continue
-        J = tuple(sorted(K + (j,)))
-        c = monk_fraction(model, i, K, J)
-        coeffs.append({"J": list(J), "coefficient": c})
-        if c:
-            rhs = rhs + subset_class(model, J).scale(c)
-    passed = lhs == rhs
-    nonneg = all(item["coefficient"] >= 0 for item in coeffs)
-    return CheckRecord(
-        check="monk",
-        lie_type=model.type_name(),
-        passed=passed and nonneg,
-        parameters={"i": i, "K": list(K)},
-        witnesses={
-            "coefficients": coeffs,
-            "identity_holds": passed,
-            "coefficients_nonnegative": nonneg,
-        },
-    )
-
-
-def monk_coefficients_per_identity(model, i: int, K):
-    """The cover indices of K and, per cover J, the pair (num_J, den_J) of
-    Monk's coefficient c_J of p_{s_i} p_{v_K} on p_{v_J}:
-    num_J = (p_{s_i}(w_J) - p_{s_i}(w_K)) p_{v_K}(w_J) and
-    den_J = p_{v_J}(w_J), found for this identity alone."""
-    rows = model._rows
-    K = tuple(sorted(set(K)))
-    k = model.subset_index(K)
-    covers = [model.subset_index(K + (j,))
-              for j in model.cartan.nodes() if j not in K]
-    p_i = model.simple_class(i)
-    return covers, [((p_i[j] - p_i[k]) * rows[k][j], rows[j][j])
-                    for j in covers]
-
-
-def monk_holds_per_identity(model, i: int, K) -> bool:
-    """One Monk identity (i, K) in integers on the rows, with the covers,
-    their diagonals, the lcm D and the fixed points compared all found for
-    this identity alone: ground truth for ``peterson._expansion_failures``,
-    which reads them once per K (``monk_failures``).  Compared where row K
-    or a cover row is nonzero; a zero diagonal is the model's
-    ``IntegrityError``."""
-    from petcoh.errors import IntegrityError
-
-    rows = model._rows
-    K = tuple(sorted(set(K)))
-    k = model.subset_index(K)
-    covers, pairs = monk_coefficients_per_identity(model, i, K)
-    D = lcm(*(den for _, den in pairs))
-    if not D:
-        J = model.subsets[covers[[den for _, den in pairs].index(0)]]
-        raise IntegrityError(f"Monk division by zero for i={i}, K={K}, J={J}")
-    if any(num * den < 0 for num, den in pairs):
-        return False
-    p_i, p_K = model.simple_class(i), rows[k]
-    points = sorted({L for r in [k] + covers for L, c in enumerate(rows[r]) if c})
-    for L in points:
-        rhs = sum(D // den * num * rows[j][L]
-                  for j, (num, den) in zip(covers, pairs))
-        if D * (p_i[L] - p_i[k]) * p_K[L] != rhs:
-            return False
-    return True
-
-
-def verify_monk_full(model, i: int, K):
-    """The Monk record by ``PetersonClass`` arithmetic, with the cleared
-    identity D p_i p_K = D p_i(K) p_K + sum m_J p_J built as classes and
-    compared at every fixed point: ground truth for the model's comparison
-    on value tuples at the fixed points where p_K or a cover p_J is nonzero."""
-    from petcoh.report import CheckRecord
-
-    K = tuple(sorted(set(K)))
-    p_i = simple_class(model, i)
-    p_K = subset_class(model, K)
-    covers = [tuple(sorted(K + (j,)))
-              for j in model.cartan.nodes() if j not in K]
-    cs = [monk_fraction(model, i, K, J) for J in covers]
-    D = lcm(*(c.denominator for c in cs))
-    lhs = (p_i * p_K).scale(D)
-    rhs = p_K.scale(D * p_i.values[model.subset_index(K)], p_i.degree)
-    for J, c in zip(covers, cs):
-        if c:
-            rhs = rhs + subset_class(model, J).scale(
-                D // c.denominator * c.numerator)
-    coeffs = [{"J": list(J), "coefficient": c} for J, c in zip(covers, cs)]
-    passed = lhs == rhs
-    nonneg = all(c >= 0 for c in cs)
-    return CheckRecord(
-        check="monk",
-        lie_type=model.type_name(),
-        passed=passed and nonneg,
-        parameters={"i": i, "K": list(K)},
-        witnesses={
-            "coefficients": coeffs,
-            "identity_holds": passed,
-            "coefficients_nonnegative": nonneg,
-        },
-    )
-
-
-def class_check_monk(model):
-    """The whole ``monk`` check record, each identity decided by
-    ``verify_monk_full`` at every fixed point, plus the Cartan-integer
-    cross-check on the covers of singletons."""
-    from petcoh.report import CheckRecord
-
-    cartan = model.cartan
-    nodes = cartan.nodes()
-    failures = [{"i": i, "K": list(K)} for i in nodes for K in model.subsets
-                if not verify_monk_full(model, i, K).passed]
-    pairs = [(i, j) for i in nodes for j in nodes if i != j]
-    coefficients = [monk_fraction(model, i, (i,), (i, j)) for i, j in pairs]
-    cross = [{"i": i, "j": j, "coefficient": fraction_text(c),
-              "expected": -cartan.a(i, j)}
-             for (i, j), c in zip(pairs, coefficients)]
-    cross_ok = all(c == -cartan.a(i, j) for (i, j), c in zip(pairs, coefficients))
-    return CheckRecord(
-        check="monk",
-        lie_type=model.type_name(),
-        passed=not failures and cross_ok,
-        parameters={"identities_checked": len(nodes) * len(model.subsets)},
-        witnesses={
-            "failures": failures,
-            "cartan_cross_check": cross,
-            "cartan_cross_check_ok": cross_ok,
-        },
-    )
-
-
-def fraction_verify_giambelli(model, K):
-    """The Giambelli record for a connected K with p_{v_K} scaled by the
-    Fraction |K|!/#reduced-words(v_K): ground truth for the model's check
-    in integers."""
-    from math import factorial
-
-    from petcoh.report import CheckRecord
-
-    K = tuple(sorted(set(K)))
-    n_words = model.group.count_reduced_words(v_K(model.group, K))
-    coeff = Q(factorial(len(K)), n_words)
-    rhs = one_class(model)
-    for i in K:
-        rhs = rhs * simple_class(model, i)
-    return CheckRecord(
-        check="giambelli",
-        lie_type=model.type_name(),
-        passed=subset_class(model, K).scale(coeff) == rhs,
-        parameters={"K": list(K)},
-        witnesses={"coefficient": coeff, "reduced_words": n_words},
-    )
 
 
 # Monomial orders on exponent tuples, as order keys: grevlex is the

@@ -27,6 +27,7 @@ from oracles import (
     from_word,
     is_monomial_of_degree,
     linear_poly,
+    localized_rows,
     as_term_list,
     longest_element,
     matrix_inversion_roots,
@@ -183,23 +184,19 @@ def test_prefix_recursion_matches_subword_oracle(name, w_letters, v_letters):
         assert is_monomial_of_degree(restrict_to_S(oracle.terms), v.length)
 
 
-ROW_TYPES = DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8")
+ROW_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
 
 
 @pytest.mark.parametrize("name", ROW_TYPES)
 def test_restricted_table_is_the_restricted_poly_table(name):
-    # the rows, the recursion on root heights over the subset steps, against
-    # one full polynomial table of every v_J per fixed point w_L, restricted
-    # to t
+    # the rows, the recursion on root heights over the subset steps inside
+    # each K, against one full polynomial table of every v_J per fixed
+    # point w_L, restricted to t
     W = group(name)
     subsets = subsets_by_size(W.rank)
-    targets = [v_K(W, J) for J in subsets]
     rows = restricted_rows(W, subsets, subset_steps(W))
     assert all(type(c) is int for row in rows for c in row)
-    for k, L in enumerate(subsets):
-        table = localization_table(W, targets, longest_element(W, L))
-        assert [Poly(1, {(v.length,): row[k]}) for v, row in zip(targets, rows)] \
-            == [restrict_to_S(table[v]) for v in targets], (name, L)
+    assert rows == localized_rows(group(name), subsets)
 
 
 @pytest.mark.parametrize("name", ROW_TYPES)

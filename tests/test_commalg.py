@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import cli, commalg, peterson
+from petcoh import cli, commalg
 from petcoh.cli import DEFAULT_SUITE, RunConfig, main, run_certification, run_suite
 from petcoh.commalg import (
     MAX_DEGREE,
@@ -34,10 +34,8 @@ from oracles import (
     _divides,
     _mono_lcm,
     _tuple_minimalize,
-    all_monomials_graded_dims,
     as_term_list,
     basis_leads,
-    bareiss_pivots,
     buchberger_groebner_basis,
     fraction_det,
     fraction_rank,
@@ -1500,30 +1498,16 @@ def _leading_minors_oracle(rows):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(int_matrices())
-def test_bareiss_rank_matches_fraction_oracle(rows):
-    assert len(bareiss_pivots(rows)) == fraction_rank(rows)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(int_matrices(square=True))
 def test_bareiss_leading_minors_match_fraction_oracle(rows):
+    # the fraction-free elimination of ``leading_minors_positive`` against
+    # the leading minors by elimination over the fractions
     minors = _leading_minors_oracle(rows)
-    assert bareiss_pivots(rows, pivoting=False) == minors
     assert leading_minors_positive(rows) == all(m > 0 for m in minors)
 
 
-def test_bareiss_fixed_cases():
-    assert bareiss_pivots([]) == []
-    assert bareiss_pivots([[0, 0], [0, 0]]) == []
-    assert len(bareiss_pivots([[0, 1], [1, 0]])) == 2  # needs a row swap
-    assert len(bareiss_pivots([[0, 2, 4], [0, 1, 2], [0, 0, 1]])) == 2
-    assert bareiss_pivots([[0, 1], [1, 0]], pivoting=False) == [0]
-    assert bareiss_pivots([[2, -1], [-1, 2]], pivoting=False) == [2, 3]
-
-
-# ``IntegerEchelon`` is the test oracle behind ``echelon_graded_dims``; its
-# cases stay here, next to the other eliminations on the same matrices
+# ``IntegerEchelon`` is the test oracle behind ``echelon_graded_dims``, and
+# the rank over the fractions is its only check
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(int_matrices())
@@ -1553,24 +1537,6 @@ def test_echelon_fixed_cases():
     assert echelon.insert([0, 1, 3])
     assert not echelon.insert([7, 7, 7])
     assert len(echelon) == 3
-
-
-@pytest.mark.parametrize("name", DEFAULT_SUITE)
-def test_graded_dims_rank_matches_fraction_oracle(name):
-    # the all-monomials oracle's matrices: integer rows, Bareiss rank equal
-    # to the rank over the fractions
-    matrices = []
-
-    def recording_rank(rows):
-        matrices.append(rows)
-        return len(bareiss_pivots(rows))
-
-    model = peterson.PetersonModel(cartan_matrix(name))
-    dims = all_monomials_graded_dims(model, 12, rank=recording_rank)
-    assert len(matrices) == 7
-    for rows in matrices:
-        assert all(type(x) is int for row in rows for x in row)
-    assert dims == [fraction_rank(rows) for rows in matrices]
 
 
 def test_zero_set_via_minors_examples():

@@ -1,5 +1,7 @@
-"""Every function the package defines is called by a run, or says why not."""
+"""Every function the package defines is called by a run, or says why not;
+every oracle in ``tests/oracles.py`` is used by a test."""
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -7,6 +9,7 @@ import io
 import pkgutil
 import sys
 from functools import cached_property
+from pathlib import Path
 
 import petcoh
 from petcoh import commalg
@@ -137,3 +140,46 @@ def test_every_function_is_called_or_allowed():
 def test_word_bookkeeping_is_not_a_method_of_the_group():
     assert [name for name in MOVED_TO_ORACLES if hasattr(WeylGroup, name)] \
         == []
+
+
+def _names(tree) -> set[str]:
+    """Every identifier a syntax tree mentions: names, attributes, imported
+    names and identifier strings (as ``monkeypatch.setattr`` takes them)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_every_oracle_is_used():
+    # a top-level function or class of tests/oracles.py must be named in
+    # some tests/test_*.py, or by an oracle that is, so that no oracle
+    # stays once its last test is gone
+    here = Path(__file__).parent
+    body = ast.parse((here / "oracles.py").read_text()).body
+    mentions = {}  # top-level name -> the names its definition mentions
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            mentions[node.name] = _names(node)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                mentions[target.id] = _names(node.value)
+    tested = set().union(*(_names(ast.parse(path.read_text()))
+                           for path in here.glob("test_*.py")
+                           if path.name != Path(__file__).name))
+    used, frontier = set(), tested & set(mentions)
+    while frontier:
+        used |= frontier
+        frontier = set().union(*(mentions[name] for name in frontier)) \
+            & set(mentions) - used
+    defined = {node.name for node in body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined - used == set()

@@ -2,7 +2,7 @@
 relations, graded dimensions."""
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,45 +16,30 @@ from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup
 
 from oracles import (
-    Poly,
-    all_monomials_graded_dims,
-    basis_matrix,
-    brute_reduced_words,
-    class_check_giambelli,
-    class_check_monk,
-    class_value,
-    class_verify_basis,
-    class_verify_quadratic,
     echelon_graded_dims,
+    enumerate_reduced_words,
+    fraction_check_giambelli,
+    fraction_check_monk,
     fraction_text,
     fraction_verify_giambelli,
     fraction_verify_monk,
     from_word,
     fundamental_weights,
     is_connected,
-    is_monomial_of_degree,
     longest_element,
     monk_fraction,
-    monk_holds_per_identity,
-    one_class,
-    per_class_restriction,
-    poly_product,
     poly_pow,
-    poly_sum,
     product_holds,
     quadratic_combination,
-    restricted_rows_all_steps,
-    restricted_rows_per_fixed_point,
     series_prefix,
-    simple_class,
-    subset_class,
     v_K,
-    verify_monk_full,
+    verify_basis_by_sets,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
 WALK_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
 CLASS_CHECKS = ("quadratic", "monk", "giambelli", "basis", "graded_dims")
+FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
 
 
 _MODELS = {}
@@ -71,8 +56,9 @@ def shared_model(name):
     return _MODELS[name]
 
 
-def t_mono(c, k):
-    return Poly(1, {(k,): c})
+def value(m, K, L):
+    """p_{v_K}(w_L) / t^|K|, the entry of row K at the fixed point L."""
+    return m.subset_class(K)[m.subset_index(L)]
 
 
 def test_subset_order_is_by_size_then_mask():
@@ -92,23 +78,6 @@ def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
     assert by_K[(1,)] == from_word(m.group, (1,)).action
     assert by_K[(1, 2)] == longest_element(m.group, (1, 2)).action
     assert len(calls) == 4
-
-
-@pytest.mark.parametrize("name", WALK_TYPES)
-def test_rows_match_the_per_fixed_point_walk(name):
-    # the one walk of the subset lattice against one greedy longest element
-    # and one witness word per fixed point
-    m = model(name)
-    assert m._rows == restricted_rows_per_fixed_point(
-        WeylGroup(m.cartan), m.subsets)
-
-
-@pytest.mark.parametrize("name", WALK_TYPES)
-def test_rows_match_the_all_steps_walk(name):
-    # each column over the steps inside its K against each column over
-    # every step of each letter
-    m = model(name)
-    assert m._rows == restricted_rows_all_steps(m.group, m.subsets, m._steps)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1", "E6"])
@@ -134,12 +103,13 @@ def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
 
 @pytest.mark.parametrize("name", WALK_TYPES)
 def test_monk_failures_match_the_per_identity_oracle(name):
-    # the identities evaluated together per K against each identity on
-    # its own; on the undoctored rows both find none
+    # the identities evaluated together per K, in integers where row K or
+    # a cover row is nonzero, against each identity on its own, summed in
+    # Fractions at every fixed point; on the undoctored rows both find none
     m = model(name)
     assert m.monk_failures() == [
         (i, K) for i in m.cartan.nodes() for K in m.subsets
-        if not monk_holds_per_identity(m, i, K)] == []
+        if not fraction_verify_monk(m, i, K).passed] == []
 
 
 @pytest.mark.parametrize("name", WALK_TYPES)
@@ -191,37 +161,17 @@ def test_simple_rows_are_heights_of_weight_differences(name):
 
 def test_simple_class_values():
     m = model("A2")
-    p1 = simple_class(m, 1)
-    assert class_value(p1, (1,)) == t_mono(1, 1)      # p_{s_i}(s_i) = t
-    assert class_value(p1, ()) == Poly(1)  # vanishes at the identity
-    assert class_value(p1, (2,)) == Poly(1)
-    assert class_value(p1, (1, 2)) == t_mono(2, 1)    # simply-laced pair gives 2t
+    assert value(m, (1,), (1,)) == 1       # p_{s_i}(s_i) = t
+    assert value(m, (1,), ()) == 0         # vanishes at the identity
+    assert value(m, (1,), (2,)) == 0
+    assert value(m, (1,), (1, 2)) == 2     # simply-laced pair gives 2t
 
 
 def test_g2_simple_class_at_top():
     m = model("G2")
     cm = m.cartan
-    assert class_value(simple_class(m, 1), (1, 2)) == t_mono(4 - 2 * cm.a(1, 2), 1)
-    assert class_value(simple_class(m, 2), (1, 2)) == t_mono(4 - 2 * cm.a(2, 1), 1)
-
-
-def test_class_ring_operations():
-    # the oracles' class arithmetic on the model's rows
-    m = model("A2")
-    one = one_class(m)
-    p1 = simple_class(m, 1)
-    assert p1 * one == p1
-    assert class_value(p1 * p1, (1,)) == t_mono(1, 2)
-    p2 = simple_class(m, 2)
-    s = p1 + p2
-    for K in m.subsets:
-        assert class_value(s, K) == poly_sum(class_value(p1, K), class_value(p2, K))
-    assert (p1 - p1).is_zero()
-    scaled = p1.scale(1, 1)
-    assert class_value(scaled, (1,)) == t_mono(1, 2)
-    assert scaled.degree == 2
-    half = p1.scale(Fraction(1, 2))
-    assert half.degree == 1 and class_value(half, (1, 2)) == t_mono(1, 1)
+    assert value(m, (1,), (1, 2)) == 4 - 2 * cm.a(1, 2)
+    assert value(m, (2,), (1, 2)) == 4 - 2 * cm.a(2, 1)
 
 
 def test_class_degrees():
@@ -230,45 +180,15 @@ def test_class_degrees():
     for K in m.subsets:
         assert v_K(m.group, K).length == len(K)
         assert len(m.subset_class(K)) == len(m.subsets)
-    p1, p2 = simple_class(m, 1), simple_class(m, 2)
-    assert (p1 * p2).degree == 2 and one_class(m).degree == 0
-    with pytest.raises(ValueError, match="degree"):
-        p1 + p1 * p2
-    with pytest.raises(ValueError, match="degree"):
-        p1 - one_class(m)
-    # zero is zero in every degree
-    assert p1 - p1 == (p1 * p2).scale(0)
-    assert p1 != p1.scale(1, 1)
-
-
-def test_class_operations_reject_mismatched_models():
-    a = model("A2")
-    b = model("A3")
-    with pytest.raises(ValueError):
-        one_class(a) + one_class(b)
-    with pytest.raises(ValueError):
-        one_class(a) * one_class(b)
 
 
 def test_support_condition():
     for name in ("A3", "B3", "G2"):
         m = model(name)
         for K in m.subsets:
-            cls = subset_class(m, K)
             for J in m.subsets:
                 if not set(K) <= set(J):
-                    assert class_value(cls, J) == Poly(1)
-
-
-@pytest.mark.parametrize("name", SUITE + ["E6"])
-def test_classes_match_per_class_oracle(name):
-    # one localization table per fixed point against one localization per
-    # (v_J, w_K) pair, restricted on its own
-    m = model(name)
-    for J in m.subsets:
-        expected = per_class_restriction(m, v_K(m.group, J))
-        cls = subset_class(m, J)
-        assert [class_value(cls, K) for K in m.subsets] == expected, (name, J)
+                    assert value(m, K, J) == 0
 
 
 def _counting_tables(monkeypatch, doctor=None):
@@ -324,26 +244,59 @@ def test_model_rejects_a_group_of_another_type():
     assert PetersonModel(cartan, WeylGroup(cartan_matrix("A2"))).rank == 2
 
 
-def test_one_dropped_step_changes_the_rows_and_does_not_certify(monkeypatch):
-    # v_{13} on A3 has the descents 1 and 3; without the step of letter 3,
-    # p_{v_{13}} collects only the embeddings that end in letter 1
+# Dropped steps that leave the rows as they are.  On A2+A1 the walk
+# reaches every w_K with 3 in K from w_{K - 3}, so the letter 3 comes after
+# every letter 1 and 2; when a letter b in {1, 2} comes, sigma_{v_{J - b}}
+# of the prefix is 0 for J - b containing 3, and the step adds nothing.
+# Only the word count of v_J reads these steps.
+ROWS_UNCHANGED = {"A2+A1-J13-b1", "A2+A1-J23-b2", "A2+A1-J123-b2"}
+
+
+def _dropped_steps():
+    """One case (type, b, (J, J - b), whether the rows change) for every
+    descent step of the v_J of every fault type, its id naming J's nodes
+    and the letter b."""
+    cases = []
+    for name in FAULT_TYPES:
+        steps = billey.subset_steps(WeylGroup(cartan_matrix(name)))
+        for b, pairs in steps.items():
+            for J, lower in pairs:
+                nodes = "".join(str(i + 1) for i in range(J.bit_length())
+                                if J >> i & 1)
+                case = f"{name}-J{nodes}-b{b}"
+                cases.append(pytest.param(name, b, (J, lower),
+                                          case not in ROWS_UNCHANGED, id=case))
+    return cases
+
+
+@pytest.mark.parametrize("name,b,step,rows_change", _dropped_steps())
+def test_one_dropped_step_changes_the_rows_and_does_not_certify(
+        name, b, step, rows_change, monkeypatch):
+    # one descent step (J, J - b) left out of subset_steps, which both the
+    # rows and the word counts read: the rows change (but for the steps of
+    # ROWS_UNCHANGED), and a full run neither certifies nor exits 0
     real = billey.subset_steps
-    rows = model("A3")._rows
+    rows = model(name)._rows
 
     def dropped(group):
         steps = real(group)
-        steps[3].remove((0b101, 0b001))
+        steps[b].remove(step)
         return steps
 
     monkeypatch.setattr(billey, "subset_steps", dropped)
-    m = model("A3")
+    m = model(name)
     changed = [K for K, old, new in zip(m.subsets, rows, m._rows) if old != new]
-    assert changed == [(1, 3)]
-    report = run_certification(RunConfig("A3"))
-    giambelli = next(r for r in report.records if r.check == "giambelli")
-    assert giambelli.witnesses["failures"] == [
-        {"kind": "disconnected_product", "K": [1, 3]}]
+    assert bool(changed) == rows_change
+    report = run_certification(RunConfig(name))
     assert not report.isomorphism_certified()
+    assert cli.exit_status([report.to_dict()]) != 0
+    if (name, b, step) == ("A3", 3, (0b101, 0b001)):
+        # v_{13} on A3 has the descents 1 and 3; without the step of
+        # letter 3, p_{v_{13}} collects only the embeddings that end in 1
+        assert changed == [(1, 3)]
+        giambelli = next(r for r in report.records if r.check == "giambelli")
+        assert giambelli.witnesses["failures"] == [
+            {"kind": "disconnected_product", "K": [1, 3]}]
 
 
 def test_quadric_checks_compute_no_fixed_point(monkeypatch):
@@ -371,15 +324,6 @@ def test_monk_zero_denominator_is_an_integrity_error(monkeypatch):
     m = model("A2")
     with pytest.raises(IntegrityError, match="division by zero"):
         m.monk_coefficient(1, (), (1,))
-
-
-def test_class_homogeneity():
-    m = model("B3")
-    for K in m.subsets:
-        v = v_K(m.group, K)
-        cls = subset_class(m, K)
-        for J in m.subsets:
-            assert is_monomial_of_degree(class_value(cls, J), v.length)
 
 
 @pytest.mark.parametrize("name", SUITE + ["E6"])
@@ -459,10 +403,11 @@ def test_verify_monk_all_cases(name):
             assert all(monk_fraction(m, i, K, J) >= 0 for J in covers(m, K))
 
 
-@pytest.mark.parametrize("name", SUITE + ["E6", "E7"])
+@pytest.mark.parametrize("name", SUITE + ["A2+A1", "E6", "E7"])
 def test_monk_and_giambelli_records_match_fraction_oracle(name):
     # denominators cleared in integers against the identities summed in
-    # Fractions: the same outcome, coefficients included
+    # Fractions: the same outcome, coefficients included; Giambelli for
+    # every nonempty K, connected or not
     m = model(name)
     failing = set(m.monk_failures())
     for i in m.cartan.nodes():
@@ -473,30 +418,15 @@ def test_monk_and_giambelli_records_match_fraction_oracle(name):
                     for J in covers(m, K)] == oracle.witnesses["coefficients"]
     record = cli._check_giambelli(m)
     entries = {tuple(c["K"]): c for c in record.witnesses["coefficients"]}
-    for K in m.subsets:
-        if K and is_connected(m.cartan, K):
-            oracle = fraction_verify_giambelli(m, K)
-            n_words = oracle.witnesses["reduced_words"]
-            assert m.giambelli_holds(K) == (n_words, oracle.passed), (name, K)
+    for K in m.subsets[1:]:
+        n_words, holds = fraction_verify_giambelli(m, K)
+        assert m.giambelli_holds(K) == (n_words, holds), (name, K)
+        if is_connected(m.cartan, K):
             assert entries.pop(K) == {
                 "K": list(K),
-                "coefficient": fraction_text(oracle.witnesses["coefficient"]),
+                "coefficient": fraction_text(Fraction(factorial(len(K)), n_words)),
                 "reduced_words": n_words}
     assert entries == {}
-
-
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
-def test_monk_records_match_class_arithmetic_oracle(name):
-    # int rows compared where p_K or a cover p_J is nonzero against
-    # PetersonClass arithmetic compared at every fixed point
-    m = model(name)
-    failing = set(m.monk_failures())
-    for i in m.cartan.nodes():
-        for K in m.subsets:
-            oracle = verify_monk_full(m, i, K)
-            assert ((i, K) not in failing) == oracle.passed, (name, i, K)
-            assert all(monk_fraction(m, i, K, J) >= 0 for J in covers(m, K)) \
-                == oracle.witnesses["coefficients_nonnegative"]
 
 
 def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
@@ -515,12 +445,11 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
     assert m.subset_class(K)[m.subset_index(L)] == 1
     failing = m.monk_failures()
     assert failing == [(i, J) for i in m.cartan.nodes() for J in m.subsets
-                       if not verify_monk_full(m, i, J).passed]
+                       if not fraction_verify_monk(m, i, J).passed]
     assert (1, K) in failing
-    assert cli._check_monk(m).to_dict() == \
-        class_check_monk(m).to_dict()
+    assert cli._check_monk(m).to_dict() == fraction_check_monk(m).to_dict()
     basis = m.verify_basis_triangular()
-    assert basis.to_dict() == class_verify_basis(m).to_dict()
+    assert basis.to_dict() == verify_basis_by_sets(m).to_dict()
     assert not basis.passed and basis.witnesses["support_condition"] is False
     report = run_certification(RunConfig("A3"))
     monk = next(r for r in report.records if r.check == "monk")
@@ -570,7 +499,7 @@ def test_monk_record_lists_failures_node_first(monkeypatch):
     # two doctored entries on B3, p_{v_{12}}(w_{12}) and p_{v_2}(w_{23})
     # each one more, fail identities of three K and three nodes; the record
     # lists them for i in node order, then K in subset order, as the
-    # Fraction oracle and the per-identity oracle fail them
+    # Fraction oracle fails them
     group = model("B3").group
     doctored_at = {(v_K(group, (1, 2)), longest_element(group, (1, 2))),
                    (v_K(group, (2,)), longest_element(group, (2, 3)))}
@@ -583,8 +512,6 @@ def test_monk_record_lists_failures_node_first(monkeypatch):
     identities = [(i, K) for i in m.cartan.nodes() for K in m.subsets]
     expected = [(i, K) for i, K in identities
                 if not fraction_verify_monk(m, i, K).passed]
-    assert expected == [(i, K) for i, K in identities
-                        if not monk_holds_per_identity(m, i, K)]
     assert {K for _, K in expected} == {(1,), (2,), (3,)}
     assert {i for i, _ in expected} == {1, 2, 3}
     assert expected != sorted(expected, key=lambda iK: m.subset_index(iK[1]))
@@ -628,6 +555,14 @@ def test_verify_monk_empty_K_coefficients():
 
 # -- Giambelli ----------------------------------------------------------------
 
+def test_giambelli_needs_a_nonempty_K():
+    # p_{v_()} = 1 needs no formula; the giambelli check reads the row of
+    # () on its own and passes giambelli_holds only nonempty K
+    m = model("A2")
+    with pytest.raises(ValueError, match=r"nonempty K, got K = \(\)"):
+        m.giambelli_holds(())
+
+
 def test_giambelli_singleton_trivial():
     m = model("A2")
     assert m.giambelli_holds((1,)) == (1, True)
@@ -645,7 +580,7 @@ def test_giambelli_connected_pair_coefficient_two():
 def test_giambelli_A3_full_set():
     m = model("A3")
     v = v_K(m.group, (1, 2, 3))
-    assert brute_reduced_words(m.group, v) == {(1, 2, 3)}
+    assert enumerate_reduced_words(m.group, v) == {(1, 2, 3)}
     assert m.giambelli_holds((1, 2, 3)) == (1, True)
     assert giambelli_entry(m, (1, 2, 3)) == {
         "K": [1, 2, 3], "coefficient": "6/1", "reduced_words": 1}
@@ -704,12 +639,11 @@ def test_product_fails_on_a_split_component():
 # -- basis -------------------------------------------------------------------
 
 def test_basis_matrix_entries():
+    # the rows are the basis matrix p_{v_K}(w_J) over t^|K|
     m = model("A2")
-    matrix = basis_matrix(m)
-    idx = {K: i for i, K in enumerate(m.subsets)}
-    assert matrix[idx[()]][idx[()]] == Poly(1, {(0,): 1})
-    assert matrix[idx[(1,)]][idx[(1,)]] == t_mono(1, 1)
-    assert matrix[idx[(1, 2)]][idx[(1,)]] == Poly(1)
+    assert value(m, (), ()) == 1
+    assert value(m, (1,), (1,)) == 1
+    assert value(m, (1, 2), (1,)) == 0
 
 
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])
@@ -773,23 +707,31 @@ def test_quadric_rows_match_the_written_out_quadrics(name):
                                 for i in m.cartan.nodes()]
 
 
-# -- int rows against class arithmetic ---------------------------------------------
+# -- the records against the oracles ---------------------------------------------
+
+def failing_quadrics(m):
+    """The nodes whose quadric, written out from the Cartan matrix, does
+    not vanish on the rows."""
+    return [i for i in m.cartan.nodes() if any(quadratic_combination(m, i))]
+
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6"))
-def test_row_records_match_class_arithmetic_oracle(name):
-    # quadratic, monk, giambelli (disconnected products included) and basis on
-    # the int rows at t = 1 against the same records by PetersonClass
-    # arithmetic, degrees and all
+def test_row_records_match_the_oracles(name):
+    # quadratic, monk, giambelli (disconnected products included) and basis
+    # on the int rows against the same records from the written-out
+    # quadrics, the identities summed in Fractions and the support
+    # condition by set inclusion
     m = model(name)
-    assert m.verify_quadratic_relations().to_dict() == \
-        class_verify_quadratic(m).to_dict()
+    quadratic = m.verify_quadratic_relations()
+    assert quadratic.passed
+    assert quadratic.witnesses["failing_rows"] == failing_quadrics(m) == []
     monk = cli._check_monk(m)
     assert monk.passed
-    assert monk.to_dict() == class_check_monk(m).to_dict()
+    assert monk.to_dict() == fraction_check_monk(m).to_dict()
     giambelli = cli._check_giambelli(m)
     assert giambelli.passed
-    assert giambelli.to_dict() == class_check_giambelli(m).to_dict()
-    assert m.verify_basis_triangular().to_dict() == class_verify_basis(m).to_dict()
+    assert giambelli.to_dict() == fraction_check_giambelli(m).to_dict()
+    assert m.verify_basis_triangular().to_dict() == verify_basis_by_sets(m).to_dict()
 
 
 def test_one_doctored_simple_value_fails_exactly_the_affected_quadrics(monkeypatch):
@@ -806,7 +748,7 @@ def test_one_doctored_simple_value_fails_exactly_the_affected_quadrics(monkeypat
     m = model("A3")
     assert m.simple_class(2)[m.subset_index((1, 2))] == 3
     rec = m.verify_quadratic_relations()
-    assert rec.to_dict() == class_verify_quadratic(m).to_dict()
+    assert rec.witnesses["failing_rows"] == failing_quadrics(m)
     assert not rec.passed and rec.witnesses["failing_rows"] == [1, 2]
     report = run_certification(RunConfig("A3"))
     quadratic = next(r for r in report.records if r.check == "quadratic")
@@ -827,7 +769,7 @@ def test_one_doctored_connected_class_fails_exactly_its_giambelli(monkeypatch):
     _counting_tables(monkeypatch, doctored)
     m = model("A3")
     rec = cli._check_giambelli(m)
-    assert rec.to_dict() == class_check_giambelli(m).to_dict()
+    assert rec.to_dict() == fraction_check_giambelli(m).to_dict()
     assert rec.witnesses["failures"] == [{"kind": "giambelli", "K": list(K)}]
     report = run_certification(RunConfig("A3"))
     giambelli = next(r for r in report.records if r.check == "giambelli")
@@ -865,12 +807,6 @@ def test_graded_dimensions_validation():
     with pytest.raises(ValueError):
         m.image_graded_dimensions(-2)
     assert m.image_graded_dimensions(0) == [1]
-
-
-@pytest.mark.parametrize("name", SUITE + ["E6"])
-def test_graded_dims_match_all_monomials_oracle(name):
-    m = model(name)
-    assert m.image_graded_dimensions(12) == all_monomials_graded_dims(m, 12)
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
@@ -1008,9 +944,6 @@ def test_giambelli_fails_when_the_row_of_one_is_not_one():
 
 # -- every fault of one row entry or one word count --------------------------
 
-FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
-
-
 def _faulty_runs(monkeypatch, name, fault_model):
     """A function of a fault that returns the full report of ``name`` on a
     model that ``fault_model(model, *fault)`` doctored after it was built.
@@ -1076,6 +1009,7 @@ def test_every_word_count_fault_fails_giambelli(name, monkeypatch):
     assert passing == []
 
 
+
 # -- direct sums ---------------------------------------------------------------
 
 _SUMMANDS = ("A1", "A2", "A3", "B2", "G2")
@@ -1095,7 +1029,6 @@ def test_direct_sum_classes_are_products(data):
     def shifted(J):
         return tuple(i + X.rank for i in J)
 
-    lhs = subset_class(XY, K + shifted(L))
     assert v_K(XY.group, K + shifted(L)).length == len(K) + len(L)
-    assert class_value(lhs, K_ + shifted(L_)) == poly_product(
-        class_value(subset_class(X, K), K_), class_value(subset_class(Y, L), L_))
+    assert value(XY, K + shifted(L), K_ + shifted(L_)) == \
+        value(X, K, K_) * value(Y, L, L_)
