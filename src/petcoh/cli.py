@@ -20,7 +20,7 @@ from operator import methodcaller
 
 from . import __version__
 from .billey import reduced_word_tables
-from .commalg import HilbertSeries, minor_route
+from .commalg import HilbertSeries
 from .errors import IntegrityError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord, ratio
@@ -259,12 +259,12 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
 def _check_hilbert(model: PetersonModel) -> CheckRecord:
     """The quotient Hilbert series are the closed forms (1 + s^2)^n /
     (1 - s^2) of Q[x, t]/J and (1 + s^2)^n of Q[x]/J-check, proven by the
-    Cartan minors (``minor_route``), which make theta_1, ..., theta_n, t
+    Cartan minors (``PetersonModel.minor_route``, computed once per model
+    by the first check that reads it), which make theta_1, ..., theta_n, t
     a regular sequence of the degrees the record lists.  The series the
     record prints are those closed forms; it passes iff the route holds."""
-    cartan = model.cartan
-    n = cartan.rank
-    holds = minor_route(cartan)
+    n = model.rank
+    holds = model.minor_route
     return CheckRecord(
         check="hilbert",
         lie_type=model.type_name(),
@@ -282,10 +282,9 @@ def _check_hilbert(model: PetersonModel) -> CheckRecord:
 def _check_regular_sequence(model: PetersonModel) -> CheckRecord:
     """theta_1, ..., theta_n and then t form a regular sequence in
     Q[x_1..x_n, t], of the degrees the record lists, by the Cartan minors
-    (``minor_route``)."""
-    cartan = model.cartan
-    n = cartan.rank
-    holds = minor_route(cartan)
+    (``PetersonModel.minor_route``, read from the model's memo)."""
+    n = model.rank
+    holds = model.minor_route
     return CheckRecord(
         check="regular_sequence",
         lie_type=model.type_name(),
@@ -300,15 +299,15 @@ def _check_zero_set(model: PetersonModel) -> CheckRecord:
     theta-check_i = x_i (A x)_i, and every principal minor of the Cartan
     matrix A is positive, by Sylvester's criterion on the symmetric D A
     for a positive diagonal symmetrizer D (``zero_set_via_minors``).  The
-    record is that of ``minor_route``, which also checks that J is
-    homogeneous of degree 2."""
-    cartan = model.cartan
-    holds = minor_route(cartan)
+    record is that of the minors route (``PetersonModel.minor_route``, read
+    from the model's memo), which also checks that J is homogeneous of
+    degree 2."""
+    holds = model.minor_route
     return CheckRecord(
         check="zero_set",
         lie_type=model.type_name(),
         passed=holds,
-        parameters={"rank": cartan.rank},
+        parameters={"rank": model.rank},
         witnesses={"minor_route": holds},
     )
 

@@ -762,6 +762,7 @@ def minor_route(cartan: CartanMatrix) -> bool:
     and dropping the last element leaves (1 - s^4)^n / (1 - s^2)^(n + 1) =
     (1 + s^2)^n / (1 - s^2): the series of Q[x]/J-check and of Q[x, t]/J.
     No Groebner basis is computed.  This is the one statement of the
-    argument; the three quadric checks and ``graded_dims`` rest on it."""
+    argument; the three quadric checks and ``graded_dims`` rest on it, and
+    read it once per model, through ``peterson.PetersonModel.minor_route``."""
     return zero_set_via_minors(cartan) and all(
         {sum(e) for e, _ in g} == {2} for g in build_ideal_J(cartan).generators)

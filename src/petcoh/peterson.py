@@ -31,9 +31,9 @@ from itertools import accumulate, chain, compress, repeat
 from math import comb, lcm
 from operator import add, mul
 
-from . import billey
+from . import billey, commalg
 from .billey import restricted_rows
-from .commalg import build_ideal_J, is_homogeneous, minor_route
+from .commalg import build_ideal_J, is_homogeneous
 from .errors import IntegrityError
 from .report import CheckRecord, ratio
 from .roots import CartanMatrix
@@ -96,7 +96,7 @@ def _evaluate(generator, rows) -> tuple[int, ...]:
 
 def subsets_by_size(n: int):
     """All subsets of {1..n} as sorted tuples, ordered by (size, bitmask)."""
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     return [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
 
 
@@ -105,9 +105,12 @@ class PetersonModel:
 
     Fixed points are enumerated by subsets of the node set, ordered by
     (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Construction computes nothing: the descent steps of the
-    v_J, the fixed points w_K and the rows of the classes p_{v_J} are built
-    on first use, the w_K and the rows together in one walk.
+    triangular.  Construction computes nothing: the subsets with their
+    indices and bitmasks, the descent steps of the v_J, the w_K and the
+    rows of the p_{v_J} (in one walk), the word counts, covers, row
+    supports, quadric rows and the minors route are each built once per
+    model, when a check first reads them; a quadric run reads the route
+    alone.  The memo dies with the model, so no cache outlives a run.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -116,17 +119,37 @@ class PetersonModel:
                              f"not {cartan.type_name()}")
         self.cartan = cartan
         self.group = group or WeylGroup(cartan)
-        self.subsets = tuple(subsets_by_size(cartan.rank))
-        self._subset_index = {K: i for i, K in enumerate(self.subsets)}
-        # node i is bit i - 1; _position[mask] is the subset index of mask
-        self._masks = tuple(sum(1 << i - 1 for i in K) for K in self.subsets)
-        self._position = [0] * len(self.subsets)
-        for k, mask in enumerate(self._masks):
-            self._position[mask] = k
 
     @property
     def rank(self) -> int:
         return self.cartan.rank
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(subsets_by_size(self.rank))
+
+    @cached_property
+    def _subset_index(self) -> dict[tuple[int, ...], int]:
+        return {K: i for i, K in enumerate(self.subsets)}
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Per subset index, the bitmask of the subset: node i is bit i - 1."""
+        return tuple(sum(1 << i - 1 for i in K) for K in self.subsets)
+
+    @cached_property
+    def _position(self) -> list[int]:
+        """Per bitmask, the subset index of its subset."""
+        position = [0] * len(self.subsets)
+        for k, mask in enumerate(self._masks):
+            position[mask] = k
+        return position
+
+    @cached_property
+    def minor_route(self) -> bool:
+        """``commalg.minor_route`` on the model's Cartan matrix, which the
+        three quadric checks and the upper bound of ``graded_dims`` read."""
+        return commalg.minor_route(self.cartan)
 
     def type_name(self) -> str:
         return self.cartan.type_name()
@@ -299,26 +322,28 @@ class PetersonModel:
 
     # -- quadratic relations -------------------------------------------------
 
-    def quadric_rows(self) -> list[tuple[int, ...]]:
+    @cached_property
+    def quadric_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per node i, the row of the generator theta_i of
         ``commalg.build_ideal_J``, the ideal the ``hilbert`` check reads,
         under x_j -> p_{s_j} and t -> t.  Every theta_i is homogeneous of
         degree 2 and every simple row holds values over t, so the row is
         theta_i evaluated on the simple rows with t -> 1: its values over
         t^2.  A theta_i that is not homogeneous, where t -> 1 would mix
-        degrees, is an ``IntegrityError``."""
+        degrees, is an ``IntegrityError``.  Evaluated once per model, for
+        ``quadratic`` and the upper bound of ``graded_dims``."""
         thetas = build_ideal_J(self.cartan).generators
         if not all(map(is_homogeneous, thetas)):
             raise IntegrityError("a quadric generator is not homogeneous")
         values = [self.simple_class(i) for i in self.cartan.nodes()]
         values.append(self.one())  # t, the last variable
-        return [_evaluate(theta, values) for theta in thetas]
+        return tuple(_evaluate(theta, values) for theta in thetas)
 
     def verify_quadratic_relations(self) -> CheckRecord:
         """x_i -> p_{s_i}, t -> t is well defined on Q[x, t]/J iff every
         generator theta_i of J maps to zero: ``failing_rows`` lists the
         nodes i whose theta_i does not (``quadric_rows``)."""
-        failing = [i for i, row in enumerate(self.quadric_rows(), 1)
+        failing = [i for i, row in enumerate(self.quadric_rows, 1)
                    if any(row)]
         return CheckRecord(
             check="quadratic",
@@ -393,9 +418,9 @@ class PetersonModel:
     def _upper_bound_failure(self) -> dict | None:
         """A failing minors route, else the first node i whose theta_i
         does not vanish on the simple rows."""
-        if not minor_route(self.cartan):
+        if not self.minor_route:
             return {"kind": "minors", "degree": 4}
-        for i, row in enumerate(self.quadric_rows(), 1):
+        for i, row in enumerate(self.quadric_rows, 1):
             if any(row):
                 return {"kind": "quadric", "degree": 4, "i": i}
         return None

@@ -1417,6 +1417,24 @@ def test_a_failing_minor_test_fails_hilbert(monkeypatch):
     assert not report.isomorphism_certified()
 
 
+def test_the_minors_route_dies_with_its_model(monkeypatch):
+    # each run builds its own model, and the route is memoized on it: a
+    # doctored Sylvester test reaches the run made under it, whether or
+    # not a clean run came first, and a clean run after it reads no stale
+    # route
+    def failing(doctored):
+        with monkeypatch.context() as patch:
+            if doctored:
+                patch.setattr(commalg, "leading_minors_positive",
+                              lambda rows: False)
+            report = run_certification(RunConfig("B3"))
+        return [r.check for r in report.records if not r.passed]
+
+    for order in ((False, True), (True, False)):
+        assert [failing(doctored) for doctored in order] == \
+            [list(ROUTE_CHECKS) if doctored else [] for doctored in order]
+
+
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8"))
 def test_the_two_hilbert_routes_agree(name):
     # the closed forms the record prints, by the minors route, are the

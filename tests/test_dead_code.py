@@ -183,3 +183,28 @@ def test_every_oracle_is_used():
     defined = {node.name for node in body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined - used == set()
+
+
+def test_every_import_is_read():
+    # an imported name that its module never reads as a name is idle;
+    # an attribute of the same name (``model.minor_route``) is no read,
+    # and ``__init__``'s ``__all__`` reads the names it exports
+    idle = []
+    for path in sorted(Path(petcoh.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and \
+                    [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                read |= set(ast.literal_eval(node.value))
+        idle += [f"{path.name}:{line} {name}"
+                 for name, line in imported.items() if name not in read]
+    assert idle == []

@@ -2,6 +2,7 @@
 relations, graded dimensions."""
 
 from fractions import Fraction
+from itertools import chain, combinations
 from math import factorial, prod
 
 import pytest
@@ -64,6 +65,52 @@ def value(m, K, L):
 def test_subset_order_is_by_size_then_mask():
     assert subsets_by_size(2) == [(), (1,), (2,), (1, 2)]
     assert subsets_by_size(3)[:5] == [(), (1,), (2,), (3,), (1, 2)]
+    # every subset of {1..n} once, as a sorted tuple, in (popcount, mask)
+    # order, node i being bit i - 1, through the largest rank accepted
+    for n in range(cli.MAX_RANK + 1):
+        every = chain.from_iterable(combinations(range(1, n + 1), k)
+                                    for k in range(n + 1))
+        assert subsets_by_size(n) == sorted(
+            every, key=lambda K: (len(K), sum(1 << i - 1 for i in K))), n
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the arguments of
+    each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_quadric_run_builds_no_subset_table_and_one_minors_route(monkeypatch):
+    # the three quadric checks read the model's one minors route, and none
+    # reads a subset table, so none is built
+    subsets = _count_calls(monkeypatch, peterson, "subsets_by_size")
+    routes = _count_calls(monkeypatch, commalg, "zero_set_via_minors")
+    report = run_certification(
+        RunConfig("E7", checks=("hilbert", "regular_sequence", "zero_set")))
+    assert report.overall_pass
+    assert (len(subsets), len(routes)) == (0, 1)
+
+
+def test_a_full_run_reads_one_minors_route_and_one_quadric_evaluation(
+        monkeypatch):
+    # graded_dims and the quadric checks share the route, and quadratic
+    # and graded_dims share the quadric rows: each generator of J is
+    # evaluated on the rows once
+    routes = _count_calls(monkeypatch, commalg, "zero_set_via_minors")
+    evaluations = _count_calls(monkeypatch, peterson, "_evaluate")
+    report = run_certification(RunConfig("B3"))
+    assert report.isomorphism_certified()
+    assert len(routes) == 1
+    assert [theta for theta, _ in evaluations] == \
+        list(commalg.build_ideal_J(cartan_matrix("B3")).generators)
 
 
 def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
@@ -703,8 +750,8 @@ def test_quadric_rows_match_the_written_out_quadrics(name):
     # J's own generators at t = 1 against theta_i written out from the
     # Cartan matrix, row for row
     m = model(name)
-    assert m.quadric_rows() == [quadratic_combination(m, i)
-                                for i in m.cartan.nodes()]
+    assert m.quadric_rows == tuple(quadratic_combination(m, i)
+                                   for i in m.cartan.nodes())
 
 
 # -- the records against the oracles ---------------------------------------------
