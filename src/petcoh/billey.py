@@ -42,16 +42,18 @@ the table {u: sigma_u(w_j)} from the table at w_{j-1} by one letter step.
 So the tables of all reduced words of length <= m, which the word-
 independence sweep compares, share their steps along the trie of those
 words: ``reduced_word_tables`` walks the trie depth first, and each child
-holds a shallow copy of its parent's table in which only the entries u
-with right descent b_j, l(u) <= j and sigma_{u s_b}(w_{j-1}) != 0 are
-replaced by new dicts.  Each trie node costs one letter step instead of a
-full pass over its word, and the step lists are built once for all words.
-The walk runs on element indices: a ``weyl.CayleyTable`` of the swept
-ideal gives every element its index, u s_b for each letter b and the root
-u(alpha_b) of each ascent, and it is the one place where the sweep hashes
-an action matrix, once per element.  The per-word ``localization_table``
-still keys its ideal by action matrices; it serves single localizations
-and the tests.
+holds a shallow copy of its parent's table in which only the entries
+u' s_b, for each entry u' of the parent with ascent b = b_j, are replaced
+by new dicts: the u with descent b_j and sigma_{u s_b}(w_{j-1}) != 0.
+Each trie node costs one letter step over its parent's nonzero entries,
+and a monomial there is one int, a four-bit field per simple root, so a
+product step adds ints.  The walk runs on element indices: a
+``weyl.CayleyTable`` of the swept ideal gives every element its index,
+u s_b for each letter b and the root u(alpha_b) of each ascent, and it
+is the one place where the sweep hashes an action matrix, once per
+element.  The per-word ``localization_table`` still keys its ideal by
+action matrices and its monomials by exponent tuples; it serves single
+localizations and the tests.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
 def _prefix_recursion(group: WeylGroup, targets, w: WeylElement) -> list:
     """(u, {exponent tuple: integer coefficient}) for every target u that
     can be nonzero at w, by the prefix recursion over w's witness word on
-    the roots r(j, w) in the simple-root coordinates."""
+    the roots r(j, w) in the simple-root coordinates; times alpha_k, an
+    exponent tuple has its coordinate k raised by one."""
     word = w.witness_word
     support = set(word)
     # sigma_u(w) = 0 unless some subword of w's word is a reduced word of u,
@@ -104,75 +107,78 @@ def _prefix_recursion(group: WeylGroup, targets, w: WeylElement) -> list:
 
     if live:
         values[group.identity.action][(0,) * group.rank] = 1
+    # per exponent tuple, the tuples with one coordinate raised by one
     raised: dict = {}
     for b, root in zip(word, inversion_roots(group, w)):
         factor = [(k, c) for k, c in enumerate(root) if c]
         for upper, lower in steps[b]:
             # b is an ascent of u s_b, so no source changes during this step
-            _add_product(values[upper], values[lower], factor, raised)
+            target = values[upper]
+            for exps, c in values[lower].items():
+                up = raised.get(exps)
+                if up is None:
+                    up = raised[exps] = tuple(
+                        exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+                        for k in range(len(exps)))
+                for k, rk in factor:
+                    target[up[k]] = target.get(up[k], 0) + c * rk
     return [(u, values[u.action]) for u in live]
 
 
-def _add_product(target: dict, source: dict, factor, raised: dict) -> None:
-    """target += r * source on {exponent tuple: int} dicts, where factor
-    lists the nonzero coordinates (k, r_k) of the root r.  raised caches,
-    per exponent tuple, the tuples with one coordinate raised by one, so
-    every table of a call shares one tuple per monomial."""
-    for exps, c in source.items():
-        up = raised.get(exps)
-        if up is None:
-            up = raised[exps] = tuple(exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-                                      for k in range(len(exps)))
-        for k, rk in factor:
-            grown = up[k]
-            target[grown] = target.get(grown, 0) + c * rk
-
-
 def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
-    """{w index: {word: {u index: {exponent tuple: int}}}} for every element
-    w of the Cayley table and every reduced word of w: the nonzero
-    sigma_u(w) over u in the table's ideal, by index into
-    ``cayley.elements``.
+    """{w index: {word: {u index: {code: int}}}} for every element w of the
+    Cayley table and every reduced word of w: the nonzero sigma_u(w) over u
+    in the table's ideal, by index into ``cayley.elements``.
+
+    A monomial prod_k alpha_k^{e_k} is packed into one int, the code
+    sum_k e_k << 4(k - 1), and multiplying it by alpha_k adds 1 << 4(k - 1).
+    ``packed_degrees`` reads the degree off the fields.  Both are exact
+    while every degree is below 15, so a table with an element of length
+    >= 15 raises ValueError before anything is walked.
 
     One depth-first walk over the trie of reduced words: a child's table is
     its parent's, shallow-copied, with the entries changed by the one new
     letter replaced (see the module docstring).  The words are built here,
     each once, and grouped by their element's index.
     """
-    # per letter b, by length: (l(u), u, u s_b) for each u with right
-    # descent b; the elements run by length
-    steps: dict[int, list] = {b: [] for b in group.cartan.nodes()}
-    for i, (u, times, ascents) in enumerate(
-            zip(cayley.elements, cayley.times, cayley.ascents)):
-        for b, lower in times.items():
-            if b not in ascents:
-                steps[b].append((u.length, i, lower))
+    top = cayley.elements[-1]  # the elements run by length
+    if top.length >= 15:
+        raise ValueError(f"the table reaches length {top.length}; packed "
+                         f"monomials hold degrees below 15")
+    times, ascents = cayley.times, cayley.ascents
     # per element, the ascents b with r(l(u) + 1, w) = u(alpha_b) as the
-    # nonzero coordinates of the next letter's root
-    factors = [{b: [(k, c) for k, c in enumerate(root) if c]
-                for b, root in ascents.items()} for ascents in cayley.ascents]
-
+    # units and coefficients of its nonzero coordinates
+    factors = [{b: [(1 << 4 * k, c) for k, c in enumerate(root) if c]
+                for b, root in up.items()} for up in ascents]
     tables: dict = {}
-    raised: dict = {}
 
     def visit(word, i, table):
         tables.setdefault(i, {})[word] = table
-        depth = len(word) + 1
         for b, factor in factors[i].items():
             child = dict(table)
-            for length, target, lower in steps[b]:
-                if length > depth:
-                    break
-                source = table.get(lower)
-                if source is not None:
-                    grown = dict(table.get(target, {}))
-                    _add_product(grown, source, factor, raised)
+            # each target lower s_b has one lower with ascent b; the keys
+            # have length <= l(w) < max_len, so their ascents are tabled
+            for lower, source in table.items():
+                if b in ascents[lower]:
+                    target = times[lower][b]
+                    grown = dict(table.get(target, ()))
+                    for code, c in source.items():
+                        for unit, rk in factor:
+                            key = code + unit
+                            grown[key] = grown.get(key, 0) + c * rk
                     child[target] = grown
-            visit(word + (b,), cayley.times[i][b], child)
+            visit(word + (b,), times[i][b], child)
 
     # elements[0] is the identity
-    visit((), 0, {0: {(0,) * group.rank: 1}})
+    visit((), 0, {0: {0: 1}})
     return tables
+
+
+def packed_degrees(value: dict) -> set[int]:
+    """The degrees of the monomials of a ``reduced_word_tables`` value.  A
+    code's 4-bit fields sum to it mod 15, since 16 = 1 mod 15, and the sum
+    is the degree while it is below 15."""
+    return {code % 15 for code in value}
 
 
 def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:

@@ -19,7 +19,7 @@ from math import comb, factorial
 from operator import methodcaller
 
 from . import __version__
-from .billey import reduced_word_tables
+from .billey import packed_degrees, reduced_word_tables
 from .commalg import HilbertSeries
 from .errors import IntegrityError
 from .peterson import PetersonModel
@@ -123,13 +123,15 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
     step, so no table is built from scratch, yet each is computed along its
     own word.  The number of words of each w must be ``count_reduced_words``,
     which recurses on action matrices apart from the trie; otherwise the
-    record is an integrity error.  Values are compared as {exponent tuple:
-    int} dicts; a missing entry is sigma_v(w) = 0.  Every key of a table has
-    length <= l(w), so a table equal to the baseline as a whole agrees at
-    every target, and only a table that differs is compared target by
-    target.  A value vanishes iff v is off the Bruhat interval [e, w], a set
-    lookup: ``CayleyTable.bruhat_intervals`` builds [e, w] for every swept w
-    by the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The length
+    record is an integrity error.  Values are compared as {packed monomial:
+    int} dicts, degrees read by ``billey.packed_degrees``; a missing entry
+    is sigma_v(w) = 0.  Every key of a table has length <= l(w), so a
+    table equal to the baseline as a whole agrees at every target, and
+    only a table that differs is compared target by target.  Likewise the
+    baseline is first checked whole: its nonzero targets must be [e, w],
+    each of degree l(v), and only if not are the targets run one by one.
+    ``CayleyTable.bruhat_intervals`` builds [e, w] for every swept w by
+    the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The length
     bound is ``_WELLDEF_LENGTH_BY_RANK``, which with ``MAX_RANK`` bounds the
     sweep: 442 elements at most, for B12, C12 and D12.
     """
@@ -145,7 +147,7 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
     comparisons = 0
     failures = []
     for i, w in enumerate(elements):
-        targets = range(ends[w.length])
+        end = ends[w.length]
         words = tables[i]
         count = group.count_reduced_words(w)
         if len(words) != count:
@@ -154,21 +156,25 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
                 f"{word_to_str(w.witness_word)}, but it has {count}")
         baseline = words[w.witness_word]
         below = intervals[i]
-        for v in targets:
-            value = baseline.get(v)
-            if bool(value) != (v in below):
-                failures.append({"kind": "vanishing",
-                                 "v": word_to_str(elements[v].witness_word),
-                                 "w": word_to_str(w.witness_word)})
-            if value and {sum(e) for e in value} != {elements[v].length}:
-                failures.append({"kind": "degree",
-                                 "v": word_to_str(elements[v].witness_word),
-                                 "w": word_to_str(w.witness_word)})
-        comparisons += len(words) * len(targets)
+        degrees = {v: packed_degrees(value)
+                   for v, value in baseline.items() if value and v < end}
+        if degrees.keys() != below or any(
+                d != {elements[v].length} for v, d in degrees.items()):
+            for v in range(end):
+                value = baseline.get(v)
+                if bool(value) != (v in below):
+                    failures.append({"kind": "vanishing",
+                                     "v": word_to_str(elements[v].witness_word),
+                                     "w": word_to_str(w.witness_word)})
+                if value and packed_degrees(value) != {elements[v].length}:
+                    failures.append({"kind": "degree",
+                                     "v": word_to_str(elements[v].witness_word),
+                                     "w": word_to_str(w.witness_word)})
+        comparisons += len(words) * end
         for word, table in words.items():
             if table == baseline:
                 continue
-            for v in targets:
+            for v in range(end):
                 if table.get(v) != baseline.get(v):
                     failures.append({
                         "kind": "witness_dependence",

@@ -880,6 +880,59 @@ def billey_welldef_per_word(model):
     )
 
 
+def pack_exponents(exps) -> int:
+    """The one-int code of the monomial prod_k alpha_k^{exps[k - 1]}, as
+    ``billey.reduced_word_tables`` keys its values: the exponent of alpha_k
+    in the four bits from 4(k - 1) on."""
+    code = 0
+    for k, e in enumerate(exps):
+        assert 0 <= e < 16, exps
+        code |= e << 4 * k
+    return code
+
+
+def code_degree(code: int) -> int:
+    """The sum of the four-bit fields of a packed monomial code."""
+    degree = 0
+    while code:
+        degree += code & 15
+        code >>= 4
+    return degree
+
+
+def welldef_failures(elements, tables, intervals) -> list[dict]:
+    """The failures of the ``billey_welldef`` check, target by target, over
+    the trie tables {w index: {word: {v index: {code: int}}}}: for each w,
+    at every v with l(v) <= l(w), a vanishing failure when the witness
+    word's value disagrees with v in [e, w] (``intervals[w]``) and a degree
+    failure when a code's fields do not sum to l(v); then, per word, a
+    witness-dependence failure at every v where its value is not the
+    witness word's.  Ground truth for the check's whole-table shortcut."""
+    from petcoh.weyl import word_to_str
+
+    failures = []
+    for i, w in enumerate(elements):
+        targets = [v for v, u in enumerate(elements) if u.length <= w.length]
+        baseline = tables[i][w.witness_word]
+        for v in targets:
+            value = baseline.get(v)
+            if bool(value) != (v in intervals[i]):
+                failures.append({"kind": "vanishing",
+                                 "v": word_to_str(elements[v].witness_word),
+                                 "w": word_to_str(w.witness_word)})
+            if value and {code_degree(c) for c in value} != {elements[v].length}:
+                failures.append({"kind": "degree",
+                                 "v": word_to_str(elements[v].witness_word),
+                                 "w": word_to_str(w.witness_word)})
+        for word, table in tables[i].items():
+            for v in targets:
+                if table.get(v) != baseline.get(v):
+                    failures.append({"kind": "witness_dependence",
+                                     "v": word_to_str(elements[v].witness_word),
+                                     "w_word": word_to_str(word)})
+    return failures
+
+
 def fraction_text(q: Q) -> str:
     """The report's "num/den" form of a rational, in the lowest terms and
     with the positive denominator that ``Fraction`` keeps."""

@@ -1,6 +1,8 @@
 """Localization values, restriction to the circle, and the word-independence
 property suite."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from petcoh.billey import (
     billey_localization,
     inversion_roots,
     localization_table,
+    packed_degrees,
     reduced_word_tables,
     restricted_rows,
     subset_steps,
@@ -31,6 +34,7 @@ from oracles import (
     as_term_list,
     longest_element,
     matrix_inversion_roots,
+    pack_exponents,
     poly_product,
     poly_sum,
     restrict_to_S,
@@ -231,8 +235,69 @@ def test_reduced_word_tables_match_one_table_per_word(name):
         assert set(tables[i]) == enumerate_reduced_words(W, w), (name, w)
         for word, table in tables[i].items():
             oracle = localization_table(W, elements, from_word(W, word))
-            assert table == {index[u]: p for u, p in oracle.items()
-                             if p}, (name, word)
+            assert table == {
+                index[u]: {pack_exponents(e): c for e, c in p.items()}
+                for u, p in oracle.items() if p}, (name, word)
+
+
+def _exponent_vectors(n, degree):
+    """Every exponent tuple of length n with sum at most degree."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(degree + 1):
+        for rest in _exponent_vectors(n - 1, degree - e):
+            yield (e,) + rest
+
+
+def _assert_degree_read(exps):
+    # the degree read off a packed code is the sum of its exponents, and
+    # raising one field by one raises it by one
+    code, degree = pack_exponents(exps), sum(exps)
+    assert packed_degrees({code: 1}) == {degree}
+    if degree < 14:
+        for k in range(len(exps)):
+            assert packed_degrees({code + (1 << 4 * k): 1}) == {degree + 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_degree_is_the_exponent_sum_exhaustively(n):
+    vectors = list(_exponent_vectors(n, 14))
+    assert len(vectors) == comb(14 + n, n)
+    for exps in vectors:
+        _assert_degree_read(exps)
+    codes = [pack_exponents(e) for e in vectors]
+    assert packed_degrees(dict.fromkeys(codes, 1)) == set(range(15))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(5, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), max_size=14))))
+def test_packed_degree_is_the_exponent_sum_up_to_rank_12(drawn):
+    # at most 14 simple roots, each drawn by its index, multiplied out
+    n, factors = drawn
+    _assert_degree_read(tuple(factors.count(k) for k in range(n)))
+
+
+def test_reduced_word_tables_refuse_length_15_before_any_walk():
+    # w_0 of A5 has length 15 and 292,864 reduced words; the guard must
+    # stop on the table's last element, before the walk reads the letter
+    # steps, so the spy below fails any read past ``elements``
+    W = group("A5")
+    cayley = CayleyTable(W, 15)
+    w0 = cayley.elements[-1]
+    assert w0.length == 15 and W.count_reduced_words(w0) == 292_864
+
+    class ElementsOnly:
+        elements = cayley.elements
+
+        def __getattr__(self, name):
+            raise AssertionError(f"read cayley.{name} before the guard")
+
+    with pytest.raises(ValueError, match="length 15"):
+        reduced_word_tables(W, ElementsOnly())
+    with pytest.raises(ValueError, match="length 15"):
+        reduced_word_tables(W, cayley)
 
 
 # (K, J, number of terms of sigma_{v_K}(w_J), c with p_{v_K}(w_J) = c t^|K|);

@@ -34,6 +34,7 @@ from oracles import (
     fraction_text,
     from_word,
     is_connected,
+    welldef_failures,
 )
 
 
@@ -408,9 +409,10 @@ def test_billey_welldef_catches_one_changed_entry_past_the_first_target(
 
 
 def test_billey_welldef_catches_one_inhomogeneous_value(monkeypatch, capsys):
-    # one exponent of sigma_{s_1}(w0) raised in the witness word's table of
-    # A2: exactly one degree failure, and the other word of w0 now differs
-    # from the baseline there
+    # the exponent of alpha_1, the four low bits, of one code of
+    # sigma_{s_1}(w0) raised in the witness word's table of A2: exactly one
+    # degree failure, and the other word of w0 now differs from the
+    # baseline there
     group, elements = _swept_elements("A2")
     w0 = elements[-1]
     top = len(elements) - 1
@@ -419,8 +421,8 @@ def test_billey_welldef_catches_one_inhomogeneous_value(monkeypatch, capsys):
 
     def raise_exponent(tables):
         table = tables[top][w0.witness_word]
-        (exps, c), *rest = table[s1].items()
-        table[s1] = {(exps[0] + 1,) + exps[1:]: c, **dict(rest)}
+        (code, c), *rest = table[s1].items()
+        table[s1] = {code + 1: c, **dict(rest)}
 
     _doctor_tables(monkeypatch, raise_exponent)
     record = _welldef_record("A2")
@@ -454,6 +456,57 @@ def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
     assert record.witnesses["failures"] == [
         {"kind": "vanishing", "v": "1", "w": word_to_str(w0.witness_word)}]
     _assert_fails_without_certificate("A2", capsys)
+
+
+def _welldef_faults(kind, rank, tables, elements, intervals):
+    """Doctored copies of the trie tables, one per fault of the given kind
+    in the witness word's table of each swept w: "drop" deletes a nonzero
+    entry, "raise" raises one exponent field of one code by one, and "add"
+    puts an entry of the right degree at a target v outside [e, w]."""
+    for i, w in enumerate(elements):
+        baseline = tables[i][w.witness_word]
+        if kind == "drop":
+            faults = [{u: p for u, p in baseline.items() if u != v}
+                      for v in baseline]
+        elif kind == "raise":
+            faults = []
+            for v, value in baseline.items():
+                (code, c), *rest = value.items()
+                for k in range(rank):
+                    faults.append({**baseline, v: {**dict(rest),
+                                                   code + (1 << 4 * k): c}})
+        else:
+            faults = [{**baseline, v: {elements[v].length: 1}}
+                      for v, u in enumerate(elements)
+                      if u.length <= w.length and v not in intervals[i]]
+        for doctored in faults:
+            yield {**tables, i: {**tables[i], w.witness_word: doctored}}
+
+
+@pytest.mark.parametrize("kind", ["drop", "raise", "add"])
+@pytest.mark.parametrize("lie_type", ["A2", "B2", "G2"])
+def test_whole_table_check_matches_per_target_oracle(monkeypatch, lie_type,
+                                                     kind):
+    # every swept w of the three rank-two types, each fault on its own: the
+    # check, which goes target by target only when a whole table differs,
+    # lists the same failures as the target-by-target oracle
+    group = WeylGroup(cartan_matrix(lie_type))
+    cayley = CayleyTable(group, cli._WELLDEF_LENGTH_BY_RANK[2])
+    elements = cayley.elements
+    tables = billey.reduced_word_tables(group, cayley)
+    intervals = cayley.bruhat_intervals()
+    model = PetersonModel(cartan_matrix(lie_type))
+    seen = 0
+    for doctored in _welldef_faults(kind, group.rank, tables, elements,
+                                    intervals):
+        monkeypatch.setattr(cli, "reduced_word_tables",
+                            lambda *args, tables=doctored: tables)
+        expected = welldef_failures(elements, doctored, intervals)
+        assert expected
+        record = cli._check_billey_welldef(model)
+        assert record.witnesses["failures"] == expected[:20]
+        seen += 1
+    assert seen
 
 
 def test_reduced_word_count_mismatch_is_an_integrity_error(monkeypatch,
