@@ -11,7 +11,6 @@ had no types, so that nothing was proved, and 2 for invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from contextlib import nullcontext
@@ -23,7 +22,7 @@ from .billey import packed_degrees, reduced_word_tables
 from .commalg import HilbertSeries
 from .errors import IntegrityError
 from .peterson import PetersonModel
-from .report import CertificationReport, CheckRecord, ratio
+from .report import CertificationReport, CheckRecord, _dumps, ratio
 from .roots import cartan_matrix, parse_lie_type
 from .weyl import CayleyTable, WeylGroup, word_to_str
 
@@ -385,10 +384,8 @@ def run_suite(types, template: RunConfig | None = None) -> dict:
     template = template or RunConfig(lie_type="A1")
     start = time.perf_counter()
     entries = [_run_one_suite_entry(name, template) for name in types]
-    overall = all(
-        entry.get("overall_pass", False) and "error" not in entry
-        for entry in entries
-    )
+    # an error entry has no overall_pass; a suite of no types proves nothing
+    overall = bool(entries) and all(entry.get("overall_pass") for entry in entries)
     return {
         "schema_version": 1,
         "tool_version": __version__,
@@ -498,7 +495,7 @@ def main(argv=None) -> int:
             return exit_status([report.to_dict()])
 
         aggregate = run_suite(types, config)
-        print(json.dumps(aggregate, indent=2, sort_keys=True)
+        print(_dumps(aggregate)
               if args.output_format == "json" else render_suite_text(aggregate),
               file=fh)
         return exit_status(aggregate["types"])

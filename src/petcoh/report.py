@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from math import gcd
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, inf
 
 SCHEMA_VERSION = 1
+_CONTAINERS = (dict, list, tuple)
 
 
 def ratio(num: int, den: int) -> str:
@@ -19,10 +20,63 @@ def ratio(num: int, den: int) -> str:
 def jsonable(value):
     """Recursively convert report payloads to JSON-native deterministic data."""
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): jsonable(v) if isinstance(v, _CONTAINERS) else v
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        return [jsonable(v) if isinstance(v, _CONTAINERS) else v for v in value]
     return value
+
+
+# json.dumps's text of each common scalar type by exact type, with no Python frame
+_TEXT = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__,
+         type(None): {None: "null"}.__getitem__}
+
+
+def _scalar(value) -> str | None:
+    """The text of a float or a subclass of a _TEXT type; None for a container."""
+    if isinstance(value, _CONTAINERS):
+        return None
+    if isinstance(value, float):
+        return float.__repr__(value) if -inf < value < inf else \
+            "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    for kind, text in _TEXT.items():
+        if isinstance(value, kind):
+            return text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append the text of value to out, a container's items one a line two
+    spaces in from indent (a newline and spaces), all-scalar ones joined."""
+    if not isinstance(value, _CONTAINERS):
+        out.append(_scalar(value))
+        return
+    keys, brackets = None, "[]"
+    if isinstance(value, dict):
+        # str() keys, the last value of a repeated one kept, as in jsonable
+        items = dict(zip(map(str, value), value.values()))
+        keys, brackets = sorted(items), "{}"
+        value = list(map(items.__getitem__, keys))
+    inner = indent + "  "
+    texts = [_TEXT.get(type(item), _scalar)(item) for item in value]
+    if None not in texts:  # empty, or scalars only
+        lines = texts if keys is None else map("{}: {}".format, map(_quote, keys), texts)
+        out.append(brackets[0] + inner + ("," + inner).join(lines) + indent + brackets[1]
+                   if texts else brackets)
+        return
+    for i, text in enumerate(texts):
+        head = "" if keys is None else _quote(keys[i]) + ": "
+        out.append(("," if i else brackets[0]) + inner + head + (text or ""))
+        if text is None:
+            _write(value[i], inner, out)
+    out.append(indent + brackets[1])
+
+
+def _dumps(value) -> str:
+    """``json.dumps(jsonable(value), indent=2, sort_keys=True)``, one pass, no copy."""
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
 
 
 class CheckRecord:
@@ -46,18 +100,16 @@ class CheckRecord:
         return isinstance(other, CheckRecord) and all(
             getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
         # every record passed or failed, so "skipped" is always false; the
         # key stays so that reports keep their bytes, and perfbench/gate.py
         # and perfbench/make_reference.py read it
-        return {
-            "check": self.check,
-            "lie_type": self.lie_type,
-            "parameters": jsonable(self.parameters),
-            "witnesses": jsonable(self.witnesses),
-            "pass": self.passed,
-            "skipped": False,
-        }
+        return {"check": self.check, "lie_type": self.lie_type,
+                "parameters": self.parameters, "witnesses": self.witnesses,
+                "pass": self.passed, "skipped": False}
+
+    def to_dict(self) -> dict:
+        return jsonable(self._fields())
 
 
 class CertificationReport:
@@ -79,7 +131,8 @@ class CertificationReport:
 
     @property
     def overall_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        """At least one check ran, and every one passed."""
+        return bool(self.records) and all(r.passed for r in self.records)
 
     def isomorphism_certified(self) -> bool:
         """True only when all five proof legs ran and passed: the quadratic
@@ -112,20 +165,20 @@ class CertificationReport:
         return reached == {tuple(i + 1 for i in range(n) if mask >> i & 1)
                            for mask in range(1, 1 << n)}
 
+    def _fields(self) -> dict:
+        """The fields and each record's, as built: ``to_dict`` copies them
+        with ``jsonable``, ``to_json`` writes them as they are."""
+        return {"schema_version": SCHEMA_VERSION, "tool_version": self.tool_version,
+                "lie_type": self.lie_type, "config": self.config,
+                "checks": [r._fields() for r in self.records], "timing": self.timing,
+                "overall_pass": self.overall_pass,
+                "isomorphism_certified": self.isomorphism_certified()}
+
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": self.tool_version,
-            "lie_type": self.lie_type,
-            "config": jsonable(self.config),
-            "checks": [r.to_dict() for r in self.records],
-            "timing": jsonable(self.timing),
-            "overall_pass": self.overall_pass,
-            "isomorphism_certified": self.isomorphism_certified(),
-        }
+        return jsonable(self._fields())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _dumps(self._fields())
 
     def to_text(self) -> str:
         lines = [f"== certification: {self.lie_type} =="]

@@ -939,6 +939,18 @@ def fraction_text(q: Q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def indented_json(value) -> str:
+    """The text ``json.dumps`` writes at ``indent=2`` with sorted keys, once
+    ``jsonable`` has made the keys strings (the last value of a repeated
+    one kept) and the tuples lists: the path ``to_json`` took before its
+    one-pass writer."""
+    import json
+
+    from petcoh.report import jsonable
+
+    return json.dumps(jsonable(value), indent=2, sort_keys=True)
+
+
 def monk_fraction(model, i: int, K, J) -> Q:
     """``PetersonModel.monk_coefficient``'s (num, den) pair as a Fraction."""
     return Q(*model.monk_coefficient(i, K, J))

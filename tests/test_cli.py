@@ -9,8 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import inf, nan
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import petcoh
 from petcoh import billey, cli, peterson
@@ -24,7 +27,7 @@ from petcoh.cli import (
     run_suite,
 )
 from petcoh.peterson import PetersonModel
-from petcoh.report import CheckRecord, ratio, strip_timing
+from petcoh.report import CheckRecord, _dumps, ratio, strip_timing
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
@@ -33,6 +36,7 @@ from oracles import (
     enumerate_reduced_words,
     fraction_text,
     from_word,
+    indented_json,
     is_connected,
     welldef_failures,
 )
@@ -141,11 +145,30 @@ def test_certification_G2_monk_cross_check():
     assert coeffs == {(1, 2): "1/1", (2, 1): "3/1"}
 
 
-def test_empty_check_set_is_trivially_passing():
+def test_empty_check_set_proves_nothing(capsys):
+    # no check ran, so the run does not pass, though none failed
     report = run_certification(RunConfig(lie_type="A2", checks=()))
     assert report.records == []
-    assert report.overall_pass
+    assert not report.overall_pass
     assert not report.isomorphism_certified()  # no legs ran
+    assert main(["certify", "--type", "A2", "--checks", ""]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "== certification: A2 ==",
+        "overall: FAIL | isomorphism certified: False"]
+
+
+def test_suite_of_no_checks_proves_nothing():
+    suite = run_suite(["A1", "G2"], RunConfig("A1", checks=()))
+    assert [entry["overall_pass"] for entry in suite["types"]] == [False, False]
+    assert suite["overall_pass"] is False
+    assert cli.exit_status(suite["types"]) == 3
+
+
+def test_suite_of_no_types_proves_nothing():
+    suite = run_suite([])
+    assert suite["types"] == []
+    assert suite["overall_pass"] is False
+    assert cli.exit_status(suite["types"]) == 3
 
 
 CERTIFICATE_LEGS = ("billey_welldef", "quadratic", "giambelli", "basis", "hilbert")
@@ -615,8 +638,10 @@ def test_no_assert_statement_in_the_package():
 def test_run_that_proved_nothing_exits_3(argv, capsys):
     # no check selected, or a suite with no types
     assert main(argv) == 3
-    # the report itself is unchanged: nothing failed
-    assert "FAIL" not in capsys.readouterr().out
+    # no check failed, and the run that proved nothing does not pass
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    assert "overall: FAIL" in out
 
 
 def test_model_checks_are_looked_up_when_they_run(monkeypatch):
@@ -681,6 +706,115 @@ def test_default_suite_report_is_pinned(report, digest):
     # the refactor gate: the timing-free report, byte for byte
     blob = json.dumps(strip_timing(report()), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# the benchmark's two certify workloads and a full E8 run
+REPORT_RUNS = {
+    "E6-restriction": RunConfig("E6", checks=("quadratic", "monk", "giambelli",
+                                              "basis", "graded_dims")),
+    "E7-quadric": RunConfig("E7", checks=("hilbert", "regular_sequence", "zero_set")),
+    "E8-certify": RunConfig("E8"),
+}
+
+
+PRINTED_DIGESTS = {
+    "E6-restriction": "28e3d0b4fa99894975a6c316dd0b6bc812364a4307d77a794801907c78374fb1",
+    "E7-quadric": "b4d5165f317730d51f8ecb62325b672459c9178b7ad1d8d287b3c2207225ee14",
+    "E8-certify": "6f187f95f59ca7c7ff0ddca1fb523c33275e0c572260fdb4a53a1d227a7dce2b",
+}
+
+
+@pytest.mark.parametrize("name", PRINTED_DIGESTS)
+def test_printed_report_is_pinned(name):
+    # the bytes `petcoh certify --format json` prints, layout and all, with
+    # every timing value zeroed
+    report = run_certification(REPORT_RUNS[name])
+    report.timing = dict.fromkeys(report.timing, 0.0)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
+        PRINTED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("config", [RunConfig(name) for name in DEFAULT_SUITE]
+                         + [RunConfig("A2+A1"), *REPORT_RUNS.values()],
+                         ids=[*DEFAULT_SUITE, "A2+A1", *REPORT_RUNS])
+def test_to_json_matches_the_json_dumps_oracle(config):
+    report = run_certification(config)
+    assert report.to_json() == indented_json(report.to_dict())
+
+
+def test_to_json_of_an_integrity_error_matches_the_oracle(monkeypatch):
+    monkeypatch.setattr(billey, "is_positive_root_vector",
+                        lambda root: root != (1, 1))
+    report = run_certification(RunConfig("A2"))
+    assert {"integrity_error": "r(i, w) = (1, 1) is not a positive root"} in \
+        [r.witnesses for r in report.records]
+    assert report.to_json() == indented_json(report.to_dict())
+
+
+def test_to_json_of_a_failing_record_matches_the_oracle(monkeypatch):
+    def failing(model):
+        # witnesses as a check builds them: tuples, int keys
+        return CheckRecord("quadratic", model.type_name(), False, {"relations": 2},
+                           {"failing_rows": [(1, (2, 3))], "by_node": {10: (), 2: "x"}})
+
+    monkeypatch.setitem(cli._CHECK_FUNCTIONS, "quadratic", failing)
+    report = run_certification(RunConfig("A2", checks=("quadratic", "hilbert")))
+    assert not report.overall_pass
+    assert report.to_json() == indented_json(report.to_dict())
+
+
+def test_to_json_of_a_report_with_no_records_matches_the_oracle():
+    report = run_certification(RunConfig("A2", checks=()))
+    assert report.to_json() == indented_json(report.to_dict())
+
+
+def test_writer_matches_the_oracle_on_a_suite():
+    aggregate = run_suite(DEFAULT_SUITE)
+    assert _dumps(aggregate) == indented_json(aggregate)
+
+
+# JSON-like trees as reports hold them and beyond: str and int keys that
+# collide once made strings (1 and "1") or sort apart as strings (2, 10),
+# tuples, non-ASCII and control characters, large ints, special floats
+_KEYS = st.sampled_from([1, "1", 2, "2", 10, "10", "", "é", "\x00"]) | st.text(max_size=3) \
+    | st.integers(-20, 20)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+            | st.floats() | st.sampled_from([-0.0, 1e-7, nan, inf, -inf])
+            | st.text(max_size=6)
+            | st.sampled_from(["\u00e9\u2028\U0001f600", "\x00\x1f\t\n\"\\", ""]))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_TREES)
+@example({1: "a", "1": "b", 2: [], 10: {}, "x": ((), [[]], {"y": {}})})
+@example([-0.0, 1e-7, nan, inf, -inf, 10**40, True, False, None, "\u00e9\x00"])
+def test_writer_matches_the_json_dumps_oracle(tree):
+    assert _dumps(tree) == indented_json(tree)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), {"a": [frozenset()]},
+                                   [1, (Fraction(1, 3),)]],
+                         ids=["set", "Fraction", "nested-frozenset", "nested-Fraction"])
+def test_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        indented_json(value)
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+@pytest.mark.parametrize("argv", [["certify", "--type", "G2"],
+                                  ["suite", "--types", "A1,B2"]],
+                         ids=["certify", "suite"])
+def test_printed_json_reads_back_to_the_same_text(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n")
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text[:-1]
 
 
 def test_main_certify_exit_code_and_json(tmp_path):
