@@ -47,13 +47,17 @@ u' s_b, for each entry u' of the parent with ascent b = b_j, are replaced
 by new dicts: the u with descent b_j and sigma_{u s_b}(w_{j-1}) != 0.
 Each trie node costs one letter step over its parent's nonzero entries,
 and a monomial there is one int, a four-bit field per simple root, so a
-product step adds ints.  The walk runs on element indices: a
-``weyl.CayleyTable`` of the swept ideal gives every element its index,
-u s_b for each letter b and the root u(alpha_b) of each ascent, and it
-is the one place where the sweep hashes an action matrix, once per
-element.  The per-word ``localization_table`` still keys its ideal by
-action matrices and its monomials by exponent tuples; it serves single
-localizations and the tests.
+product step adds ints.  A child's table depends only on its parent's
+table, element and letter, so the words below an element reached again
+with its first table are listed from the first visit, each in its own
+dict with the values shared; a table that differs is walked in full, and
+a passing sweep grows one child per edge of the Cayley table.
+The walk runs on element indices: a ``weyl.CayleyTable`` of the swept
+ideal gives every element its index, u s_b for each letter b and the root
+u(alpha_b) of each ascent, and it is the one place where the sweep hashes
+an action matrix, once per element.  The per-word ``localization_table``
+still keys its ideal by action matrices and its monomials by exponent
+tuples; it serves single localizations and the tests.
 """
 
 from __future__ import annotations
@@ -132,14 +136,15 @@ def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
 
     A monomial prod_k alpha_k^{e_k} is packed into one int, the code
     sum_k e_k << 4(k - 1), and multiplying it by alpha_k adds 1 << 4(k - 1).
-    ``packed_degrees`` reads the degree off the fields.  Both are exact
+    ``packed_degree_sets`` lists the codes of each degree.  Both are exact
     while every degree is below 15, so a table with an element of length
     >= 15 raises ValueError before anything is walked.
 
     One depth-first walk over the trie of reduced words: a child's table is
     its parent's, shallow-copied, with the entries changed by the one new
-    letter replaced (see the module docstring).  The words are built here,
-    each once, and grouped by their element's index.
+    letter replaced, and below an element reached again with its first
+    table the words are listed from the first visit (see the module
+    docstring).  The words are built here and grouped by element index.
     """
     top = cayley.elements[-1]  # the elements run by length
     if top.length >= 15:
@@ -150,17 +155,29 @@ def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
     # units and coefficients of its nonzero coordinates
     factors = [{b: [(1 << 4 * k, c) for k, c in enumerate(root) if c]
                 for b, root in up.items()} for up in ascents]
-    tables: dict = {}
+    # per letter b, lower -> lower s_b for every lower with ascent b
+    steps = {b: {u: times[u][b] for u, up in enumerate(ascents) if b in up}
+             for b in group.cartan.nodes()}
+    # (word, element, table) as walked; per element, its first visit's span
+    visits: list = []
+    spans: dict[int, tuple[int, int]] = {}
 
     def visit(word, i, table):
-        tables.setdefault(i, {})[word] = table
+        start = len(visits)
+        visits.append((word, i, table))
+        span = spans.get(i)
+        if span is not None and visits[span[0]][2] == table:
+            visits.extend([(word + below[len(word):], j, dict(value))
+                           for below, j, value in visits[span[0] + 1:span[1]]])
+            return
         for b, factor in factors[i].items():
             child = dict(table)
+            up = steps[b]
             # each target lower s_b has one lower with ascent b; the keys
             # have length <= l(w) < max_len, so their ascents are tabled
             for lower, source in table.items():
-                if b in ascents[lower]:
-                    target = times[lower][b]
+                target = up.get(lower)
+                if target is not None:
                     grown = dict(table.get(target, ()))
                     for code, c in source.items():
                         for unit, rk in factor:
@@ -168,17 +185,24 @@ def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
                             grown[key] = grown.get(key, 0) + c * rk
                     child[target] = grown
             visit(word + (b,), times[i][b], child)
+        spans.setdefault(i, (start, len(visits)))
 
     # elements[0] is the identity
     visit((), 0, {0: {0: 1}})
+    tables: dict = {}
+    for word, i, table in visits:
+        tables.setdefault(i, {})[word] = table
     return tables
 
 
-def packed_degrees(value: dict) -> set[int]:
-    """The degrees of the monomials of a ``reduced_word_tables`` value.  A
-    code's 4-bit fields sum to it mod 15, since 16 = 1 mod 15, and the sum
-    is the degree while it is below 15."""
-    return {code % 15 for code in value}
+def packed_degree_sets(rank: int, max_degree: int) -> list[set[int]]:
+    """Entry d: the codes of the monomials of degree d <= max_degree in
+    ``rank`` simple roots (see ``reduced_word_tables``); exact up to 15."""
+    units = [1 << 4 * k for k in range(rank)]
+    sets = [{0}]
+    for _ in range(max_degree):
+        sets.append({code + unit for code in sets[-1] for unit in units})
+    return sets
 
 
 def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:

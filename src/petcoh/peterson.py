@@ -393,10 +393,11 @@ class PetersonModel:
         """
         if cutoff_degree < 0 or cutoff_degree % 2:
             raise ValueError("cutoff degree must be even and non-negative")
+        simple = [self.simple_class(i) for i in self.cartan.nodes()]
         dims = [1]
         for d in range(1, cutoff_degree // 2 + 1):
             witness = self._support_failure() if d == 1 else None
-            witness = witness or self._diagonal_failure(d, dims[-1])
+            witness = witness or self._diagonal_failure(d, dims[-1], simple)
             if d == 2:
                 witness = witness or self._upper_bound_failure()
             if witness:
@@ -425,10 +426,10 @@ class PetersonModel:
                 return {"kind": "quadric", "degree": 4, "i": i}
         return None
 
-    def _diagonal_failure(self, d: int, start: int) -> dict | None:
+    def _diagonal_failure(self, d: int, start: int, simple) -> dict | None:
         """The first zero diagonal b_S(w_S) = prod_{i in S} p_{s_i}(w_S)
-        with |S| = d; subsets of size d start at ``start``."""
-        simple = [self.simple_class(i) for i in self.cartan.nodes()]
+        with |S| = d, on the simple rows ``simple``; subsets of size d
+        start at ``start``."""
         for k in range(start, start + comb(self.rank, d)):
             S = self.subsets[k]
             if not all(simple[i - 1][k] for i in S):

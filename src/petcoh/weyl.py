@@ -120,9 +120,10 @@ class WeylGroup:
         def rec(action) -> int:
             total = self._count_memo.get(action)
             if total is None:
-                total = self._count_memo[action] = sum(
-                    rec(self.right_action(action, i))
-                    for i in self.descents(action))
+                total = 0
+                for i in self.descents(action):
+                    total += rec(self.right_action(action, i))
+                self._count_memo[action] = total
             return total
 
         return rec(w.action)
@@ -154,8 +155,7 @@ class CayleyTable:
             end = len(self.elements)
             for i in range(start, end):
                 u = self.elements[i]
-                for b in group.cartan.nodes():
-                    root = tuple(row[b - 1] for row in u.action)
+                for b, root in zip(group.cartan.nodes(), zip(*u.action)):
                     if is_negative_root_vector(root):
                         continue
                     action = group.right_action(u.action, b)

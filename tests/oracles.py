@@ -900,6 +900,38 @@ def code_degree(code: int) -> int:
     return degree
 
 
+def trie_word_tables(cayley) -> dict:
+    """{w index: {word: {u index: {code: int}}}}, as
+    ``billey.reduced_word_tables`` returns it, by walking every node of the
+    trie of reduced words over ``cayley``: each child's table is its
+    parent's, shallow-copied, with the entries u s_b of the letter b grown
+    from the parent's entries u with ascent b, and no subtree is taken from
+    an earlier visit.  The walk ``reduced_word_tables`` made before it
+    reused the subtree of an element reached again with an equal table."""
+    times, ascents = cayley.times, cayley.ascents
+    factors = [{b: [(1 << 4 * k, c) for k, c in enumerate(root) if c]
+                for b, root in up.items()} for up in ascents]
+    tables: dict = {}
+
+    def visit(word, i, table):
+        tables.setdefault(i, {})[word] = table
+        for b, factor in factors[i].items():
+            child = dict(table)
+            for lower, source in table.items():
+                if b in ascents[lower]:
+                    target = times[lower][b]
+                    grown = dict(table.get(target, ()))
+                    for code, c in source.items():
+                        for unit, rk in factor:
+                            key = code + unit
+                            grown[key] = grown.get(key, 0) + c * rk
+                    child[target] = grown
+            visit(word + (b,), times[i][b], child)
+
+    visit((), 0, {0: {0: 1}})
+    return tables
+
+
 def welldef_failures(elements, tables, intervals) -> list[dict]:
     """The failures of the ``billey_welldef`` check, target by target, over
     the trie tables {w index: {word: {v index: {code: int}}}}: for each w,

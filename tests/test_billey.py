@@ -1,6 +1,7 @@
 """Localization values, restriction to the circle, and the word-independence
 property suite."""
 
+from functools import cache
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ from petcoh.billey import (
     billey_localization,
     inversion_roots,
     localization_table,
-    packed_degrees,
+    packed_degree_sets,
     reduced_word_tables,
     restricted_rows,
     subset_steps,
@@ -25,6 +26,7 @@ from oracles import (
     Poly,
     bond_order,
     bruhat_leq,
+    code_degree,
     elements_up_to_length,
     enumerate_reduced_words,
     from_word,
@@ -39,6 +41,7 @@ from oracles import (
     poly_sum,
     restrict_to_S,
     subword_localization,
+    trie_word_tables,
     v_K,
 )
 
@@ -250,33 +253,67 @@ def _exponent_vectors(n, degree):
             yield (e,) + rest
 
 
-def _assert_degree_read(exps):
-    # the degree read off a packed code is the sum of its exponents, and
-    # raising one field by one raises it by one
-    code, degree = pack_exponents(exps), sum(exps)
-    assert packed_degrees({code: 1}) == {degree}
-    if degree < 14:
-        for k in range(len(exps)):
-            assert packed_degrees({code + (1 << 4 * k): 1}) == {degree + 1}
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_degree_is_the_exponent_sum_exhaustively(n):
+    # entry d of the degree sets holds exactly the packed exponent vectors
+    # of sum d, for every degree a table may reach
     vectors = list(_exponent_vectors(n, 14))
     assert len(vectors) == comb(14 + n, n)
-    for exps in vectors:
-        _assert_degree_read(exps)
-    codes = [pack_exponents(e) for e in vectors]
-    assert packed_degrees(dict.fromkeys(codes, 1)) == set(range(15))
+    assert packed_degree_sets(n, 14) == [
+        {pack_exponents(e) for e in vectors if sum(e) == d} for d in range(15)]
+
+
+# the longest swept length of any rank
+_SWEPT = max(_WELLDEF_LENGTH_BY_RANK.values())
+
+
+@cache
+def _checked_degree_sets(n):
+    """``packed_degree_sets(n, _SWEPT)``, each entry d checked to hold
+    C(d + n - 1, n - 1) codes, every one with fields summing to d: so,
+    exactly the packed exponent vectors of sum d."""
+    sets = packed_degree_sets(n, _SWEPT)
+    for d, codes in enumerate(sets):
+        assert len(codes) == comb(d + n - 1, n - 1)
+        assert all(code_degree(code) == d for code in codes)
+    return sets
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.integers(5, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(0, n - 1), max_size=14))))
+    st.just(n), st.lists(st.integers(0, n - 1), max_size=_SWEPT))))
 def test_packed_degree_is_the_exponent_sum_up_to_rank_12(drawn):
-    # at most 14 simple roots, each drawn by its index, multiplied out
+    # up to the longest swept length of simple roots, each drawn by its
+    # index, multiplied out: the code lies in the set of its degree alone
     n, factors = drawn
-    _assert_degree_read(tuple(factors.count(k) for k in range(n)))
+    code = pack_exponents(tuple(factors.count(k) for k in range(n)))
+    assert [d for d, codes in enumerate(_checked_degree_sets(n))
+            if code in codes] == [len(factors)]
+
+
+WALK_TYPES = DEFAULT_SUITE + ("A2+A1", "A5", "D5", "E6", "E7", "E8")
+
+
+def _swept_table(name):
+    W = group(name)
+    return W, CayleyTable(W, _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3))
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_reduced_word_tables_match_the_unshared_walk(name):
+    # the walk that lists a subtree again from its first visit against the
+    # walk of every trie node: the same elements, words in the same order
+    # per element, and equal tables; and no two words share a table dict,
+    # so that a table changed in place for one word changes no other's
+    W, cayley = _swept_table(name)
+    tables = reduced_word_tables(W, cayley)
+    oracle = trie_word_tables(cayley)
+    assert list(tables) == list(oracle)
+    for i, words in oracle.items():
+        assert list(tables[i]) == list(words), (name, i)
+        assert tables[i] == words, (name, i)
+    dicts = [table for words in tables.values() for table in words.values()]
+    assert len({id(table) for table in dicts}) == len(dicts)
 
 
 def test_reduced_word_tables_refuse_length_15_before_any_walk():

@@ -27,7 +27,13 @@ from petcoh.cli import (
     run_suite,
 )
 from petcoh.peterson import PetersonModel
-from petcoh.report import CheckRecord, _dumps, ratio, strip_timing
+from petcoh.report import (
+    CertificationReport,
+    CheckRecord,
+    _dumps,
+    ratio,
+    strip_timing,
+)
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
@@ -38,6 +44,8 @@ from oracles import (
     from_word,
     indented_json,
     is_connected,
+    pack_exponents,
+    trie_word_tables,
     welldef_failures,
 )
 
@@ -457,6 +465,77 @@ def test_billey_welldef_catches_one_inhomogeneous_value(monkeypatch, capsys):
     _assert_fails_without_certificate("A2", capsys)
 
 
+def test_billey_welldef_reads_fields_summing_past_15_as_a_degree_failure(
+        monkeypatch):
+    # sigma_{s_1}(w0) of A2 set to alpha_1^8 alpha_2^8 in the witness word's
+    # table: its fields sum to 16 = 1 + 15, which a degree read off the code
+    # mod 15 took for l(s_1) = 1.  It is one degree failure, and the other
+    # word of w0 now differs from the baseline there
+    group, elements = _swept_elements("A2")
+    w0 = elements[-1]
+    top = len(elements) - 1
+    s1 = elements.index(from_word(group, (1,)))
+    (other,) = enumerate_reduced_words(group, w0) - {w0.witness_word}
+    code = pack_exponents((8, 8))
+    assert code % 15 == 1
+
+    def wrap_degree(tables):
+        tables[top][w0.witness_word][s1] = {code: 1}
+
+    _doctor_tables(monkeypatch, wrap_degree)
+    record = _welldef_record("A2")
+    assert record.witnesses["failures"] == [
+        {"kind": "degree", "v": "1", "w": word_to_str(w0.witness_word)},
+        {"kind": "witness_dependence", "v": "1", "w_word": word_to_str(other)}]
+
+
+def _double_one_root(cayley):
+    """Double the ascent root of the last edge (u, b) into the shortest
+    element j with two edges into it, so that the words of j through that
+    edge get other tables than the rest; returns j."""
+    edges = {}
+    for u, up in enumerate(cayley.ascents):
+        for b in up:
+            edges.setdefault(cayley.times[u][b], []).append((u, b))
+    j = min((j for j, into in edges.items() if len(into) > 1),
+            key=lambda j: cayley.elements[j].length)
+    u, b = edges[j][-1]
+    cayley.ascents[u][b] = tuple(2 * c for c in cayley.ascents[u][b])
+    return j
+
+
+@pytest.mark.parametrize("lie_type", ["A3", "B3", "G2"])
+def test_sweep_walks_a_differing_visit_in_full(monkeypatch, lie_type):
+    # one doctored ascent root gives two words of one element different
+    # tables: the walk must walk the later visit of that element in full,
+    # so it still equals the unshared walk on the doctored table, and the
+    # record lists the target-by-target oracle's failures
+    group = WeylGroup(cartan_matrix(lie_type))
+    max_len = cli._WELLDEF_LENGTH_BY_RANK[group.rank]
+    cayley = CayleyTable(group, max_len)
+    j = _double_one_root(cayley)
+    tables = billey.reduced_word_tables(group, cayley)
+    oracle = trie_word_tables(cayley)
+    first, *rest = oracle[j].values()
+    assert any(table != first for table in rest)
+    assert list(tables) == list(oracle)
+    for i, words in oracle.items():
+        assert list(tables[i]) == list(words) and tables[i] == words
+
+    class Doctored(CayleyTable):
+        def __init__(self, group, max_len):
+            super().__init__(group, max_len)
+            _double_one_root(self)
+
+    monkeypatch.setattr(cli, "CayleyTable", Doctored)
+    expected = welldef_failures(cayley.elements, oracle,
+                                cayley.bruhat_intervals())
+    assert expected
+    record = cli._check_billey_welldef(PetersonModel(cartan_matrix(lie_type)))
+    assert not record.passed
+    assert record.witnesses["failures"] == expected[:20]
+
+
 def test_billey_welldef_catches_one_dropped_interval_member(monkeypatch,
                                                            capsys):
     # s_1 taken out of [e, w0] of A2: sigma_{s_1}(w0) != 0 must then read
@@ -551,6 +630,24 @@ def test_reduced_word_count_mismatch_is_an_integrity_error(monkeypatch,
                       "of 2,1, but it has 2"},
         "pass": False, "skipped": False}
     _assert_fails_without_certificate("A2", capsys)
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+def test_certify_reads_its_exit_status_off_the_records(monkeypatch,
+                                                       output_format):
+    # certify prints its report and reads the pass flags off the records:
+    # it never copies the report with to_dict, for exit status 0, 3 or 1
+    def spy(self):
+        raise AssertionError("certify copied its report with to_dict")
+
+    monkeypatch.setattr(CertificationReport, "to_dict", spy)
+    certify = ["certify", "--type", "A2", "--format", output_format]
+    assert main(certify) == 0
+    assert main(certify + ["--checks", ""]) == 3
+    count = WeylGroup.count_reduced_words
+    monkeypatch.setattr(WeylGroup, "count_reduced_words",
+                        lambda self, w: count(self, w) + 1)
+    assert main(certify) == 1
 
 
 def _assert_integrity_failure(lie_type, check, message, capsys):
