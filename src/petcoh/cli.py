@@ -24,7 +24,7 @@ from .errors import IntegrityError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord, _dumps, ratio
 from .roots import cartan_matrix, parse_lie_type
-from .weyl import CayleyTable, WeylGroup, word_to_str
+from .weyl import CayleyTable, word_to_str
 
 CHECK_ORDER = (
     "billey_welldef",
@@ -340,12 +340,12 @@ def run_certification(config: RunConfig) -> CertificationReport:
     """Execute the selected checks in ``CHECK_ORDER``.
 
     Failures never short-circuit the run, and every check gives a record
-    that passed or failed: an integrity error fails its check.
+    that passed or failed: an integrity error fails its check.  The model
+    builds its Weyl group when a check first reads it, so a quadric run
+    builds none.  The config's checks are stored as a list, as JSON has
+    them, so that the report's own fields equal its ``to_dict``.
     """
-    types = parse_lie_type(config.lie_type)
-    cartan = cartan_matrix(types)
-    group = WeylGroup(cartan)
-    model = PetersonModel(cartan, group)
+    model = PetersonModel(cartan_matrix(parse_lie_type(config.lie_type)))
     records = []
     timing = {}
     start = time.perf_counter()
@@ -365,7 +365,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
     timing["total"] = time.perf_counter() - start
     return CertificationReport(
         lie_type=model.type_name(),
-        config={"lie_type": config.lie_type, "checks": config.checks},
+        config={"lie_type": config.lie_type, "checks": list(config.checks)},
         records=records,
         timing=timing,
         tool_version=__version__,
@@ -374,7 +374,7 @@ def run_certification(config: RunConfig) -> CertificationReport:
 
 def _run_one_suite_entry(type_name: str, template: RunConfig) -> dict:
     try:
-        return run_certification(RunConfig(type_name, template.checks)).to_dict()
+        return run_certification(RunConfig(type_name, template.checks))._fields()
     except Exception as exc:  # isolate per-type blowups
         return {"lie_type": type_name, "error": str(exc)}
 
@@ -382,8 +382,10 @@ def _run_one_suite_entry(type_name: str, template: RunConfig) -> dict:
 def run_suite(types, template: RunConfig | None = None) -> dict:
     """Per-type certifications, in input order, plus an aggregate pass flag.
 
-    A type that fails to run at all is isolated as an error entry; it does
-    not abort the rest of the suite.
+    Each entry is its report's own fields (``CertificationReport._fields``),
+    with no ``jsonable`` copy: they hold only string keys and lists, so an
+    entry equals the report's ``to_dict``.  A type that fails to run at all
+    is isolated as an error entry; it does not abort the rest of the suite.
     """
     template = template or RunConfig(lie_type="A1")
     start = time.perf_counter()

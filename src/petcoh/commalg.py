@@ -81,14 +81,18 @@ ends at zero.  Along the way:
 - each ideal's basis is computed once per process, and each quadric
   ideal once per Cartan matrix.
 
+The engine imports ``heapq`` when it starts (``_groebner_basis`` and
+``_regular_reduce``), not when this module loads: no run calls the engine,
+so no run loads ``heapq``.  The late import ends with ROADMAP item 15,
+when the engine leaves ``src/``.
+
 This module imports nothing else from the package at run time, so every
 other module can build on it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from functools import lru_cache, partial
 from itertools import islice
 from math import gcd
 from operator import mul
@@ -392,12 +396,13 @@ def _reducer(terms) -> tuple:
             tuple((e, sign * c) for e, c in terms.items() if e != lead))
 
 
-def _cancel(work: dict, heap: list, m: int, coeff: int, lead: int, lc: int,
+def _cancel(work: dict, push, m: int, coeff: int, lead: int, lc: int,
             tail) -> None:
     """Cancel the term coeff * m, just popped from ``work``, by a reducer
     lc * lead + tail with lead | m, fraction-free: multiply the work by
     lc / d and subtract coeff / d * (m / lead) * tail, where d = gcd(coeff,
-    lc).  A monomial new to ``work`` goes on the heap of negated codes."""
+    lc).  The negated code of a monomial new to ``work`` goes to ``push``,
+    which puts it on the heap."""
     d = gcd(coeff, lc)
     a, b = lc // d, coeff // d
     if a != 1:
@@ -409,7 +414,7 @@ def _cancel(work: dict, heap: list, m: int, coeff: int, lead: int, lc: int,
         old = work.get(e)
         if old is None:
             work[e] = -b * c
-            heappush(heap, -e)
+            push(-e)
         else:
             acc = old - b * c
             if acc:
@@ -452,10 +457,13 @@ def _regular_reduce(work: dict, index: int, sig: int, elements,
     reduction makes the same steps up to that term, so it ends at zero
     exactly when this one does and otherwise has the same leading
     monomial: only the tails differ, and no check reads a tail."""
+    from heapq import heapify, heappop, heappush  # late: see the module docstring
+
     mask, guards = code.mask, code.guards
     count = len(elements)
     heap = [-t for t in work]
     heapify(heap)
+    push = partial(heappush, heap)
     while heap:
         t = -heappop(heap)
         coeff = work.pop(t, 0)
@@ -466,7 +474,7 @@ def _regular_reduce(work: dict, index: int, sig: int, elements,
             hi, hm, lead, lc, tail = elements[p]
             if ((probe - (lead & mask)) & guards == guards
                     and (hi < index or t - lead + hm < sig)):
-                _cancel(work, heap, t, coeff, lead, lc, tail)
+                _cancel(work, push, t, coeff, lead, lc, tail)
                 break
         else:
             work[t] = coeff
@@ -571,6 +579,8 @@ def _groebner_basis(ideal: Ideal) -> tuple[MonomialCode, tuple]:
     """(code, elements): the engine's elements ``(index, signature
     monomial, lead, lc, tail)`` as ``groebner_basis`` describes them, packed
     by ``code``."""
+    from heapq import heappop, heappush  # late: see the module docstring
+
     code = MonomialCode(ideal.nvars)
     degree_shift = code._degree_shift
     gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]

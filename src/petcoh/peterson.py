@@ -105,20 +105,28 @@ class PetersonModel:
 
     Fixed points are enumerated by subsets of the node set, ordered by
     (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Construction computes nothing: the subsets with their
-    indices and bitmasks, the descent steps of the v_J, the w_K and the
-    rows of the p_{v_J} (in one walk), the word counts, covers, row
+    triangular.  Construction computes nothing: the Weyl group (unless one
+    is passed in, which must be of the same Cartan matrix), the subsets
+    with their indices and bitmasks, the descent steps of the v_J, the w_K
+    and the rows of the p_{v_J} (in one walk), the word counts, covers, row
     supports, quadric rows and the minors route are each built once per
     model, when a check first reads them; a quadric run reads the route
-    alone.  The memo dies with the model, so no cache outlives a run.
+    alone and builds no group.  The memo dies with the model, so no cache
+    outlives a run.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
-        if group is not None and group.cartan != cartan:
-            raise ValueError(f"group is of type {group.cartan.type_name()}, "
-                             f"not {cartan.type_name()}")
+        if group is not None:
+            if group.cartan != cartan:
+                raise ValueError(f"group is of type {group.cartan.type_name()}, "
+                                 f"not {cartan.type_name()}")
+            self.group = group
         self.cartan = cartan
-        self.group = group or WeylGroup(cartan)
+
+    @cached_property
+    def group(self) -> WeylGroup:
+        """The Weyl group of the Cartan matrix, built on first read."""
+        return WeylGroup(self.cartan)
 
     @property
     def rank(self) -> int:

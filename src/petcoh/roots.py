@@ -23,8 +23,6 @@ integer linear maps on simple-root coordinates.
 
 from __future__ import annotations
 
-import re
-
 from .commalg import leading_minors_positive
 from .errors import IntegrityError
 
@@ -71,19 +69,20 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-# ASCII digits only: \d would also read "A\u0663" as A3
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
-
-
 def parse_lie_type(text: str) -> tuple[LieType, ...]:
-    """Parse "A3", "G2", or a direct sum like "A2+A1" (block order as listed)."""
-    parts = [p.strip() for p in text.strip().split("+")]
+    """Parse "A3", "G2", or a direct sum like "A2+A1" (block order as listed).
+
+    Each stripped part is a family letter A-G and a rank in ASCII digits
+    only: ``isdigit`` alone would also read "A\u0663" and "A\u00b3" as A3.
+    The parse uses string methods, so no pattern is compiled when the
+    module loads."""
     types = []
-    for part in parts:
-        m = _TYPE_RE.match(part)
-        if not m:
+    for part in text.strip().split("+"):
+        part = part.strip()
+        family, digits = part[:1], part[1:]
+        if family not in RANK_CONSTRAINTS or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Lie type {part!r} (expected e.g. 'A3')")
-        types.append(LieType(m.group(1), int(m.group(2))))
+        types.append(LieType(family, int(digits)))
     return tuple(types)
 
 

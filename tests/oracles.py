@@ -9,6 +9,7 @@ checked against something they do not share.
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 from fractions import Fraction as Q
 from functools import partial, reduce
@@ -51,6 +52,27 @@ class Poly:
 def generator_polys(ideal) -> list[Poly]:
     """The generators of an ``Ideal`` as ``Poly``s."""
     return [Poly(ideal.nvars, g) for g in ideal.generators]
+
+
+# the Lie-type parse as a regular expression, as ``roots.parse_lie_type``
+# ran before it parsed with string methods.  ASCII digits only: \d would
+# also read "A\u0663" as A3
+_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+
+
+def regex_parse_lie_type(text: str):
+    """``roots.parse_lie_type`` by ``_TYPE_RE``: the same ``LieType``s, or
+    the same ``ValueError``."""
+    from petcoh.roots import LieType
+
+    parts = [p.strip() for p in text.strip().split("+")]
+    types = []
+    for part in parts:
+        m = _TYPE_RE.match(part)
+        if not m:
+            raise ValueError(f"cannot parse Lie type {part!r} (expected e.g. 'A3')")
+        types.append(LieType(m.group(1), int(m.group(2))))
+    return tuple(types)
 
 
 def _e(i: int, dim: int) -> tuple[Q, ...]:

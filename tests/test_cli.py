@@ -130,6 +130,56 @@ def test_importing_petcoh_loads_no_dataclass_machinery():
     assert result.stdout.strip() == "[]"
 
 
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import petcoh.cli as cli
+from petcoh import weyl
+
+built = []  # each Weyl group a run builds
+init = weyl.WeylGroup.__init__
+weyl.WeylGroup.__init__ = lambda self, cartan: built.append(cartan) or init(self, cartan)
+reports = []  # each report the suite makes, for its entry
+certify = cli.run_certification
+cli.run_certification = lambda config: reports.append(certify(config)) or reports[-1]
+suite = cli.run_suite(cli.DEFAULT_SUITE)
+entries_equal = [entry == report.to_dict() for entry, report in zip(suite["types"], reports)]
+del built[:]
+cli.run_certification(cli.RunConfig("E7", ("hilbert", "regular_sequence", "zero_set")))
+quadric_groups = len(built)
+cli.run_certification(cli.RunConfig("A3"))
+full_groups = len(built) - quadric_groups
+heapq_loaded = "heapq" in sys.modules
+
+# the engine, which no run calls, still works once it loads heapq itself
+from petcoh.commalg import build_ideal_J, groebner_basis
+from petcoh.roots import cartan_matrix
+from oracles import (as_term_list, buchberger_groebner_basis, grevlex_key, monic,
+                     tuple_reduced_basis)
+ideal = build_ideal_J(cartan_matrix("A3"))
+engine = [as_term_list(monic(g, grevlex_key))
+          for g in tuple_reduced_basis(groebner_basis(ideal))]
+oracle = [as_term_list(g) for g in buchberger_groebner_basis(ideal)]
+print(json.dumps({"heapq_loaded": heapq_loaded, "engine_is_oracle": engine == oracle,
+                  "quadric_groups": quadric_groups, "full_groups": full_groups,
+                  "entries": len(entries_equal), "entries_equal": all(entries_equal)}))
+"""
+
+
+def test_a_run_loads_and_builds_only_what_it_executes():
+    # in a fresh interpreter: no run loads heapq, which only the Groebner
+    # engine uses; a quadric run builds no Weyl group and a full run one;
+    # a suite entry is its report's fields, equal to the report's to_dict
+    src = os.path.dirname(os.path.dirname(petcoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(os.path.abspath(__file__))]))
+    result = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "heapq_loaded": False, "engine_is_oracle": True, "quadric_groups": 0,
+        "full_groups": 1, "entries": len(DEFAULT_SUITE), "entries_equal": True}
+
+
 def test_certification_A1_all_checks():
     report = run_certification(RunConfig(lie_type="A1"))
     assert report.overall_pass

@@ -2,6 +2,7 @@
 oracles."""
 
 import contextlib
+import heapq
 import io
 import json
 from fractions import Fraction
@@ -879,7 +880,8 @@ def test_no_queued_pair_fails_the_F5_criterion(name, monkeypatch):
     treated = 0
     for label, ideal in _engine_cases(name):
         popped = []
-        pop = commalg.heappop
+        # the engine imports heappop from heapq each time it starts
+        pop = heapq.heappop
 
         def recording_pop(heap):
             item = pop(heap)
@@ -887,7 +889,7 @@ def test_no_queued_pair_fails_the_F5_criterion(name, monkeypatch):
                 popped.append(item)
             return item
 
-        monkeypatch.setattr(commalg, "heappop", recording_pop)
+        monkeypatch.setattr(heapq, "heappop", recording_pop)
         code, elements = commalg._groebner_basis.__wrapped__(ideal)
         monkeypatch.undo()
         pairs = [(i, m) for i, m, own, _, _ in popped if own >= 0]

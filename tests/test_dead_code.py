@@ -39,6 +39,12 @@ ALLOWED = {
     "report.CheckRecord.to_dict":
         "the tests compare records by it; a report reads the records' "
         "fields, not their copies",
+    "report.CertificationReport.to_dict":
+        "the tests compare reports by it; a suite entry is the report's "
+        "own fields, not their copy",
+    "report.jsonable":
+        "to_dict and CheckRecord.to_dict copy with it, and to_text prints "
+        "parameters through it; a run here reads the fields as built",
     "report.strip_timing":
         "perfbench/child.py and the tests digest reports with it",
     "report.CertificationReport.to_text":

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from petcoh.errors import IntegrityError
 from petcoh.roots import (
@@ -17,7 +19,12 @@ from petcoh.roots import (
     simple_reflection_action,
 )
 
-from oracles import bond_order, cartan_matrix_from_inner_products, is_connected
+from oracles import (
+    bond_order,
+    cartan_matrix_from_inner_products,
+    is_connected,
+    regex_parse_lie_type,
+)
 
 ALL_SIMPLE = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -128,6 +135,44 @@ def test_parse_lie_type():
         parse_lie_type("X9")
     with pytest.raises(ValueError):
         parse_lie_type("A2+")
+
+
+def _parse_outcome(parse, text):
+    """The ``LieType``s a parse gives, or the message of its ``ValueError``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# a part as typed, near misses included: a lower-case, non-ASCII or
+# zero-padded rank, spaces around it, an empty part
+_PART = st.one_of(
+    st.tuples(st.sampled_from("ABCDEFGHXa "), st.text("0123456789٣³ ", max_size=3))
+    .map("".join),
+    st.text(max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=8), st.lists(_PART, max_size=4).map("+".join)))
+@example('A٣')
+@example('A³')
+@example('a3')
+@example('A03')
+@example(' E8 ')
+@example('')
+@example('A3+')
+@example('A3\n')
+@example('A1+ B2 ')
+@example('E9')
+@example('G0')
+@example('F4+A')
+def test_parse_matches_the_regex_oracle(text):
+    # the string-method parse accepts exactly what the pattern did, with
+    # the same LieTypes and the same messages
+    assert _parse_outcome(parse_lie_type, text) == \
+        _parse_outcome(regex_parse_lie_type, text)
 
 
 def test_semisimple_block_assembly():
