@@ -122,9 +122,10 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
     step, and as that depends only on the parent's table, element and
     letter, a word that reaches an element with its first table takes the
     tables below from the first visit (each word in its own dict, values
-    shared).  The number of words of each w must be ``count_reduced_words``,
-    which recurses on action matrices apart from the trie; otherwise the
-    record is an integrity error.  Values are compared as {packed monomial:
+    shared).  The number of words of each w must be the table's
+    ``counts``, which the Cayley walk sums over each element's descents,
+    read off its matrix columns, apart from the trie; otherwise the record
+    is an integrity error.  Values are compared as {packed monomial:
     int} dicts; a missing entry is sigma_v(w) = 0.  Every key of a table
     has length <= l(w), so a table equal to the baseline as a whole agrees
     at every target, and only a table that differs is compared target by
@@ -150,10 +151,9 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
     ends = {u.length: i + 1 for i, u in enumerate(elements)}
     comparisons = 0
     failures = []
-    for i, w in enumerate(elements):
+    for i, (w, count) in enumerate(zip(elements, cayley.counts)):
         end = ends[w.length]
         words = tables[i]
-        count = group.count_reduced_words(w)
         if len(words) != count:
             raise IntegrityError(
                 f"the trie lists {len(words)} reduced words of "
@@ -162,7 +162,8 @@ def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
         below = intervals[i]
         nonzero = [v for v, value in baseline.items() if value and v < end]
         if len(nonzero) != len(below) or not below.issuperset(nonzero) or \
-                not all(homogeneous[v].issuperset(baseline[v]) for v in nonzero):
+                not all(map(set.issuperset, map(homogeneous.__getitem__, nonzero),
+                            map(baseline.__getitem__, nonzero))):
             for v in range(end):
                 value = baseline.get(v)
                 if bool(value) != (v in below):

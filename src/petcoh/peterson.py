@@ -186,8 +186,8 @@ class PetersonModel:
     def _word_counts(self) -> list[int]:
         """Per subset mask J, the number of reduced words of v_J: 1 for the
         empty J, else the sum of the counts of J - b over J's descent
-        steps.  This is ``count_reduced_words``'s recursion, run on the v_J
-        alone since v_J s_b = v_{J - b}; each step has J - b < J, so the
+        steps.  This is the recursion of ``CayleyTable.counts``, run on the
+        v_J alone since v_J s_b = v_{J - b}; each step has J - b < J, so the
         steps in increasing order of J read only finished counts.  Every
         counted path takes |J| descents, so a zero count for a nonempty J
         means l(v_J) < |J|."""

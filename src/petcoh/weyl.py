@@ -1,7 +1,7 @@
 """Weyl group elements with canonical equality, and what a run does with them:
 right multiplication of action matrices by simple reflections, right
-descents, reduced-word counts, and the breadth-first walk of the group in
-``CayleyTable``.
+descents, and the breadth-first walk of the group in ``CayleyTable``, which
+also counts the reduced words of each element it reaches.
 
 An element is stored as its exact integer matrix acting on simple-root
 coordinates; equality and hashing use only that matrix, so any two words for
@@ -12,6 +12,7 @@ the element.
 
 from __future__ import annotations
 
+from .errors import IntegrityError
 from .roots import CartanMatrix, is_negative_root_vector
 
 
@@ -57,9 +58,9 @@ def word_to_str(word) -> str:
 class WeylGroup:
     """Weyl group of a Cartan matrix.
 
-    Works on action matrices and holds the per-group cache of reduced-word
-    counts; the positive roots live on ``CartanMatrix``.  All returned
-    values are immutable.
+    Works on action matrices and keeps no per-element state; the positive
+    roots live on ``CartanMatrix``, and the reduced-word counts of a swept
+    ideal on its ``CayleyTable``.  All returned values are immutable.
     """
 
     def __init__(self, cartan: CartanMatrix):
@@ -75,8 +76,6 @@ class WeylGroup:
                      if cartan.entries[k][i - 1])
             for i in cartan.nodes()
         }
-        # reduced-word counts keyed by action, seeded with the identity
-        self._count_memo: dict[tuple, int] = {self._identity_matrix: 1}
 
     # -- construction ---------------------------------------------------
 
@@ -113,25 +112,11 @@ class WeylGroup:
         return [i for i, column in zip(self.cartan.nodes(), zip(*action))
                 if min(column) < 0]
 
-    def count_reduced_words(self, w: WeylElement) -> int:
-        """Number of reduced words: sum over right descents s of the count
-        for ws, with the identity counting 1.  Memoized per group."""
-
-        def rec(action) -> int:
-            total = self._count_memo.get(action)
-            if total is None:
-                total = 0
-                for i in self.descents(action):
-                    total += rec(self.right_action(action, i))
-                self._count_memo[action] = total
-            return total
-
-        return rec(w.action)
-
 
 class CayleyTable:
     """The elements of length <= max_len, found by one breadth-first walk,
-    and right multiplication by the simple reflections on them by index.
+    right multiplication by the simple reflections on them by index, and
+    the number of reduced words of each.
 
     ``elements`` runs layer by layer; within a layer, the products u s_b
     are met for u in order and then b in node order, and each new one gets
@@ -142,34 +127,59 @@ class CayleyTable:
     ``right_action``, and its product is hashed once, here; nothing that
     reads the table hashes an action matrix.  The walk is bounded by
     max_len alone: layer k holds at most rank^k elements.
+
+    ``counts[i]`` is the number of reduced words of u_i: 1 for the
+    identity, else the sum of ``counts`` at ``times[i][b]`` over the right
+    descents b, read off u_i's own matrix columns, not off ``ascents`` (a
+    reduced word ends in a descent b, and the rest is a reduced word of
+    u_i s_b).  Each layer is counted as the walk reaches it, the top one
+    in a last pass that only reads descents; a descent with no ``times``
+    entry, a product the walk never recorded, raises ``IntegrityError``.
     """
 
     def __init__(self, group: WeylGroup, max_len: int):
         identity = group.identity
+        nodes = group.cartan.nodes()
         self.elements: list[WeylElement] = [identity]
         self.times: list[dict[int, int]] = [{}]
         self.ascents: list[dict[int, tuple[int, ...]]] = [{}]
+        self.counts: list[int] = []
+        elements, times, ascents = self.elements, self.times, self.ascents
+        counts = self.counts
         index = {identity.action: 0}
         start = 0
-        for _ in range(max_len):
-            end = len(self.elements)
+        for length in range(max_len + 1):
+            end = len(elements)
+            grow = length < max_len
             for i in range(start, end):
-                u = self.elements[i]
-                for b, root in zip(group.cartan.nodes(), zip(*u.action)):
+                u = elements[i]
+                edges = times[i]
+                count = 0 if i else 1  # the identity's one word is ()
+                for b, root in zip(nodes, zip(*u.action)):
                     if is_negative_root_vector(root):
+                        j = edges.get(b)
+                        if j is None:
+                            raise IntegrityError(
+                                f"the Cayley table has no product of "
+                                f"{word_to_str(u.witness_word)} with its "
+                                f"right descent {b}")
+                        count += counts[j]
+                        continue
+                    if not grow:
                         continue
                     action = group.right_action(u.action, b)
                     j = index.get(action)
                     if j is None:
-                        j = index[action] = len(self.elements)
-                        self.elements.append(WeylElement(
+                        j = index[action] = len(elements)
+                        elements.append(WeylElement(
                             action, u.length + 1, u.witness_word + (b,)))
-                        self.times.append({})
-                        self.ascents.append({})
+                        times.append({})
+                        ascents.append({})
                     # every descent of an element is the ascent of one below
-                    self.times[i][b] = j
-                    self.times[j][b] = i
-                    self.ascents[i][b] = root
+                    edges[b] = j
+                    times[j][b] = i
+                    ascents[i][b] = root
+                counts.append(count)
             start = end
 
     def bruhat_intervals(self) -> list[set[int]]:

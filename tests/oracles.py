@@ -242,7 +242,7 @@ def enumerate_reduced_words(group, w, cap=16) -> frozenset:
     descent i of w, and deleting that letter leaves a reduced word of
     w s_i, so the words are listed by recursing on action matrices over the
     right descents.  The reference word set for the trie walk of
-    ``billey.reduced_word_tables`` and the counts of ``count_reduced_words``.
+    ``billey.reduced_word_tables`` and the counts of ``weyl.CayleyTable``.
 
     Raises EnumerationCapError when l(w) exceeds cap; the enumeration is
     never silently truncated.

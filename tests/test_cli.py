@@ -26,6 +26,7 @@ from petcoh.cli import (
     run_certification,
     run_suite,
 )
+from petcoh.errors import IntegrityError
 from petcoh.peterson import PetersonModel
 from petcoh.report import (
     CertificationReport,
@@ -665,14 +666,12 @@ def test_reduced_word_count_mismatch_is_an_integrity_error(monkeypatch,
                                                            capsys):
     # the trie's words of s_2 s_1 in A2 against a count one too high: the
     # record fails with the integrity error, and the run certifies nothing
-    group = WeylGroup(cartan_matrix("A2"))
-    s2s1 = from_word(group, (2, 1))
-    count = WeylGroup.count_reduced_words
+    class OneTooMany(CayleyTable):
+        def __init__(self, group, max_len):
+            super().__init__(group, max_len)
+            self.counts[self.elements.index(from_word(group, (2, 1)))] += 1
 
-    def one_too_many(self, w):
-        return count(self, w) + (w == s2s1)
-
-    monkeypatch.setattr(WeylGroup, "count_reduced_words", one_too_many)
+    monkeypatch.setattr(cli, "CayleyTable", OneTooMany)
     record = _welldef_record("A2")
     assert record.to_dict() == {
         "check": "billey_welldef", "lie_type": "A2", "parameters": {},
@@ -690,13 +689,16 @@ def test_certify_reads_its_exit_status_off_the_records(monkeypatch,
     def spy(self):
         raise AssertionError("certify copied its report with to_dict")
 
+    class AllOneTooMany(CayleyTable):
+        def __init__(self, group, max_len):
+            super().__init__(group, max_len)
+            self.counts[:] = [count + 1 for count in self.counts]
+
     monkeypatch.setattr(CertificationReport, "to_dict", spy)
     certify = ["certify", "--type", "A2", "--format", output_format]
     assert main(certify) == 0
     assert main(certify + ["--checks", ""]) == 3
-    count = WeylGroup.count_reduced_words
-    monkeypatch.setattr(WeylGroup, "count_reduced_words",
-                        lambda self, w: count(self, w) + 1)
+    monkeypatch.setattr(cli, "CayleyTable", AllOneTooMany)
     assert main(certify) == 1
 
 
@@ -715,6 +717,86 @@ def _assert_integrity_failure(lie_type, check, message, capsys):
     out = capsys.readouterr().out
     assert f"[FAIL] {check}" in out
     assert "isomorphism certified: False" in out
+
+
+class _LosesOneEdge(CayleyTable):
+    """The walk of A3 with u s_3 for u = s_1 recorded as s_1 itself, so
+    s_3 s_1 = s_1 s_3 keeps its right descent 3 with no ``times`` entry."""
+
+    def __init__(self, group, max_len):
+        s1 = from_word(group, (1,)).action
+        doctored = copy.copy(group)
+        doctored.right_action = lambda action, b: (
+            action if (action, b) == (s1, 3) else group.right_action(action, b))
+        super().__init__(doctored, max_len)
+
+
+_LOST_EDGE = "the Cayley table has no product of 3,1 with its right descent 3"
+
+
+def test_descent_with_no_times_entry_is_an_integrity_error(monkeypatch,
+                                                           capsys):
+    # the walk counts s_3 s_1 over its descents, read off its matrix, and
+    # stops on the one the walk never recorded; the sweep records that,
+    # and the run fails and certifies nothing
+    group = WeylGroup(cartan_matrix("A3"))
+    with pytest.raises(IntegrityError, match=_LOST_EDGE):
+        _LosesOneEdge(group, cli._WELLDEF_LENGTH_BY_RANK[3])
+    monkeypatch.setattr(cli, "CayleyTable", _LosesOneEdge)
+    _assert_integrity_failure("A3", "billey_welldef", _LOST_EDGE, capsys)
+
+
+@pytest.mark.parametrize("lie_type", ["A3", "B3", "G2"])
+def test_a_word_dropped_from_the_trie_is_an_integrity_error(monkeypatch,
+                                                            capsys,
+                                                            lie_type):
+    # one non-witness word of the last element with several words taken
+    # out of the trie tables: the table's counts, summed over descents
+    # read off the matrices, do not read the trie, so they still see it
+    group = WeylGroup(cartan_matrix(lie_type))
+    cayley = CayleyTable(group, cli._WELLDEF_LENGTH_BY_RANK[group.rank])
+    tables = billey.reduced_word_tables(group, cayley)
+    i = max(i for i, words in tables.items() if len(words) > 1)
+    w = cayley.elements[i]
+    dropped = next(word for word in reversed(tables[i])
+                   if word != w.witness_word)
+
+    def drop(tables):
+        del tables[i][dropped]
+
+    _doctor_tables(monkeypatch, drop)
+    n = cayley.counts[i]
+    _assert_integrity_failure(
+        lie_type, "billey_welldef",
+        f"the trie lists {n - 1} reduced words of "
+        f"{word_to_str(w.witness_word)}, but it has {n}", capsys)
+
+
+def test_sweep_makes_one_right_action_per_ascent(monkeypatch):
+    # the Cayley walk makes one right_action per ascent edge and counts
+    # the reduced words on the descents it has recorded, so a passing
+    # sweep of each suite type makes no other call: 380 in all
+    calls = []
+    right_action = WeylGroup.right_action
+
+    def counting(self, action, b):
+        calls.append(b)
+        return right_action(self, action, b)
+
+    total = 0
+    for lie_type in DEFAULT_SUITE:
+        group = WeylGroup(cartan_matrix(lie_type))
+        ascents = sum(map(len, CayleyTable(
+            group, cli._WELLDEF_LENGTH_BY_RANK.get(group.rank, 3)).ascents))
+        calls.clear()
+        monkeypatch.setattr(WeylGroup, "right_action", counting)
+        record = cli._check_billey_welldef(
+            PetersonModel(cartan_matrix(lie_type)))
+        monkeypatch.undo()
+        assert record.passed
+        assert len(calls) == ascents, lie_type
+        total += ascents
+    assert total == 380
 
 
 def test_non_positive_inversion_root_is_an_integrity_error(monkeypatch,

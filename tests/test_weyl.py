@@ -163,25 +163,34 @@ def test_longest_element_length_is_sum_of_degrees_minus_one(name):
     assert w0.length == len(W.cartan.positive_roots())
 
 
+def word_count(W, w):
+    """The reduced-word count of w read off a Cayley table to l(w)."""
+    cayley = CayleyTable(W, w.length)
+    return cayley.counts[cayley.elements.index(w)]
+
+
 def test_reduced_word_counts_match_enumeration_rank3():
-    # every element of the rank-2 and rank-3 groups; each group's words
-    # are listed on a group of its own, apart from the count's memo
+    # every element of the rank-2 and rank-3 groups, counted by the walk
+    # to l(w_0); each group's words are listed on a group of its own
     for name in ("A2", "B2", "G2", "A3", "B3", "C3"):
         W, oracle_group = group(name), group(name)
-        for w in whole_group(W):
-            assert W.count_reduced_words(w) == \
-                len(enumerate_reduced_words(oracle_group, w)), (name, w)
+        cayley = CayleyTable(W, len(W.cartan.positive_roots()))
+        assert len(cayley.counts) == len(cayley.elements)
+        for w, count in zip(cayley.elements, cayley.counts):
+            assert count == len(enumerate_reduced_words(oracle_group, w)), \
+                (name, w)
 
 
 def test_count_examples():
     W = group("A2")
-    assert W.count_reduced_words(from_word(W, (1,))) == 1
-    assert W.count_reduced_words(longest_element(W, (1, 2))) == 2
+    assert word_count(W, from_word(W, (1,))) == 1
+    assert word_count(W, longest_element(W, (1, 2))) == 2
     # non-commuting adjacent product has a unique reduced word
     for name in ("A2", "B2", "G2"):
         Wx = group(name)
-        assert Wx.count_reduced_words(from_word(Wx, (1, 2))) == 1
-    assert W.count_reduced_words(W.identity) == 1
+        assert word_count(Wx, from_word(Wx, (1, 2))) == 1
+    assert word_count(W, W.identity) == 1
+    assert CayleyTable(W, 0).counts == [1]
 
 
 def test_enumerate_identity():
@@ -305,19 +314,24 @@ def test_cayley_table_multiplies_by_the_simple_reflections(name, whole,
 
 @pytest.mark.parametrize("name", _SWEPT)
 def test_reduced_word_counts_match_enumeration(name):
-    # the counts on the swept elements against the words listed on a
-    # group of their own, on every type the billey_welldef oracle sweeps
+    # the walk's counts on the swept elements against the words listed on
+    # a group of their own, on every type the billey_welldef oracle sweeps
     W, oracle_group = group(name), group(name)
-    for w in CayleyTable(W, _swept_length(W)).elements:
+    cayley = CayleyTable(W, _swept_length(W))
+    assert len(cayley.counts) == len(cayley.elements)
+    for w, count in zip(cayley.elements, cayley.counts):
         words = enumerate_reduced_words(oracle_group, w)
-        assert W.count_reduced_words(w) == len(words), (name, w)
+        assert count == len(words), (name, w)
 
 
 def test_reduced_word_counts_of_every_v_K_of_E6_match_enumeration():
+    # one walk to length 6 reaches every v_K, far past the swept length 3
     W, oracle_group = group("E6"), group("E6")
+    cayley = CayleyTable(W, 6)
+    index = {u.action: i for i, u in enumerate(cayley.elements)}
     for mask in range(1 << 6):
         v = v_K(W, tuple(i + 1 for i in range(6) if mask >> i & 1))
-        assert W.count_reduced_words(v) == \
+        assert cayley.counts[index[v.action]] == \
             len(enumerate_reduced_words(oracle_group, v)), v
 
 
