@@ -499,8 +499,7 @@ def main(argv=None) -> int:
             report = run_certification(config)
             print(report.to_json() if args.output_format == "json"
                   else report.to_text(), file=fh)
-            passed = [r.passed for r in report.records]
-            return 1 if not all(passed) else 0 if passed else 3
+            return exit_status([report._fields()])
 
         aggregate = run_suite(types, config)
         print(_dumps(aggregate)

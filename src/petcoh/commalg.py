@@ -26,65 +26,13 @@ closed forms that fact gives.  The Groebner engine stays here, off the run
 path: the test oracles read its leading monomials, and the benchmark's
 tracer wraps ``groebner_basis`` by name.
 
-The Groebner engine is signature based, in the style of F5 (Faugere,
-ISSAC 2002; see Eder and Faugere, J. Symbolic Comput. 80, 2017, for the
-survey this follows).  Every element carries a signature m * e_i, a
-monomial m times the index i of a generator, that records which multiple
-of the generators it came from; signatures compare position over term, as
-the pairs (i, m), so the generators are taken one at a time.  Pairs are
-treated in the order of their signatures, and a pair is skipped when its
-signature T = m * e_i was treated already, when the leading monomial of an
-element of smaller index divides m (F5 criterion), when a signature of
-index i that reduced to zero divides T (syzygy criterion), or when an
-element of index i newer than the pair's own has a signature dividing T
-(rewrite criterion).  The F5 criterion reads only elements of smaller
-index, which are final once a pair is formed, so a pair it rejects is
-never queued; for an element h of smaller index it is first tried on the
-exponent parts, as gcd(lead, h) dividing the new element's signature
-monomial, before the pair's lcm is formed.  The other two are tested when
-the pair is treated.
-Reductions keep the signature: a term may be reduced only by a multiple
-of smaller signature.  For a regular sequence, such as
-the Cartan quadrics, the F5 criterion sees every syzygy, so no reduction
-ends at zero.  Along the way:
-
-- every monomial is one int, its ``MonomialCode``: the order key and the
-  exponents packed into fixed-width fields, so that a product is ``+``, a
-  quotient ``-``, the leading monomial ``max`` and divisibility one test
-  on the fields' guard bits.  ``MonomialCode`` is the package's one
-  definition of its one monomial order, grevlex.  Signature monomials are
-  codes too.
-  Generators are packed on the way in, and only the public
-  ``groebner_basis`` unpacks the basis, into the generator form of
-  ``Ideal``;
-- each element's leading term is computed once, when it joins the basis,
-  and serves the reductions, the pair signatures and the F5 criterion;
-- a memo, one per basis computation, maps each monomial met, a leading
-  term of a reduction or a J-pair's signature monomial, to a position
-  before which no element's leading monomial divides it; elements are only
-  appended, so a later scan resumes there;
-- every reduction is fraction-free: it runs in place on one dict of
-  integer coefficients, divides by primitive integer elements and cancels
-  each leading term by cross-multiplication (``_cancel``); the next
-  leading monomial comes from a heap of negated codes.  At every step the
-  integer state is a positive rational multiple of the state of the same
-  division over the rationals.  ``_regular_reduce`` is the one reduction,
-  and it reduces the top only: it stops at the first leading term no
-  element may reduce.  A full reduction makes the same steps up to there,
-  so every element keeps the index, signature and leading monomial it
-  would have; only the tails differ, and no check reads them;
-- the basis returned is the loop's own elements, in the order added, as
-  primitive integer polynomials with positive leading coefficients.  It is
-  a Groebner basis, deterministic per ideal, but neither minimal
-  nor reduced: a caller reads only its leading monomials, and they
-  generate the leading-term ideal;
-- each ideal's basis is computed once per process, and each quadric
-  ideal once per Cartan matrix.
-
-The engine imports ``heapq`` when it starts (``_groebner_basis`` and
-``_regular_reduce``), not when this module loads: no run calls the engine,
-so no run loads ``heapq``.  The late import ends with ROADMAP item 15,
-when the engine leaves ``src/``.
+The engine is Buchberger's loop with the coprime and chain criteria,
+grevlex only (``_grevlex``), on exponent tuples and fraction-free: every
+element is a primitive integer polynomial with a positive leading
+coefficient, and every reduction cancels each leading term by
+cross-multiplication (``_reduce``).  It imports ``heapq`` when it starts,
+not when this module loads, so no run loads ``heapq``; the late import
+ends with ROADMAP item 15, when the engine leaves ``src/``.
 
 This module imports nothing else from the package at run time, so every
 other module can build on it.
@@ -92,114 +40,12 @@ other module can build on it.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import islice
+from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import add, le, sub
 
 # the CartanMatrix of the annotations is roots.CartanMatrix; roots imports
 # this module, and the annotations are never evaluated, so it is not imported
-
-# ---------------------------------------------------------------------------
-# packed monomials
-
-FIELD_BITS = 16
-"""Bits per field of a packed monomial; the top bit of an exponent field is
-its guard bit."""
-
-MAX_DEGREE = (1 << FIELD_BITS - 1) - 1
-"""Largest total degree of a packed monomial.  Every exponent and every sum
-of exponents of such a monomial fits below the guard bit of a field."""
-
-
-class MonomialCode:
-    """Monomials in ``nvars`` variables as ints, in the graded reverse
-    lexicographic order (grevlex), the first variable largest: the
-    package's one definition of its one monomial order.
-
-    The code of an exponent vector e is ``K(e) << S | P(e)``:
-
-    - ``P(e)`` holds e_i in the ``FIELD_BITS``-bit field i - 1, below the
-      field's guard bit;
-    - ``K(e)`` is the order key (f_n, ..., f_1), f_k = e_1 + ... + e_k,
-      packed most significant field first: the degree f_n decides first,
-      then the larger f_{n-1}, that is the smaller e_n, and so on.
-
-    Both parts are linear in e, and no field overflows up to total degree
-    ``MAX_DEGREE``.  There, the code of a product is the sum of the codes,
-    the code of a quotient is their difference, and the larger monomial has
-    the larger code (K is injective, so K alone decides).  l divides m iff
-    subtracting P(l) from P(m) with every guard bit set clears no guard
-    bit: a field's guard bit survives iff m_i >= l_i, and no field borrows
-    from the next.
-    """
-
-    __slots__ = ("nvars", "shift", "mask", "guards", "weights", "_ones",
-                 "_degree_shift")
-
-    def __init__(self, nvars: int):
-        width = FIELD_BITS
-        self.nvars = nvars
-        self.shift = width * nvars
-        self.mask = (1 << self.shift) - 1
-        self.guards = sum(1 << width * k + width - 1 for k in range(nvars))
-        self._ones = sum(1 << width * k for k in range(nvars))
-        # the degree f_n is the top field of K
-        self._degree_shift = 2 * self.shift - width
-        self.weights = tuple(self._from_p(1 << width * k) for k in range(nvars))
-
-    def _from_p(self, p: int) -> int:
-        """The code of the monomial whose exponent part is p.  Field k of
-        p * ones is the sum of fields 0..k of p, the prefix sum f_{k+1}."""
-        return (p * self._ones & self.mask) << self.shift | p
-
-    def encode(self, exps) -> int:
-        """The code of an exponent vector; ValueError beyond ``MAX_DEGREE``."""
-        degree = sum(exps)
-        if degree > MAX_DEGREE:
-            raise ValueError(f"monomial of degree {degree} exceeds the packed "
-                             f"monomial limit {MAX_DEGREE}")
-        return sum(map(mul, exps, self.weights))
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        width = FIELD_BITS
-        field = (1 << width - 1) - 1
-        p = code & self.mask
-        return tuple(p >> width * k & field for k in range(self.nvars))
-
-    def degree(self, code: int) -> int:
-        return code >> self._degree_shift
-
-    def divides(self, l: int, m: int) -> bool:
-        mask, guards = self.mask, self.guards
-        return ((m & mask | guards) - (l & mask)) & guards == guards
-
-    def gcd_divides(self, a: int, b: int, m: int) -> bool:
-        """True iff gcd(a, b) divides m, for codes within the limit.  The
-        gcd takes the fields of b where a's are at least b's, read off the
-        guard bits as in ``lcm``, and a's elsewhere; the division is
-        ``divides``'s one guard-bit test."""
-        mask, guards = self.mask, self.guards
-        pa, pb = a & mask, b & mask
-        ge = ((pa | guards) - pb & guards) >> FIELD_BITS - 1
-        select = (ge << FIELD_BITS) - ge  # all ones in those fields
-        low = pb & select | pa & ~select
-        return ((m & mask | guards) - low) & guards == guards
-
-    def lcm(self, a: int, b: int) -> int:
-        """The code of the lcm; ValueError if its degree exceeds
-        ``MAX_DEGREE``.  The fields of a that are at least those of b are
-        read off the guard bits of P(a) - P(b), as for ``divides``."""
-        mask, guards = self.mask, self.guards
-        pa, pb = a & mask, b & mask
-        ge = ((pa | guards) - pb & guards) >> FIELD_BITS - 1
-        select = (ge << FIELD_BITS) - ge  # all ones in those fields
-        code = self._from_p(pa & select | pb & ~select)
-        if self.degree(code) > MAX_DEGREE:
-            raise ValueError(f"pair lcm of degree {self.degree(code)} exceeds "
-                             f"the packed monomial limit {MAX_DEGREE}")
-        return code
-
 
 # ---------------------------------------------------------------------------
 # exact elimination
@@ -378,124 +224,88 @@ def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
 # ---------------------------------------------------------------------------
 # Groebner bases
 
-def _primitive(terms) -> dict:
-    """The integer terms divided by their content (the gcd of all of
-    them)."""
-    g = gcd(*terms.values())
-    return {e: c // g for e, c in terms.items()}
+def _grevlex(exps) -> tuple:
+    """The sort key of grevlex, the first variable largest: the larger total
+    degree is larger, then the smaller last exponent, and so on."""
+    return sum(exps), tuple(-e for e in reversed(exps))
 
 
 def _reducer(terms) -> tuple:
-    """(leading code, leading coefficient, tail terms) of the primitive form
-    of nonzero integer terms keyed by monomial code, negated if need be so
-    that the leading coefficient is positive."""
-    terms = _primitive(terms)
-    lead = max(terms)
-    sign = 1 if terms[lead] > 0 else -1
-    return (lead, sign * terms[lead],
-            tuple((e, sign * c) for e, c in terms.items() if e != lead))
+    """(leading monomial, leading coefficient, tail terms) of the primitive
+    form of nonzero integer terms {exponent tuple: int}, negated if need be
+    so that the leading coefficient is positive."""
+    lead = max(terms, key=_grevlex)
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return (lead, terms[lead] // g,
+            tuple((e, c // g) for e, c in terms.items() if e != lead))
 
 
-def _cancel(work: dict, push, m: int, coeff: int, lead: int, lc: int,
-            tail) -> None:
-    """Cancel the term coeff * m, just popped from ``work``, by a reducer
-    lc * lead + tail with lead | m, fraction-free: multiply the work by
-    lc / d and subtract coeff / d * (m / lead) * tail, where d = gcd(coeff,
-    lc).  The negated code of a monomial new to ``work`` goes to ``push``,
-    which puts it on the heap."""
-    d = gcd(coeff, lc)
-    a, b = lc // d, coeff // d
-    if a != 1:
-        for e in work:
-            work[e] *= a
-    shift = m - lead
-    for e, c in tail:
-        e += shift
-        old = work.get(e)
-        if old is None:
-            work[e] = -b * c
-            push(-e)
-        else:
-            acc = old - b * c
-            if acc:
-                work[e] = acc
-            else:
-                del work[e]
+def _reduce(work: dict, reducers) -> tuple[dict, int]:
+    """(remainder, scale): the full division of the integer terms ``work``
+    (consumed) by ``_reducer`` triples, fraction-free, each term reduced by
+    the first reducer whose leading monomial divides it; the remainder is
+    scale times the remainder over the rationals, scale a positive int.
 
-
-def _first_position(m: int, elements, code: MonomialCode, memo: dict) -> int:
-    """The position of the first engine element whose leading monomial
-    divides m, else the number of elements.  ``memo`` maps a code to a
-    position before which no leading monomial divides it; elements are only
-    appended, so a scan resumes there."""
-    mask, guards = code.mask, code.guards
-    probe = m & mask | guards
-    p = memo.get(m, 0)
-    count = len(elements)
-    while p < count and (probe - (elements[p][2] & mask)) & guards != guards:
-        p += 1
-    memo[m] = p
-    return p
-
-
-def _regular_reduce(work: dict, index: int, sig: int, elements,
-                    code: MonomialCode, memo: dict) -> dict:
-    """Fraction-free regular top-reduction of the integer terms ``work``
-    (keyed by code, reduced in place) of signature sig * e_index by the
-    engine's elements ``(index, signature monomial, lead, lc, tail)``;
-    returns ``work``, then empty or with a leading term that no element
-    may reduce, and congruent to a positive integer multiple of the input.
-
-    A term t is reduced by the first element h whose leading monomial
-    divides it and whose multiple (t / lm h) * sig(h) has a smaller
-    signature, so that the signature stays sig * e_index: every element of
-    a smaller index qualifies, one of the same index when its signature
-    monomial times t / lm h is below sig.  The search starts at the first
-    divisor ``_first_position`` finds, and each term is cancelled by
-    ``_cancel``.  The reduction stops at the first leading term that no
-    element may reduce and leaves the terms below it as they are.  A full
-    reduction makes the same steps up to that term, so it ends at zero
-    exactly when this one does and otherwise has the same leading
-    monomial: only the tails differ, and no check reads a tail."""
+    A term coeff * m is cancelled by lc * lead + tail by multiplying
+    everything collected so far by lc / d and subtracting coeff / d *
+    (m / lead) * tail, where d = gcd(coeff, lc).  The next term comes off
+    a heap keyed by ``_grevlex`` negated, largest monomial first."""
     from heapq import heapify, heappop, heappush  # late: see the module docstring
 
-    mask, guards = code.mask, code.guards
-    count = len(elements)
-    heap = [-t for t in work]
+    heap = [(-sum(e), e[::-1], e) for e in work]
     heapify(heap)
-    push = partial(heappush, heap)
+    remainder = {}
+    scale = 1
     while heap:
-        t = -heappop(heap)
-        coeff = work.pop(t, 0)
+        m = heappop(heap)[2]
+        coeff = work.pop(m, 0)
         if not coeff:
             continue  # cancelled, or a second heap entry of a done monomial
-        probe = t & mask | guards
-        for p in range(_first_position(t, elements, code, memo), count):
-            hi, hm, lead, lc, tail = elements[p]
-            if ((probe - (lead & mask)) & guards == guards
-                    and (hi < index or t - lead + hm < sig)):
-                _cancel(work, push, t, coeff, lead, lc, tail)
+        for lead, lc, tail in reducers:
+            if all(map(le, lead, m)):
                 break
         else:
-            work[t] = coeff
-            break
-    return work
+            remainder[m] = coeff
+            continue
+        d = gcd(coeff, lc)
+        a, b = lc // d, coeff // d
+        if a != 1:
+            scale *= a
+            for e in work:
+                work[e] *= a
+            for e in remainder:
+                remainder[e] *= a
+        shift = tuple(map(sub, m, lead))
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
+            old = work.get(e)
+            if old is None:
+                work[e] = -b * c
+                heappush(heap, (-sum(e), e[::-1], e))
+            elif old != b * c:
+                work[e] = old - b * c
+            else:
+                del work[e]
+    return remainder, scale
 
 
-def s_polynomial(f, g, lcm_fg: int) -> dict:
-    """S-polynomial of two ``_reducer`` triples whose leading monomials have
-    the lcm code ``lcm_fg``, in integers:
-    lc_g/d * (l/f_lead) * f - lc_f/d * (l/g_lead) * g with d =
-    gcd(lc_f, lc_g).  The leading terms cancel, so only the tails enter."""
+def s_polynomial(f, g) -> dict:
+    """The integer S-polynomial of two ``_reducer`` triples: lc_g/d *
+    (l/lead_f) * f - lc_f/d * (l/lead_g) * g, with l the lcm of the leading
+    monomials and d = gcd(lc_f, lc_g).  The leading terms cancel, so only
+    the tails enter."""
     fe, fc, ftail = f
     ge, gc, gtail = g
+    lcm = tuple(map(max, fe, ge))
     d = gcd(fc, gc)
     a, b = gc // d, fc // d
-    shift = lcm_fg - fe
-    out = {e + shift: a * c for e, c in ftail}
-    shift = lcm_fg - ge
+    shift = tuple(map(sub, lcm, fe))
+    out = {tuple(map(add, e, shift)): a * c for e, c in ftail}
+    shift = tuple(map(sub, lcm, ge))
     for e, c in gtail:
-        e += shift
+        e = tuple(map(add, e, shift))
         acc = out.get(e, 0) - b * c
         if acc:
             out[e] = acc
@@ -505,152 +315,50 @@ def s_polynomial(f, g, lcm_fg: int) -> dict:
 
 
 def groebner_basis(ideal: Ideal) -> list[tuple]:
-    """A grevlex Groebner basis, deterministic per ideal: the elements the
-    signature loop adds, in the order added, each a primitive integer
-    polynomial with a positive leading coefficient, in the generator form
-    of ``Ideal``, so that ``Ideal(ideal.var_names, basis)`` is the same
-    ideal.  Their leading monomials generate the leading-term ideal, which
-    is all a caller reads; the basis is neither minimal nor reduced.
+    """A grevlex Groebner basis, deterministic per ideal, each element a
+    primitive integer polynomial with a positive leading coefficient, in
+    the generator form of ``Ideal``, so that ``Ideal(ideal.var_names,
+    basis)`` is the same ideal.  The basis is the loop's own elements: the
+    generators, smallest leading monomial first, then each element in the
+    order added; it is neither minimal nor reduced.
 
-    The engine is signature based.  Every element h carries a signature
-    m * e_i: h is c * m * f_i, with c > 0 and f_i the i-th generator, plus
-    a combination of f_1, ..., f_{i-1} and of f_i times monomials below m.
-    Signatures compare position over term, as the pairs (i, m).  Generator
-    i starts with signature 1 * e_i; for each pair of elements, the J-pair
-    is the multiple of the one with the larger signature that reaches the
-    lcm of the two leading monomials, and signatures are treated smallest
-    first.  A signature T = m * e_i is skipped when
+    The loop is Buchberger's, fraction-free.  Pairs are treated smallest
+    lcm of their leading monomials first.  A pair is skipped when its
+    leading monomials are coprime, or by the chain criterion: some third
+    element's leading monomial divides the lcm, and neither of its pairs
+    with the two is still waiting.  Otherwise its S-polynomial
+    (``s_polynomial``) is reduced in full (``_reduce``), and a nonzero
+    remainder joins the basis in primitive form (``_reducer``).  Every call
+    computes the basis afresh."""
+    from heapq import heapify, heappop, heappush  # late: see the module docstring
 
-    - it was already treated;
-    - the leading monomial of an element of index below i divides m (F5:
-      T is the signature of a syzygy, since those elements form a Groebner
-      basis of (f_1, ..., f_{i-1}));
-    - a signature of index i that reduced to zero divides it (syzygy);
-    - an element of index i added after the J-pair's own element has a
-      signature dividing it (rewrite: the multiple of that newer element
-      with signature T stands for the J-pair).
-
-    The F5 test is made when the pair is formed, as the elements of index
-    below i are final by then, and a pair that fails it is never queued;
-    the others are made when it is treated.  When the new element of index
-    i, signature monomial m and lead l pairs with an element h of smaller
-    index, the pair's signature is (lcm(l, h) / l) * m, and h divides it
-    iff gcd(l, h) divides m: per variable, the quotient adds max(l, h) - l
-    to m, which reaches h iff m reaches min(l, h).  For a generator (m = 1)
-    this is the coprime criterion.  So the pair is first tested on the
-    exponent parts (``MonomialCode.gcd_divides``: a guard-bit minimum and
-    one guard-bit divisibility test), and a pair that fails is dropped
-    before its lcm is formed.  No decision moves: h lies before the first
-    element of index i, so the scan for a dividing lead would drop the
-    same pair.  The pre-test runs only where deg l + deg h + deg m <=
-    ``MAX_DEGREE``: there the lcm and the signature are within the limit,
-    so every pair it drops is one that would not have raised.
-
-    A pair that passes every test has its S-polynomial top-reduced, only
-    by multiples of smaller signature, until its leading term is
-    irreducible; a nonzero result joins the basis with signature T.  A full
-    reduction ends at the same leading monomial
-    (``_regular_reduce``), and the criteria read only indices, signatures,
-    leads and the order of the elements, so every element's (index,
-    signature, lead) is that of the fully reducing engine; only the tails
-    differ.  For a regular sequence, such as the Cartan quadrics, no
-    reduction ends at zero.
-
-    The engine runs on ``MonomialCode`` ints.  A generator monomial, a pair
-    lcm or a J-pair signature of degree above ``MAX_DEGREE`` is a
-    ValueError, raised before that pair is reduced.  Grevlex is graded, so
-    every term met while treating a pair, and every tail term of the
-    element it may add, has degree at most that of the pair's lcm.  A
-    signature m * e_i has degree at most that of the lcm minus that of f_i
-    when the generators are homogeneous, but with inhomogeneous ones a
-    reduction can drop in degree below its signature, so the signature's
-    own degree is checked.
-
-    Each ideal is computed once per process; every call decodes a fresh
-    list of the same polynomials.
-    """
-    code, elements = _groebner_basis(ideal)
-    return [tuple(sorted((code.decode(e), c) for e, c in ((lead, lc), *tail)))
-            for _, _, lead, lc, tail in elements]
-
-
-@lru_cache(maxsize=None)
-def _groebner_basis(ideal: Ideal) -> tuple[MonomialCode, tuple]:
-    """(code, elements): the engine's elements ``(index, signature
-    monomial, lead, lc, tail)`` as ``groebner_basis`` describes them, packed
-    by ``code``."""
-    from heapq import heappop, heappush  # late: see the module docstring
-
-    code = MonomialCode(ideal.nvars)
-    degree_shift = code._degree_shift
-    gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]
-    # (index, signature monomial, lead, lc, tail), in the order treated:
-    # every element of index i comes before any of index i + 1
-    elements = []
-    syzygies = [[] for _ in gens]  # signature monomials reduced to zero
-    # J-pairs (index, signature monomial, own element, other element, lcm),
-    # own holding the larger signature; generator i enters with signature
-    # (i, 1), 1 being code 0, and own -1
-    queue = [(i, 0, -1, -1, 0) for i in range(len(gens))]
-    memo = {}  # code -> position, see ``_first_position``
-    done = None  # the last signature reduced
-    first = 0  # position of the first element of the current index
-
+    basis = sorted((_reducer(dict(g)) for g in ideal.generators),
+                   key=lambda r: _grevlex(r[0]))
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    queue = [(_grevlex(tuple(map(max, basis[i][0], basis[j][0]))), i, j)
+             for i, j in pairs]
+    heapify(queue)
     while queue:
-        i, m, own, other, lcm_fg = heappop(queue)
-        if (i, m) == done:
-            # every J-pair formed after reducing T has a larger signature,
-            # so equal signatures pop one after another
-            continue
-        if own < 0:
-            first = len(elements)
-            work = gens[i]
-        else:
-            if (any(code.divides(s, m) for s in syzygies[i])
-                    or any(code.divides(h[1], m)
-                           for h in islice(elements, own + 1, None))):
-                continue  # syzygy or rewrite criterion
-            work = s_polynomial(elements[own][2:], elements[other][2:], lcm_fg)
-        done = (i, m)
-        remainder = _regular_reduce(work, i, m, elements, code, memo)
-        if not remainder:
-            syzygies[i].append(m)
-            continue
-        # kept even when singular top-reducible, that is when some
-        # (lead / lm h) * sig(h) equals the signature: the rewrite criterion
-        # must find this element as the newest of its signature, and
-        # dropping it can lose a basis element
-        lead, lc, tail = _reducer(remainder)
-        new = len(elements)
-        # the F5 pre-test (see ``groebner_basis``), for an h of smaller
-        # index: h | (lcm / lead) * m iff gcd(lead, h) | m, decided only
-        # where deg lead + deg h + deg m <= MAX_DEGREE
-        room = MAX_DEGREE - code.degree(lead) - code.degree(m)
-        for k, (hi, hm, hl, _, _) in enumerate(elements):
-            if (k < first and hl >> degree_shift <= room
-                    and code.gcd_divides(lead, hl, m)):
-                continue
-            lcm_fg = code.lcm(lead, hl)
-            mine, theirs = (i, lcm_fg - lead + m), (hi, lcm_fg - hl + hm)
-            if mine == theirs:
-                continue  # the two sides cancel in the signature
-            pair = ((*mine, new, k, lcm_fg) if mine > theirs
-                    else (*theirs, k, new, lcm_fg))
-            # (lcm / lead) * m, from codes within the limit, has degree at
-            # most 2 * MAX_DEGREE < 2 ** FIELD_BITS: no field carries, so its
-            # code and degree are exact
-            degree = code.degree(pair[1])
-            if degree > MAX_DEGREE:
-                raise ValueError(f"J-pair signature of degree {degree} "
-                                 f"exceeds the packed monomial limit "
-                                 f"{MAX_DEGREE}")
-            # the pair has index i, and the elements of smaller index are
-            # final, so the F5 criterion is decided here, once
-            if _first_position(pair[1], elements, code, memo) >= first:
-                heappush(queue, pair)
-        elements.append((i, m, lead, lc, tail))
-
-    return code, tuple(elements)
+        _, i, j = heappop(queue)
+        pairs.discard((i, j))
+        fi, fj = basis[i][0], basis[j][0]
+        if not any(map(min, fi, fj)):
+            continue  # coprime leading monomials
+        lcm = tuple(map(max, fi, fj))
+        if any(k != i and k != j and all(map(le, lead, lcm))
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, (lead, _, _) in enumerate(basis)):
+            continue  # chain criterion
+        remainder, _ = _reduce(s_polynomial(basis[i], basis[j]), basis)
+        if remainder:
+            new = len(basis)
+            basis.append(_reducer(remainder))
+            for k in range(new):
+                pairs.add((k, new))
+                lcm = tuple(map(max, basis[k][0], basis[new][0]))
+                heappush(queue, (_grevlex(lcm), k, new))
+    return [tuple(sorted(((lead, lc), *tail))) for lead, lc, tail in basis]
 
 
 # ---------------------------------------------------------------------------

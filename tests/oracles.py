@@ -12,9 +12,7 @@ import itertools
 import re
 import weakref
 from fractions import Fraction as Q
-from functools import partial, reduce
-from heapq import heapify, heappop, heappush
-from itertools import islice
+from functools import lru_cache, partial, reduce
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -1010,10 +1008,9 @@ def monk_fraction(model, i: int, K, J) -> Q:
     return Q(*model.monk_coefficient(i, K, J))
 
 
-# Monomial orders on exponent tuples, as order keys: grevlex is the
-# reference for the packed order of ``commalg.MonomialCode``; the tuple and
-# Fraction engines below take either, so that a series read under grevlex
-# can be recomputed under grlex.
+# Monomial orders on exponent tuples, as order keys: grevlex is the order of
+# ``commalg.groebner_basis``; the Fraction engine below takes either, so that
+# a series read under grevlex can be recomputed under grlex.
 
 def grevlex_key(exps):
     """Graded reverse lexicographic, first listed variable largest."""
@@ -1146,177 +1143,17 @@ def _cleared(terms) -> tuple[int, dict]:
 
 def normal_form(p, basis):
     """Remainder of p on division by the basis under grevlex, by the
-    engine's integer reduction as it ran before it stopped at the top,
-    ``full_regular_reduce``, on packed monomials: p and every divisor are
-    cleared of their denominators and packed, each divisor enters in the
+    engine's fraction-free reduction ``commalg._reduce``: p and every
+    divisor are cleared of their denominators, each divisor enters in the
     engine's primitive form (scaling a divisor leaves the remainder
-    unchanged) at index 0, below the work's index 1, so that every divisor
-    qualifies and the first dividing one reduces, and the unpacked integer
-    remainder is divided by p's denominator and the running scale."""
+    unchanged), and the integer remainder is divided by p's denominator
+    and the reduction's scale."""
     from petcoh import commalg
 
-    code = commalg.MonomialCode(p.nvars)
-
-    def packed(terms):
-        return {code.encode(e): c for e, c in _cleared(terms)[1].items()}
-
-    den = _cleared(p.terms)[0]
-    divisors = [(0, 0, *commalg._reducer(packed(g.terms))) for g in basis if g]
-    remainder, scale = full_regular_reduce(packed(p.terms), 1, 0, divisors,
-                                           code, {})
-    return Poly(p.nvars, {code.decode(e): Q(c, den * scale)
-                          for e, c in remainder.items()})
-
-
-# The signature engine as commalg ran it before its reduction stopped at the
-# top and before the F5 criterion moved to pair creation: every reduction
-# reduces the tail in full, and every J-pair is queued.  Ground truth for
-# the (index, signature, lead) of every element of ``commalg._groebner_basis``.
-
-def _full_cancel(work: dict, remainder: dict, heap: list, m: int, coeff: int,
-                 lead: int, lc: int, tail) -> int:
-    """Cancel the term coeff * m, just popped from ``work``, by a reducer
-    lc * lead + tail with lead | m, fraction-free: multiply everything
-    collected so far, the work and the remainder, by lc / d and subtract
-    coeff / d * (m / lead) * tail, where d = gcd(coeff, lc).  A monomial new
-    to ``work`` goes on the heap of negated codes.  Returns lc / d, the
-    factor by which the reduction's scale grew."""
-    d = gcd(coeff, lc)
-    a, b = lc // d, coeff // d
-    if a != 1:
-        for e in work:
-            work[e] *= a
-        for e in remainder:
-            remainder[e] *= a
-    shift = m - lead
-    for e, c in tail:
-        e += shift
-        old = work.get(e)
-        if old is None:
-            work[e] = -b * c
-            heappush(heap, -e)
-        else:
-            acc = old - b * c
-            if acc:
-                work[e] = acc
-            else:
-                del work[e]
-    return a
-
-
-def full_regular_reduce(work: dict, index: int, sig: int, elements,
-                        code, memo: dict) -> tuple[dict, int]:
-    """Fraction-free full regular reduction of the integer terms ``work``
-    (keyed by code, consumed) of signature sig * e_index by the engine's
-    elements ``(index, signature monomial, lead, lc, tail)``; returns
-    (remainder, scale) with the remainder congruent to scale * work, scale a
-    positive integer.
-
-    A term t is reduced by the first element h whose leading monomial
-    divides it and whose multiple (t / lm h) * sig(h) has a smaller
-    signature, so that the signature stays sig * e_index: every element of
-    a smaller index qualifies, one of the same index when its signature
-    monomial times t / lm h is below sig.  The search starts at the first
-    divisor ``_first_position`` finds, and each term is cancelled by
-    ``_full_cancel``."""
-    from petcoh.commalg import _first_position
-
-    mask, guards = code.mask, code.guards
-    count = len(elements)
-    heap = [-t for t in work]
-    heapify(heap)
-    remainder = {}
-    scale = 1
-    while heap:
-        t = -heappop(heap)
-        coeff = work.pop(t, 0)
-        if not coeff:
-            continue  # cancelled, or a second heap entry of a done monomial
-        probe = t & mask | guards
-        for p in range(_first_position(t, elements, code, memo), count):
-            hi, hm, lead, lc, tail = elements[p]
-            if ((probe - (lead & mask)) & guards == guards
-                    and (hi < index or t - lead + hm < sig)):
-                scale *= _full_cancel(work, remainder, heap, t, coeff, lead, lc,
-                                      tail)
-                break
-        else:
-            remainder[t] = coeff
-    return remainder, scale
-
-
-def tail_reduced_signature_basis(ideal):
-    """(code, elements) as ``commalg._groebner_basis`` returns them, from
-    the loop that reduces in full with ``full_regular_reduce`` and tests
-    the F5 criterion when a pair is popped, uncached."""
-    from petcoh.commalg import (
-        MAX_DEGREE,
-        MonomialCode,
-        _first_position,
-        _reducer,
-        s_polynomial,
-    )
-
-    code = MonomialCode(ideal.nvars)
-    gens = [{code.encode(e): c for e, c in g} for g in ideal.generators]
-    # (index, signature monomial, lead, lc, tail), in the order treated:
-    # every element of index i comes before any of index i + 1
-    elements = []
-    syzygies = [[] for _ in gens]  # signature monomials reduced to zero
-    # J-pairs (index, signature monomial, own element, other element, lcm),
-    # own holding the larger signature; generator i enters with signature
-    # (i, 1), 1 being code 0, and own -1
-    queue = [(i, 0, -1, -1, 0) for i in range(len(gens))]
-    memo = {}  # code -> position, see ``_first_position``
-    done = None  # the last signature reduced
-    first = 0  # position of the first element of the current index
-
-    while queue:
-        i, m, own, other, lcm_fg = heappop(queue)
-        if (i, m) == done:
-            # every J-pair formed after reducing T has a larger signature,
-            # so equal signatures pop one after another
-            continue
-        if own < 0:
-            first = len(elements)
-            work = gens[i]
-        else:
-            if (_first_position(m, elements, code, memo) < first
-                    or any(code.divides(s, m) for s in syzygies[i])
-                    or any(code.divides(h[1], m)
-                           for h in islice(elements, own + 1, None))):
-                continue  # F5, syzygy or rewrite criterion
-            work = s_polynomial(elements[own][2:], elements[other][2:], lcm_fg)
-        done = (i, m)
-        remainder, _ = full_regular_reduce(work, i, m, elements, code, memo)
-        if not remainder:
-            syzygies[i].append(m)
-            continue
-        # kept even when singular top-reducible, that is when some
-        # (lead / lm h) * sig(h) equals the signature: the rewrite criterion
-        # must find this element as the newest of its signature, and
-        # dropping it can lose a basis element
-        lead, lc, tail = _reducer(remainder)
-        new = len(elements)
-        for k, (hi, hm, hl, _, _) in enumerate(elements):
-            lcm_fg = code.lcm(lead, hl)
-            mine, theirs = (i, lcm_fg - lead + m), (hi, lcm_fg - hl + hm)
-            if mine == theirs:
-                continue  # the two sides cancel in the signature
-            pair = ((*mine, new, k, lcm_fg) if mine > theirs
-                    else (*theirs, k, new, lcm_fg))
-            # (lcm / lead) * m, from codes within the limit, has degree at
-            # most 2 * MAX_DEGREE < 2 ** FIELD_BITS: no field carries, so its
-            # code and degree are exact
-            degree = code.degree(pair[1])
-            if degree > MAX_DEGREE:
-                raise ValueError(f"J-pair signature of degree {degree} "
-                                 f"exceeds the packed monomial limit "
-                                 f"{MAX_DEGREE}")
-            heappush(queue, pair)
-        elements.append((i, m, lead, lc, tail))
-
-    return code, tuple(elements)
+    den, work = _cleared(p.terms)
+    divisors = [commalg._reducer(_cleared(g.terms)[1]) for g in basis if g]
+    remainder, scale = commalg._reduce(work, divisors)
+    return Poly(p.nvars, {e: Q(c, den * scale) for e, c in remainder.items()})
 
 
 def term_mul(p, coeff, exps):
@@ -1436,147 +1273,13 @@ def _oracle_reduce_basis(basis, key):
     return reduced
 
 
-# The tuple engine: commalg's fraction-free Buchberger loop as it ran on
-# exponent tuples and order-key tuples before monomials were packed into
-# ints, with the final interreduction commalg no longer runs.  A reduced
-# basis is unique up to scaling, so ``tuple_reduced_basis`` of any Groebner
-# basis of an ideal is ``tuple_groebner_basis`` of it term for term.
-
-def tuple_reducer(terms, key) -> tuple:
-    """(leading monomial, leading coefficient, tail terms) of the primitive
-    form of nonzero integer terms, leading coefficient positive."""
-    g = gcd(*terms.values())
-    terms = {e: c // g for e, c in terms.items()}
-    lead = max(terms, key=key)
-    sign = 1 if terms[lead] > 0 else -1
-    return (lead, sign * terms[lead],
-            tuple((e, sign * c) for e, c in terms.items() if e != lead))
-
-
-def tuple_reduce(work, reducers, key):
-    """Fraction-free full reduction of the integer terms ``work`` (consumed)
-    by ``tuple_reducer`` triples, the first dividing reducer each time;
-    returns (remainder, scale), remainder congruent to scale * work."""
-    import heapq
-
-    def heap_key(exps):
-        degree, rest = key(exps)
-        return (-degree, tuple(-x for x in rest))
-
-    heap = [(heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    remainder = {}
-    scale = 1
-    while heap:
-        exps = heapq.heappop(heap)[1]
-        coeff = work.pop(exps, 0)
-        if not coeff:
-            continue
-        for ge, gc, gtail in reducers:
-            if _divides(ge, exps):
-                d = gcd(coeff, gc)
-                a, b = gc // d, coeff // d
-                if a != 1:
-                    scale *= a
-                    for e in work:
-                        work[e] *= a
-                    for e in remainder:
-                        remainder[e] *= a
-                shift = _mono_div(exps, ge)
-                for e, c in gtail:
-                    m = _mono_mul(e, shift)
-                    old = work.get(m)
-                    if old is None:
-                        work[m] = -b * c
-                        heapq.heappush(heap, (heap_key(m), m))
-                    elif old - b * c:
-                        work[m] = old - b * c
-                    else:
-                        del work[m]
-                break
-        else:
-            remainder[exps] = coeff
-    return remainder, scale
-
-
-def tuple_s_polynomial(f, g) -> dict:
-    """Integer S-polynomial of two ``tuple_reducer`` triples."""
-    fe, fc, ftail = f
-    ge, gc, gtail = g
-    lcm_fg = _mono_lcm(fe, ge)
-    d = gcd(fc, gc)
-    a, b = gc // d, fc // d
-    out = {_mono_mul(e, _mono_div(lcm_fg, fe)): a * c for e, c in ftail}
-    for e, c in gtail:
-        m = _mono_mul(e, _mono_div(lcm_fg, ge))
-        acc = out.get(m, 0) - b * c
-        if acc:
-            out[m] = acc
-        else:
-            del out[m]
-    return out
-
-
-def tuple_groebner_basis(ideal, ordering: str = "grevlex"):
-    """Reduced Groebner basis as primitive integer Polys with positive
-    leading coefficients, largest leading monomial first."""
-    import heapq
-
-    key = order_key(ordering)
-    basis = sorted((tuple_reducer(dict(g), key) for g in ideal.generators),
-                   key=lambda r: key(r[0]))
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    heap = [(key(_mono_lcm(basis[i][0], basis[j][0])), (i, j)) for i, j in pairs]
-    heapq.heapify(heap)
-    while heap:
-        _, (i, j) = heapq.heappop(heap)
-        pairs.discard((i, j))
-        fe, ge = basis[i][0], basis[j][0]
-        lcm_fg = _mono_lcm(fe, ge)
-        if _mono_mul(fe, ge) == lcm_fg:
-            continue
-        if any(k != i and k != j and _divides(lk, lcm_fg)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k, (lk, _, _) in enumerate(basis)):
-            continue
-        remainder, _ = tuple_reduce(tuple_s_polynomial(basis[i], basis[j]),
-                                    basis, key)
-        if remainder:
-            new = len(basis)
-            basis.append(tuple_reducer(remainder, key))
-            for k in range(new):
-                pairs.add((k, new))
-                heapq.heappush(heap, (key(_mono_lcm(basis[k][0], basis[new][0])),
-                                      (k, new)))
-    return _tuple_interreduced(basis, key, ideal.nvars)
-
-
-def tuple_reduced_basis(basis, ordering: str = "grevlex"):
-    """The reduced Groebner basis of the ideal that the Groebner basis
-    generates, given as ``groebner_basis`` returns it, in the form
-    ``tuple_groebner_basis`` returns."""
-    key = order_key(ordering)
-    reducers = [tuple_reducer(dict(g), key) for g in basis]
-    return _tuple_interreduced(reducers, key, len(reducers[0][0]))
-
-
-def _tuple_interreduced(basis, key, nvars):
-    """Minimalize then tail-reduce the ``tuple_reducer`` triples of a
-    Groebner basis; primitive integer Polys with positive leading
-    coefficients, largest leading monomial first."""
-    minimal = []
-    for r in sorted(basis, key=lambda r: key(r[0])):
-        if not any(_divides(h[0], r[0]) for h in minimal):
-            minimal.append(r)
-    reduced = []
-    for idx, (lead, lc, tail) in enumerate(minimal):
-        remainder, scale = tuple_reduce(dict(tail), minimal[:idx] + minimal[idx + 1:],
-                                        key)
-        remainder[lead] = lc * scale
-        g = gcd(*remainder.values())
-        reduced.append(Poly(nvars, {e: c // g for e, c in remainder.items()}))
-    return reduced[::-1]
+def monic_reduced_basis(basis):
+    """The monic reduced grevlex basis of the ideal that a Groebner basis
+    generates, the basis given as ``commalg.groebner_basis`` returns it:
+    the Fraction oracle's own minimalization and tail reduction, so that it
+    compares term for term with ``buchberger_groebner_basis``."""
+    nvars = len(basis[0][0][0])
+    return _oracle_reduce_basis([Poly(nvars, g) for g in basis], grevlex_key)
 
 
 # The monomial Hilbert numerator and the pure-power test on exponent tuples,
@@ -1625,12 +1328,14 @@ def tuple_pure_power_variables(leads, nvars: int) -> list[bool]:
     return [any(e[v] and sum(e) == e[v] for e in leads) for v in range(nvars)]
 
 
+@lru_cache(maxsize=None)
 def basis_leads(ideal):
     """The leading exponent tuples of ``commalg.groebner_basis`` of the
-    ideal."""
+    ideal, computed once per ideal in a test process: the engine keeps no
+    cache, and several tests read the leads of the E7 and E8 quadrics."""
     from petcoh.commalg import groebner_basis
 
-    return leading_exponents(groebner_basis(ideal))
+    return tuple(leading_exponents(groebner_basis(ideal)))
 
 
 def hilbert_series_of_quotient(ideal):

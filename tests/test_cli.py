@@ -154,11 +154,9 @@ heapq_loaded = "heapq" in sys.modules
 # the engine, which no run calls, still works once it loads heapq itself
 from petcoh.commalg import build_ideal_J, groebner_basis
 from petcoh.roots import cartan_matrix
-from oracles import (as_term_list, buchberger_groebner_basis, grevlex_key, monic,
-                     tuple_reduced_basis)
+from oracles import as_term_list, buchberger_groebner_basis, monic_reduced_basis
 ideal = build_ideal_J(cartan_matrix("A3"))
-engine = [as_term_list(monic(g, grevlex_key))
-          for g in tuple_reduced_basis(groebner_basis(ideal))]
+engine = [as_term_list(g) for g in monic_reduced_basis(groebner_basis(ideal))]
 oracle = [as_term_list(g) for g in buchberger_groebner_basis(ideal)]
 print(json.dumps({"heapq_loaded": heapq_loaded, "engine_is_oracle": engine == oracle,
                   "quadric_groups": quadric_groups, "full_groups": full_groups,

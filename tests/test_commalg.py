@@ -2,11 +2,10 @@
 oracles."""
 
 import contextlib
-import heapq
 import io
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +14,8 @@ from hypothesis import strategies as st
 from petcoh import cli, commalg
 from petcoh.cli import DEFAULT_SUITE, RunConfig, main, run_certification, run_suite
 from petcoh.commalg import (
-    MAX_DEGREE,
     HilbertSeries,
     Ideal,
-    MonomialCode,
     build_ideal_J,
     build_ideal_Jcheck,
     groebner_basis,
@@ -32,8 +29,6 @@ from petcoh.roots import CartanMatrix, cartan_matrix
 from oracles import (
     IntegerEchelon,
     Poly,
-    _divides,
-    _mono_lcm,
     _tuple_minimalize,
     as_term_list,
     basis_leads,
@@ -50,7 +45,7 @@ from oracles import (
     ideal_to_json,
     is_regular_sequence,
     leading_exponents,
-    monic,
+    monic_reduced_basis,
     normal_form,
     normalized,
     oracle_normal_form,
@@ -59,17 +54,10 @@ from oracles import (
     poly_pow,
     render,
     series_prefix,
-    total_degree,
-    tuple_groebner_basis,
-    tuple_monomial_quotient_numerator,
-    tuple_reduced_basis,
-    variable,
-)
-import oracles
-from oracles import (
-    full_regular_reduce,
     principal_minors_positive,
-    tail_reduced_signature_basis,
+    total_degree,
+    tuple_monomial_quotient_numerator,
+    variable,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
@@ -111,173 +99,6 @@ def test_grevlex_vs_grlex():
     assert grevlex_key(y2) > grevlex_key(yz)
     assert grevlex_key((0, 0, 2)) < grevlex_key(yz)
     assert grlex_key((1, 0, 0)) > grlex_key((0, 1, 0))
-
-
-# -- packed monomials ---------------------------------------------------------------
-
-def _packed(code, terms):
-    return {code.encode(e): c for e, c in terms.items()}
-
-
-@st.composite
-def exponent_vectors(draw, nvars):
-    """Exponent vectors of total degree at most ``MAX_DEGREE``; each
-    exponent is often the whole degree left, so a single field at
-    ``MAX_DEGREE`` and vectors of degree exactly ``MAX_DEGREE`` come up."""
-    exps = []
-    for _ in range(nvars):
-        left = MAX_DEGREE - sum(exps)
-        exps.append(draw(st.one_of(st.integers(0, left), st.just(left), st.just(0))))
-    return tuple(draw(st.permutations(exps)))
-
-
-codes = st.integers(1, 9).map(MonomialCode)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(codes, st.data())
-def test_packing_round_trip_and_order(code, data):
-    a = data.draw(exponent_vectors(code.nvars))
-    b = data.draw(exponent_vectors(code.nvars))
-    assert code.decode(code.encode(a)) == a
-    assert code.degree(code.encode(a)) == sum(a)
-    ca, cb = code.encode(a), code.encode(b)
-    assert (ca < cb) == (grevlex_key(a) < grevlex_key(b))
-    assert (ca == cb) == (a == b)
-    assert code.divides(ca, cb) == _divides(a, b)
-    if sum(_mono_lcm(a, b)) <= MAX_DEGREE:
-        assert code.lcm(ca, cb) == code.encode(_mono_lcm(a, b))
-    else:
-        with pytest.raises(ValueError):
-            code.lcm(ca, cb)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(codes, st.data())
-def test_packing_products_and_quotients(code, data):
-    # a product c = a * b of degree at most MAX_DEGREE, split field by field
-    c = data.draw(exponent_vectors(code.nvars))
-    a = tuple(data.draw(st.one_of(st.integers(0, x), st.just(x))) for x in c)
-    b = tuple(x - y for x, y in zip(c, a))
-    assert code.encode(c) == code.encode(a) + code.encode(b)
-    assert code.encode(b) == code.encode(c) - code.encode(a)
-    assert code.divides(code.encode(a), code.encode(c))
-    assert code.divides(code.encode(b), code.encode(c))
-
-
-@st.composite
-def pair_degree_cases(draw, nvars):
-    """Exponent vectors l, h, m with deg l + deg h + deg m <= MAX_DEGREE:
-    each field of one vector within the limit is split in three, often
-    with a part 0 or the whole field."""
-    total = draw(exponent_vectors(nvars))
-    l, h, m = [], [], []
-    for x in total:
-        a = draw(st.one_of(st.integers(0, x), st.just(x), st.just(0)))
-        b = draw(st.one_of(st.integers(0, x - a), st.just(x - a), st.just(0)))
-        c = draw(st.one_of(st.integers(0, x - a - b), st.just(x - a - b)))
-        l.append(a)
-        h.append(b)
-        m.append(c)
-    return tuple(l), tuple(h), tuple(m)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(codes, st.data())
-def test_gcd_pre_test_decides_the_F5_criterion_of_a_pair(code, data):
-    # the element h divides the pair signature (lcm(l, h) / l) * m iff
-    # gcd(l, h) divides m, wherever the three degrees sum to at most the limit
-    l, h, m = (code.encode(e) for e in data.draw(pair_degree_cases(code.nvars)))
-    decided = code.gcd_divides(l, h, m)
-    assert decided == code.divides(h, code.lcm(l, h) - l + m)
-    assert decided == all(min(a, b) <= c for a, b, c in
-                          zip(code.decode(l), code.decode(h), code.decode(m)))
-
-
-def test_packing_fixed_cases():
-    code = MonomialCode(3)
-    top = (0, MAX_DEGREE, 0)
-    assert code.decode(code.encode(top)) == top
-    assert code.encode((0, 0, 0)) == 0
-    # every guard bit is clear in a valid code's exponent part
-    assert not code.encode((MAX_DEGREE, 0, 0)) & code.guards
-    assert not code.divides(code.encode((1, 0, 0)), code.encode((0, MAX_DEGREE, 0)))
-    # grevlex: x_1 x_3 < x_2^2, where grlex would put x_1 x_3 above
-    assert code.encode((1, 0, 1)) < code.encode((0, 2, 0))
-
-
-def test_packing_rejects_a_monomial_beyond_the_field_limit():
-    code = MonomialCode(3)
-    assert code.encode((MAX_DEGREE - 1, 1, 0)) >= 0
-    with pytest.raises(ValueError, match="exceeds the packed monomial limit"):
-        code.encode((MAX_DEGREE, 1, 0))
-
-
-def test_groebner_rejects_a_generator_beyond_the_field_limit(monkeypatch):
-    reduced = []  # the signature (index, monomial) of every reduction
-    reduce = commalg._regular_reduce
-
-    def recording_reduce(work, index, sig, *args):
-        reduced.append((index, sig))
-        return reduce(work, index, sig, *args)
-
-    monkeypatch.setattr(commalg, "_regular_reduce", recording_reduce)
-    # the guard trips while packing the input, before any reduction
-    big = Ideal(("x", "y"), ({(MAX_DEGREE + 1, 0): 1, (0, 1): 2}, {(1, 1): 1}))
-    with pytest.raises(ValueError, match="exceeds the packed monomial limit"):
-        groebner_basis(big)
-    assert reduced == []
-    # each generator fits, their pair's lcm does not: both generators are
-    # reduced, the pair never is
-    half = MAX_DEGREE // 2 + 1
-    wide = Ideal(("x", "y"), ({(half, 1): 1}, {(1, half): 1}))
-    with pytest.raises(ValueError, match="pair lcm of degree"):
-        groebner_basis(wide)
-    assert reduced == [(0, 0), (1, 0)]
-    # coprime leads: the F5 pre-test would drop their pair, but their
-    # degrees sum past the limit, so it stands aside and the lcm raises
-    reduced.clear()
-    coprime = Ideal(("x", "y"), ({(half, 0): 1}, {(0, half): 1}))
-    code = MonomialCode(2)
-    assert code.gcd_divides(code.encode((0, half)), code.encode((half, 0)), 0)
-    with pytest.raises(ValueError, match="pair lcm of degree"):
-        groebner_basis(coprime)
-    assert reduced == [(0, 0), (1, 0)]
-
-
-def test_groebner_rejects_a_signature_beyond_the_field_limit():
-    # with inhomogeneous generators a reduction can fall in degree below its
-    # signature: unscaled, every generator and pair lcm of this ideal has
-    # degree at most 6 while a J-pair signature reaches 13, so scaling every
-    # exponent by s keeps the lcms within the limit and not the signatures
-    gens = ({(2, 0): -1, (1, 3): 1, (0, 0): -2}, {(3, 0): -1})
-    small = Ideal(("x", "y"), gens)
-    assert tuple_reduced_basis(groebner_basis(small)) == tuple_groebner_basis(small)
-    s = MAX_DEGREE // 6
-    scaled = Ideal(("x", "y"), tuple({(a * s, b * s): c for (a, b), c in g.items()}
-                                     for g in gens))
-    with pytest.raises(ValueError, match="J-pair signature of degree"):
-        groebner_basis(scaled)
-
-
-def test_divisor_memo_stays_exact_as_reducers_are_appended():
-    code = MonomialCode(2)
-    x2, xy, y2 = (code.encode(e) for e in ((2, 0), (1, 1), (0, 2)))
-    elements = [(0, 0, *commalg._reducer({x2: 1, y2: -1}))]
-    memo = {}
-    remainder = commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements, code,
-                                        memo)
-    assert remainder == {xy: 3, y2: 1}
-    assert memo == {xy: 1}  # scanned one element for the top, none divides
-    assert commalg._first_position(x2, elements, code, memo) == 0
-    elements.append((0, 0, *commalg._reducer({xy: 2, y2: 1})))
-    # the misses resume their scan at the appended element
-    remainder = commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements, code,
-                                        memo)
-    assert remainder == {y2: -1}
-    assert memo == {x2: 0, xy: 1, y2: 2}
-    assert commalg._regular_reduce({xy: 3, y2: 1}, 1, 0, elements, code, {}) == \
-        remainder
 
 
 # -- ideal construction -----------------------------------------------------------
@@ -399,12 +220,8 @@ def test_ideals_and_series_are_frozen_values():
                         (series, "numerator"), (series, "denominator")):
         with pytest.raises(AttributeError):
             setattr(value, name, ())
-    # an equal ideal built apart is a hit of the basis cache
-    commalg._groebner_basis.cache_clear()
-    basis = commalg._groebner_basis(ideal)
-    assert commalg._groebner_basis(twin) is basis
-    info = commalg._groebner_basis.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    # an equal ideal built apart has the same basis
+    assert groebner_basis(twin) == groebner_basis(ideal)
 
 
 def _t_free(ideal):
@@ -467,10 +284,10 @@ def test_groebner_deterministic_serialization():
 
 
 def test_groebner_reduced_basis_properties():
-    basis = tuple_reduced_basis(groebner_basis(build_ideal_J(cartan_matrix("A3"))))
+    basis = _monic_basis(build_ideal_J(cartan_matrix("A3")))
     lead = leading_exponents(g.terms for g in basis)
     for k, g in enumerate(basis):
-        assert _is_primitive_integer(g.terms, grevlex_key)
+        assert g.terms[lead[k]] == 1
         for e in g.terms:
             for other_idx, le in enumerate(lead):
                 if other_idx != k:
@@ -490,18 +307,13 @@ def _is_primitive_integer(terms, key) -> bool:
             and gcd(*terms.values()) == 1 and terms[max(terms, key=key)] > 0)
 
 
-def _reduced_basis(ideal):
-    """The engine's basis, checked primitive, interreduced by the tuple
-    oracle: the reduced basis, for the term-for-term comparisons."""
+def _monic_basis(ideal):
+    """The engine's basis, checked primitive, minimalized, tail-reduced and
+    made monic by the Fraction oracle, for the term-for-term comparison
+    with ``buchberger_groebner_basis``."""
     basis = groebner_basis(ideal)
     assert all(_is_primitive_integer(dict(g), grevlex_key) for g in basis)
-    return tuple_reduced_basis(basis)
-
-
-def _monic_basis(ideal):
-    """``_reduced_basis`` made monic, for the term-for-term comparison with
-    the Fraction oracle."""
-    return [monic(g, grevlex_key) for g in _reduced_basis(ideal)]
+    return monic_reduced_basis(basis)
 
 
 def _quadric_ideals(name):
@@ -541,15 +353,6 @@ def test_groebner_matches_buchberger_oracle_E7():
     for label in ("J", "J+t"):
         assert _serial(_monic_basis(ideals[label])) == \
             _serial(buchberger_groebner_basis(ideals[label])), label
-
-
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
-def test_packed_engine_matches_the_tuple_engine(name):
-    for label, ideal in _quadric_ideals(name).items():
-        packed = _reduced_basis(ideal)
-        tuples = tuple_groebner_basis(ideal)
-        assert packed == tuples, label
-        assert _serial(packed) == _serial(tuples), label
 
 
 @st.composite
@@ -622,12 +425,6 @@ def test_groebner_matches_oracle_on_small_ideals(ideal):
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(small_ideals())
-def test_packed_engine_matches_the_tuple_engine_on_small_ideals(ideal):
-    assert _reduced_basis(ideal) == tuple_groebner_basis(ideal)
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(small_ideals(4, 5))
 def test_groebner_matches_oracle_on_four_variable_ideals(ideal):
     assert _serial(_monic_basis(ideal)) == \
@@ -635,38 +432,13 @@ def test_groebner_matches_oracle_on_four_variable_ideals(ideal):
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(small_ideals(4, 5))
-def test_packed_engine_matches_the_tuple_engine_on_four_variable_ideals(ideal):
-    assert _reduced_basis(ideal) == tuple_groebner_basis(ideal)
-
-
-def test_groebner_keeps_a_singular_top_reducible_element():
-    # one reduction ends at an element whose leading term some older element
-    # divides with a multiple of exactly its signature; an engine that drops
-    # it (rewriting later pairs to nothing) returns five of the six elements
-    ideal = Ideal(("x", "y", "z"), (
-        {(0, 0, 2): 2, (0, 0, 1): 1},
-        {(0, 3, 0): -1, (2, 1, 0): -1, (1, 2, 0): -3},
-        {(2, 0, 1): -1, (0, 0, 2): 3, (0, 1, 0): -2},
-    ))
-    basis = _reduced_basis(ideal)
-    assert len(basis) == 6
-    assert basis == tuple_groebner_basis(ideal)
-    assert _serial(_monic_basis(ideal)) == \
-        _serial(buchberger_groebner_basis(ideal))
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(small_ideals())
 def test_integer_s_polynomial_is_a_multiple_of_the_oracle(ideal):
-    code = MonomialCode(ideal.nvars)
     gens = generator_polys(ideal)
-    reducers = [commalg._reducer(_packed(code, g.terms)) for g in gens]
+    reducers = [commalg._reducer(g.terms) for g in gens]
     for i in range(len(gens)):
         for j in range(i):
-            lcm_ij = code.lcm(reducers[i][0], reducers[j][0])
-            s = {code.decode(e): c for e, c in
-                 s_polynomial(reducers[i], reducers[j], lcm_ij).items()}
+            s = s_polynomial(reducers[i], reducers[j])
             assert all(type(c) is int for c in s.values())
             expected = oracle_s_polynomial(gens[i], gens[j], grevlex_key)
             assert s.keys() == expected.terms.keys()
@@ -675,7 +447,7 @@ def test_integer_s_polynomial_is_a_multiple_of_the_oracle(ideal):
                 assert len(ratio) == 1 and ratio.pop() > 0
 
 
-# -- one basis per ideal ---------------------------------------------------------
+# -- the basis the loop returns --------------------------------------------------
 
 def _twisted_cubic(names):
     """Three quadrics whose reduced bases differ between grevlex and grlex."""
@@ -688,7 +460,7 @@ def _twisted_cubic(names):
 
 def _fed_back_cases():
     """(label, ideal): J and J-check of every suite type, and the twisted
-    cubic, whose basis needs a reduction to zero."""
+    cubic, which is not a regular sequence."""
     cases = [("cubic", _twisted_cubic("xyzw"))]
     for name in DEFAULT_SUITE:
         cases += [(f"{name} {label}", ideal)
@@ -719,186 +491,23 @@ def test_groebner_returns_a_fresh_list():
     assert groebner_basis(ideal) is not groebner_basis(ideal)
 
 
-def test_groebner_computed_once_per_ideal_and_order(monkeypatch):
-    reductions = []
-    reduce = commalg._regular_reduce
-
-    def counting_reduce(work, *args):
-        reductions.append(work)
-        return reduce(work, *args)
-
-    monkeypatch.setattr(commalg, "_regular_reduce", counting_reduce)
-    gens = ({(2, 0, 0): 7, (0, 1, 1): -3}, {(0, 3, 0): 1, (1, 0, 2): -1})
-    ideal = Ideal(("u", "v", "w"), gens)
-    twin = Ideal(("u", "v", "w"), tuple(dict(g) for g in gens))
-    assert twin is not ideal and twin == ideal
-    before = commalg._groebner_basis.cache_info()
-    basis = groebner_basis(ideal)
-    computed = len(reductions)
-    assert computed
-    assert groebner_basis(twin) == basis
-    assert groebner_basis(ideal) == basis
-    assert len(reductions) == computed
-    after = commalg._groebner_basis.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
-
-
-def _reductions(ideal, monkeypatch):
-    """Whether each reduction of a fresh basis computation ended at zero."""
-    zero = []
-    reduce = commalg._regular_reduce
-
-    def recording_reduce(work, *args):
-        remainder = reduce(work, *args)
-        zero.append(not remainder)
-        return remainder
-
-    monkeypatch.setattr(commalg, "_regular_reduce", recording_reduce)
-    # past the per-process cache, which keeps its entries
-    commalg._groebner_basis.__wrapped__(ideal)
-    monkeypatch.undo()
-    return zero
-
-
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
-def test_no_reduction_of_the_quadrics_ends_at_zero(name, monkeypatch):
-    # the quadrics form a regular sequence, so every syzygy the pairs meet is
-    # one the F5 criterion sees
-    for label, ideal in _quadric_ideals(name).items():
-        zero = _reductions(ideal, monkeypatch)
-        assert len(zero) >= len(ideal.generators), label
-        assert not any(zero), (label, sum(zero))
-
-
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7"))
 def test_one_element_per_nonzero_reduction(name, monkeypatch):
-    # the basis is the engine's own elements, none dropped
+    # the basis is the generators and the loop's own elements, none dropped
     ideals = dict(_quadric_ideals(name), cubic=_twisted_cubic("xyzw"))
     for label, ideal in ideals.items():
-        zero = _reductions(ideal, monkeypatch)
-        assert len(groebner_basis(ideal)) == zero.count(False), label
+        zero = []
+        reduce = commalg._reduce
 
+        def recording_reduce(*args):
+            remainder, scale = reduce(*args)
+            zero.append(not remainder)
+            return remainder, scale
 
-def test_twisted_cubic_reduces_a_pair_to_zero(monkeypatch):
-    # not a regular sequence: some syzygy shows only as a reduction to zero
-    assert any(_reductions(_twisted_cubic("xyzw"), monkeypatch))
-
-
-# -- top reduction against the engine that reduced in full ------------------------
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_top_reduction_agrees_with_the_full_reduction(data):
-    # same divisors and work as the normal-form tests; the work's signature
-    # is drawn too, so that some divisors do not qualify
-    name = data.draw(st.sampled_from(DEFAULT_SUITE))
-    ideal = data.draw(st.sampled_from(sorted(_quadric_ideals(name).items())))[1]
-    code = MonomialCode(ideal.nvars)
-    if data.draw(st.booleans()):
-        divisors = groebner_basis(ideal)
-    else:
-        divisors = ideal.generators
-    elements = [(0, 0, *commalg._reducer(_packed(code, dict(g)))) for g in divisors]
-    p = data.draw(ring_polys(ideal.nvars))
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    work = _packed(code, {e: int(c * den) for e, c in p.terms.items()})
-    index = data.draw(st.sampled_from((0, 1)))
-    sig = code.encode(data.draw(st.tuples(*[st.integers(0, 2)] * ideal.nvars)))
-    top = commalg._regular_reduce(dict(work), index, sig, elements, code, {})
-    full, _ = full_regular_reduce(dict(work), index, sig, elements, code, {})
-    assert bool(top) == bool(full)
-    if full:
-        lead = max(full)
-        assert max(top) == lead
-        assert top[lead] * full[lead] > 0
-
-
-def _signature_leads(elements):
-    return [h[:3] for h in elements]
-
-
-ENGINE_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
-
-
-def _engine_cases(name):
-    """(label, ideal): the quadric ideals of the type, or the twisted
-    cubic."""
-    ideals = ({"cubic": _twisted_cubic("xyzw")} if name == "cubic"
-              else _quadric_ideals(name))
-    return list(ideals.items())
-
-
-@pytest.mark.parametrize("name", ENGINE_TYPES + ("cubic",))
-def test_engine_elements_match_the_tail_reducing_engine(name):
-    for label, ideal in _engine_cases(name):
-        elements = commalg._groebner_basis.__wrapped__(ideal)[1]
-        oracle_elements = tail_reduced_signature_basis(ideal)[1]
-        assert _signature_leads(elements) == _signature_leads(oracle_elements), \
-            label
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(st.one_of(small_ideals(), small_ideals(4, 5)))
-def test_engine_elements_match_the_tail_reducing_engine_on_small_ideals(ideal):
-    elements = commalg._groebner_basis.__wrapped__(ideal)[1]
-    assert _signature_leads(elements) == \
-        _signature_leads(tail_reduced_signature_basis(ideal)[1])
-
-
-def _count_reductions(build, ideal, monkeypatch, module, name):
-    calls = []
-    reduce = getattr(module, name)
-
-    def counting_reduce(*args):
-        calls.append(args[1:3])
-        return reduce(*args)
-
-    monkeypatch.setattr(module, name, counting_reduce)
-    build(ideal)
-    monkeypatch.undo()
-    return calls
-
-
-@pytest.mark.parametrize("name", ENGINE_TYPES + ("cubic",))
-def test_the_same_signatures_are_reduced(name, monkeypatch):
-    # moving the F5 test to pair creation drops only pairs that were skipped
-    # anyway, so every reduction of the old loop still happens, in order
-    counts = {}
-    for label, ideal in _engine_cases(name):
-        mine = _count_reductions(commalg._groebner_basis.__wrapped__, ideal,
-                                 monkeypatch, commalg, "_regular_reduce")
-        theirs = _count_reductions(tail_reduced_signature_basis, ideal,
-                                   monkeypatch, oracles, "full_regular_reduce")
-        assert mine == theirs, label
-        counts[label] = len(mine)
-    if name == "E7":  # the one basis a run computes
-        assert counts["J"] == 30
-
-
-@pytest.mark.parametrize("name", ENGINE_TYPES + ("cubic",))
-def test_no_queued_pair_fails_the_F5_criterion(name, monkeypatch):
-    treated = 0
-    for label, ideal in _engine_cases(name):
-        popped = []
-        # the engine imports heappop from heapq each time it starts
-        pop = heapq.heappop
-
-        def recording_pop(heap):
-            item = pop(heap)
-            if isinstance(item, tuple):  # the J-pair queue, not a reduction heap
-                popped.append(item)
-            return item
-
-        monkeypatch.setattr(heapq, "heappop", recording_pop)
-        code, elements = commalg._groebner_basis.__wrapped__(ideal)
+        monkeypatch.setattr(commalg, "_reduce", recording_reduce)
+        basis = groebner_basis(ideal)
         monkeypatch.undo()
-        pairs = [(i, m) for i, m, own, _, _ in popped if own >= 0]
-        assert len(popped) - len(pairs) == len(ideal.generators)
-        treated += len(pairs)
-        for i, m in pairs:
-            assert not any(code.divides(h[2], m) for h in elements if h[0] < i), \
-                (label, i, m)
-    assert treated or name == "A1"  # A1 has one generator and no pair
+        assert len(basis) == len(ideal.generators) + zero.count(False), label
 
 
 def test_groebner_orders_never_conflated():
@@ -929,8 +538,8 @@ def test_direct_sum_quadrics_split_into_blocks(left, right):
     blocks = [build_ideal_Jcheck(cartan_matrix(name)) for name in (left, right)]
     union = {_embed(g, offset, whole.nvars)
              for block, offset in zip(blocks, (0, blocks[0].nvars))
-             for g in _reduced_basis(block)}
-    basis = _reduced_basis(whole)
+             for g in _monic_basis(block)}
+    basis = _monic_basis(whole)
     assert len(basis) == len(union)
     assert set(basis) == union
     series = [hilbert_series_of_quotient(block) for block in blocks]
@@ -1054,9 +663,13 @@ def test_built_series_match_the_oracle_on_the_unreduced_fraction(name, monkeypat
     assert all(item in [s.to_json() for _, _, s in built] for item in printed)
 
 
+def _refuse(*args):
+    raise AssertionError("a Groebner basis was computed")
+
+
 def test_no_run_computes_a_groebner_basis(monkeypatch):
     # the quadric checks rest on the Cartan minors alone: from cleared
-    # caches, neither the suite nor a full E7 run asks the engine for a
+    # ideal caches, neither the suite nor a full E7 run asks the engine for a
     # basis, and every ideal they build is J or J-check of a type they run
     ideals = []
     init = Ideal.__init__
@@ -1066,13 +679,12 @@ def test_no_run_computes_a_groebner_basis(monkeypatch):
         ideals.append(self)
 
     monkeypatch.setattr(Ideal, "__init__", recording_init)
+    monkeypatch.setattr(commalg, "_reducer", _refuse)
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
-    commalg._groebner_basis.cache_clear()
     assert run_suite(DEFAULT_SUITE)["overall_pass"]
     report = run_certification(RunConfig("E7"))
     assert report.overall_pass and report.isomorphism_certified()
-    assert commalg._groebner_basis.cache_info().misses == 0
     quadrics = {build_ideal_J(cartan_matrix(name))
                 for name in DEFAULT_SUITE + ("E7",)}
     quadrics |= {build_ideal_Jcheck(cartan_matrix(name))
@@ -1094,15 +706,8 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", recording_init)
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
-    commalg._groebner_basis.cache_clear()
-    engine = commalg._groebner_basis
-    asked = []
-
-    def recording_engine(ideal):
-        asked.append(ideal)
-        return engine(ideal)
-
-    monkeypatch.setattr(commalg, "_groebner_basis", recording_engine)
+    monkeypatch.setattr(commalg, "groebner_basis", _refuse)
+    monkeypatch.setattr(commalg, "_reducer", _refuse)
     closed = {}
     for name in ("expected_equivariant_series", "expected_ordinary_series"):
         def recording_series(rank, name=name, series=getattr(cli, name)):
@@ -1118,7 +723,6 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
     hilbert = report.records[0].witnesses
     assert hilbert["equivariant_series"] == equivariant_series(7).to_json()
     assert hilbert["ordinary_series"] == ordinary_series(7).to_json()
-    assert asked == [] and engine.cache_info().misses == 0
     # every ideal the run builds is J or J-check: seven quadrics, no t
     assert ideals
     for ideal in ideals:
@@ -1126,12 +730,8 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
 
 
 def test_quadric_checks_never_decode_a_basis(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a basis was decoded")
-
-    monkeypatch.setattr(commalg, "groebner_basis", refuse)
-    monkeypatch.setattr(commalg, "_groebner_basis", refuse)
-    monkeypatch.setattr(MonomialCode, "decode", refuse)
+    monkeypatch.setattr(commalg, "groebner_basis", _refuse)
+    monkeypatch.setattr(commalg, "_reducer", _refuse)
     # so that every ideal is rebuilt
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
@@ -1210,22 +810,15 @@ def test_tuple_numerator_fixed_cases():
 
 # -- the engine's leads, read by the tuple recursion --------------------------------
 
-def _packed_leads(ideal):
-    code, elements = commalg._groebner_basis(ideal)
-    return code, [lead for _, _, lead, _, _ in elements]
-
-
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
-def test_packed_leads_match_the_tuple_recursion(name):
-    # the engine's packed leads are the leads of the basis it returns, and
-    # the tuple recursion on them gives the closed forms: Q[x, t]/(J, t) is
-    # Q[x]/J-check; only J, with its t axis, vanishes off the origin
+def test_engine_leads_give_the_closed_forms(name):
+    # the tuple recursion on the leads of the engine's bases gives the
+    # closed forms: Q[x, t]/(J, t) is Q[x]/J-check; only J, with its t
+    # axis, vanishes off the origin
     cm = cartan_matrix(name)
     closed = {"J": equivariant_series(cm.rank), "Jcheck": ordinary_series(cm.rank),
               "J+t": ordinary_series(cm.rank)}
     for label, ideal in _quadric_ideals(name).items():
-        code, leads = _packed_leads(ideal)
-        assert [code.decode(lead) for lead in leads] == basis_leads(ideal), label
         assert hilbert_series_of_quotient(ideal) == closed[label], label
         assert ideal_zero_set_is_origin(ideal) == (label != "J"), label
 
@@ -1571,7 +1164,7 @@ def test_zero_set_oracle_agreement(name):
         zero_set_via_minors(cm) == True  # noqa: E712
 
 
-@pytest.mark.parametrize("name", ENGINE_TYPES)
+@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8"))
 def test_minors_route_matches_the_route_over_every_subset(name):
     cm = cartan_matrix(name)
     assert zero_set_via_minors(cm) == principal_minors_positive(cm) == True  # noqa: E712
@@ -1715,15 +1308,12 @@ def test_poly_normalization():
     q = P(2, {(2, 0): 2, (1, 1): -4})  # 3 p
     assert normalized(p).terms == normalized(q).terms == {(2, 0): 1, (1, 1): -2}
     assert normalized(P(1, {(1,): -3})).terms == {(1,): 1}
-    assert commalg._primitive(q.terms) == {(2, 0): 1, (1, 1): -2}
-    assert commalg._primitive(P(1, {(1,): -3}).terms) == {(1,): -1}
-    one = MonomialCode(1)
-    assert commalg._reducer(_packed(one, {(1,): -3})) == (one.encode((1,)), 1, ())
-    two = MonomialCode(2)
-    lead, lc, tail = commalg._reducer(_packed(two, q.terms))
-    assert (two.decode(lead), lc) == ((2, 0), 1)
-    assert [(two.decode(e), c) for e, c in tail] == [((1, 1), -2)]
+    assert commalg._reducer({(1,): -3}) == ((1,), 1, ())
+    lead, lc, tail = commalg._reducer(q.terms)
+    assert (lead, lc, tail) == ((2, 0), 1, (((1, 1), -2),))
     assert all(type(c) is int for c in (lc,) + tuple(c for _, c in tail))
+    # x_1 x_3 < x_2^2 under grevlex, where grlex would put x_1 x_3 above
+    assert commalg._reducer({(1, 0, 1): 1, (0, 2, 0): 1})[0] == (0, 2, 0)
 
 
 def test_poly_degrees():

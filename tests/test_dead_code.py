@@ -53,34 +53,16 @@ ALLOWED = {
     "commalg.groebner_basis":
         "perfbench/selftest.py::test_bypasses indexes its "
         "commalg.groebner_basis counter; leaves with ROADMAP item 2",
-    "commalg.MonomialCode.decode":
-        "only groebner_basis runs it; leaves with it",
-    "commalg.MonomialCode._from_p":
-        "only groebner_basis runs it; leaves with it",
-    "commalg.MonomialCode.encode":
-        "only groebner_basis runs it; leaves with it",
-    "commalg.MonomialCode.degree":
-        "only groebner_basis runs it; leaves with it",
-    "commalg.MonomialCode.divides":
-        "only groebner_basis runs it; leaves with it",
-    "commalg.MonomialCode.gcd_divides":
-        "only groebner_basis runs it; leaves with it",
-    "commalg.MonomialCode.lcm":
-        "only groebner_basis runs it; leaves with it",
-    "commalg._primitive":
+    "commalg._grevlex":
         "only groebner_basis runs it; leaves with it",
     "commalg._reducer":
         "only groebner_basis runs it; leaves with it",
-    "commalg._cancel":
-        "only groebner_basis runs it; leaves with it",
-    "commalg._first_position":
-        "only groebner_basis runs it; leaves with it",
-    "commalg._regular_reduce":
+    "commalg._reduce":
         "only groebner_basis runs it; leaves with it",
     "commalg.s_polynomial":
         "only groebner_basis runs it; leaves with it",
     "commalg.Ideal.nvars":
-        "only groebner_basis and the test oracles read it",
+        "only the test oracles read it",
 }
 
 # the word bookkeeping of Weyl elements, which no run calls, is test code
@@ -124,11 +106,9 @@ def test_every_function_is_called_or_allowed():
         if event == "call":
             called.add(frame.f_code)
 
-    # so that every quadric ideal is rebuilt, and a basis a run asked for
-    # would be computed, not read from the cache
+    # so that every quadric ideal is rebuilt
     commalg.build_ideal_J.cache_clear()
     commalg.build_ideal_Jcheck.cache_clear()
-    commalg._groebner_basis.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(record)
     try:

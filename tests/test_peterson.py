@@ -542,6 +542,18 @@ def test_monk_off_by_a_third_fails_the_identity(monkeypatch):
     assert (3, (1,)) not in failing
 
 
+def test_a_negative_coefficient_alone_fails_the_expansion():
+    # row k = 0 with one cover J = 1, r_k[J] = 1 below r_J[J] = 2: for
+    # p = (1, 0) the identity p r_k = p[k] r_k + c_J r_J holds at both
+    # points with c_J = (0 - 1) * 1 / 2 = -1/2, so only the sign of c_J
+    # fails it; for p = (0, 1), c_J = 1/2 and it passes.  The sign is read
+    # off num_J den_J, which is not r_k[J] // r_J[J] = 0
+    table = [[1, 1], [0, 2]]
+    support = [{0, 1}, {1}]
+    simple = [(1, 0), (0, 1)]
+    assert peterson._expansion_failures(table, support, 0, [1], simple) == [0]
+
+
 def test_monk_record_lists_failures_node_first(monkeypatch):
     # two doctored entries on B3, p_{v_{12}}(w_{12}) and p_{v_2}(w_{23})
     # each one more, fail identities of three K and three nodes; the record
