@@ -30,12 +30,24 @@ classes need them for the v_J, the ascending products of the reflections
 in J, and {v_J} is its own lower weak order ideal: s_b is a right descent
 of v_J exactly when b is in J and no larger neighbour of b is, and then
 v_J s_b = v_{J - b}.  So ``restricted_rows`` runs the recursion on one int
-per subset bitmask, along the steps (J, J - b) that ``subset_steps`` reads
-off the action matrices of the v_J once per group.  The fixed points w_K
-share their words too: greedy ascent over K from w_{K - m}, m = max K,
-ends at w_K, so one walk of the subset lattice resumes each w_K's
-recursion from the finished column of w_{K - m} and makes one
-``right_action`` per new letter.
+per subset bitmask, along the steps (J, J - b) that ``subset_steps`` finds
+once per Cartan matrix.  The fixed points w_K share their words too:
+greedy ascent over K from w_{K - m}, m = max K, ends at w_K, so one walk
+of the subset lattice resumes each w_K's recursion from the finished
+column of w_{K - m} and reflects once per new letter.
+
+Both walks read one thing of an element w: the heights
+h_w = (ht w(alpha_1), .., ht w(alpha_n)), the column sums of its action
+matrix, equal to <w^-1 rho^vee, alpha_b> with rho^vee the sum of the
+fundamental coweights.  Right multiplication by s_b changes h[k] to
+h[k] - a(k, b) h[b] for b and its neighbours k (``_reflect``), b is a
+right descent of w exactly when h[b] < 0, and r(j, w) has height h[b_j].
+The heights determine w, as rho^vee is regular and only the identity fixes
+it, so ``subset_steps`` checks v_J s_b = v_{J - b} as an equality of
+height vectors; nothing is hashed or keyed by them.  No root has height 0,
+and w_K sends the simple roots of K to negative simple roots, of height
+-1, and both are checked.  Neither walk builds a Weyl group: of a run's
+checks, only the ``billey_welldef`` sweep builds one.
 
 Every prefix of a reduced word is itself reduced, and the recursion builds
 the table {u: sigma_u(w_j)} from the table at w_{j-1} by one letter step.
@@ -63,7 +75,7 @@ tuples; it serves single localizations and the tests.
 from __future__ import annotations
 
 from .errors import IntegrityError
-from .roots import is_negative_root_vector, is_positive_root_vector
+from .roots import CartanMatrix, is_negative_root_vector, is_positive_root_vector
 from .weyl import CayleyTable, WeylElement, WeylGroup
 
 
@@ -215,39 +227,61 @@ def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
     return table
 
 
-def subset_steps(group: WeylGroup) -> dict[int, list[tuple[int, int]]]:
+def _reflect(heights: tuple, b: int, updates) -> tuple:
+    """h_{w s_b} from h_w, ``updates`` as ``CartanMatrix.column_updates``
+    gives them: (w s_b)(alpha_k) = w(alpha_k) - a(k, b) w(alpha_b), the
+    rule ``WeylGroup.right_action`` applies to every matrix row, so only b
+    and its neighbours change."""
+    x = heights[b - 1]
+    out = list(heights)
+    for k, a in updates[b]:
+        out[k] -= a * x
+    return tuple(out)
+
+
+def subset_steps(cartan: CartanMatrix) -> dict[int, list[tuple[int, int]]]:
     """Per letter b, (mask of J, mask of J - b) for every node set J with
     right descent b of v_J, by mask; node i is bit i - 1.  v_J is v_{J - m}
-    s_m for the largest node m of J, and its descents are read off it."""
-    actions = [group.identity.action]
-    steps: dict[int, list] = {b: [] for b in group.cartan.nodes()}
-    for J in range(1, 1 << group.rank):
+    s_m for the largest node m of J, and its descents are read off its
+    heights h_{v_J}.  v_J s_b = v_{J - b} is checked as h_{v_J s_b} =
+    h_{v_(J - b)}, which is sound because the heights are <w^-1 rho^vee,
+    alpha_b> and rho^vee is regular: only the identity fixes it."""
+    updates = cartan.column_updates()
+    heights = [(1,) * cartan.rank]
+    steps: dict[int, list] = {b: [] for b in cartan.nodes()}
+    for J in range(1, 1 << cartan.rank):
         top = J.bit_length()
-        action = group.right_action(actions[J ^ 1 << top - 1], top)
-        actions.append(action)
-        for b in group.descents(action):
+        h = _reflect(heights[J ^ 1 << top - 1], top, updates)
+        heights.append(h)
+        for b, height in enumerate(h, 1):
+            if height > 0:
+                continue
+            if not height:
+                raise IntegrityError(
+                    f"ht v_J(alpha_{b}) = 0 for J = {J:#b}; no root has "
+                    f"height 0")
             lower = J ^ 1 << b - 1
-            if not (lower < J and
-                    group.right_action(action, b) == actions[lower]):
+            if not (lower < J and _reflect(h, b, updates) == heights[lower]):
                 raise IntegrityError(
                     f"v_J s_b is not v_(J - b) for J = {J:#b}, b = {b}")
             steps[b].append((J, lower))
     return steps
 
 
-def restricted_rows(group: WeylGroup, subsets,
+def restricted_rows(cartan: CartanMatrix, subsets,
                     steps) -> tuple[tuple[int, ...], ...]:
     """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
     J = subsets[k], along the descent steps ``steps`` of ``subset_steps``.
     Each K must come after K - m, m = max K, as in ``subsets_by_size``.
 
     One walk of the subset lattice builds every column.  The column of K
-    starts as the finished column of w_{K - m} and ascends from its action
-    (``_ascend``): greedy ascent from any element of W_K ends at w_K, the
-    one element of W_K with every node of K a descent, and the word it
-    spells, w_{K - m}'s word followed by the new letters, is reduced
-    because every letter is an ascent.  So the column is the recursion
-    over one reduced word of w_K, resumed where w_{K - m}'s stopped.
+    starts as the finished column of w_{K - m} and ascends from its
+    heights (``_ascend``): greedy ascent from any element of W_K ends at
+    w_K, the one element of W_K with every node of K a descent, and the
+    word it spells, w_{K - m}'s word followed by the new letters, is
+    reduced because every letter is an ascent.  So the column is the
+    recursion over one reduced word of w_K, resumed where w_{K - m}'s
+    stopped.
 
     The column of K runs only the steps (J, J - b) with J inside K, found
     by enumerating the subsets J of K that contain b (``_local_steps``):
@@ -261,13 +295,13 @@ def restricted_rows(group: WeylGroup, subsets,
     columns = []
     for K, L in zip(subsets, masks):
         if L:
-            action, values = walked[L ^ 1 << L.bit_length() - 1]
+            heights, values = walked[L ^ 1 << L.bit_length() - 1]
             values = values.copy()
         else:
-            action = group.identity.action
-            values = [1] + [0] * ((1 << group.rank) - 1)
+            heights = (1,) * cartan.rank
+            values = [1] + [0] * ((1 << cartan.rank) - 1)
         local = _local_steps(by_J, K, L)
-        walked[L] = _ascend(group, action, K, local, values), values
+        walked[L] = _ascend(cartan, heights, K, local, values), values
         columns.append(values)
     by_mask = list(zip(*columns))
     return tuple(by_mask[J] for J in masks)
@@ -293,27 +327,32 @@ def _local_steps(by_J, K, L: int) -> dict[int, list]:
     return local
 
 
-def _ascend(group: WeylGroup, action, K, steps, values: list):
-    """The action of w_K, by greedy ascent over the nodes K (in node order,
-    from the smallest after each letter) from ``action``, an element of W_K.
-    Each letter b reads the root r = column b once, adds ht(r) times the
+def _ascend(cartan: CartanMatrix, heights: tuple, K, steps, values: list):
+    """The heights of w_K, by greedy ascent over the nodes K (in node order,
+    from the smallest after each letter) from ``heights``, those of an
+    element of W_K.  Each letter b adds its root's height h[b] times the
     value at J - b to the value at J over b's steps in ``values``, and
-    makes one ``right_action``."""
+    reflects the heights once.  At the end every node of K has height -1."""
+    updates = cartan.column_updates()
     while True:
         for b in K:
-            root = [row[b - 1] for row in action]
-            if not is_negative_root_vector(root):
+            height = heights[b - 1]
+            if height > 0:
                 break
+            if not height:
+                raise IntegrityError(
+                    f"ht w(alpha_{b}) = 0 on the ascent to w_K for K = {K}; "
+                    f"no root has height 0")
         else:
-            return action
-        root = tuple(root)  # as the error prints it
-        if not is_positive_root_vector(root):
-            raise IntegrityError(f"r(i, w) = {root} is not a positive root")
-        height = sum(root)
+            if any(heights[b - 1] != -1 for b in K):
+                raise IntegrityError(
+                    f"the ascent to w_K for K = {K} ends at heights "
+                    f"{heights}, not -1 on K")
+            return heights
         # b is an ascent of v_{J - b}, so no source changes in this step
         for J, lower in steps[b]:
             values[J] += height * values[lower]
-        action = group.right_action(action, b)
+        heights = _reflect(heights, b, updates)
 
 
 def billey_localization(group: WeylGroup, v: WeylElement, w: WeylElement) -> dict:

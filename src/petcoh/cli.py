@@ -342,9 +342,11 @@ def run_certification(config: RunConfig) -> CertificationReport:
 
     Failures never short-circuit the run, and every check gives a record
     that passed or failed: an integrity error fails its check.  The model
-    builds its Weyl group when a check first reads it, so a quadric run
-    builds none.  The config's checks are stored as a list, as JSON has
-    them, so that the report's own fields equal its ``to_dict``.
+    builds its Weyl group when a check first reads it, and only
+    ``billey_welldef`` does: the rows walk on root heights, so a run
+    without that check builds none.  The config's checks are stored as a
+    list, as JSON has them, so that the report's own fields equal its
+    ``to_dict``.
     """
     model = PetersonModel(cartan_matrix(parse_lie_type(config.lie_type)))
     records = []

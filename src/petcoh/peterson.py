@@ -12,7 +12,8 @@ to the fixed points is injective), and the model keeps one row of ints per
 class: row k holds the integers c_L with p_{v_K}(w_L) = c_L t^|K|, for
 K = ``subsets[k]`` and every fixed point L.  The rows are built together on
 first use, in one walk of the subset lattice that grows each w_K from
-w_{K - m}, m = max K, on subset bitmasks.  Giambelli's reduced-word counts
+w_{K - m}, m = max K, on subset bitmasks, carrying the heights of the
+roots w(alpha_b) and no action matrix.  Giambelli's reduced-word counts
 of the v_K are read off the same descent steps (J, J - b) of the v_J that
 the walk runs over, computed once per model.  Every identity checked below
 is homogeneous in t, so it is compared at t = 1, pointwise on the rows, in
@@ -110,9 +111,10 @@ class PetersonModel:
     with their indices and bitmasks, the descent steps of the v_J, the w_K
     and the rows of the p_{v_J} (in one walk), the word counts, covers, row
     supports, quadric rows and the minors route are each built once per
-    model, when a check first reads them; a quadric run reads the route
-    alone and builds no group.  The memo dies with the model, so no cache
-    outlives a run.
+    model, when a check first reads them.  The steps and rows walk on root
+    heights from the Cartan matrix, so only ``billey_welldef`` reads the
+    group: a run without it builds none, and a quadric run reads the route
+    alone.  The memo dies with the model, so no cache outlives a run.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -171,16 +173,18 @@ class PetersonModel:
 
     @cached_property
     def _steps(self) -> dict[int, list[tuple[int, int]]]:
-        """The descent steps (J, J - b) of the v_J by subset mask
-        (``billey.subset_steps``), read by the rows and the word counts."""
-        return billey.subset_steps(self.group)
+        """The descent steps (J, J - b) of the v_J by subset mask, read off
+        the heights of the v_J (``billey.subset_steps``); the rows and the
+        word counts read them."""
+        return billey.subset_steps(self.cartan)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         """Row k: p_{v_K}(w_L) / t^|K| at every fixed point L, for
         K = subsets[k]; one walk of the subset lattice grows each w_L from
-        w_{L - m} over the descent steps (``billey.restricted_rows``)."""
-        return restricted_rows(self.group, self.subsets, self._steps)
+        w_{L - m} on root heights over the descent steps
+        (``billey.restricted_rows``)."""
+        return restricted_rows(self.cartan, self.subsets, self._steps)
 
     @cached_property
     def _word_counts(self) -> list[int]:

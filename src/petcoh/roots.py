@@ -121,7 +121,8 @@ class CartanMatrix:
     Node indices are 1-based throughout the public API.
     """
 
-    __slots__ = ("entries", "lie_types", "rank", "_positive_roots")
+    __slots__ = ("entries", "lie_types", "rank", "_column_updates",
+                 "_positive_roots")
 
     def __init__(self, entries, lie_types=()):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
@@ -148,6 +149,7 @@ class CartanMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "lie_types", tuple(lie_types))
         object.__setattr__(self, "rank", n)
+        object.__setattr__(self, "_column_updates", None)
         object.__setattr__(self, "_positive_roots", None)
 
     def __setattr__(self, name, value):
@@ -194,6 +196,19 @@ class CartanMatrix:
             comps.append(tuple(sorted(comp)))
             remaining -= comp
         return comps
+
+    def column_updates(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Per node j, (k, a[k+1][j]) for the 0-based k of every nonzero
+        entry of column j: j itself and its neighbours.  A simple reflection
+        s_j changes exactly these coordinates of a vector of heights or of a
+        row of an action matrix.  Built on first call."""
+        if self._column_updates is None:
+            n = self.rank
+            updates = {j: tuple((k, self.entries[k][j - 1]) for k in range(n)
+                                if self.entries[k][j - 1])
+                       for j in self.nodes()}
+            object.__setattr__(self, "_column_updates", updates)
+        return self._column_updates
 
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """All positive roots in simple-root coordinates, sorted.

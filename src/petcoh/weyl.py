@@ -1,7 +1,9 @@
-"""Weyl group elements with canonical equality, and what a run does with them:
-right multiplication of action matrices by simple reflections, right
-descents, and the breadth-first walk of the group in ``CayleyTable``, which
-also counts the reduced words of each element it reaches.
+"""Weyl group elements with canonical equality, and what the
+``billey_welldef`` sweep does with them: right multiplication of action
+matrices by simple reflections, and the breadth-first walk of the group in
+``CayleyTable``, which also reads the right descents off the matrices and
+counts the reduced words of each element it reaches.  The Peterson rows
+walk on root heights alone and build no group (see ``billey``).
 
 An element is stored as its exact integer matrix acting on simple-root
 coordinates; equality and hashing use only that matrix, so any two words for
@@ -70,12 +72,7 @@ class WeylGroup:
         self._identity_matrix = tuple(
             tuple(1 if r == c else 0 for c in range(n)) for r in range(n)
         )
-        # node i -> [(k, a(k, i)) for a(k, i) != 0]: i itself and its neighbours
-        self._column_updates = {
-            i: tuple((k, cartan.entries[k][i - 1]) for k in range(n)
-                     if cartan.entries[k][i - 1])
-            for i in cartan.nodes()
-        }
+        self._column_updates = cartan.column_updates()
 
     # -- construction ---------------------------------------------------
 
@@ -103,14 +100,6 @@ class WeylGroup:
                 row = tuple(row)
             out.append(row)
         return tuple(out)
-
-    # -- reduced words ---------------------------------------------------
-
-    def descents(self, action) -> list[int]:
-        """Right descents of a matrix: the i with l(w s_i) < l(w), i.e.
-        the root w(alpha_i), column i, has a negative entry."""
-        return [i for i, column in zip(self.cartan.nodes(), zip(*action))
-                if min(column) < 0]
 
 
 class CayleyTable:

@@ -165,6 +165,13 @@ def cartan_matrix_from_inner_products(family: str, rank: int) -> list[list[int]]
     return out
 
 
+def descents(group, action) -> list[int]:
+    """Right descents of a matrix: the i with l(w s_i) < l(w), i.e.
+    the root w(alpha_i), column i, has a negative entry."""
+    return [i for i, column in zip(group.cartan.nodes(), zip(*action))
+            if min(column) < 0]
+
+
 def right_multiply(group, w, i: int):
     """w s_i with a reduced witness word: w's word then i on an ascent; on
     a right descent, w's word less the letter the exchange condition
@@ -174,7 +181,7 @@ def right_multiply(group, w, i: int):
     from petcoh.weyl import WeylElement
 
     action, word = group.right_action(w.action, i), w.witness_word
-    if i not in group.descents(w.action):
+    if i not in descents(group, w.action):
         return WeylElement(action, w.length + 1, word + (i,))
     root = lambda b: tuple(int(k == b - 1) for k in range(group.rank))
     gamma = root(i)
@@ -203,7 +210,7 @@ def longest_element(group, K):
     is one."""
     nodes = sorted(set(K))
     w = group.identity
-    while ascents := [i for i in nodes if i not in group.descents(w.action)]:
+    while ascents := [i for i in nodes if i not in descents(group, w.action)]:
         w = right_multiply(group, w, ascents[0])
     return w
 
@@ -256,7 +263,7 @@ def enumerate_reduced_words(group, w, cap=16) -> frozenset:
         words = memo.get(action)
         if words is None:
             words = memo[action] = frozenset(
-                prefix + (i,) for i in group.descents(action)
+                prefix + (i,) for i in descents(group, action)
                 for prefix in rec(group.right_action(action, i)))
         return words
 
@@ -275,7 +282,7 @@ def elements_up_to_length(group, max_length: int):
         nxt = []
         for w in layer:
             for i in group.cartan.nodes():
-                if i not in group.descents(w.action):
+                if i not in descents(group, w.action):
                     u = right_multiply(group, w, i)
                     if u.action not in seen:
                         seen.add(u.action)
@@ -833,6 +840,84 @@ def localized_rows(group, subsets) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*columns))
 
 
+# The walk of the Peterson rows on action matrices, as ``billey`` ran it
+# before it carried the heights h_w alone: ground truth for
+# ``billey.subset_steps``, ``restricted_rows`` and ``_ascend``, which must
+# give the same steps and rows.
+
+def matrix_subset_steps(group) -> dict[int, list[tuple[int, int]]]:
+    """Per letter b, (mask of J, mask of J - b) for every node set J with
+    right descent b of v_J, by mask; node i is bit i - 1.  v_J is v_{J - m}
+    s_m for the largest node m of J, and its descents are read off it."""
+    from petcoh.errors import IntegrityError
+
+    actions = [group.identity.action]
+    steps: dict[int, list] = {b: [] for b in group.cartan.nodes()}
+    for J in range(1, 1 << group.rank):
+        top = J.bit_length()
+        action = group.right_action(actions[J ^ 1 << top - 1], top)
+        actions.append(action)
+        for b in descents(group, action):
+            lower = J ^ 1 << b - 1
+            if not (lower < J and
+                    group.right_action(action, b) == actions[lower]):
+                raise IntegrityError(
+                    f"v_J s_b is not v_(J - b) for J = {J:#b}, b = {b}")
+            steps[b].append((J, lower))
+    return steps
+
+
+def matrix_restricted_rows(group, subsets, steps):
+    """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
+    J = subsets[k], along the descent steps ``steps``: one walk of the
+    subset lattice, the column of K resumed from the finished column and
+    the action of w_{K - m}, m = max K."""
+    from petcoh.billey import _local_steps
+
+    masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    by_J = {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
+    walked: dict[int, tuple] = {}
+    columns = []
+    for K, L in zip(subsets, masks):
+        if L:
+            action, values = walked[L ^ 1 << L.bit_length() - 1]
+            values = values.copy()
+        else:
+            action = group.identity.action
+            values = [1] + [0] * ((1 << group.rank) - 1)
+        local = _local_steps(by_J, K, L)
+        walked[L] = _matrix_ascend(group, action, K, local, values), values
+        columns.append(values)
+    by_mask = list(zip(*columns))
+    return tuple(by_mask[J] for J in masks)
+
+
+def _matrix_ascend(group, action, K, steps, values: list):
+    """The action of w_K, by greedy ascent over the nodes K (in node order,
+    from the smallest after each letter) from ``action``, an element of W_K.
+    Each letter b reads the root r = column b once, adds ht(r) times the
+    value at J - b to the value at J over b's steps in ``values``, and
+    makes one ``right_action``."""
+    from petcoh.errors import IntegrityError
+    from petcoh.roots import is_negative_root_vector, is_positive_root_vector
+
+    while True:
+        for b in K:
+            root = [row[b - 1] for row in action]
+            if not is_negative_root_vector(root):
+                break
+        else:
+            return action
+        root = tuple(root)  # as the error prints it
+        if not is_positive_root_vector(root):
+            raise IntegrityError(f"r(i, w) = {root} is not a positive root")
+        height = sum(root)
+        # b is an ascent of v_{J - b}, so no source changes in this step
+        for J, lower in steps[b]:
+            values[J] += height * values[lower]
+        action = group.right_action(action, b)
+
+
 def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
     """The fundamental weights varpi_i in simple-root coordinates, as
     Fractions: <varpi_i, alpha_j^vee> = delta_ij with
@@ -1214,21 +1299,20 @@ def oracle_s_polynomial(f, g, key):
 
 def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
     """The seed's reduced Groebner basis: a plain Buchberger loop that picks
-    the smallest-lcm pair by a scan over all pairs, recomputing every
-    leading monomial each time, with the coprimality and chain criteria."""
+    the smallest-lcm pair by a scan over all pairs, with the coprimality
+    and chain criteria.  Each element's leading monomial is read once, when
+    it joins the basis."""
     key = order_key(ordering)
     basis = [normalized(g) for g in generator_polys(ideal)]
     basis.sort(key=lambda g: key(leading(g, key)[0]))
+    leads = [leading(g, key)[0] for g in basis]
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
 
-    def lcm_of(i, j):
-        return _mono_lcm(leading(basis[i], key)[0], leading(basis[j], key)[0])
-
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
+        i, j = min(pairs, key=lambda ij: (
+            key(_mono_lcm(leads[ij[0]], leads[ij[1]])), ij))
         pairs.discard((i, j))
-        fe = leading(basis[i], key)[0]
-        ge = leading(basis[j], key)[0]
+        fe, ge = leads[i], leads[j]
         lcm = _mono_lcm(fe, ge)
         if _mono_mul(fe, ge) == lcm:
             continue  # coprime leading monomials
@@ -1236,7 +1320,7 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(leading(basis[k], key)[0], lcm) \
+            if _divides(leads[k], lcm) \
                     and (min(i, k), max(i, k)) not in pairs \
                     and (min(j, k), max(j, k)) not in pairs:
                 skip = True
@@ -1248,6 +1332,7 @@ def buchberger_groebner_basis(ideal, ordering: str = "grevlex"):
         if remainder:
             remainder = normalized(remainder)
             basis.append(remainder)
+            leads.append(leading(remainder, key)[0])
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petcoh import billey
 from petcoh.billey import (
     billey_localization,
     inversion_roots,
@@ -36,6 +37,8 @@ from oracles import (
     as_term_list,
     longest_element,
     matrix_inversion_roots,
+    matrix_restricted_rows,
+    matrix_subset_steps,
     pack_exponents,
     poly_product,
     poly_sum,
@@ -199,9 +202,9 @@ def test_restricted_table_is_the_restricted_poly_table(name):
     # the rows, the recursion on root heights over the subset steps inside
     # each K, against one full polynomial table of every v_J per fixed
     # point w_L, restricted to t
-    W = group(name)
-    subsets = subsets_by_size(W.rank)
-    rows = restricted_rows(W, subsets, subset_steps(W))
+    cartan = cartan_matrix(name)
+    subsets = subsets_by_size(cartan.rank)
+    rows = restricted_rows(cartan, subsets, subset_steps(cartan))
     assert all(type(c) is int for row in rows for c in row)
     assert rows == localized_rows(group(name), subsets)
 
@@ -210,16 +213,40 @@ def test_restricted_table_is_the_restricted_poly_table(name):
 def test_subset_steps_follow_the_dynkin_rule(name):
     # s_b is a right descent of v_J exactly when b is in J and no larger
     # neighbour of b is, and then v_J s_b = v_{J - b}
-    W = group(name)
-    nodes = W.cartan.nodes()
+    cartan = cartan_matrix(name)
+    nodes = cartan.nodes()
 
     def rule(J, b):
         return J >> b - 1 & 1 and not any(
-            J >> c - 1 & 1 for c in nodes if c > b and W.cartan.a(b, c))
+            J >> c - 1 & 1 for c in nodes if c > b and cartan.a(b, c))
 
-    assert subset_steps(W) == {
-        b: [(J, J ^ 1 << b - 1) for J in range(1 << W.rank) if rule(J, b)]
+    assert subset_steps(cartan) == {
+        b: [(J, J ^ 1 << b - 1) for J in range(1 << cartan.rank) if rule(J, b)]
         for b in nodes}
+
+
+@pytest.mark.parametrize("name", ROW_TYPES)
+def test_height_walk_matches_the_matrix_walk(name, monkeypatch):
+    # the walk on heights against the walk on action matrices it replaced:
+    # the same steps and rows, and each ascent ends at the heights of w_K,
+    # the column sums of its matrix
+    cartan = cartan_matrix(name)
+    W = WeylGroup(cartan)
+    subsets = subsets_by_size(cartan.rank)
+    steps = subset_steps(cartan)
+    assert steps == matrix_subset_steps(W)
+    ends = []
+    ascend = billey._ascend
+
+    def recording(cartan, heights, K, steps, values):
+        ends.append((K, ascend(cartan, heights, K, steps, values)))
+        return ends[-1][1]
+
+    monkeypatch.setattr(billey, "_ascend", recording)
+    assert restricted_rows(cartan, subsets, steps) == \
+        matrix_restricted_rows(W, subsets, steps)
+    assert ends == [(K, tuple(map(sum, zip(*longest_element(W, K).action))))
+                    for K in subsets]
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1",))

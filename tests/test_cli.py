@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import petcoh
-from petcoh import billey, cli, peterson
+from petcoh import billey, cli, peterson, roots
 from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
@@ -38,6 +38,7 @@ from petcoh.report import (
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
+import oracles
 from oracles import (
     billey_welldef_per_word,
     enumerate_reduced_words,
@@ -45,6 +46,8 @@ from oracles import (
     from_word,
     indented_json,
     is_connected,
+    matrix_restricted_rows,
+    matrix_subset_steps,
     pack_exponents,
     trie_word_tables,
     welldef_failures,
@@ -327,9 +330,9 @@ def test_broken_three_component_product_fails_and_does_not_certify(monkeypatch):
     # whose row for it is doubled must not certify
     rows = peterson.restricted_rows
 
-    def broken(group, subsets, steps):
+    def broken(cartan, subsets, steps):
         return tuple(tuple(2 * c for c in row) if K == (1, 3, 4) else row
-                     for K, row in zip(subsets, rows(group, subsets, steps)))
+                     for K, row in zip(subsets, rows(cartan, subsets, steps)))
 
     monkeypatch.setattr(peterson, "restricted_rows", broken)
     report = run_certification(RunConfig(
@@ -797,29 +800,94 @@ def test_sweep_makes_one_right_action_per_ascent(monkeypatch):
     assert total == 380
 
 
+def _matrix_route(monkeypatch):
+    """Build the model's steps and rows by the matrix walk of the oracles,
+    on a Weyl group of its Cartan matrix, as the package ran before it
+    walked on heights."""
+    monkeypatch.setattr(billey, "subset_steps",
+                        lambda cartan: matrix_subset_steps(WeylGroup(cartan)))
+    monkeypatch.setattr(peterson, "restricted_rows", lambda cartan, subsets, steps:
+                        matrix_restricted_rows(WeylGroup(cartan), subsets, steps))
+
+
+def _doctor_heights(monkeypatch, doctor):
+    """Let ``doctor(heights)`` rewrite every vector ``billey._reflect``
+    returns."""
+    reflect = billey._reflect
+    monkeypatch.setattr(billey, "_reflect", lambda heights, b, updates:
+                        doctor(reflect(heights, b, updates)))
+
+
 def test_non_positive_inversion_root_is_an_integrity_error(monkeypatch,
                                                            capsys):
-    # the root (1, 1) of A2's w_0 read as not positive: the rows, and so
-    # the first check that reads them, stop on it
-    monkeypatch.setattr(billey, "is_positive_root_vector",
+    # on the matrix route, the root (1, 1) of A2's w_0 read as not
+    # positive: the rows, and so the first check that reads them, stop on it
+    _matrix_route(monkeypatch)
+    monkeypatch.setattr(roots, "is_positive_root_vector",
                         lambda root: root != (1, 1))
     _assert_integrity_failure(
         "A2", "quadratic", "r(i, w) = (1, 1) is not a positive root", capsys)
 
 
+def test_zero_height_on_an_ascent_is_an_integrity_error(monkeypatch, capsys):
+    # the heights (-1, 2) of s_1 read as (-1, 0) where the ascent to A2's
+    # w_0 starts from them: the root s_1(alpha_2) = alpha_1 + alpha_2 has
+    # height 2, and no root has height 0
+    ascend = billey._ascend
+
+    def doctored(cartan, heights, K, steps, values):
+        if K == (1, 2):
+            heights = (-1, 0)
+        return ascend(cartan, heights, K, steps, values)
+
+    monkeypatch.setattr(billey, "_ascend", doctored)
+    _assert_integrity_failure(
+        "A2", "quadratic", "ht w(alpha_2) = 0 on the ascent to w_K for "
+        "K = (1, 2); no root has height 0", capsys)
+
+
+def test_zero_height_in_the_steps_is_an_integrity_error(monkeypatch, capsys):
+    # the heights (-1, 2) of v_{1} = s_1 read as (0, 2): the steps stop on
+    # them
+    _doctor_heights(monkeypatch, lambda h: (0, 2) if h == (-1, 2) else h)
+    _assert_integrity_failure(
+        "A2", "quadratic", "ht v_J(alpha_1) = 0 for J = 0b1; no root has "
+        "height 0", capsys)
+
+
+def test_ascent_that_ends_off_minus_one_is_an_integrity_error(monkeypatch,
+                                                              capsys):
+    # the identity's heights read as (2, 2) where the walk starts, so the
+    # ascent to w_{1} = s_1 ends at (-2, 4): w_K sends the simple roots of
+    # K to negative simple roots, of height -1
+    ascend = billey._ascend
+    monkeypatch.setattr(billey, "_ascend", lambda cartan, heights, K, *rest:
+                        ascend(cartan, heights if K else (2, 2), K, *rest))
+    _assert_integrity_failure(
+        "A2", "quadratic", "the ascent to w_K for K = (1,) ends at heights "
+        "(-2, 4), not -1 on K", capsys)
+
+
 def test_wrong_subset_step_is_an_integrity_error(monkeypatch, capsys):
-    # the steps' group reads every node as a descent of every v_J, so s_2
-    # looks like a descent of v_{1} = s_1; the sweep's group is left alone
-    steps = billey.subset_steps
-
-    def every_node_a_descent(group):
-        doctored = copy.copy(group)
-        doctored.descents = lambda action: list(group.cartan.nodes())
-        return steps(doctored)
-
-    monkeypatch.setattr(billey, "subset_steps", every_node_a_descent)
+    # on the matrix route, the steps' group reads every node as a descent
+    # of every v_J, so s_2 looks like a descent of v_{1} = s_1; the
+    # sweep's group is left alone
+    _matrix_route(monkeypatch)
+    monkeypatch.setattr(oracles, "descents",
+                        lambda group, action: list(group.cartan.nodes()))
     _assert_integrity_failure(
         "A2", "quadratic", "v_J s_b is not v_(J - b) for J = 0b1, b = 2",
+        capsys)
+
+
+def test_wrong_subset_step_on_heights_is_an_integrity_error(monkeypatch,
+                                                            capsys):
+    # the heights (-1, 2) of v_{1} = s_1 read as (-1, -2): s_1 is still a
+    # descent, but v_{1} s_1 then has the heights (1, -3), not the
+    # identity's (1, 1); the sweep, which reads matrices, is left alone
+    _doctor_heights(monkeypatch, lambda h: (-1, -2) if h == (-1, 2) else h)
+    _assert_integrity_failure(
+        "A2", "quadratic", "v_J s_b is not v_(J - b) for J = 0b1, b = 1",
         capsys)
 
 
@@ -970,10 +1038,20 @@ def test_to_json_matches_the_json_dumps_oracle(config):
 
 
 def test_to_json_of_an_integrity_error_matches_the_oracle(monkeypatch):
-    monkeypatch.setattr(billey, "is_positive_root_vector",
+    _matrix_route(monkeypatch)
+    monkeypatch.setattr(roots, "is_positive_root_vector",
                         lambda root: root != (1, 1))
     report = run_certification(RunConfig("A2"))
     assert {"integrity_error": "r(i, w) = (1, 1) is not a positive root"} in \
+        [r.witnesses for r in report.records]
+    assert report.to_json() == indented_json(report.to_dict())
+
+
+def test_to_json_of_a_height_integrity_error_matches_the_oracle(monkeypatch):
+    _doctor_heights(monkeypatch, lambda h: (0, 2) if h == (-1, 2) else h)
+    report = run_certification(RunConfig("A2"))
+    assert {"integrity_error": "ht v_J(alpha_1) = 0 for J = 0b1; no root "
+                               "has height 0"} in \
         [r.witnesses for r in report.records]
     assert report.to_json() == indented_json(report.to_dict())
 

@@ -28,6 +28,8 @@ ALLOWED = {
         "only localization_table runs it; leaves with billey_localization",
     "billey.inversion_roots":
         "only _prefix_recursion reads it; leaves with billey_localization",
+    "roots.is_positive_root_vector":
+        "only inversion_roots reads it; leaves with billey_localization",
     "roots.CartanMatrix.positive_roots":
         "perfbench/selftest.py::test_missing_name_reported installs its "
         "tracer target and fails without it; leaves with ROADMAP item 2",
@@ -68,7 +70,8 @@ ALLOWED = {
 # the word bookkeeping of Weyl elements, which no run calls, is test code
 # in tests/oracles.py
 MOVED_TO_ORACLES = ("right_descends", "right_multiply", "_delete_letter",
-                    "from_word", "longest_element", "v_K", "all_elements")
+                    "from_word", "longest_element", "v_K", "all_elements",
+                    "descents")
 
 
 def _defined_functions():

@@ -28,6 +28,8 @@ from oracles import (
     fundamental_weights,
     is_connected,
     longest_element,
+    matrix_restricted_rows,
+    matrix_subset_steps,
     monk_fraction,
     poly_pow,
     product_holds,
@@ -121,9 +123,10 @@ def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
     m.simple_class(1)
     assert [K for K, _ in calls] == list(m.subsets)
     by_K = dict(calls)
-    assert by_K[()] == m.group.identity.action
-    assert by_K[(1,)] == from_word(m.group, (1,)).action
-    assert by_K[(1, 2)] == longest_element(m.group, (1, 2)).action
+    assert by_K[()] == heights(m.group.identity.action) == (1, 1)
+    assert by_K[(1,)] == heights(from_word(m.group, (1,)).action) == (-1, 2)
+    assert by_K[(1, 2)] == heights(longest_element(m.group, (1, 2)).action) \
+        == (-1, -1)
     assert len(calls) == 4
 
 
@@ -132,13 +135,13 @@ def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
     # the steps _ascend receives for K, per node b of K, against a filter
     # of all of b's steps by J inside K, in the same order
     m = model(name)
-    every = billey.subset_steps(m.group)
+    every = billey.subset_steps(m.cartan)
     seen = []
     real = billey._ascend
 
-    def ascend(group, action, K, steps, values):
+    def ascend(cartan, heights, K, steps, values):
         seen.append((K, steps))
-        return real(group, action, K, steps, values)
+        return real(cartan, heights, K, steps, values)
 
     monkeypatch.setattr(billey, "_ascend", ascend)
     m._rows
@@ -173,21 +176,28 @@ def test_word_counts_match_count_reduced_words(name):
                                         ("E8", 1447)])
 def test_one_row_build_makes_one_right_action_per_letter(name, calls,
                                                           monkeypatch):
-    # subset_steps makes one right_action per nonempty v_J and one per
-    # step; the walk then makes one per new letter of each w_K, that is
-    # l(w_K) - l(w_{K - m}) for m = max K
+    # subset_steps reflects the heights once per nonempty v_J and once per
+    # step; the walk then once per new letter of each w_K, that is
+    # l(w_K) - l(w_{K - m}) for m = max K.  The matrix walk it replaced
+    # made one right_action at each of the same places
     m = model(name)
-    actions = []
-    real = m.group.right_action
-    monkeypatch.setattr(m.group, "right_action",
-                        lambda action, i: actions.append(i) or real(action, i))
+    reflections = []
+    real = billey._reflect
+    monkeypatch.setattr(billey, "_reflect", lambda heights, b, updates:
+                        reflections.append(b) or real(heights, b, updates))
     m._rows
+    monkeypatch.undo()
     group = WeylGroup(m.cartan)
     letters = sum(longest_element(group, K).length
                   - longest_element(group, K[:-1]).length
                   for K in m.subsets[1:])
-    steps = sum(map(len, billey.subset_steps(group).values()))
-    assert len(actions) == len(m.subsets) - 1 + steps + letters == calls
+    steps = sum(map(len, billey.subset_steps(m.cartan).values()))
+    assert len(reflections) == len(m.subsets) - 1 + steps + letters == calls
+    actions = []
+    monkeypatch.setattr(group, "right_action", lambda action, i: (
+        actions.append(i) or WeylGroup.right_action(group, action, i)))
+    matrix_restricted_rows(group, m.subsets, matrix_subset_steps(group))
+    assert actions == reflections
 
 
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
@@ -238,23 +248,29 @@ def test_support_condition():
                     assert value(m, K, J) == 0
 
 
+def heights(action) -> tuple[int, ...]:
+    """The heights of the roots w(alpha_b), the column sums of w's matrix."""
+    return tuple(map(sum, zip(*action)))
+
+
 def _counting_tables(monkeypatch, doctor=None):
-    """Patch restricted_rows in billey and peterson; record (L, action)
+    """Patch restricted_rows in billey and peterson; record (L, heights)
     for every fixed point w_L the rows' walk ascends to, through
     billey._ascend, and let ``doctor(u, w, value)`` rewrite the value of
     u = v_J at w = w_L."""
     calls = []
     real_rows, real_ascend = billey.restricted_rows, billey._ascend
 
-    def ascend(group, action, K, steps, values):
-        end = real_ascend(group, action, K, steps, values)
+    def ascend(cartan, heights, K, steps, values):
+        end = real_ascend(cartan, heights, K, steps, values)
         calls.append((K, end))
         return end
 
-    def rows(group, subsets, steps):
-        out = real_rows(group, subsets, steps)
+    def rows(cartan, subsets, steps):
+        out = real_rows(cartan, subsets, steps)
         if doctor is None:
             return out
+        group = WeylGroup(cartan)
         fixed = [longest_element(group, L) for L in subsets]
         return tuple(tuple(doctor(v_K(group, J), w, c)
                            for w, c in zip(fixed, row))
@@ -272,8 +288,8 @@ def test_model_construction_localizes_nothing(name, monkeypatch):
     m = model(name)
     assert calls == []
     m.simple_class(1)
-    # one row build walks each w_K once, and ends it at w_K
-    assert calls == [(K, longest_element(m.group, K).action)
+    # one row build walks each w_K once, and ends it at w_K's heights
+    assert calls == [(K, heights(longest_element(m.group, K).action))
                      for K in m.subsets]
     for K in m.subsets:
         m.subset_class(K)
@@ -305,7 +321,7 @@ def _dropped_steps():
     and the letter b."""
     cases = []
     for name in FAULT_TYPES:
-        steps = billey.subset_steps(WeylGroup(cartan_matrix(name)))
+        steps = billey.subset_steps(cartan_matrix(name))
         for b, pairs in steps.items():
             for J, lower in pairs:
                 nodes = "".join(str(i + 1) for i in range(J.bit_length())
@@ -325,8 +341,8 @@ def test_one_dropped_step_changes_the_rows_and_does_not_certify(
     real = billey.subset_steps
     rows = model(name)._rows
 
-    def dropped(group):
-        steps = real(group)
+    def dropped(cartan):
+        steps = real(cartan)
         steps[b].remove(step)
         return steps
 
@@ -349,9 +365,8 @@ def test_one_dropped_step_changes_the_rows_and_does_not_certify(
 def test_quadric_checks_compute_no_fixed_point(monkeypatch):
     # the quadric checks never read a fixed point, so a run of only them
     # never enters the walk of the fixed points
-    def refuse(group, subsets, steps):
-        raise AssertionError(f"fixed points of {group.cartan.type_name()} "
-                             "walked")
+    def refuse(cartan, subsets, steps):
+        raise AssertionError(f"fixed points of {cartan.type_name()} walked")
 
     monkeypatch.setattr(peterson, "restricted_rows", refuse)
     report = run_certification(RunConfig(
@@ -359,6 +374,19 @@ def test_quadric_checks_compute_no_fixed_point(monkeypatch):
     assert [r.passed for r in report.records] == [True, True, True]
     with pytest.raises(AssertionError, match="fixed points of A2 walked"):
         model("A2").simple_class(1)
+
+
+def test_restriction_checks_build_no_weyl_group(monkeypatch):
+    # the rows walk on root heights, so the restriction checks other than
+    # billey_welldef, whose sweep reads action matrices, build no group
+    def refuse(self, cartan):
+        raise AssertionError(f"a Weyl group of {cartan.type_name()} built")
+
+    monkeypatch.setattr(WeylGroup, "__init__", refuse)
+    report = run_certification(RunConfig("E6", checks=CLASS_CHECKS))
+    assert [r.passed for r in report.records] == [True] * len(CLASS_CHECKS)
+    with pytest.raises(AssertionError, match="a Weyl group of E6 built"):
+        run_certification(RunConfig("E6", checks=("billey_welldef",)))
 
 
 def test_monk_zero_denominator_is_an_integrity_error(monkeypatch):
