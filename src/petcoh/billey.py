@@ -30,11 +30,11 @@ classes need them for the v_J, the ascending products of the reflections
 in J, and {v_J} is its own lower weak order ideal: s_b is a right descent
 of v_J exactly when b is in J and no larger neighbour of b is, and then
 v_J s_b = v_{J - b}.  So ``restricted_rows`` runs the recursion on one int
-per subset bitmask, along the steps (J, J - b) that ``subset_steps`` finds
-once per Cartan matrix.  The fixed points w_K share their words too:
+per node-set bitmask, along the steps (J, J - b) that ``subset_steps``
+finds once per Cartan matrix.  The fixed points w_K share their words too:
 greedy ascent over K from w_{K - m}, m = max K, ends at w_K, so one walk
-of the subset lattice resumes each w_K's recursion from the finished
-column of w_{K - m} and reflects once per new letter.
+of the masks K, in increasing order as K - m < K, resumes each w_K's
+recursion from w_{K - m}'s finished column, reflecting once per new letter.
 
 Both walks read one thing of an element w: the heights
 h_w = (ht w(alpha_1), .., ht w(alpha_n)), the column sums of its action
@@ -268,54 +268,50 @@ def subset_steps(cartan: CartanMatrix) -> dict[int, list[tuple[int, int]]]:
     return steps
 
 
-def restricted_rows(cartan: CartanMatrix, subsets,
-                    steps) -> tuple[tuple[int, ...], ...]:
-    """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
-    J = subsets[k], along the descent steps ``steps`` of ``subset_steps``.
-    Each K must come after K - m, m = max K, as in ``subsets_by_size``.
+def restricted_rows(cartan: CartanMatrix, steps) -> tuple[tuple[int, ...], ...]:
+    """Row J, column L: c with sigma_{v_J}(w_L)|_S = c t^|J|, both by mask
+    (node i is bit i - 1), along the descent steps of ``subset_steps``.
 
-    One walk of the subset lattice builds every column.  The column of K
-    starts as the finished column of w_{K - m} and ascends from its
-    heights (``_ascend``): greedy ascent from any element of W_K ends at
-    w_K, the one element of W_K with every node of K a descent, and the
-    word it spells, w_{K - m}'s word followed by the new letters, is
-    reduced because every letter is an ascent.  So the column is the
-    recursion over one reduced word of w_K, resumed where w_{K - m}'s
-    stopped.
+    One walk of the masks L in increasing order builds every column.  The
+    column of L starts as the finished column of w_{L - m}, m = max L (as
+    L - m < L, walked before it), and ascends from its heights
+    (``_ascend``): greedy ascent from any element of W_L ends at w_L, the
+    one element of W_L with every node of L a descent, and the word it
+    spells, w_{L - m}'s word followed by the new letters, is reduced
+    because every letter is an ascent.  So the column is the recursion
+    over one reduced word of w_L, resumed where w_{L - m}'s stopped.
 
-    The column of K runs only the steps (J, J - b) with J inside K, found
-    by enumerating the subsets J of K that contain b (``_local_steps``):
-    a column is 0 at every J not inside its K.  That holds at the empty K,
-    and if it holds for K - m, a step (J, J - b) with b in K and J not
-    inside K has J - b not inside K, so it adds 0 and J stays 0.
+    The column of L runs only the steps (J, J - b) with J inside L, found
+    by enumerating the subsets J of L that contain b (``_local_steps``):
+    a column is 0 at every J not inside its L.  That holds at the empty L,
+    and if it holds for L - m, a step (J, J - b) with b in L and J not
+    inside L has J - b not inside L, so it adds 0 and J stays 0.
     """
-    masks = [sum(1 << i - 1 for i in K) for K in subsets]
+    size = 1 << cartan.rank
     by_J = {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
-    walked: dict[int, tuple] = {}
-    columns = []
-    for K, L in zip(subsets, masks):
+    walked = []  # per mask L: the nodes of L, the heights of w_L, the column
+    for L in range(size):
         if L:
-            heights, values = walked[L ^ 1 << L.bit_length() - 1]
-            values = values.copy()
+            top = L.bit_length()
+            K, start, values = walked[L ^ 1 << top - 1]
+            K, values = K + (top,), values.copy()
         else:
-            heights = (1,) * cartan.rank
-            values = [1] + [0] * ((1 << cartan.rank) - 1)
-        local = _local_steps(by_J, K, L)
-        walked[L] = _ascend(cartan, heights, K, local, values), values
-        columns.append(values)
-    by_mask = list(zip(*columns))
-    return tuple(by_mask[J] for J in masks)
+            K, start, values = (), (1,) * cartan.rank, [1] + [0] * (size - 1)
+        heights = _ascend(cartan, start, K, _local_steps(by_J, L), values)
+        walked.append((K, heights, values))
+    return tuple(zip(*(column for _, _, column in walked)))
 
 
-def _local_steps(by_J, K, L: int) -> dict[int, list]:
-    """Per node b of K, the steps (J, J - b) of b whose J lies inside K
-    (mask L), in increasing order of J: the subsets J of L that contain b,
+def _local_steps(by_J, L: int) -> dict[int, list]:
+    """Per node b of the mask L, the steps (J, J - b) of b whose J lies
+    inside L, in increasing order of J: the subsets J of L that contain b,
     each looked up in ``by_J[b]``, which maps J to its pair of ``steps[b]``."""
     local = {}
-    for b in K:
+    for b, pairs in by_J.items():
         bit = 1 << b - 1
-        rest, pairs = L ^ bit, by_J[b]
-        found, sub = [], 0
+        if not L & bit:
+            continue
+        rest, found, sub = L ^ bit, [], 0
         while True:  # every subset of rest, increasing
             pair = pairs.get(sub | bit)
             if pair is not None:

@@ -9,15 +9,16 @@ of t^l(v), and ``billey.restricted_rows`` computes those integers directly.
 
 The ring itself is represented purely by these values (the restriction map
 to the fixed points is injective), and the model keeps one row of ints per
-class: row k holds the integers c_L with p_{v_K}(w_L) = c_L t^|K|, for
-K = ``subsets[k]`` and every fixed point L.  The rows are built together on
-first use, in one walk of the subset lattice that grows each w_K from
-w_{K - m}, m = max K, on subset bitmasks, carrying the heights of the
-roots w(alpha_b) and no action matrix.  Giambelli's reduced-word counts
-of the v_K are read off the same descent steps (J, J - b) of the v_J that
-the walk runs over, computed once per model.  Every identity checked below
-is homogeneous in t, so it is compared at t = 1, pointwise on the rows, in
-integers, rational coefficients cleared of their denominators.
+class: row K holds the integers c_L with p_{v_K}(w_L) = c_L t^|K| at
+every fixed point L, both K and L indexed by bitmask alone (node i is bit
+i - 1).  The rows are built together on first use, in one walk of the
+masks that grows each w_K from w_{K - m}, m = max K, carrying the heights
+of the roots w(alpha_b) and no action matrix.  Giambelli's reduced-word
+counts of the v_K are read off the same descent steps (J, J - b) of the
+v_J that the walk runs over, computed once per model.  Every identity
+checked below is homogeneous in t, so it is compared at t = 1, pointwise
+on the rows, in integers, rational coefficients cleared of their
+denominators.
 
 The rows are the model's one table.  Monk's rule (``_expansion_failures``)
 and Giambelli's formula read them, the latter one step K - m -> K at a
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from math import comb, lcm
-from operator import add, mul
+from operator import add, mul, or_
 
 from . import billey, commalg
 from .billey import restricted_rows
@@ -46,7 +47,7 @@ def _expansion_failures(table, support, k, covers, simple) -> list[int]:
 
     Drellich's Monk formula (``monk_failures``) on the rows r = p_{v_K}
     (r_k[L] the class at the fixed point L) and a simple row p (p_{s_i}),
-    over the covers J of k (``covers``):
+    over the covers J of k (``covers``), all indexed alike (by mask):
 
         p r_k = p[k] r_k + sum_J c_J r_J,  c_J = num_J / den_J >= 0,
 
@@ -95,26 +96,36 @@ def _evaluate(generator, rows) -> tuple[int, ...]:
     return tuple(total)
 
 
+def nodes_of(mask: int) -> tuple[int, ...]:
+    """The nodes of a node-set mask in node order, node i as bit i - 1."""
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1)
+
+
+def _by_size(mask: int) -> tuple[int, int]:
+    """The (size, bitmask) key of a node-set mask: the order of the reports."""
+    return mask.bit_count(), mask
+
+
 def subsets_by_size(n: int):
     """All subsets of {1..n} as sorted tuples, ordered by (size, bitmask)."""
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    return [tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks]
+    return [nodes_of(m) for m in sorted(range(1 << n), key=_by_size)]
 
 
 class PetersonModel:
     """Restriction model for one (semisimple) Lie type.
 
-    Fixed points are enumerated by subsets of the node set, ordered by
-    (size, bitmask), which makes the basis matrix literally upper
-    triangular.  Construction computes nothing: the Weyl group (unless one
-    is passed in, which must be of the same Cartan matrix), the subsets
-    with their indices and bitmasks, the descent steps of the v_J, the w_K
-    and the rows of the p_{v_J} (in one walk), the word counts, covers, row
-    supports, quadric rows and the minors route are each built once per
-    model, when a check first reads them.  The steps and rows walk on root
-    heights from the Cartan matrix, so only ``billey_welldef`` reads the
-    group: a run without it builds none, and a quadric run reads the route
-    alone.  The memo dies with the model, so no cache outlives a run.
+    A node set is indexed by its bitmask, node i being bit i - 1;
+    ``subsets`` lists them in (size, bitmask) order, the order of the
+    reports, in which the basis matrix is upper triangular.  Construction
+    computes nothing: the Weyl group (unless one is passed in, which must
+    be of the same Cartan matrix), the subsets with their bitmasks, the
+    descent steps of the v_J, the w_K and the rows of the p_{v_J} (in one
+    walk), the word counts, row supports, quadric rows and the minors
+    route are each built once per model, when a check first reads them.
+    The steps and rows walk on root heights from the Cartan matrix, so
+    only ``billey_welldef`` reads the group: a run without it builds none,
+    and a quadric run reads the route alone.  The memo dies with the
+    model, so no cache outlives a run.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -136,24 +147,23 @@ class PetersonModel:
 
     @cached_property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
+        """The node sets as sorted tuples, in the order of the reports."""
         return tuple(subsets_by_size(self.rank))
 
     @cached_property
-    def _subset_index(self) -> dict[tuple[int, ...], int]:
-        return {K: i for i, K in enumerate(self.subsets)}
-
-    @cached_property
     def _masks(self) -> tuple[int, ...]:
-        """Per subset index, the bitmask of the subset: node i is bit i - 1."""
+        """The bitmasks of ``subsets``, in their order."""
         return tuple(sum(1 << i - 1 for i in K) for K in self.subsets)
 
     @cached_property
-    def _position(self) -> list[int]:
-        """Per bitmask, the subset index of its subset."""
-        position = [0] * len(self.subsets)
-        for k, mask in enumerate(self._masks):
-            position[mask] = k
-        return position
+    def _bits(self) -> dict[int, int]:
+        """Per node i, its bit 1 << i - 1; a node outside the type has none."""
+        return {i: 1 << i - 1 for i in self.cartan.nodes()}
+
+    def _mask(self, K) -> int:
+        """The bitmask of the node set K; a node outside the type raises
+        ``KeyError``."""
+        return reduce(or_, map(self._bits.__getitem__, K), 0)
 
     @cached_property
     def minor_route(self) -> bool:
@@ -164,12 +174,9 @@ class PetersonModel:
     def type_name(self) -> str:
         return self.cartan.type_name()
 
-    def subset_index(self, K) -> int:
-        return self._subset_index[tuple(sorted(set(K)))]
-
     def one(self) -> tuple[int, ...]:
         """The row of the class 1, of degree 0."""
-        return (1,) * len(self.subsets)
+        return (1,) * (1 << self.rank)
 
     @cached_property
     def _steps(self) -> dict[int, list[tuple[int, int]]]:
@@ -180,11 +187,10 @@ class PetersonModel:
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row k: p_{v_K}(w_L) / t^|K| at every fixed point L, for
-        K = subsets[k]; one walk of the subset lattice grows each w_L from
-        w_{L - m} on root heights over the descent steps
-        (``billey.restricted_rows``)."""
-        return restricted_rows(self.cartan, self.subsets, self._steps)
+        """Row K, column L: p_{v_K}(w_L) / t^|K|, K and L by mask; one walk
+        of the masks grows each w_L from w_{L - m} on root heights over the
+        descent steps (``billey.restricted_rows``)."""
+        return restricted_rows(self.cartan, self._steps)
 
     @cached_property
     def _word_counts(self) -> list[int]:
@@ -195,32 +201,25 @@ class PetersonModel:
         steps in increasing order of J read only finished counts.  Every
         counted path takes |J| descents, so a zero count for a nonempty J
         means l(v_J) < |J|."""
-        counts = [1] + [0] * (len(self.subsets) - 1)
+        counts = [1] + [0] * ((1 << self.rank) - 1)
         for J, lower in sorted(chain.from_iterable(self._steps.values())):
             counts[J] += counts[lower]
         return counts
 
     def subset_class(self, K) -> tuple[int, ...]:
-        """The row of p_{v_K}, of degree |K|, for the ascending product v_K
-        of the reflections in K."""
-        return self._rows[self.subset_index(K)]
+        """The row of p_{v_K}, by mask, of degree |K|, for the ascending
+        product v_K of the reflections in K; a node outside the type raises
+        ``KeyError``."""
+        return self._rows[self._mask(K)]
 
     def simple_class(self, i: int) -> tuple[int, ...]:
         """The row of p_{s_i}, of degree 1."""
-        return self.subset_class((i,))
-
-    @cached_property
-    def _covers(self) -> tuple[tuple[int, ...], ...]:
-        """Per subset index k, the subset indices of the covers K + j of
-        K = subsets[k], for the nodes j not in K in node order."""
-        position = self._position
-        return tuple(tuple(position[mask | 1 << b] for b in range(self.rank)
-                           if not mask >> b & 1) for mask in self._masks)
+        return self._rows[self._bits[i]]
 
     @cached_property
     def _row_support(self) -> tuple[frozenset[int], ...]:
-        """Per row of ``_rows``, the set of its nonzero fixed points."""
-        everywhere = range(len(self.subsets))
+        """Per row of ``_rows``, the masks of its nonzero fixed points."""
+        everywhere = range(1 << self.rank)
         return tuple(frozenset(compress(everywhere, row)) for row in self._rows)
 
     # -- Monk rule -------------------------------------------------------
@@ -235,36 +234,37 @@ class PetersonModel:
         pipeline bug.  ``monk_failures`` decides the identities in integers;
         the ``monk`` check reads this only for its Cartan cross-check.
         """
-        K = tuple(sorted(set(K)))
-        J = tuple(sorted(set(J)))
-        if not (set(K) < set(J) and len(J) == len(K) + 1):
+        k, j = self._mask(K), self._mask(J)
+        if k & ~j or j.bit_count() != k.bit_count() + 1:
             raise ValueError("expected a cover: K subset of J with |J| = |K|+1")
-        k, j = self._subset_index[K], self._subset_index[J]
         p_i = self.simple_class(i)
         denominator = self._rows[j][j]
         if not denominator:
-            raise IntegrityError(
-                f"Monk division by zero for i={i}, K={K}, J={J}")
+            raise IntegrityError(f"Monk division by zero for i={i}, "
+                                 f"K={nodes_of(k)}, J={nodes_of(j)}")
         return (p_i[j] - p_i[k]) * self._rows[k][j], denominator
 
     def monk_failures(self) -> list[tuple[int, tuple[int, ...]]]:
         """The (i, K) whose Monk identity fails, for i in node order and
         then K in subset order: Monk's rule (``_expansion_failures``) on the
-        rows, the n identities of one K together.  D does not depend on i,
-        so a zero den_J is an ``IntegrityError`` for the first K that has
-        one and the first node, the first identity that divides by it."""
-        subsets, nodes = self.subsets, self.cartan.nodes()
+        rows, the n identities of one K together over its covers K + j, j
+        in node order.  D does not depend on i, so a zero den_J is an
+        ``IntegrityError`` for the first K that has one and the first
+        node, the first identity that divides by it."""
+        nodes, bits = self.cartan.nodes(), self._bits.values()
         simple = [self.simple_class(i) for i in nodes]
-        failing = []
-        for k, covers in enumerate(self._covers):
+        failing = [[] for _ in nodes]  # per node, its failing masks
+        for K in self._masks:
+            covers = [K | bit for bit in bits if not K & bit]
             try:
-                failing += [(nodes[p], k) for p in _expansion_failures(
-                    self._rows, self._row_support, k, covers, simple)]
+                for p in _expansion_failures(self._rows, self._row_support,
+                                             K, covers, simple):
+                    failing[p].append(K)
             except ZeroDivisionError as zero:
                 raise IntegrityError(
-                    f"Monk division by zero for i={nodes[0]}, K={subsets[k]}, "
-                    f"J={subsets[zero.args[0]]}") from None
-        return [(i, subsets[k]) for i, k in sorted(failing)]
+                    f"Monk division by zero for i={nodes[0]}, "
+                    f"K={nodes_of(K)}, J={nodes_of(zero.args[0])}") from None
+        return [(i, nodes_of(K)) for i, Ks in zip(nodes, failing) for K in Ks]
 
     # -- Giambelli rule ----------------------------------------------------
 
@@ -284,19 +284,17 @@ class PetersonModel:
         (``cli._check_giambelli`` gives the argument).  The counts are read
         off the descent steps of the v_J (``_word_counts``); a zero count
         for K is an ``IntegrityError``, and an empty K a ``ValueError``."""
-        K = tuple(sorted(set(K)))
-        if not K:
+        k = self._mask(K)
+        if not k:
             raise ValueError("giambelli_holds needs a nonempty K, got K = ()")
-        k = self._subset_index[K]
-        mask = self._masks[k]
-        n_words = self._word_counts[mask]
+        n_words = self._word_counts[k]
         if not n_words:
-            raise IntegrityError(f"v_K for K = {K} is not reduced")
-        top = 1 << mask.bit_length() - 1
-        j, m = self._position[mask ^ top], self._position[top]
+            raise IntegrityError(f"v_K for K = {nodes_of(k)} is not reduced")
+        m = 1 << k.bit_length() - 1
+        j = k ^ m
         rows, support = self._rows, self._row_support
         row_K, row_J, row_m = rows[k], rows[j] if j else self.one(), rows[m]
-        scale = len(K) * self._word_counts[mask ^ top]
+        scale = k.bit_count() * self._word_counts[j]
         # the left side is 0 off row K's points, the right side off those
         # of row J or of row m; for an empty J, m is k
         points = support[k] | support[j] & support[m]
@@ -306,16 +304,19 @@ class PetersonModel:
     # -- module basis -------------------------------------------------------
 
     def verify_basis_triangular(self) -> CheckRecord:
-        """Upper triangularity with nonzero diagonal, plus the support
-        condition p_{v_K}(w_J) = 0 whenever K is not contained in J, read
-        off the subset bitmasks: K is in J iff mask(K) & ~mask(J) is 0;
-        both read the nonzero points of each row."""
-        rows, masks, support = self._rows, self._masks, self._row_support
-        ok_support = not any(m & ~masks[L] for m, points in zip(masks, support)
+        """Upper triangularity in (size, bitmask) order with nonzero
+        diagonal, plus the support condition p_{v_K}(w_J) = 0 whenever K
+        is not contained in J, read off the bitmasks: K is in J iff
+        K & ~J is 0; both read the nonzero points of each row."""
+        rows, support = self._rows, self._row_support
+        ok_support = not any(K & ~L for K, points in enumerate(support)
                              for L in points)
-        ok_triangular = not any(points and min(points) < r
-                                for r, points in enumerate(support))
-        ok_diagonal = all(row[r] for r, row in enumerate(rows))
+        # K in L puts L at or after K in (size, bitmask) order, so only
+        # rows that fail the support condition are read point by point
+        ok_triangular = ok_support or not any(
+            points and min(map(_by_size, points)) < _by_size(K)
+            for K, points in enumerate(support))
+        ok_diagonal = all(row[K] for K, row in enumerate(rows))
         return CheckRecord(
             check="basis",
             lie_type=self.type_name(),
@@ -326,9 +327,9 @@ class PetersonModel:
                 "support_condition": ok_support,
                 "diagonal_nonzero": ok_diagonal,
                 # c * t^|K| as "num/den" coefficients of t^0, t^1, ...
-                "diagonal": [[ratio(0, 1)] * len(K) + [ratio(rows[r][r], 1)]
-                             if rows[r][r] else []
-                             for r, K in enumerate(self.subsets)],
+                "diagonal": [[ratio(0, 1)] * len(K) + [ratio(rows[L][L], 1)]
+                             if rows[L][L] else []
+                             for K, L in zip(self.subsets, self._masks)],
             },
         )
 
@@ -420,12 +421,13 @@ class PetersonModel:
         return dims
 
     def _support_failure(self) -> dict | None:
-        """The first simple-row entry p_{s_i}(w_L) != 0 with i not in L."""
-        for i in self.cartan.nodes():
-            bit = 1 << i - 1
-            for L in sorted(self._row_support[self._position[bit]]):
-                if not self._masks[L] & bit:
-                    return {"kind": "support", "i": i, "L": list(self.subsets[L])}
+        """The first simple-row entry p_{s_i}(w_L) != 0 with i not in L,
+        for i in node order and then L in (size, bitmask) order."""
+        for i, bit in self._bits.items():
+            row = self._rows[bit]
+            for L in self._masks:
+                if row[L] and not L & bit:
+                    return {"kind": "support", "i": i, "L": list(nodes_of(L))}
         return None
 
     def _upper_bound_failure(self) -> dict | None:
@@ -443,8 +445,8 @@ class PetersonModel:
         with |S| = d, on the simple rows ``simple``; subsets of size d
         start at ``start``."""
         for k in range(start, start + comb(self.rank, d)):
-            S = self.subsets[k]
-            if not all(simple[i - 1][k] for i in S):
+            S, L = self.subsets[k], self._masks[k]
+            if not all(simple[i - 1][L] for i in S):
                 return {"kind": "diagonal", "S": list(S)}
         return None
 

@@ -215,6 +215,17 @@ def longest_element(group, K):
     return w
 
 
+def mask(K) -> int:
+    """The bitmask of the node set K, node i being bit i - 1: the index of
+    its row and of its fixed point in the model's rows."""
+    return sum(1 << i - 1 for i in set(K))
+
+
+def node_set(L: int) -> tuple[int, ...]:
+    """The nodes of the bitmask L, in node order."""
+    return tuple(i for i in range(1, L.bit_length() + 1) if L >> i - 1 & 1)
+
+
 def v_K(group, K):
     """The product of the simple reflections of K in ascending node order,
     a reduced word."""
@@ -409,7 +420,7 @@ def fraction_verify_monk(model, i: int, K):
     from petcoh.report import CheckRecord
 
     K = tuple(sorted(set(K)))
-    k = model.subset_index(K)
+    k = mask(K)
     p_i, p_K = model.simple_class(i), model.subset_class(K)
     rhs = [p_i[k] * x for x in p_K]
     coeffs = []
@@ -417,7 +428,7 @@ def fraction_verify_monk(model, i: int, K):
         if j in K:
             continue
         J = tuple(sorted(K + (j,)))
-        at, p_J = model.subset_index(J), model.subset_class(J)
+        at, p_J = mask(J), model.subset_class(J)
         if not p_J[at]:
             raise IntegrityError(
                 f"Monk division by zero for i={i}, K={K}, J={J}")
@@ -528,11 +539,14 @@ def fraction_check_giambelli(model):
 
 def verify_basis_by_sets(model):
     """The ``basis`` record with the support condition decided by
-    ``set(K) <= set(J)`` for every pair of subsets, on the rows: ground
-    truth for ``verify_basis_triangular``, which reads subset bitmasks."""
+    ``set(K) <= set(J)`` for every pair of subsets, on the basis matrix
+    p_{v_K}(w_J) with rows and columns in (size, bitmask) order, read by
+    position: ground truth for ``verify_basis_triangular``, which reads
+    the bitmasks."""
     from petcoh.report import CheckRecord
 
-    rows = [model.subset_class(K) for K in model.subsets]
+    rows = [[model.subset_class(K)[mask(J)] for J in model.subsets]
+            for K in model.subsets]
     ok_support = not any(
         rows[r][c] for r, K in enumerate(model.subsets)
         for c, J in enumerate(model.subsets) if not set(K) <= set(J))
@@ -817,16 +831,17 @@ def is_monomial_of_degree(p, d: int) -> bool:
     return set(p.terms) <= {(d,)}
 
 
-def localized_rows(group, subsets) -> tuple[tuple[int, ...], ...]:
-    """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
-    J = subsets[k].  Each column is Billey's polynomial sigma_{v_J}(w_L) in
-    the simple roots, one ``billey.localization_table`` of every v_J per
+def localized_rows(group) -> tuple[tuple[int, ...], ...]:
+    """Row J, column L: c with sigma_{v_J}(w_L)|_S = c t^|J|, J and L by
+    mask (``mask``).  Each column is Billey's polynomial sigma_{v_J}(w_L)
+    in the simple roots, one ``billey.localization_table`` of every v_J per
     fixed point w_L (its prefix recursion is checked against
     ``subword_localization``), with every simple root sent to t by
     ``restrict_to_S``; each restricted value must be one term c t^|J|.
     Ground truth for ``billey.restricted_rows`` and the model's rows."""
     from petcoh.billey import localization_table
 
+    subsets = [node_set(L) for L in range(1 << group.rank)]
     targets = [v_K(group, J) for J in subsets]
     columns = []
     for L in subsets:
@@ -840,10 +855,11 @@ def localized_rows(group, subsets) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*columns))
 
 
-# The walk of the Peterson rows on action matrices, as ``billey`` ran it
-# before it carried the heights h_w alone: ground truth for
-# ``billey.subset_steps``, ``restricted_rows`` and ``_ascend``, which must
-# give the same steps and rows.
+# The walk of the Peterson rows on action matrices, which ``billey`` ran
+# before it carried the heights h_w alone, here with every step of each
+# letter: ground truth for ``billey.subset_steps``, ``restricted_rows``
+# (and its filter ``_local_steps``) and ``_ascend``, which must give the
+# same steps and rows.
 
 def matrix_subset_steps(group) -> dict[int, list[tuple[int, int]]]:
     """Per letter b, (mask of J, mask of J - b) for every node set J with
@@ -867,29 +883,26 @@ def matrix_subset_steps(group) -> dict[int, list[tuple[int, int]]]:
     return steps
 
 
-def matrix_restricted_rows(group, subsets, steps):
-    """Row k: c with sigma_{v_J}(w_L)|_S = c t^|J| at every L in subsets,
-    J = subsets[k], along the descent steps ``steps``: one walk of the
-    subset lattice, the column of K resumed from the finished column and
-    the action of w_{K - m}, m = max K."""
-    from petcoh.billey import _local_steps
-
-    masks = [sum(1 << i - 1 for i in K) for K in subsets]
-    by_J = {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
-    walked: dict[int, tuple] = {}
-    columns = []
-    for K, L in zip(subsets, masks):
+def matrix_restricted_rows(group, steps):
+    """Row J, column L: c with sigma_{v_J}(w_L)|_S = c t^|J|, J and L by
+    mask, along the descent steps ``steps``: one walk of the masks L in
+    increasing order, the column of L resumed from the finished column and
+    the action of w_{L - m}, m = max L.  Each letter runs every one of its
+    steps, not only those inside L as ``billey.restricted_rows`` does: a
+    column is 0 off the subsets of its L, so the others add 0, and the
+    walk checks that filter rather than sharing it."""
+    size = 1 << group.rank
+    actions, columns = [], []
+    for L in range(size):
         if L:
-            action, values = walked[L ^ 1 << L.bit_length() - 1]
-            values = values.copy()
+            lower = L ^ 1 << L.bit_length() - 1
+            action, values = actions[lower], columns[lower].copy()
         else:
-            action = group.identity.action
-            values = [1] + [0] * ((1 << group.rank) - 1)
-        local = _local_steps(by_J, K, L)
-        walked[L] = _matrix_ascend(group, action, K, local, values), values
+            action, values = group.identity.action, [1] + [0] * (size - 1)
+        actions.append(_matrix_ascend(group, action, node_set(L), steps,
+                                      values))
         columns.append(values)
-    by_mask = list(zip(*columns))
-    return tuple(by_mask[J] for J in masks)
+    return tuple(zip(*columns))
 
 
 def _matrix_ascend(group, action, K, steps, values: list):

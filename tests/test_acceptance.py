@@ -36,6 +36,7 @@ from oracles import (
     ideal_zero_set_is_origin,
     is_connected,
     is_regular_sequence,
+    mask,
     monk_fraction,
     poly_pow,
     product_holds,
@@ -182,7 +183,7 @@ def test_criterion_9_spot_values():
         for name in DEFAULT_SUITE:
             m = model(name)
             for i in m.cartan.nodes():
-                assert m.simple_class(i)[m.subset_index((i,))] == 1
+                assert m.simple_class(i)[mask((i,))] == 1
         # order-3 bonds: sigma_{s_i}(s_i s_j s_i) = a alpha_i - a_ij alpha_j
         for name, i, j in (("A2", 1, 2), ("A2", 2, 1), ("A3", 2, 3),
                            ("B3", 1, 2), ("F4", 3, 4)):
@@ -202,7 +203,7 @@ def test_criterion_9_spot_values():
         # G2 top fixed point: p_{s_i}(w_Delta) = (4 - 2 a_ij) t
         g2 = model("G2")
         cm = g2.cartan
-        top = g2.subset_index((1, 2))
+        top = mask((1, 2))
         assert g2.simple_class(1)[top] == 4 - 2 * cm.a(1, 2)
         assert g2.simple_class(2)[top] == 4 - 2 * cm.a(2, 1)
 

@@ -19,7 +19,6 @@ from petcoh.billey import (
     subset_steps,
 )
 from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
-from petcoh.peterson import subsets_by_size
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup
 
@@ -39,6 +38,7 @@ from oracles import (
     matrix_inversion_roots,
     matrix_restricted_rows,
     matrix_subset_steps,
+    node_set,
     pack_exponents,
     poly_product,
     poly_sum,
@@ -201,12 +201,11 @@ ROW_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
 def test_restricted_table_is_the_restricted_poly_table(name):
     # the rows, the recursion on root heights over the subset steps inside
     # each K, against one full polynomial table of every v_J per fixed
-    # point w_L, restricted to t
+    # point w_L, restricted to t; rows and columns by mask
     cartan = cartan_matrix(name)
-    subsets = subsets_by_size(cartan.rank)
-    rows = restricted_rows(cartan, subsets, subset_steps(cartan))
+    rows = restricted_rows(cartan, subset_steps(cartan))
     assert all(type(c) is int for row in rows for c in row)
-    assert rows == localized_rows(group(name), subsets)
+    assert rows == localized_rows(group(name))
 
 
 @pytest.mark.parametrize("name", ROW_TYPES)
@@ -227,12 +226,14 @@ def test_subset_steps_follow_the_dynkin_rule(name):
 
 @pytest.mark.parametrize("name", ROW_TYPES)
 def test_height_walk_matches_the_matrix_walk(name, monkeypatch):
-    # the walk on heights against the walk on action matrices it replaced:
-    # the same steps and rows, and each ascent ends at the heights of w_K,
-    # the column sums of its matrix
+    # the walk on heights against the walk on action matrices it replaced,
+    # which runs every step of each letter where the heights run only the
+    # steps inside K: the same steps and rows, and each ascent, in
+    # increasing order of mask, ends at the heights of w_K, the column sums
+    # of its matrix
     cartan = cartan_matrix(name)
     W = WeylGroup(cartan)
-    subsets = subsets_by_size(cartan.rank)
+    subsets = [node_set(K) for K in range(1 << cartan.rank)]
     steps = subset_steps(cartan)
     assert steps == matrix_subset_steps(W)
     ends = []
@@ -243,8 +244,7 @@ def test_height_walk_matches_the_matrix_walk(name, monkeypatch):
         return ends[-1][1]
 
     monkeypatch.setattr(billey, "_ascend", recording)
-    assert restricted_rows(cartan, subsets, steps) == \
-        matrix_restricted_rows(W, subsets, steps)
+    assert restricted_rows(cartan, steps) == matrix_restricted_rows(W, steps)
     assert ends == [(K, tuple(map(sum, zip(*longest_element(W, K).action))))
                     for K in subsets]
 

@@ -729,7 +729,10 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
         assert len(ideal.generators) == 7
 
 
-def test_quadric_checks_never_decode_a_basis(monkeypatch):
+def test_e6_quadric_run_prints_the_closed_form_with_the_engine_refused(
+        monkeypatch):
+    # an E6 run of the three quadric checks passes and prints the closed
+    # form (1 + s^2)^6 / (1 - s^2) while the engine refuses every basis
     monkeypatch.setattr(commalg, "groebner_basis", _refuse)
     monkeypatch.setattr(commalg, "_reducer", _refuse)
     # so that every ideal is rebuilt

@@ -27,10 +27,13 @@ from oracles import (
     from_word,
     fundamental_weights,
     is_connected,
+    localized_rows,
     longest_element,
+    mask,
     matrix_restricted_rows,
     matrix_subset_steps,
     monk_fraction,
+    node_set,
     poly_pow,
     product_holds,
     quadratic_combination,
@@ -61,7 +64,7 @@ def shared_model(name):
 
 def value(m, K, L):
     """p_{v_K}(w_L) / t^|K|, the entry of row K at the fixed point L."""
-    return m.subset_class(K)[m.subset_index(L)]
+    return m.subset_class(K)[mask(L)]
 
 
 def test_subset_order_is_by_size_then_mask():
@@ -74,6 +77,42 @@ def test_subset_order_is_by_size_then_mask():
                                     for k in range(n + 1))
         assert subsets_by_size(n) == sorted(
             every, key=lambda K: (len(K), sum(1 << i - 1 for i in K))), n
+
+
+@pytest.mark.parametrize("name", FAULT_TYPES)
+def test_rows_are_read_by_mask(name):
+    # a node set's index is its bitmask, node i being bit i - 1: the entry
+    # of p_{v_K} at w_L is subset_class(K)[mask(L)], entry (mask(K),
+    # mask(L)) of the localized oracle; from n = 3 on, a (size, bitmask)
+    # position is not the mask
+    m = model(name)
+    oracle = localized_rows(m.group)
+    for K in m.subsets:
+        row = m.subset_class(K)
+        assert [row[mask(L)] for L in m.subsets] == \
+            [oracle[mask(K)][mask(L)] for L in m.subsets], (name, K)
+
+
+def test_a_node_outside_the_type_is_a_key_error(monkeypatch):
+    # a node set is looked up node by node, so 0 and n + 1 raise KeyError;
+    # Monk's per-K loop reads masks and converts no node set, and
+    # Giambelli's step converts its K once
+    m = model("A3")
+    for K in ((0,), (4,), (1, 4), (0, 2)):
+        with pytest.raises(KeyError):
+            m.subset_class(K)
+        with pytest.raises(KeyError):
+            m.giambelli_holds(K)
+    for i in (0, 4):
+        with pytest.raises(KeyError):
+            m.simple_class(i)
+    with pytest.raises(KeyError):
+        m.monk_coefficient(1, (1,), (1, 4))
+    conversions = _count_calls(monkeypatch, PetersonModel, "_mask")
+    assert m.monk_failures() == []
+    assert conversions == []
+    assert m.giambelli_holds((1, 2, 3)) == (1, True)
+    assert len(conversions) == 1
 
 
 def _count_calls(monkeypatch, module, name):
@@ -116,12 +155,12 @@ def test_a_full_run_reads_one_minors_route_and_one_quadric_evaluation(
 
 
 def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
-    # one walk of the subset lattice reaches each fixed point w_K once, in
-    # subset order, and ends each ascent at w_K's action
+    # one walk of the masks reaches each fixed point w_K once, in
+    # increasing order of mask, and ends each ascent at w_K's action
     calls = _counting_tables(monkeypatch)
     m = model("A2")
     m.simple_class(1)
-    assert [K for K, _ in calls] == list(m.subsets)
+    assert [K for K, _ in calls] == [(), (1,), (2,), (1, 2)]
     by_K = dict(calls)
     assert by_K[()] == heights(m.group.identity.action) == (1, 1)
     assert by_K[(1,)] == heights(from_word(m.group, (1,)).action) == (-1, 2)
@@ -145,10 +184,10 @@ def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
 
     monkeypatch.setattr(billey, "_ascend", ascend)
     m._rows
-    assert [K for K, _ in seen] == list(m.subsets)
-    for (K, steps), mask in zip(seen, m._masks):
+    assert [K for K, _ in seen] == [node_set(L) for L in range(1 << m.rank)]
+    for L, (K, steps) in enumerate(seen):
         assert steps == {b: [(J, lower) for J, lower in every[b]
-                             if not J & ~mask] for b in K}, (name, K)
+                             if not J & ~L] for b in K}, (name, K)
 
 
 @pytest.mark.parametrize("name", WALK_TYPES)
@@ -168,7 +207,7 @@ def test_word_counts_match_count_reduced_words(name):
     # v_K, listed by the oracle's recursion on action matrices
     m = model(name)
     group = WeylGroup(m.cartan)
-    assert [m._word_counts[mask] for mask in m._masks] == \
+    assert [m._word_counts[mask(K)] for K in m.subsets] == \
         [len(enumerate_reduced_words(group, v_K(group, K))) for K in m.subsets]
 
 
@@ -196,7 +235,7 @@ def test_one_row_build_makes_one_right_action_per_letter(name, calls,
     actions = []
     monkeypatch.setattr(group, "right_action", lambda action, i: (
         actions.append(i) or WeylGroup.right_action(group, action, i)))
-    matrix_restricted_rows(group, m.subsets, matrix_subset_steps(group))
+    matrix_restricted_rows(group, matrix_subset_steps(group))
     assert actions == reflections
 
 
@@ -205,10 +244,11 @@ def test_simple_rows_are_heights_of_weight_differences(name):
     # sigma_{s_i}(w) = varpi_i - w varpi_i for any word of w, reduced or
     # not, so p_{s_i}(w_L) / t = ht(varpi_i - w_L varpi_i) with no word
     # read; B3, C3, G2 and F4 tell the transpose of the Cartan matrix from
-    # the matrix itself
+    # the matrix itself; the rows are read by mask
     m = model(name)
     weights = fundamental_weights(m.cartan)
-    actions = [longest_element(m.group, L).action for L in m.subsets]
+    actions = [longest_element(m.group, node_set(L)).action
+               for L in range(1 << m.rank)]
     for i, varpi in zip(m.cartan.nodes(), weights):
         heights = [sum(varpi) - sum(sum(a * c for a, c in zip(row, varpi))
                                     for row in action)
@@ -266,11 +306,12 @@ def _counting_tables(monkeypatch, doctor=None):
         calls.append((K, end))
         return end
 
-    def rows(cartan, subsets, steps):
-        out = real_rows(cartan, subsets, steps)
+    def rows(cartan, steps):
+        out = real_rows(cartan, steps)
         if doctor is None:
             return out
         group = WeylGroup(cartan)
+        subsets = [node_set(L) for L in range(1 << cartan.rank)]
         fixed = [longest_element(group, L) for L in subsets]
         return tuple(tuple(doctor(v_K(group, J), w, c)
                            for w, c in zip(fixed, row))
@@ -288,9 +329,10 @@ def test_model_construction_localizes_nothing(name, monkeypatch):
     m = model(name)
     assert calls == []
     m.simple_class(1)
-    # one row build walks each w_K once, and ends it at w_K's heights
+    # one row build walks each w_K once, by mask, and ends it at w_K's
+    # heights
     assert calls == [(K, heights(longest_element(m.group, K).action))
-                     for K in m.subsets]
+                     for K in map(node_set, range(1 << m.rank))]
     for K in m.subsets:
         m.subset_class(K)
     m.verify_quadratic_relations()
@@ -348,7 +390,8 @@ def test_one_dropped_step_changes_the_rows_and_does_not_certify(
 
     monkeypatch.setattr(billey, "subset_steps", dropped)
     m = model(name)
-    changed = [K for K, old, new in zip(m.subsets, rows, m._rows) if old != new]
+    changed = [node_set(K) for K, (old, new) in enumerate(zip(rows, m._rows))
+               if old != new]
     assert bool(changed) == rows_change
     report = run_certification(RunConfig(name))
     assert not report.isomorphism_certified()
@@ -365,7 +408,7 @@ def test_one_dropped_step_changes_the_rows_and_does_not_certify(
 def test_quadric_checks_compute_no_fixed_point(monkeypatch):
     # the quadric checks never read a fixed point, so a run of only them
     # never enters the walk of the fixed points
-    def refuse(cartan, subsets, steps):
+    def refuse(cartan, steps):
         raise AssertionError(f"fixed points of {cartan.type_name()} walked")
 
     monkeypatch.setattr(peterson, "restricted_rows", refuse)
@@ -431,7 +474,7 @@ def test_monk_coefficient_examples():
     # an integer pair (num, den), den the diagonal p_{v_J}(w_J)
     num, den = g2.monk_coefficient(2, (2,), (1, 2))
     assert type(num) is int and type(den) is int
-    assert den == g2.subset_class((1, 2))[g2.subset_index((1, 2))]
+    assert den == g2.subset_class((1, 2))[mask((1, 2))]
 
 
 def test_monk_coefficient_matches_cartan_integer_everywhere():
@@ -517,7 +560,7 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
 
     _counting_tables(monkeypatch, doctored)
     m = model("A3")
-    assert m.subset_class(K)[m.subset_index(L)] == 1
+    assert m.subset_class(K)[mask(L)] == 1
     failing = m.monk_failures()
     assert failing == [(i, J) for i in m.cartan.nodes() for J in m.subsets
                        if not fraction_verify_monk(m, i, J).passed]
@@ -601,7 +644,7 @@ def test_monk_record_lists_failures_node_first(monkeypatch):
                 if not fraction_verify_monk(m, i, K).passed]
     assert {K for _, K in expected} == {(1,), (2,), (3,)}
     assert {i for i, _ in expected} == {1, 2, 3}
-    assert expected != sorted(expected, key=lambda iK: m.subset_index(iK[1]))
+    assert expected != sorted(expected, key=lambda iK: m.subsets.index(iK[1]))
     record = cli._check_monk(m)
     assert not record.passed
     assert record.witnesses["failures"] == [{"i": i, "K": list(K)}
@@ -836,7 +879,7 @@ def test_one_doctored_simple_value_fails_exactly_the_affected_quadrics(monkeypat
 
     _counting_tables(monkeypatch, doctored)
     m = model("A3")
-    assert m.simple_class(2)[m.subset_index((1, 2))] == 3
+    assert m.simple_class(2)[mask((1, 2))] == 3
     rec = m.verify_quadratic_relations()
     assert rec.witnesses["failing_rows"] == failing_quadrics(m)
     assert not rec.passed and rec.witnesses["failing_rows"] == [1, 2]
@@ -935,8 +978,7 @@ def test_expansion_kernel_cost_on_E6(monkeypatch):
     assert m.image_graded_dimensions(12) == [1, 7, 22, 42, 57, 63, 64]
     assert m.monk_failures() == []
     assert len(identities) == n * 2 ** n == 384
-    assert all(points == 2 ** (n - len(m.subsets[k]))
-               for k, points in identities)
+    assert all(points == 2 ** (n - K.bit_count()) for K, points in identities)
 
 
 def _doctored_graded_dims(monkeypatch, name, J, L, value):
@@ -1015,7 +1057,7 @@ def _set_entry(m, K, L, change):
     """Build the rows of ``m``, then replace the entry of row K at w_L by
     ``change(entry)``."""
     rows = [list(row) for row in m._rows]
-    k, l = m.subset_index(K), m.subset_index(L)
+    k, l = mask(K), mask(L)
     rows[k][l] = change(rows[k][l])
     m._rows = tuple(map(tuple, rows))
 
@@ -1085,7 +1127,7 @@ def test_every_word_count_fault_fails_giambelli(name, monkeypatch):
     # step fails at K = J, or a zero count is an integrity error there
     def moved(m, J, delta):
         counts = list(m._word_counts)
-        counts[m._masks[m.subset_index(J)]] += delta
+        counts[mask(J)] += delta
         m._word_counts = counts
 
     run = _faulty_runs(monkeypatch, name, moved)
