@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import petcoh
-from petcoh import billey, cli, peterson
+from petcoh import billey, cli, peterson, roots
 from petcoh.cli import (
     CHECK_ORDER,
     DEFAULT_SUITE,
@@ -38,6 +38,7 @@ from petcoh.report import (
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import CayleyTable, WeylGroup, word_to_str
 
+import oracles
 from oracles import (
     billey_welldef_per_word,
     enumerate_reduced_words,
@@ -46,6 +47,8 @@ from oracles import (
     indented_json,
     is_connected,
     mask,
+    matrix_restricted_rows,
+    matrix_subset_steps,
     pack_exponents,
     trie_word_tables,
     welldef_failures,
@@ -798,12 +801,33 @@ def test_sweep_makes_one_right_action_per_ascent(monkeypatch):
     assert total == 380
 
 
+def _matrix_route(monkeypatch):
+    """Build the model's steps and rows by the matrix walk of the oracles,
+    on a Weyl group of its Cartan matrix, as the package ran before it
+    walked on heights."""
+    monkeypatch.setattr(billey, "subset_steps",
+                        lambda cartan: matrix_subset_steps(WeylGroup(cartan)))
+    monkeypatch.setattr(peterson, "restricted_rows", lambda cartan, steps:
+                        matrix_restricted_rows(WeylGroup(cartan), steps))
+
+
 def _doctor_heights(monkeypatch, doctor):
     """Let ``doctor(heights)`` rewrite every vector ``billey._reflect``
     returns."""
     reflect = billey._reflect
     monkeypatch.setattr(billey, "_reflect", lambda heights, b, updates:
                         doctor(reflect(heights, b, updates)))
+
+
+def test_non_positive_inversion_root_is_an_integrity_error(monkeypatch,
+                                                           capsys):
+    # on the matrix route, the root (1, 1) of A2's w_0 read as not
+    # positive: the rows, and so the first check that reads them, stop on it
+    _matrix_route(monkeypatch)
+    monkeypatch.setattr(roots, "is_positive_root_vector",
+                        lambda root: root != (1, 1))
+    _assert_integrity_failure(
+        "A2", "quadratic", "r(i, w) = (1, 1) is not a positive root", capsys)
 
 
 def test_zero_height_on_an_ascent_is_an_integrity_error(monkeypatch, capsys):
@@ -844,6 +868,18 @@ def test_ascent_that_ends_off_minus_one_is_an_integrity_error(monkeypatch,
     _assert_integrity_failure(
         "A2", "quadratic", "the ascent to w_K for K = (1,) ends at heights "
         "(-2, 4), not -1 on K", capsys)
+
+
+def test_wrong_subset_step_is_an_integrity_error(monkeypatch, capsys):
+    # on the matrix route, the steps' group reads every node as a descent
+    # of every v_J, so s_2 looks like a descent of v_{1} = s_1; the
+    # sweep's group is left alone
+    _matrix_route(monkeypatch)
+    monkeypatch.setattr(oracles, "descents",
+                        lambda group, action: list(group.cartan.nodes()))
+    _assert_integrity_failure(
+        "A2", "quadratic", "v_J s_b is not v_(J - b) for J = 0b1, b = 2",
+        capsys)
 
 
 def test_wrong_subset_step_on_heights_is_an_integrity_error(monkeypatch,
@@ -1004,6 +1040,16 @@ def test_printed_report_is_pinned(name):
                          ids=[*DEFAULT_SUITE, "A2+A1", *REPORT_RUNS])
 def test_to_json_matches_the_json_dumps_oracle(config):
     report = run_certification(config)
+    assert report.to_json() == indented_json(report.to_dict())
+
+
+def test_to_json_of_an_integrity_error_matches_the_oracle(monkeypatch):
+    _matrix_route(monkeypatch)
+    monkeypatch.setattr(roots, "is_positive_root_vector",
+                        lambda root: root != (1, 1))
+    report = run_certification(RunConfig("A2"))
+    assert {"integrity_error": "r(i, w) = (1, 1) is not a positive root"} in \
+        [r.witnesses for r in report.records]
     assert report.to_json() == indented_json(report.to_dict())
 
 
