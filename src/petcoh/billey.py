@@ -46,37 +46,19 @@ The heights determine w, as rho^vee is regular and only the identity fixes
 it, so ``subset_steps`` checks v_J s_b = v_{J - b} as an equality of
 height vectors; nothing is hashed or keyed by them.  No root has height 0,
 and w_K sends the simple roots of K to negative simple roots, of height
--1, and both are checked.  Neither walk builds a Weyl group: of a run's
-checks, only the ``billey_welldef`` sweep builds one.
+-1, and both are checked.  No walk here builds a Weyl group, and no run
+builds one.
 
-Every prefix of a reduced word is itself reduced, and the recursion builds
-the table {u: sigma_u(w_j)} from the table at w_{j-1} by one letter step.
-So the tables of all reduced words of length <= m, which the word-
-independence sweep compares, share their steps along the trie of those
-words: ``reduced_word_tables`` walks the trie depth first, and each child
-holds a shallow copy of its parent's table in which only the entries
-u' s_b, for each entry u' of the parent with ascent b = b_j, are replaced
-by new dicts: the u with descent b_j and sigma_{u s_b}(w_{j-1}) != 0.
-Each trie node costs one letter step over its parent's nonzero entries,
-and a monomial there is one int, a four-bit field per simple root, so a
-product step adds ints.  A child's table depends only on its parent's
-table, element and letter, so the words below an element reached again
-with its first table are listed from the first visit, each in its own
-dict with the values shared; a table that differs is walked in full, and
-a passing sweep grows one child per edge of the Cayley table.
-The walk runs on element indices: a ``weyl.CayleyTable`` of the swept
-ideal gives every element its index, u s_b for each letter b and the root
-u(alpha_b) of each ascent, and it is the one place where the sweep hashes
-an action matrix, once per element.  The per-word ``localization_table``
-still keys its ideal by action matrices and its monomials by exponent
-tuples; it serves single localizations and the tests.
+The rows are the Peterson classes by Billey's theorem: the formula does
+not depend on the word (Billey, Duke Math. J. 96, 1999).
+``second_word_failures`` checks them on a second reduced word of each w_L.
 """
 
 from __future__ import annotations
 
 from .errors import IntegrityError
 from .roots import CartanMatrix, is_negative_root_vector, is_positive_root_vector
-from .weyl import CayleyTable, WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup
 
 
 def inversion_roots(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
@@ -139,82 +121,6 @@ def _prefix_recursion(group: WeylGroup, targets, w: WeylElement) -> list:
                 for k, rk in factor:
                     target[up[k]] = target.get(up[k], 0) + c * rk
     return [(u, values[u.action]) for u in live]
-
-
-def reduced_word_tables(group: WeylGroup, cayley: CayleyTable) -> dict:
-    """{w index: {word: {u index: {code: int}}}} for every element w of the
-    Cayley table and every reduced word of w: the nonzero sigma_u(w) over u
-    in the table's ideal, by index into ``cayley.elements``.
-
-    A monomial prod_k alpha_k^{e_k} is packed into one int, the code
-    sum_k e_k << 4(k - 1), and multiplying it by alpha_k adds 1 << 4(k - 1).
-    ``packed_degree_sets`` lists the codes of each degree.  Both are exact
-    while every degree is below 15, so a table with an element of length
-    >= 15 raises ValueError before anything is walked.
-
-    One depth-first walk over the trie of reduced words: a child's table is
-    its parent's, shallow-copied, with the entries changed by the one new
-    letter replaced, and below an element reached again with its first
-    table the words are listed from the first visit (see the module
-    docstring).  The words are built here and grouped by element index.
-    """
-    top = cayley.elements[-1]  # the elements run by length
-    if top.length >= 15:
-        raise ValueError(f"the table reaches length {top.length}; packed "
-                         f"monomials hold degrees below 15")
-    times, ascents = cayley.times, cayley.ascents
-    # per element, the ascents b with r(l(u) + 1, w) = u(alpha_b) as the
-    # units and coefficients of its nonzero coordinates
-    factors = [{b: [(1 << 4 * k, c) for k, c in enumerate(root) if c]
-                for b, root in up.items()} for up in ascents]
-    # per letter b, lower -> lower s_b for every lower with ascent b
-    steps = {b: {u: times[u][b] for u, up in enumerate(ascents) if b in up}
-             for b in group.cartan.nodes()}
-    # (word, element, table) as walked; per element, its first visit's span
-    visits: list = []
-    spans: dict[int, tuple[int, int]] = {}
-
-    def visit(word, i, table):
-        start = len(visits)
-        visits.append((word, i, table))
-        span = spans.get(i)
-        if span is not None and visits[span[0]][2] == table:
-            visits.extend([(word + below[len(word):], j, dict(value))
-                           for below, j, value in visits[span[0] + 1:span[1]]])
-            return
-        for b, factor in factors[i].items():
-            child = dict(table)
-            up = steps[b]
-            # each target lower s_b has one lower with ascent b; the keys
-            # have length <= l(w) < max_len, so their ascents are tabled
-            for lower, source in table.items():
-                target = up.get(lower)
-                if target is not None:
-                    grown = dict(table.get(target, ()))
-                    for code, c in source.items():
-                        for unit, rk in factor:
-                            key = code + unit
-                            grown[key] = grown.get(key, 0) + c * rk
-                    child[target] = grown
-            visit(word + (b,), times[i][b], child)
-        spans.setdefault(i, (start, len(visits)))
-
-    # elements[0] is the identity
-    visit((), 0, {0: {0: 1}})
-    tables: dict = {}
-    for word, i, table in visits:
-        tables.setdefault(i, {})[word] = table
-    return tables
-
-
-def packed_degree_sets(rank: int, max_degree: int) -> list[set[int]]:
-    """Entry d: the codes of the monomials of degree d <= max_degree in
-    ``rank`` simple roots (see ``reduced_word_tables``); exact up to 15."""
-    units = [1 << 4 * k for k in range(rank)]
-    sets = [{0}]
-    for _ in range(max_degree):
-        sets.append({code + unit for code in sets[-1] for unit in units})
-    return sets
 
 
 def localization_table(group: WeylGroup, targets, w: WeylElement) -> dict:
@@ -288,7 +194,7 @@ def restricted_rows(cartan: CartanMatrix, steps) -> tuple[tuple[int, ...], ...]:
     inside L has J - b not inside L, so it adds 0 and J stays 0.
     """
     size = 1 << cartan.rank
-    by_J = {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
+    by_J = _steps_by_J(steps)
     walked = []  # per mask L: the nodes of L, the heights of w_L, the column
     for L in range(size):
         if L:
@@ -302,10 +208,52 @@ def restricted_rows(cartan: CartanMatrix, steps) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(column for _, _, column in walked)))
 
 
+def second_word_failures(cartan: CartanMatrix, steps, rows) -> list[int]:
+    """The masks L, in increasing order, whose column of ``rows`` (row J,
+    column L, as ``restricted_rows`` returns them) the recursion along a
+    second reduced word of w_L does not reproduce.
+
+    ``restricted_rows`` reaches w_L from w_{L - m}, m = max L, taking the
+    smallest ascent first.  Here the column of L starts as the rows' own
+    column of L - l, l = min L, restricted to the subsets J of L (a column
+    is 0 off them, which the ``basis`` check reads), and ascends from the
+    heights of w_{L - l} over the nodes of L, largest first (``_ascend``).
+    That spells another reduced word of w_L, so by Billey's theorem the
+    result is column L; it is compared with the whole column.  The ascent
+    ends at the heights of w_L, as heights determine the element, so the
+    walk keeps its own heights and builds no Weyl group.  The empty L has
+    the identity's column, 1 at J = 0 and 0 elsewhere, where both walks
+    start."""
+    size = 1 << cartan.rank
+    by_J = _steps_by_J(steps)
+    columns = tuple(zip(*rows))
+    failing = [] if columns[0] == (1,) + (0,) * (size - 1) else [0]
+    heights = [(1,) * cartan.rank]  # per mask L, the heights of w_L
+    for L in range(1, size):
+        lower = L & L - 1  # L less its smallest node
+        start, values = columns[lower], [0] * size
+        values[0], J = start[0], L
+        while J:  # every nonempty subset of L, decreasing
+            values[J] = start[J]
+            J = J - 1 & L
+        K = tuple(b for b in range(L.bit_length(), 0, -1) if L >> b - 1 & 1)
+        heights.append(_ascend(cartan, heights[lower], K,
+                               _local_steps(by_J, L), values))
+        if tuple(values) != columns[L]:
+            failing.append(L)
+    return failing
+
+
+def _steps_by_J(steps) -> dict[int, dict[int, tuple[int, int]]]:
+    """Per letter b, the map from J to its pair (J, J - b) of ``steps[b]``,
+    in which ``_local_steps`` looks up the subsets of a mask."""
+    return {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
+
+
 def _local_steps(by_J, L: int) -> dict[int, list]:
     """Per node b of the mask L, the steps (J, J - b) of b whose J lies
     inside L, in increasing order of J: the subsets J of L that contain b,
-    each looked up in ``by_J[b]``, which maps J to its pair of ``steps[b]``."""
+    each looked up in ``by_J[b]`` (``_steps_by_J``)."""
     local = {}
     for b, pairs in by_J.items():
         bit = 1 << b - 1
@@ -324,8 +272,8 @@ def _local_steps(by_J, L: int) -> dict[int, list]:
 
 
 def _ascend(cartan: CartanMatrix, heights: tuple, K, steps, values: list):
-    """The heights of w_K, by greedy ascent over the nodes K (in node order,
-    from the smallest after each letter) from ``heights``, those of an
+    """The heights of w_K, by greedy ascent over the nodes K (the first
+    ascent in the order of K after each letter) from ``heights``, those of an
     element of W_K.  Each letter b adds its root's height h[b] times the
     value at J - b to the value at J over b's steps in ``values``, and
     reflects the heights once.  At the end every node of K has height -1."""

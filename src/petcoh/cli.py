@@ -18,13 +18,11 @@ from math import comb, factorial
 from operator import methodcaller
 
 from . import __version__
-from .billey import packed_degree_sets, reduced_word_tables
 from .commalg import HilbertSeries
 from .errors import IntegrityError
 from .peterson import PetersonModel
 from .report import CertificationReport, CheckRecord, _dumps, ratio
 from .roots import cartan_matrix, parse_lie_type
-from .weyl import CayleyTable, word_to_str
 
 CHECK_ORDER = (
     "billey_welldef",
@@ -39,9 +37,6 @@ CHECK_ORDER = (
 )
 
 DEFAULT_SUITE = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2")
-
-# exhaustive well-definedness sweeps get shorter as the group grows
-_WELLDEF_LENGTH_BY_RANK = {1: 6, 2: 6, 3: 5, 4: 4}
 
 # the largest total rank accepted, checked before any model is built: the
 # model holds 4^rank class values, and each further rank multiplies the
@@ -108,88 +103,21 @@ def expected_ordinary_series(rank: int) -> HilbertSeries:
 # individual checks
 
 def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
-    """Localization is witness-word independent, vanishes exactly off the
-    Bruhat interval, and is homogeneous; swept over a bounded length range.
-
-    Every reduced word of every w of length <= max_length gets its own table
-    {v: sigma_v(w)}, and the witness word's table is the baseline the others
-    are compared with.  The sweep runs on element indices: one
-    ``weyl.CayleyTable`` walks the swept ideal once and holds u s_b and the
-    ascent roots by index, and nothing after it hashes an action matrix.
-    The tables come from one walk over the trie of reduced words on that
-    table (``billey.reduced_word_tables``), by element, which alone lists
-    the words: a word's table is its parent prefix's table plus one letter
-    step, and as that depends only on the parent's table, element and
-    letter, a word that reaches an element with its first table takes the
-    tables below from the first visit (each word in its own dict, values
-    shared).  The number of words of each w must be the table's
-    ``counts``, which the Cayley walk sums over each element's descents,
-    read off its matrix columns, apart from the trie; otherwise the record
-    is an integrity error.  Values are compared as {packed monomial:
-    int} dicts; a missing entry is sigma_v(w) = 0.  Every key of a table
-    has length <= l(w), so a table equal to the baseline as a whole agrees
-    at every target, and only a table that differs is compared target by
-    target.  Likewise the baseline is first checked whole, by set tests:
-    its nonzero targets must be [e, w] and each value's codes must lie in
-    the codes of degree l(v) (``billey.packed_degree_sets``); only if not
-    are the targets run one by one, under the same rule.
-    ``CayleyTable.bruhat_intervals`` builds [e, w] for every swept w by
-    the lifting recursion [e, w] = [e, ws] u [e, ws] s.  The length
-    bound is ``_WELLDEF_LENGTH_BY_RANK``, which with ``MAX_RANK`` bounds the
-    sweep: 442 elements at most, for B12, C12 and D12.
-    """
-    group = model.group
-    max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
-    cayley = CayleyTable(group, max_len)
-    elements = cayley.elements
-    tables = reduced_word_tables(group, cayley)
-    intervals = cayley.bruhat_intervals()
-    codes = packed_degree_sets(group.rank, max_len)
-    homogeneous = [codes[u.length] for u in elements]  # per v, degree l(v)
-    # elements run by length, so the targets of w, the v with l(v) <= l(w),
-    # are the first ends[l(w)] of them
-    ends = {u.length: i + 1 for i, u in enumerate(elements)}
-    comparisons = 0
-    failures = []
-    for i, (w, count) in enumerate(zip(elements, cayley.counts)):
-        end = ends[w.length]
-        words = tables[i]
-        if len(words) != count:
-            raise IntegrityError(
-                f"the trie lists {len(words)} reduced words of "
-                f"{word_to_str(w.witness_word)}, but it has {count}")
-        baseline = words[w.witness_word]
-        below = intervals[i]
-        nonzero = [v for v, value in baseline.items() if value and v < end]
-        if len(nonzero) != len(below) or not below.issuperset(nonzero) or \
-                not all(map(set.issuperset, map(homogeneous.__getitem__, nonzero),
-                            map(baseline.__getitem__, nonzero))):
-            for v in range(end):
-                value = baseline.get(v)
-                if bool(value) != (v in below):
-                    failures.append({"kind": "vanishing",
-                                     "v": word_to_str(elements[v].witness_word),
-                                     "w": word_to_str(w.witness_word)})
-                if value and not homogeneous[v].issuperset(value):
-                    failures.append({"kind": "degree",
-                                     "v": word_to_str(elements[v].witness_word),
-                                     "w": word_to_str(w.witness_word)})
-        comparisons += len(words) * end
-        for word, table in words.items():
-            if table == baseline:
-                continue
-            for v in range(end):
-                if table.get(v) != baseline.get(v):
-                    failures.append({
-                        "kind": "witness_dependence",
-                        "v": word_to_str(elements[v].witness_word),
-                        "w_word": word_to_str(word)})
+    """The rows are the Peterson classes by Billey's theorem, a cited
+    premise: sigma_v(w) does not depend on the reduced word of w (Billey,
+    Duke Math. J. 96, 1999).  The rows follow one reduced word of each
+    fixed point w_L.  This check recomputes every column from the rows'
+    own column of L - min L along a second word and lists the first 20 L
+    it does not reproduce (``PetersonModel.second_word_failures``), so a
+    row entry or recursion step the build got wrong fails here.  The
+    theorem is tested word by word in ``tests/oracles.py``."""
+    failing = model.second_word_failures()
     return CheckRecord(
         check="billey_welldef",
         lie_type=model.type_name(),
-        passed=not failures,
-        parameters={"max_length": max_len, "elements": len(elements)},
-        witnesses={"comparisons": comparisons, "failures": failures[:20]},
+        passed=not failing,
+        parameters={"fixed_points": 1 << model.rank},
+        witnesses={"failures": [list(L) for L in failing[:20]]},
     )
 
 
@@ -342,11 +270,11 @@ def run_certification(config: RunConfig) -> CertificationReport:
 
     Failures never short-circuit the run, and every check gives a record
     that passed or failed: an integrity error fails its check.  The model
-    builds its Weyl group when a check first reads it, and only
-    ``billey_welldef`` does: the rows walk on root heights, so a run
-    without that check builds none.  The config's checks are stored as a
-    list, as JSON has them, so that the report's own fields equal its
-    ``to_dict``.
+    builds each table when a check first reads it, so the first check that
+    reads the rows (``billey_welldef`` in a full run) carries their build in
+    ``timing``.  The rows walk on root heights, and no check builds a Weyl
+    group.  The config's checks are stored as a list, as JSON has them, so
+    that the report's own fields equal its ``to_dict``.
     """
     model = PetersonModel(cartan_matrix(parse_lie_type(config.lie_type)))
     records = []

@@ -122,10 +122,10 @@ class PetersonModel:
     descent steps of the v_J, the w_K and the rows of the p_{v_J} (in one
     walk), the word counts, row supports, quadric rows and the minors
     route are each built once per model, when a check first reads them.
-    The steps and rows walk on root heights from the Cartan matrix, so
-    only ``billey_welldef`` reads the group: a run without it builds none,
-    and a quadric run reads the route alone.  The memo dies with the
-    model, so no cache outlives a run.
+    The steps and rows walk on root heights from the Cartan matrix, so no
+    check reads the group and a run builds none, and a quadric run reads
+    the route alone.  The memo dies with the model, so no cache outlives a
+    run.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -196,8 +196,8 @@ class PetersonModel:
     def _word_counts(self) -> list[int]:
         """Per subset mask J, the number of reduced words of v_J: 1 for the
         empty J, else the sum of the counts of J - b over J's descent
-        steps.  This is the recursion of ``CayleyTable.counts``, run on the
-        v_J alone since v_J s_b = v_{J - b}; each step has J - b < J, so the
+        steps: a reduced word of v_J ends in a descent b, and the rest is a
+        reduced word of v_J s_b = v_{J - b}.  Each step has J - b < J, so the
         steps in increasing order of J read only finished counts.  Every
         counted path takes |J| descents, so a zero count for a nonempty J
         means l(v_J) < |J|."""
@@ -215,6 +215,13 @@ class PetersonModel:
     def simple_class(self, i: int) -> tuple[int, ...]:
         """The row of p_{s_i}, of degree 1."""
         return self._rows[self._bits[i]]
+
+    def second_word_failures(self) -> list[tuple[int, ...]]:
+        """The fixed points L, as node sets in mask order, whose column of
+        the rows the recursion along a second reduced word of w_L does not
+        reproduce (``billey.second_word_failures``)."""
+        return [nodes_of(L) for L in billey.second_word_failures(
+            self.cartan, self._steps, self._rows)]
 
     @cached_property
     def _row_support(self) -> tuple[frozenset[int], ...]:

@@ -143,11 +143,13 @@ class CertificationReport:
         so the target has the expected size), the Hilbert series equality
         (the source has that size too: the Cartan minors make the quadrics
         and t a regular sequence, which gives its series in closed form;
-        no Groebner basis is computed), and the well-definedness of
-        Billey's formula.  That last leg is needed because the other
-        restriction legs read the classes off Billey localizations: they
-        are the Peterson classes only if every localization is the same
-        for every reduced word and vanishes off the Bruhat interval.  The
+        no Groebner basis is computed), and ``billey_welldef``.  The other
+        restriction legs read the classes off the rows, which follow
+        Billey's formula along one reduced word of each fixed point; they
+        are the Peterson classes by Billey's theorem (Billey, Duke Math. J.
+        96, 1999), a cited premise: the formula does not depend on the word
+        and vanishes off the Bruhat interval.  ``billey_welldef`` recomputes
+        every column of the rows along a second reduced word.  The
         Giambelli witnesses must moreover reach every one of the 2^n - 1
         nonempty node sets K of that basis (p_{v_()} is 1), each by
         Giambelli's identity for K itself."""

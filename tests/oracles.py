@@ -257,8 +257,8 @@ def enumerate_reduced_words(group, w, cap=16) -> frozenset:
     """The full set of reduced words for w: a reduced word ends in a right
     descent i of w, and deleting that letter leaves a reduced word of
     w s_i, so the words are listed by recursing on action matrices over the
-    right descents.  The reference word set for the trie walk of
-    ``billey.reduced_word_tables`` and the counts of ``weyl.CayleyTable``.
+    right descents.  The reference word set for the reduced-word counts of
+    the v_K and for the tables of every reduced word of each w_L.
 
     Raises EnumerationCapError when l(w) exceeds cap; the enumeration is
     never silently truncated.
@@ -283,8 +283,7 @@ def enumerate_reduced_words(group, w, cap=16) -> frozenset:
 
 def elements_up_to_length(group, max_length: int):
     """All elements of length <= max_length, BFS order (layer by layer):
-    one ``right_multiply`` per ascent, keeping the new products, as
-    ground truth for the walk of ``weyl.CayleyTable``.  Raises
+    one ``right_multiply`` per ascent, keeping the new products.  Raises
     EnumerationCapError past ``ELEMENT_CAP`` elements."""
     seen = {group.identity.action}
     layer = [group.identity]
@@ -952,19 +951,19 @@ def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
     return [tuple(rows[k][n + i] for k in range(n)) for i in range(n)]
 
 
-def billey_welldef_per_word(model):
-    """The ``billey_welldef`` record with one ``localization_table`` per
-    reduced word of each w, each a full prefix recursion over its word:
-    ground truth for the check's one walk over the trie of reduced words."""
+def billey_welldef_per_word(model) -> list[dict]:
+    """The failures of Billey's theorem (Duke Math. J. 96, 1999) on every
+    w up to a length that shrinks with the rank, each w with one
+    ``localization_table`` per reduced word, a full prefix recursion over
+    that word: a value that vanishes off [e, w] (``bruhat_leq``) or is
+    nonzero on it, or is not homogeneous of degree l(v), on w's witness
+    word, and one that another word of w gives differently."""
     from petcoh.billey import localization_table
-    from petcoh.cli import _WELLDEF_LENGTH_BY_RANK
-    from petcoh.report import CheckRecord
     from petcoh.weyl import word_to_str
 
     group = model.group
-    max_len = _WELLDEF_LENGTH_BY_RANK.get(model.rank, 3)
+    max_len = {1: 6, 2: 6, 3: 5, 4: 4}.get(model.rank, 3)
     elements = elements_up_to_length(group, max_len)
-    comparisons = 0
     failures = []
     for w in elements:
         targets = [v for v in elements if v.length <= w.length]
@@ -984,101 +983,9 @@ def billey_welldef_per_word(model):
                                  "w": word_to_str(w.witness_word)})
         for word, table in tables.items():
             for v in targets:
-                comparisons += 1
                 if table[v] != baseline[v]:
                     failures.append({"kind": "witness_dependence",
                                      "v": word_to_str(v.witness_word),
-                                     "w_word": word_to_str(word)})
-    return CheckRecord(
-        check="billey_welldef",
-        lie_type=model.type_name(),
-        passed=not failures,
-        parameters={"max_length": max_len, "elements": len(elements)},
-        witnesses={"comparisons": comparisons, "failures": failures[:20]},
-    )
-
-
-def pack_exponents(exps) -> int:
-    """The one-int code of the monomial prod_k alpha_k^{exps[k - 1]}, as
-    ``billey.reduced_word_tables`` keys its values: the exponent of alpha_k
-    in the four bits from 4(k - 1) on."""
-    code = 0
-    for k, e in enumerate(exps):
-        assert 0 <= e < 16, exps
-        code |= e << 4 * k
-    return code
-
-
-def code_degree(code: int) -> int:
-    """The sum of the four-bit fields of a packed monomial code."""
-    degree = 0
-    while code:
-        degree += code & 15
-        code >>= 4
-    return degree
-
-
-def trie_word_tables(cayley) -> dict:
-    """{w index: {word: {u index: {code: int}}}}, as
-    ``billey.reduced_word_tables`` returns it, by walking every node of the
-    trie of reduced words over ``cayley``: each child's table is its
-    parent's, shallow-copied, with the entries u s_b of the letter b grown
-    from the parent's entries u with ascent b, and no subtree is taken from
-    an earlier visit.  The walk ``reduced_word_tables`` made before it
-    reused the subtree of an element reached again with an equal table."""
-    times, ascents = cayley.times, cayley.ascents
-    factors = [{b: [(1 << 4 * k, c) for k, c in enumerate(root) if c]
-                for b, root in up.items()} for up in ascents]
-    tables: dict = {}
-
-    def visit(word, i, table):
-        tables.setdefault(i, {})[word] = table
-        for b, factor in factors[i].items():
-            child = dict(table)
-            for lower, source in table.items():
-                if b in ascents[lower]:
-                    target = times[lower][b]
-                    grown = dict(table.get(target, ()))
-                    for code, c in source.items():
-                        for unit, rk in factor:
-                            key = code + unit
-                            grown[key] = grown.get(key, 0) + c * rk
-                    child[target] = grown
-            visit(word + (b,), times[i][b], child)
-
-    visit((), 0, {0: {0: 1}})
-    return tables
-
-
-def welldef_failures(elements, tables, intervals) -> list[dict]:
-    """The failures of the ``billey_welldef`` check, target by target, over
-    the trie tables {w index: {word: {v index: {code: int}}}}: for each w,
-    at every v with l(v) <= l(w), a vanishing failure when the witness
-    word's value disagrees with v in [e, w] (``intervals[w]``) and a degree
-    failure when a code's fields do not sum to l(v); then, per word, a
-    witness-dependence failure at every v where its value is not the
-    witness word's.  Ground truth for the check's whole-table shortcut."""
-    from petcoh.weyl import word_to_str
-
-    failures = []
-    for i, w in enumerate(elements):
-        targets = [v for v, u in enumerate(elements) if u.length <= w.length]
-        baseline = tables[i][w.witness_word]
-        for v in targets:
-            value = baseline.get(v)
-            if bool(value) != (v in intervals[i]):
-                failures.append({"kind": "vanishing",
-                                 "v": word_to_str(elements[v].witness_word),
-                                 "w": word_to_str(w.witness_word)})
-            if value and {code_degree(c) for c in value} != {elements[v].length}:
-                failures.append({"kind": "degree",
-                                 "v": word_to_str(elements[v].witness_word),
-                                 "w": word_to_str(w.witness_word)})
-        for word, table in tables[i].items():
-            for v in targets:
-                if table.get(v) != baseline.get(v):
-                    failures.append({"kind": "witness_dependence",
-                                     "v": word_to_str(elements[v].witness_word),
                                      "w_word": word_to_str(word)})
     return failures
 

@@ -1,9 +1,6 @@
 """Localization values, restriction to the circle, and the word-independence
 property suite."""
 
-from functools import cache
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,20 +10,19 @@ from petcoh.billey import (
     billey_localization,
     inversion_roots,
     localization_table,
-    packed_degree_sets,
-    reduced_word_tables,
     restricted_rows,
+    second_word_failures,
     subset_steps,
 )
-from petcoh.cli import _WELLDEF_LENGTH_BY_RANK, DEFAULT_SUITE
+from petcoh.cli import DEFAULT_SUITE
+from petcoh.errors import IntegrityError
 from petcoh.roots import cartan_matrix
-from petcoh.weyl import CayleyTable, WeylGroup
+from petcoh.weyl import WeylGroup
 
 from oracles import (
     Poly,
     bond_order,
     bruhat_leq,
-    code_degree,
     elements_up_to_length,
     enumerate_reduced_words,
     from_word,
@@ -39,12 +35,10 @@ from oracles import (
     matrix_restricted_rows,
     matrix_subset_steps,
     node_set,
-    pack_exponents,
     poly_product,
     poly_sum,
     restrict_to_S,
     subword_localization,
-    trie_word_tables,
     v_K,
 )
 
@@ -249,119 +243,72 @@ def test_height_walk_matches_the_matrix_walk(name, monkeypatch):
                     for K in subsets]
 
 
-@pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1",))
-def test_reduced_word_tables_match_one_table_per_word(name):
-    # the trie walk of the word-independence sweep against one full prefix
-    # recursion per reduced word: the same words of each element, the same
-    # values, keyed by index into the swept elements
-    W = group(name)
-    max_len = _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3)
-    cayley = CayleyTable(W, max_len)
-    elements = cayley.elements
-    tables = reduced_word_tables(W, cayley)
-    assert set(tables) == set(range(len(elements)))
-    index = {u: i for i, u in enumerate(elements)}
-    for i, w in enumerate(elements):
-        assert set(tables[i]) == enumerate_reduced_words(W, w), (name, w)
-        for word, table in tables[i].items():
-            oracle = localization_table(W, elements, from_word(W, word))
-            assert table == {
-                index[u]: {pack_exponents(e): c for e, c in p.items()}
-                for u, p in oracle.items() if p}, (name, word)
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1"])
+def test_second_walk_spells_another_reduced_word_of_each_w_L(name,
+                                                             monkeypatch):
+    # the letters each ascent reflects, after the word of the element it
+    # starts from: w_{L - max L} for the rows, w_{L - min L} for the
+    # second walk.  Both words are reduced words of w_L; the rows' starts
+    # with the smallest node of L and the second with the largest, so
+    # they differ wherever L has two nodes
+    cartan = cartan_matrix(name)
+    W = WeylGroup(cartan)
+    steps = subset_steps(cartan)
+    letters = []
+    reflect, ascend = billey._reflect, billey._ascend
+
+    def recording(heights, b, updates):
+        letters[-1].append(b)
+        return reflect(heights, b, updates)
+
+    def starting(*args):
+        letters.append([])
+        return ascend(*args)
+
+    monkeypatch.setattr(billey, "_reflect", recording)
+    monkeypatch.setattr(billey, "_ascend", starting)
+    rows = restricted_rows(cartan, steps)
+    second_word_failures(cartan, steps, rows)
+    monkeypatch.undo()
+    size = 1 << cartan.rank
+    first, second = [()], [()]
+    for L in range(1, size):
+        first.append(first[L ^ 1 << L.bit_length() - 1] + tuple(letters[L]))
+        second.append(second[L & L - 1] + tuple(letters[size + L - 1]))
+    for L in range(1, size):
+        w_L = longest_element(W, node_set(L))
+        for word in (first[L], second[L]):
+            assert len(word) == w_L.length and from_word(W, word) == w_L
+        assert (first[L][0], second[L][0]) == (min(node_set(L)),
+                                               max(node_set(L)))
 
 
-def _exponent_vectors(n, degree):
-    """Every exponent tuple of length n with sum at most degree."""
-    if n == 0:
-        yield ()
-        return
-    for e in range(degree + 1):
-        for rest in _exponent_vectors(n - 1, degree - e):
-            yield (e,) + rest
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1"])
+def test_every_reduced_word_of_w_L_restricts_to_its_column(name):
+    # Billey's theorem on the rows themselves: the polynomial table of every
+    # reduced word of each fixed point w_L, restricted to t, is column L of
+    # the walked rows, at every v_J
+    cartan = cartan_matrix(name)
+    W = WeylGroup(cartan)
+    rows = restricted_rows(cartan, subset_steps(cartan))
+    targets = [v_K(W, node_set(J)) for J in range(1 << cartan.rank)]
+    for L in range(1 << cartan.rank):
+        column = [row[L] for row in rows]
+        for word in enumerate_reduced_words(W, longest_element(W, node_set(L))):
+            table = localization_table(W, targets, from_word(W, word))
+            assert [restrict_to_S(table[v]).terms.get((v.length,), 0)
+                    for v in targets] == column, (name, word)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_packed_degree_is_the_exponent_sum_exhaustively(n):
-    # entry d of the degree sets holds exactly the packed exponent vectors
-    # of sum d, for every degree a table may reach
-    vectors = list(_exponent_vectors(n, 14))
-    assert len(vectors) == comb(14 + n, n)
-    assert packed_degree_sets(n, 14) == [
-        {pack_exponents(e) for e in vectors if sum(e) == d} for d in range(15)]
-
-
-# the longest swept length of any rank
-_SWEPT = max(_WELLDEF_LENGTH_BY_RANK.values())
-
-
-@cache
-def _checked_degree_sets(n):
-    """``packed_degree_sets(n, _SWEPT)``, each entry d checked to hold
-    C(d + n - 1, n - 1) codes, every one with fields summing to d: so,
-    exactly the packed exponent vectors of sum d."""
-    sets = packed_degree_sets(n, _SWEPT)
-    for d, codes in enumerate(sets):
-        assert len(codes) == comb(d + n - 1, n - 1)
-        assert all(code_degree(code) == d for code in codes)
-    return sets
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.integers(5, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(0, n - 1), max_size=_SWEPT))))
-def test_packed_degree_is_the_exponent_sum_up_to_rank_12(drawn):
-    # up to the longest swept length of simple roots, each drawn by its
-    # index, multiplied out: the code lies in the set of its degree alone
-    n, factors = drawn
-    code = pack_exponents(tuple(factors.count(k) for k in range(n)))
-    assert [d for d, codes in enumerate(_checked_degree_sets(n))
-            if code in codes] == [len(factors)]
-
-
-WALK_TYPES = DEFAULT_SUITE + ("A2+A1", "A5", "D5", "E6", "E7", "E8")
-
-
-def _swept_table(name):
-    W = group(name)
-    return W, CayleyTable(W, _WELLDEF_LENGTH_BY_RANK.get(W.rank, 3))
-
-
-@pytest.mark.parametrize("name", WALK_TYPES)
-def test_reduced_word_tables_match_the_unshared_walk(name):
-    # the walk that lists a subtree again from its first visit against the
-    # walk of every trie node: the same elements, words in the same order
-    # per element, and equal tables; and no two words share a table dict,
-    # so that a table changed in place for one word changes no other's
-    W, cayley = _swept_table(name)
-    tables = reduced_word_tables(W, cayley)
-    oracle = trie_word_tables(cayley)
-    assert list(tables) == list(oracle)
-    for i, words in oracle.items():
-        assert list(tables[i]) == list(words), (name, i)
-        assert tables[i] == words, (name, i)
-    dicts = [table for words in tables.values() for table in words.values()]
-    assert len({id(table) for table in dicts}) == len(dicts)
-
-
-def test_reduced_word_tables_refuse_length_15_before_any_walk():
-    # w_0 of A5 has length 15 and 292,864 reduced words; the guard must
-    # stop on the table's last element, before the walk reads the letter
-    # steps, so the spy below fails any read past ``elements``
-    W = group("A5")
-    cayley = CayleyTable(W, 15)
-    w0 = cayley.elements[-1]
-    assert w0.length == 15 and cayley.counts[-1] == 292_864
-
-    class ElementsOnly:
-        elements = cayley.elements
-
-        def __getattr__(self, name):
-            raise AssertionError(f"read cayley.{name} before the guard")
-
-    with pytest.raises(ValueError, match="length 15"):
-        reduced_word_tables(W, ElementsOnly())
-    with pytest.raises(ValueError, match="length 15"):
-        reduced_word_tables(W, cayley)
+def test_non_positive_inversion_root_is_an_integrity_error(monkeypatch):
+    # the root (1, 1) of A2's w_0 = s_1 s_2 s_1, r(2, w) = s_1(alpha_2),
+    # read as not positive: the localization stops on it
+    W = group("A2")
+    monkeypatch.setattr(billey, "is_positive_root_vector",
+                        lambda root: root != (1, 1))
+    with pytest.raises(IntegrityError,
+                       match=r"^r\(i, w\) = \(1, 1\) is not a positive root$"):
+        billey_localization(W, from_word(W, (1,)), from_word(W, (1, 2, 1)))
 
 
 # (K, J, number of terms of sigma_{v_K}(w_J), c with p_{v_K}(w_J) = c t^|K|);

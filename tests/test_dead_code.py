@@ -36,8 +36,21 @@ ALLOWED = {
     "roots.simple_reflection_action":
         "positive_roots closes the simple roots under it; petcoh exports it",
     "weyl.word_to_str":
-        "the billey_welldef failure witnesses and WeylElement reprs print "
-        "words with it; a passing run prints none",
+        "WeylElement reprs and the test oracles print words with it; "
+        "petcoh exports it",
+    "weyl.WeylGroup.identity":
+        "inversion_roots and _prefix_recursion start from it; leaves with "
+        "billey_localization",
+    "weyl.WeylGroup.right_action":
+        "inversion_roots and _prefix_recursion multiply by it; leaves with "
+        "billey_localization",
+    "weyl.WeylElement.is_identity":
+        "only the tests read it; no run builds a Weyl element",
+    "roots.is_negative_root_vector":
+        "only _prefix_recursion reads it; leaves with billey_localization",
+    "peterson.PetersonModel.group":
+        "no check reads the group; perfbench/child.py passes one to the "
+        "model, and the test oracles read it",
     "report.CheckRecord.to_dict":
         "the tests compare records by it; a report reads the records' "
         "fields, not their copies",

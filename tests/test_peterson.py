@@ -420,16 +420,15 @@ def test_quadric_checks_compute_no_fixed_point(monkeypatch):
 
 
 def test_restriction_checks_build_no_weyl_group(monkeypatch):
-    # the rows walk on root heights, so the restriction checks other than
-    # billey_welldef, whose sweep reads action matrices, build no group
+    # the rows walk on root heights, and billey_welldef walks them once
+    # more on heights, so no check of a full run builds a group
     def refuse(self, cartan):
         raise AssertionError(f"a Weyl group of {cartan.type_name()} built")
 
     monkeypatch.setattr(WeylGroup, "__init__", refuse)
-    report = run_certification(RunConfig("E6", checks=CLASS_CHECKS))
-    assert [r.passed for r in report.records] == [True] * len(CLASS_CHECKS)
-    with pytest.raises(AssertionError, match="a Weyl group of E6 built"):
-        run_certification(RunConfig("E6", checks=("billey_welldef",)))
+    for name in DEFAULT_SUITE + ("E6",):
+        report = run_certification(RunConfig(name))
+        assert report.overall_pass and report.isomorphism_certified(), name
 
 
 def test_monk_zero_denominator_is_an_integrity_error(monkeypatch):
@@ -1078,12 +1077,8 @@ def test_giambelli_fails_when_the_row_of_one_is_not_one():
 
 def _faulty_runs(monkeypatch, name, fault_model):
     """A function of a fault that returns the full report of ``name`` on a
-    model that ``fault_model(model, *fault)`` doctored after it was built.
-    ``billey_welldef`` sweeps its own Cayley table and reads no row, so it
-    runs once, on the true model, and every faulty run reuses its record."""
+    model that ``fault_model(model, *fault)`` doctored after it was built."""
     build, fault = cli.PetersonModel, []
-    [welldef] = run_certification(RunConfig(name, checks=("billey_welldef",))).records
-    assert welldef.passed
 
     def faulty(cartan, group=None):
         m = build(cartan, group)
@@ -1091,7 +1086,6 @@ def _faulty_runs(monkeypatch, name, fault_model):
         return m
 
     monkeypatch.setattr(cli, "PetersonModel", faulty)
-    monkeypatch.setitem(cli._CHECK_FUNCTIONS, "billey_welldef", lambda m: welldef)
 
     def run(*entry):
         fault[:] = entry
@@ -1103,13 +1097,15 @@ def _faulty_runs(monkeypatch, name, fault_model):
 def test_every_row_fault_fails_the_restriction_run_and_the_certificate(
         name, monkeypatch):
     # each entry of the rows one more or one less, set after the build:
-    # the restriction checks fail, and so does a leg of the certificate
+    # the restriction checks fail, and so does a leg of the certificate.
+    # billey_welldef, which recomputes every column from the column below
+    # it, fails on each one too
     def moved(m, K, L, delta):
         _set_entry(m, K, L, lambda c: c + delta)
 
     run = _faulty_runs(monkeypatch, name, moved)
     subsets = model(name).subsets
-    passing, certified = [], []
+    passing, certified, welldef = [], [], []
     for K in subsets:
         for L in subsets:
             for delta in (1, -1):
@@ -1118,7 +1114,10 @@ def test_every_row_fault_fails_the_restriction_run_and_the_certificate(
                     passing.append((K, L, delta))
                 if report.isomorphism_certified():
                     certified.append((K, L, delta))
-    assert passing == certified == []
+                if report.records[0].passed:
+                    welldef.append((K, L, delta))
+    assert report.records[0].check == "billey_welldef"
+    assert passing == certified == welldef == []
 
 
 @pytest.mark.parametrize("name", FAULT_TYPES)
