@@ -229,3 +229,35 @@ def test_right_multiply_matches_matrix_product(name):
             product = right_multiply(W, w, i)
             assert product.action == mat_mul(w.action, reflection_matrix(W.cartan, i))
             assert product.length == length_of_matrix(W, product.action)
+
+
+_TABLED = DEFAULT_SUITE + ("A2+A1", "A5", "D5", "E6", "E7", "E8")
+_WHOLE = ("A3", "B3", "G2")
+
+
+@pytest.mark.parametrize(
+    "name,whole", [(name, False) for name in _TABLED] +
+    [(name, True) for name in _WHOLE],
+    ids=list(_TABLED) + [f"{name}-whole" for name in _WHOLE])
+def test_cayley_table_multiplies_by_the_simple_reflections(name, whole):
+    # the Cayley table of right multiplication by the simple reflections,
+    # one right_action per element and node, on the elements of length at
+    # most 3 (the whole group on A3, B3 and G2): each entry against the
+    # matrix product, a descent exactly where column b of u has a negative
+    # entry, and the length moving by one.  The whole group is closed
+    # under the table
+    W = group(name)
+    max_len = len(W.cartan.positive_roots()) if whole else 3
+    elements = elements_up_to_length(W, max_len)
+    actions = {u.action for u in elements}
+    for u in elements:
+        for b in W.cartan.nodes():
+            product = W.right_action(u.action, b)
+            assert product == mat_mul(u.action,
+                                      reflection_matrix(W.cartan, b)), \
+                (name, u, b)
+            descent = min(row[b - 1] for row in u.action) < 0
+            assert length_of_matrix(W, product) == \
+                u.length + (-1 if descent else 1), (name, u, b)
+            if whole or descent:
+                assert product in actions, (name, u, b)
