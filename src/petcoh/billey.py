@@ -35,6 +35,9 @@ finds once per Cartan matrix.  The fixed points w_K share their words too:
 greedy ascent over K from w_{K - m}, m = max K, ends at w_K, so one walk
 of the masks K, in increasing order as K - m < K, resumes each w_K's
 recursion from w_{K - m}'s finished column, reflecting once per new letter.
+The ascent to w_K runs only the steps with J inside K, and they grow the
+same way: ``_local_steps`` lists those of K as the ones of K - m followed
+by the steps whose J contains m, so each subset of each K is read once.
 
 Both walks read one thing of an element w: the heights
 h_w = (ht w(alpha_1), .., ht w(alpha_n)), the column sums of its action
@@ -187,23 +190,22 @@ def restricted_rows(cartan: CartanMatrix, steps) -> tuple[tuple[int, ...], ...]:
     because every letter is an ascent.  So the column is the recursion
     over one reduced word of w_L, resumed where w_{L - m}'s stopped.
 
-    The column of L runs only the steps (J, J - b) with J inside L, found
-    by enumerating the subsets J of L that contain b (``_local_steps``):
-    a column is 0 at every J not inside its L.  That holds at the empty L,
-    and if it holds for L - m, a step (J, J - b) with b in L and J not
-    inside L has J - b not inside L, so it adds 0 and J stays 0.
+    The column of L runs only the steps (J, J - b) with J inside L, read
+    as ``_local_steps`` lists them: a column is 0 at every J not inside
+    its L.  That holds at the empty L, and if it holds for L - m, a step
+    (J, J - b) with b in L and J not inside L has J - b not inside L, so
+    it adds 0 and J stays 0.
     """
     size = 1 << cartan.rank
-    by_J = _steps_by_J(steps)
     walked = []  # per mask L: the nodes of L, the heights of w_L, the column
-    for L in range(size):
+    for L, local in enumerate(_local_steps(steps, size)):
         if L:
             top = L.bit_length()
             K, start, values = walked[L ^ 1 << top - 1]
             K, values = K + (top,), values.copy()
         else:
             K, start, values = (), (1,) * cartan.rank, [1] + [0] * (size - 1)
-        heights = _ascend(cartan, start, K, _local_steps(by_J, L), values)
+        heights = _ascend(cartan, start, K, local, values)
         walked.append((K, heights, values))
     return tuple(zip(*(column for _, _, column in walked)))
 
@@ -217,7 +219,8 @@ def second_word_failures(cartan: CartanMatrix, steps, rows) -> list[int]:
     smallest ascent first.  Here the column of L starts as the rows' own
     column of L - l, l = min L, restricted to the subsets J of L (a column
     is 0 off them, which the ``basis`` check reads), and ascends from the
-    heights of w_{L - l} over the nodes of L, largest first (``_ascend``).
+    heights of w_{L - l} over the nodes of L, largest first (``_ascend``),
+    over the same steps inside L as the rows (``_local_steps``).
     That spells another reduced word of w_L, so by Billey's theorem the
     result is column L; it is compared with the whole column.  The ascent
     ends at the heights of w_L, as heights determine the element, so the
@@ -225,11 +228,12 @@ def second_word_failures(cartan: CartanMatrix, steps, rows) -> list[int]:
     the identity's column, 1 at J = 0 and 0 elsewhere, where both walks
     start."""
     size = 1 << cartan.rank
-    by_J = _steps_by_J(steps)
     columns = tuple(zip(*rows))
     failing = [] if columns[0] == (1,) + (0,) * (size - 1) else [0]
     heights = [(1,) * cartan.rank]  # per mask L, the heights of w_L
-    for L in range(1, size):
+    steps_by_L = _local_steps(steps, size)
+    next(steps_by_L)  # the empty L's: none, as the empty L has no walk
+    for L, local in enumerate(steps_by_L, 1):
         lower = L & L - 1  # L less its smallest node
         start, values = columns[lower], [0] * size
         values[0], J = start[0], L
@@ -237,38 +241,47 @@ def second_word_failures(cartan: CartanMatrix, steps, rows) -> list[int]:
             values[J] = start[J]
             J = J - 1 & L
         K = tuple(b for b in range(L.bit_length(), 0, -1) if L >> b - 1 & 1)
-        heights.append(_ascend(cartan, heights[lower], K,
-                               _local_steps(by_J, L), values))
+        heights.append(_ascend(cartan, heights[lower], K, local, values))
         if tuple(values) != columns[L]:
             failing.append(L)
     return failing
 
 
-def _steps_by_J(steps) -> dict[int, dict[int, tuple[int, int]]]:
-    """Per letter b, the map from J to its pair (J, J - b) of ``steps[b]``,
-    in which ``_local_steps`` looks up the subsets of a mask."""
-    return {b: {pair[0]: pair for pair in pairs} for b, pairs in steps.items()}
+def _local_steps(steps, size: int):
+    """Per mask L below ``size``, in increasing order, the steps of L: per
+    node b of L, the steps (J, J - b) of ``steps[b]`` whose J lies inside
+    L, in increasing order of J.
 
-
-def _local_steps(by_J, L: int) -> dict[int, list]:
-    """Per node b of the mask L, the steps (J, J - b) of b whose J lies
-    inside L, in increasing order of J: the subsets J of L that contain b,
-    each looked up in ``by_J[b]`` (``_steps_by_J``)."""
-    local = {}
-    for b, pairs in by_J.items():
-        bit = 1 << b - 1
-        if not L & bit:
-            continue
-        rest, found, sub = L ^ bit, [], 0
+    With m = max L, every subset of L - m is below m's bit, so L's steps
+    of a letter are those of L - m (yielded before L, as L - m < L)
+    followed by the ones whose J contains m: J runs over m's bit plus the
+    subsets of L - m, in increasing order, each adding its own steps, and
+    m itself starts with none.  Each subset of each L is read once, (3^n -
+    1) / 2 in all, where a search of L's subsets per node of L reads
+    n 3^(n - 1).  Only the steps of the masks below size / 2, those
+    without the top node, are kept, as no later mask grows from the
+    others."""
+    by_J = [[] for _ in range(size)]  # per J, (b, (J, J - b)) per step
+    for b, pairs in steps.items():
+        for pair in pairs:
+            by_J[pair[0]].append((b, pair))
+    kept = [{}]
+    yield kept[0]
+    for L in range(1, size):
+        m = L.bit_length()
+        top = 1 << m - 1
+        rest = L ^ top
+        local = {b: pairs.copy() for b, pairs in kept[rest].items()}
+        local[m], sub = [], 0
         while True:  # every subset of rest, increasing
-            pair = pairs.get(sub | bit)
-            if pair is not None:
-                found.append(pair)
+            for b, pair in by_J[sub | top]:
+                local[b].append(pair)
             if sub == rest:
                 break
             sub = sub - rest & rest
-        local[b] = found
-    return local
+        if L < size >> 1:
+            kept.append(local)
+        yield local
 
 
 def _ascend(cartan: CartanMatrix, heights: tuple, K, steps, values: list):

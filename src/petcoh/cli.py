@@ -20,7 +20,7 @@ from operator import methodcaller
 from . import __version__
 from .commalg import HilbertSeries
 from .errors import IntegrityError
-from .peterson import PetersonModel
+from .peterson import PetersonModel, nodes_of
 from .report import CertificationReport, CheckRecord, _dumps, ratio
 from .roots import cartan_matrix, parse_lie_type
 
@@ -153,7 +153,8 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
     """Reach every nonempty node set K in the image of the quadric ring by
     one identity, |K|! p_{v_K} = #words(v_K) b_K, b_K = prod_{i in K}
     p_{s_i}, proven on the rows by induction on |K|, one step
-    K - max K -> K per K (``giambelli_holds``); no record is built per
+    K - max K -> K per K (``PetersonModel.giambelli_steps``, by mask, with
+    the components of K from the model's table); no record is built per
     identity.
 
     For a connected K it is Giambelli's formula.  For a disconnected K it
@@ -164,22 +165,19 @@ def _check_giambelli(model: PetersonModel) -> CheckRecord:
     reached: a connected K with its coefficient, a disconnected one with
     its components.  The empty K needs no formula, as p_{v_()} = 1, but its
     row is checked to be 1."""
-    cartan = model.cartan
     coefficients = []
     products = []
     failures = [] if model.subset_class(()) == model.one() else \
         [{"kind": "unit", "K": []}]
-    for K in model.subsets[1:]:
-        components = cartan.connected_components(K)
-        n_words, passed = model.giambelli_holds(K)
+    for K, components, n_words, passed in model.giambelli_steps():
         if len(components) == 1:
             coefficients.append({"K": list(K),
                                  "coefficient": ratio(factorial(len(K)), n_words),
                                  "reduced_words": n_words})
             kind = "giambelli"
         else:
-            products.append({"K": list(K),
-                             "components": [list(C) for C in components]})
+            products.append({"K": list(K), "components": [
+                list(nodes_of(C)) for C in components]})
             kind = "disconnected_product"
         if not passed:
             failures.append({"kind": kind, "K": list(K)})

@@ -53,34 +53,48 @@ def _expansion_failures(table, support, k, covers, simple) -> list[int]:
 
     num_J = (p[J] - p[k]) r_k[J] and den_J = r_J[J].  The identity is
     multiplied by the lcm D of the den_J and compared in integers at the
-    fixed points where r_k or some r_J is nonzero (``support``, per row):
-    every term has one of them as a factor, so elsewhere both sides are 0.
-    All but p is read once per k: the den_J, D, the points and, per J with
-    r_k[J] != 0, r_J, r_k[J] den_J and D r_k[J] / den_J.  A zero den_J
-    raises ``ZeroDivisionError`` with the first such J."""
+    fixed points where r_k or some r_J is nonzero (``support``, per row,
+    in the order of their union, unsorted): every term has one of them as
+    a factor, so elsewhere both sides are 0.  All but p is gathered once
+    per k: the den_J, D, the points with D r_k at each, and per J with
+    r_k[J] != 0, r_k[J] den_J and D r_k[J] / den_J.  Per p, a J with
+    num_J den_J < 0 fails the identity; else D (p - p[k]) r_k less the
+    terms of the J whose step p[J] - p[k] is nonzero must vanish.  With at
+    most one such J, the most common case, that is decided in one pass
+    over the points, with no list; with more, one residual list is built
+    and reduced J by J.  A zero den_J raises ``ZeroDivisionError`` with
+    the first such J."""
     row = table[k]
     diagonals = [table[j][j] for j in covers]
     D = lcm(*diagonals)
     if not D:
         raise ZeroDivisionError(covers[diagonals.index(0)])
-    points = sorted(support[k].union(*map(support.__getitem__, covers)))
+    points = support[k].union(*map(support.__getitem__, covers))
+    scaled = [(L, D * row[L]) for L in points]
     terms = [(j, table[j], row[j] * den, D // den * row[j])
              for j, den in zip(covers, diagonals) if row[j]]
     failing = []
     for position, p in enumerate(simple):
-        base = p[k]
-        residual = [D * (p[L] - base) * row[L] for L in points]
+        base, live = p[k], []
         for j, r_J, sign, scale in terms:
             step = p[j] - base
             if step * sign < 0:  # num_J den_J < 0
+                failing.append(position)
                 break
             if step:
-                m = scale * step
-                residual = [x - m * r_J[L] for x, L in zip(residual, points)]
+                live.append((scale * step, r_J))
         else:
-            if not any(residual):
-                continue
-        failing.append(position)
+            if len(live) > 1:
+                residual = [(p[L] - base) * d for L, d in scaled]
+                for m, r_J in live:
+                    residual = [x - m * r_J[L]
+                                for x, (L, _) in zip(residual, scaled)]
+                fails = any(residual)
+            else:
+                m, r_J = live[0] if live else (0, row)
+                fails = any((p[L] - base) * d - m * r_J[L] for L, d in scaled)
+            if fails:
+                failing.append(position)
     return failing
 
 
@@ -120,12 +134,18 @@ class PetersonModel:
     computes nothing: the Weyl group (unless one is passed in, which must
     be of the same Cartan matrix), the subsets with their bitmasks, the
     descent steps of the v_J, the w_K and the rows of the p_{v_J} (in one
-    walk), the word counts, row supports, quadric rows and the minors
-    route are each built once per model, when a check first reads them.
-    The steps and rows walk on root heights from the Cartan matrix, so no
-    check reads the group and a run builds none, and a quadric run reads
-    the route alone.  The memo dies with the model, so no cache outlives a
-    run.
+    walk), the word counts, row supports, Dynkin components by mask,
+    quadric rows and the minors route are each built once per model, when
+    a check first reads them, and die with it.  The steps and rows walk on
+    root heights from the Cartan matrix, so no check reads the group and a
+    run builds none, and a quadric run reads the route alone.
+
+    Two kinds of table outlive the model.  The quadric ideals J and
+    J-check (``commalg.build_ideal_J`` and ``build_ideal_Jcheck``, which
+    ``quadric_rows`` reads) are cached for the life of the process, keyed
+    by the Cartan matrix, so a test that replaces how they are built
+    clears those caches itself.  The Cartan matrix keeps its own column
+    updates, which the walks read, for as long as it lives.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -275,9 +295,35 @@ class PetersonModel:
 
     # -- Giambelli rule ----------------------------------------------------
 
-    def giambelli_holds(self, K) -> tuple[int, bool]:
-        """The number of reduced words of v_K, for a nonempty K, and
-        whether its step from J = K - m, m = max K, holds on the rows:
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Per node-set mask K, the masks of the connected components of the
+        Dynkin diagram on K, in order of their smallest node.  With m =
+        max K, the component of m closes m's bit over its neighbour mask:
+        it joins every component of K - m (listed before K, as K - m < K)
+        that holds a neighbour of m, and the others stay as they are.
+        Built once per model, one merge per mask."""
+        cartan = self.cartan
+        neighbours = [sum(self._bits[j] for j in cartan.nodes()
+                          if cartan.adjacent(i, j)) for i in cartan.nodes()]
+        table = [()]
+        for K in range(1, 1 << self.rank):
+            m = K.bit_length()
+            joined, apart = 1 << m - 1, []
+            for C in table[K ^ joined]:
+                if C & neighbours[m - 1]:
+                    joined |= C
+                else:
+                    apart.append(C)
+            apart.append(joined)
+            apart.sort(key=lambda C: C & -C)  # by the lowest bit
+            table.append(tuple(apart))
+        return tuple(table)
+
+    def giambelli_holds(self, k: int) -> tuple[int, bool]:
+        """The number of reduced words of v_K, for a nonempty node set K
+        given by its mask k, and whether its step from J = K - m, m =
+        max K, holds on the rows:
 
             |K| #words(v_J) p_{v_K} = #words(v_K) p_{v_J} p_{s_m},
 
@@ -291,7 +337,6 @@ class PetersonModel:
         (``cli._check_giambelli`` gives the argument).  The counts are read
         off the descent steps of the v_J (``_word_counts``); a zero count
         for K is an ``IntegrityError``, and an empty K a ``ValueError``."""
-        k = self._mask(K)
         if not k:
             raise ValueError("giambelli_holds needs a nonempty K, got K = ()")
         n_words = self._word_counts[k]
@@ -307,6 +352,13 @@ class PetersonModel:
         points = support[k] | support[j] & support[m]
         return n_words, all(scale * row_K[L] == n_words * row_J[L] * row_m[L]
                             for L in points)
+
+    def giambelli_steps(self):
+        """Per nonempty node set K, in subset order: K, the masks of its
+        Dynkin components (``_components``), and the word count of v_K and
+        whether K's step holds (``giambelli_holds``), all read by mask."""
+        for K, k in zip(self.subsets[1:], self._masks[1:]):
+            yield (K, self._components[k], *self.giambelli_holds(k))
 
     # -- module basis -------------------------------------------------------
 

@@ -118,14 +118,19 @@ class CartanMatrix:
     The convention is the one appearing in the reflection action
     ``s_j(alpha_i) = alpha_i - a[i][j] alpha_j``; for multiply-laced types
     the matrix is not symmetric (G2 has a[1][2] = -1, a[2][1] = -3).
-    Node indices are 1-based throughout the public API.
+    Node indices are 1-based throughout the public API, and every entry
+    must be an int (a bool, a float or a string is a ``ValueError``).
     """
 
     __slots__ = ("entries", "lie_types", "rank", "_column_updates",
                  "_positive_roots")
 
     def __init__(self, entries, lie_types=()):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(map(tuple, entries))
+        for row in entries:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"Cartan entry {x!r} is not an int")
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("Cartan matrix must be square")
@@ -178,24 +183,6 @@ class CartanMatrix:
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.entries[i - 1][j - 1] != 0
-
-    def connected_components(self, nodes) -> list[tuple[int, ...]]:
-        """Connected components of the diagram induced on the given nodes."""
-        remaining = set(nodes)
-        comps = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                v = frontier.pop()
-                for u in list(remaining - comp):
-                    if self.adjacent(v, u):
-                        comp.add(u)
-                        frontier.append(u)
-            comps.append(tuple(sorted(comp)))
-            remaining -= comp
-        return comps
 
     def column_updates(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Per node j, (k, a[k+1][j]) for the 0-based k of every nonzero

@@ -366,6 +366,29 @@ def is_connected(cartan, nodes) -> bool:
     return reached == nodes
 
 
+def set_connected_components(cartan, nodes) -> list[tuple[int, ...]]:
+    """The connected components of the Dynkin diagram on ``nodes``, each a
+    sorted tuple, in order of their smallest node: a breadth-first search
+    over sets of nodes, seeded at the smallest node not yet reached, as
+    ``CartanMatrix.connected_components`` found them before the model kept
+    a table by mask.  Ground truth for ``PetersonModel._components``."""
+    remaining = set(nodes)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            v = frontier.pop()
+            for u in list(remaining - comp):
+                if cartan.adjacent(v, u):
+                    comp.add(u)
+                    frontier.append(u)
+        comps.append(tuple(sorted(comp)))
+        remaining -= comp
+    return comps
+
+
 def length_of_matrix(group, action) -> int:
     """Inversion count: positive roots whose image under the action matrix
     is negative."""
@@ -401,6 +424,40 @@ def product_holds(model, K, components) -> bool:
     product rule itself."""
     return model.subset_class(K) == \
         _row_product(model.subset_class(C) for C in components)
+
+
+def list_expansion_failures(table, support, k, covers, simple) -> list[int]:
+    """The positions in ``simple`` whose Monk expansion of row k fails,
+    as ``peterson._expansion_failures`` decided them before it gathered
+    D r_k once per k: per p, one residual list D (p[L] - p[k]) r_k[L] over
+    the sorted points, and one new list per cover J with a nonzero step,
+    read off r_J; a J with num_J den_J < 0 fails the identity.  Ground
+    truth for the kernel on any rows, doctored ones included; a zero den_J
+    raises ``ZeroDivisionError`` with the first such J."""
+    row = table[k]
+    diagonals = [table[j][j] for j in covers]
+    D = lcm(*diagonals)
+    if not D:
+        raise ZeroDivisionError(covers[diagonals.index(0)])
+    points = sorted(support[k].union(*map(support.__getitem__, covers)))
+    terms = [(j, table[j], row[j] * den, D // den * row[j])
+             for j, den in zip(covers, diagonals) if row[j]]
+    failing = []
+    for position, p in enumerate(simple):
+        base = p[k]
+        residual = [D * (p[L] - base) * row[L] for L in points]
+        for j, r_J, sign, scale in terms:
+            step = p[j] - base
+            if step * sign < 0:  # num_J den_J < 0
+                break
+            if step:
+                m = scale * step
+                residual = [x - m * r_J[L] for x, L in zip(residual, points)]
+        else:
+            if not any(residual):
+                continue
+        failing.append(position)
+    return failing
 
 
 def fraction_verify_monk(model, i: int, K):
@@ -521,7 +578,7 @@ def fraction_check_giambelli(model):
             kind = "giambelli"
         else:
             products.append({"K": list(K), "components": [
-                list(C) for C in cartan.connected_components(K)]})
+                list(C) for C in set_connected_components(cartan, K)]})
             kind = "disconnected_product"
         if not holds:
             failures.append({"kind": kind, "K": list(K)})
@@ -857,8 +914,33 @@ def localized_rows(group) -> tuple[tuple[int, ...], ...]:
 # The walk of the Peterson rows on action matrices, which ``billey`` ran
 # before it carried the heights h_w alone, here with every step of each
 # letter: ground truth for ``billey.subset_steps``, ``restricted_rows``
-# (and its filter ``_local_steps``) and ``_ascend``, which must give the
-# same steps and rows.
+# (and its filter, the steps of ``_local_steps``) and ``_ascend``, which
+# must give the same steps and rows.
+
+def per_letter_local_steps(steps, L: int) -> dict[int, list]:
+    """Per node b of the mask L, the steps (J, J - b) of ``steps[b]`` whose
+    J lies inside L, in increasing order of J, found as ``billey`` found
+    them before it grew L's steps from those of L - max L: per node b of
+    L, every subset J of L that contains b, in increasing order, looked up
+    in a map from J to b's step.  Ground truth for ``billey._local_steps``
+    at every L."""
+    local = {}
+    for b, pairs in steps.items():
+        bit = 1 << b - 1
+        if not L & bit:
+            continue
+        by_J = {pair[0]: pair for pair in pairs}
+        rest, found, sub = L ^ bit, [], 0
+        while True:  # every subset of rest, increasing
+            pair = by_J.get(sub | bit)
+            if pair is not None:
+                found.append(pair)
+            if sub == rest:
+                break
+            sub = sub - rest & rest
+        local[b] = found
+    return local
+
 
 def matrix_subset_steps(group) -> dict[int, list[tuple[int, int]]]:
     """Per letter b, (mask of J, mask of J - b) for every node set J with

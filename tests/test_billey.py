@@ -35,6 +35,7 @@ from oracles import (
     matrix_restricted_rows,
     matrix_subset_steps,
     node_set,
+    per_letter_local_steps,
     poly_product,
     poly_sum,
     restrict_to_S,
@@ -200,6 +201,22 @@ def test_restricted_table_is_the_restricted_poly_table(name):
     rows = restricted_rows(cartan, subset_steps(cartan))
     assert all(type(c) is int for row in rows for c in row)
     assert rows == localized_rows(group(name))
+
+
+@pytest.mark.parametrize("name", ROW_TYPES + ("B2+G2",))
+def test_local_steps_match_the_per_letter_search(name):
+    # the steps of each L grown from those of L - max L, against a search
+    # of L's subsets per node of L: the same letters, and per letter the
+    # same steps in the same increasing order of J, at every L
+    cartan = cartan_matrix(name)
+    steps = subset_steps(cartan)
+    size = 1 << cartan.rank
+    local = list(billey._local_steps(steps, size))
+    assert len(local) == size
+    for L, found in enumerate(local):
+        oracle = per_letter_local_steps(steps, L)
+        assert list(found) == list(oracle), (name, L)
+        assert found == oracle, (name, L)
 
 
 @pytest.mark.parametrize("name", ROW_TYPES)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from petcoh import billey, cli, commalg, peterson
 from petcoh.cli import DEFAULT_SUITE, RunConfig, run_certification
 from petcoh.errors import IntegrityError
-from petcoh.peterson import PetersonModel, subsets_by_size
+from petcoh.peterson import PetersonModel, nodes_of, subsets_by_size
 from petcoh.roots import cartan_matrix
 from petcoh.weyl import WeylGroup
 
@@ -27,6 +27,7 @@ from oracles import (
     from_word,
     fundamental_weights,
     is_connected,
+    list_expansion_failures,
     localized_rows,
     longest_element,
     mask,
@@ -38,12 +39,14 @@ from oracles import (
     product_holds,
     quadratic_combination,
     series_prefix,
+    set_connected_components,
     v_K,
     verify_basis_by_sets,
 )
 
 SUITE = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2"]
 WALK_TYPES = DEFAULT_SUITE + ("A2+A1", "D5", "E6", "E7", "E8")
+ORACLE_TYPES = DEFAULT_SUITE + ("A2+A1", "B2+G2", "D5", "E6", "E7", "E8")
 CLASS_CHECKS = ("quadratic", "monk", "giambelli", "basis", "graded_dims")
 FAULT_TYPES = ("A3", "B3", "G2", "A2+A1")
 
@@ -95,14 +98,12 @@ def test_rows_are_read_by_mask(name):
 
 def test_a_node_outside_the_type_is_a_key_error(monkeypatch):
     # a node set is looked up node by node, so 0 and n + 1 raise KeyError;
-    # Monk's per-K loop reads masks and converts no node set, and
-    # Giambelli's step converts its K once
+    # Monk's per-K loop and Giambelli's steps read masks and convert no
+    # node set
     m = model("A3")
     for K in ((0,), (4,), (1, 4), (0, 2)):
         with pytest.raises(KeyError):
             m.subset_class(K)
-        with pytest.raises(KeyError):
-            m.giambelli_holds(K)
     for i in (0, 4):
         with pytest.raises(KeyError):
             m.simple_class(i)
@@ -110,9 +111,9 @@ def test_a_node_outside_the_type_is_a_key_error(monkeypatch):
         m.monk_coefficient(1, (1,), (1, 4))
     conversions = _count_calls(monkeypatch, PetersonModel, "_mask")
     assert m.monk_failures() == []
+    assert m.giambelli_holds(0b111) == (1, True)
+    assert all(holds for *_, holds in m.giambelli_steps())
     assert conversions == []
-    assert m.giambelli_holds((1, 2, 3)) == (1, True)
-    assert len(conversions) == 1
 
 
 def _count_calls(monkeypatch, module, name):
@@ -172,7 +173,9 @@ def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "A2+A1", "E6"])
 def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
     # the steps _ascend receives for K, per node b of K, against a filter
-    # of all of b's steps by J inside K, in the same order
+    # of all of b's steps by J inside K, in the same order: in the row
+    # build, and in the second walk, which reads the same _local_steps and
+    # ascends over the nodes of K largest first
     m = model(name)
     every = billey.subset_steps(m.cartan)
     seen = []
@@ -184,8 +187,13 @@ def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
 
     monkeypatch.setattr(billey, "_ascend", ascend)
     m._rows
-    assert [K for K, _ in seen] == [node_set(L) for L in range(1 << m.rank)]
-    for L, (K, steps) in enumerate(seen):
+    size = 1 << m.rank
+    assert [K for K, _ in seen] == [node_set(L) for L in range(size)]
+    assert m.second_word_failures() == []
+    assert [K for K, _ in seen[size:]] == [node_set(L)[::-1]
+                                           for L in range(1, size)]
+    for L, (K, steps) in chain(enumerate(seen[:size]),
+                               enumerate(seen[size:], 1)):
         assert steps == {b: [(J, lower) for J, lower in every[b]
                              if not J & ~L] for b in K}, (name, K)
 
@@ -199,6 +207,69 @@ def test_monk_failures_match_the_per_identity_oracle(name):
     assert m.monk_failures() == [
         (i, K) for i in m.cartan.nodes() for K in m.subsets
         if not fraction_verify_monk(m, i, K).passed] == []
+
+
+def _kernel_outcome(kernel, rows, support, k, covers, simple):
+    """A Monk kernel's failing positions for row k, or the cover its
+    ``ZeroDivisionError`` names."""
+    try:
+        return kernel(rows, support, k, covers, simple)
+    except ZeroDivisionError as zero:
+        return ("zero", zero.args)
+
+
+def _kernel_outcomes(kernel, rows, n):
+    """Per mask K, ``_kernel_outcome`` over the covers of K and the simple
+    rows, on the rows given, their supports found afresh."""
+    support = [frozenset(L for L, c in enumerate(row) if c) for row in rows]
+    simple = [rows[1 << b] for b in range(n)]
+    bits = [1 << b for b in range(n)]
+    return [_kernel_outcome(kernel, rows, support, K,
+                            [K | bit for bit in bits if not K & bit], simple)
+            for K in range(1 << n)]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_expansion_kernel_matches_the_list_kernel(name):
+    # the kernel that gathers D r_K once per K and decides most identities
+    # in one pass, against the residual lists per identity it replaced,
+    # at every K: on the true rows neither finds a failure
+    m = model(name)
+    outcomes = _kernel_outcomes(peterson._expansion_failures, m._rows, m.rank)
+    assert outcomes == _kernel_outcomes(list_expansion_failures, m._rows,
+                                        m.rank)
+    assert outcomes == [[]] * len(m.subsets)
+
+
+@pytest.mark.parametrize("name", FAULT_TYPES)
+def test_expansion_kernel_matches_the_list_kernel_on_row_faults(name):
+    # every entry of the rows one more or one less: both kernels fail the
+    # same identities, or divide by the same zero, at every K
+    rows = model(name)._rows
+    n = model(name).rank
+    moved = 0
+    for k, row in enumerate(rows):
+        for L in range(len(row)):
+            for delta in (1, -1):
+                doctored = list(rows)
+                doctored[k] = row[:L] + (row[L] + delta,) + row[L + 1:]
+                outcomes = _kernel_outcomes(peterson._expansion_failures,
+                                            doctored, n)
+                assert outcomes == _kernel_outcomes(
+                    list_expansion_failures, doctored, n), (name, k, L, delta)
+                moved += outcomes != [[]] * len(rows)
+    assert moved
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_component_table_matches_the_set_search(name):
+    # the components of every mask, grown from those of K - max K, against
+    # a breadth-first search over node sets per K, in the same order
+    m = model(name)
+    assert [[nodes_of(C) for C in m._components[K]]
+            for K in range(1 << m.rank)] == \
+        [set_connected_components(m.cartan, node_set(K))
+         for K in range(1 << m.rank)]
 
 
 @pytest.mark.parametrize("name", WALK_TYPES)
@@ -537,7 +608,7 @@ def test_monk_and_giambelli_records_match_fraction_oracle(name):
     entries = {tuple(c["K"]): c for c in record.witnesses["coefficients"]}
     for K in m.subsets[1:]:
         n_words, holds = fraction_verify_giambelli(m, K)
-        assert m.giambelli_holds(K) == (n_words, holds), (name, K)
+        assert m.giambelli_holds(mask(K)) == (n_words, holds), (name, K)
         if is_connected(m.cartan, K):
             assert entries.pop(K) == {
                 "K": list(K),
@@ -689,19 +760,19 @@ def test_giambelli_needs_a_nonempty_K():
     # () on its own and passes giambelli_holds only nonempty K
     m = model("A2")
     with pytest.raises(ValueError, match=r"nonempty K, got K = \(\)"):
-        m.giambelli_holds(())
+        m.giambelli_holds(0)
 
 
 def test_giambelli_singleton_trivial():
     m = model("A2")
-    assert m.giambelli_holds((1,)) == (1, True)
+    assert m.giambelli_holds(0b1) == (1, True)
     assert giambelli_entry(m, (1,))["coefficient"] == "1/1"
 
 
 def test_giambelli_connected_pair_coefficient_two():
     for name in ("A2", "B2", "G2"):
         m = model(name)
-        n_words, holds = m.giambelli_holds((1, 2))
+        n_words, holds = m.giambelli_holds(0b11)
         assert holds and n_words == 1
         assert giambelli_entry(m, (1, 2))["coefficient"] == "2/1"
 
@@ -710,7 +781,7 @@ def test_giambelli_A3_full_set():
     m = model("A3")
     v = v_K(m.group, (1, 2, 3))
     assert enumerate_reduced_words(m.group, v) == {(1, 2, 3)}
-    assert m.giambelli_holds((1, 2, 3)) == (1, True)
+    assert m.giambelli_holds(0b111) == (1, True)
     assert giambelli_entry(m, (1, 2, 3)) == {
         "K": [1, 2, 3], "coefficient": "6/1", "reduced_words": 1}
 
@@ -728,11 +799,11 @@ def test_giambelli_holds_on_disconnected_subsets(name):
         return len(enumerate_reduced_words(m.group, v))
 
     for K in m.subsets[1:]:
-        components = m.cartan.connected_components(K)
+        components = [nodes_of(C) for C in m._components[mask(K)]]
         shuffles = factorial(len(K))
         for C in components:
             shuffles //= factorial(len(C))
-        n_words, holds = m.giambelli_holds(K)
+        n_words, holds = m.giambelli_holds(mask(K))
         assert holds, (name, K)
         assert n_words == shuffles * prod(
             count(v_K(m.group, C)) for C in components), (name, K)
@@ -743,7 +814,7 @@ def test_giambelli_every_connected_subset(name):
     m = model(name)
     for K in m.subsets:
         if K and is_connected(m.cartan, K):
-            assert m.giambelli_holds(K)[1], (name, K)
+            assert m.giambelli_holds(mask(K))[1], (name, K)
 
 
 def test_disconnected_product_examples():
@@ -962,7 +1033,9 @@ def test_graded_dims_E7_match_series():
 def test_expansion_kernel_cost_on_E6(monkeypatch):
     # no elimination: monk expands p_{s_i} p_{v_K} once per (i, K),
     # 6 * 64 = 384, each compared on the 2^(n - |K|) fixed points above K,
-    # where row K or a cover row is nonzero
+    # where row K or a cover row is nonzero, which the kernel gathers once
+    # per K; 309 of the 384 have at most one cover term with a nonzero
+    # step, the identities it decides in one pass
     m = model("E6")
     n = m.rank
     identities = []
@@ -970,14 +1043,19 @@ def test_expansion_kernel_cost_on_E6(monkeypatch):
 
     def counting(table, support, k, covers, simple):
         points = support[k].union(*map(support.__getitem__, covers))
-        identities.extend([(k, len(points))] * len(simple))
+        identities.extend(
+            (k, len(points), sum(1 for j in covers
+                                 if table[k][j] and p[j] != p[k]))
+            for p in simple)
         return real(table, support, k, covers, simple)
 
     monkeypatch.setattr(peterson, "_expansion_failures", counting)
     assert m.image_graded_dimensions(12) == [1, 7, 22, 42, 57, 63, 64]
     assert m.monk_failures() == []
     assert len(identities) == n * 2 ** n == 384
-    assert all(points == 2 ** (n - K.bit_count()) for K, points in identities)
+    assert all(points == 2 ** (n - K.bit_count())
+               for K, points, _ in identities)
+    assert sum(live <= 1 for *_, live in identities) == 309
 
 
 def _doctored_graded_dims(monkeypatch, name, J, L, value):

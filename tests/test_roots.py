@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from petcoh.errors import IntegrityError
+from petcoh.peterson import PetersonModel, nodes_of
 from petcoh.roots import (
     CartanMatrix,
     LieType,
@@ -23,6 +24,7 @@ from oracles import (
     bond_order,
     cartan_matrix_from_inner_products,
     is_connected,
+    mask,
     regex_parse_lie_type,
 )
 
@@ -207,6 +209,19 @@ def test_bad_cartan_data_rejected():
         CartanMatrix([[2, 0]])
 
 
+@pytest.mark.parametrize("entries", [
+    [[2.9, -1], [-1, 2]],
+    [["2", "-1"], ["-1", "2"]],
+    [[2, -1.5], [-1, 2]],
+    [[2, -1], [-1, True]],
+], ids=["float-diagonal", "strings", "float-bond", "bool"])
+def test_cartan_entries_must_be_ints(entries):
+    # each of these once truncated to A2 through int(); like LieType's rank
+    # and Ideal's coefficients, an entry that is not an int is rejected
+    with pytest.raises(ValueError, match="is not an int"):
+        CartanMatrix(entries)
+
+
 def test_simple_reflection_examples():
     for name in ("A2", "B2", "G2", "A3"):
         cm = cartan_matrix(name)
@@ -284,29 +299,42 @@ def test_bond_order():
         bond_order(a2, 1, 1)
 
 
+def components(cartan, K) -> list[tuple[int, ...]]:
+    """The components of K in the model's table by mask, as node tuples."""
+    return [nodes_of(C) for C in PetersonModel(cartan)._components[mask(K)]]
+
+
 def test_connectivity_queries():
     a4 = cartan_matrix("A4")
     assert is_connected(a4, (1, 2, 3))
     assert not is_connected(a4, (1, 3))
     assert not is_connected(a4, ())
-    assert a4.connected_components((1, 2, 4)) == [(1, 2), (4,)]
+    assert components(a4, (1, 2, 4)) == [(1, 2), (4,)]
     d4 = cartan_matrix("D4")
     assert is_connected(d4, (2, 3, 4))  # both legs attach through node 2
     assert not is_connected(d4, (3, 4))
     mixed = cartan_matrix("A2+A1")
     assert not is_connected(mixed, (1, 2, 3))
-    assert mixed.connected_components((1, 2, 3)) == [(1, 2), (3,)]
+    assert components(mixed, (1, 2, 3)) == [(1, 2), (3,)]
+    # on E6, node 4 joins the components (2,) and (3,) of {2, 3} below it,
+    # and joins (2,) alone of {1, 2}
+    e6 = cartan_matrix("E6")
+    assert components(e6, (2, 3)) == [(2,), (3,)]
+    assert components(e6, (2, 3, 4)) == [(2, 3, 4)]
+    assert components(e6, (1, 2, 4)) == [(1,), (2, 4)]
+    assert components(a4, ()) == []
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "E6", "A2+A1", "B2+G2+A1"])
 def test_connected_components_match_the_flood_fill(name):
-    # the components are connected, disjoint, cover K, and no two of them
-    # are joined by an edge
+    # the model's components by mask are connected, disjoint, cover K, and
+    # no two of them are joined by an edge
     cartan = cartan_matrix(name)
     nodes = cartan.nodes()
+    table = PetersonModel(cartan)._components
     for k in range(1, len(nodes) + 1):
         for K in itertools.combinations(nodes, k):
-            components = cartan.connected_components(K)
+            components = [nodes_of(C) for C in table[mask(K)]]
             assert sorted(x for C in components for x in C) == list(K)
             assert all(is_connected(cartan, C) for C in components)
             assert is_connected(cartan, K) == (len(components) == 1)
