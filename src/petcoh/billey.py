@@ -39,7 +39,7 @@ The ascent to w_K runs only the steps with J inside K, and they grow the
 same way: ``_local_steps`` lists those of K as the ones of K - m followed
 by the steps whose J contains m, so each subset of each K is read once.
 
-Both walks read one thing of an element w: the heights
+The walk reads one thing of an element w: the heights
 h_w = (ht w(alpha_1), .., ht w(alpha_n)), the column sums of its action
 matrix, equal to <w^-1 rho^vee, alpha_b> with rho^vee the sum of the
 fundamental coweights.  Right multiplication by s_b changes h[k] to
@@ -49,12 +49,12 @@ The heights determine w, as rho^vee is regular and only the identity fixes
 it, so ``subset_steps`` checks v_J s_b = v_{J - b} as an equality of
 height vectors; nothing is hashed or keyed by them.  No root has height 0,
 and w_K sends the simple roots of K to negative simple roots, of height
--1, and both are checked.  No walk here builds a Weyl group, and no run
+-1, and both are checked.  The walk builds no Weyl group, and no run
 builds one.
 
 The rows are the Peterson classes by Billey's theorem: the formula does
-not depend on the word (Billey, Duke Math. J. 96, 1999).
-``second_word_failures`` checks them on a second reduced word of each w_L.
+not depend on the word (Billey, Duke Math. J. 96, 1999).  ``billey_welldef``
+compares them with their closed form, which reads no code of this walk.
 """
 
 from __future__ import annotations
@@ -210,47 +210,10 @@ def restricted_rows(cartan: CartanMatrix, steps) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(column for _, _, column in walked)))
 
 
-def second_word_failures(cartan: CartanMatrix, steps, rows) -> list[int]:
-    """The masks L, in increasing order, whose column of ``rows`` (row J,
-    column L, as ``restricted_rows`` returns them) the recursion along a
-    second reduced word of w_L does not reproduce.
-
-    ``restricted_rows`` reaches w_L from w_{L - m}, m = max L, taking the
-    smallest ascent first.  Here the column of L starts as the rows' own
-    column of L - l, l = min L, restricted to the subsets J of L (a column
-    is 0 off them, which the ``basis`` check reads), and ascends from the
-    heights of w_{L - l} over the nodes of L, largest first (``_ascend``),
-    over the same steps inside L as the rows (``_local_steps``).
-    That spells another reduced word of w_L, so by Billey's theorem the
-    result is column L; it is compared with the whole column.  The ascent
-    ends at the heights of w_L, as heights determine the element, so the
-    walk keeps its own heights and builds no Weyl group.  The empty L has
-    the identity's column, 1 at J = 0 and 0 elsewhere, where both walks
-    start."""
-    size = 1 << cartan.rank
-    columns = tuple(zip(*rows))
-    failing = [] if columns[0] == (1,) + (0,) * (size - 1) else [0]
-    heights = [(1,) * cartan.rank]  # per mask L, the heights of w_L
-    steps_by_L = _local_steps(steps, size)
-    next(steps_by_L)  # the empty L's: none, as the empty L has no walk
-    for L, local in enumerate(steps_by_L, 1):
-        lower = L & L - 1  # L less its smallest node
-        start, values = columns[lower], [0] * size
-        values[0], J = start[0], L
-        while J:  # every nonempty subset of L, decreasing
-            values[J] = start[J]
-            J = J - 1 & L
-        K = tuple(b for b in range(L.bit_length(), 0, -1) if L >> b - 1 & 1)
-        heights.append(_ascend(cartan, heights[lower], K, local, values))
-        if tuple(values) != columns[L]:
-            failing.append(L)
-    return failing
-
-
 def _local_steps(steps, size: int):
     """Per mask L below ``size``, in increasing order, the steps of L: per
     node b of L, the steps (J, J - b) of ``steps[b]`` whose J lies inside
-    L, in increasing order of J.
+    L, in increasing order of J; ``restricted_rows`` is its one reader.
 
     With m = max L, every subset of L - m is below m's bit, so L's steps
     of a letter are those of L - m (yielded before L, as L - m < L)

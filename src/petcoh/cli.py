@@ -62,7 +62,7 @@ class RunConfig:
 
     def __init__(self, lie_type: str, checks: tuple[str, ...] = CHECK_ORDER):
         _parse_bounded_type(lie_type)
-        if isinstance(checks, str):
+        if isinstance(checks, str) or not hasattr(checks, "__iter__"):
             raise ValueError(f"checks takes a sequence of check names, not {checks!r}")
         # read once, so that a one-shot iterable is validated and kept whole
         checks = tuple(checks)
@@ -103,15 +103,21 @@ def expected_ordinary_series(rank: int) -> HilbertSeries:
 # individual checks
 
 def _check_billey_welldef(model: PetersonModel) -> CheckRecord:
-    """The rows are the Peterson classes by Billey's theorem, a cited
-    premise: sigma_v(w) does not depend on the reduced word of w (Billey,
-    Duke Math. J. 96, 1999).  The rows follow one reduced word of each
-    fixed point w_L.  This check recomputes every column from the rows'
-    own column of L - min L along a second word and lists the first 20 L
-    it does not reproduce (``PetersonModel.second_word_failures``), so a
-    row entry or recursion step the build got wrong fails here.  The
-    theorem is tested word by word in ``tests/oracles.py``."""
-    failing = model.second_word_failures()
+    """The rows equal their closed form (``PetersonModel.closed_form_failures``,
+    which reads the Cartan matrix and no code of the walk), and the record
+    lists the first 20 fixed points L where they do not.  For K inside L,
+    p_{v_K}(w_L) = e(K) / |K|! prod_{i in K} x_i t^|K|, else 0: Giambelli's
+    formula (|K|! / e(K)) p_{v_K} = prod_{i in K} p_{s_i} (Drellich, J.
+    Algebraic Combin. 41, 2015) at w_L, where p_{s_i}(w_L) / t is the height
+    of varpi_i - w_L varpi_i (sigma_{s_i}(w) = varpi_i - w varpi_i: Kostant
+    and Kumar, Adv. Math. 62, 1986; Billey, Duke Math. J. 96, 1999), that
+    is 2 <varpi_i, rho^vee_C> for the component C of L holding i: the
+    positive integer x_i with A_C x = 2 (1, .., 1).  e(K) counts the reduced
+    words of the Coxeter element v_K, the linear extensions of its heap (the
+    Dynkin graph on K, edges oriented upwards), so it sums e(K - b) over the
+    nodes b of K with no larger neighbour in K.  Billey's theorem on the
+    walk's rows is tested in ``tests/oracles.py``."""
+    failing = model.closed_form_failures()
     return CheckRecord(
         check="billey_welldef",
         lie_type=model.type_name(),

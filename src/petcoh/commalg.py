@@ -85,7 +85,7 @@ def leading_minors_positive(rows) -> bool:
 
 def symmetrizer(rows) -> list[int] | None:
     """Positive integers d with d_i a_ij = d_j a_ji for every i, j of the
-    square integer matrix, else None.
+    square integer matrix, else None; a matrix not square is a ValueError.
 
     Each connected part of the graph of nonzero off-diagonal entries takes
     d = 1 at its first node and spreads by d_j = d_i a_ij / a_ji along a
@@ -93,6 +93,8 @@ def symmetrizer(rows) -> list[int] | None:
     with a_ij a_ji <= 0 has no positive d.  The values are then verified
     on every entry, which the tree alone does not decide on a cycle."""
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
     d = [0] * n
     for root in range(n):
         if d[root]:
@@ -128,7 +130,7 @@ class Ideal:
     the sorted tuple of its (exponent tuple, int) pairs with the zero
     coefficients dropped, so that an ideal hashes.  Names that are not a
     tuple of strs, a generator that is zero, an exponent that is not a tuple
-    of ``nvars`` non-negative ints, or a coefficient that is not an int (a
+    of one non-negative int per name, or a coefficient that is not an int (a
     bool is not): each is a ValueError.
     """
 
@@ -168,10 +170,6 @@ class Ideal:
 
     def __hash__(self):
         return hash((self.var_names, self.generators))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.var_names)
 
 
 def is_homogeneous(generator) -> bool:

@@ -24,14 +24,16 @@ The rows are the model's one table.  Monk's rule (``_expansion_failures``)
 and Giambelli's formula read them, the latter one step K - m -> K at a
 time, m = max K, with no product b_K = prod_{i in K} p_{s_i} stored.  The
 graded dimensions read only the n simple rows, and the quadrics on them.
+``closed_form_failures`` compares the rows with their closed form in the
+Cartan matrix alone (``cli._check_billey_welldef``), no code of the walk.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from math import comb, lcm
-from operator import add, mul, or_
+from math import comb, factorial, lcm
+from operator import add, mul, ne, or_
 
 from . import billey, commalg
 from .billey import restricted_rows
@@ -110,6 +112,29 @@ def _evaluate(generator, rows) -> tuple[int, ...]:
     return tuple(total)
 
 
+@lru_cache(maxsize=None)
+def _closed_form(n: int, a: tuple) -> tuple[int, ...]:
+    """Per node-set mask K, e(K) prod_{i in K} x_i / |K|! for the n x n Cartan
+    matrix whose rows ``a`` lists end to end (``cli._check_billey_welldef``)."""
+    m = [[*a[i:i + n], 2] for i in range(0, n * n, n)]  # A | 2 (1, .., 1)
+    for p, top in enumerate(m):  # fraction-free elimination
+        for row in m[p + 1:]:
+            if row[p]:
+                row[p:] = [c * top[p] - row[p] * b for c, b in zip(row[p:], top[p:])]
+    x, heap, bits = [], [1], [1 << j for j in range(n)]
+    for p in range(n - 1, -1, -1):
+        q, r = divmod(m[p][n] - sum(map(mul, m[p][p + 1:n], x)), m[p][p])
+        x[:0] = [q if q > 0 and not r else 0]  # 0: off the positive integers
+    up = [sum(compress(bits[i:], a[i * n + i:i * n + n])) - bits[i] for i in range(n)]
+    for K in range(1, 1 << n):  # heap[K]: e(K) prod_{i in K} x_i, by the last letter
+        heap.append(sum(heap[K ^ 1 << b] * x[b] for b in range(n)
+                        if K >> b & 1 and not K & up[b]))
+    q, r = zip(*map(divmod, heap, map(factorial, map(int.bit_count, range(1 << n)))))
+    if not all(x) or any(r):
+        raise IntegrityError(f"A = {a} has no closed form in positive integers")
+    return q
+
+
 def nodes_of(mask: int) -> tuple[int, ...]:
     """The nodes of a node-set mask in node order, node i as bit i - 1."""
     return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1)
@@ -142,10 +167,11 @@ class PetersonModel:
 
     Two kinds of table outlive the model.  The quadric ideals J and
     J-check (``commalg.build_ideal_J`` and ``build_ideal_Jcheck``, which
-    ``quadric_rows`` reads) are cached for the life of the process, keyed
-    by the Cartan matrix, so a test that replaces how they are built
-    clears those caches itself.  The Cartan matrix keeps its own column
-    updates, which the walks read, for as long as it lives.
+    ``quadric_rows`` reads), and the closed form of each connected Cartan
+    submatrix (``_closed_form``), are cached for the life of the process,
+    keyed by the matrix, so a test that replaces how they are built clears
+    those caches itself.  The Cartan matrix keeps its own column updates,
+    which the walk reads, for as long as it lives.
     """
 
     def __init__(self, cartan: CartanMatrix, group: WeylGroup | None = None):
@@ -236,12 +262,26 @@ class PetersonModel:
         """The row of p_{s_i}, of degree 1."""
         return self._rows[self._bits[i]]
 
-    def second_word_failures(self) -> list[tuple[int, ...]]:
-        """The fixed points L, as node sets in mask order, whose column of
-        the rows the recursion along a second reduced word of w_L does not
-        reproduce (``billey.second_word_failures``)."""
-        return [nodes_of(L) for L in billey.second_word_failures(
-            self.cartan, self._steps, self._rows)]
+    def closed_form_failures(self) -> list[tuple[int, ...]]:
+        """The fixed points L, as node sets in mask order, whose column of the
+        rows differs from the closed form (``cli._check_billey_welldef``)."""
+        A, rows, tables, failing = self.cartan.entries, self._rows, {}, []
+        for L, components in enumerate(self._components):
+            if components == (L,):  # connected: tables[L], the K inside L, values
+                nodes = [i for i in range(L.bit_length()) if L >> i & 1]
+                subs = [K for K in range(L + 1) if not K & ~L]
+                tables[L] = subs, _closed_form(
+                    len(nodes), tuple([A[i][j] for i in nodes for j in nodes]))
+            subs, values = tables[components[0]] if L else ([0], (1,))
+            for more, times in map(tables.__getitem__, components[1:]):
+                subs = [K | J for J in more for K in subs]
+                values = [a * b for b in times for a in values]
+            if any(map(ne, [rows[K][L] for K in subs], values)):
+                failing.append(L)
+        failing += [L for K, row in enumerate(rows)  # row K is 0 just where L lacks K
+                    if failing or row.count(0) != len(row) - (len(row) >> K.bit_count())
+                    for L, c in enumerate(row) if c and K & ~L]
+        return [nodes_of(L) for L in sorted(set(failing))]
 
     @cached_property
     def _row_support(self) -> tuple[frozenset[int], ...]:
@@ -301,22 +341,21 @@ class PetersonModel:
         Dynkin diagram on K, in order of their smallest node.  With m =
         max K, the component of m closes m's bit over its neighbour mask:
         it joins every component of K - m (listed before K, as K - m < K)
-        that holds a neighbour of m, and the others stay as they are.
-        Built once per model, one merge per mask."""
-        cartan = self.cartan
-        neighbours = [sum(self._bits[j] for j in cartan.nodes()
-                          if cartan.adjacent(i, j)) for i in cartan.nodes()]
+        that holds a neighbour of m, in the place of the first of them;
+        the others stay.  Built once per model, one merge per mask."""
+        neighbours = [sum(1 << j for j, a in enumerate(row) if a and j != i)
+                      for i, row in enumerate(self.cartan.entries)]
         table = [()]
         for K in range(1, 1 << self.rank):
-            m = K.bit_length()
-            joined, apart = 1 << m - 1, []
+            m = K.bit_length() - 1
+            joined, apart, at = 1 << m, [], None
             for C in table[K ^ joined]:
-                if C & neighbours[m - 1]:
+                if C & neighbours[m]:
                     joined |= C
+                    at = len(apart) if at is None else at
                 else:
                     apart.append(C)
-            apart.append(joined)
-            apart.sort(key=lambda C: C & -C)  # by the lowest bit
+            apart.insert(len(apart) if at is None else at, joined)
             table.append(tuple(apart))
         return tuple(table)
 

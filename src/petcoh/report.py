@@ -143,16 +143,13 @@ class CertificationReport:
         so the target has the expected size), the Hilbert series equality
         (the source has that size too: the Cartan minors make the quadrics
         and t a regular sequence, which gives its series in closed form;
-        no Groebner basis is computed), and ``billey_welldef``.  The other
-        restriction legs read the classes off the rows, which follow
-        Billey's formula along one reduced word of each fixed point; they
-        are the Peterson classes by Billey's theorem (Billey, Duke Math. J.
-        96, 1999), a cited premise: the formula does not depend on the word
-        and vanishes off the Bruhat interval.  ``billey_welldef`` recomputes
-        every column of the rows along a second reduced word.  The
+        no Groebner basis is computed), and ``billey_welldef``: the rows
+        the other legs read are the Peterson classes, as they equal the
+        closed form that Drellich's Giambelli formula (2015), sigma_{s_i}(w)
+        = varpi_i - w varpi_i (Kostant and Kumar 1986; Billey 1999) and the
+        heaps of Coxeter elements give (``cli._check_billey_welldef``).  The
         Giambelli witnesses must moreover reach every one of the 2^n - 1
-        nonempty node sets K of that basis (p_{v_()} is 1), each by
-        Giambelli's identity for K itself."""
+        nonempty node sets K of that basis (p_{v_()} is 1), each by its own."""
         legs = {"billey_welldef", "quadratic", "giambelli", "basis", "hilbert"}
         ran = {r.check: r.passed for r in self.records if r.check in legs}
         return set(ran) == legs and all(ran.values()) and \

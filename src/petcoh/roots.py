@@ -76,6 +76,8 @@ def parse_lie_type(text: str) -> tuple[LieType, ...]:
     only: ``isdigit`` alone would also read "A\u0663" and "A\u00b3" as A3.
     The parse uses string methods, so no pattern is compiled when the
     module loads."""
+    if type(text) is not str:
+        raise ValueError(f"Lie type {text!r} is not a str")
     types = []
     for part in text.strip().split("+"):
         part = part.strip()
@@ -180,9 +182,6 @@ class CartanMatrix:
 
     def nodes(self) -> range:
         return range(1, self.rank + 1)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return i != j and self.entries[i - 1][j - 1] != 0
 
     def column_updates(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Per node j, (k, a[k+1][j]) for the 0-based k of every nonzero

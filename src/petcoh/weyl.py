@@ -45,9 +45,6 @@ class WeylElement:
         word = word_to_str(self.witness_word) or "e"
         return f"WeylElement({word})"
 
-    def is_identity(self) -> bool:
-        return self.length == 0
-
 
 def word_to_str(word) -> str:
     """Serialize a word as comma-separated 1-based node indices."""

@@ -49,7 +49,7 @@ class Poly:
 
 def generator_polys(ideal) -> list[Poly]:
     """The generators of an ``Ideal`` as ``Poly``s."""
-    return [Poly(ideal.nvars, g) for g in ideal.generators]
+    return [Poly(len(ideal.var_names), g) for g in ideal.generators]
 
 
 # the Lie-type parse as a regular expression, as ``roots.parse_lie_type``
@@ -381,7 +381,7 @@ def set_connected_components(cartan, nodes) -> list[tuple[int, ...]]:
         while frontier:
             v = frontier.pop()
             for u in list(remaining - comp):
-                if cartan.adjacent(v, u):
+                if u != v and cartan.a(v, u):
                     comp.add(u)
                     frontier.append(u)
         comps.append(tuple(sorted(comp)))
@@ -1012,25 +1012,31 @@ def _matrix_ascend(group, action, K, steps, values: list):
         action = group.right_action(action, b)
 
 
+def fraction_solve(rows, rhs) -> list[Q]:
+    """The solution of rows x = rhs, by Gauss-Jordan elimination in
+    Fractions with row exchanges."""
+    m = [[Q(a) for a in row] + [Q(b)] for row, b in zip(rows, rhs)]
+    n = len(m)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[n] for row in m]
+
+
 def fundamental_weights(cartan) -> list[tuple[Q, ...]]:
     """The fundamental weights varpi_i in simple-root coordinates, as
     Fractions: <varpi_i, alpha_j^vee> = delta_ij with
-    <alpha_k, alpha_j^vee> = cartan.a(k, j) gives A^T varpi_i = e_i, so
-    varpi_i is column i of (A^T)^{-1}, by Gauss-Jordan elimination."""
-    n = cartan.rank
-    rows = [[Q(cartan.a(k, j)) for k in range(1, n + 1)]
-            + [Q(int(j == i)) for i in range(1, n + 1)]
-            for j in range(1, n + 1)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [tuple(rows[k][n + i] for k in range(n)) for i in range(n)]
+    <alpha_k, alpha_j^vee> = cartan.a(k, j) gives A^T varpi_i = e_i, solved
+    by Gauss-Jordan elimination (``fraction_solve``)."""
+    nodes = cartan.nodes()
+    transposed = [[cartan.a(k, j) for k in nodes] for j in nodes]
+    return [tuple(fraction_solve(transposed, [int(j == i) for j in nodes]))
+            for i in nodes]
 
 
 def billey_welldef_per_word(model) -> list[dict]:
@@ -1070,6 +1076,73 @@ def billey_welldef_per_word(model) -> list[dict]:
                                      "v": word_to_str(v.witness_word),
                                      "w_word": word_to_str(word)})
     return failures
+
+
+def second_word_failures(cartan, steps, rows) -> list[int]:
+    """Billey's theorem on the package's own walk: the masks L, in
+    increasing order, whose column of ``rows`` (row J, column L, as
+    ``billey.restricted_rows`` returns them) the recursion along a second
+    reduced word of w_L does not reproduce.
+
+    ``restricted_rows`` reaches w_L from w_{L - m}, m = max L, taking the
+    smallest ascent first.  Here the column of L starts as the rows' own
+    column of L - l, l = min L, restricted to the subsets J of L, and
+    ascends from the heights of w_{L - l} over the nodes of L, largest
+    first, with the package's ``_ascend`` over its ``_local_steps``.  That
+    spells another reduced word of w_L, so by Billey's theorem the result
+    is column L.  The empty L has the identity's column, 1 at J = 0 and 0
+    elsewhere, where both walks start."""
+    from petcoh import billey
+
+    size = 1 << cartan.rank
+    columns = tuple(zip(*rows))
+    failing = [] if columns[0] == (1,) + (0,) * (size - 1) else [0]
+    heights = [(1,) * cartan.rank]  # per mask L, the heights of w_L
+    steps_by_L = billey._local_steps(steps, size)
+    next(steps_by_L)  # the empty L's: none, as the empty L has no walk
+    for L, local in enumerate(steps_by_L, 1):
+        lower = L & L - 1  # L less its smallest node
+        start, values = columns[lower], [0] * size
+        values[0], J = start[0], L
+        while J:  # every nonempty subset of L, decreasing
+            values[J] = start[J]
+            J = J - 1 & L
+        K = tuple(b for b in range(L.bit_length(), 0, -1) if L >> b - 1 & 1)
+        heights.append(billey._ascend(cartan, heights[lower], K, local, values))
+        if tuple(values) != columns[L]:
+            failing.append(L)
+    return failing
+
+
+def closed_form_table(cartan) -> tuple[tuple[int, ...], ...]:
+    """Row K, column L, both by mask: p_{v_K}(w_L) / t^|K| by Drellich's
+    Giambelli formula with the simple classes in closed form, e(K) / |K|!
+    prod_{i in K} x_i for K inside L and 0 otherwise, where x solves
+    A_L x = 2 (1, .., 1) in Fractions on the whole of L (block by block on
+    its Dynkin components) and e(K) counts the reduced words of v_K
+    (``enumerate_reduced_words``); every value must be an integer."""
+    from petcoh.weyl import WeylGroup
+
+    group = WeylGroup(cartan)
+    n = cartan.rank
+    size = 1 << n
+    words = [len(enumerate_reduced_words(group, v_K(group, node_set(K))))
+             for K in range(size)]
+    table = [[0] * size for _ in range(size)]
+    for L in range(size):
+        nodes = node_set(L)
+        x = dict(zip(nodes, fraction_solve(
+            [[cartan.a(i, j) for j in nodes] for i in nodes], [2] * len(nodes))))
+        for K in range(size):
+            if K & ~L:
+                continue
+            value = Q(words[K], factorial(K.bit_count()))
+            for i in node_set(K):
+                value *= x[i]
+            if value.denominator != 1:
+                raise AssertionError(f"closed form {value} at K={K}, L={L}")
+            table[K][L] = value.numerator
+    return tuple(map(tuple, table))
 
 
 def fraction_text(q: Q) -> str:
@@ -1432,9 +1505,9 @@ def hilbert_series_of_quotient(ideal):
     (1 - s^2)^nvars."""
     from petcoh.commalg import HilbertSeries
 
-    numerator = tuple_monomial_quotient_numerator(basis_leads(ideal), ideal.nvars)
+    numerator = tuple_monomial_quotient_numerator(basis_leads(ideal), len(ideal.var_names))
     return HilbertSeries.over_one_minus_s2(
-        [c for coeff in numerator for c in (coeff, 0)], ideal.nvars)
+        [c for coeff in numerator for c in (coeff, 0)], len(ideal.var_names))
 
 
 def ideal_zero_set_is_origin(ideal) -> bool:
@@ -1444,7 +1517,7 @@ def ideal_zero_set_is_origin(ideal) -> bool:
     (``tuple_pure_power_variables``)."""
     if not all(g.is_homogeneous() for g in generator_polys(ideal)):
         raise ValueError("zero-set criterion requires homogeneous generators")
-    return all(tuple_pure_power_variables(basis_leads(ideal), ideal.nvars))
+    return all(tuple_pure_power_variables(basis_leads(ideal), len(ideal.var_names)))
 
 
 def principal_minors_positive(cartan) -> bool:

@@ -76,7 +76,7 @@ def test_criterion_1_monk_cartan_identity():
                     if i == j:
                         continue
                     c = monk_fraction(m, i, (i,), tuple(sorted((i, j))))
-                    if cm.adjacent(i, j):
+                    if cm.a(i, j):
                         assert c == -cm.a(i, j) and c > 0, (name, i, j)
                     else:
                         assert c == 0, (name, i, j)

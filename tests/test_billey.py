@@ -11,7 +11,6 @@ from petcoh.billey import (
     inversion_roots,
     localization_table,
     restricted_rows,
-    second_word_failures,
     subset_steps,
 )
 from petcoh.cli import DEFAULT_SUITE
@@ -39,6 +38,7 @@ from oracles import (
     poly_product,
     poly_sum,
     restrict_to_S,
+    second_word_failures,
     subword_localization,
     v_K,
 )
@@ -265,9 +265,10 @@ def test_second_walk_spells_another_reduced_word_of_each_w_L(name,
                                                              monkeypatch):
     # the letters each ascent reflects, after the word of the element it
     # starts from: w_{L - max L} for the rows, w_{L - min L} for the
-    # second walk.  Both words are reduced words of w_L; the rows' starts
-    # with the smallest node of L and the second with the largest, so
-    # they differ wherever L has two nodes
+    # second walk of the oracles, on the package's _ascend and _reflect.
+    # Both words are reduced words of w_L; the rows' starts with the
+    # smallest node of L and the second with the largest, so they differ
+    # wherever L has two nodes
     cartan = cartan_matrix(name)
     W = WeylGroup(cartan)
     steps = subset_steps(cartan)

@@ -2,8 +2,10 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,6 +71,18 @@ def test_run_config_rejects_a_bare_string_of_checks():
     assert str(info.value) == \
         "checks takes a sequence of check names, not 'hilbert'"
     assert RunConfig("A2", ("hilbert",)).checks == ("hilbert",)
+
+
+def test_run_config_of_the_wrong_type_is_a_one_line_value_error():
+    # as LieType, CartanMatrix and Ideal do, a value of the wrong type is
+    # named in one line
+    for args, message in (
+            ((None,), "Lie type None is not a str"),
+            (("A2", None), "checks takes a sequence of check names, not None"),
+            (("A2", 3), "checks takes a sequence of check names, not 3")):
+        with pytest.raises(ValueError) as info:
+            RunConfig(*args)
+        assert str(info.value) == message
 
 
 def test_run_config_reads_a_one_shot_iterable_of_checks():
@@ -394,11 +408,89 @@ def test_billey_welldef_record_of_a2():
 @pytest.mark.parametrize("lie_type", DEFAULT_SUITE + (
     "A2+A1", "A5", "D5", "E6", "E7", "E8"))
 def test_billey_welldef_matches_per_word_oracle(lie_type):
-    # the check on the rows and the per-word test of Billey's theorem, up
-    # to a length, agree: neither finds a failure
+    # the check on the rows, the per-word test of Billey's theorem up to a
+    # length, and the package's walk along a second reduced word of each
+    # w_L agree: none finds a failure
     model = PetersonModel(cartan_matrix(lie_type))
     assert cli._check_billey_welldef(model).passed
     assert billey_welldef_per_word(model) == []
+    assert oracles.second_word_failures(model.cartan, model._steps,
+                                        model._rows) == []
+
+
+def _doubled_steps(monkeypatch):
+    """``_ascend`` adds each step's term twice."""
+    ascend = billey._ascend
+    monkeypatch.setattr(billey, "_ascend", lambda cartan, heights, K, steps,
+                        values: ascend(cartan, heights, K, {
+                            b: [pair for pair in pairs for _ in (0, 1)]
+                            for b, pairs in steps.items()}, values))
+
+
+def _local_steps_without_singletons(monkeypatch):
+    """``_local_steps`` drops every step with J = {b}."""
+    local_steps = billey._local_steps
+    monkeypatch.setattr(billey, "_local_steps", lambda steps, size: (
+        {b: [(J, lower) for J, lower in pairs if J & J - 1]
+         for b, pairs in local.items()} for local in local_steps(steps, size)))
+
+
+def _subset_steps_without_letter_one(monkeypatch):
+    """``subset_steps`` drops every step of the letter b = 1."""
+    subset_steps = billey.subset_steps
+    monkeypatch.setattr(billey, "subset_steps",
+                        lambda cartan: {**subset_steps(cartan), 1: []})
+
+
+@pytest.mark.parametrize("fault", [
+    _doubled_steps, _local_steps_without_singletons,
+    _subset_steps_without_letter_one])
+@pytest.mark.parametrize("lie_type", ["A3", "B3", "G2", "A2+A1"])
+def test_a_fault_in_the_walk_fails_billey_welldef(monkeypatch, fault,
+                                                  lie_type):
+    # three faults in the walk that builds the rows: each changes the
+    # rows, and the closed form, which reads none of the walk's code, sees
+    # them; a second walk on the same code would repeat them
+    fault(monkeypatch)
+    report = run_certification(RunConfig(lie_type))
+    [welldef] = [r for r in report.records if r.check == "billey_welldef"]
+    assert not welldef.passed and welldef.witnesses["failures"]
+    assert not report.isomorphism_certified()
+
+
+@pytest.mark.parametrize("lie_type", ["A3", "B3", "G2", "A2+A1"])
+def test_an_ascent_that_takes_the_last_ascent_first_still_certifies(
+        monkeypatch, lie_type):
+    # another greedy ascent spells another reduced word of each w_L, so by
+    # Billey's theorem it builds the same rows
+    ascend = billey._ascend
+    monkeypatch.setattr(billey, "_ascend", lambda cartan, heights, K, steps,
+                        values: ascend(cartan, heights, K[::-1], steps, values))
+    report = run_certification(RunConfig(lie_type))
+    assert report.overall_pass and report.isomorphism_certified()
+
+
+def test_billey_welldef_runs_no_code_of_the_walk(monkeypatch):
+    # once the rows are built, the check reads the Cartan matrix, the
+    # Dynkin components and the rows, and calls nothing the walk runs;
+    # the second walk is test code, in no module of the package
+    def refuse(*args):
+        raise AssertionError("billey_welldef ran the walk")
+
+    for name in DEFAULT_SUITE + ("A2+A1", "B2+G2"):
+        model = PetersonModel(cartan_matrix(name))
+        model._rows
+        peterson._closed_form.cache_clear()
+        with monkeypatch.context() as patch:
+            for walk in ("subset_steps", "_local_steps", "_ascend", "_reflect",
+                         "restricted_rows"):
+                patch.setattr(billey, walk, refuse)
+            patch.setattr(roots.CartanMatrix, "column_updates", refuse)
+            assert cli._check_billey_welldef(model).passed, name
+    modules = [importlib.import_module(f"petcoh.{info.name}") for info in
+               pkgutil.iter_modules(petcoh.__path__) if info.name != "__main__"]
+    assert not any(hasattr(owner, "second_word_failures")
+                   for owner in modules + [PetersonModel])
 
 
 class _FiringSteps(dict):
@@ -417,13 +509,12 @@ class _FiringSteps(dict):
 
 
 @pytest.mark.parametrize("lie_type,failing", [
-    ("A3", [[1, 2, 3]]), ("B3", [[1, 2, 3]]), ("G2", [[1, 2]])],
+    ("A3", [[1, 2], [1, 2, 3]]), ("B3", [[1, 2], [1, 2, 3]]), ("G2", [[1, 2]])],
     ids=["A3", "B3", "G2"])
 def test_a_faulty_ascent_step_fails_billey_welldef(monkeypatch, lie_type,
                                                    failing):
-    # the step J = {1, 2} adds 1 more each time it fires, in the row build
-    # and in the second walk alike; the two words of w_L fire it a
-    # different number of times, so the check names the L where they part
+    # the step J = {1, 2} adds 1 more each time it fires in the row build:
+    # row {1, 2} is off its closed form at every L that holds 1 and 2
     ascend = billey._ascend
     monkeypatch.setattr(billey, "_ascend", lambda cartan, heights, K, steps,
                         values: ascend(cartan, heights, K,
@@ -447,7 +538,8 @@ def test_certify_reads_its_exit_status_off_the_records(monkeypatch,
     certify = ["certify", "--type", "A2", "--format", output_format]
     assert main(certify) == 0
     assert main(certify + ["--checks", ""]) == 3
-    monkeypatch.setattr(billey, "second_word_failures", lambda *args: [3])
+    monkeypatch.setattr(PetersonModel, "closed_form_failures",
+                        lambda self: [(1, 2)])
     assert main(certify) == 1
 
 
@@ -468,22 +560,18 @@ def _assert_integrity_failure(lie_type, check, message, capsys):
     assert "isomorphism certified: False" in out
 
 
-def test_zero_height_on_the_second_walk_is_an_integrity_error(monkeypatch,
-                                                              capsys):
-    # the heights of s_2, where the second walk of A2 starts its ascent
-    # to w_0 over the nodes (2, 1), read as (2, 0): the record of
-    # billey_welldef is the integrity error, and the run certifies nothing
-    ascend = billey._ascend
-
-    def doctored(cartan, heights, K, steps, values):
-        if K == (2, 1):
-            heights = (2, 0)
-        return ascend(cartan, heights, K, steps, values)
-
-    monkeypatch.setattr(billey, "_ascend", doctored)
+def test_closed_form_off_the_positive_integers_is_an_integrity_error(
+        monkeypatch, capsys):
+    # A2's one-node Cartan matrices (2,) read as (4,): x = 2 / 4 solves
+    # 4 x = 2, not a positive integer, so the closed form of the node set
+    # {1} stops on it.  The record of billey_welldef is the integrity
+    # error, and the run certifies nothing
+    closed_form = peterson._closed_form
+    monkeypatch.setattr(peterson, "_closed_form", lambda n, entries: closed_form(
+        n, (4,) if entries == (2,) else entries))
     _assert_integrity_failure(
-        "A2", "billey_welldef", "ht w(alpha_2) = 0 on the ascent to w_K for "
-        "K = (2, 1); no root has height 0", capsys)
+        "A2", "billey_welldef", "A = (4,) has no closed form in positive "
+        "integers", capsys)
 
 
 def _matrix_route(monkeypatch):

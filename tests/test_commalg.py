@@ -269,7 +269,7 @@ def test_groebner_s_polynomials_reduce_to_zero():
         for ideal in (build_ideal_J(cartan_matrix(name)),
                       build_ideal_Jcheck(cartan_matrix(name))):
             # Buchberger's criterion on the engine's own elements
-            basis = [P(ideal.nvars, g) for g in groebner_basis(ideal)]
+            basis = [P(len(ideal.var_names), g) for g in groebner_basis(ideal)]
             for i in range(len(basis)):
                 for j in range(i):
                     s = oracle_s_polynomial(basis[i], basis[j], grevlex_key)
@@ -320,7 +320,7 @@ def _quadric_ideals(name):
     """J, its t = 0 counterpart J-check, and J + (t)."""
     cm = cartan_matrix(name)
     ideal = build_ideal_J(cm)
-    t_var = variable(ideal.nvars, cm.rank)
+    t_var = variable(len(ideal.var_names), cm.rank)
     return {
         "J": ideal,
         "Jcheck": build_ideal_Jcheck(cm),
@@ -371,10 +371,10 @@ def test_normal_form_matches_oracle(data):
     ideal = data.draw(st.sampled_from(sorted(_quadric_ideals(name).items())))[1]
     # the engine's basis, or the raw generators, where the divisor order matters
     if data.draw(st.booleans()):
-        divisors = [P(ideal.nvars, g) for g in groebner_basis(ideal)]
+        divisors = [P(len(ideal.var_names), g) for g in groebner_basis(ideal)]
     else:
         divisors = generator_polys(ideal)
-    p = data.draw(ring_polys(ideal.nvars))
+    p = data.draw(ring_polys(len(ideal.var_names)))
     assert normal_form(p, divisors) == oracle_normal_form(p, divisors, grevlex_key)
 
 
@@ -393,10 +393,10 @@ def test_normal_form_is_linear_in_p_and_blind_to_divisor_scaling(data):
     name = data.draw(st.sampled_from(DEFAULT_SUITE))
     ideal = data.draw(st.sampled_from(sorted(_quadric_ideals(name).items())))[1]
     if data.draw(st.booleans()):
-        divisors = [P(ideal.nvars, g) for g in groebner_basis(ideal)]
+        divisors = [P(len(ideal.var_names), g) for g in groebner_basis(ideal)]
     else:
         divisors = generator_polys(ideal)
-    p = data.draw(ring_polys(ideal.nvars))
+    p = data.draw(ring_polys(len(ideal.var_names)))
     c = data.draw(_NONZERO)
     expected = oracle_normal_form(p, divisors, grevlex_key)
     assert normal_form(_scaled(p, c), divisors) == _scaled(expected, c) == \
@@ -536,8 +536,8 @@ def _embed(p, offset, nvars):
 def test_direct_sum_quadrics_split_into_blocks(left, right):
     whole = build_ideal_Jcheck(cartan_matrix(f"{left}+{right}"))
     blocks = [build_ideal_Jcheck(cartan_matrix(name)) for name in (left, right)]
-    union = {_embed(g, offset, whole.nvars)
-             for block, offset in zip(blocks, (0, blocks[0].nvars))
+    union = {_embed(g, offset, len(whole.var_names))
+             for block, offset in zip(blocks, (0, len(blocks[0].var_names)))
              for g in _monic_basis(block)}
     basis = _monic_basis(whole)
     assert len(basis) == len(union)
@@ -587,10 +587,10 @@ def test_hilbert_series_order_independent(name):
     jcheck = build_ideal_Jcheck(cm)
     leads = leading_exponents(
         [g.terms for g in buchberger_groebner_basis(jcheck, "grlex")], "grlex")
-    numerator = tuple_monomial_quotient_numerator(leads, jcheck.nvars)
+    numerator = tuple_monomial_quotient_numerator(leads, len(jcheck.var_names))
     assert hilbert_series_of_quotient(jcheck) == \
         HilbertSeries.over_one_minus_s2(
-            [c for coeff in numerator for c in (coeff, 0)], jcheck.nvars) == \
+            [c for coeff in numerator for c in (coeff, 0)], len(jcheck.var_names)) == \
         ordinary_series(cm.rank)
 
 
@@ -1200,6 +1200,19 @@ def test_symmetrizer_on_raw_entries():
     assert symmetrizer(cycle) is None
     balanced = [[2, -1, -2], [-1, 2, -2], [-1, -1, 2]]  # -2 == -2
     assert symmetrizer(balanced) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, -1]],
+    [[2, -1, 0], [-1, 2, 0]],
+    [[2, -1], [-1, 2, 5]],
+    [[2, -1], [-1]],
+], ids=["one-row", "two-by-three", "ragged-long", "ragged-short"])
+def test_symmetrizer_rejects_a_matrix_that_is_not_square(rows):
+    # as leading_minors_positive does: a row shorter or longer than the
+    # number of rows is not a Cartan matrix
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        symmetrizer(rows)
 
 
 def _transposed_quadric_ideal(cartan):

@@ -44,8 +44,6 @@ ALLOWED = {
     "weyl.WeylGroup.right_action":
         "inversion_roots and _prefix_recursion multiply by it; leaves with "
         "billey_localization",
-    "weyl.WeylElement.is_identity":
-        "only the tests read it; no run builds a Weyl element",
     "roots.is_negative_root_vector":
         "only _prefix_recursion reads it; leaves with billey_localization",
     "peterson.PetersonModel.group":
@@ -76,8 +74,6 @@ ALLOWED = {
         "only groebner_basis runs it; leaves with it",
     "commalg.s_polynomial":
         "only groebner_basis runs it; leaves with it",
-    "commalg.Ideal.nvars":
-        "only the test oracles read it",
 }
 
 # the word bookkeeping of Weyl elements, which no run calls, is test code

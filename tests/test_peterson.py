@@ -37,7 +37,9 @@ from oracles import (
     node_set,
     poly_pow,
     product_holds,
+    closed_form_table,
     quadratic_combination,
+    second_word_failures,
     series_prefix,
     set_connected_components,
     v_K,
@@ -174,8 +176,8 @@ def test_fixed_points_are_parabolic_longest_elements(monkeypatch):
 def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
     # the steps _ascend receives for K, per node b of K, against a filter
     # of all of b's steps by J inside K, in the same order: in the row
-    # build, and in the second walk, which reads the same _local_steps and
-    # ascends over the nodes of K largest first
+    # build, and in the second walk of the oracles, which reads the same
+    # _local_steps and ascends over the nodes of K largest first
     m = model(name)
     every = billey.subset_steps(m.cartan)
     seen = []
@@ -189,7 +191,7 @@ def test_each_column_runs_the_steps_inside_its_K(name, monkeypatch):
     m._rows
     size = 1 << m.rank
     assert [K for K, _ in seen] == [node_set(L) for L in range(size)]
-    assert m.second_word_failures() == []
+    assert second_word_failures(m.cartan, m._steps, m._rows) == []
     assert [K for K, _ in seen[size:]] == [node_set(L)[::-1]
                                            for L in range(1, size)]
     for L, (K, steps) in chain(enumerate(seen[:size]),
@@ -325,6 +327,78 @@ def test_simple_rows_are_heights_of_weight_differences(name):
                                     for row in action)
                    for action in actions]
         assert list(m.simple_class(i)) == heights, (name, i)
+
+
+# -- the closed form of the rows ----------------------------------------------
+
+def _flat(cartan):
+    """The Cartan matrix's rows end to end, as ``peterson._closed_form``
+    takes them."""
+    return tuple(chain.from_iterable(cartan.entries))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_closed_form_equals_the_rows(name):
+    # Drellich's Giambelli formula with the simple classes in closed form,
+    # in Fractions on the whole of each L, at all 4^n entries; the
+    # package's closed form of the whole matrix is its column of the top L
+    m = model(name)
+    table = closed_form_table(m.cartan)
+    assert table == m._rows
+    assert m.closed_form_failures() == []
+    top = (1 << m.rank) - 1
+    assert peterson._closed_form(m.rank, _flat(m.cartan)) == \
+        tuple(row[top] for row in table)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_closed_form_counts_the_reduced_words(name):
+    # e(K) = value(K) |K|! / prod_{i in K} x_i, x_i the value at {i}, read
+    # off the package's closed form of the whole matrix: the linear
+    # extensions of the heap of v_K are Giambelli's count of its reduced
+    # words
+    m = model(name)
+    values = peterson._closed_form(m.rank, _flat(m.cartan))
+    assert [values[K] * factorial(K.bit_count())
+            // prod(values[1 << i - 1] for i in node_set(K))
+            for K in range(1 << m.rank)] == m._word_counts
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_closed_form_of_type_a(rank):
+    # x_k = k (m + 1 - k) on A_m
+    values = peterson._closed_form(rank, _flat(cartan_matrix(f"A{rank}")))
+    assert [values[1 << k - 1] for k in range(1, rank + 1)] == \
+        [k * (rank + 1 - k) for k in range(1, rank + 1)]
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
+def test_the_transposed_cartan_matrix_gives_another_closed_form(name,
+                                                                 monkeypatch):
+    # the transpose is another Cartan matrix on B3, C3, F4 and G2, and its
+    # closed form fails the rows; on a simply-laced type it is the same
+    m = model(name)
+    transposed = tuple(chain.from_iterable(zip(*m.cartan.entries)))
+    assert peterson._closed_form(m.rank, transposed) != \
+        peterson._closed_form(m.rank, _flat(m.cartan))
+    closed_form = peterson._closed_form
+
+    def on_the_transpose(n, entries):
+        return closed_form(n, tuple(entries[j * n + i] for i in range(n)
+                                    for j in range(n)))
+
+    monkeypatch.setattr(peterson, "_closed_form", on_the_transpose)
+    assert m.closed_form_failures() != []
+    assert model("D4").closed_form_failures() == []
+
+
+def test_closed_form_off_the_positive_integers_raises():
+    # x = (-2, -2) solves [[2, -3], [-3, 2]] x = (2, 2); [[4]] x = 2 has
+    # x = 1/2; neither is a Cartan matrix of finite type
+    for n, entries in ((2, (2, -3, -3, 2)), (1, (4,))):
+        with pytest.raises(IntegrityError,
+                           match="no closed form in positive integers"):
+            peterson._closed_form(n, entries)
 
 
 def test_simple_class_values():
@@ -491,8 +565,8 @@ def test_quadric_checks_compute_no_fixed_point(monkeypatch):
 
 
 def test_restriction_checks_build_no_weyl_group(monkeypatch):
-    # the rows walk on root heights, and billey_welldef walks them once
-    # more on heights, so no check of a full run builds a group
+    # the rows walk on root heights, and billey_welldef reads the Cartan
+    # matrix, so no check of a full run builds a group
     def refuse(self, cartan):
         raise AssertionError(f"a Weyl group of {cartan.type_name()} built")
 
@@ -1176,8 +1250,9 @@ def test_every_row_fault_fails_the_restriction_run_and_the_certificate(
         name, monkeypatch):
     # each entry of the rows one more or one less, set after the build:
     # the restriction checks fail, and so does a leg of the certificate.
-    # billey_welldef, which recomputes every column from the column below
-    # it, fails on each one too
+    # billey_welldef, which compares every entry with the closed form (an
+    # entry off the supersets of K by its row's count of zeros), fails on
+    # each one too
     def moved(m, K, L, delta):
         _set_entry(m, K, L, lambda c: c + delta)
 

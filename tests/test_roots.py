@@ -139,6 +139,14 @@ def test_parse_lie_type():
         parse_lie_type("A2+")
 
 
+@pytest.mark.parametrize("text", [None, 3, b"A2", ["A2"]])
+def test_parse_lie_type_of_the_wrong_type_is_a_one_line_value_error(text):
+    # a one-line error, as for any other text that is not a type
+    with pytest.raises(ValueError) as info:
+        parse_lie_type(text)
+    assert str(info.value) == f"Lie type {text!r} is not a str"
+
+
 def _parse_outcome(parse, text):
     """The ``LieType``s a parse gives, or the message of its ``ValueError``."""
     try:
