@@ -66,9 +66,9 @@ class RunConfig:
             raise ValueError(f"checks takes a sequence of check names, not {checks!r}")
         # read once, so that a one-shot iterable is validated and kept whole
         checks = tuple(checks)
-        unknown = set(checks) - set(CHECK_ORDER)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+        unknown = sorted({repr(name) for name in checks if name not in CHECK_ORDER})
+        if unknown:  # by repr, which any name has, so none raises a TypeError
+            raise ValueError(f"unknown checks: [{', '.join(unknown)}]")
         object.__setattr__(self, "lie_type", lie_type)
         object.__setattr__(self, "checks", tuple(
             name for name in CHECK_ORDER if name in checks))

@@ -9,21 +9,16 @@ of t^l(v), and ``billey.restricted_rows`` computes those integers directly.
 
 The ring itself is represented purely by these values (the restriction map
 to the fixed points is injective), and the model keeps one row of ints per
-class: row K holds the integers c_L with p_{v_K}(w_L) = c_L t^|K| at
-every fixed point L, both K and L indexed by bitmask alone (node i is bit
-i - 1).  The rows are built together on first use, in one walk of the
-masks that grows each w_K from w_{K - m}, m = max K, carrying the heights
-of the roots w(alpha_b) and no action matrix.  Giambelli's reduced-word
-counts of the v_K are read off the same descent steps (J, J - b) of the
-v_J that the walk runs over, computed once per model.  Every identity
-checked below is homogeneous in t, so it is compared at t = 1, pointwise
-on the rows, in integers, rational coefficients cleared of their
-denominators.
+class: row K holds the integers c_L with p_{v_K}(w_L) = c_L t^|K| at every
+fixed point L, both K and L indexed by bitmask alone (node i is bit i - 1),
+all built in one walk of the masks (``_rows``).  Every identity checked
+below is homogeneous in t, so it is compared at t = 1, pointwise on the
+rows, in integers, rational coefficients cleared of their denominators.
 
 The rows are the model's one table.  Monk's rule (``_expansion_failures``)
-and Giambelli's formula read them, the latter one step K - m -> K at a
-time, m = max K, with no product b_K = prod_{i in K} p_{s_i} stored.  The
-graded dimensions read only the n simple rows, and the quadrics on them.
+and Giambelli's formula read them at the supersets of K, the latter one
+step K - m -> K at a time, m = max K, with no b_K = prod_{i in K} p_{s_i}
+stored.  The graded dimensions read the n simple rows and their quadrics.
 ``closed_form_failures`` compares the rows with their closed form in the
 Cartan matrix alone (``cli._check_billey_welldef``), no code of the walk.
 """
@@ -44,7 +39,7 @@ from .roots import CartanMatrix
 from .weyl import WeylGroup
 
 
-def _expansion_failures(table, support, k, covers, simple) -> list[int]:
+def _expansion_failures(table, points, k, covers, simple) -> list[int]:
     """The positions in ``simple`` whose Monk expansion of row k fails.
 
     Drellich's Monk formula (``monk_failures``) on the rows r = p_{v_K}
@@ -55,23 +50,21 @@ def _expansion_failures(table, support, k, covers, simple) -> list[int]:
 
     num_J = (p[J] - p[k]) r_k[J] and den_J = r_J[J].  The identity is
     multiplied by the lcm D of the den_J and compared in integers at the
-    fixed points where r_k or some r_J is nonzero (``support``, per row,
-    in the order of their union, unsorted): every term has one of them as
-    a factor, so elsewhere both sides are 0.  All but p is gathered once
-    per k: the den_J, D, the points with D r_k at each, and per J with
-    r_k[J] != 0, r_k[J] den_J and D r_k[J] / den_J.  Per p, a J with
-    num_J den_J < 0 fails the identity; else D (p - p[k]) r_k less the
-    terms of the J whose step p[J] - p[k] is nonzero must vanish.  With at
-    most one such J, the most common case, that is decided in one pass
-    over the points, with no list; with more, one residual list is built
-    and reduced J by J.  A zero den_J raises ``ZeroDivisionError`` with
-    the first such J."""
+    ``points`` L containing k: off them r_k and every r_J, so both sides,
+    vanish once the support condition holds, which ``basis`` and
+    ``billey_welldef`` check.  All but p is gathered once per k: the den_J,
+    D, the points with D r_k at each, and per J with r_k[J] != 0, r_k[J]
+    den_J and D r_k[J] / den_J.  Per p, a J with num_J den_J < 0 fails
+    the identity; else D (p - p[k]) r_k less the terms of the J whose step
+    p[J] - p[k] is nonzero must vanish.  With at most one such J, the most
+    common case, that is decided in one pass over the points, with no
+    list; with more, one residual list is built and reduced J by J.  A
+    zero den_J raises ``ZeroDivisionError`` with the first such J."""
     row = table[k]
     diagonals = [table[j][j] for j in covers]
     D = lcm(*diagonals)
     if not D:
         raise ZeroDivisionError(covers[diagonals.index(0)])
-    points = support[k].union(*map(support.__getitem__, covers))
     scaled = [(L, D * row[L]) for L in points]
     terms = [(j, table[j], row[j] * den, D // den * row[j])
              for j, den in zip(covers, diagonals) if row[j]]
@@ -159,11 +152,11 @@ class PetersonModel:
     computes nothing: the Weyl group (unless one is passed in, which must
     be of the same Cartan matrix), the subsets with their bitmasks, the
     descent steps of the v_J, the w_K and the rows of the p_{v_J} (in one
-    walk), the word counts, row supports, Dynkin components by mask,
-    quadric rows and the minors route are each built once per model, when
-    a check first reads them, and die with it.  The steps and rows walk on
-    root heights from the Cartan matrix, so no check reads the group and a
-    run builds none, and a quadric run reads the route alone.
+    walk), the word counts, the supersets of each mask, the support fact,
+    Dynkin components by mask, quadric rows and the minors route are each
+    built once per model, when a check first reads them, and die with it.
+    The walk reads root heights, not the group, so a run builds none, and
+    a quadric run reads the route alone.
 
     Two kinds of table outlive the model.  The quadric ideals J and
     J-check (``commalg.build_ideal_J`` and ``build_ideal_Jcheck``, which
@@ -208,8 +201,10 @@ class PetersonModel:
 
     def _mask(self, K) -> int:
         """The bitmask of the node set K; a node outside the type raises
-        ``KeyError``."""
-        return reduce(or_, map(self._bits.__getitem__, K), 0)
+        ``KeyError``, a repeated node ``ValueError``."""
+        if len(set(bits := [self._bits[i] for i in K])) < len(bits):
+            raise ValueError(f"node set {K} repeats a node")
+        return reduce(or_, bits, 0)
 
     @cached_property
     def minor_route(self) -> bool:
@@ -278,16 +273,27 @@ class PetersonModel:
                 values = [a * b for b in times for a in values]
             if any(map(ne, [rows[K][L] for K in subs], values)):
                 failing.append(L)
-        failing += [L for K, row in enumerate(rows)  # row K is 0 just where L lacks K
-                    if failing or row.count(0) != len(row) - (len(row) >> K.bit_count())
-                    for L, c in enumerate(row) if c and K & ~L]
+        failing += [L for _, L in self._off_support]  # row K is 0 where L lacks K
         return [nodes_of(L) for L in sorted(set(failing))]
 
     @cached_property
-    def _row_support(self) -> tuple[frozenset[int], ...]:
-        """Per row of ``_rows``, the masks of its nonzero fixed points."""
-        everywhere = range(1 << self.rank)
-        return tuple(frozenset(compress(everywhere, row)) for row in self._rows)
+    def _supersets(self) -> list[list[int]]:
+        """Per node-set mask K, the masks containing K in increasing order, 3^n
+        in all, grown node by node: the list without the node, then with it."""
+        ups = [[0]]
+        for bit in self._bits.values():
+            added = [[L | bit for L in up] for up in ups]
+            ups = [up + more for up, more in zip(ups, added)] + added
+        return ups
+
+    @cached_property
+    def _off_support(self) -> list[tuple[int, int]]:
+        """The support fact: the (K, L) in mask order with row K nonzero at L
+        though L lacks a node of K.  Only a row with more nonzeros (by
+        ``count``) than on the supersets of K is read at every point."""
+        return [(K, L) for K, (row, up) in enumerate(zip(self._rows, self._supersets))
+                if row.count(0) - len(row) < list(map(row.__getitem__, up)).count(0) - len(up)
+                for L, c in enumerate(row) if c and K & ~L]
 
     # -- Monk rule -------------------------------------------------------
 
@@ -324,7 +330,7 @@ class PetersonModel:
         for K in self._masks:
             covers = [K | bit for bit in bits if not K & bit]
             try:
-                for p in _expansion_failures(self._rows, self._row_support,
+                for p in _expansion_failures(self._rows, self._supersets[K],
                                              K, covers, simple):
                     failing[p].append(K)
             except ZeroDivisionError as zero:
@@ -367,30 +373,29 @@ class PetersonModel:
             |K| #words(v_J) p_{v_K} = #words(v_K) p_{v_J} p_{s_m},
 
         pointwise, with p_{v_J} taken as 1 (not read off the row of ()) for
-        an empty J, at the fixed points where either side can be nonzero.
-        As every count is positive, the steps of all nonempty K hold iff,
-        by induction on |K|, Giambelli's (|K|!/#words(v_K)) p_{v_K} = b_K =
-        prod_{i in K} p_{s_i} holds for every nonempty K; no b_K is
-        built.  It holds for a disconnected K
-        too, as the product of the formulas of its connected components
-        (``cli._check_giambelli`` gives the argument).  The counts are read
-        off the descent steps of the v_J (``_word_counts``); a zero count
-        for K is an ``IntegrityError``, and an empty K a ``ValueError``."""
-        if not k:
-            raise ValueError("giambelli_holds needs a nonempty K, got K = ()")
+        an empty J, at the supersets of K: off them both sides vanish once
+        the support condition holds, which ``basis`` and ``billey_welldef``
+        check.  As every count is positive, the steps of all nonempty K hold
+        iff, by induction on |K|, Giambelli's (|K|!/#words(v_K)) p_{v_K} =
+        b_K = prod_{i in K} p_{s_i} holds for every nonempty K; no b_K is
+        built.  It holds for a disconnected K too, as the product of the
+        formulas of its connected components (``cli._check_giambelli`` gives
+        the argument).  The counts are read off the descent steps of the v_J
+        (``_word_counts``); a zero count for K is an ``IntegrityError``, and
+        an empty K or a mask outside 1 .. 2^n - 1 a ``ValueError``."""
+        if not 0 < k < 1 << self.rank:
+            got = f"mask {k}, not in 1 .. {(1 << self.rank) - 1}" if k else "K = ()"
+            raise ValueError(f"giambelli_holds needs a nonempty K, got {got}")
         n_words = self._word_counts[k]
         if not n_words:
             raise IntegrityError(f"v_K for K = {nodes_of(k)} is not reduced")
         m = 1 << k.bit_length() - 1
         j = k ^ m
-        rows, support = self._rows, self._row_support
+        rows = self._rows
         row_K, row_J, row_m = rows[k], rows[j] if j else self.one(), rows[m]
         scale = k.bit_count() * self._word_counts[j]
-        # the left side is 0 off row K's points, the right side off those
-        # of row J or of row m; for an empty J, m is k
-        points = support[k] | support[j] & support[m]
         return n_words, all(scale * row_K[L] == n_words * row_J[L] * row_m[L]
-                            for L in points)
+                            for L in self._supersets[k])
 
     def giambelli_steps(self):
         """Per nonempty node set K, in subset order: K, the masks of its
@@ -402,27 +407,20 @@ class PetersonModel:
     # -- module basis -------------------------------------------------------
 
     def verify_basis_triangular(self) -> CheckRecord:
-        """Upper triangularity in (size, bitmask) order with nonzero
-        diagonal, plus the support condition p_{v_K}(w_J) = 0 whenever K
-        is not contained in J, read off the bitmasks: K is in J iff
-        K & ~J is 0; both read the nonzero points of each row."""
-        rows, support = self._rows, self._row_support
-        ok_support = not any(K & ~L for K, points in enumerate(support)
-                             for L in points)
-        # K in L puts L at or after K in (size, bitmask) order, so only
-        # rows that fail the support condition are read point by point
-        ok_triangular = ok_support or not any(
-            points and min(map(_by_size, points)) < _by_size(K)
-            for K, points in enumerate(support))
+        """Upper triangularity in (size, bitmask) order with nonzero diagonal,
+        and the support condition p_{v_K}(w_J) = 0 unless K is inside J: both
+        read the support fact, as K inside L puts L at or after K."""
+        rows, off = self._rows, self._off_support
+        ok_triangular = not any(_by_size(L) < _by_size(K) for K, L in off)
         ok_diagonal = all(row[K] for K, row in enumerate(rows))
         return CheckRecord(
             check="basis",
             lie_type=self.type_name(),
-            passed=ok_support and ok_triangular and ok_diagonal,
+            passed=not off and ok_triangular and ok_diagonal,
             parameters={"size": len(self.subsets)},
             witnesses={
                 "upper_triangular": ok_triangular,
-                "support_condition": ok_support,
+                "support_condition": not off,
                 "diagonal_nonzero": ok_diagonal,
                 # c * t^|K| as "num/den" coefficients of t^0, t^1, ...
                 "diagonal": [[ratio(0, 1)] * len(K) + [ratio(rows[L][L], 1)]
@@ -478,9 +476,9 @@ class PetersonModel:
         degree-d span V_d is the span of the p-monomials of degree at most
         d.  The argument, degree by degree:
 
-        - *Lower bound.*  If every p_{s_i} vanishes at the w_L with i not
-          in L (checked once, on the simple rows), then
-          b_S = prod_{i in S} p_{s_i} vanishes off the supersets of S.  In
+        - *Lower bound.*  If every p_{s_i} vanishes at the w_L with i not in
+          L (read once, off the support fact), then b_S = prod_{i in S}
+          p_{s_i} vanishes off the supersets of S.  In
           the (size, bitmask) order the matrix b_S(w_L) is then upper
           triangular with diagonal b_S(w_S) = prod_{i in S} p_{s_i}(w_S),
           so once every diagonal with |S| <= d is nonzero (checked per
@@ -520,13 +518,12 @@ class PetersonModel:
 
     def _support_failure(self) -> dict | None:
         """The first simple-row entry p_{s_i}(w_L) != 0 with i not in L,
-        for i in node order and then L in (size, bitmask) order."""
-        for i, bit in self._bits.items():
-            row = self._rows[bit]
-            for L in self._masks:
-                if row[L] and not L & bit:
-                    return {"kind": "support", "i": i, "L": list(nodes_of(L))}
-        return None
+        for i in node order and then L in (size, bitmask) order, read off
+        the support fact."""
+        first = min(((K, _by_size(L)) for K, L in self._off_support
+                     if K.bit_count() == 1), default=None)
+        return first and {"kind": "support", "i": first[0].bit_length(),
+                          "L": list(nodes_of(first[1][1]))}
 
     def _upper_bound_failure(self) -> dict | None:
         """A failing minors route, else the first node i whose theta_i

@@ -149,7 +149,10 @@ class CertificationReport:
         = varpi_i - w varpi_i (Kostant and Kumar 1986; Billey 1999) and the
         heaps of Coxeter elements give (``cli._check_billey_welldef``).  The
         Giambelli witnesses must moreover reach every one of the 2^n - 1
-        nonempty node sets K of that basis (p_{v_()} is 1), each by its own."""
+        nonempty node sets K of that basis (p_{v_()} is 1), each by its own.
+        Giambelli's identities, and Monk's, are read at the supersets of K
+        alone, off which both sides vanish by the support condition that
+        ``basis`` and ``billey_welldef`` both check, so it leaves no gap."""
         legs = {"billey_welldef", "quadratic", "giambelli", "basis", "hilbert"}
         ran = {r.check: r.passed for r in self.records if r.check in legs}
         return set(ran) == legs and all(ran.values()) and \

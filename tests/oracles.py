@@ -426,20 +426,21 @@ def product_holds(model, K, components) -> bool:
         _row_product(model.subset_class(C) for C in components)
 
 
-def list_expansion_failures(table, support, k, covers, simple) -> list[int]:
+def list_expansion_failures(table, points, k, covers, simple) -> list[int]:
     """The positions in ``simple`` whose Monk expansion of row k fails,
     as ``peterson._expansion_failures`` decided them before it gathered
     D r_k once per k: per p, one residual list D (p[L] - p[k]) r_k[L] over
-    the sorted points, and one new list per cover J with a nonzero step,
-    read off r_J; a J with num_J den_J < 0 fails the identity.  Ground
-    truth for the kernel on any rows, doctored ones included; a zero den_J
-    raises ``ZeroDivisionError`` with the first such J."""
+    the sorted points (the kernel's own), and one new list per cover J with
+    a nonzero step, read off r_J; a J with num_J den_J < 0 fails the
+    identity.  Ground truth for the kernel on any rows and points, doctored
+    rows included; a zero den_J raises ``ZeroDivisionError`` with the first
+    such J."""
     row = table[k]
     diagonals = [table[j][j] for j in covers]
     D = lcm(*diagonals)
     if not D:
         raise ZeroDivisionError(covers[diagonals.index(0)])
-    points = sorted(support[k].union(*map(support.__getitem__, covers)))
+    points = sorted(points)
     terms = [(j, table[j], row[j] * den, D // den * row[j])
              for j, den in zip(covers, diagonals) if row[j]]
     failing = []
@@ -591,6 +592,15 @@ def fraction_check_giambelli(model):
         witnesses={"coefficients": coefficients, "products": products,
                    "failures": failures},
     )
+
+
+def scanned_off_support(rows):
+    """The (K, L), in mask order, where row K of ``rows`` is nonzero though
+    L lacks a node of K, found by reading every entry: ground truth for
+    ``PetersonModel._off_support``, which reads a row at every point only
+    when its count of zeros says it must."""
+    return [(K, L) for K, row in enumerate(rows)
+            for L, c in enumerate(row) if c and K & ~L]
 
 
 def verify_basis_by_sets(model):

@@ -79,7 +79,10 @@ def test_run_config_of_the_wrong_type_is_a_one_line_value_error():
     for args, message in (
             ((None,), "Lie type None is not a str"),
             (("A2", None), "checks takes a sequence of check names, not None"),
-            (("A2", 3), "checks takes a sequence of check names, not 3")):
+            (("A2", 3), "checks takes a sequence of check names, not 3"),
+            # a name that cannot be hashed or sorted is still unknown
+            (("A2", [[1]]), "unknown checks: [[1]]"),
+            (("A2", [1, "nope"]), "unknown checks: ['nope', 1]")):
         with pytest.raises(ValueError) as info:
             RunConfig(*args)
         assert str(info.value) == message

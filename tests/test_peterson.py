@@ -39,6 +39,7 @@ from oracles import (
     product_holds,
     closed_form_table,
     quadratic_combination,
+    scanned_off_support,
     second_word_failures,
     series_prefix,
     set_connected_components,
@@ -211,23 +212,23 @@ def test_monk_failures_match_the_per_identity_oracle(name):
         if not fraction_verify_monk(m, i, K).passed] == []
 
 
-def _kernel_outcome(kernel, rows, support, k, covers, simple):
+def _kernel_outcome(kernel, rows, points, k, covers, simple):
     """A Monk kernel's failing positions for row k, or the cover its
     ``ZeroDivisionError`` names."""
     try:
-        return kernel(rows, support, k, covers, simple)
+        return kernel(rows, points, k, covers, simple)
     except ZeroDivisionError as zero:
         return ("zero", zero.args)
 
 
 def _kernel_outcomes(kernel, rows, n):
     """Per mask K, ``_kernel_outcome`` over the covers of K and the simple
-    rows, on the rows given, their supports found afresh."""
-    support = [frozenset(L for L, c in enumerate(row) if c) for row in rows]
+    rows, on the rows given, at the supersets of K found afresh by
+    testing every mask."""
     simple = [rows[1 << b] for b in range(n)]
     bits = [1 << b for b in range(n)]
-    return [_kernel_outcome(kernel, rows, support, K,
-                            [K | bit for bit in bits if not K & bit], simple)
+    return [_kernel_outcome(kernel, rows, [L for L in range(1 << n) if not K & ~L],
+                            K, [K | bit for bit in bits if not K & bit], simple)
             for K in range(1 << n)]
 
 
@@ -246,7 +247,9 @@ def test_expansion_kernel_matches_the_list_kernel(name):
 @pytest.mark.parametrize("name", FAULT_TYPES)
 def test_expansion_kernel_matches_the_list_kernel_on_row_faults(name):
     # every entry of the rows one more or one less: both kernels fail the
-    # same identities, or divide by the same zero, at every K
+    # same identities, or divide by the same zero, at every K; both read
+    # row K at the supersets of K alone, so an entry moved off them can
+    # change no outcome, and the support fact catches it instead
     rows = model(name)._rows
     n = model(name).rank
     moved = 0
@@ -431,6 +434,52 @@ def test_support_condition():
             for J in m.subsets:
                 if not set(K) <= set(J):
                     assert value(m, K, J) == 0
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_support_fact_matches_the_scan(name):
+    # the supersets of each mask, grown node by node, against a test of
+    # every mask; on the true rows, no entry is off them, by the counts of
+    # zeros as by reading every entry
+    m = model(name)
+    every = range(1 << m.rank)
+    assert m._supersets == [[L for L in every if not K & ~L] for K in every]
+    assert m._off_support == scanned_off_support(m._rows) == []
+
+
+@pytest.mark.parametrize("name", FAULT_TYPES)
+def test_support_fact_matches_the_scan_on_row_faults(name):
+    # each entry of the rows one more or one less, set after the build: the
+    # support fact names exactly the entries the scan finds, the moved one
+    # when it is off the supersets of its row's K, and then basis fails
+    # and billey_welldef names the fixed point
+    healthy = model(name)
+    rows, cartan = healthy._rows, healthy.cartan
+    for k, row in enumerate(rows):
+        for l in range(len(row)):
+            for delta in (1, -1):
+                m = PetersonModel(cartan)
+                m._rows = rows[:k] + (row[:l] + (row[l] + delta,) + row[l + 1:],) \
+                    + rows[k + 1:]
+                fact = m._off_support
+                assert fact == scanned_off_support(m._rows), (name, k, l, delta)
+                assert fact == ([(k, l)] if k & ~l else []), (name, k, l, delta)
+                if fact:
+                    assert not m.verify_basis_triangular().passed
+                    assert node_set(l) in m.closed_form_failures()
+
+
+def test_a_repeated_node_is_a_value_error():
+    # a node set names each node once: (1, 1) is not (1,), and (1, 1, 2) is
+    # no cover of (1,); a node outside the type is still a KeyError, found
+    # first
+    m = model("A3")
+    with pytest.raises(ValueError, match=r"^node set \(1, 1\) repeats a node$"):
+        m.subset_class((1, 1))
+    with pytest.raises(ValueError, match=r"^node set \(1, 1, 2\) repeats a node$"):
+        m.monk_coefficient(1, (1,), (1, 1, 2))
+    with pytest.raises(KeyError):
+        m.subset_class((1, 1, 4))
 
 
 def heights(action) -> tuple[int, ...]:
@@ -691,10 +740,13 @@ def test_monk_and_giambelli_records_match_fraction_oracle(name):
     assert entries == {}
 
 
-def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
-    # p_{v_K}(w_L) = 0 for L not containing K; making one such value 1
-    # must fail the Monk identity at L, which the comparison set reads off
-    # the values rather than assuming K <= L
+def test_a_value_off_the_support_condition_fails_basis_and_billey_welldef(
+        monkeypatch):
+    # p_{v_K}(w_L) = 0 for L not containing K; making one such value 1 on
+    # A3 breaks the support condition, which Monk's rule and Giambelli's
+    # formula assume when they read each row at the supersets of its K
+    # alone: the support fact names the entry, basis and billey_welldef
+    # (both legs) fail on it, and the run does not certify
     K, L = (1, 2), (1, 3)
     group = model("A3").group
     v, w_L = v_K(group, K), longest_element(group, L)
@@ -705,18 +757,15 @@ def test_monk_catches_a_value_off_the_support_condition(monkeypatch):
     _counting_tables(monkeypatch, doctored)
     m = model("A3")
     assert m.subset_class(K)[mask(L)] == 1
-    failing = m.monk_failures()
-    assert failing == [(i, J) for i in m.cartan.nodes() for J in m.subsets
-                       if not fraction_verify_monk(m, i, J).passed]
-    assert (1, K) in failing
-    assert cli._check_monk(m).to_dict() == fraction_check_monk(m).to_dict()
+    assert m._off_support == scanned_off_support(m._rows) == [(mask(K), mask(L))]
     basis = m.verify_basis_triangular()
     assert basis.to_dict() == verify_basis_by_sets(m).to_dict()
     assert not basis.passed and basis.witnesses["support_condition"] is False
     report = run_certification(RunConfig("A3"))
-    monk = next(r for r in report.records if r.check == "monk")
-    assert not monk.passed
-    assert {"i": 1, "K": list(K)} in monk.witnesses["failures"]
+    by_check = {r.check: r for r in report.records}
+    assert by_check["billey_welldef"].witnesses["failures"] == [list(L)]
+    assert not by_check["basis"].passed
+    assert by_check["basis"].witnesses["support_condition"] is False
     assert not report.overall_pass
     assert not report.isomorphism_certified()
 
@@ -764,9 +813,8 @@ def test_a_negative_coefficient_alone_fails_the_expansion():
     # fails it; for p = (0, 1), c_J = 1/2 and it passes.  The sign is read
     # off num_J den_J, which is not r_k[J] // r_J[J] = 0
     table = [[1, 1], [0, 2]]
-    support = [{0, 1}, {1}]
     simple = [(1, 0), (0, 1)]
-    assert peterson._expansion_failures(table, support, 0, [1], simple) == [0]
+    assert peterson._expansion_failures(table, [0, 1], 0, [1], simple) == [0]
 
 
 def test_monk_record_lists_failures_node_first(monkeypatch):
@@ -835,6 +883,17 @@ def test_giambelli_needs_a_nonempty_K():
     m = model("A2")
     with pytest.raises(ValueError, match=r"nonempty K, got K = \(\)"):
         m.giambelli_holds(0)
+
+
+def test_giambelli_needs_a_mask_of_the_type():
+    # a mask below 1 or past the last node names no nonempty K of the
+    # type: a ValueError, not a step read off another row or an IndexError
+    m = model("A3")
+    for k in (-1, 8, 99):
+        with pytest.raises(ValueError) as info:
+            m.giambelli_holds(k)
+        assert str(info.value) == \
+            f"giambelli_holds needs a nonempty K, got mask {k}, not in 1 .. 7"
 
 
 def test_giambelli_singleton_trivial():
@@ -1107,21 +1166,21 @@ def test_graded_dims_E7_match_series():
 def test_expansion_kernel_cost_on_E6(monkeypatch):
     # no elimination: monk expands p_{s_i} p_{v_K} once per (i, K),
     # 6 * 64 = 384, each compared on the 2^(n - |K|) fixed points above K,
-    # where row K or a cover row is nonzero, which the kernel gathers once
-    # per K; 309 of the 384 have at most one cover term with a nonzero
-    # step, the identities it decides in one pass
+    # which the kernel is given and gathers once per K; 309 of the 384
+    # have at most one cover term with a nonzero step, the identities it
+    # decides in one pass
     m = model("E6")
     n = m.rank
     identities = []
     real = peterson._expansion_failures
 
-    def counting(table, support, k, covers, simple):
-        points = support[k].union(*map(support.__getitem__, covers))
+    def counting(table, points, k, covers, simple):
+        assert points == [L for L in range(1 << n) if not k & ~L]
         identities.extend(
             (k, len(points), sum(1 for j in covers
                                  if table[k][j] and p[j] != p[k]))
             for p in simple)
-        return real(table, support, k, covers, simple)
+        return real(table, points, k, covers, simple)
 
     monkeypatch.setattr(peterson, "_expansion_failures", counting)
     assert m.image_graded_dimensions(12) == [1, 7, 22, 42, 57, 63, 64]
