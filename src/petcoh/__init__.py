@@ -9,7 +9,6 @@ from .commalg import (
     HilbertSeries,
     Ideal,
     build_ideal_J,
-    build_ideal_Jcheck,
     groebner_basis,
     zero_set_via_minors,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "WeylGroup",
     "billey_localization",
     "build_ideal_J",
-    "build_ideal_Jcheck",
     "cartan_matrix",
     "groebner_basis",
     "leading_minors_positive",

@@ -237,10 +237,11 @@ def _check_regular_sequence(model: PetersonModel) -> CheckRecord:
 
 
 def _check_zero_set(model: PetersonModel) -> CheckRecord:
-    """J-check vanishes only at the origin: its own generators are
-    theta-check_i = x_i (A x)_i, and every principal minor of the Cartan
-    matrix A is positive, by Sylvester's criterion on the symmetric D A
-    for a positive diagonal symmetrizer D (``zero_set_via_minors``).  The
+    """J-check vanishes only at the origin: the t-free parts of J's
+    generators are theta-check_i = x_i (A x)_i, and every principal minor
+    of the Cartan matrix A is positive: D A is symmetric for a positive
+    diagonal D, and its leading minors are positive multiples of A's,
+    proven positive when A was built (``zero_set_via_minors``).  The
     record is that of the minors route (``PetersonModel.minor_route``, read
     from the model's memo), which also checks that J is homogeneous of
     degree 2."""

@@ -7,12 +7,11 @@ tuple of its (exponent tuple, int) items where it must be hashed, as an
 ``Ideal``'s generators are.  ``Ideal`` validates its generators, so every
 polynomial the Groebner engine reads has int coefficients; a value
 restricted to the circle is an int times a power of t.  The one Gaussian
-elimination is the fraction-free one of ``leading_minors_positive``: the
-leading minors of the Cartan matrix, and one elimination of its
-symmetrization D A, which proves every principal minor positive for the
-minors route of the quadric checks and of the graded dimensions
-(``minor_route``); the graded ranks of the restriction model need no
-other (``peterson.PetersonModel.image_graded_dimensions``).
+elimination is the fraction-free one of ``leading_minors_positive``, run
+once per Cartan matrix when ``roots.CartanMatrix`` is built; the minors
+route of the quadric checks and of the graded dimensions (``minor_route``)
+reads that fact, and the graded ranks of the restriction model need no
+elimination (``peterson.PetersonModel.image_graded_dimensions``).
 
 Every Hilbert series is N(s)/(1 - s^2)^k with an integer polynomial N, so
 univariate quantities are plain integer coefficient lists, constant term
@@ -58,9 +57,10 @@ def leading_minors_positive(rows) -> bool:
     criterion), and then every principal minor is positive too.  A matrix
     A with a positive diagonal D such that D A is symmetric (``symmetrizer``)
     has det((D A)_S) = prod_{i in S} d_i * det(A_S) for every set S of
-    rows and columns, so running this on D A proves that every principal
-    minor of A is positive (``zero_set_via_minors``).  On A itself it reads
-    only the leading minors, each a positive multiple of D A's.
+    rows and columns, so one run on A, once per matrix when a
+    ``roots.CartanMatrix`` is built, proves D A positive definite and every
+    principal minor of A positive; the minors route reads that fact
+    (``zero_set_via_minors``) and runs no second elimination.
 
     The minors are the pivots of fraction-free Gaussian elimination without
     row exchanges (Bareiss, Math. Comp. 22, 1968): each step replaces every
@@ -209,14 +209,6 @@ def build_ideal_J(cartan: CartanMatrix) -> Ideal:
     """Quadric ideal of the equivariant presentation in Q[x_1..x_n, t]:
     one generator sum_j <alpha_i, alpha_j> x_i x_j - 2 t x_i per node i."""
     return _quadric_ideal(cartan)
-
-
-@lru_cache(maxsize=None)
-def build_ideal_Jcheck(cartan: CartanMatrix) -> Ideal:
-    """The same generators with t set to zero, in Q[x_1..x_n]."""
-    ideal = build_ideal_J(cartan)
-    return Ideal(ideal.var_names[:-1], tuple(
-        {e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +424,20 @@ def zero_set_via_minors(cartan: CartanMatrix) -> bool:
     """J-check's zero set is the origin because every principal minor of
     the Cartan matrix A is positive.
 
-    J-check's own generators are checked to be theta-check_i =
-    x_i (A x)_i, one per node.  A common zero x with support S then has
-    A_S x_S = 0, which a nonzero det(A_S) forbids.  Those minors are
-    proven positive by one elimination: A has a positive diagonal
-    symmetrizer D (``symmetrizer``), D A is symmetric, and Sylvester's
-    criterion on its leading minors makes D A positive definite, so every
-    principal minor of D A is positive, and det((D A)_S) = prod_{i in S}
-    d_i * det(A_S).  False if a generator differs or is missing, or if no
-    symmetrizer exists."""
+    J-check is read off J (``build_ideal_J``): the t-free part of each
+    generator is checked to be theta-check_i = x_i (A x)_i, one per node.
+    A common zero x with support S then has A_S x_S = 0, which a nonzero
+    det(A_S) forbids.  Those minors are positive with no elimination here:
+    the ``CartanMatrix`` proved its leading minors det(A_k) positive when
+    it was built (``leading_minors_positive``), and with a positive
+    diagonal symmetrizer D (``symmetrizer``) D A is symmetric with
+    det((D A)_k) = d_1 ... d_k det(A_k) > 0, so positive definite; every
+    principal minor of D A is then positive, and det((D A)_S) =
+    prod_{i in S} d_i * det(A_S).  False if a generator differs or is
+    missing, or if no symmetrizer exists."""
     rows = cartan.entries
     n = cartan.rank
-    generators = build_ideal_Jcheck(cartan).generators
+    generators = build_ideal_J(cartan).generators
     if len(generators) != n:
         return False
     for i, g in enumerate(generators):
@@ -454,11 +448,9 @@ def zero_set_via_minors(cartan: CartanMatrix) -> bool:
                 exps[i] += 1
                 exps[j] += 1
                 expected[tuple(exps)] = a_ij
-        if dict(g) != expected:
+        if {e[:-1]: c for e, c in g if not e[-1]} != expected:
             return False
-    d = symmetrizer(rows)
-    return d is not None and leading_minors_positive(
-        [[d_i * a for a in row] for d_i, row in zip(d, rows)])
+    return symmetrizer(rows) is not None
 
 
 def minor_route(cartan: CartanMatrix) -> bool:
@@ -467,8 +459,9 @@ def minor_route(cartan: CartanMatrix) -> bool:
 
     Every generator of J is homogeneous of degree 2, and
     ``zero_set_via_minors`` shows that J-check = (theta-check_i =
-    x_i (A x)_i) vanishes only at the origin, every principal minor of the
-    Cartan matrix A being positive.  Since theta_i = theta-check_i -
+    x_i (A x)_i), the t = 0 part of J, vanishes only at the origin, every
+    principal minor of the Cartan matrix A being positive by the leading
+    minors it proved when it was built.  Since theta_i = theta-check_i -
     2 t x_i, (J, t) = (J-check, t), so the sequence cuts Q[x, t] down to a
     finite dimension: it is a homogeneous system of parameters, and in the
     Cohen-Macaulay ring Q[x, t] a homogeneous system of parameters is a
@@ -477,8 +470,9 @@ def minor_route(cartan: CartanMatrix) -> bool:
     has the series (1 - s^4)^n (1 - s^2) / (1 - s^2)^(n + 1) = (1 + s^2)^n,
     and dropping the last element leaves (1 - s^4)^n / (1 - s^2)^(n + 1) =
     (1 + s^2)^n / (1 - s^2): the series of Q[x]/J-check and of Q[x, t]/J.
-    No Groebner basis is computed.  This is the one statement of the
-    argument; the three quadric checks and ``graded_dims`` rest on it, and
-    read it once per model, through ``peterson.PetersonModel.minor_route``."""
+    No Groebner basis is computed and no matrix eliminated.  This is the
+    one statement of the argument; the three quadric checks and
+    ``graded_dims`` rest on it, and read it once per model, through
+    ``peterson.PetersonModel.minor_route``."""
     return zero_set_via_minors(cartan) and all(
         {sum(e) for e, _ in g} == {2} for g in build_ideal_J(cartan).generators)

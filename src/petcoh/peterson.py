@@ -158,12 +158,12 @@ class PetersonModel:
     The walk reads root heights, not the group, so a run builds none, and
     a quadric run reads the route alone.
 
-    Two kinds of table outlive the model.  The quadric ideals J and
-    J-check (``commalg.build_ideal_J`` and ``build_ideal_Jcheck``, which
-    ``quadric_rows`` reads), and the closed form of each connected Cartan
-    submatrix (``_closed_form``), are cached for the life of the process,
-    keyed by the matrix, so a test that replaces how they are built clears
-    those caches itself.  The Cartan matrix keeps its own column updates,
+    Two kinds of table outlive the model.  The quadric ideal J
+    (``commalg.build_ideal_J``, which ``quadric_rows`` and the minors route
+    read), and the closed form of each connected Cartan submatrix
+    (``_closed_form``), are cached for the life of the process, keyed by
+    the matrix, so a test that replaces how they are built clears those
+    caches itself.  The Cartan matrix keeps its own column updates,
     which the walk reads, for as long as it lives.
     """
 

@@ -122,6 +122,9 @@ class CartanMatrix:
     the matrix is not symmetric (G2 has a[1][2] = -1, a[2][1] = -3).
     Node indices are 1-based throughout the public API, and every entry
     must be an int (a bool, a float or a string is a ``ValueError``).
+    Construction runs the package's one elimination, once per matrix, and
+    refuses a leading minor that is not positive; the matrix is immutable,
+    so the minors route (``commalg.zero_set_via_minors``) reads that fact.
     """
 
     __slots__ = ("entries", "lie_types", "rank", "_column_updates",

@@ -36,18 +36,14 @@ def _time_limit():
 @pytest.fixture
 def quadric_mutant(monkeypatch):
     """Installs a replacement for ``commalg._quadric_ideal``.  The quadric
-    ideals are cached per Cartan matrix, so the caches are cleared when the
-    replacement is installed, for the run to build its ideals, and when the
-    test ends, for no later test to read them."""
+    ideal J is cached per Cartan matrix, so its cache is cleared when the
+    replacement is installed, for the run to build its J, and when the
+    test ends, for no later test to read it."""
     from petcoh import commalg
-
-    def clear():
-        commalg.build_ideal_J.cache_clear()
-        commalg.build_ideal_Jcheck.cache_clear()
 
     def install(builder):
         monkeypatch.setattr(commalg, "_quadric_ideal", builder)
-        clear()
+        commalg.build_ideal_J.cache_clear()
 
     yield install
-    clear()
+    commalg.build_ideal_J.cache_clear()

@@ -1520,6 +1520,24 @@ def hilbert_series_of_quotient(ideal):
         [c for coeff in numerator for c in (coeff, 0)], len(ideal.var_names))
 
 
+def t_free(ideal):
+    """The ideal with t, its last variable, set to zero, in the other
+    variables; the generators that vanish are left out."""
+    from petcoh.commalg import Ideal
+
+    gens = ({e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators)
+    return Ideal(ideal.var_names[:-1], tuple(g for g in gens if g))
+
+
+def jcheck_ideal(cartan):
+    """J-check, the t = 0 section of ``commalg.build_ideal_J``: the package
+    builds no J-check ideal, and its minors route reads the same section
+    off J's generators in place."""
+    from petcoh.commalg import build_ideal_J
+
+    return t_free(build_ideal_J(cartan))
+
+
 def ideal_zero_set_is_origin(ideal) -> bool:
     """For a homogeneous ideal: the affine zero set is {0} iff the quotient
     is finite dimensional, i.e. the leading-term ideal contains a pure

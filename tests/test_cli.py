@@ -1041,6 +1041,11 @@ def test_star_import_and_export_list():
     for name in ("hilbert_series_of_quotient", "t_section_hilbert_series",
                  "t_section_leads", "zero_set_is_origin"):
         assert name not in petcoh.__all__ and not hasattr(petcoh, name), name
+    # the minors route reads J-check off J's generators, so the package
+    # builds no J-check ideal; the oracles read it as J's t = 0 section
+    assert "build_ideal_Jcheck" not in petcoh.__all__
+    assert not hasattr(petcoh, "build_ideal_Jcheck")
+    assert not hasattr(petcoh.commalg, "build_ideal_Jcheck")
     # a polynomial is plain term data; the Poly class lives in the oracles
     assert "Poly" not in petcoh.__all__
     assert not hasattr(petcoh, "Poly") and not hasattr(petcoh.commalg, "Poly")

@@ -11,19 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petcoh import cli, commalg
+from petcoh import cli, commalg, roots
 from petcoh.cli import DEFAULT_SUITE, RunConfig, main, run_certification, run_suite
 from petcoh.commalg import (
     HilbertSeries,
     Ideal,
     build_ideal_J,
-    build_ideal_Jcheck,
     groebner_basis,
     leading_minors_positive,
     s_polynomial,
     symmetrizer,
     zero_set_via_minors,
 )
+from petcoh.peterson import PetersonModel
 from petcoh.roots import CartanMatrix, cartan_matrix
 
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     ideal_zero_set_is_origin,
     ideal_to_json,
     is_regular_sequence,
+    jcheck_ideal,
     leading_exponents,
     monic_reduced_basis,
     normal_form,
@@ -55,6 +56,7 @@ from oracles import (
     render,
     series_prefix,
     principal_minors_positive,
+    t_free,
     total_degree,
     tuple_monomial_quotient_numerator,
     variable,
@@ -124,9 +126,9 @@ def test_build_ideal_J_G2_asymmetric_cross_terms():
 
 
 def test_build_ideal_Jcheck():
-    a1 = build_ideal_Jcheck(cartan_matrix("A1"))
+    a1 = jcheck_ideal(cartan_matrix("A1"))
     assert a1.generators == (G({(2,): 2}),)
-    a2 = build_ideal_Jcheck(cartan_matrix("A2"))
+    a2 = jcheck_ideal(cartan_matrix("A2"))
     assert a2.generators == (
         G({(2, 0): 2, (1, 1): -1}),
         G({(0, 2): 2, (1, 1): -1}),
@@ -134,8 +136,8 @@ def test_build_ideal_Jcheck():
 
 
 def test_build_ideal_Jcheck_blockwise_for_sums():
-    mixed = build_ideal_Jcheck(cartan_matrix("A2+A1"))
-    a2 = build_ideal_Jcheck(cartan_matrix("A2"))
+    mixed = jcheck_ideal(cartan_matrix("A2+A1"))
+    a2 = jcheck_ideal(cartan_matrix("A2"))
     # first two generators only touch x1, x2 and match the A2 block
     for g_mixed, g_block in zip(mixed.generators[:2], a2.generators):
         assert {e[:2]: c for e, c in g_mixed} == dict(g_block)
@@ -224,20 +226,24 @@ def test_ideals_and_series_are_frozen_values():
     assert groebner_basis(twin) == groebner_basis(ideal)
 
 
-def _t_free(ideal):
-    """The ideal with t, its last variable, set to zero, in the other
-    variables; the generators that vanish are left out."""
-    gens = ({e[:-1]: c for e, c in g if not e[-1]} for g in ideal.generators)
-    return Ideal(ideal.var_names[:-1], tuple(g for g in gens if g))
-
-
 @pytest.mark.parametrize("name", DEFAULT_SUITE + ("A2+A1", "E6", "E7", "E8"))
 def test_Jcheck_is_J_with_t_set_to_zero(name):
+    # the t = 0 section of J is theta-check_i = x_i (A x)_i, one per node,
+    # and J's terms in t are -2 t x_i alone: theta_i = theta-check_i -
+    # 2 t x_i, the split the minors route reads off J's generators
     cm = cartan_matrix(name)
+    n = cm.rank
     ideal = build_ideal_J(cm)
-    assert ideal.var_names[-1] == "t"
-    assert build_ideal_Jcheck(cm) == _t_free(ideal)
-    assert len(build_ideal_Jcheck(cm).generators) == cm.rank
+
+    def exponents(*nodes):
+        return tuple(sum(k == i for i in nodes) for k in range(n))
+
+    assert ideal.var_names == jcheck_ideal(cm).var_names + ("t",)
+    assert jcheck_ideal(cm).generators == tuple(
+        G({exponents(i, j): a for j, a in enumerate(cm.entries[i]) if a})
+        for i in range(n))
+    assert [{e: c for e, c in g if e[-1]} for g in ideal.generators] == \
+        [{exponents(i) + (1,): -2} for i in range(n)]
 
 
 # -- Groebner -----------------------------------------------------------------
@@ -249,12 +255,12 @@ def test_groebner_principal_ideal():
 
 
 def test_groebner_A1_Jcheck_monic():
-    basis = groebner_basis(build_ideal_Jcheck(cartan_matrix("A1")))
+    basis = groebner_basis(jcheck_ideal(cartan_matrix("A1")))
     assert basis == [G({(2,): 1})]
 
 
 def test_groebner_A2_Jcheck_pure_powers_and_quotient_dimension():
-    ideal = build_ideal_Jcheck(cartan_matrix("A2"))
+    ideal = jcheck_ideal(cartan_matrix("A2"))
     basis = groebner_basis(ideal)
     lead = leading_exponents(basis)
     for v in range(2):
@@ -267,7 +273,7 @@ def test_groebner_A2_Jcheck_pure_powers_and_quotient_dimension():
 def test_groebner_s_polynomials_reduce_to_zero():
     for name in ("A2", "A3", "B2", "G2"):
         for ideal in (build_ideal_J(cartan_matrix(name)),
-                      build_ideal_Jcheck(cartan_matrix(name))):
+                      jcheck_ideal(cartan_matrix(name))):
             # Buchberger's criterion on the engine's own elements
             basis = [P(len(ideal.var_names), g) for g in groebner_basis(ideal)]
             for i in range(len(basis)):
@@ -323,7 +329,7 @@ def _quadric_ideals(name):
     t_var = variable(len(ideal.var_names), cm.rank)
     return {
         "J": ideal,
-        "Jcheck": build_ideal_Jcheck(cm),
+        "Jcheck": jcheck_ideal(cm),
         "J+t": Ideal(ideal.var_names, ideal.generators + (t_var.terms,)),
     }
 
@@ -342,7 +348,7 @@ def test_groebner_matches_buchberger_oracle_E6():
 
 
 def test_groebner_matches_buchberger_oracle_E7_Jcheck():
-    ideal = build_ideal_Jcheck(cartan_matrix("E7"))
+    ideal = jcheck_ideal(cartan_matrix("E7"))
     assert _serial(_monic_basis(ideal)) == \
         _serial(buchberger_groebner_basis(ideal))
 
@@ -534,8 +540,8 @@ def _embed(p, offset, nvars):
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(BLOCKS), st.sampled_from(BLOCKS))
 def test_direct_sum_quadrics_split_into_blocks(left, right):
-    whole = build_ideal_Jcheck(cartan_matrix(f"{left}+{right}"))
-    blocks = [build_ideal_Jcheck(cartan_matrix(name)) for name in (left, right)]
+    whole = jcheck_ideal(cartan_matrix(f"{left}+{right}"))
+    blocks = [jcheck_ideal(cartan_matrix(name)) for name in (left, right)]
     union = {_embed(g, offset, len(whole.var_names))
              for block, offset in zip(blocks, (0, len(blocks[0].var_names)))
              for g in _monic_basis(block)}
@@ -564,7 +570,7 @@ def test_hilbert_series_A1_J():
 
 
 def test_hilbert_series_A2_Jcheck():
-    series = hilbert_series_of_quotient(build_ideal_Jcheck(cartan_matrix("A2")))
+    series = hilbert_series_of_quotient(jcheck_ideal(cartan_matrix("A2")))
     assert series == ordinary_series(2)
     assert series.numerator == (1, 0, 2, 0, 1)
     assert series.denominator == (1,)
@@ -575,7 +581,7 @@ def test_main_theorem_series_certificates(name):
     cm = cartan_matrix(name)
     assert hilbert_series_of_quotient(build_ideal_J(cm)) == \
         equivariant_series(cm.rank)
-    assert hilbert_series_of_quotient(build_ideal_Jcheck(cm)) == \
+    assert hilbert_series_of_quotient(jcheck_ideal(cm)) == \
         ordinary_series(cm.rank)
 
 
@@ -584,7 +590,7 @@ def test_hilbert_series_order_independent(name):
     # the series read off the engine's grevlex basis of J-check is that of
     # the Fraction oracle's grlex basis, a basis under another order
     cm = cartan_matrix(name)
-    jcheck = build_ideal_Jcheck(cm)
+    jcheck = jcheck_ideal(cm)
     leads = leading_exponents(
         [g.terms for g in buchberger_groebner_basis(jcheck, "grlex")], "grlex")
     numerator = tuple_monomial_quotient_numerator(leads, len(jcheck.var_names))
@@ -670,7 +676,7 @@ def _refuse(*args):
 def test_no_run_computes_a_groebner_basis(monkeypatch):
     # the quadric checks rest on the Cartan minors alone: from cleared
     # ideal caches, neither the suite nor a full E7 run asks the engine for a
-    # basis, and every ideal they build is J or J-check of a type they run
+    # basis, and every ideal they build is the J of a type they run
     ideals = []
     init = Ideal.__init__
 
@@ -681,14 +687,11 @@ def test_no_run_computes_a_groebner_basis(monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", recording_init)
     monkeypatch.setattr(commalg, "_reducer", _refuse)
     commalg.build_ideal_J.cache_clear()
-    commalg.build_ideal_Jcheck.cache_clear()
     assert run_suite(DEFAULT_SUITE)["overall_pass"]
     report = run_certification(RunConfig("E7"))
     assert report.overall_pass and report.isomorphism_certified()
     quadrics = {build_ideal_J(cartan_matrix(name))
                 for name in DEFAULT_SUITE + ("E7",)}
-    quadrics |= {build_ideal_Jcheck(cartan_matrix(name))
-                 for name in DEFAULT_SUITE + ("E7",)}
     assert ideals and set(ideals) <= quadrics
 
 
@@ -705,7 +708,6 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
 
     monkeypatch.setattr(Ideal, "__init__", recording_init)
     commalg.build_ideal_J.cache_clear()
-    commalg.build_ideal_Jcheck.cache_clear()
     monkeypatch.setattr(commalg, "groebner_basis", _refuse)
     monkeypatch.setattr(commalg, "_reducer", _refuse)
     closed = {}
@@ -723,10 +725,9 @@ def test_hilbert_series_computed_once_per_ideal_and_order(monkeypatch):
     hilbert = report.records[0].witnesses
     assert hilbert["equivariant_series"] == equivariant_series(7).to_json()
     assert hilbert["ordinary_series"] == ordinary_series(7).to_json()
-    # every ideal the run builds is J or J-check: seven quadrics, no t
-    assert ideals
-    for ideal in ideals:
-        assert len(ideal.generators) == 7
+    # the one ideal the run builds is J: seven quadrics in x_1..x_7 and t
+    assert [(len(ideal.generators), ideal.var_names[-1]) for ideal in ideals] \
+        == [(7, "t")]
 
 
 def test_e6_quadric_run_prints_the_closed_form_with_the_engine_refused(
@@ -737,7 +738,6 @@ def test_e6_quadric_run_prints_the_closed_form_with_the_engine_refused(
     monkeypatch.setattr(commalg, "_reducer", _refuse)
     # so that every ideal is rebuilt
     commalg.build_ideal_J.cache_clear()
-    commalg.build_ideal_Jcheck.cache_clear()
     report = run_certification(RunConfig(
         "E6", checks=("hilbert", "regular_sequence", "zero_set")))
     assert [r.passed for r in report.records] == [True, True, True]
@@ -746,9 +746,9 @@ def test_e6_quadric_run_prints_the_closed_form_with_the_engine_refused(
 
 
 def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
-    # J and J-check are cached per Cartan matrix, J-check derived from the
-    # cached J: the checks that read them share two ideals, each built and
-    # validated once
+    # J is cached per Cartan matrix, and the minors route reads J-check as
+    # the t-free terms of J's generators: the checks share one ideal, built
+    # and validated once
     ideals = []
     quadrics = []
     init = Ideal.__init__
@@ -765,16 +765,13 @@ def test_a_quadric_run_builds_each_ideal_once(monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", recording_init)
     monkeypatch.setattr(commalg, "_quadric_ideal", recording_quadric_ideal)
     commalg.build_ideal_J.cache_clear()
-    commalg.build_ideal_Jcheck.cache_clear()
     report = run_certification(RunConfig(
         "E7", checks=("hilbert", "regular_sequence", "zero_set")))
     assert report.overall_pass
     cm = cartan_matrix("E7")
     assert quadrics == [cm]
-    # the lookups are cache hits, which construct nothing
-    cached = [build_ideal_J(cm), build_ideal_Jcheck(cm)]
-    assert len(ideals) == 2
-    assert all(built is ideal for built, ideal in zip(ideals, cached))
+    # the lookup is a cache hit, which constructs nothing
+    assert len(ideals) == 1 and ideals[0] is build_ideal_J(cm)
 
 
 @pytest.mark.parametrize("run", [
@@ -794,7 +791,6 @@ def test_every_poly_a_run_builds_has_int_coefficients(run, monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", recording_init)
     # so that every ideal is rebuilt
     commalg.build_ideal_J.cache_clear()
-    commalg.build_ideal_Jcheck.cache_clear()
     run()
     assert any(len(terms) > 1 for terms in built)
     for terms in built:
@@ -841,7 +837,7 @@ def test_section_leads_match_the_Jcheck_basis(name):
     # (J, t) = (J-check, t): the section of J's leads generates J-check's
     # leading-term ideal, and no lead of J's basis involves t
     cm = cartan_matrix(name)
-    ideal, jcheck = build_ideal_J(cm), build_ideal_Jcheck(cm)
+    ideal, jcheck = build_ideal_J(cm), jcheck_ideal(cm)
     assert _section_leads(ideal) == _tuple_minimalize(basis_leads(jcheck))
     assert not any(e[-1] for e in basis_leads(ideal))
 
@@ -850,7 +846,7 @@ def test_section_with_a_lead_that_t_divides():
     # the lead x_1 t leaves the section
     ideal = Ideal(("x1", "t"), ({(1, 1): 1}, {(2, 0): 1}))
     assert any(e[-1] for e in basis_leads(ideal))
-    direct = _t_free(ideal)
+    direct = t_free(ideal)
     assert direct.generators == (G({(2,): 1}),)
     assert _section_leads(ideal) == _tuple_minimalize(basis_leads(direct)) == [(2,)]
     assert hilbert_series_of_quotient(direct) == HilbertSeries((1, 0, 1), (1,))
@@ -874,7 +870,7 @@ def homogeneous_ideals_with_t(draw):
 @given(homogeneous_ideals_with_t())
 def test_section_leads_match_the_t_free_basis(ideal):
     # in(I + (t)) = in(I) + (t) under grevlex for every homogeneous I
-    direct = _t_free(ideal)
+    direct = t_free(ideal)
     assert _section_leads(ideal) == _tuple_minimalize(basis_leads(direct))
 
 
@@ -887,7 +883,7 @@ def test_regular_sequence_single_variable():
 
 
 def test_regular_sequence_Jcheck_generators():
-    ideal = build_ideal_Jcheck(cartan_matrix("A2"))
+    ideal = jcheck_ideal(cartan_matrix("A2"))
     flag, _ = is_regular_sequence(ideal.var_names, generator_polys(ideal))
     assert flag
 
@@ -941,27 +937,44 @@ ROUTE_CHECKS = ("graded_dims",) + QUADRIC_CHECKS
 _QUADRIC_IDEAL = commalg._quadric_ideal
 
 
-def test_a_doctored_Jcheck_generator_fails_the_quadric_checks(monkeypatch):
-    # theta-check_1 with its x_1^2 coefficient doubled is no longer
-    # x_1 (A x)_1: the route does not hold, so no check that reads it passes
-    build = commalg.build_ideal_Jcheck
-
+def test_a_doctored_Jcheck_generator_fails_the_quadric_checks(quadric_mutant):
+    # theta_1 with its x_1^2 coefficient doubled: its t-free part,
+    # theta-check_1, is no longer x_1 (A x)_1, so the route does not hold
+    # and no check that reads it passes; nor does quadratic, as theta_1
+    # no longer vanishes on the rows
     def doctored(cartan):
-        ideal = build(cartan)
+        ideal = _QUADRIC_IDEAL(cartan)
         first = {e: 2 * c if e[0] == 2 else c for e, c in ideal.generators[0]}
         return Ideal(ideal.var_names, (first,) + ideal.generators[1:])
 
-    monkeypatch.setattr(commalg, "build_ideal_Jcheck", doctored)
+    quadric_mutant(doctored)
     report = run_certification(RunConfig("B3"))
-    assert [r.check for r in report.records if not r.passed] == list(ROUTE_CHECKS)
+    assert [r.check for r in report.records if not r.passed] == \
+        ["quadratic", *ROUTE_CHECKS]
     assert all(r.witnesses["minor_route"] is False
                for r in report.records if r.check in QUADRIC_CHECKS)
     assert not report.isomorphism_certified()
 
 
+def test_a_generator_with_no_t_free_term_fails_the_quadric_checks(
+        quadric_mutant):
+    # theta_1 cut down to its -2 t x_1 term has an empty t = 0 part where
+    # x_1 (A x)_1 should be: the route reads that off J's generator, so the
+    # three checks fail and nothing raises
+    def t_term_only(cartan):
+        ideal = _QUADRIC_IDEAL(cartan)
+        first = {e: c for e, c in ideal.generators[0] if e[-1]}
+        return Ideal(ideal.var_names, (first,) + ideal.generators[1:])
+
+    quadric_mutant(t_term_only)
+    records = _quadric_checks_of("B3")
+    assert [r.passed for r in records] == [False] * 3
+    assert all(r.witnesses["minor_route"] is False for r in records)
+
+
 def test_a_symmetrizer_that_finds_none_fails_the_quadric_checks(monkeypatch):
-    # without a positive diagonal D, Sylvester's criterion on D A proves
-    # nothing about the minors of A
+    # without a positive diagonal D, the leading minors of A prove nothing
+    # about its other principal minors
     monkeypatch.setattr(commalg, "symmetrizer", lambda rows: None)
     report = run_certification(RunConfig("B3"))
     assert [r.check for r in report.records if not r.passed] == list(ROUTE_CHECKS)
@@ -1003,28 +1016,69 @@ def test_an_inhomogeneous_generator_fails_the_quadric_checks(quadric_mutant):
     assert all(r.witnesses["minor_route"] is False for r in records)
 
 
-def test_a_failing_minor_test_fails_hilbert(monkeypatch):
-    # a Sylvester test that rejects every matrix: the route no longer
-    # proves the closed forms, and every check that reads it fails
-    monkeypatch.setattr(commalg, "leading_minors_positive", lambda rows: False)
-    report = run_certification(RunConfig("B3"))
-    hilbert = next(r for r in report.records if r.check == "hilbert")
-    assert hilbert.passed is False
-    assert hilbert.witnesses["minor_route"] is False
-    assert [r.check for r in report.records if not r.passed] == list(ROUTE_CHECKS)
-    assert not report.isomorphism_certified()
+def _watch_the_elimination(monkeypatch, refuse_after_first=False):
+    """Wraps ``leading_minors_positive`` wherever the package binds it, in
+    ``roots`` and in ``commalg``, and returns the list of the rows of each
+    call; with ``refuse_after_first``, every call after the first raises."""
+    real = commalg.leading_minors_positive
+    calls = []
+
+    def watched(rows):
+        if refuse_after_first and calls:
+            raise AssertionError("a second elimination of the Cartan matrix")
+        calls.append(tuple(map(tuple, rows)))
+        return real(rows)
+
+    for module in (commalg, roots):
+        monkeypatch.setattr(module, "leading_minors_positive", watched)
+    return calls
+
+
+def test_a_matrix_with_a_nonpositive_leading_minor_is_refused_before_any_model(
+        monkeypatch):
+    # the one elimination runs when the Cartan matrix is built: the affine
+    # triangle, whose bonds are valid but whose determinant is 0, is a
+    # ValueError before the model's constructor is reached, so no model,
+    # and no minors route, is ever built for it
+    calls = _watch_the_elimination(monkeypatch)
+    with pytest.raises(ValueError, match="not positive definite"):
+        PetersonModel(CartanMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+    assert len(calls) == 1
+
+
+def test_the_route_reads_the_minors_proven_when_the_matrix_was_built(
+        monkeypatch):
+    # once the Cartan matrix is built, Sylvester's test raises: an E7 quadric
+    # run still passes, as the route reads the leading minors the matrix
+    # proved positive at construction and eliminates nothing itself
+    e7 = cartan_matrix("E7").entries
+    calls = _watch_the_elimination(monkeypatch, refuse_after_first=True)
+    records = _quadric_checks_of("E7")
+    assert [r.passed for r in records] == [True] * 3
+    assert calls == [e7]
+
+
+@pytest.mark.parametrize("run, types", [
+    (lambda: run_certification(RunConfig("E7", QUADRIC_CHECKS)), 1),
+    (lambda: run_certification(RunConfig("B3")), 1),
+    (lambda: run_suite(DEFAULT_SUITE), len(DEFAULT_SUITE)),
+], ids=["E7-quadric", "B3", "default-suite"])
+def test_each_run_eliminates_its_cartan_matrix_once(run, types, monkeypatch):
+    # one leading_minors_positive call per run_certification: the
+    # construction of its Cartan matrix; the minors route adds none
+    calls = _watch_the_elimination(monkeypatch)
+    run()
+    assert len(calls) == types
 
 
 def test_the_minors_route_dies_with_its_model(monkeypatch):
     # each run builds its own model, and the route is memoized on it: a
-    # doctored Sylvester test reaches the run made under it, whether or
-    # not a clean run came first, and a clean run after it reads no stale
-    # route
+    # doctored symmetrizer reaches the run made under it, whether or not a
+    # clean run came first, and a clean run after it reads no stale route
     def failing(doctored):
         with monkeypatch.context() as patch:
             if doctored:
-                patch.setattr(commalg, "leading_minors_positive",
-                              lambda rows: False)
+                patch.setattr(commalg, "symmetrizer", lambda rows: None)
             report = run_certification(RunConfig("B3"))
         return [r.check for r in report.records if not r.passed]
 
@@ -1044,7 +1098,7 @@ def test_the_two_hilbert_routes_agree(name):
     assert record.witnesses["equivariant_series"] == \
         hilbert_series_of_quotient(build_ideal_J(cm)).to_json()
     assert record.witnesses["ordinary_series"] == \
-        hilbert_series_of_quotient(build_ideal_Jcheck(cm)).to_json()
+        hilbert_series_of_quotient(jcheck_ideal(cm)).to_json()
 
 
 # -- zero sets -------------------------------------------------------------------
@@ -1056,7 +1110,7 @@ def test_zero_set_pure_powers():
 
 
 def test_zero_set_examples():
-    assert ideal_zero_set_is_origin(build_ideal_Jcheck(cartan_matrix("A2")))
+    assert ideal_zero_set_is_origin(jcheck_ideal(cartan_matrix("A2")))
     axes = Ideal(("x1", "x2"), ({(1, 1): 1},))
     assert not ideal_zero_set_is_origin(axes)
 
@@ -1163,7 +1217,7 @@ def test_zero_set_via_minors_examples():
 @pytest.mark.parametrize("name", SUITE + ["A2+A1"])
 def test_zero_set_oracle_agreement(name):
     cm = cartan_matrix(name)
-    assert ideal_zero_set_is_origin(build_ideal_Jcheck(cm)) == \
+    assert ideal_zero_set_is_origin(jcheck_ideal(cm)) == \
         zero_set_via_minors(cm) == True  # noqa: E712
 
 
@@ -1346,7 +1400,7 @@ def test_poly_serialization_sorted():
     assert as_term_list(p) == [[[2, 0], 1, 1], [[0, 2], 1, 2]]
     assert render(p) == "1*z1^2 + 1/2*z2^2"
     assert render(P(2, {})) == "0"
-    ideal = build_ideal_Jcheck(cartan_matrix("A2"))
+    ideal = jcheck_ideal(cartan_matrix("A2"))
     assert render(P(2, ideal.generators[0]), ideal.var_names) == "2*x1^2 + -1*x1*x2"
     assert ideal_to_json(ideal) == {
         "variables": ["x1", "x2"],

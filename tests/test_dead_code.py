@@ -12,7 +12,6 @@ from functools import cached_property
 from pathlib import Path
 
 import petcoh
-from petcoh import commalg
 from petcoh.cli import main
 from petcoh.weyl import WeylGroup
 
@@ -83,19 +82,35 @@ MOVED_TO_ORACLES = ("right_descends", "right_multiply", "_delete_letter",
                     "descents")
 
 
+def _modules():
+    """Each module of ``src/petcoh`` by its short name, imported."""
+    return {info.name: importlib.import_module(f"petcoh.{info.name}")
+            for info in pkgutil.iter_modules(petcoh.__path__)
+            if info.name != "__main__"}  # importing it runs the CLI
+
+
+def _cached_functions():
+    """Every ``lru_cache`` wrapper of a module-level function of
+    ``src/petcoh``."""
+    return [obj for module in _modules().values()
+            for obj in vars(module).values()
+            if hasattr(obj, "cache_clear")
+            and getattr(obj, "__module__", None) == module.__name__]
+
+
 def _defined_functions():
     """Code object -> qualified name of every module-level function and
-    every method of a class defined in ``src/petcoh``, dunders left out."""
+    every method of a class defined in ``src/petcoh``, dunders left out.
+    A function behind ``lru_cache`` is read through ``__wrapped__``, so a
+    cached function that no run calls is seen too."""
     out = {}
-    for info in pkgutil.iter_modules(petcoh.__path__):
-        if info.name == "__main__":  # importing it runs the CLI
-            continue
-        module = importlib.import_module(f"petcoh.{info.name}")
+    for short, module in _modules().items():
         for name, obj in vars(module).items():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
+            obj = getattr(obj, "__wrapped__", obj)
             if inspect.isfunction(obj):
-                out[obj.__code__] = f"{info.name}.{name}"
+                out[obj.__code__] = f"{short}.{name}"
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
                     if attr.startswith("__") and attr.endswith("__"):
@@ -107,7 +122,7 @@ def _defined_functions():
                     elif isinstance(member, cached_property):
                         member = member.func
                     if inspect.isfunction(member):
-                        out[member.__code__] = f"{info.name}.{name}.{attr}"
+                        out[member.__code__] = f"{short}.{name}.{attr}"
     return out
 
 
@@ -118,9 +133,10 @@ def test_every_function_is_called_or_allowed():
         if event == "call":
             called.add(frame.f_code)
 
-    # so that every quadric ideal is rebuilt
-    commalg.build_ideal_J.cache_clear()
-    commalg.build_ideal_Jcheck.cache_clear()
+    # so that every cached function runs afresh: the quadric ideal and the
+    # closed forms
+    for cached in _cached_functions():
+        cached.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
